@@ -24,6 +24,7 @@ from repro.explore.tuner import CacheTuner
 from repro.lru.janapsatya import JanapsatyaSimulator
 from repro.store import open_store
 from repro.trace.stats import compute_trace_statistics
+from repro.trace.trace import collapse_block_runs
 from repro.types import ReplacementPolicy
 from repro.workloads.synthetic import SequentialStream, WorkingSetGenerator
 
@@ -212,37 +213,6 @@ def test_micro_victim_cache_block_runs_speedup(pr8_report):
         f"victim-cache run-length path ({collapsed_seconds:.3f}s) should be "
         f">= 1.5x faster than the raw walk ({raw_seconds:.3f}s), "
         f"got {speedup:.2f}x"
-    )
-
-
-def test_micro_fused_sweep_beats_per_job_baseline(pr4_report):
-    """The fused executor must be >= 1.5x over per-job on a 4-job 1M sweep.
-
-    Four DEW jobs (two block sizes x two associativities) over a 1M-access
-    high-locality trace: the per-job scheme pays four full trace passes (one
-    decode + one Python walk per raw access each); the fused executor
-    decodes once, computes each block-size shift and run-length collapse
-    once, and feeds all four engines in a single pass.  Output rows must be
-    byte-identical.
-    """
-    trace = SequentialStream(stride=1, region_bytes=1 << 17).generate(1_000_000, seed=1)
-    jobs = build_grid_jobs([16, 64], [2, 4], SET_SIZES)
-    assert len(jobs) == 4
-
-    per_job_start = time.perf_counter()
-    per_job = run_sweep(trace, jobs, fused=False)
-    per_job_seconds = time.perf_counter() - per_job_start
-
-    fused_start = time.perf_counter()
-    fused = run_sweep(trace, jobs, fused=True)
-    fused_seconds = time.perf_counter() - fused_start
-
-    assert fused.as_rows() == per_job.as_rows()
-    speedup = per_job_seconds / fused_seconds
-    pr4_report["pr4_fused_sweep_vs_per_job"] = speedup
-    assert speedup >= 1.5, (
-        f"fused sweep ({fused_seconds:.3f}s) should be >= 1.5x faster than "
-        f"the per-job baseline ({per_job_seconds:.3f}s), got {speedup:.2f}x"
     )
 
 
@@ -465,129 +435,6 @@ def test_micro_dew_scales_with_levels(benchmark):
     assert evaluations < len(addresses) * 15
 
 
-def _shm_bench_trace():
-    """A multi-million-access high-locality stream (length env-overridable)."""
-    length = int(os.environ.get("REPRO_BENCH_SHM_REQUESTS", "2000000"))
-    return SequentialStream(stride=1, region_bytes=1 << 18).generate(length, seed=1)
-
-
-def test_micro_shm_worker_setup_beats_per_worker_decode(pr6_report):
-    """Eight shm attaches must beat eight per-worker trace decodes >= 2x.
-
-    This isolates exactly the cost the shared plane removes from the pooled
-    fan-out.  Without the plane, every worker receives its own copy of the
-    trace (pickled across the spawn boundary; a private COW-backed copy
-    under fork) and re-derives the per-block-size shift and run-length
-    arrays locally.  With the plane, the parent decodes once into a shared
-    segment and each worker unpickles a ~700-byte descriptor and maps the
-    arrays read-only.  At 8 workers the publish cost is amortised 8 ways,
-    so the shared path must win by >= 2x — and the arrays served must be
-    bit-identical.
-    """
-    from repro.engine.shmplane import (
-        AttachedPlane,
-        LocalChunkSource,
-        SharedTracePlane,
-        decode_requirements,
-    )
-    import pickle
-
-    trace = _shm_bench_trace()
-    jobs = build_grid_jobs([16, 64], [2, 4], SET_SIZES)
-    plan = decode_requirements(jobs)
-    workers = 8
-    chunk = len(trace)  # one chunk: the whole-trace decode both paths pay
-
-    def touch_all(source):
-        checks = []
-        for offset in plan.offsets:
-            checks.append(int(source.blocks(0, offset)[-1]))
-            values, counts = source.runs(0, offset)
-            checks.append(int(values[-1]) + int(counts[-1]))
-        return checks
-
-    def time_per_worker_decode():
-        start = time.perf_counter()
-        checks = None
-        for _ in range(workers):
-            blob = pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL)
-            local = LocalChunkSource(pickle.loads(blob), chunk_size=chunk)
-            checks = touch_all(local)
-        return time.perf_counter() - start, checks
-
-    def time_shared_plane():
-        start = time.perf_counter()
-        checks = None
-        with SharedTracePlane.publish(trace, jobs, chunk_size=chunk) as plane:
-            layout_blob = pickle.dumps(plane.descriptor())
-            for _ in range(workers):
-                attached = AttachedPlane.attach(pickle.loads(layout_blob))
-                try:
-                    checks = touch_all(attached)
-                finally:
-                    attached.close()
-        return time.perf_counter() - start, checks
-
-    local_seconds, local_checks = min(
-        (time_per_worker_decode() for _ in range(3)), key=lambda pair: pair[0]
-    )
-    shared_seconds, shared_checks = min(
-        (time_shared_plane() for _ in range(3)), key=lambda pair: pair[0]
-    )
-
-    assert shared_checks == local_checks
-    speedup = local_seconds / shared_seconds
-    pr6_report["pr6_shm_fanout_setup_vs_per_worker_decode"] = speedup
-    with SharedTracePlane.publish(trace, jobs, chunk_size=chunk) as plane:
-        descriptor_bytes = len(pickle.dumps(plane.descriptor()))
-    pr6_report["pr6_shm_descriptor_bytes"] = descriptor_bytes
-    pr6_report["pr6_trace_bytes"] = int(trace.addresses.nbytes)
-    assert speedup >= 2.0, (
-        f"{workers} shared-plane attaches ({shared_seconds:.3f}s) should be "
-        f">= 2x faster than {workers} per-worker decodes "
-        f"({local_seconds:.3f}s), got {speedup:.2f}x"
-    )
-    # The zero-copy claim in bytes: per-worker transfer is the descriptor,
-    # not the trace.
-    assert descriptor_bytes * 1000 < trace.addresses.nbytes
-
-
-def test_micro_shm_worker_scaling_curve(pr6_report):
-    """Record the 1/2/4/8-worker wall-clock curve, shm on and off.
-
-    Every point must produce byte-identical rows; the shm path must never
-    cost more than a small tolerance over the copy path (on a single-core
-    runner the pool adds overhead rather than parallel speedup, so the
-    curve's value is the recorded trajectory — per-point throughput in
-    accesses/second — not a hard scaling assertion).
-    """
-    trace = _shm_bench_trace()
-    jobs = build_grid_jobs([16, 64], [2, 4], SET_SIZES)
-
-    def timed(**kwargs):
-        start = time.perf_counter()
-        outcome = run_sweep(trace, jobs, **kwargs)
-        return time.perf_counter() - start, outcome
-
-    serial_seconds, serial = timed()
-    pr6_report["pr6_scaling_serial_seconds"] = serial_seconds
-    for workers in (1, 2, 4, 8):
-        for shm in (True, False):
-            seconds, outcome = timed(workers=workers, shm=shm)
-            assert outcome.as_rows() == serial.as_rows(), (workers, shm)
-            key = f"pr6_scaling_w{workers}_{'shm' if shm else 'noshm'}"
-            pr6_report[key + "_seconds"] = seconds
-            pr6_report[key + "_accesses_per_second"] = len(trace) / seconds
-    shm8 = pr6_report["pr6_scaling_w8_shm_seconds"]
-    noshm8 = pr6_report["pr6_scaling_w8_noshm_seconds"]
-    pr6_report["pr6_scaling_w8_shm_vs_noshm"] = noshm8 / shm8
-    # Guard against the plane *regressing* the pooled path.
-    assert shm8 <= noshm8 * 1.25, (
-        f"8-worker shm sweep ({shm8:.3f}s) should not cost more than the "
-        f"copy path ({noshm8:.3f}s) plus tolerance"
-    )
-
-
 def _plane_bench_trace_file(directory):
     """A text trace file large enough that parsing it dominates (env-overridable)."""
     from repro.trace.din import write_din
@@ -600,48 +447,43 @@ def _plane_bench_trace_file(directory):
 
 
 def test_micro_warm_plane_attach_beats_cold_decode(tmp_path, pr9_report):
-    """A warm mmap plane attach must beat a cold text decode >= 5x.
+    """A warm trace attach plus local derive must beat a cold parse >= 5x.
 
-    This isolates exactly what the trace plane cache removes from every
-    warm sweep: the cold path re-reads and re-parses the trace text, then
-    re-derives the per-block-size shifts and run-length collapse; the warm
-    path maps the cached columnar arrays read-only and only faults the
-    pages it walks.  Both paths must serve bit-identical arrays.
+    This isolates exactly what the trace cache removes from every warm
+    sweep: the cold path re-reads and re-parses the trace text; the warm
+    path maps the cached columns read-only.  Both paths then derive the
+    same per-block-size shifts and run-length collapse from the addresses,
+    as every sweep process does, and must produce bit-identical arrays.
     """
-    from repro.engine.shmplane import LocalChunkSource, decode_requirements
     from repro.trace.files import load_trace_file
-    from repro.trace.planecache import PlaneKey, open_plane_cache
+    from repro.trace.planecache import open_plane_cache
 
     path = _plane_bench_trace_file(tmp_path)
     jobs = build_grid_jobs([16, 64], [2, 4], SET_SIZES)
-    offsets = decode_requirements(jobs).offsets
+    offsets = sorted({job.build().offset_bits for job in jobs})
     cache = open_plane_cache(tmp_path / "pc")
     warm_trace = load_trace_file(path, cache=cache)
-    cache.ensure(warm_trace, jobs).close()
-    key = PlaneKey.make(warm_trace.fingerprint(), jobs)
+    cache.ensure(warm_trace).close()
+    fingerprint = warm_trace.fingerprint()
 
-    def touch_all(source):
+    def derive_all(trace):
         checks = []
-        for chunk in range(source.num_chunks):
-            for offset in offsets:
-                checks.append(int(source.blocks(chunk, offset)[-1]))
-                values, counts = source.runs(chunk, offset)
+        for offset in offsets:
+            for blocks in trace.iter_block_chunks(offset):
+                values, counts = collapse_block_runs(blocks)
+                checks.append(int(blocks[-1]))
                 checks.append(int(values[-1]) + int(counts[-1]))
         return checks
 
     def time_cold_decode():
         start = time.perf_counter()
-        trace = load_trace_file(path)
-        checks = touch_all(LocalChunkSource(trace))
+        checks = derive_all(load_trace_file(path))
         return time.perf_counter() - start, checks
 
     def time_warm_attach():
         start = time.perf_counter()
-        plane = cache.get(key)
-        try:
-            checks = touch_all(plane)
-        finally:
-            plane.close()
+        with cache.get(fingerprint) as plane:
+            checks = derive_all(plane)
         return time.perf_counter() - start, checks
 
     cold_seconds, cold_checks = min(
@@ -657,8 +499,8 @@ def test_micro_warm_plane_attach_beats_cold_decode(tmp_path, pr9_report):
     pr9_report["pr9_cold_decode_seconds"] = cold_seconds
     pr9_report["pr9_warm_attach_seconds"] = warm_seconds
     assert speedup >= 5.0, (
-        f"warm plane attach ({warm_seconds:.4f}s) should be >= 5x faster "
-        f"than cold text decode ({cold_seconds:.4f}s), got {speedup:.2f}x"
+        f"warm attach + derive ({warm_seconds:.4f}s) should be >= 5x faster "
+        f"than cold parse + derive ({cold_seconds:.4f}s), got {speedup:.2f}x"
     )
 
     # The fingerprint sidecar's half of the warm path: a stat + sidecar
@@ -685,12 +527,11 @@ def test_micro_served_warm_corpus_latency(tmp_path, pr9_report):
     """Record the served cold-vs-warm submit-to-done latency on one corpus.
 
     The first job over a corpus pays the text parse, the content hash and
-    the plane decode; later jobs over the same corpus (any grid sharing the
-    decode requirements) ride the sidecar + mmap attach.  The cold and warm
-    requests use the same ``random``-policy grid with different seeds —
-    identical simulation cost and plane key, but distinct result-store
-    cells — so the only structural difference between the runs is the trace
-    handling the cache removes.  Every served payload must equal the direct
+    the artifact write; later jobs over the same corpus (any grid) ride the
+    sidecar + mmap attach.  The cold and warm requests use the same
+    ``random``-policy grid with different seeds — identical simulation cost
+    but distinct result-store cells — so the only structural difference
+    between the runs is the trace handling the cache removes.  Every served payload must equal the direct
     sweep's.  Recorded as a trajectory; the pin is only that the warm p50
     does not *regress* past the cold time.
     """
@@ -756,7 +597,7 @@ def test_micro_metrics_overhead_on_fused_hot_path(pr10_report):
 
     def timed_sweep():
         start = time.perf_counter()
-        outcome = run_sweep(trace, jobs, fused=True)
+        outcome = run_sweep(trace, jobs)
         return time.perf_counter() - start, outcome
 
     timed_sweep()  # warm caches before either arm is measured

@@ -59,31 +59,13 @@ def pr5_report():
 
 
 @pytest.fixture(scope="session")
-def pr6_report():
-    """Collector for the shared-memory fan-out benchmark's measurements.
-
-    Written as ``BENCH_PR6.json`` (path overridable via ``REPRO_BENCH_PR6``)
-    at session end: the worker-scaling wall-clock curve (1/2/4/8 workers,
-    shm on/off), the per-worker setup-cost ratio the plane buys, and the
-    descriptor-vs-trace transfer sizes that make the fan-out zero-copy.
-    """
-    data = {}
-    yield data
-    if data:
-        path = os.environ.get("REPRO_BENCH_PR6", "BENCH_PR6.json")
-        with open(path, "w", encoding="ascii") as handle:
-            json.dump(dict(sorted(data.items())), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-
-@pytest.fixture(scope="session")
 def pr7_report():
     """Collector for the multi-daemon fleet benchmark's measurements.
 
     Written as ``BENCH_PR7.json`` (path overridable via ``REPRO_BENCH_PR7``)
     at session end: jobs/sec vs daemon count on the saturation workload,
     socket-vs-polling submit-to-done latency, and the SIGKILL-failover
-    outcome — the horizontal-scaling counterpart to BENCH_PR5/6.
+    outcome — the horizontal-scaling counterpart to BENCH_PR5.
     """
     data = {}
     yield data

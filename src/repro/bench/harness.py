@@ -381,15 +381,13 @@ class ExperimentRunner:
         policies: Sequence[Union[str, ReplacementPolicy]] = (ReplacementPolicy.FIFO,),
         workers: Optional[int] = None,
         force: bool = False,
-        fused: bool = True,
     ) -> SweepOutcome:
         """Sweep the runner's full grid for one application, incrementally.
 
         Decomposes ``(block_sizes x associativities x set_sizes x policies)``
-        into engine jobs and executes them through :func:`run_sweep` — by
-        default via the fused single-pass executor (``fused=False`` restores
-        the one-pass-per-job scheme; rows are identical) — routed through
-        the configured result store when one was given: a repeated campaign
+        into engine jobs and executes them through :func:`run_sweep`'s fused
+        single-pass executor, routed through the configured result store
+        when one was given: a repeated campaign
         loads finished cells from disk and simulates only the cells that
         changed (``force=True`` re-runs everything).  The outcome is
         byte-identical to a cold run either way.
@@ -408,7 +406,6 @@ class ExperimentRunner:
             workers=self.workers if workers is None else workers,
             store=self.store(),
             force=force,
-            fused=fused,
         )
 
     def run_table4(

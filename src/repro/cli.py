@@ -50,9 +50,9 @@ Installed as ``repro-dew``.  Subcommands:
     ``queue gc`` (evict finished job records past a retention window).
 ``trace``
     Trace utilities — ``trace cache ls/verify/gc/warm`` manage the
-    content-addressed decoded-plane cache (``--trace-cache`` on ``sweep``,
+    fingerprint-addressed trace cache (``--trace-cache`` on ``sweep``,
     ``serve`` and ``submit``): each trace is text-parsed once, ever; warm
-    consumers mmap-attach the decoded columnar plane read-only.
+    consumers mmap-attach its columns read-only.
 ``reproduce``
     Regenerate the paper's tables and figures (scaled-down traces).
 
@@ -114,7 +114,6 @@ from repro.trace.din import write_din
 from repro.trace.files import load_trace_file, trace_name_for_path
 from repro.trace.planecache import (
     CachedPlane,
-    PlaneKey,
     coerce_plane_cache,
     gc_plane_cache,
     open_plane_cache,
@@ -122,7 +121,6 @@ from repro.trace.planecache import (
     verify_plane_cache,
 )
 from repro.trace.textio import write_text_trace
-from repro.trace.trace import Trace
 from repro.types import ReplacementPolicy
 from repro.verify.crosscheck import cross_check
 from repro.workloads.mediabench import PAPER_REQUEST_COUNTS, mediabench_trace
@@ -197,22 +195,6 @@ def _parse_int_list(text: str, what: str) -> List[int]:
     return values
 
 
-def _shm_mode(args: argparse.Namespace) -> Optional[bool]:
-    """Tri-state shared-memory choice from ``--shm``/``--no-shm``.
-
-    ``None`` (neither flag) lets :func:`~repro.engine.sweep.run_sweep` use
-    the shared plane automatically for pooled fused work with a fallback to
-    the copy path; ``--shm`` forces it (and routes even serial fused runs
-    through the plane); ``--no-shm`` is the escape hatch that disables
-    shared memory entirely.
-    """
-    if getattr(args, "shm", False):
-        return True
-    if getattr(args, "no_shm", False):
-        return False
-    return None
-
-
 def _print_result_rows(merged) -> None:
     """The per-configuration text lines shared by ``sweep`` and ``result``."""
     for result in merged:
@@ -270,19 +252,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     store = open_store(args.store) if args.store else None
     cache = _sweep_trace_cache(args)
-    # Warm path: a fingerprint sidecar plus a cached plane for this job grid
-    # means the sweep never opens the trace file at all — the mmap-attached
-    # plane is the chunk source and only walked pages are read.
+    # Warm path: a fingerprint sidecar plus a cached artifact for that
+    # fingerprint means the sweep never opens the trace file at all — the
+    # mmap-attached trace is swept and only walked pages are read.
+    load_start = time.perf_counter()
     sweep_input = None
-    if cache is not None and not args.no_fused:
+    if cache is not None:
         known = cache.cached_fingerprint(args.trace)
         if known is not None:
-            sweep_input = cache.get(
-                PlaneKey.make(known, jobs),
-                trace_name=trace_name_for_path(args.trace),
-            )
+            sweep_input = cache.get(known, trace_name=trace_name_for_path(args.trace))
     if sweep_input is None:
         sweep_input = _load_trace(args.trace, cache=cache)
+    load_seconds = time.perf_counter() - load_start
+    requests = len(sweep_input)
     try:
         outcome = run_sweep(
             sweep_input,
@@ -290,17 +272,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             workers=args.workers,
             store=store,
             force=args.force,
-            fused=not args.no_fused,
-            shm=_shm_mode(args),
             trace_cache=cache,
         )
     finally:
         if isinstance(sweep_input, CachedPlane):
             sweep_input.close()
     merged = outcome.merged()
-    requests = (
-        len(sweep_input) if isinstance(sweep_input, Trace) else sweep_input.length
-    )
     # Result lines are deterministic (byte-identical for any worker count and
     # for cold vs store-warmed runs); timing and store bookkeeping go to
     # stderr so stdout stays comparable.
@@ -320,8 +297,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     if args.profile:
-        # merged() already ran above, so the merge phase is accounted for.
-        phases = outcome.phases
+        # merged() already ran above, so the merge phase is accounted for;
+        # the trace load (text parse or cache attach) precedes run_sweep.
+        phases = dict(outcome.phases, load=load_seconds)
         covered = sum(phases.values())
         print("profile (exclusive seconds per phase):", file=sys.stderr)
         for name, seconds in sorted(phases.items(), key=lambda item: -item[1]):
@@ -329,7 +307,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"  {name:<14} {seconds:9.4f}s  {share:5.1f}%", file=sys.stderr)
         print(
             f"  {'covered':<14} {covered:9.4f}s of "
-            f"{outcome.elapsed_seconds:.4f}s wall",
+            f"{outcome.elapsed_seconds + load_seconds:.4f}s wall",
             file=sys.stderr,
         )
     return 0
@@ -445,8 +423,8 @@ def _cmd_trace_cache_ls(args: argparse.Namespace) -> int:
     for record in records:
         if record.status == "ok":
             print(
-                f"  {record.digest[:12]}  trace={record.trace_fingerprint[:12]}  "
-                f"arrays={record.rows:<3} {record.size_bytes:,} B"
+                f"  {record.digest[:12]}  accesses={record.rows:<10,} "
+                f"{record.size_bytes:,} B"
             )
         else:
             print(f"  [{record.status}] {record.path}  ({record.detail})")
@@ -481,36 +459,12 @@ def _cmd_trace_cache_gc(args: argparse.Namespace) -> int:
 
 def _cmd_trace_cache_warm(args: argparse.Namespace) -> int:
     cache = open_plane_cache(args.cache_dir)
-    jobs = build_grid_jobs(
-        block_sizes=_parse_int_list(args.block_sizes, "block size"),
-        associativities=_parse_int_list(args.associativities, "associativity"),
-        set_sizes=_set_sizes(args.max_sets),
-        policies=[token for token in args.policies.split(",") if token.strip()],
-        seed=args.seed,
-    )
-    mechanisms = [token.strip() for token in args.mechanisms.split(",") if token.strip()]
-    if mechanisms:
-        jobs += build_mechanism_grid_jobs(
-            mechanisms,
-            block_sizes=_parse_int_list(args.block_sizes, "block size"),
-            associativities=_parse_int_list(args.associativities, "associativity"),
-            set_sizes=_set_sizes(args.max_sets),
-            entry_counts=_parse_int_list(args.mechanism_entries, "mechanism entry count"),
-            policies=[token for token in args.policies.split(",") if token.strip()],
-            stream_depth=args.stream_depth,
-            seed=args.seed,
-        )
     trace = _load_trace(args.trace, cache=cache)
-    plane = cache.ensure(trace, jobs)
-    try:
-        key = plane.key
-        path = cache.path_for(key)
-        size = os.path.getsize(path)
-    finally:
-        plane.close()
-    stats = cache.stats()
-    verb = "already cached" if stats["puts"] == 0 else "decoded and cached"
-    print(f"{verb}: plane {key.digest[:12]} ({size:,} B) at {path}")
+    cache.ensure(trace).close()
+    fingerprint = trace.fingerprint()
+    path = cache.path_for(fingerprint)
+    verb = "already cached" if cache.stats()["puts"] == 0 else "parsed and cached"
+    print(f"{verb}: trace {fingerprint[:12]} ({os.path.getsize(path):,} B) at {path}")
     return 0
 
 
@@ -662,7 +616,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store=args.store,
         workers=args.workers,
         sweep_workers=args.sweep_workers,
-        shm=_shm_mode(args),
         poll_interval=args.poll,
         daemon_id=args.daemon_id,
         lease_seconds=args.lease,
@@ -1030,17 +983,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--associativity", type=int, default=4)
         sub.add_argument("--max-sets", type=int, default=16384)
 
-    def add_shm_arguments(sub: argparse.ArgumentParser) -> None:
-        group = sub.add_mutually_exclusive_group()
-        group.add_argument("--shm", action="store_true",
-                           help="force the shared-memory trace plane (decode "
-                                "once, workers map it zero-copy); fails if the "
-                                "platform has no shared memory")
-        group.add_argument("--no-shm", action="store_true",
-                           help="disable the shared-memory trace plane and ship "
-                                "each worker its own trace copy (results are "
-                                "identical)")
-
     dew = subparsers.add_parser("dew", help="run DEW over a trace")
     add_family_arguments(dew)
     dew.add_argument("--collapse", action="store_true",
@@ -1082,25 +1024,21 @@ def build_parser() -> argparse.ArgumentParser:
                             "simulated for this trace are loaded, not re-run")
     sweep.add_argument("--force", action="store_true",
                        help="with --store, re-execute every job even when cached")
-    sweep.add_argument("--no-fused", action="store_true",
-                       help="disable the fused single-pass executor and run one "
-                            "full trace pass per job (results are identical)")
-    add_shm_arguments(sweep)
     sweep.add_argument("--trace-cache", dest="trace_cache", default=None,
                        metavar="DIR",
-                       help="decoded-trace plane cache directory: the first "
-                            "sweep decodes and caches the trace's columnar "
-                            "plane, later sweeps mmap-attach it and never "
-                            "re-parse the file (results are identical)")
+                       help="trace cache directory: the first sweep caches "
+                            "the parsed trace, later sweeps mmap-attach it "
+                            "and never re-parse the file (results are "
+                            "identical)")
     sweep.add_argument("--no-trace-cache", dest="trace_cache",
                        action="store_const", const=False,
-                       help="disable the decoded-trace plane cache")
+                       help="disable the trace cache")
     sweep.add_argument("--format", choices=("text", "json"), default="text",
                        help="output format (json rows use a stable sort order)")
     sweep.add_argument("--profile", action="store_true",
-                       help="print a per-phase wall-clock breakdown (decode, "
-                            "plane ensure, shm publish, store lookup, "
-                            "simulate, persist, merge) to stderr")
+                       help="print a per-phase wall-clock breakdown (load, "
+                            "decode, plane ensure, store lookup, simulate, "
+                            "persist, merge) to stderr")
     sweep.set_defaults(func=_cmd_sweep)
 
     verify = subparsers.add_parser("verify", help="cross-check DEW against the reference simulator")
@@ -1211,7 +1149,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="jobs executed concurrently (bounded worker pool)")
     serve.add_argument("--sweep-workers", type=int, default=1,
                        help="process fan-out within each job's sweep")
-    add_shm_arguments(serve)
     serve.add_argument("--poll", type=float, default=0.1, metavar="SECONDS",
                        help="idle sleep between scheduler ticks")
     serve.add_argument("--drain", action="store_true",
@@ -1236,13 +1173,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "finished job records (default: 7 days)")
     serve.add_argument("--trace-cache", dest="trace_cache", default=None,
                        metavar="DIR",
-                       help="decoded-trace plane cache shared by the fleet "
+                       help="trace cache shared by the fleet "
                             "(default: <service_dir>/tracecache); a warm "
                             "cache lets daemons run jobs without ever "
                             "opening the trace file")
     serve.add_argument("--no-trace-cache", dest="trace_cache",
                        action="store_const", const=False,
-                       help="disable the decoded-trace plane cache")
+                       help="disable the trace cache")
     serve.set_defaults(func=_cmd_serve)
 
     def add_service_client_arguments(sub: argparse.ArgumentParser, with_job: bool) -> None:
@@ -1296,13 +1233,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "one path")
     submit.add_argument("--trace-cache", dest="trace_cache", default=None,
                         metavar="DIR",
-                        help="decoded-trace plane cache for the fingerprint "
-                             "sidecar (default: <service_dir>/tracecache); a "
+                        help="trace cache for the fingerprint sidecar "
+                             "(default: <service_dir>/tracecache); a "
                              "warm sidecar makes resubmission skip the "
                              "full-file hash entirely")
     submit.add_argument("--no-trace-cache", dest="trace_cache",
                         action="store_const", const=False,
-                        help="disable the decoded-trace plane cache")
+                        help="disable the trace cache")
     submit.set_defaults(func=_cmd_submit)
 
     status = subparsers.add_parser("status", help="show one service job's state and progress")
@@ -1386,16 +1323,16 @@ def build_parser() -> argparse.ArgumentParser:
     queue_gc.set_defaults(func=_cmd_queue_gc)
 
     trace = subparsers.add_parser(
-        "trace", help="trace utilities (the decoded-plane cache)")
+        "trace", help="trace utilities (the trace cache)")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
 
     trace_cache = trace_sub.add_parser(
         "cache",
-        help="manage a decoded-trace plane cache (content-addressed, "
-             "mmap-attached; decode each trace once, ever)")
+        help="manage a trace cache (fingerprint-addressed, mmap-attached; "
+             "parse each trace once, ever)")
     cache_sub = trace_cache.add_subparsers(dest="cache_command", required=True)
 
-    tc_ls = cache_sub.add_parser("ls", help="list the cache's decoded planes")
+    tc_ls = cache_sub.add_parser("ls", help="list the cache's traces")
     tc_ls.add_argument("cache_dir", help="plane cache directory")
     tc_ls.add_argument("--format", choices=("text", "json"), default="text",
                        help="output format")
@@ -1403,8 +1340,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     tc_verify = cache_sub.add_parser(
         "verify",
-        help="re-read every plane, re-hash its payload and re-derive its "
-             "content address; report corrupt/mis-addressed files")
+        help="re-read every plane and recompute its trace fingerprint "
+             "(its address); report corrupt/mis-addressed files")
     tc_verify.add_argument("cache_dir", help="plane cache directory")
     tc_verify.set_defaults(func=_cmd_trace_cache_verify)
 
@@ -1417,35 +1354,18 @@ def build_parser() -> argparse.ArgumentParser:
                             "every valid plane matching none of them is removed")
     tc_gc.add_argument("--max-bytes", type=int, default=None, metavar="N",
                        help="size budget: evict valid planes oldest-first until "
-                            "the cache fits in N bytes (evicted planes are "
-                            "re-decoded by the next sweep)")
+                            "the cache fits in N bytes (evicted traces are "
+                            "re-parsed by the next sweep)")
     tc_gc.add_argument("--dry-run", action="store_true",
                        help="report what would be removed without deleting anything")
     tc_gc.set_defaults(func=_cmd_trace_cache_gc)
 
     tc_warm = cache_sub.add_parser(
         "warm",
-        help="decode a trace's plane into the cache ahead of time (so the "
-             "first sweep or service job is already warm)")
+        help="parse a trace into the cache ahead of time (so the first "
+             "sweep or service job over it is already warm)")
     tc_warm.add_argument("cache_dir", help="plane cache directory (created if missing)")
     tc_warm.add_argument("trace", help="trace file (.din, .csv or hex list; .gz accepted)")
-    tc_warm.add_argument("--block-sizes", default="4,16,64",
-                         help="comma-separated block sizes in bytes")
-    tc_warm.add_argument("--associativities", default="1,4,8",
-                         help="comma-separated associativities")
-    tc_warm.add_argument("--max-sets", type=int, default=16384,
-                         help="largest number of sets (sweep doubles from 1)")
-    tc_warm.add_argument("--policies", default="fifo",
-                         help="comma-separated replacement policies")
-    tc_warm.add_argument("--mechanisms", default="",
-                         help="comma-separated miss-path mechanisms the target "
-                              "grid sweeps (affects the plane's access types)")
-    tc_warm.add_argument("--mechanism-entries", default="2,4,8,16",
-                         help="comma-separated mechanism buffer entry counts")
-    tc_warm.add_argument("--stream-depth", type=int, default=4,
-                         help="prefetch depth of each stream buffer")
-    tc_warm.add_argument("--seed", type=int, default=0,
-                         help="seed for stochastic policies")
     tc_warm.set_defaults(func=_cmd_trace_cache_warm)
 
     reproduce = subparsers.add_parser("reproduce", help="regenerate the paper's tables and figures")

@@ -14,14 +14,6 @@ from repro.engine.base import (
     get_engine_class,
     register_engine,
 )
-from repro.engine.shmplane import (
-    AttachedPlane,
-    LocalChunkSource,
-    PlaneLayout,
-    SharedTracePlane,
-    TraceChunkSource,
-    leaked_segments,
-)
 from repro.engine.adapters import (
     CrcbJanapsatyaEngine,
     DewEngine,
@@ -50,12 +42,6 @@ __all__ = [
     "get_engine",
     "get_engine_class",
     "register_engine",
-    "AttachedPlane",
-    "LocalChunkSource",
-    "PlaneLayout",
-    "SharedTracePlane",
-    "TraceChunkSource",
-    "leaked_segments",
     "DewEngine",
     "SingleConfigEngine",
     "JanapsatyaEngine",

@@ -186,9 +186,8 @@ def get_engine_class(name: str) -> Type[Engine]:
 
     The class-level capability flags (:attr:`Engine.supports_block_runs`,
     :attr:`Engine.wants_access_types`) are meaningful on the class itself,
-    so callers planning shared decode work — the shared-memory trace plane
-    in :mod:`repro.engine.shmplane` — can interrogate a whole job list
-    without instantiating (and paying the state allocation of) any engine.
+    so callers can interrogate a whole job list without instantiating (and
+    paying the state allocation of) any engine.
     """
     key = str(name).strip().lower()
     try:

@@ -16,8 +16,9 @@ strings/enums collapse to the enum's value), so semantically equal jobs have
 equal identities — and, through :meth:`SweepJob.store_key`, equal
 content-addresses in the persistent result store.
 
-:func:`run_sweep` executes the jobs — serially, or fanned out over a
-``multiprocessing`` pool — and merges the per-job
+:func:`run_sweep` executes the jobs through one :class:`FusedSweepExecutor`
+pass per batch — serially, or one batch per worker of a ``multiprocessing``
+pool — and merges the per-job
 :class:`~repro.core.results.SimulationResults` deterministically: results are
 collected in job order regardless of completion order, and configurations
 reported by more than one job (direct-mapped results come free with every DEW
@@ -52,17 +53,11 @@ import numpy as np
 from repro.core.config import CacheConfig
 from repro.core.results import ResultsFrame, SimulationResults, mechanism_code
 from repro.engine.base import Engine, get_engine
-from repro.engine.shmplane import (
-    AttachedPlane,
-    LocalChunkSource,
-    PlaneLayout,
-    SharedTracePlane,
-    TraceChunkSource,
-)
 from repro.errors import EngineError, ReproError, SimulationError, VerificationError
 from repro.obs.tracing import PhaseTimer
 from repro.store import ResultStore, StoreKey, open_store
-from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace
+from repro.trace.planecache import CachedPlane, TracePlaneCache, coerce_plane_cache
+from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace, collapse_block_runs
 from repro.types import ReplacementPolicy
 
 #: Option names whose values are replacement policies and are parsed as such
@@ -320,9 +315,9 @@ class SweepOutcome:
     executed_jobs: int = 0
     #: Exclusive per-phase wall clock from the orchestrator's
     #: :class:`~repro.obs.tracing.PhaseTimer` — decode / plane_ensure /
-    #: shm_publish / store_lookup / simulate / persist, plus merge once
-    #: :meth:`merged` has run.  Purely observational; empty for outcomes
-    #: built outside :func:`run_sweep`.
+    #: store_lookup / simulate / persist, plus merge once :meth:`merged` has
+    #: run.  Purely observational; empty for outcomes built outside
+    #: :func:`run_sweep`.
     phases: Dict[str, float] = field(default_factory=dict)
     _merged: Optional[SimulationResults] = field(default=None, repr=False)
 
@@ -383,10 +378,10 @@ def _coerce_trace(trace: Union[Trace, Sequence[int]]) -> Trace:
 class FusedSweepExecutor:
     """Run many sweep jobs in one pass over the trace, sharing the decode.
 
-    The per-job scheme pays one full trace traversal — including the
-    byte-address-to-block-address shift and, for DEW, one Python-level walk
-    per raw access — per :class:`SweepJob`.  This executor exploits that the
-    *trace-side* work is identical across jobs:
+    Running each :class:`SweepJob` on its own (:meth:`Engine.run`) pays one
+    full trace traversal — including the byte-address-to-block-address shift
+    and, for DEW, one Python-level walk per raw access — per job.  This
+    executor exploits that the *trace-side* work is identical across jobs:
 
     * byte addresses are sliced into chunks once;
     * each distinct ``offset_bits`` shift is computed once per chunk and the
@@ -403,33 +398,21 @@ class FusedSweepExecutor:
     rows, identical work counters (the collapse bulk-accounting is exact in
     both MRA-ablation modes), identical store artifacts up to timing.  The
     reported per-job ``elapsed_seconds`` covers only that engine's simulation
-    time — the shared decode is excluded, mirroring how the per-job path's
+    time — the shared decode is excluded, mirroring how a per-job run's
     timing is dominated by engine work.
     """
 
     def __init__(
         self,
-        trace: Union[Trace, Sequence[int], TraceChunkSource],
+        trace: Union[Trace, Sequence[int]],
         jobs: Sequence[SweepJob],
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        collapse: bool = True,
     ) -> None:
-        if isinstance(trace, TraceChunkSource):
-            # Pre-decoded input (typically a shared-memory plane): the chunk
-            # geometry is baked into the published arrays, so the source's
-            # settings win over the constructor arguments.
-            self.source = trace
-            self.trace = getattr(trace, "trace", None)
-        else:
-            self.trace = _coerce_trace(trace)
-            self.source = LocalChunkSource(
-                self.trace, chunk_size=chunk_size, collapse=collapse
-            )
+        self.trace = _coerce_trace(trace)
         self.jobs = list(jobs)
         if not self.jobs:
             raise EngineError("FusedSweepExecutor needs at least one job")
-        self.chunk_size = self.source.chunk_size
-        self.collapse = self.source.collapse
+        self.chunk_size = max(int(chunk_size), 1)
 
     def execute(self) -> List[SimulationResults]:
         """One fused pass; per-job results in job order."""
@@ -438,29 +421,21 @@ class FusedSweepExecutor:
         for index, engine in enumerate(engines):
             groups.setdefault(engine.offset_bits, []).append(index)
         elapsed = [0.0] * len(engines)
-        source = self.source
-        for chunk_index in range(source.num_chunks):
-            type_chunk: Optional[np.ndarray] = None
+        addresses = self.trace.addresses
+        access_types = self.trace.access_types
+        for start in range(0, addresses.size, self.chunk_size):
+            address_chunk = addresses[start:start + self.chunk_size]
+            type_chunk = access_types[start:start + self.chunk_size]
             for offset_bits, members in groups.items():
                 # All shared decode work happens outside the per-engine
-                # timers, so reported timings are order-independent.  With a
-                # shared plane as source these calls are zero-copy views
-                # into the published segment; with a local source they run
-                # the same shift/collapse the pre-plane executor did inline.
-                blocks = source.blocks(chunk_index, offset_bits)
+                # timers, so reported timings are order-independent.
+                blocks = address_chunk >> offset_bits
                 runs: Optional[Tuple[List[int], np.ndarray]] = None
-                if self.collapse and any(
-                    engines[index].supports_block_runs for index in members
-                ):
-                    pair = source.runs(chunk_index, offset_bits)
-                    if pair is not None:
-                        # One list conversion shared by every consumer;
-                        # counts stay an ndarray (summed vectorised).
-                        runs = (pair[0].tolist(), pair[1])
-                if type_chunk is None and any(
-                    engines[index].wants_access_types for index in members
-                ):
-                    type_chunk = source.types(chunk_index)
+                if any(engines[index].supports_block_runs for index in members):
+                    values, counts = collapse_block_runs(blocks)
+                    # One list conversion shared by every consumer; counts
+                    # stay an ndarray (summed vectorised).
+                    runs = (values.tolist(), counts)
                 run_head_types: Optional[np.ndarray] = None
                 for index in members:
                     engine = engines[index]
@@ -473,9 +448,7 @@ class FusedSweepExecutor:
                             # the type-sensitive miss path).  Computed once
                             # per (chunk, block size) and shared.
                             if run_head_types is None:
-                                counts = np.asarray(runs[1])
-                                heads = np.cumsum(counts) - counts
-                                run_head_types = type_chunk[heads]
+                                run_head_types = type_chunk[np.cumsum(counts) - counts]
                             engine.run_block_runs(runs[0], runs[1], run_head_types)
                         else:
                             engine.run_block_runs(runs[0], runs[1])
@@ -486,67 +459,31 @@ class FusedSweepExecutor:
                     elapsed[index] += time.perf_counter() - begin
         results = []
         for index, engine in enumerate(engines):
-            fresh = engine.finalize(trace_name=source.trace_name)
+            fresh = engine.finalize(trace_name=self.trace.name)
             fresh.elapsed_seconds = elapsed[index]
             results.append(fresh)
         return results
 
 
-# Per-worker state installed by the pool initializer: workers inherit the
-# job list once instead of re-pickling it for every job, plus either the
-# trace itself (copy path) or a compact shared-plane layout (zero-copy path).
+# Per-worker state installed by the pool initializer: each worker receives
+# the trace and the job list once instead of with every batch.  Under
+# ``fork`` both are inherited; otherwise they are pickled, and a
+# cache-attached trace pickles as its artifact's path.
 _WORKER_STATE: Dict[str, Any] = {}
 
 
-def _sweep_worker_init(
-    trace: Optional[Union[Trace, Sequence[int]]],
-    jobs: Sequence[SweepJob],
-    chunk_size: int,
-    plane_layout: Optional[PlaneLayout] = None,
-    file_plane: Optional[Any] = None,
-) -> None:
+def _sweep_worker_init(trace: Trace, jobs: Sequence[SweepJob], chunk_size: int) -> None:
     _WORKER_STATE.clear()
     _WORKER_STATE["trace"] = trace
     _WORKER_STATE["jobs"] = list(jobs)
     _WORKER_STATE["chunk_size"] = chunk_size
-    _WORKER_STATE["plane_layout"] = plane_layout
-    _WORKER_STATE["file_plane"] = file_plane
-
-
-def _worker_chunk_source() -> Union[Trace, Sequence[int], TraceChunkSource]:
-    """The worker's fused-executor input: the shared plane when one was
-    published, else the cached-plane artifact when a file descriptor was
-    shipped (each worker maps the file read-only; the page cache holds one
-    copy machine-wide), else the inherited/pickled trace.  Either plane
-    attaches lazily on first use and the mapping is cached and reused
-    across every batch this worker runs.
-    """
-    layout = _WORKER_STATE.get("plane_layout")
-    descriptor = _WORKER_STATE.get("file_plane")
-    if layout is None and descriptor is None:
-        return _WORKER_STATE["trace"]
-    plane = _WORKER_STATE.get("plane")
-    if plane is None:
-        if layout is not None:
-            plane = AttachedPlane.attach(layout)
-        else:
-            from repro.trace.planecache import CachedPlane
-
-            plane = CachedPlane.attach(descriptor)
-        _WORKER_STATE["plane"] = plane
-    return plane
-
-
-def _sweep_worker_run(index: int) -> SimulationResults:
-    job = _WORKER_STATE["jobs"][index]
-    return _execute_job(job, _WORKER_STATE["trace"], _WORKER_STATE["chunk_size"])
 
 
 def _fused_worker_run(positions: Sequence[int]) -> Tuple[Tuple[int, ...], List[SimulationResults]]:
     """Execute one fused batch; returns the positions with their results."""
     jobs = _WORKER_STATE["jobs"]
     executor = FusedSweepExecutor(
-        _worker_chunk_source(),
+        _WORKER_STATE["trace"],
         [jobs[position] for position in positions],
         _WORKER_STATE["chunk_size"],
     )
@@ -583,14 +520,6 @@ def _partition_fused_batches(jobs: Sequence[SweepJob], workers: int) -> List[Lis
     return [batch for batch in batches if batch]
 
 
-def _execute_job(
-    job: SweepJob,
-    trace: Union[Trace, Sequence[int]],
-    chunk_size: int,
-) -> SimulationResults:
-    return job.build().run(trace, chunk_size=chunk_size)
-
-
 def _coerce_store(store: Optional[Union[str, "os.PathLike", ResultStore]]) -> Optional[ResultStore]:
     if store is None or isinstance(store, ResultStore):
         return store
@@ -598,55 +527,42 @@ def _coerce_store(store: Optional[Union[str, "os.PathLike", ResultStore]]) -> Op
 
 
 def run_sweep(
-    trace: Union[Trace, Sequence[int], TraceChunkSource],
+    trace: Union[Trace, Sequence[int]],
     jobs: Iterable[SweepJob],
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    mp_context: Optional[str] = None,
     store: Optional[Union[str, "os.PathLike", ResultStore]] = None,
     force: bool = False,
-    fused: bool = True,
     on_result: Optional[Callable[[int, SweepJob, SimulationResults, bool], None]] = None,
-    shm: Optional[bool] = None,
-    trace_cache: Optional[Union[str, "os.PathLike", Any]] = None,
+    trace_cache: Optional[Union[str, "os.PathLike", TracePlaneCache]] = None,
 ) -> SweepOutcome:
     """Execute sweep jobs over ``trace``, optionally in parallel and incremental.
 
     Parameters
     ----------
     trace:
-        The trace every job replays: a :class:`Trace`, an address sequence,
-        or a pre-decoded :class:`~repro.engine.shmplane.TraceChunkSource` —
-        in particular a :class:`~repro.trace.planecache.CachedPlane`, which
-        lets a warm caller (the service daemon) run a store-keyed fused
-        sweep without ever loading the trace file.  A plane-only input
-        requires ``fused=True`` (per-job engines walk the raw trace).
+        The trace every job replays: a :class:`Trace` — in particular a
+        cache-attached :class:`~repro.trace.planecache.CachedPlane`, which
+        lets a warm caller (the service daemon) run a store-keyed sweep
+        without ever parsing the trace file — or a bare address sequence.
     jobs:
         The sweep decomposition, e.g. from :func:`build_grid_jobs`.
     workers:
-        Process count; ``<= 1`` runs serially in-process.  Results are
-        merged in job order either way, so the outcome is identical.
+        Process count; ``<= 1`` runs serially in-process.  Either way the
+        jobs run through :class:`FusedSweepExecutor` passes, and results are
+        merged in job order, so the outcome is identical.
     chunk_size:
-        Block-pipeline chunk length forwarded to every engine.
-    mp_context:
-        Optional ``multiprocessing`` start method (default: the platform's).
+        Block-pipeline chunk length.
     store:
         Optional persistent result store (a :class:`~repro.store.ResultStore`
         or a directory path).  Jobs whose results are already stored for this
         trace are loaded instead of executed; fresh results are persisted the
-        moment their execution unit finishes — per job in the per-job scheme,
-        per fused pass with ``fused=True`` (one decode group per pass serially,
-        one batch per worker in parallel) — so an interrupted sweep resumes
-        paying only for unfinished work.  The merged outcome is byte-identical
-        to a cold run.
+        moment their fused pass finishes — one decode group per pass
+        serially, one batch per worker in parallel — so an interrupted sweep
+        resumes paying only for unfinished work.  The merged outcome is
+        byte-identical to a cold run.
     force:
         With a store, re-execute (and overwrite) every job even when cached.
-    fused:
-        Execute missing jobs through the :class:`FusedSweepExecutor` (one
-        shared-decode pass per worker, run-length collapse for engines that
-        support it) instead of one full trace pass per job.  Output rows and
-        counters are byte-identical either way; ``fused=False`` keeps the
-        historical per-job scheme (the benchmark baseline).
     on_result:
         Optional job-granular progress hook, called as
         ``on_result(index, job, results, cached)`` in the orchestrating
@@ -656,34 +572,17 @@ def run_sweep(
         in use).  The service daemon uses this to record per-cell
         completion durably, and to *abort* a sweep between cells: a hook
         may raise (conventionally :class:`~repro.errors.SweepAborted`) and
-        the exception propagates to the caller after worker pools and
-        shared-memory segments are cleaned up.  Results persisted before
-        the abort stay in the store, so a re-run resumes from them.
-    shm:
-        Shared-memory trace fan-out (see :mod:`repro.engine.shmplane`).
-        ``None`` (the default) publishes the decoded trace once into a
-        shared segment whenever fused work is fanned out to a pool —
-        workers then map it read-only instead of each receiving a trace
-        copy and re-deriving the shift/RLE arrays — and falls back to the
-        copy path if the platform cannot supply shared memory.  ``True``
-        forces the plane (an unavailable platform raises
-        :class:`~repro.errors.EngineError`) and also routes *serial* fused
-        execution through a published plane, which is how the identity of
-        the shared decode is tested.  ``False`` disables shared memory
-        entirely (the CLI's ``--no-shm`` escape hatch).  Results are
-        byte-identical in every mode; the segment is unlinked on normal
-        exit, worker crash, and KeyboardInterrupt alike.
+        the exception propagates to the caller after the worker pool is
+        torn down.  Results persisted before the abort stay in the store,
+        so a re-run resumes from them.
     trace_cache:
-        Optional decoded-plane cache (a
+        Optional trace artifact cache (a
         :class:`~repro.trace.planecache.TracePlaneCache` or a directory
-        path).  With ``fused=True`` the sweep attaches the trace's decoded
-        plane from the cache — decoding and persisting it first if this is
-        the trace's first visit — and executes over the mmap-backed arrays;
-        pooled fan-out ships workers a compact file descriptor instead of
-        the pickled trace.  The decode plan is derived from the *full* job
-        list (not the store-miss subset), so store-resumed runs hit the
-        same artifact.  Cache failures of any kind degrade to the normal
-        decode path; results are byte-identical with the cache on or off.
+        path).  The sweep persists the trace's artifact on its first visit,
+        so later runs and other processes attach it instead of parsing, and
+        executes over the mmap-attached artifact, which pool workers receive
+        by path.  Cache failures of any kind degrade to the in-memory trace;
+        results are byte-identical with the cache on or off.
     """
     job_list = list(jobs)
     if not job_list:
@@ -698,51 +597,27 @@ def run_sweep(
     results: List[Optional[SimulationResults]] = [None] * len(job_list)
     cached_jobs = 0
 
-    plane_source: Optional[TraceChunkSource] = None
-    if isinstance(trace, TraceChunkSource):
-        # Pre-decoded input.  When the source wraps an in-process trace
-        # (LocalChunkSource) the trace stays available for per-job/store
-        # paths; a bare plane (CachedPlane) has no trace and can only run
-        # fused.
-        plane_source = trace
-        trace = getattr(trace, "trace", None)
-        if trace is None and not fused:
-            raise EngineError(
-                "a pre-decoded trace plane requires fused execution "
-                "(per-job engines walk the raw trace)"
-            )
-    elif fused or result_store is not None:
-        with timer.phase("decode"):
-            trace = _coerce_trace(trace)
-
-    if trace_cache is not None and plane_source is None and fused:
-        from repro.trace.planecache import coerce_plane_cache
-
+    with timer.phase("decode"):
+        trace = _coerce_trace(trace)
+    trace_name = trace.name
+    attached: Optional[CachedPlane] = None
+    if trace_cache is not None and not isinstance(trace, CachedPlane):
         with timer.phase("plane_ensure"):
             try:
                 cache = coerce_plane_cache(trace_cache)
                 if cache is not None:
-                    # Keyed off the FULL job list so a store-resumed subset
-                    # maps to the same artifact the first run wrote.
-                    plane_source = cache.ensure(trace, job_list, chunk_size)
+                    attached = cache.ensure(trace)
             except (ReproError, OSError, ValueError):
                 # The cache is an optimisation, never a correctness
                 # dependency: any trouble (unwritable dir, bad manifest,
-                # racing gc) falls back to decoding in-process.
-                plane_source = None
+                # racing gc) falls back to the in-memory trace.
+                attached = None
+        if attached is not None:
+            trace = attached
 
     if result_store is not None:
         with timer.phase("store_lookup"):
-            if isinstance(trace, Trace):
-                fingerprint = trace.fingerprint()
-            else:
-                fingerprint_of = getattr(plane_source, "fingerprint", None)
-                if fingerprint_of is None:
-                    raise EngineError(
-                        "store-backed sweeps need a trace or a fingerprint-"
-                        "carrying plane (a CachedPlane)"
-                    )
-                fingerprint = fingerprint_of()
+            fingerprint = trace.fingerprint()
             keys = [job.store_key(fingerprint) for job in job_list]
             if not force:
                 for index, key in enumerate(keys):
@@ -762,139 +637,54 @@ def run_sweep(
             if on_result is not None:
                 on_result(index, job_list[index], fresh, False)
 
-    plane: Optional[SharedTracePlane] = None
-
-    def publish_plane(pending_jobs: Sequence[SweepJob]) -> Optional[SharedTracePlane]:
-        # Decode once, publish once.  shm=None degrades gracefully to the
-        # copy path when the platform cannot supply shared memory;
-        # shm=True insists.  With a cached plane attached, the publish
-        # copies the mmap-resident arrays instead of re-decoding.
-        with timer.phase("shm_publish"):
-            try:
-                return SharedTracePlane.publish(
-                    trace, pending_jobs, chunk_size, source=plane_source
-                )
-            except OSError as exc:
-                if shm:
-                    raise EngineError(
-                        f"shared-memory trace plane unavailable: {exc}"
-                    ) from exc
-                return None
-
+    effective_workers = 1
     try:
         with timer.phase("simulate"):
-            if not missing:
-                effective_workers = 1
-            elif workers <= 1 or len(missing) == 1:
-                effective_workers = 1
-                if fused:
-                    if shm:
-                        # Serial execution gains nothing from shared memory, but
-                        # an explicit shm=True routes it through a published
-                        # plane anyway — the identity oracle for the shared
-                        # decode, and the same arrays workers would map.
-                        plane = publish_plane([job_list[index] for index in missing])
-                    # With a store, run one fused pass per decode group and persist
-                    # as each group finishes: cross-block-size fusion shares almost
-                    # nothing (the shift and collapse are per-offset anyway), so
-                    # this keeps a killed sweep's resume granularity close to
-                    # per-job instead of all-or-nothing.  Storeless runs use one
-                    # pass over everything.
-                    if result_store is not None:
-                        group_batches: Dict[Tuple[int, str], List[int]] = {}
-                        for index in missing:
-                            group_batches.setdefault(_job_decode_key(job_list[index]), []).append(index)
-                        batches = list(group_batches.values())
-                    else:
-                        batches = [missing]
-                    if plane is not None:
-                        serial_source: object = plane
-                    elif plane_source is not None:
-                        serial_source = plane_source
-                    else:
-                        serial_source = trace
-                    for batch in batches:
-                        executor = FusedSweepExecutor(
-                            serial_source,
-                            [job_list[index] for index in batch],
-                            chunk_size,
-                        )
-                        for offset, fresh in enumerate(executor.execute()):
-                            persist(batch[offset], fresh)
-                else:
-                    for index in missing:
-                        persist(index, _execute_job(job_list[index], trace, chunk_size))
-            else:
-                context = multiprocessing.get_context(mp_context)
+            if workers > 1 and len(missing) > 1:
                 effective_workers = min(workers, len(missing))
                 pending = [job_list[index] for index in missing]
-                file_descriptor = None
-                if fused and plane_source is not None and shm is not True:
-                    # A mmap-backed cached plane is already cross-process
-                    # shareable through the page cache: ship its few-hundred-byte
-                    # descriptor and let each worker attach the artifact file
-                    # directly, instead of copying the arrays into a fresh
-                    # shared-memory segment.
-                    from repro.trace.planecache import CachedPlane
-
-                    if isinstance(plane_source, CachedPlane):
-                        file_descriptor = plane_source.descriptor()
-                if fused and shm is not False and file_descriptor is None:
-                    plane = publish_plane(pending)
-                if plane is not None:
-                    # Workers receive the compact layout descriptor instead of
-                    # the trace: nothing trace-sized is pickled or copied, and
-                    # each worker attaches lazily on its first batch.
-                    initargs = (None, pending, chunk_size, plane.descriptor())
-                elif file_descriptor is not None:
-                    initargs = (None, pending, chunk_size, None, file_descriptor)
-                else:
-                    if trace is None:
-                        raise EngineError(
-                            "pooled sweeps over a bare trace plane need an "
-                            "attachable descriptor (a CachedPlane) or the trace itself"
-                        )
-                    initargs = (trace, pending, chunk_size)
-                with context.Pool(
+                with multiprocessing.Pool(
                     effective_workers,
                     initializer=_sweep_worker_init,
-                    initargs=initargs,
+                    initargs=(trace, pending, chunk_size),
                 ) as pool:
-                    if fused:
-                        # One fused batch per worker, batched to maximise shared
-                        # decode; each batch's artifacts are persisted the moment
-                        # the batch finishes.
-                        batches = _partition_fused_batches(pending, effective_workers)
-                        for positions, batch in pool.imap_unordered(_fused_worker_run, batches):
-                            for position, fresh in zip(positions, batch):
-                                persist(missing[position], fresh)
-                    else:
-                        # imap yields in submission order as results complete, so
-                        # each fresh result is persisted without waiting for the
-                        # whole pool — a kill mid-sweep keeps everything already
-                        # finished.
-                        for offset, fresh in enumerate(
-                            pool.imap(_sweep_worker_run, range(len(pending)))
-                        ):
-                            persist(missing[offset], fresh)
+                    # One fused batch per worker, batched to maximise shared
+                    # decode; each batch's artifacts are persisted the moment
+                    # the batch finishes.
+                    batches = _partition_fused_batches(pending, effective_workers)
+                    for positions, batch in pool.imap_unordered(_fused_worker_run, batches):
+                        for position, fresh in zip(positions, batch):
+                            persist(missing[position], fresh)
+            elif missing:
+                # With a store, run one fused pass per decode group and
+                # persist as each group finishes: cross-block-size fusion
+                # shares almost nothing (the shift and collapse are
+                # per-offset anyway), so this keeps a killed sweep's resume
+                # granularity close to per-job instead of all-or-nothing.
+                # Storeless runs use one pass over everything.
+                if result_store is not None:
+                    group_batches: Dict[Tuple[int, str], List[int]] = {}
+                    for index in missing:
+                        group_batches.setdefault(_job_decode_key(job_list[index]), []).append(index)
+                    batches = list(group_batches.values())
+                else:
+                    batches = [missing]
+                for batch in batches:
+                    executor = FusedSweepExecutor(
+                        trace, [job_list[index] for index in batch], chunk_size
+                    )
+                    for offset, fresh in enumerate(executor.execute()):
+                        persist(batch[offset], fresh)
     finally:
-        # The creating process owns the segment: unlink it no matter how
-        # execution ended (normal return, worker crash propagating out of
-        # the pool, KeyboardInterrupt, an aborting on_result hook), so no
-        # /dev/shm orphans survive the sweep.
-        if plane is not None:
-            plane.destroy()
+        if attached is not None:
+            attached.close()
     elapsed = time.perf_counter() - start
     final = [result for result in results if result is not None]
     assert len(final) == len(job_list)
     return SweepOutcome(
         jobs=tuple(job_list),
         results=tuple(final),
-        trace_name=(
-            trace.name
-            if isinstance(trace, Trace)
-            else plane_source.trace_name if plane_source is not None else "trace"
-        ),
+        trace_name=trace_name,
         workers=effective_workers,
         elapsed_seconds=elapsed,
         cached_jobs=cached_jobs,

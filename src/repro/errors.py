@@ -60,8 +60,8 @@ class SweepAborted(ReproError):
     Raised by a :func:`~repro.engine.sweep.run_sweep` ``on_result`` hook to
     abort the remaining work — the service daemon raises it when a running
     job's cancel request is observed.  ``run_sweep`` propagates it after
-    cleaning up worker pools and shared-memory segments; cells persisted
-    before the abort stay in the store, so a re-run resumes from them.
+    tearing down its worker pool; cells persisted before the abort stay in
+    the store, so a re-run resumes from them.
     """
 
 

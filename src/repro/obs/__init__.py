@@ -11,7 +11,7 @@ daemon's live numbers in canonical JSON or Prometheus-style text.
 :mod:`repro.obs.tracing` adds the time dimension: span records (a trace id
 propagated from ``ServiceClient.submit`` through the queue record into the
 daemon and down to every executed cell) and the sweep-phase timer that
-attributes ``run_sweep`` wall clock to decode / plane-ensure / shm-publish
+attributes ``run_sweep`` wall clock to decode / plane-ensure / store-lookup
 / simulate / persist / merge.
 """
 

@@ -76,12 +76,7 @@ from repro.store.resultstore import (
     _atomic_replace,
 )
 from repro.trace.files import trace_name_for_path
-from repro.trace.planecache import (
-    CachedPlane,
-    PlaneKey,
-    TracePlaneCache,
-    coerce_plane_cache,
-)
+from repro.trace.planecache import CachedPlane, TracePlaneCache, coerce_plane_cache
 
 #: Legacy single-daemon heartbeat file name (pre-fleet); per-daemon
 #: heartbeats now live under ``daemons/<id>.json`` and this name remains
@@ -120,11 +115,6 @@ class ServiceDaemon:
         in the scheduler loop; more uses a bounded thread pool.
     sweep_workers:
         Process fan-out *within* each job's sweep (``run_sweep(workers=)``).
-    shm:
-        Shared-memory trace fan-out forwarded to ``run_sweep(shm=)``:
-        ``None`` (default) publishes the decoded trace once per sweep and
-        lets the sweep's worker processes map it zero-copy, with automatic
-        fallback to the copy path; ``False`` disables the plane.
     poll_interval:
         Idle sleep between scheduler ticks, in seconds.
     on_cell:
@@ -147,13 +137,13 @@ class ServiceDaemon:
         Retention window for finished job records, applied by the startup
         ``queue gc`` sweep.
     trace_cache:
-        The decoded-trace plane cache (see
-        :mod:`repro.trace.planecache`): ``None`` (default) opens
-        ``<root>/tracecache``, ``False`` disables, a path or open
-        :class:`~repro.trace.planecache.TracePlaneCache` overrides.  With
-        a warm cache the daemon executes a job without ever opening the
-        trace file: the fingerprint comes from the ``(path, mtime, size)``
-        sidecar and the decoded plane is attached as a read-only mmap.
+        The trace artifact cache (see :mod:`repro.trace.planecache`):
+        ``None`` (default) opens ``<root>/tracecache``, ``False`` disables,
+        a path or open :class:`~repro.trace.planecache.TracePlaneCache`
+        overrides.  With a warm cache the daemon executes a job without
+        ever opening the trace file: the fingerprint comes from the
+        ``(path, mtime, size)`` sidecar and the trace's artifact is
+        attached as a read-only mmap.
     """
 
     def __init__(
@@ -162,7 +152,6 @@ class ServiceDaemon:
         store: Optional[Union[str, os.PathLike, ResultStore]] = None,
         workers: int = 1,
         sweep_workers: int = 1,
-        shm: Optional[bool] = None,
         poll_interval: float = 0.1,
         on_cell: Optional[Callable[[JobRecord, int, SweepJob, bool], None]] = None,
         event_retain_seconds: float = DEFAULT_EVENT_RETAIN_SECONDS,
@@ -179,9 +168,9 @@ class ServiceDaemon:
         self.store: ResultStore = (
             store if isinstance(store, ResultStore) else open_store(store)
         )
-        # The decoded-trace plane cache: shared by every daemon draining
-        # this service directory (and by submitting clients, for the
-        # fingerprint sidecar), so an N-daemon fleet decodes each corpus
+        # The trace artifact cache: shared by every daemon draining this
+        # service directory (and by submitting clients, for the
+        # fingerprint sidecar), so an N-daemon fleet parses each corpus
         # exactly once.  None -> <root>/tracecache; False disables.  An
         # unusable cache degrades to trace loading rather than failing
         # the daemon — it is an accelerator, never a dependency.
@@ -207,7 +196,6 @@ class ServiceDaemon:
         self.inflight_ttl_seconds = float(inflight_ttl_seconds)
         self.workers = max(int(workers), 1)
         self.sweep_workers = max(int(sweep_workers), 1)
-        self.shm = shm
         self.poll_interval = max(float(poll_interval), 0.0)
         self.on_cell = on_cell
         self.event_retain_seconds = float(event_retain_seconds)
@@ -476,24 +464,23 @@ class ServiceDaemon:
 
     # -- execution ---------------------------------------------------------------
 
-    def _resolve_sweep_input(self, request: SweepRequest, expected: str, jobs):
+    def _resolve_sweep_input(self, request: SweepRequest, expected: str):
         """The cheapest valid sweep input for a claimed job.
 
         Warm path: when the fingerprint sidecar attests the on-disk file
-        still matches the submitted fingerprint *and* the plane cache holds
-        the decoded plane for this job grid, attach it — zero text parses,
-        zero hashing, only walked pages are ever read.  Otherwise load the
-        trace (the sidecar still skips the hash when only the plane is
-        missing) and let ``run_sweep(trace_cache=...)`` build the plane for
-        the next job over this corpus.
+        still matches the submitted fingerprint *and* the cache holds that
+        trace's artifact, attach it — zero text parses, zero hashing, only
+        walked pages are ever read.  Otherwise load the trace (the sidecar
+        still skips the hash when only the artifact is missing) and let
+        ``run_sweep(trace_cache=...)`` persist the artifact for the next job
+        over this corpus.
         """
         cache = self.trace_cache
         if cache is not None and expected:
             known = cache.cached_fingerprint(request.trace_path)
             if known == expected:
                 plane = cache.get(
-                    PlaneKey.make(expected, jobs),
-                    trace_name=trace_name_for_path(request.trace_path),
+                    expected, trace_name=trace_name_for_path(request.trace_path)
                 )
                 if plane is not None:
                     return plane
@@ -523,7 +510,9 @@ class ServiceDaemon:
             request = SweepRequest.from_wire(record.request)
             jobs = request.build_jobs()
             expected = str(record.request.get("trace_fingerprint", ""))
-            sweep_input = self._resolve_sweep_input(request, expected, jobs)
+            load_start = time.perf_counter()
+            sweep_input = self._resolve_sweep_input(request, expected)
+            load_seconds = time.perf_counter() - load_start
             record.cells_total = len(jobs)
             record.cells_done = 0
             record.cells_cached = 0
@@ -549,8 +538,8 @@ class ServiceDaemon:
                 self._maybe_heartbeat()
                 # Cancel requests are honored at cell granularity: the cell
                 # just persisted stays in the store, the rest of the sweep
-                # is abandoned, and run_sweep unwinds its pools/segments
-                # before the exception reaches the handler below.
+                # is abandoned, and run_sweep tears down its pool before
+                # the exception reaches the handler below.
                 if self.queue.cancel_requested(record.id):
                     raise SweepAborted(
                         f"job {record.id[:12]} cancelled after "
@@ -562,14 +551,15 @@ class ServiceDaemon:
                 jobs,
                 workers=self.sweep_workers,
                 store=self.store,
-                fused=True,
                 on_result=progress,
-                shm=self.shm,
                 trace_cache=self.trace_cache,
             )
             payload = outcome.merged().to_json()
             record.execute_seconds = time.perf_counter() - started
-            phases = {name: round(value, 6) for name, value in outcome.phases.items()}
+            phases = {
+                name: round(value, 6)
+                for name, value in dict(outcome.phases, load=load_seconds).items()
+            }
             record.extra.update(
                 {
                     "cached_jobs": outcome.cached_jobs,

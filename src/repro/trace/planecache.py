@@ -1,47 +1,49 @@
-"""Content-addressed on-disk cache of decoded trace planes.
+"""Content-addressed on-disk cache of parsed trace columns.
 
 Every sweep surface — ``repro-dew sweep``, ``submit``, the service daemons —
-historically re-paid the same two costs per run over the same trace file: the
-text parse (``.din``/CSV/hex to packed arrays) and the decode (per-block-size
-shifts plus the chunk-faithful run-length collapse).  The shared-memory plane
-(:mod:`repro.engine.shmplane`) removed the *per-worker* copy of that cost
-within one sweep; this module removes it *across* runs and processes: the
-first sweep over a trace decodes once and persists the plane, every later
-sweep — in any process, on any daemon sharing the cache directory —
-``mmap``-attaches the artifact and never touches the text file again.
+would otherwise re-pay the text parse (``.din``/CSV/hex to packed arrays) on
+every run over the same trace file.  This module removes that cost across
+runs and processes: the first sweep over a trace persists its columns, and
+every later sweep — in any process, on any daemon sharing the cache
+directory — ``mmap``-attaches the artifact as a
+:class:`~repro.trace.trace.Trace` and never touches the text file again.
+What a sweep derives from the columns (per-block-size shifts, run-length
+collapse) is recomputed by each process, pool workers included: it costs a
+small fraction of the parse and depends on the job grid, which the artifact
+therefore never does.
 
 This is the result store's idea applied one level down.  The layout mirrors
 :mod:`repro.store.resultstore` deliberately::
 
     <root>/planecache.json                  {"schema": 1, "format": "trace-plane"}
-    <root>/objects/<d[:2]>/<d>.plane        one decoded plane, d = key digest
+    <root>/objects/<f[:2]>/<f>.plane        one trace, f = its content fingerprint
     <root>/fingerprints/<p[:2]>/<p>.json    trace-fingerprint sidecars,
                                             p = sha256(absolute trace path)
 
-An artifact is addressed by :class:`PlaneKey` — the SHA-256 of ``(trace
-fingerprint, chunk size, collapse flag, decode requirements)`` — so two job
-grids with the same decode plan share one artifact, and a changed trace can
-never alias a stale plane.  The same durability rules as the store apply:
-writes go through the atomic temp-plus-``os.replace`` primitive, corruption
-(bad magic, unknown schema, truncation, mismatched digest) is treated as a
-miss and overwritten by the next put, and concurrent writers race benignly
-(both produce byte-identical content; ``os.replace`` is atomic).
+An artifact is addressed by :meth:`Trace.fingerprint` alone, so every job
+grid over one trace shares one artifact, and a changed trace can never alias
+a stale one.  The same durability rules as the store apply: writes go
+through the atomic temp-plus-``os.replace`` primitive, a damaged artifact
+(bad magic, unknown schema, truncation, a header naming another trace) is
+treated as a miss and overwritten by the next put, and concurrent writers
+race benignly (both produce byte-identical content).
 
 **Artifact format.**  ``numpy``'s ``.npz`` cannot be memory-mapped (members
-sit inside a zip), so the plane artifact is a flat file with the same
-spirit: a magic preamble, an ASCII JSON header (schema version, plane key,
-array directory, payload SHA-256) and the raw array bytes, each array
-starting on a 64-byte-aligned offset.  Attaching validates only the header
-and the total size, then maps the file read-only — a warm sweep faults in
-only the pages it actually walks (``mmap_mode="r"`` semantics), and the
-payload hash is re-checked by the explicit ``trace cache verify`` pass, the
-exact get-vs-verify split the result store uses.
+sit inside a zip), so the artifact is a flat file: a magic preamble, an
+ASCII JSON header (artifact schema, fingerprint, trace name, length) and the
+three :class:`Trace` columns — addresses ``int64``, access types ``int8``,
+sizes ``int16`` — each starting on a 64-byte boundary at an offset fixed by
+the length.  Attaching validates only the header and the total size, then
+maps the file read-only, so a warm sweep faults in only the pages it walks.
+Integrity is the address itself: ``trace cache verify`` recomputes the
+fingerprint over the mapped columns, the get-vs-verify split the result
+store uses.
 
 **Fingerprint sidecars.**  Hashing a multi-million-access trace to compute
 its content fingerprint costs a full pass over the arrays.  The cache keeps
 one tiny JSON sidecar per trace *path*, validated by ``(path, mtime_ns,
 size)``: a warm submission or daemon job reads the fingerprint from the
-sidecar and skips the hash (and, with a cached plane, the entire load).
+sidecar and skips the hash (and, with a cached artifact, the entire load).
 Sidecars are only ever written from fingerprints computed off the actual
 file contents, so a stale sidecar requires an mtime-and-size-preserving
 in-place rewrite — the standard build-system staleness tradeoff.
@@ -54,23 +56,12 @@ import json
 import mmap
 import os
 import struct
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.engine.shmplane import (
-    ArraySpec,
-    DecodeRequirements,
-    PlaneLayout,
-    _PlaneView,
-    build_plane_arrays,
-    decode_requirements,
-    layout_plane_arrays,
-    plane_arrays_from_source,
-)
-from repro.errors import StoreError
+from repro.errors import StoreError, TraceError
 from repro.obs.metrics import component_snapshot, get_registry
 from repro.store.manage import (
     STATUS_CORRUPT,
@@ -78,7 +69,6 @@ from repro.store.manage import (
     STATUS_MIS_ADDRESSED,
     STATUS_OK,
     STATUS_TEMP,
-    STREAM_CHUNK_BYTES,
     ArtifactRecord,
     GcReport,
     VerifyReport,
@@ -86,15 +76,16 @@ from repro.store.manage import (
     collect_garbage,
 )
 from repro.store.resultstore import _atomic_replace
-from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace
+from repro.trace.trace import Trace
 
-#: Version of the cache directory layout and plane artifact envelope.
-PLANE_SCHEMA_VERSION = 1
+#: Version of the cache directory layout recorded in ``planecache.json``.
+CACHE_SCHEMA_VERSION = 1
 
-#: Artifact schema versions this build can attach; unknown versions are
-#: treated as a miss (mirroring the ResultsFrame readable-schemas idiom), so
-#: a cache shared between builds degrades to re-decoding, never to misreads.
-_READABLE_SCHEMAS = (1,)
+#: Version of the artifact envelope.  Artifacts of any other version are
+#: treated as damaged (a miss on attach, collected by gc), so a cache shared
+#: between builds degrades to re-parsing, never to misreads.  Version 1
+#: artifacts held grid-specific derived arrays under a grid-keyed address.
+PLANE_SCHEMA_VERSION = 2
 
 _MANIFEST_NAME = "planecache.json"
 _OBJECTS_DIR = "objects"
@@ -105,204 +96,134 @@ _PLANE_SUFFIX = ".plane"
 _MAGIC = b"REPROPLANE1\n"
 _PREAMBLE = struct.Struct("<12sI")
 
-#: Headers beyond this are corrupt by definition (a real header is ~1 KiB).
+#: Headers beyond this are corrupt by definition (a real header is ~200 B).
 _MAX_HEADER_BYTES = 1 << 24
 
-#: Payload bytes start on the first 64-byte boundary past the header, so
-#: every array offset inherits the shared plane's cache-line alignment.
+#: Payload bytes start on the first 64-byte boundary past the header, and
+#: every column on a 64-byte boundary within the payload.
 _PAYLOAD_ALIGN = 64
+
+#: The payload's columns, in file order, with the dtypes :class:`Trace` holds.
+_COLUMNS = (np.dtype(np.int64), np.dtype(np.int8), np.dtype(np.int16))
 
 
 def _align(value: int) -> int:
     return (value + _PAYLOAD_ALIGN - 1) // _PAYLOAD_ALIGN * _PAYLOAD_ALIGN
 
 
-@dataclass(frozen=True)
-class PlaneKey:
-    """Content address of one decoded plane.
+def _column_offsets(length: int) -> Tuple[List[int], int]:
+    """Payload-relative offset of each column, and the payload size."""
+    offsets = []
+    cursor = 0
+    for dtype in _COLUMNS:
+        cursor = _align(cursor)
+        offsets.append(cursor)
+        cursor += length * dtype.itemsize
+    return offsets, cursor
 
-    Identity is the trace's content fingerprint plus everything that shapes
-    the decoded arrays: the chunk geometry, whether runs were collapsed, the
-    block-size shift set, the run-carrying shift set and whether access
-    types ride along.  Nothing positional (no paths, no timestamps) — the
-    same trace content under any filename reuses one artifact.
+
+def _read_header(path: Path, data: mmap.mmap) -> Tuple[Dict[str, Any], int, int]:
+    """Validate a mapped artifact's preamble, header and size.
+
+    Returns ``(header, length, payload_base)``; raises
+    :class:`~repro.errors.StoreError` on any malformation.  Unknown *extra*
+    header fields are tolerated (forward compatibility within a readable
+    schema); unknown schema versions are not.
+    """
+    if len(data) < _PREAMBLE.size:
+        raise StoreError(f"plane artifact {path} is truncated")
+    magic, header_bytes = _PREAMBLE.unpack_from(data)
+    if magic != _MAGIC:
+        raise StoreError(f"plane artifact {path} has a bad magic preamble")
+    if not 0 < header_bytes <= _MAX_HEADER_BYTES:
+        raise StoreError(f"plane artifact {path} declares an implausible header size")
+    blob = data[_PREAMBLE.size:_PREAMBLE.size + header_bytes]
+    if len(blob) != header_bytes:
+        raise StoreError(f"plane artifact {path} is truncated")
+    try:
+        header = json.loads(blob.decode("ascii"))
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise StoreError(f"plane artifact {path} has a malformed header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise StoreError(f"plane artifact {path} has a malformed header")
+    schema = header.get("schema")
+    if schema != PLANE_SCHEMA_VERSION:
+        raise StoreError(
+            f"plane artifact {path} uses schema {schema!r}; "
+            f"this build reads version {PLANE_SCHEMA_VERSION}"
+        )
+    try:
+        length = int(header["length"])
+        fingerprint = header["fingerprint"]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise StoreError(f"plane artifact {path} has a malformed header") from exc
+    if length < 0 or not isinstance(fingerprint, str) or not _DIGEST_RE.match(fingerprint):
+        raise StoreError(f"plane artifact {path} has a malformed header")
+    payload_base = _align(_PREAMBLE.size + header_bytes)
+    expected = payload_base + _column_offsets(length)[1]
+    if len(data) != expected:
+        raise StoreError(
+            f"plane artifact {path} is {len(data)} bytes; header promises {expected}"
+        )
+    return header, length, payload_base
+
+
+class CachedPlane(Trace):
+    """A trace whose columns are read-only mmap views of one cache artifact.
+
+    It is a :class:`Trace` in every respect, so the sweep executor, the
+    result store and :meth:`Engine.run` take it unchanged.  Its fingerprint
+    comes from the header (no hashing), and it pickles as a reference to the
+    artifact's path: a pool worker re-maps the file instead of receiving the
+    columns, and the page cache holds one copy machine-wide.
     """
 
-    fingerprint: str
-    chunk_size: int
-    collapse: bool
-    offsets: Tuple[int, ...]
-    runs_offsets: Tuple[int, ...]
-    needs_types: bool
-
-    @classmethod
-    def from_plan(
-        cls,
-        fingerprint: str,
-        plan: DecodeRequirements,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        collapse: bool = True,
-    ) -> "PlaneKey":
-        """Build a key from an already-derived decode plan."""
-        collapse = bool(collapse)
-        return cls(
-            fingerprint=str(fingerprint),
-            chunk_size=max(int(chunk_size), 1),
-            collapse=collapse,
-            offsets=tuple(int(o) for o in plan.offsets),
-            runs_offsets=tuple(int(o) for o in plan.runs_offsets) if collapse else (),
-            needs_types=bool(plan.needs_types),
-        )
-
-    @classmethod
-    def make(
-        cls,
-        fingerprint: str,
-        jobs: Sequence,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        collapse: bool = True,
-    ) -> "PlaneKey":
-        """Build a key for a job list (derives the decode plan from it)."""
-        return cls.from_plan(
-            fingerprint, decode_requirements(jobs), chunk_size, collapse
-        )
-
-    def plan(self) -> DecodeRequirements:
-        """The decode requirements this key pins."""
-        return DecodeRequirements(
-            offsets=self.offsets,
-            runs_offsets=self.runs_offsets,
-            needs_types=self.needs_types,
-        )
-
-    @property
-    def digest(self) -> str:
-        """SHA-256 hex digest addressing this key's artifact."""
-        payload = json.dumps(
-            {
-                "schema": PLANE_SCHEMA_VERSION,
-                "trace": self.fingerprint,
-                "chunk_size": self.chunk_size,
-                "collapse": self.collapse,
-                "offsets": list(self.offsets),
-                "runs_offsets": list(self.runs_offsets),
-                "types": self.needs_types,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("ascii")).hexdigest()
-
-    def describe(self) -> Dict[str, object]:
-        """JSON-able key description embedded into artifacts for integrity."""
-        return {
-            "digest": self.digest,
-            "fingerprint": self.fingerprint,
-            "chunk_size": self.chunk_size,
-            "collapse": self.collapse,
-            "offsets": list(self.offsets),
-            "runs_offsets": list(self.runs_offsets),
-            "needs_types": self.needs_types,
-        }
-
-    @classmethod
-    def from_description(cls, info: Dict[str, object]) -> "PlaneKey":
-        """Rebuild a key from an artifact header's embedded description."""
-        return cls(
-            fingerprint=str(info.get("fingerprint", "")),
-            chunk_size=max(int(info.get("chunk_size", DEFAULT_CHUNK_SIZE)), 1),
-            collapse=bool(info.get("collapse", True)),
-            offsets=tuple(int(o) for o in info.get("offsets", ())),
-            runs_offsets=tuple(int(o) for o in info.get("runs_offsets", ())),
-            needs_types=bool(info.get("needs_types", False)),
-        )
-
-
-class _FileSegment:
-    """Read-only mmap of a plane artifact behind the shm segment interface.
-
-    Exposes exactly what :class:`~repro.engine.shmplane._PlaneView` needs —
-    ``buf`` (a buffer the numpy views are built over) and ``close()`` — so
-    the file-backed plane reuses the shared-memory view logic unchanged.
-    The mapping is ``ACCESS_READ``: the kernel faults pages in lazily as the
-    executor walks them, and any write through a view raises.
-    """
-
-    def __init__(self, path: Union[str, os.PathLike]) -> None:
-        with open(path, "rb") as handle:
-            self._mmap = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        self.buf: Optional[memoryview] = memoryview(self._mmap)
-
-    def close(self) -> None:
-        buf, self.buf = self.buf, None
-        try:
-            if buf is not None:
-                buf.release()
-            self._mmap.close()
-        except BufferError:  # pragma: no cover - a caller leaked a view
-            # The mapping stays until process exit; the unlinked artifact's
-            # disk space is reclaimed regardless.
-            pass
-
-
-@dataclass(frozen=True)
-class CachedPlaneDescriptor:
-    """Everything a pool worker needs to re-attach a cached plane.
-
-    The file-backed analogue of shipping a :class:`PlaneLayout` for a shared
-    segment: a few hundred pickled bytes instead of the trace, and every
-    worker's private mapping shares one page-cache copy of the artifact.
-    """
-
-    path: str
-    layout: PlaneLayout
-    key: PlaneKey
-
-
-class CachedPlane(_PlaneView):
-    """A read-only mmap attachment of one cached plane artifact.
-
-    A drop-in :class:`~repro.engine.shmplane.TraceChunkSource`: the fused
-    executor walks it exactly as it walks a shared segment or an in-process
-    trace.  It additionally carries the decoded trace's content fingerprint,
-    so ``run_sweep`` and the service daemon can key the result store — and
-    skip loading the trace entirely — from the plane alone.
-    """
-
-    def __init__(
-        self,
-        layout: PlaneLayout,
-        segment: _FileSegment,
-        path: Union[str, os.PathLike],
-        key: PlaneKey,
-    ) -> None:
-        super().__init__(layout, segment)
+    def __init__(self, path: Union[str, os.PathLike], trace_name: Optional[str] = None) -> None:
         self.path = Path(path)
-        self.key = key
-
-    def fingerprint(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> str:
-        """The cached trace's content digest (no hashing — it rode the key)."""
-        return self.key.fingerprint
-
-    def descriptor(self) -> CachedPlaneDescriptor:
-        """The compact re-attach descriptor to ship to pool workers."""
-        return CachedPlaneDescriptor(
-            path=str(self.path), layout=self.layout, key=self.key
-        )
-
-    @classmethod
-    def attach(cls, descriptor: CachedPlaneDescriptor) -> "CachedPlane":
-        """Worker-side re-attach from a descriptor (raises StoreError)."""
         try:
-            segment = _FileSegment(descriptor.path)
+            with open(self.path, "rb") as handle:
+                mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        except FileNotFoundError:
+            # Absence is a plain miss, never corruption — let the caller count it.
+            raise
         except (OSError, ValueError) as exc:
-            raise StoreError(
-                f"could not attach cached trace plane {descriptor.path}: {exc}"
-            ) from exc
-        return cls(descriptor.layout, segment, descriptor.path, descriptor.key)
+            raise StoreError(f"could not map plane artifact {self.path}: {exc}") from exc
+        try:
+            header, length, payload_base = _read_header(self.path, mapping)
+        except StoreError:
+            mapping.close()
+            raise
+        offsets, _ = _column_offsets(length)
+        columns = [
+            np.frombuffer(mapping, dtype=dtype, count=length, offset=payload_base + offset)
+            for dtype, offset in zip(_COLUMNS, offsets)
+        ]
+        if trace_name is None:
+            trace_name = str(header.get("trace_name", "trace"))
+        self._install(*columns, name=trace_name)
+        self.seed_fingerprint(header["fingerprint"])
+        self._mapping: Optional[mmap.mmap] = mapping
+
+    def __reduce__(self):
+        return (CachedPlane, (str(self.path), self.name))
 
     def close(self) -> None:
-        super().close()
+        """Drop the columns and unmap the artifact (idempotent).
+
+        The plane is empty afterwards.  A view a caller still holds keeps
+        the mapping alive until it is garbage collected.
+        """
+        mapping, self._mapping = self._mapping, None
+        if mapping is None:
+            return
+        self._install(
+            np.empty(0, _COLUMNS[0]), np.empty(0, _COLUMNS[1]), np.empty(0, _COLUMNS[2]),
+            self.name,
+        )
+        try:
+            mapping.close()
+        except BufferError:
+            pass
 
     def __enter__(self) -> "CachedPlane":
         return self
@@ -311,113 +232,13 @@ class CachedPlane(_PlaneView):
         self.close()
 
 
-def _read_header(path: Path) -> Tuple[Dict[str, object], int, int]:
-    """Parse an artifact's preamble and JSON header.
-
-    Returns ``(header, payload_base, file_size)``; raises
-    :class:`~repro.errors.StoreError` on any malformation.  Unknown *extra*
-    header fields and arrays are tolerated (forward compatibility within a
-    readable schema); unknown schema versions are not.
-    """
-    try:
-        with open(path, "rb") as handle:
-            preamble = handle.read(_PREAMBLE.size)
-            if len(preamble) != _PREAMBLE.size:
-                raise StoreError(f"plane artifact {path} is truncated")
-            magic, header_bytes = _PREAMBLE.unpack(preamble)
-            if magic != _MAGIC:
-                raise StoreError(f"plane artifact {path} has a bad magic preamble")
-            if not 0 < header_bytes <= _MAX_HEADER_BYTES:
-                raise StoreError(
-                    f"plane artifact {path} declares an implausible header size"
-                )
-            blob = handle.read(header_bytes)
-            if len(blob) != header_bytes:
-                raise StoreError(f"plane artifact {path} is truncated")
-            file_size = os.fstat(handle.fileno()).st_size
-    except FileNotFoundError:
-        # Absence is a plain miss, never corruption — let the caller count it.
-        raise
-    except OSError as exc:
-        raise StoreError(f"could not read plane artifact {path}: {exc}") from exc
-    try:
-        header = json.loads(blob.decode("ascii"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise StoreError(f"plane artifact {path} has a malformed header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise StoreError(f"plane artifact {path} has a malformed header")
-    schema = header.get("schema")
-    if schema not in _READABLE_SCHEMAS:
-        raise StoreError(
-            f"plane artifact {path} uses schema {schema!r}; "
-            f"this build reads versions {_READABLE_SCHEMAS}"
-        )
-    payload_base = _align(_PREAMBLE.size + header_bytes)
-    try:
-        payload_bytes = int(header["payload_bytes"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StoreError(f"plane artifact {path} has a malformed header") from exc
-    if file_size != payload_base + payload_bytes:
-        raise StoreError(
-            f"plane artifact {path} is {file_size} bytes; header promises "
-            f"{payload_base + payload_bytes}"
-        )
-    return header, payload_base, file_size
-
-
-def _layout_from_header(
-    path: Path,
-    header: Dict[str, object],
-    payload_base: int,
-    file_size: int,
-    trace_name: Optional[str],
-) -> Tuple[PlaneLayout, PlaneKey]:
-    """Turn a validated header into an attachable layout (bounds-checked)."""
-    try:
-        key = PlaneKey.from_description(header.get("key", {}))
-        specs: List[ArraySpec] = []
-        for entry in header["arrays"]:
-            spec = ArraySpec(
-                key=str(entry["key"]),
-                dtype=str(entry["dtype"]),
-                shape=tuple(int(axis) for axis in entry["shape"]),
-                offset=payload_base + int(entry["offset"]),
-            )
-            nbytes = int(np.dtype(spec.dtype).itemsize)
-            for axis in spec.shape:
-                nbytes *= axis
-            if spec.offset < payload_base or spec.offset + nbytes > file_size:
-                raise StoreError(
-                    f"plane artifact {path} array {spec.key!r} exceeds the file"
-                )
-            specs.append(spec)
-        layout = PlaneLayout(
-            segment=str(path),
-            trace_name=(
-                str(trace_name)
-                if trace_name is not None
-                else str(header.get("trace_name", "trace"))
-            ),
-            length=int(header["length"]),
-            chunk_size=key.chunk_size,
-            collapse=key.collapse,
-            arrays=tuple(specs),
-            total_bytes=file_size,
-        )
-    except StoreError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StoreError(f"plane artifact {path} has a malformed header") from exc
-    return layout, key
-
-
 class TracePlaneCache:
-    """A directory of content-addressed decoded-plane artifacts.
+    """A directory of fingerprint-addressed trace artifacts.
 
     Construct via :func:`open_plane_cache`.  Lookup statistics (``hits``,
     ``misses``, ``corrupt``, ``puts`` plus the sidecar split) accumulate per
     instance — the service daemon surfaces them through its heartbeat so
-    ``queue stats`` can show how much decoding the fleet skipped.
+    ``queue stats`` can show how much parsing the fleet skipped.
     """
 
     def __init__(self, root: Union[str, os.PathLike]) -> None:
@@ -432,16 +253,16 @@ class TracePlaneCache:
         # the registry totals ride daemon heartbeats for fleet aggregation.
         registry = get_registry()
         self._metric_hits = registry.counter(
-            "plane_cache_hits_total", "decoded planes attached from the cache"
+            "plane_cache_hits_total", "trace artifacts attached from the cache"
         )
         self._metric_misses = registry.counter(
-            "plane_cache_misses_total", "plane lookups with no artifact"
+            "plane_cache_misses_total", "trace artifact lookups with no artifact"
         )
         self._metric_corrupt = registry.counter(
-            "plane_cache_corrupt_total", "unreadable plane artifacts (read as misses)"
+            "plane_cache_corrupt_total", "unreadable trace artifacts (read as misses)"
         )
         self._metric_puts = registry.counter(
-            "plane_cache_puts_total", "decoded planes persisted"
+            "plane_cache_puts_total", "trace artifacts persisted"
         )
         self._metric_sidecar_hits = registry.counter(
             "plane_cache_sidecar_hits_total", "fingerprints served from sidecars"
@@ -475,14 +296,13 @@ class TracePlaneCache:
     def objects_dir(self) -> Path:
         return self.root / _OBJECTS_DIR
 
-    def path_for(self, key: Union[PlaneKey, str]) -> Path:
-        """Filesystem path of the artifact addressed by ``key`` (or digest)."""
-        digest = key if isinstance(key, str) else key.digest
-        return self.objects_dir / digest[:2] / (digest + _PLANE_SUFFIX)
+    def path_for(self, fingerprint: str) -> Path:
+        """Filesystem path of the artifact for the trace with ``fingerprint``."""
+        return self.objects_dir / fingerprint[:2] / (fingerprint + _PLANE_SUFFIX)
 
-    def contains(self, key: PlaneKey) -> bool:
-        """Whether an artifact exists under ``key`` (without validating it)."""
-        return self.path_for(key).is_file()
+    def contains(self, fingerprint: str) -> bool:
+        """Whether an artifact exists for ``fingerprint`` (without validating it)."""
+        return self.path_for(fingerprint).is_file()
 
     __contains__ = contains
 
@@ -505,35 +325,30 @@ class TracePlaneCache:
 
     # -- read/write -----------------------------------------------------------
 
-    def _attach(self, key: PlaneKey, trace_name: Optional[str]) -> CachedPlane:
-        """Header-validate and mmap the artifact for ``key`` (may raise)."""
-        path = self.path_for(key)
-        header, payload_base, file_size = _read_header(path)
-        embedded = header.get("key", {})
-        if not isinstance(embedded, dict) or embedded.get("digest") != key.digest:
+    def _attach(self, fingerprint: str, trace_name: Optional[str]) -> CachedPlane:
+        """Header-validate and mmap the artifact for ``fingerprint`` (may raise)."""
+        plane = CachedPlane(self.path_for(fingerprint), trace_name)
+        if plane.fingerprint() != fingerprint:
+            plane.close()
             raise StoreError(
-                f"plane artifact {path} embeds a different key than its address"
+                f"plane artifact {plane.path} names a different trace than its address"
             )
-        layout, _ = _layout_from_header(
-            path, header, payload_base, file_size, trace_name
-        )
-        segment = _FileSegment(path)
-        return CachedPlane(layout, segment, path, key)
+        return plane
 
     def get(
-        self, key: PlaneKey, trace_name: Optional[str] = None
+        self, fingerprint: str, trace_name: Optional[str] = None
     ) -> Optional[CachedPlane]:
-        """Attach the cached plane for ``key``, or ``None`` on miss.
+        """Attach the cached trace with ``fingerprint``, or ``None`` on miss.
 
-        Corruption of any kind — bad magic, unknown schema, truncation, a
-        key that does not match the address — counts in ``corrupt_count``
-        and reads as a miss; the caller re-decodes and the next put
-        overwrites the bad artifact.  ``trace_name`` overrides the stored
-        reporting name (the artifact is shared by every path holding the
-        same content, so the caller's basename wins over the writer's).
+        Damage of any kind — bad magic, unknown schema, truncation, a header
+        naming another trace — counts in ``corrupt_count`` and reads as a
+        miss; the caller re-parses and the next put overwrites the bad
+        artifact.  ``trace_name`` overrides the stored reporting name (the
+        artifact is shared by every path holding the same content, so the
+        caller's basename wins over the writer's).
         """
         try:
-            plane = self._attach(key, trace_name)
+            plane = self._attach(fingerprint, trace_name)
         except FileNotFoundError:
             self.miss_count += 1
             self._metric_misses.inc()
@@ -546,55 +361,23 @@ class TracePlaneCache:
         self._metric_hits.inc()
         return plane
 
-    def put(
-        self,
-        key: PlaneKey,
-        trace: Optional[Trace] = None,
-        source: Optional[_PlaneView] = None,
-    ) -> Path:
-        """Decode and persist the plane for ``key`` atomically; returns the path.
+    def put(self, trace: Trace) -> Path:
+        """Persist ``trace``'s columns atomically; returns the artifact path.
 
-        Exactly one of ``trace`` (decode from arrays) or ``source`` (copy
-        from an already-decoded plane view) must be given.  Concurrent
-        writers race benignly: both temp files hold byte-identical payloads
-        and ``os.replace`` installs whichever finishes last.
+        Concurrent writers race benignly: both temp files hold byte-identical
+        content and ``os.replace`` installs whichever finishes last.
         """
-        if (trace is None) == (source is None):
-            raise StoreError("plane cache put needs a trace or a plane source")
-        if source is not None:
-            arrays = plane_arrays_from_source(
-                source, key.plan(), key.chunk_size, key.collapse
-            )
-            trace_name = source.trace_name
-        else:
-            arrays = build_plane_arrays(trace, key.plan(), key.chunk_size, key.collapse)
-            trace_name = trace.name
-        specs, payload_bytes = layout_plane_arrays(arrays)
-
-        contiguous = [np.ascontiguousarray(array) for _, array in arrays]
-        digest = hashlib.sha256()
-        cursor = 0
-        for spec, array in zip(specs, contiguous):
-            digest.update(b"\0" * (spec.offset - cursor))
-            digest.update(array.data.cast("B"))
-            cursor = spec.offset + array.nbytes
-
+        fingerprint = trace.fingerprint()
+        offsets, _ = _column_offsets(len(trace))
+        columns = [
+            np.ascontiguousarray(column, dtype=dtype)
+            for column, dtype in zip((trace.addresses, trace.access_types, trace.sizes), _COLUMNS)
+        ]
         header = {
             "schema": PLANE_SCHEMA_VERSION,
-            "key": key.describe(),
-            "trace_name": trace_name,
-            "length": int(arrays[0][1].size),
-            "arrays": [
-                {
-                    "key": spec.key,
-                    "dtype": spec.dtype,
-                    "shape": list(spec.shape),
-                    "offset": spec.offset,
-                }
-                for spec in specs
-            ],
-            "payload_bytes": payload_bytes,
-            "payload_sha256": digest.hexdigest(),
+            "fingerprint": fingerprint,
+            "trace_name": trace.name,
+            "length": len(trace),
         }
         blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
         payload_base = _align(_PREAMBLE.size + len(blob))
@@ -602,34 +385,31 @@ class TracePlaneCache:
         def write(handle) -> None:
             handle.write(_PREAMBLE.pack(_MAGIC, len(blob)))
             handle.write(blob)
-            handle.write(b"\0" * (payload_base - _PREAMBLE.size - len(blob)))
-            position = 0
-            for spec, array in zip(specs, contiguous):
-                handle.write(b"\0" * (spec.offset - position))
-                handle.write(array.data.cast("B"))
-                position = spec.offset + array.nbytes
+            position = _PREAMBLE.size + len(blob)
+            for offset, column in zip(offsets, columns):
+                handle.write(b"\0" * (payload_base + offset - position))
+                handle.write(column.data.cast("B"))
+                position = payload_base + offset + column.nbytes
 
-        path = self.path_for(key)
+        path = self.path_for(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_replace(path, write, prefix=".tmp-" + key.digest[:8] + "-")
+        _atomic_replace(path, write, prefix=".tmp-" + fingerprint[:8] + "-")
         self.put_count += 1
         self._metric_puts.inc()
         return path
 
-    def ensure(
-        self,
-        trace: Trace,
-        jobs: Sequence,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        collapse: bool = True,
-    ) -> CachedPlane:
-        """Attach the plane for ``(trace, jobs)``, decoding and caching on miss."""
-        key = PlaneKey.make(trace.fingerprint(), jobs, chunk_size, collapse)
-        plane = self.get(key, trace_name=trace.name)
+    def ensure(self, trace: Trace, jobs: Optional[Sequence] = None) -> CachedPlane:
+        """Attach ``trace``'s artifact, persisting it first on a miss.
+
+        ``jobs`` is ignored: one artifact serves every job grid over the
+        trace.  It is accepted so callers that pass a sweep's job list keep
+        working; new callers pass only the trace.
+        """
+        plane = self.get(trace.fingerprint(), trace_name=trace.name)
         if plane is not None:
             return plane
-        self.put(key, trace=trace)
-        return self._attach(key, trace.name)
+        self.put(trace)
+        return self._attach(trace.fingerprint(), trace.name)
 
     # -- fingerprint sidecars -------------------------------------------------
 
@@ -703,9 +483,9 @@ class TracePlaneCache:
 def open_plane_cache(path: Union[str, os.PathLike]) -> TracePlaneCache:
     """Open (creating if necessary) the plane cache rooted at ``path``.
 
-    The root gains a ``planecache.json`` manifest recording the schema
-    version; re-opening a cache written by an incompatible build raises
-    :class:`~repro.errors.StoreError` instead of misreading it.
+    The root gains a ``planecache.json`` manifest recording the directory
+    layout version; re-opening a cache written by an incompatible build
+    raises :class:`~repro.errors.StoreError` instead of misreading it.
     """
     root = Path(path)
     manifest_path = root / _MANIFEST_NAME
@@ -720,13 +500,13 @@ def open_plane_cache(path: Union[str, os.PathLike]) -> TracePlaneCache:
             raise StoreError(
                 f"unreadable plane cache manifest {manifest_path}: {exc}"
             ) from exc
-        if manifest.get("schema") != PLANE_SCHEMA_VERSION:
+        if manifest.get("schema") != CACHE_SCHEMA_VERSION:
             raise StoreError(
                 f"trace plane cache at {root} uses schema {manifest.get('schema')!r}; "
-                f"this build reads version {PLANE_SCHEMA_VERSION}"
+                f"this build reads version {CACHE_SCHEMA_VERSION}"
             )
     else:
-        manifest = {"schema": PLANE_SCHEMA_VERSION, "format": "trace-plane"}
+        manifest = {"schema": CACHE_SCHEMA_VERSION, "format": "trace-plane"}
         _atomic_replace(
             manifest_path,
             lambda handle: json.dump(manifest, handle, sort_keys=True),
@@ -761,52 +541,44 @@ def coerce_plane_cache(
 # `store verify/gc` with a different artifact parser.
 
 
-def _payload_sha256(path: Path, offset: int) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        handle.seek(offset)
-        for block in iter(lambda: handle.read(STREAM_CHUNK_BYTES), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def _classify_plane(path: Path, size: int) -> ArtifactRecord:
-    """Fully re-verify one digest-named ``.plane`` file."""
+    """Fully re-verify one fingerprint-named ``.plane`` file."""
     stem = path.name[: -len(_PLANE_SUFFIX)]
     try:
-        header, payload_base, _file_size = _read_header(path)
-        key = PlaneKey.from_description(header.get("key", {}))
-        embedded_digest = str(header.get("key", {}).get("digest", ""))
-        expected_sha = str(header.get("payload_sha256", ""))
-        rows = len(header.get("arrays", []))
+        plane = CachedPlane(path)
     except (StoreError, OSError) as exc:
         return ArtifactRecord(
             path=path, status=STATUS_CORRUPT, size_bytes=size, digest=stem,
             detail=f"unreadable artifact: {exc}",
         )
-    actual_sha = _payload_sha256(path, payload_base)
-    if actual_sha != expected_sha:
+    recorded = plane.fingerprint()
+    length = len(plane)
+    problem = None
+    try:
+        actual = Trace(plane.addresses, plane.access_types, plane.sizes).fingerprint()
+        if actual != recorded:
+            problem = (
+                f"content fingerprint mismatch (header {recorded[:12]}..., "
+                f"recomputed {actual[:12]}...)"
+            )
+    except TraceError as exc:
+        problem = f"invalid columns: {exc}"
+    finally:
+        plane.close()
+    if problem is not None:
         return ArtifactRecord(
             path=path, status=STATUS_CORRUPT, size_bytes=size, digest=stem,
-            trace_fingerprint=key.fingerprint,
-            detail=(
-                f"payload hash mismatch (header {expected_sha[:12]}..., "
-                f"re-hashed {actual_sha[:12]}...)"
-            ),
+            trace_fingerprint=recorded, detail=problem,
         )
-    rehashed = key.digest
-    if embedded_digest != stem or rehashed != stem:
+    if recorded != stem:
         return ArtifactRecord(
             path=path, status=STATUS_MIS_ADDRESSED, size_bytes=size, digest=stem,
-            trace_fingerprint=key.fingerprint, rows=rows,
-            detail=(
-                f"address {stem[:12]}... does not match embedded key "
-                f"(embedded {embedded_digest[:12]}..., re-hashed {rehashed[:12]}...)"
-            ),
+            trace_fingerprint=recorded, rows=length,
+            detail=f"address {stem[:12]}... holds trace {recorded[:12]}...",
         )
     return ArtifactRecord(
         path=path, status=STATUS_OK, size_bytes=size, digest=stem,
-        engine="plane", trace_fingerprint=key.fingerprint, rows=rows,
+        engine="plane", trace_fingerprint=recorded, rows=length,
     )
 
 
@@ -851,7 +623,7 @@ def scan_plane_cache(cache: TracePlaneCache) -> List[ArtifactRecord]:
 
 
 def verify_plane_cache(cache: TracePlaneCache) -> VerifyReport:
-    """Re-read every artifact, re-hash its payload and re-derive its address."""
+    """Re-read every artifact and recompute its trace's fingerprint."""
     return VerifyReport(records=tuple(scan_plane_cache(cache)))
 
 
@@ -861,13 +633,13 @@ def gc_plane_cache(
     dry_run: bool = False,
     max_bytes: Optional[int] = None,
 ) -> GcReport:
-    """Collect garbage (and, with a keep-list, other traces') planes.
+    """Collect garbage (and, with a keep-list, other traces') artifacts.
 
     Semantics are identical to :func:`repro.store.manage.gc_store` — temp,
     corrupt and mis-addressed files always go; ``keep_fingerprints`` are
-    prefixes of trace fingerprints; ``max_bytes`` evicts valid planes
+    prefixes of trace fingerprints; ``max_bytes`` evicts valid artifacts
     oldest-modification-time-first; foreign files are never touched.  An
-    evicted plane is only a cache loss: the next sweep re-decodes it.
+    evicted artifact is only a cache loss: the next sweep re-parses it.
     """
     return collect_garbage(
         scan_plane_cache(cache),

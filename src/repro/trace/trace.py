@@ -94,9 +94,20 @@ class Trace:
                 raise TraceError("sizes length does not match addresses")
             if size_arr.size and size_arr.min() <= 0:
                 raise TraceError("trace contains a non-positive access size")
-        self._addresses = addr
+        self._install(addr, types, size_arr, name)
+
+    def _install(
+        self, addresses: np.ndarray, types: np.ndarray, sizes: np.ndarray, name: str
+    ) -> None:
+        """Adopt already-typed columns (``int64``/``int8``/``int16``) as-is.
+
+        Skips :meth:`__init__`'s validation, which walks every column; the
+        cache-attached :class:`~repro.trace.planecache.CachedPlane` installs
+        its mmap views through here so attaching touches no page.
+        """
+        self._addresses = addresses
         self._types = types
-        self._sizes = size_arr
+        self._sizes = sizes
         self.name = name
         self._addresses.setflags(write=False)
         self._types.setflags(write=False)

@@ -2,8 +2,8 @@
 
 The contract under test is *byte-identity*: the fused executor (shared
 decode, run-length collapse, frame-native finalize) must produce exactly the
-rows, counters and store artifacts of the historical one-pass-per-job
-scheme — serial, parallel, cold, warm and partially warm alike.
+rows, counters and store artifacts of running each job on its own through
+:meth:`Engine.run` — serial, pooled, cold, warm and partially warm alike.
 """
 
 from __future__ import annotations
@@ -22,15 +22,30 @@ from repro.engine import (
     build_mechanism_grid_jobs,
     get_engine,
     get_engine_class,
+    merge_results,
     run_sweep,
 )
 from repro.engine.sweep import _partition_fused_batches
-from repro.errors import EngineError
+from repro.errors import EngineError, ReproError
 from repro.store import open_store
-from repro.trace.trace import Trace, collapse_block_runs
+from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace, collapse_block_runs
+from repro.types import AccessType
 from repro.workloads.synthetic import SequentialStream, WorkingSetGenerator
 
 SET_SIZES = (1, 2, 4, 8, 16, 32)
+
+
+def assert_matches_per_job(outcome, trace, jobs, chunk_size=DEFAULT_CHUNK_SIZE):
+    """``outcome`` equals the per-job reference: each job's own ``Engine.run``.
+
+    Compares the merged rows and JSON plus every job's work counters
+    (``DewCounters`` including ``evaluations_per_level``).
+    """
+    reference = [job.build().run(trace, chunk_size=chunk_size) for job in jobs]
+    merged = merge_results(reference, trace_name=outcome.trace_name)
+    assert outcome.as_rows() == merged.as_rows()
+    assert outcome.merged().to_json() == merged.to_json()
+    assert [r.counters for r in outcome.results] == [r.counters for r in reference]
 
 
 @pytest.fixture(scope="module")
@@ -186,23 +201,29 @@ class TestFinalizeFrame:
 
 class TestFusedSweepIdentity:
     def test_fused_matches_per_job_serial(self, sweep_trace, grid_jobs):
-        baseline = run_sweep(sweep_trace, grid_jobs, fused=False)
-        fused = run_sweep(sweep_trace, grid_jobs, fused=True)
-        assert fused.as_rows() == baseline.as_rows()
-        assert fused.merged().to_json() == baseline.merged().to_json()
-        for fused_result, base_result in zip(fused.results, baseline.results):
-            assert fused_result.counters.as_dict() == base_result.counters.as_dict()
+        assert_matches_per_job(run_sweep(sweep_trace, grid_jobs), sweep_trace, grid_jobs)
 
     def test_fused_matches_per_job_parallel(self, sweep_trace, grid_jobs):
-        baseline = run_sweep(sweep_trace, grid_jobs, fused=False)
-        fused = run_sweep(sweep_trace, grid_jobs, fused=True, workers=2)
-        assert fused.as_rows() == baseline.as_rows()
+        outcome = run_sweep(sweep_trace, grid_jobs, workers=2)
+        assert_matches_per_job(outcome, sweep_trace, grid_jobs)
 
     def test_fused_accepts_bare_address_sequences(self, small_random_addresses):
         jobs = build_grid_jobs([8], [2], (1, 2, 4))
-        baseline = run_sweep(list(small_random_addresses), jobs, fused=False)
-        fused = run_sweep(list(small_random_addresses), jobs, fused=True)
-        assert fused.as_rows() == baseline.as_rows()
+        addresses = list(small_random_addresses)
+        assert_matches_per_job(run_sweep(addresses, jobs), addresses, jobs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        addresses=st.lists(st.integers(0, 1023), min_size=1, max_size=200),
+        chunk_size=st.integers(1, 64),
+    )
+    def test_tiny_trace_chunk_size_oracle(self, addresses, chunk_size):
+        """For arbitrary tiny traces and chunk sizes, the fused pass equals
+        the per-job reference at the same chunk size."""
+        trace = Trace(np.array(addresses, dtype=np.int64))
+        jobs = build_grid_jobs([16], [2], [1, 2, 4], policies=["fifo", "lru"])
+        outcome = run_sweep(trace, jobs, chunk_size=chunk_size)
+        assert_matches_per_job(outcome, trace, jobs, chunk_size)
 
     def test_executor_requires_jobs(self, sweep_trace):
         with pytest.raises(EngineError, match="at least one job"):
@@ -231,12 +252,55 @@ class TestFusedSweepIdentity:
         assert partial.as_rows() == cold.as_rows()
 
     def test_fused_store_matches_per_job_store(self, tmp_path, sweep_trace, grid_jobs):
-        """A store written per-job warms a fused sweep and vice versa."""
+        """A store written from per-job runs warms a fused sweep."""
         store = open_store(tmp_path / "store")
-        per_job = run_sweep(sweep_trace, grid_jobs, store=store, fused=False)
-        warm_fused = run_sweep(sweep_trace, grid_jobs, store=store, fused=True)
+        fingerprint = sweep_trace.fingerprint()
+        per_job = [job.build().run(sweep_trace) for job in grid_jobs]
+        for job, results in zip(grid_jobs, per_job):
+            store.put(job.store_key(fingerprint), results)
+        warm_fused = run_sweep(sweep_trace, grid_jobs, store=store)
         assert warm_fused.executed_jobs == 0
-        assert warm_fused.as_rows() == per_job.as_rows()
+        assert warm_fused.as_rows() == merge_results(per_job).as_rows()
+
+
+def _abort(index, job, results, cached):
+    raise KeyboardInterrupt
+
+
+class TestPooledSweep:
+    """The pooled path: one fused batch per worker, each deriving its own
+    shift and run-length arrays from the trace it was handed."""
+
+    def test_pooled_store_resume_reruns_one_cell(self, tmp_path, sweep_trace, grid_jobs):
+        store = open_store(tmp_path / "store")
+        cold = run_sweep(sweep_trace, grid_jobs, store=store, workers=2)
+        assert cold.executed_jobs == len(grid_jobs)
+        # Evict one artifact and resume pooled: only that cell re-runs.
+        assert store.delete(grid_jobs[0].store_key(sweep_trace.fingerprint()))
+        warm = run_sweep(sweep_trace, grid_jobs, store=store, workers=2)
+        assert warm.cached_jobs == len(grid_jobs) - 1
+        assert warm.executed_jobs == 1
+        assert warm.as_rows() == cold.as_rows()
+        assert_matches_per_job(run_sweep(sweep_trace, grid_jobs, workers=2), sweep_trace, grid_jobs)
+
+    def test_worker_build_failure_surfaces_as_repro_error(self, sweep_trace, grid_jobs):
+        # An engine whose construction fails inside a worker process.
+        bad = SweepJob.make("dew", block_size=16, associativity=0, set_sizes=(1,))
+        with pytest.raises(ReproError):
+            run_sweep(sweep_trace, list(grid_jobs) + [bad], workers=2)
+
+    def test_aborting_hook_propagates_serial_and_pooled(self, sweep_trace, grid_jobs):
+        for workers in (1, 2):
+            with pytest.raises(KeyboardInterrupt):
+                run_sweep(sweep_trace, grid_jobs, workers=workers, on_result=_abort)
+
+    def test_sequential_stream_pooled_identity(self):
+        # A second workload family, cheap but distinct.
+        trace = SequentialStream(stride=4, region_bytes=1 << 13).generate(10_000, seed=2)
+        jobs = build_grid_jobs([8, 32], [2], [1, 2, 4, 8])
+        serial = run_sweep(trace, jobs)
+        assert run_sweep(trace, jobs, workers=2).as_rows() == serial.as_rows()
+        assert_matches_per_job(serial, trace, jobs)
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +322,15 @@ def mixed_jobs():
     )
 
 
+@pytest.fixture(scope="module")
+def typed_trace(sweep_trace) -> Trace:
+    """``sweep_trace`` with every third access a write, so the stream
+    buffer's type-sensitive path (stores never allocate) is exercised."""
+    types = np.zeros(len(sweep_trace), dtype=np.int8)
+    types[::3] = int(AccessType.WRITE)
+    return Trace(sweep_trace.addresses, types, sweep_trace.sizes, name="typed")
+
+
 class TestMixedEngineSweeps:
     def test_grid_is_heterogeneous(self, mixed_jobs):
         run_flags = {get_engine_class(job.engine).supports_block_runs for job in mixed_jobs}
@@ -265,39 +338,46 @@ class TestMixedEngineSweeps:
         assert run_flags == {True, False}
         assert type_flags == {True, False}
 
-    def test_fused_matches_per_job(self, sweep_trace, mixed_jobs):
-        baseline = run_sweep(sweep_trace, mixed_jobs, fused=False)
-        fused = run_sweep(sweep_trace, mixed_jobs, fused=True)
-        assert fused.as_rows() == baseline.as_rows()
-        assert fused.merged().to_json() == baseline.merged().to_json()
+    def test_fused_matches_per_job(self, typed_trace, mixed_jobs):
+        assert_matches_per_job(run_sweep(typed_trace, mixed_jobs), typed_trace, mixed_jobs)
 
-    def test_parallel_matches_serial(self, sweep_trace, mixed_jobs):
-        serial = run_sweep(sweep_trace, mixed_jobs)
-        parallel = run_sweep(sweep_trace, mixed_jobs, workers=2)
+    def test_parallel_matches_serial(self, typed_trace, mixed_jobs):
+        serial = run_sweep(typed_trace, mixed_jobs)
+        parallel = run_sweep(typed_trace, mixed_jobs, workers=2)
         assert parallel.as_rows() == serial.as_rows()
 
-    def test_store_resume_byte_identity(self, tmp_path, sweep_trace, mixed_jobs):
+    def test_store_resume_byte_identity(self, tmp_path, typed_trace, mixed_jobs):
         store = open_store(tmp_path / "store")
-        cold = run_sweep(sweep_trace, mixed_jobs, store=store)
+        cold = run_sweep(typed_trace, mixed_jobs, store=store)
         assert cold.executed_jobs == len(mixed_jobs)
-        warm = run_sweep(sweep_trace, mixed_jobs, store=store)
+        warm = run_sweep(typed_trace, mixed_jobs, store=store)
         assert warm.executed_jobs == 0
         assert warm.as_rows() == cold.as_rows()
         # Evict one mechanism artifact: only that cell re-runs, byte-identical.
-        fingerprint = sweep_trace.fingerprint()
+        fingerprint = typed_trace.fingerprint()
         mechanism_positions = [
             index
             for index, job in enumerate(mixed_jobs)
             if job.engine == "stream-buffer"
         ]
         assert store.delete(mixed_jobs[mechanism_positions[0]].store_key(fingerprint))
-        partial = run_sweep(sweep_trace, mixed_jobs, store=store)
+        partial = run_sweep(typed_trace, mixed_jobs, store=store)
         assert partial.executed_jobs == 1
         assert partial.cached_jobs == len(mixed_jobs) - 1
         assert partial.as_rows() == cold.as_rows()
 
-    def test_merged_keeps_mechanism_rows_distinct(self, sweep_trace, mixed_jobs):
-        merged = run_sweep(sweep_trace, mixed_jobs).merged()
+    def test_pooled_store_resume_reruns_one_cell(self, tmp_path, typed_trace, mixed_jobs):
+        store = open_store(tmp_path / "store")
+        cold = run_sweep(typed_trace, mixed_jobs, store=store, workers=2)
+        assert cold.executed_jobs == len(mixed_jobs)
+        assert store.delete(mixed_jobs[-1].store_key(typed_trace.fingerprint()))
+        warm = run_sweep(typed_trace, mixed_jobs, store=store, workers=2)
+        assert warm.executed_jobs == 1
+        assert warm.cached_jobs == len(mixed_jobs) - 1
+        assert warm.as_rows() == cold.as_rows()
+
+    def test_merged_keeps_mechanism_rows_distinct(self, typed_trace, mixed_jobs):
+        merged = run_sweep(typed_trace, mixed_jobs).merged()
         rows = merged.as_rows()
         mechanisms = {row.get("mechanism", "none") for row in rows}
         assert mechanisms == {"none", "victim-cache", "stream-buffer"}
@@ -308,8 +388,8 @@ class TestMixedEngineSweeps:
         assert augmented  # the mechanism cells actually landed
 
 
-class TestSweepCliFused:
-    def test_cli_no_fused_is_byte_identical(self, tmp_path, capsys):
+class TestSweepCli:
+    def test_cli_pooled_is_byte_identical(self, tmp_path, capsys):
         trace_path = tmp_path / "t.csv"
         trace = WorkingSetGenerator().generate(1500, seed=4)
         from repro.trace.textio import write_text_trace
@@ -320,10 +400,10 @@ class TestSweepCliFused:
             "--associativities", "1,2", "--max-sets", "32", "--policies", "fifo,lru",
         ]
         assert main(args) == 0
-        fused_out = capsys.readouterr().out
-        assert main(args + ["--no-fused"]) == 0
-        per_job_out = capsys.readouterr().out
-        assert fused_out == per_job_out
+        serial_out = capsys.readouterr().out
+        assert main(args + ["--workers", "2"]) == 0
+        pooled_out = capsys.readouterr().out
+        assert serial_out == pooled_out
 
 
 class TestLruRunLengthOracle:

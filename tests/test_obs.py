@@ -257,6 +257,10 @@ class TestTraceIdPropagation:
         done = spans[-1]
         assert done["job_id"] == response["job_id"]
         assert done["phases"]["simulate"] > 0.0
+        # Resolving the job's trace (here a text parse) is its own phase.
+        assert done["phases"]["load"] > 0.0
+        finished = client.queue.find(response["job_id"])
+        assert finished.extra["phases"]["load"] == done["phases"]["load"]
 
     def test_trace_survives_daemon_kill_and_reclaim(self, tmp_path, trace_file):
         root = tmp_path / "svc"
@@ -366,7 +370,9 @@ class TestFleetMetrics:
         daemon = ServiceDaemon(root, daemon_id="sock1", poll_interval=0.01)
         import threading
 
-        thread = threading.Thread(target=daemon.run, kwargs={"drain": True})
+        # Not drain mode: a draining daemon may finish the one job and
+        # unbind its socket before the client connects.
+        thread = threading.Thread(target=daemon.run, kwargs={"drain": False})
         thread.start()
         try:
             deadline = 50
@@ -394,6 +400,7 @@ class TestFleetMetrics:
         finally:
             daemon.stop()
             thread.join(timeout=10.0)
+        assert not thread.is_alive(), "daemon did not stop"
 
 
 class TestSweepPhasesAndIdentity:
@@ -408,7 +415,6 @@ class TestSweepPhasesAndIdentity:
         outcome = run_sweep(
             trace,
             jobs,
-            fused=True,
             store=open_store(tmp_path / "store"),
             trace_cache=str(tmp_path / "planes"),
         )
@@ -432,10 +438,10 @@ class TestSweepPhasesAndIdentity:
             set_sizes=[1, 2, 4, 8, 16, 32],
             policies=["fifo", "lru"],
         )
-        enabled = run_sweep(trace, jobs, fused=True).merged().to_json()
+        enabled = run_sweep(trace, jobs).merged().to_json()
         set_metrics_enabled(False)
         try:
-            disabled = run_sweep(trace, jobs, fused=True).merged().to_json()
+            disabled = run_sweep(trace, jobs).merged().to_json()
         finally:
             set_metrics_enabled(True)
         assert enabled == disabled
@@ -504,3 +510,6 @@ class TestCliSurfaces:
         assert "profile (exclusive seconds per phase):" in err
         assert "simulate" in err
         assert "covered" in err
+        # The text parse happens before run_sweep and still shows up.
+        load = [line.split() for line in err.splitlines() if line.split()[:1] == ["load"]]
+        assert len(load) == 1 and float(load[0][1].rstrip("s")) > 0.0

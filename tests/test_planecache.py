@@ -1,14 +1,16 @@
-"""Tests for the content-addressed decoded-trace plane cache.
+"""Tests for the fingerprint-addressed trace cache.
 
-The contract: a cached, mmap-attached plane is *byte-identical* to a cold
-text decode — the same columnar arrays, the same sweep results across the
-serial, pooled, shared-memory, per-job and store-resume execution paths —
-and every failure mode of the cache (corruption, concurrent writers,
-schema drift, gc races) degrades to a re-decode, never to wrong results.
+The contract: a cached, mmap-attached trace is *byte-identical* to a cold
+text parse — the same columns, the same sweep results across the serial,
+pooled and store-resume execution paths — one artifact serves every job
+grid over a trace, and every failure mode of the cache (corruption,
+concurrent writers, schema drift, gc races) degrades to a re-parse, never
+to wrong results.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pickle
@@ -20,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import build_grid_jobs, run_sweep
-from repro.engine.shmplane import LocalChunkSource, SharedTracePlane
 from repro.errors import StoreError
 from repro.service.api import ServiceClient, SweepRequest
 from repro.service.daemon import ServiceDaemon
@@ -31,7 +32,6 @@ from repro.trace.files import load_trace_file, trace_name_for_path
 from repro.trace.planecache import (
     PLANE_SCHEMA_VERSION,
     CachedPlane,
-    PlaneKey,
     TracePlaneCache,
     coerce_plane_cache,
     gc_plane_cache,
@@ -69,177 +69,228 @@ def _result_rows(outcome):
     return [results.as_rows() for results in outcome.results]
 
 
-class TestPlaneKey:
-    def test_deterministic_across_equivalent_grids(self, cache_trace, grid_jobs):
-        a = PlaneKey.make(cache_trace.fingerprint(), grid_jobs)
-        b = PlaneKey.make(cache_trace.fingerprint(), list(reversed(grid_jobs)))
-        assert a == b
-        assert a.digest == b.digest
-
-    def test_digest_distinguishes_requirements(self, cache_trace, grid_jobs):
-        base = PlaneKey.make(cache_trace.fingerprint(), grid_jobs)
-        other_chunk = PlaneKey.make(cache_trace.fingerprint(), grid_jobs, 1024)
-        other_grid = PlaneKey.make(
-            cache_trace.fingerprint(), build_grid_jobs([16], [1], SET_SIZES)
-        )
-        assert len({base.digest, other_chunk.digest, other_grid.digest}) == 3
-
-    def test_describe_roundtrip(self, cache_trace, grid_jobs):
-        key = PlaneKey.make(cache_trace.fingerprint(), grid_jobs)
-        assert PlaneKey.from_description(key.describe()) == key
-
-    def test_no_runs_offsets_without_collapse(self, cache_trace, grid_jobs):
-        key = PlaneKey.make(cache_trace.fingerprint(), grid_jobs, collapse=False)
-        assert key.runs_offsets == ()
-
-
 class TestCacheHitMiss:
-    def test_cold_get_is_a_miss(self, cache, cache_trace, grid_jobs):
-        key = PlaneKey.make(cache_trace.fingerprint(), grid_jobs)
-        assert cache.get(key) is None
+    def test_cold_get_is_a_miss(self, cache, cache_trace):
+        assert cache.get(cache_trace.fingerprint()) is None
         assert cache.stats()["misses"] == 1
         assert cache.stats()["corrupt"] == 0
 
-    def test_ensure_then_hit(self, cache, cache_trace, grid_jobs):
-        with cache.ensure(cache_trace, grid_jobs) as plane:
+    def test_ensure_then_hit(self, cache, cache_trace):
+        with cache.ensure(cache_trace) as plane:
             assert plane.fingerprint() == cache_trace.fingerprint()
         stats = cache.stats()
         assert stats["puts"] == 1 and stats["misses"] == 1
-        key = PlaneKey.make(cache_trace.fingerprint(), grid_jobs)
-        with cache.get(key) as plane:
+        with cache.get(cache_trace.fingerprint()) as plane:
             assert plane is not None
         assert cache.stats()["hits"] == 1
 
-    def test_arrays_byte_equal_to_cold_decode(self, cache, cache_trace, grid_jobs):
-        plane = cache.ensure(cache_trace, grid_jobs)
-        local = LocalChunkSource(cache_trace, chunk_size=plane.chunk_size)
-        offsets = PlaneKey.make(cache_trace.fingerprint(), grid_jobs).offsets
-        for chunk in range(plane.num_chunks):
-            for offset in offsets:
-                assert np.array_equal(
-                    plane.blocks(chunk, offset), local.blocks(chunk, offset)
-                )
-                cached_runs = plane.runs(chunk, offset)
-                local_runs = local.runs(chunk, offset)
-                assert np.array_equal(cached_runs[0], local_runs[0])
-                assert np.array_equal(cached_runs[1], local_runs[1])
-        plane.close()
+    def test_arrays_byte_equal_to_cold_decode(self, cache, cache_trace):
+        with cache.ensure(cache_trace) as plane:
+            assert isinstance(plane, Trace)
+            assert plane == cache_trace
+            assert plane.addresses.dtype == cache_trace.addresses.dtype
+            assert plane.access_types.dtype == cache_trace.access_types.dtype
+            assert plane.sizes.dtype == cache_trace.sizes.dtype
+            assert plane.name == cache_trace.name
 
-    def test_trace_name_override_for_renamed_files(self, cache, cache_trace, grid_jobs):
-        cache.ensure(cache_trace, grid_jobs).close()
-        key = PlaneKey.make(cache_trace.fingerprint(), grid_jobs)
-        with cache.get(key, trace_name="renamed") as plane:
-            assert plane.trace_name == "renamed"
+    def test_overlapping_grids_share_one_artifact(self, cache, cache_trace, grid_jobs):
+        narrow = build_grid_jobs([32], [2], SET_SIZES, policies=("lru",))
+        for jobs in (grid_jobs, narrow):
+            cached = run_sweep(cache_trace, jobs, trace_cache=cache)
+            assert cached.as_rows() == run_sweep(cache_trace, jobs).as_rows()
+        assert len(cache) == 1
+        assert cache.stats()["puts"] == 1
+        assert cache.stats()["hits"] == 1
 
-    def test_views_are_read_only(self, cache, cache_trace, grid_jobs):
-        with cache.ensure(cache_trace, grid_jobs) as plane:
-            blocks = plane.blocks(0, 3)
+    def test_trace_name_override_for_renamed_files(self, cache, cache_trace):
+        cache.ensure(cache_trace).close()
+        with cache.get(cache_trace.fingerprint(), trace_name="renamed") as plane:
+            assert plane.name == "renamed"
+
+    def test_views_are_read_only(self, cache, cache_trace):
+        with cache.ensure(cache_trace) as plane:
             with pytest.raises(ValueError):
-                blocks[0] = 1
+                plane.addresses[0] = 1
 
-    def test_descriptor_pickles_and_attaches(self, cache, cache_trace, grid_jobs):
-        source = cache.ensure(cache_trace, grid_jobs)
-        descriptor = pickle.loads(pickle.dumps(source.descriptor()))
-        with CachedPlane.attach(descriptor) as plane:
-            assert np.array_equal(plane.blocks(0, 3), source.blocks(0, 3))
-            assert plane.trace_name == source.trace_name
-        source.close()
+    def test_attached_plane_pickles_by_path(self, cache):
+        for length in (3_000, 300_000):
+            source = WorkingSetGenerator(hot_bytes=2048, cold_bytes=1 << 16).generate(
+                length, seed=3
+            ).with_name("pickled")
+            with cache.ensure(source) as plane:
+                blob = pickle.dumps(plane)
+                assert len(blob) < 4096, length
+                with pickle.loads(blob) as copy:
+                    assert isinstance(copy, CachedPlane)
+                    assert copy == source
+                    assert copy.name == source.name
+                    assert copy.fingerprint() == source.fingerprint()
+
+
+def _rewrite_header(path, edit):
+    """Rewrite an artifact's JSON header through ``edit``, payload verbatim."""
+    raw = path.read_bytes()
+    magic, header_len = _PREAMBLE.unpack_from(raw)
+    assert magic == _MAGIC
+    old_base = _align(_PREAMBLE.size + header_len)
+    header = json.loads(raw[_PREAMBLE.size:_PREAMBLE.size + header_len])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+    new_base = _align(_PREAMBLE.size + len(blob))
+    path.write_bytes(
+        _PREAMBLE.pack(_MAGIC, len(blob))
+        + blob
+        + b"\0" * (new_base - _PREAMBLE.size - len(blob))
+        + raw[old_base:]
+    )
+
+
+def _write_schema1_artifact(path, trace):
+    """An artifact as schema-1 builds wrote it: a grid-keyed address, a
+    ``key`` description, per-block-size derived arrays and a payload hash."""
+    blocks = trace.addresses >> 3
+    arrays = [("addresses", trace.addresses), ("blocks:3", blocks)]
+    specs, payload, cursor = [], b"", 0
+    for key, array in arrays:
+        offset = _align(cursor)
+        payload += b"\0" * (offset - cursor) + array.tobytes()
+        specs.append({"key": key, "dtype": array.dtype.str,
+                      "shape": [int(array.size)], "offset": offset})
+        cursor = offset + array.nbytes
+    digest = path.name[: -len(".plane")]
+    header = {
+        "schema": 1,
+        "key": {"digest": digest, "fingerprint": trace.fingerprint(),
+                "chunk_size": 65536, "collapse": True, "offsets": [3],
+                "runs_offsets": [], "needs_types": False},
+        "trace_name": trace.name,
+        "length": len(trace),
+        "arrays": specs,
+        "payload_bytes": len(payload),
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+    }
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+    base = _align(_PREAMBLE.size + len(blob))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(
+        _PREAMBLE.pack(_MAGIC, len(blob)) + blob
+        + b"\0" * (base - _PREAMBLE.size - len(blob)) + payload
+    )
 
 
 class TestCorruption:
-    def _warm(self, cache, trace, jobs):
-        cache.ensure(trace, jobs).close()
-        return PlaneKey.make(trace.fingerprint(), jobs)
+    def _warm(self, cache, trace):
+        cache.ensure(trace).close()
+        return trace.fingerprint()
 
-    def test_truncation_reads_as_miss(self, cache, cache_trace, grid_jobs):
-        key = self._warm(cache, cache_trace, grid_jobs)
-        path = cache.path_for(key)
+    def test_truncation_reads_as_miss(self, cache, cache_trace):
+        fingerprint = self._warm(cache, cache_trace)
+        path = cache.path_for(fingerprint)
         with open(path, "r+b") as handle:
             handle.truncate(os.path.getsize(path) // 2)
-        assert cache.get(key) is None
+        assert cache.get(fingerprint) is None
         assert cache.stats()["corrupt"] == 1
         # A re-put repairs the artifact in place.
-        cache.put(key, trace=cache_trace)
-        assert cache.get(key) is not None
+        cache.put(cache_trace)
+        assert cache.get(fingerprint) is not None
 
-    def test_garbage_magic_reads_as_miss(self, cache, cache_trace, grid_jobs):
-        key = self._warm(cache, cache_trace, grid_jobs)
-        with open(cache.path_for(key), "r+b") as handle:
+    def test_garbage_magic_reads_as_miss(self, cache, cache_trace):
+        fingerprint = self._warm(cache, cache_trace)
+        with open(cache.path_for(fingerprint), "r+b") as handle:
             handle.write(b"NOTAPLANE!!!")
-        assert cache.get(key) is None
+        assert cache.get(fingerprint) is None
         assert cache.stats()["corrupt"] == 1
 
-    def test_payload_flip_survives_get_but_fails_verify(
-        self, cache, cache_trace, grid_jobs
-    ):
-        # get() validates structure, not the payload hash (that is verify's
-        # job, mirroring the result store's get-vs-verify split).
-        key = self._warm(cache, cache_trace, grid_jobs)
-        path = cache.path_for(key)
-        with open(path, "r+b") as handle:
-            handle.seek(os.path.getsize(path) - 1)
-            byte = handle.read(1)
-            handle.seek(-1, os.SEEK_CUR)
-            handle.write(bytes([byte[0] ^ 0xFF]))
-        report = verify_plane_cache(cache)
-        assert not report.clean
-        assert any(record.status == "corrupt" for record in report.problems)
-
-    def test_future_schema_reads_as_miss(self, cache, cache_trace, grid_jobs):
-        # Mirrors the ResultsFrame v1/v2 discipline: an artifact stamped by
-        # a future build must be refused (a miss), never misread.
-        key = self._warm(cache, cache_trace, grid_jobs)
-        path = cache.path_for(key)
-        raw = path.read_bytes()
-        magic, header_len = _PREAMBLE.unpack_from(raw)
-        assert magic == _MAGIC
-        old_base = _align(_PREAMBLE.size + header_len)
-        header = json.loads(raw[_PREAMBLE.size:_PREAMBLE.size + header_len])
-        assert header["schema"] == PLANE_SCHEMA_VERSION
-        header["schema"] = 99
-        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        new_base = _align(_PREAMBLE.size + len(blob))
-        path.write_bytes(
-            _PREAMBLE.pack(_MAGIC, len(blob))
-            + blob
-            + b"\0" * (new_base - _PREAMBLE.size - len(blob))
-            + raw[old_base:]
-        )
-        assert cache.get(key) is None
-        assert cache.stats()["corrupt"] == 1
-
-    def test_unknown_header_fields_are_tolerated(self, cache, cache_trace, grid_jobs):
-        # Forward-compat within a readable schema: extra fields a newer
-        # minor build might add must not break attach.
-        key = self._warm(cache, cache_trace, grid_jobs)
-        path = cache.path_for(key)
+    def test_payload_flip_survives_get_but_fails_verify(self, cache, cache_trace):
+        # get() validates structure, not content (recomputing the
+        # fingerprint is verify's job, mirroring the result store's
+        # get-vs-verify split); gc then collects what verify flags.
+        fingerprint = self._warm(cache, cache_trace)
+        path = cache.path_for(fingerprint)
         raw = path.read_bytes()
         _magic, header_len = _PREAMBLE.unpack_from(raw)
-        old_base = _align(_PREAMBLE.size + header_len)
-        header = json.loads(raw[_PREAMBLE.size:_PREAMBLE.size + header_len])
-        header["future_hint"] = {"anything": True}
-        # Array offsets are payload-relative, so the header may grow freely:
-        # rebuild the file with the new header and the payload verbatim.
-        blob = json.dumps(header, separators=(",", ":")).encode("ascii")
-        new_base = _align(_PREAMBLE.size + len(blob))
-        path.write_bytes(
-            _PREAMBLE.pack(_MAGIC, len(blob))
-            + blob
-            + b"\0" * (new_base - _PREAMBLE.size - len(blob))
-            + raw[old_base:]
+        target = _align(_PREAMBLE.size + header_len) + 8 * 10  # address #10
+        with open(path, "r+b") as handle:
+            handle.seek(target)
+            handle.write(bytes([raw[target] ^ 0x01]))
+        with cache.get(fingerprint) as plane:
+            assert plane is not None
+            assert plane.addresses[10] == cache_trace.addresses[10] ^ 0x01
+        report = verify_plane_cache(cache)
+        assert [record.status for record in report.problems] == ["corrupt"]
+        assert "fingerprint mismatch" in report.problems[0].detail
+        gc_report = gc_plane_cache(cache)
+        assert [record.path for record in gc_report.removed] == [path]
+        assert not path.exists()
+
+    def test_mis_addressed_artifact_is_a_miss_and_flagged(self, cache, cache_trace):
+        fingerprint = self._warm(cache, cache_trace)
+        elsewhere = cache.path_for("ab" * 32)
+        elsewhere.parent.mkdir(parents=True, exist_ok=True)
+        os.replace(cache.path_for(fingerprint), elsewhere)
+        assert cache.get("ab" * 32) is None
+        assert cache.stats()["corrupt"] == 1
+        assert [r.status for r in verify_plane_cache(cache).problems] == ["mis-addressed"]
+
+    def test_schema1_artifacts_are_never_attached_and_gc_collects_them(
+        self, tmp_path, cache_trace
+    ):
+        root = tmp_path / "old"
+        old_cache = open_plane_cache(root)
+        fingerprint = cache_trace.fingerprint()
+        grid_keyed = old_cache.path_for("cd" * 32)
+        at_fingerprint = old_cache.path_for(fingerprint)
+        _write_schema1_artifact(grid_keyed, cache_trace)
+        _write_schema1_artifact(at_fingerprint, cache_trace)
+
+        # The directory still opens, in a daemon too, which keeps its cache.
+        daemon = ServiceDaemon(tmp_path / "svc", daemon_id="old", socket=False,
+                               trace_cache=root)
+        assert daemon.trace_cache is not None
+        cache = open_plane_cache(root)
+        assert cache.get(fingerprint) is None
+        assert cache.stats()["corrupt"] == 1
+        with cache.ensure(cache_trace) as plane:
+            assert plane == cache_trace
+
+        report = gc_plane_cache(cache)
+        assert [record.path for record in report.removed] == [grid_keyed]
+        assert not grid_keyed.exists()
+        assert verify_plane_cache(cache).clean
+        assert cache.artifact_paths() == [at_fingerprint]
+
+    def test_future_schema_reads_as_miss(self, cache, cache_trace):
+        # Mirrors the ResultsFrame v1/v2 discipline: an artifact stamped by
+        # a future build must be refused (a miss), never misread.
+        fingerprint = self._warm(cache, cache_trace)
+
+        def bump(header):
+            assert header["schema"] == PLANE_SCHEMA_VERSION
+            header["schema"] = 99
+
+        _rewrite_header(cache.path_for(fingerprint), bump)
+        assert cache.get(fingerprint) is None
+        assert cache.stats()["corrupt"] == 1
+
+    def test_unknown_header_fields_are_tolerated(self, cache, cache_trace):
+        # Forward-compat within a readable schema: extra fields a newer
+        # minor build might add must not break attach.
+        fingerprint = self._warm(cache, cache_trace)
+        _rewrite_header(
+            cache.path_for(fingerprint),
+            lambda header: header.update(future_hint={"anything": True}),
         )
-        with cache.get(key) as plane:
+        with cache.get(fingerprint) as plane:
             assert plane is not None
 
-    def test_concurrent_writers_race_benignly(self, cache, cache_trace, grid_jobs):
-        key = PlaneKey.make(cache_trace.fingerprint(), grid_jobs)
+    def test_concurrent_writers_race_benignly(self, cache, cache_trace):
         barrier = threading.Barrier(4)
         errors = []
 
         def writer():
             try:
                 barrier.wait()
-                cache.put(key, trace=cache_trace)
+                cache.put(cache_trace)
             except Exception as exc:  # noqa: BLE001 - collected for the assert
                 errors.append(exc)
 
@@ -249,7 +300,7 @@ class TestCorruption:
         for thread in threads:
             thread.join()
         assert not errors
-        with cache.get(key) as plane:
+        with cache.get(cache_trace.fingerprint()) as plane:
             assert plane is not None
         assert verify_plane_cache(cache).clean
         # No orphaned temp files survive the race.
@@ -257,31 +308,29 @@ class TestCorruption:
 
 
 class TestGc:
-    def test_views_survive_gc_after_attach(self, cache, cache_trace, grid_jobs):
-        plane = cache.ensure(cache_trace, grid_jobs)
-        before = plane.blocks(0, 3).copy()
+    def test_views_survive_gc_after_attach(self, cache, cache_trace):
+        plane = cache.ensure(cache_trace)
         report = gc_plane_cache(cache, max_bytes=0)
         assert report.budget_evicted == 1
         assert len(cache.artifact_paths()) == 0
-        # The mmap holds the pages; established views stay readable.
-        assert np.array_equal(plane.blocks(0, 3), before)
+        # The mmap holds the pages; the attached trace stays readable.
+        assert plane == cache_trace
         plane.close()
 
-    def test_keep_fingerprints(self, cache, cache_trace, grid_jobs):
-        cache.ensure(cache_trace, grid_jobs).close()
+    def test_keep_fingerprints(self, cache, cache_trace):
+        cache.ensure(cache_trace).close()
         other = WorkingSetGenerator(hot_bytes=1024, cold_bytes=4096).generate(
             500, seed=9
         ).with_name("other")
-        cache.ensure(other, grid_jobs).close()
+        cache.ensure(other).close()
         report = gc_plane_cache(
             cache, keep_fingerprints=[cache_trace.fingerprint()[:12]]
         )
         assert len(report.removed) == 1
-        key = PlaneKey.make(cache_trace.fingerprint(), grid_jobs)
-        assert cache.contains(key)
+        assert cache.contains(cache_trace.fingerprint())
 
-    def test_scan_classifies_temp_and_foreign(self, cache, cache_trace, grid_jobs):
-        cache.ensure(cache_trace, grid_jobs).close()
+    def test_scan_classifies_temp_and_foreign(self, cache, cache_trace):
+        cache.ensure(cache_trace).close()
         (cache.objects_dir / "aa").mkdir(exist_ok=True)
         (cache.objects_dir / "aa" / ".tmp-feedface-1").write_bytes(b"partial")
         (cache.root / "README").write_text("hands off")
@@ -365,8 +414,6 @@ class TestSweepIdentity:
             "serial-cache": dict(trace_cache=cachedir),
             "pooled": dict(workers=2),
             "pooled-cache": dict(workers=2, trace_cache=cachedir),
-            "shm-cache": dict(workers=2, shm=True, trace_cache=cachedir),
-            "perjob-cache": dict(fused=False, trace_cache=cachedir),
         }
         for label, kwargs in variants.items():
             outcome = run_sweep(cache_trace, grid_jobs, **kwargs)
@@ -376,10 +423,9 @@ class TestSweepIdentity:
     def test_plane_input_serial_and_pooled(self, tmp_path, cache_trace, grid_jobs):
         cache = open_plane_cache(tmp_path / "pc")
         base = run_sweep(cache_trace, grid_jobs)
-        key = PlaneKey.make(cache_trace.fingerprint(), grid_jobs)
-        cache.ensure(cache_trace, grid_jobs).close()
+        cache.ensure(cache_trace).close()
         for workers in (1, 2):
-            with cache.get(key) as plane:
+            with cache.get(cache_trace.fingerprint()) as plane:
                 outcome = run_sweep(plane, grid_jobs, workers=workers)
             assert _result_rows(outcome) == _result_rows(base)
             assert outcome.trace_name == cache_trace.name
@@ -404,8 +450,7 @@ class TestSweepIdentity:
         cache = open_plane_cache(tmp_path / "pc")
         store = open_store(tmp_path / "store")
         run_sweep(cache_trace, grid_jobs, store=store, trace_cache=cache)
-        key = PlaneKey.make(cache_trace.fingerprint(), grid_jobs)
-        with cache.get(key) as plane:
+        with cache.get(cache_trace.fingerprint()) as plane:
             outcome = run_sweep(plane, grid_jobs, store=store)
         assert outcome.cached_jobs == len(grid_jobs)
 
@@ -441,21 +486,6 @@ class TestSweepIdentity:
         assert _result_rows(warm_reader) == _result_rows(cold)
 
 
-class TestPublishFromSource:
-    def test_shm_publish_copies_from_cached_plane(
-        self, cache, cache_trace, grid_jobs
-    ):
-        with cache.ensure(cache_trace, grid_jobs) as source:
-            plane = SharedTracePlane.publish(
-                None, grid_jobs, source=source
-            )
-            try:
-                assert np.array_equal(plane.blocks(0, 3), source.blocks(0, 3))
-                assert plane.trace_name == source.trace_name
-            finally:
-                plane.destroy()
-
-
 class TestServiceIntegration:
     def _service(self, tmp_path, trace):
         trace_path = tmp_path / "svc.din"
@@ -472,10 +502,10 @@ class TestServiceIntegration:
         before = trace_files.decode_count()
         ServiceDaemon(root, daemon_id="first", socket=False).run(drain=True)
         assert trace_files.decode_count() - before == 1
-        # A different grid over the same corpus: the plane key matches (same
-        # block sizes), so the second daemon attaches and never parses.
+        # A different grid (other block sizes, other policy) over the same
+        # corpus shares its one artifact: the second daemon never parses.
         client.submit(SweepRequest(
-            trace_path=trace_path, block_sizes=(8, 32),
+            trace_path=trace_path, block_sizes=(16,),
             associativities=(1, 2), max_sets=8, policies=("lru",),
         ))
         second = ServiceDaemon(root, daemon_id="second", socket=False)
