@@ -112,7 +112,9 @@ class TestCacheHitMiss:
             with pytest.raises(ValueError):
                 plane.addresses[0] = 1
 
-    def test_attached_plane_pickles_by_path(self, cache):
+    def test_descriptor_pickles_and_attaches(self, cache):
+        # An attached plane pickles as its artifact path, and unpickling
+        # attaches that artifact again.
         for length in (3_000, 300_000):
             source = WorkingSetGenerator(hot_bytes=2048, cold_bytes=1 << 16).generate(
                 length, seed=3
@@ -125,6 +127,11 @@ class TestCacheHitMiss:
                     assert copy == source
                     assert copy.name == source.name
                     assert copy.fingerprint() == source.fingerprint()
+            # A trace-name override travels with the path.
+            with cache.get(source.fingerprint(), trace_name="renamed") as plane:
+                with pickle.loads(pickle.dumps(plane)) as copy:
+                    assert copy.name == "renamed"
+                    assert copy == source
 
 
 def _rewrite_header(path, edit):

@@ -1,180 +1,60 @@
-"""Tests for the shared-memory trace plane and its sweep integration.
+"""Tests for the trace plane a sweep's processes share.
 
-Three properties carry the whole feature:
+The plane is a cache-attached :class:`~repro.trace.planecache.CachedPlane`:
+the three trace columns as read-only views of one mmap'd artifact, so every
+process that attaches it reads the same page-cache pages.  A pool worker
+receives it as the artifact's path and derives its shift and run-length
+arrays from the mapped addresses, exactly as it would from an in-memory
+:class:`Trace`.
 
-1. **Byte-identity** — results (rows, merged JSON, counters, store
-   artifacts) are identical across shm on/off, serial vs pooled, fused vs
-   per-job, and store resume.  The hypothesis oracle and the deterministic
-   pooled tests pin this.
-2. **Zero-copy layout** — the descriptor passed to workers is a few
-   hundred bytes regardless of trace size, and attached views read the
-   very arrays the parent published.
-3. **No orphaned segments** — ``/dev/shm`` is clean after normal exit,
-   after a worker crash, and after a (simulated and real) SIGINT.
+Two properties carry the feature:
+
+1. **Byte-identity** — rows and merged JSON are identical whether a sweep
+   runs serially or pooled, over an in-memory trace or over the plane, with
+   workers that inherit the plane (``fork``) or unpickle it (``spawn``).
+2. **Compact hand-off** — what a pool worker is sent is a few hundred bytes
+   regardless of trace length, and the arrays it derives are the ones the
+   parent would compute locally.
 """
 
-import os
+from __future__ import annotations
+
+import multiprocessing
 import pickle
-import signal
-import subprocess
-import sys
-import textwrap
-import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.engine.shmplane import (
-    AttachedPlane,
-    LocalChunkSource,
-    SharedTracePlane,
-    decode_requirements,
-    leaked_segments,
-)
 from repro.engine.sweep import (
     FusedSweepExecutor,
-    SweepJob,
+    _fused_worker_run,
+    _partition_fused_batches,
+    _sweep_worker_init,
     build_grid_jobs,
     build_mechanism_grid_jobs,
+    merge_results,
     run_sweep,
 )
-from repro.errors import EngineError, ReproError
-from repro.store import open_store
-from repro.trace.trace import Trace, collapse_block_runs
-from repro.workloads.synthetic import SequentialStream, WorkingSetGenerator
+from repro.trace.planecache import CachedPlane, open_plane_cache
+from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace, collapse_block_runs
+from repro.types import AccessType
+from repro.workloads.synthetic import WorkingSetGenerator
 
 
 def _trace(length=20_000, seed=5):
-    return WorkingSetGenerator(hot_bytes=4096, cold_bytes=1 << 16).generate(
+    trace = WorkingSetGenerator(hot_bytes=4096, cold_bytes=1 << 16).generate(
         length, seed=seed
     )
+    # Every third access a write, so type-sensitive engines see both kinds.
+    types = np.zeros(length, dtype=np.int8)
+    types[::3] = int(AccessType.WRITE)
+    return Trace(trace.addresses, types, trace.sizes, name="plane")
 
 
 def _jobs():
     return build_grid_jobs(
         [16, 64], [2, 4], [2**i for i in range(5)], policies=["fifo", "lru", "random"]
     )
-
-
-@pytest.fixture(autouse=True)
-def _no_segment_leaks():
-    """Every test in this module must leave /dev/shm clean."""
-    before = leaked_segments()
-    yield
-    assert leaked_segments() == before
-
-
-class TestPlanePublication:
-    def test_plane_serves_the_locally_computed_arrays(self):
-        trace = _trace(5_000)
-        jobs = _jobs()
-        chunk = 512
-        with SharedTracePlane.publish(trace, jobs, chunk_size=chunk) as plane:
-            local = LocalChunkSource(trace, chunk_size=chunk)
-            assert plane.num_chunks == local.num_chunks
-            for index in range(plane.num_chunks):
-                for offset in (4, 6):
-                    assert np.array_equal(
-                        plane.blocks(index, offset), local.blocks(index, offset)
-                    )
-                    expected = local.runs(index, offset)
-                    got = plane.runs(index, offset)
-                    assert np.array_equal(got[0], expected[0])
-                    assert np.array_equal(got[1], expected[1])
-                start, stop = plane.chunk_bounds(index)
-                assert np.array_equal(
-                    plane.types(index), trace.access_types[start:stop]
-                )
-
-    def test_unpublished_offset_falls_back_to_address_shift(self):
-        trace = _trace(2_000)
-        with SharedTracePlane.publish(trace, _jobs(), chunk_size=256) as plane:
-            # offset_bits=5 (block size 32) is outside the published plan.
-            expected = trace.addresses[:256] >> 5
-            assert np.array_equal(plane.blocks(0, 5), expected)
-            values, counts = plane.runs(0, 5)
-            lv, lc = collapse_block_runs(expected)
-            assert np.array_equal(values, lv) and np.array_equal(counts, lc)
-
-    def test_descriptor_is_compact_and_picklable(self):
-        trace = _trace(50_000)
-        with SharedTracePlane.publish(trace, _jobs()) as plane:
-            blob = pickle.dumps(plane.descriptor())
-            # The whole point: per-worker transfer is O(#arrays), not O(trace).
-            assert len(blob) < 4096
-            attached = AttachedPlane.attach(pickle.loads(blob))
-            try:
-                assert np.array_equal(attached.blocks(0, 4), plane.blocks(0, 4))
-            finally:
-                attached.close()
-
-    def test_decode_requirements_reads_classes_not_instances(self):
-        jobs = _jobs()
-        plan = decode_requirements(jobs)
-        assert plan.offsets == (4, 6)  # block sizes 16 and 64
-        assert set(plan.runs_offsets) == {4, 6}  # dew + janapsatya consume runs
-        assert plan.needs_types  # 'random' policy runs through single
-
-    def test_attach_after_destroy_raises_engine_error(self):
-        trace = _trace(1_000)
-        plane = SharedTracePlane.publish(trace, _jobs())
-        layout = plane.descriptor()
-        plane.destroy()
-        with pytest.raises(EngineError, match="attach"):
-            AttachedPlane.attach(layout)
-
-
-class TestByteIdentity:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        addresses=st.lists(st.integers(0, 1023), min_size=1, max_size=200),
-        chunk_size=st.integers(1, 64),
-    )
-    def test_shm_oracle_serial_vs_plane_vs_per_job(self, addresses, chunk_size):
-        """For arbitrary tiny traces: no-shm fused, plane-backed fused and
-        the per-job baseline agree exactly."""
-        trace = Trace(np.array(addresses, dtype=np.int64))
-        jobs = build_grid_jobs([16], [2], [1, 2, 4], policies=["fifo", "lru"])
-        plain = run_sweep(trace, jobs, chunk_size=chunk_size)
-        plane = run_sweep(trace, jobs, chunk_size=chunk_size, shm=True)
-        per_job = run_sweep(trace, jobs, chunk_size=chunk_size, fused=False)
-        assert plain.as_rows() == plane.as_rows() == per_job.as_rows()
-        assert (
-            plain.merged().to_json()
-            == plane.merged().to_json()
-            == per_job.merged().to_json()
-        )
-
-    def test_pooled_shm_modes_match_serial(self):
-        trace = _trace()
-        jobs = _jobs()
-        base = run_sweep(trace, jobs)
-        for kwargs in (
-            dict(workers=2),            # plane by default
-            dict(workers=2, shm=True),  # plane, forced
-            dict(workers=2, shm=False), # copy path
-        ):
-            outcome = run_sweep(trace, jobs, **kwargs)
-            assert outcome.as_rows() == base.as_rows(), kwargs
-            assert outcome.merged().to_json() == base.merged().to_json(), kwargs
-
-    def test_store_resume_rides_the_plane(self, tmp_path):
-        trace = _trace()
-        jobs = _jobs()
-        cold_store = open_store(tmp_path / "cold")
-        cold = run_sweep(trace, jobs, store=cold_store, workers=2, shm=True)
-        assert cold.executed_jobs == len(jobs)
-        # Evict one artifact and resume with the plane: only that cell re-runs.
-        fingerprint = trace.fingerprint()
-        cold_store.delete(jobs[0].store_key(fingerprint))
-        warm = run_sweep(trace, jobs, store=cold_store, workers=2, shm=True)
-        assert warm.cached_jobs == len(jobs) - 1
-        assert warm.executed_jobs == 1
-        assert warm.as_rows() == cold.as_rows()
-        # And a storeless no-shm run agrees byte for byte.
-        assert run_sweep(trace, jobs).as_rows() == warm.as_rows()
 
 
 def _mixed_jobs():
@@ -185,152 +65,117 @@ def _mixed_jobs():
     )
 
 
-class TestMixedEnginePlane:
-    def test_mixed_grid_decode_requirements(self):
-        plan = decode_requirements(_mixed_jobs())
-        assert plan.offsets == (4, 6)
-        assert set(plan.runs_offsets) == {4, 6}
-        # Only stream-buffer wants types; its presence flips the whole plan.
-        assert plan.needs_types
+@pytest.fixture()
+def cache(tmp_path):
+    return open_plane_cache(tmp_path / "pc")
 
-    def test_plane_and_pool_match_serial(self):
+
+def _assert_same_outcome(outcome, base, label):
+    assert outcome.as_rows() == base.as_rows(), label
+    assert outcome.merged().to_json() == base.merged().to_json(), label
+
+
+def _spawn_pooled(plane, jobs, workers=2):
+    """Run ``jobs`` the way ``run_sweep`` pools them, under ``spawn``.
+
+    ``run_sweep`` uses the platform's default start method; ``spawn`` is the
+    one that pickles the initializer's arguments, so this is the path on
+    which workers receive the plane by its artifact path.
+    """
+    context = multiprocessing.get_context("spawn")
+    results = [None] * len(jobs)
+    with context.Pool(
+        workers, initializer=_sweep_worker_init, initargs=(plane, jobs, DEFAULT_CHUNK_SIZE)
+    ) as pool:
+        for positions, batch in pool.imap_unordered(
+            _fused_worker_run, _partition_fused_batches(jobs, workers)
+        ):
+            for position, fresh in zip(positions, batch):
+                results[position] = fresh
+    return merge_results(results, trace_name=plane.name)
+
+
+class TestPlanePublication:
+    def test_plane_serves_the_locally_computed_arrays(self, cache):
+        trace = _trace(5_000)
+        chunk = 512
+        with cache.ensure(trace) as plane:
+            assert isinstance(plane, CachedPlane)
+            assert not plane.addresses.flags.writeable
+            for start in range(0, len(trace), chunk):
+                window = slice(start, start + chunk)
+                for offset in (4, 6):
+                    local = trace.addresses[window] >> offset
+                    blocks = plane.addresses[window] >> offset
+                    assert np.array_equal(blocks, local)
+                    got = collapse_block_runs(blocks)
+                    expected = collapse_block_runs(local)
+                    assert np.array_equal(got[0], expected[0])
+                    assert np.array_equal(got[1], expected[1])
+                assert np.array_equal(
+                    plane.access_types[window], trace.access_types[window]
+                )
+                assert np.array_equal(plane.sizes[window], trace.sizes[window])
+
+    def test_descriptor_is_compact_and_picklable(self, cache):
+        trace = _trace(50_000)
+        jobs = _jobs()
+        with cache.ensure(trace) as plane:
+            # What a spawned pool worker is sent: the initializer's arguments.
+            blob = pickle.dumps((plane, jobs, DEFAULT_CHUNK_SIZE))
+            # The whole point: per-worker transfer is O(#jobs), not O(trace).
+            assert len(blob) < 4096
+            assert len(pickle.dumps(trace)) > trace.addresses.nbytes
+            attached, _, _ = pickle.loads(blob)
+            with attached:
+                assert isinstance(attached, CachedPlane)
+                assert attached.path == plane.path
+                assert np.array_equal(attached.addresses >> 4, trace.addresses >> 4)
+                assert attached.fingerprint() == trace.fingerprint()
+
+
+class TestByteIdentity:
+    def test_pooled_shm_modes_match_serial(self, cache):
+        trace = _trace(10_000)
+        jobs = _jobs()
+        base = run_sweep(trace, jobs)
+        for label, kwargs in (
+            ("pooled, in-memory trace", dict(workers=2)),
+            ("pooled, cache-attached", dict(workers=2, trace_cache=cache)),
+        ):
+            _assert_same_outcome(run_sweep(trace, jobs, **kwargs), base, label)
+        with cache.get(trace.fingerprint()) as plane:
+            _assert_same_outcome(run_sweep(plane, jobs, workers=2), base, "pooled plane")
+            spawned = _spawn_pooled(plane, jobs)
+        assert spawned.as_rows() == base.as_rows()
+        assert spawned.to_json() == base.merged().to_json()
+
+
+class TestMixedEnginePlane:
+    def test_plane_and_pool_match_serial(self, cache):
         trace = _trace(8_000)
         jobs = _mixed_jobs()
         base = run_sweep(trace, jobs)
-        for kwargs in (
-            dict(shm=True),
-            dict(workers=2, shm=True),
-            dict(workers=2, shm=False),
-        ):
-            outcome = run_sweep(trace, jobs, **kwargs)
-            assert outcome.as_rows() == base.as_rows(), kwargs
-            assert outcome.merged().to_json() == base.merged().to_json(), kwargs
-
-    def test_store_resume_rides_the_plane(self, tmp_path):
-        trace = _trace(8_000)
-        jobs = _mixed_jobs()
-        store = open_store(tmp_path / "mixed")
-        cold = run_sweep(trace, jobs, store=store, workers=2, shm=True)
-        assert cold.executed_jobs == len(jobs)
-        store.delete(jobs[-1].store_key(trace.fingerprint()))
-        warm = run_sweep(trace, jobs, store=store, workers=2, shm=True)
-        assert warm.executed_jobs == 1
-        assert warm.cached_jobs == len(jobs) - 1
-        assert warm.as_rows() == cold.as_rows()
-
-
-class TestAccessTypeRequirements:
-    """decode_requirements surfaces type needs; a typeless plane fails loudly."""
-
-    def test_stream_buffer_jobs_need_types(self):
-        sb = build_mechanism_grid_jobs(["stream-buffer"], [16], [2], [2], entry_counts=(2,))
-        assert decode_requirements(sb).needs_types is True
-
-    def test_other_mechanisms_do_not_need_types(self):
-        quiet = build_mechanism_grid_jobs(
-            ["victim-cache", "miss-cache"], [16], [2], [2], entry_counts=(2,)
-        )
-        assert decode_requirements(quiet).needs_types is False
-
-    def test_plane_published_without_types_fails_loudly(self):
-        """A plane planned for typeless jobs must reject a types-hungry rider.
-
-        Publishing against dew-only jobs omits the access-type array; wiring
-        a stream-buffer job onto that plane afterwards must raise before any
-        cell simulates, not silently default the types.
-        """
-        trace = _trace(2_000)
-        dew_jobs = build_grid_jobs([16], [2], [1, 2], policies=["fifo"])
-        sb = build_mechanism_grid_jobs(["stream-buffer"], [16], [2], [2], entry_counts=(2,))
-        assert decode_requirements(dew_jobs).needs_types is False
-        with SharedTracePlane.publish(trace, dew_jobs) as plane:
-            with pytest.raises(EngineError, match="without access types"):
-                FusedSweepExecutor(plane, dew_jobs + sb).execute()
+        _assert_same_outcome(run_sweep(trace, jobs, workers=2), base, "pooled")
+        with cache.ensure(trace) as plane:
+            for workers in (1, 2):
+                outcome = run_sweep(plane, jobs, workers=workers)
+                _assert_same_outcome(outcome, base, f"plane, workers={workers}")
+            spawned = _spawn_pooled(plane, jobs)
+        assert spawned.as_rows() == base.as_rows()
 
 
 class TestSegmentLifecycle:
-    def test_normal_exit_unlinks(self):
-        run_sweep(_trace(), _jobs(), workers=2, shm=True)
-        assert leaked_segments() == []
-
-    def test_worker_crash_unlinks(self):
-        # An engine whose construction fails inside the worker: the pool
-        # surfaces the exception, run_sweep's finally destroys the plane.
-        bad = SweepJob.make("dew", block_size=16, associativity=0, set_sizes=(1,))
-        jobs = _jobs() + [bad]
-        with pytest.raises(ReproError):
-            run_sweep(_trace(), jobs, workers=2, shm=True)
-        assert leaked_segments() == []
-
-    def test_aborting_hook_unlinks_serial_and_pooled(self):
-        trace = _trace()
-        jobs = _jobs()
-
-        def abort(index, job, results, cached):
-            raise KeyboardInterrupt
-
-        for kwargs in (dict(shm=True), dict(workers=2, shm=True)):
-            with pytest.raises(KeyboardInterrupt):
-                run_sweep(trace, jobs, on_result=abort, **kwargs)
-            assert leaked_segments() == []
-
-    def test_sigint_mid_pooled_sweep_unlinks(self, tmp_path):
-        """A real SIGINT delivered to a sweeping process leaves no segment."""
-        marker = tmp_path / "first-cell"
-        script = textwrap.dedent(
-            f"""
-            import time
-            from pathlib import Path
-            from repro.engine.sweep import run_sweep, build_grid_jobs
-            from repro.workloads.synthetic import WorkingSetGenerator
-
-            trace = WorkingSetGenerator(hot_bytes=4096, cold_bytes=1 << 16).generate(
-                20000, seed=5
-            )
-            jobs = build_grid_jobs([16, 64], [2, 4], [2**i for i in range(5)])
-
-            def slow(index, job, results, cached):
-                Path({str(marker)!r}).write_text("up")
-                time.sleep(30)  # hold the sweep open for the SIGINT
-
-            run_sweep(trace, jobs, workers=2, shm=True, on_result=slow)
-            """
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), "..", "src")]
-            + env.get("PYTHONPATH", "").split(os.pathsep)
-        )
-        child = subprocess.Popen([sys.executable, "-c", script], env=env)
-        try:
-            deadline = time.time() + 60
-            while not marker.exists():
-                assert child.poll() is None, "sweep process died before first cell"
-                assert time.time() < deadline, "sweep never produced a cell"
-                time.sleep(0.05)
-            child.send_signal(signal.SIGINT)
-            child.wait(timeout=60)
-        finally:
-            if child.poll() is None:  # pragma: no cover - cleanup on test bugs
-                child.kill()
-                child.wait()
-        assert child.returncode != 0  # died to the interrupt, not success
-        assert leaked_segments() == []
-
-    def test_executor_accepts_plane_and_matches_trace_input(self):
+    def test_executor_accepts_plane_and_matches_trace_input(self, cache):
         trace = _trace(4_000)
-        jobs = _jobs()[:4]
+        jobs = _jobs()[:4] + _mixed_jobs()[-2:]
         direct = [r.to_json() for r in FusedSweepExecutor(trace, jobs).execute()]
-        with SharedTracePlane.publish(trace, jobs) as plane:
+        with cache.ensure(trace) as plane:
             via_plane = [r.to_json() for r in FusedSweepExecutor(plane, jobs).execute()]
         assert direct == via_plane
-
-    def test_sequential_stream_plane_identity(self):
-        # A second workload family through the full matrix, cheap but distinct.
-        trace = SequentialStream(stride=4, region_bytes=1 << 13).generate(
-            10_000, seed=2
-        )
-        jobs = build_grid_jobs([8, 32], [2], [1, 2, 4, 8])
-        base = run_sweep(trace, jobs)
-        assert run_sweep(trace, jobs, shm=True).as_rows() == base.as_rows()
-        assert run_sweep(trace, jobs, workers=2).as_rows() == base.as_rows()
+        # Closing the plane empties it but leaves the artifact for the next attach.
+        assert len(plane) == 0
+        with cache.get(trace.fingerprint()) as again:
+            assert [
+                r.to_json() for r in FusedSweepExecutor(again, jobs).execute()
+            ] == direct
