@@ -310,7 +310,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{outcome.elapsed_seconds + load_seconds:.4f}s wall",
             file=sys.stderr,
         )
+        _print_engine_profiles(outcome)
     return 0
+
+
+def _print_engine_profiles(outcome) -> None:
+    """Simulate time per engine over the jobs this run executed (stderr)."""
+    profiles = outcome.engine_profiles()
+    if not profiles:
+        return
+    print("simulate per engine (executed jobs only):", file=sys.stderr)
+    for profile in profiles:
+        line = (
+            f"  {profile.engine:<14} {profile.jobs:3d} job(s) {profile.seconds:9.4f}s  "
+            f"{profile.accesses_per_s:,.0f} accesses/s per job"
+        )
+        if profile.node_evals_per_access is not None:
+            line += f", {profile.node_evals_per_access:.2f} node evals/access"
+        if profile.ns_per_node_eval is not None:
+            line += f", {profile.ns_per_node_eval:.0f} ns/node eval"
+        if profile.tag_comparisons_per_access is not None:
+            line += f", {profile.tag_comparisons_per_access:.2f} tag comparisons/access"
+        print(line, file=sys.stderr)
 
 
 def _open_existing_store(path: str):

@@ -17,8 +17,13 @@ properties used in DEW") and Figure 6 (tag-comparison reduction):
 ``searches``
     Evaluations that fell through to a linear tag-list search.
 ``tag_comparisons``
-    Every individual tag equality test performed (MRA checks, wave-pointer
-    probes, MRE checks and tag-list entries examined).
+    Every tag equality test the paper's algorithm makes: MRA checks,
+    wave-pointer probes, MRE checks and the tag-list entries a linear search
+    examines.  This is the algorithm's count, not the interpreter's work:
+    the simulator scans a set's ways in one C-level call and derives the
+    entries a search examined from FIFO fill order (a hit at way ``w``
+    examined ``w + 1`` entries, a miss every valid way; see
+    :mod:`repro.core.dew`).
 """
 
 from __future__ import annotations

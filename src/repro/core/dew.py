@@ -24,6 +24,28 @@ The simulator also reports the direct-mapped (associativity 1) results for
 every set size "for free": the MRA tag of a node is precisely the block a
 direct-mapped set would currently hold, so the Property 2 comparison doubles
 as the direct-mapped lookup.
+
+The work counters (:class:`~repro.core.counters.DewCounters`) count what the
+paper's algorithm does, not what the interpreter does.  A tag-list search
+runs as one C-level scan of the set's ways.  The walk tallies only the MRA
+matches and misses per level, the wave decisions and wave hits, the MRE
+decisions and the entries searches compared; the rest is derived once per
+chunk:
+
+* FIFO fills a set's ways in order ``0 .. A-1`` and never invalidates one,
+  so the valid ways are always a prefix.  A search that finds the block at
+  way ``w`` made ``w + 1`` comparisons; one that misses compared every valid
+  way: ``A`` once the set is full, otherwise the set's fill pointer.
+* A walk reaches level ``k`` unless an MRA match stopped it at a shallower
+  level (every walk reaches every level with Property 2 off), which gives
+  the evaluations per level; those without an MRA match are the
+  direct-mapped misses.
+* Each evaluation without an MRA match is decided by the wave pointer, else
+  the MRE tag, else a search, and is a hit or a miss, which gives the
+  searches and search hits.
+* Each evaluation costs one MRA comparison, each wave decision one probe,
+  and, with Property 4 on, each evaluation the MRA and wave pointer left
+  undecided one MRE comparison.
 """
 
 from __future__ import annotations
@@ -91,7 +113,12 @@ class DewSimulator:
         self._build_level_views()
 
     def _build_level_views(self) -> None:
-        """Cache per-level storage references for the hot loop."""
+        """Cache per-level storage references for the hot loop.
+
+        Each level's tuple ends with the walk's two tallies for the chunk in
+        flight, ``[MRA matches, misses]``; :meth:`run_blocks` flushes them
+        into the counters and zeroes them before it returns.
+        """
         tree = self.tree
         self._levels = [
             (
@@ -102,6 +129,7 @@ class DewSimulator:
                 tree.mre_tag[level],
                 tree.mre_wave[level],
                 tree.fifo_ptr[level],
+                [0, 0],  # this chunk's MRA matches and misses at the level
             )
             for level in range(tree.num_levels)
         ]
@@ -133,118 +161,7 @@ class DewSimulator:
         """Simulate one byte-address request against every configuration."""
         if address < 0:
             raise SimulationError(f"negative address: {address}")
-        self._access_block(address >> self._offset_bits)
-
-    def _access_block(self, block: int) -> None:
-        """Simulate one request given its block address.
-
-        This is the dedicated single-access path (no chunk setup cost); the
-        walk is intentionally the same code as the chunk loop in
-        :meth:`run_blocks`, and the test suite asserts both paths produce
-        identical miss counts *and* work counters.
-        """
-        counters = self.counters
-        counters.requests += 1
-        self._requests += 1
-        if self.track_compulsory and block not in self._seen_blocks:
-            self._seen_blocks.add(block)
-            self._compulsory += 1
-
-        associativity = self.tree.associativity
-        misses = self._misses
-        dm_misses = self._dm_misses
-        enable_mra = self.enable_mra
-        enable_wave = self.enable_wave
-        enable_mre = self.enable_mre
-        per_level = counters.evaluations_per_level
-
-        incoming_wave = EMPTY_WAVE
-        parent_waves: Optional[List[int]] = None
-        parent_entry = -1
-
-        for level, (index_mask, level_tags, level_waves, level_mra,
-                    level_mre_tag, level_mre_wave, level_fifo) in enumerate(self._levels):
-            set_index = block & index_mask
-            counters.node_evaluations += 1
-            per_level[level] += 1
-
-            counters.tag_comparisons += 1
-            mra_match = level_mra[set_index] == block
-            if mra_match:
-                if enable_mra:
-                    counters.mra_hits += 1
-                    return
-                incoming_wave = EMPTY_WAVE
-                parent_waves = None
-                continue
-
-            dm_misses[level] += 1
-            base = set_index * associativity
-            hit = False
-            found_way = -1
-            decided = False
-
-            if enable_wave and incoming_wave != EMPTY_WAVE:
-                counters.wave_decisions += 1
-                counters.tag_comparisons += 1
-                if level_tags[base + incoming_wave] == block:
-                    hit = True
-                    found_way = incoming_wave
-                    counters.wave_hits += 1
-                else:
-                    counters.wave_misses += 1
-                decided = True
-
-            if not decided and enable_mre:
-                counters.tag_comparisons += 1
-                if level_mre_tag[set_index] == block:
-                    counters.mre_decisions += 1
-                    decided = True
-
-            if not decided:
-                counters.searches += 1
-                for way in range(associativity):
-                    tag = level_tags[base + way]
-                    if tag == INVALID_TAG:
-                        continue
-                    counters.tag_comparisons += 1
-                    if tag == block:
-                        hit = True
-                        found_way = way
-                        counters.search_hits += 1
-                        break
-
-            if hit:
-                level_mra[set_index] = block
-                if parent_waves is not None:
-                    parent_waves[parent_entry] = found_way
-                next_entry = base + found_way
-            else:
-                misses[level] += 1
-                level_mra[set_index] = block
-                victim = level_fifo[set_index]
-                victim_slot = base + victim
-                displaced_tag = level_tags[victim_slot]
-                displaced_wave = level_waves[victim_slot]
-                if level_mre_tag[set_index] == block:
-                    level_tags[victim_slot] = block
-                    level_waves[victim_slot] = level_mre_wave[set_index]
-                    level_mre_tag[set_index] = displaced_tag
-                    level_mre_wave[set_index] = displaced_wave
-                else:
-                    level_tags[victim_slot] = block
-                    level_waves[victim_slot] = EMPTY_WAVE
-                    if displaced_tag != INVALID_TAG:
-                        level_mre_tag[set_index] = displaced_tag
-                        level_mre_wave[set_index] = displaced_wave
-                level_fifo[set_index] = (victim + 1) % associativity
-                if parent_waves is not None:
-                    parent_waves[parent_entry] = victim
-                next_entry = victim_slot
-
-            incoming_wave = level_waves[next_entry]
-            parent_waves = level_waves
-            parent_entry = next_entry
+        self.run_blocks([address >> self._offset_bits])
 
     def run_blocks(self, blocks: Union[Sequence[int], np.ndarray]) -> None:
         """Simulate a chunk of block-address requests against every configuration.
@@ -254,14 +171,19 @@ class DewSimulator:
         hoisted once per chunk instead of once per access, and callers are
         expected to hand in pre-shifted block addresses (see
         :meth:`repro.trace.trace.Trace.iter_block_chunks`).
+
+        The walk tallies only the counts it cannot derive; the module
+        docstring says how every other counter follows from them once per
+        chunk.
         """
         if isinstance(blocks, np.ndarray):
             blocks = blocks.tolist()
         if not blocks:
             return
+        walks = len(blocks)
         counters = self.counters
-        counters.requests += len(blocks)
-        self._requests += len(blocks)
+        counters.requests += walks
+        self._requests += walks
         if self.track_compulsory:
             # First-touch classification only needs the set of new blocks,
             # not per-access ordering: one set difference per chunk.
@@ -270,40 +192,33 @@ class DewSimulator:
             self._seen_blocks |= new_blocks
 
         associativity = self.tree.associativity
-        misses = self._misses
-        dm_misses = self._dm_misses
         enable_mra = self.enable_mra
         enable_wave = self.enable_wave
         enable_mre = self.enable_mre
-        per_level = counters.evaluations_per_level
         levels = self._levels
+        # The root (and, with Property 2 off, a node below an MRA match) has
+        # no parent entry whose wave pointer needs refreshing; those writes
+        # land in this throwaway slot instead of taking a branch.
+        no_parent = [EMPTY_WAVE]
 
-        # Work counters accumulate in locals and flush once per chunk:
-        # attribute read-modify-writes are a large share of the walk cost.
-        n_node = n_tag = n_mra = 0
-        n_wave_dec = n_wave_hit = n_wave_miss = 0
-        n_mre = n_search = n_search_hit = 0
+        n_wave = n_wave_hit = n_mre = n_examined = 0
 
         for block in blocks:
             # Wave pointer and matching-entry location carried down from the
             # parent node ("Matching entry location" in Algorithms 1 and 2).
             incoming_wave = EMPTY_WAVE
-            parent_waves: Optional[List[int]] = None
-            parent_entry = -1
+            parent_waves = no_parent
+            parent_entry = 0
 
-            for level, (index_mask, level_tags, level_waves, level_mra,
-                        level_mre_tag, level_mre_wave, level_fifo) in enumerate(levels):
+            for (index_mask, level_tags, level_waves, level_mra,
+                 level_mre_tag, level_mre_wave, level_fifo, tally) in levels:
                 set_index = block & index_mask
-                n_node += 1
-                per_level[level] += 1
 
                 # Property 2 (MRA): one comparison decides this configuration
                 # *and* the direct-mapped cache of the same set size.
-                n_tag += 1
-                mra_match = level_mra[set_index] == block
-                if mra_match:
+                if level_mra[set_index] == block:
+                    tally[0] += 1
                     if enable_mra:
-                        n_mra += 1
                         # Hit here and at every larger set size, both for the
                         # simulated associativity and direct mapped: stop.
                         break
@@ -311,96 +226,108 @@ class DewSimulator:
                     # both configurations and FIFO hits change no state, so the
                     # wave chain simply restarts below this level.
                     incoming_wave = EMPTY_WAVE
-                    parent_waves = None
+                    parent_waves = no_parent
+                    parent_entry = 0
                     continue
 
-                dm_misses[level] += 1
                 base = set_index * associativity
-                hit = False
-                found_way = -1
-                decided = False
-
+                way = -1  # the way holding the block; stays -1 on a miss
                 if enable_wave and incoming_wave != EMPTY_WAVE:
                     # Property 3: probe exactly the way the parent last saw this
                     # tag occupy.  The tag cannot have moved without being
                     # processed here (which would have refreshed the pointer), so
                     # a mismatch proves the tag is absent.
-                    n_wave_dec += 1
-                    n_tag += 1
+                    n_wave += 1
                     if level_tags[base + incoming_wave] == block:
-                        hit = True
-                        found_way = incoming_wave
+                        way = incoming_wave
                         n_wave_hit += 1
-                    else:
-                        n_wave_miss += 1
-                    decided = True
-
-                if not decided and enable_mre:
+                elif enable_mre and level_mre_tag[set_index] == block:
                     # Property 4: the most recently evicted tag is guaranteed
                     # absent, so a match means "miss" with one comparison.
-                    n_tag += 1
-                    if level_mre_tag[set_index] == block:
-                        n_mre += 1
-                        decided = True
+                    n_mre += 1
+                else:
+                    # Tag-list search, one scan of the set's ways.  FIFO fills
+                    # ways in order and never invalidates one, so a hit at way
+                    # w examined w + 1 entries and a miss examined every
+                    # valid one: all A, or the fill pointer while filling.
+                    ways = level_tags[base:base + associativity]
+                    if block in ways:
+                        way = ways.index(block)
+                        n_examined += way + 1
+                    elif ways[-1] == INVALID_TAG:
+                        n_examined += level_fifo[set_index]
+                    else:
+                        n_examined += associativity
 
-                if not decided:
-                    n_search += 1
-                    for way in range(associativity):
-                        tag = level_tags[base + way]
-                        if tag == INVALID_TAG:
-                            continue
-                        n_tag += 1
-                        if tag == block:
-                            hit = True
-                            found_way = way
-                            n_search_hit += 1
-                            break
-
-                if hit:
+                level_mra[set_index] = block
+                if way >= 0:
                     # Algorithm 1: Handle_hit.
-                    level_mra[set_index] = block
-                    if parent_waves is not None:
-                        parent_waves[parent_entry] = found_way
-                    next_entry = base + found_way
+                    parent_waves[parent_entry] = way
+                    parent_entry = base + way
+                    incoming_wave = level_waves[parent_entry]
                 else:
                     # Algorithm 2: Handle_miss.
-                    misses[level] += 1
-                    level_mra[set_index] = block
+                    tally[1] += 1
                     victim = level_fifo[set_index]
-                    victim_slot = base + victim
-                    displaced_tag = level_tags[victim_slot]
-                    displaced_wave = level_waves[victim_slot]
+                    parent_waves[parent_entry] = victim
+                    parent_entry = base + victim
+                    displaced_tag = level_tags[parent_entry]
+                    level_tags[parent_entry] = block
                     if level_mre_tag[set_index] == block:
                         # Re-insert the evicted tag, recycling its wave pointer,
                         # and stash the newly evicted entry in the MRE slot.
-                        level_tags[victim_slot] = block
-                        level_waves[victim_slot] = level_mre_wave[set_index]
+                        incoming_wave = level_mre_wave[set_index]
                         level_mre_tag[set_index] = displaced_tag
-                        level_mre_wave[set_index] = displaced_wave
+                        level_mre_wave[set_index] = level_waves[parent_entry]
                     else:
-                        level_tags[victim_slot] = block
-                        level_waves[victim_slot] = EMPTY_WAVE
+                        incoming_wave = EMPTY_WAVE
                         if displaced_tag != INVALID_TAG:
                             level_mre_tag[set_index] = displaced_tag
-                            level_mre_wave[set_index] = displaced_wave
+                            level_mre_wave[set_index] = level_waves[parent_entry]
+                    level_waves[parent_entry] = incoming_wave
                     level_fifo[set_index] = (victim + 1) % associativity
-                    if parent_waves is not None:
-                        parent_waves[parent_entry] = victim
-                    next_entry = victim_slot
-
-                incoming_wave = level_waves[next_entry]
                 parent_waves = level_waves
-                parent_entry = next_entry
 
-        counters.node_evaluations += n_node
-        counters.tag_comparisons += n_tag
-        counters.mra_hits += n_mra
-        counters.wave_decisions += n_wave_dec
+        # Per-level bookkeeping, once per chunk.  A walk reaches level k
+        # unless an MRA match stopped it higher up, and every evaluation
+        # without an MRA match is a direct-mapped miss.
+        misses = self._misses
+        dm_misses = self._dm_misses
+        per_level = counters.evaluations_per_level
+        reached = walks
+        evaluations = unmatched = mra_matches = chunk_misses = 0
+        for level, view in enumerate(levels):
+            tally = view[-1]
+            matches, level_misses = tally
+            tally[0] = tally[1] = 0
+            per_level[level] += reached
+            dm_misses[level] += reached - matches
+            misses[level] += level_misses
+            evaluations += reached
+            unmatched += reached - matches
+            mra_matches += matches
+            chunk_misses += level_misses
+            if enable_mra:
+                reached -= matches
+
+        # Each unmatched evaluation is decided by the wave pointer, else by
+        # the MRE tag, else by a search, and is a hit or a miss.  Every
+        # evaluation costs one MRA comparison and every wave decision one
+        # probe; with Property 4 on, each unmatched evaluation the wave
+        # pointer left undecided costs one MRE comparison.
+        searches = unmatched - n_wave - n_mre
+        search_hits = unmatched - chunk_misses - n_wave_hit
+        mre_checks = unmatched - n_wave if enable_mre else 0
+        counters.node_evaluations += evaluations
+        if enable_mra:
+            counters.mra_hits += mra_matches
+        counters.wave_decisions += n_wave
         counters.wave_hits += n_wave_hit
-        counters.wave_misses += n_wave_miss
+        counters.wave_misses += n_wave - n_wave_hit
         counters.mre_decisions += n_mre
-        counters.searches += n_search
-        counters.search_hits += n_search_hit
+        counters.searches += searches
+        counters.search_hits += search_hits
+        counters.tag_comparisons += evaluations + n_wave + mre_checks + n_examined
 
     def run_block_runs(
         self,

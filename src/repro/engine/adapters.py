@@ -49,7 +49,8 @@ class DewEngine(Engine):
     collapsed chunks (consecutive same-block accesses become bulk MRA hits,
     see :meth:`~repro.core.dew.DewSimulator.run_block_runs`); results and
     work counters are identical either way, so the switch is a pure
-    performance knob (and the fused sweep executor's default).
+    performance knob for :meth:`run`.  The fused sweep executor has no such
+    option: it always feeds this engine run-length collapsed chunks.
     """
 
     supports_block_runs = True

@@ -33,6 +33,7 @@ from __future__ import annotations
 import enum
 import multiprocessing
 import os
+import statistics
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -302,6 +303,24 @@ def merge_results(
     return merged
 
 
+@dataclass(frozen=True)
+class EngineProfile:
+    """Simulate time of one engine's jobs executed in a sweep.
+
+    ``accesses_per_s`` and ``ns_per_node_eval`` are medians over the jobs;
+    the per-access DEW work ratios sum the counters of every job first.  The
+    DEW-only fields are ``None`` for other engines.
+    """
+
+    engine: str
+    jobs: int
+    seconds: float
+    accesses_per_s: float
+    node_evals_per_access: Optional[float] = None
+    ns_per_node_eval: Optional[float] = None
+    tag_comparisons_per_access: Optional[float] = None
+
+
 @dataclass
 class SweepOutcome:
     """Per-job and merged results of one sweep execution."""
@@ -312,7 +331,11 @@ class SweepOutcome:
     workers: int = 1
     elapsed_seconds: float = 0.0
     cached_jobs: int = 0
-    executed_jobs: int = 0
+    #: Positions in :attr:`jobs` of the jobs this run simulated (store hits
+    #: excluded), in job order.
+    executed: Tuple[int, ...] = ()
+    #: Trace accesses every job replayed.
+    accesses: int = 0
     #: Exclusive per-phase wall clock from the orchestrator's
     #: :class:`~repro.obs.tracing.PhaseTimer` — decode / plane_ensure /
     #: store_lookup / simulate / persist, plus merge once :meth:`merged` has
@@ -320,6 +343,46 @@ class SweepOutcome:
     #: :func:`run_sweep`.
     phases: Dict[str, float] = field(default_factory=dict)
     _merged: Optional[SimulationResults] = field(default=None, repr=False)
+
+    @property
+    def executed_jobs(self) -> int:
+        """How many jobs this run simulated rather than loaded from the store."""
+        return len(self.executed)
+
+    def engine_profiles(self) -> List[EngineProfile]:
+        """Per-engine simulate time over the jobs this run executed.
+
+        One :class:`EngineProfile` per engine, in order of first appearance
+        among the executed jobs; engines with no executed job are left out.
+        """
+        by_engine: Dict[str, List[SimulationResults]] = {}
+        for index in self.executed:
+            by_engine.setdefault(self.jobs[index].engine, []).append(self.results[index])
+        profiles = []
+        for engine, results in by_engine.items():
+            rates = [self.accesses / r.elapsed_seconds for r in results if r.elapsed_seconds > 0]
+            dew: Dict[str, float] = {}
+            if engine == "dew" and self.accesses:
+                # Every walk evaluates at least the root, so no count is zero.
+                counters = [r.counters for r in results]
+                requests = sum(c.requests for c in counters)
+                dew = {
+                    "node_evals_per_access": sum(c.node_evaluations for c in counters) / requests,
+                    "ns_per_node_eval": statistics.median(
+                        r.elapsed_seconds * 1e9 / r.counters.node_evaluations for r in results
+                    ),
+                    "tag_comparisons_per_access": (
+                        sum(c.tag_comparisons for c in counters) / requests
+                    ),
+                }
+            profiles.append(EngineProfile(
+                engine,
+                len(results),
+                sum(r.elapsed_seconds for r in results),
+                statistics.median(rates) if rates else 0.0,
+                **dew,
+            ))
+        return profiles
 
     def merged(self) -> SimulationResults:
         """All configurations of the sweep in one deterministic container.
@@ -688,7 +751,8 @@ def run_sweep(
         workers=effective_workers,
         elapsed_seconds=elapsed,
         cached_jobs=cached_jobs,
-        executed_jobs=len(missing),
+        executed=tuple(missing),
+        accesses=len(trace),
         # The live timer dict: `merged()` keeps adding its merge time here.
         phases=timer.times,
     )

@@ -487,25 +487,51 @@ class TestCliSurfaces:
         stats_text = capsys.readouterr().out
         assert "fleet:" in stats_text
 
-    def test_sweep_profile_flag(self, trace_file, capsys):
+    def test_engine_profiles_cover_only_executed_jobs(self, tmp_path):
+        trace = WorkingSetGenerator(hot_bytes=2048, cold_bytes=1 << 15).generate(1500, seed=3)
+        jobs = build_grid_jobs([8, 16], [1, 2], (1, 2, 4, 8), policies=("fifo", "lru"))
+        store = tmp_path / "store"
+        run_sweep(trace, [job for job in jobs if job.engine == "janapsatya"], store=store)
+        outcome = run_sweep(trace, jobs, store=store)
+
+        dew = tuple(index for index, job in enumerate(jobs) if job.engine == "dew")
+        assert outcome.executed == dew and outcome.executed_jobs == len(dew)
+        [profile] = outcome.engine_profiles()
+        assert (profile.engine, profile.jobs) == ("dew", len(dew))
+        results = [outcome.results[index] for index in dew]
+        requests = sum(r.counters.requests for r in results)
+        assert requests == len(trace) * len(dew)
+        assert profile.seconds == sum(r.elapsed_seconds for r in results)
+        assert profile.node_evals_per_access == (
+            sum(r.counters.node_evaluations for r in results) / requests
+        )
+        assert profile.tag_comparisons_per_access == (
+            sum(r.counters.tag_comparisons for r in results) / requests
+        )
+        assert profile.accesses_per_s > 0 and profile.ns_per_node_eval > 0
+
+        warm = run_sweep(trace, jobs, store=store)
+        assert warm.executed == () and warm.engine_profiles() == []
+
+    def test_sweep_profile_flag(self, trace_file, tmp_path, capsys):
         from repro.cli import main
 
-        assert (
-            main(
-                [
-                    "sweep",
-                    trace_file,
-                    "--block-sizes",
-                    "8,16",
-                    "--associativities",
-                    "1,2",
-                    "--max-sets",
-                    "32",
-                    "--profile",
-                ]
-            )
-            == 0
-        )
+        argv = [
+            "sweep",
+            trace_file,
+            "--block-sizes",
+            "8,16",
+            "--associativities",
+            "1,2",
+            "--max-sets",
+            "32",
+            "--policies",
+            "fifo,lru",
+            "--store",
+            str(tmp_path / "store"),
+            "--profile",
+        ]
+        assert main(argv) == 0
         err = capsys.readouterr().err
         assert "profile (exclusive seconds per phase):" in err
         assert "simulate" in err
@@ -513,3 +539,21 @@ class TestCliSurfaces:
         # The text parse happens before run_sweep and still shows up.
         load = [line.split() for line in err.splitlines() if line.split()[:1] == ["load"]]
         assert len(load) == 1 and float(load[0][1].rstrip("s")) > 0.0
+
+        # One line per engine that simulated: two DEW jobs (B8/A2, B16/A2)
+        # and two LRU jobs; DEW adds its work ratios.
+        engines = {line.split()[0]: line for line in err.splitlines()
+                   if line.split()[:1] in (["dew"], ["janapsatya"])}
+        assert set(engines) == {"dew", "janapsatya"}
+        assert "2 job(s)" in engines["dew"] and "2 job(s)" in engines["janapsatya"]
+        assert "accesses/s per job" in engines["janapsatya"]
+        assert "node evals/access" not in engines["janapsatya"]
+        for ratio in ("node evals/access", "ns/node eval", "tag comparisons/access"):
+            assert ratio in engines["dew"]
+
+        # A store-warm rerun executes nothing, so no engine line appears.
+        assert main(argv) == 0
+        warm = capsys.readouterr().err
+        assert "0 executed" in warm
+        assert not [line for line in warm.splitlines()
+                    if line.split()[:1] in (["dew"], ["janapsatya"])]
