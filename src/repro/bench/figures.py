@@ -50,6 +50,22 @@ def speedup_series(cells: Iterable[ExperimentCell]) -> Dict[str, List[FigurePoin
     return _series(cells, lambda cell: cell.speedup)
 
 
+def implementation_label(cells: Iterable[ExperimentCell]) -> str:
+    """Which implementation each side of Figure 5's speed-up ran, e.g.
+    ``DEW: kernel walk; baseline: Python single``.
+
+    The baseline is always the Python ``single``-style runner, so a speed-up
+    of the kernel walk over it includes the compiler's own gain as well as
+    the algorithm's.
+    """
+    walks = sorted({cell.dew_walk or "unknown (from store)" for cell in cells})
+    labels = []
+    for walk in walks:
+        name, _, reason = walk.partition(" ")
+        labels.append(f"{name} walk {reason}".rstrip())
+    return f"DEW: {', '.join(labels)}; baseline: Python single"
+
+
 def comparison_reduction_series(cells: Iterable[ExperimentCell]) -> Dict[str, List[FigurePoint]]:
     """Figure 6: percentage reduction of tag comparisons, grouped by application."""
     return _series(cells, lambda cell: cell.comparison_reduction_percent)

@@ -67,6 +67,9 @@ class ExperimentCell:
     dinero_comparisons: int
     configs_simulated: int
     exact_match: bool
+    #: The DEW walk that ran (``kernel``, or ``python (<reason>)``); ``None``
+    #: when the DEW half came from the result store.
+    dew_walk: Optional[str] = None
 
     @property
     def speedup(self) -> float:
@@ -321,6 +324,7 @@ class ExperimentRunner:
             dinero_comparisons=baseline_results.counters.tag_comparisons,
             configs_simulated=len(baseline_configs),
             exact_match=exact,
+            dew_walk=dew_results.walk,
         )
 
     def _baseline_configs(self, block_size: int, associativity: int) -> List[CacheConfig]:

@@ -71,7 +71,12 @@ import time
 from typing import List, Optional, Sequence
 
 from repro._version import __version__
-from repro.bench.figures import comparison_reduction_series, render_ascii_chart, speedup_series
+from repro.bench.figures import (
+    comparison_reduction_series,
+    implementation_label,
+    render_ascii_chart,
+    speedup_series,
+)
 from repro.bench.harness import ExperimentRunner
 from repro.bench.tables import format_table1, format_table2, format_table3, format_table4
 from repro.cache.dinero import DineroStyleRunner
@@ -331,6 +336,8 @@ def _print_engine_profiles(outcome) -> None:
             line += f", {profile.ns_per_node_eval:.0f} ns/node eval"
         if profile.tag_comparisons_per_access is not None:
             line += f", {profile.tag_comparisons_per_access:.2f} tag comparisons/access"
+        if profile.walk is not None:
+            line += f", walk={profile.walk}"
         print(line, file=sys.stderr)
 
 
@@ -970,13 +977,15 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     print()
     print(format_table4(runner.run_table4()))
     print()
-    print(render_ascii_chart(speedup_series(cells), "Figure 5: speed-up of DEW over baseline"))
+    sides = implementation_label(cells)
+    print(render_ascii_chart(
+        speedup_series(cells), f"Figure 5: speed-up of DEW over baseline ({sides})"))
     print()
     print(render_ascii_chart(
         comparison_reduction_series(cells), "Figure 6: % reduction of tag comparisons"))
     print()
     headline = runner.run_headline_claims(cells)
-    print("Headline claims (this run):")
+    print(f"Headline claims (this run; {sides}):")
     for key, value in headline.items():
         print(f"  {key}: {value:.2f}")
     return 0

@@ -25,12 +25,28 @@ every set size "for free": the MRA tag of a node is precisely the block a
 direct-mapped set would currently hold, so the Property 2 comparison doubles
 as the direct-mapped lookup.
 
+There are two walks, with identical results and counters:
+
+* the **kernel walk**, a line-for-line C port of the Python walk
+  (``repro/kernels/dew.c``), which :class:`DewSimulator` runs whenever
+  :func:`repro.kernels.dew_walk` builds and loads it;
+* the **Python walk** in :meth:`DewSimulator.run_blocks`, the fallback on a
+  host without a working C compiler (or with ``CC=false``) and the oracle
+  the kernel is tested against.
+
+The kernel walks the tree's flat layout (see :mod:`repro.core.tree`):
+zero-initialised int64 arrays in which tags hold ``block + 1`` and wave
+pointers ``way + 1``, so 0 is the invalid/empty sentinel and a fresh tree
+needs no fill pass.  Block addresses must therefore lie in
+``[0, 2**63 - 1)``; both walks reject any other with
+:class:`~repro.errors.SimulationError`.
+
 The work counters (:class:`~repro.core.counters.DewCounters`) count what the
 paper's algorithm does, not what the interpreter does.  A tag-list search
-runs as one C-level scan of the set's ways.  The walk tallies only the MRA
-matches and misses per level, the wave decisions and wave hits, the MRE
-decisions and the entries searches compared; the rest is derived once per
-chunk:
+scans the set's ways in one call (one loop in C).  Either walk tallies only
+the MRA matches and misses per level, the wave decisions and wave hits, the
+MRE decisions and the entries searches compared; one shared function
+(:meth:`DewSimulator._account`) derives the rest once per chunk:
 
 * FIFO fills a set's ways in order ``0 .. A-1`` and never invalidates one,
   so the valid ways are always a prefix.  A search that finds the block at
@@ -55,12 +71,17 @@ from typing import Iterable, List, Optional, Sequence, Set, Union
 
 import numpy as np
 
+from repro import kernels
 from repro.core.counters import DewCounters
 from repro.core.results import ResultsFrame, SimulationResults, policy_code
 from repro.core.tree import DewTree
 from repro.errors import SimulationError
 from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace
 from repro.types import EMPTY_WAVE, INVALID_TAG, ReplacementPolicy
+
+#: Block addresses the walks accept lie below this: the kernel stores
+#: ``block + 1``, which must not overflow int64.
+BLOCK_LIMIT = 2**63 - 1
 
 
 class DewSimulator:
@@ -84,6 +105,9 @@ class DewSimulator:
     track_compulsory:
         Record first-touch (compulsory) misses.  Costs one hash-set insert
         per distinct block.
+
+    The simulator runs the kernel walk when :func:`repro.kernels.dew_walk`
+    loads it and the Python walk otherwise; :attr:`walk` says which.
     """
 
     def __init__(
@@ -96,7 +120,10 @@ class DewSimulator:
         enable_mre: bool = True,
         track_compulsory: bool = True,
     ) -> None:
-        self.tree = DewTree(block_size, associativity, set_sizes)
+        self._walk = kernels.dew_walk()
+        self.tree = DewTree(
+            block_size, associativity, set_sizes, flat=self._walk.function is not None
+        )
         self.enable_mra = enable_mra
         self.enable_wave = enable_wave
         self.enable_mre = enable_mre
@@ -113,13 +140,35 @@ class DewSimulator:
         self._build_level_views()
 
     def _build_level_views(self) -> None:
-        """Cache per-level storage references for the hot loop.
+        """Cache per-level storage references for the walk.
 
-        Each level's tuple ends with the walk's two tallies for the chunk in
-        flight, ``[MRA matches, misses]``; :meth:`run_blocks` flushes them
-        into the counters and zeroes them before it returns.
+        For the Python walk, each level's tuple ends with the walk's two
+        tallies for the chunk in flight, ``[MRA matches, misses]``.  For the
+        kernel, the pointers to the tree's arrays and to the tally array it
+        fills.  The simulator keeps those arrays referenced, so a pointer
+        never outlives its array, even if the tree's storage is replaced
+        other than through :meth:`reset`.
         """
         tree = self.tree
+        if tree.flat:
+            arrays = (
+                tree.index_masks,
+                tree.level_offsets,
+                *(tree.storage[field] for field in
+                  ("tags", "waves", "mra", "mre_tag", "mre_wave", "fifo_ptr")),
+            )
+            self._tally = np.zeros(2 * tree.num_levels + 4, dtype=np.int64)
+            self._kernel_arrays = (*arrays, self._tally)
+            self._kernel_args = (
+                tree.num_levels,
+                tree.associativity,
+                *(array.ctypes.data for array in arrays),
+                self.enable_mra,
+                self.enable_wave,
+                self.enable_mre,
+                self._tally.ctypes.data,
+            )
+            return
         self._levels = [
             (
                 tree.set_sizes[level] - 1,  # index mask
@@ -147,6 +196,11 @@ class DewSimulator:
         return self.tree.associativity
 
     @property
+    def walk(self) -> str:
+        """The walk this simulator runs: ``kernel``, or ``python (<reason>)``."""
+        return self._walk.name
+
+    @property
     def requests(self) -> int:
         """Number of accesses simulated so far."""
         return self._requests
@@ -172,25 +226,51 @@ class DewSimulator:
         expected to hand in pre-shifted block addresses (see
         :meth:`repro.trace.trace.Trace.iter_block_chunks`).
 
-        The walk tallies only the counts it cannot derive; the module
+        Either walk tallies only the counts it cannot derive; the module
         docstring says how every other counter follows from them once per
-        chunk.
+        chunk.  Raises :class:`~repro.errors.SimulationError` for a block
+        outside ``[0, 2**63 - 1)``.
         """
-        if isinstance(blocks, np.ndarray):
-            blocks = blocks.tolist()
-        if not blocks:
+        try:
+            chunk = np.ascontiguousarray(blocks, dtype=np.int64)
+        except OverflowError as exc:
+            raise SimulationError(f"block address outside [0, 2**63 - 1): {exc}") from None
+        if not chunk.size:
             return
-        walks = len(blocks)
-        counters = self.counters
-        counters.requests += walks
+        low, high = int(chunk.min()), int(chunk.max())
+        if low < 0 or high >= BLOCK_LIMIT:
+            raise SimulationError(
+                f"block address {low if low < 0 else high} is outside [0, 2**63 - 1)"
+            )
+        walks = chunk.size
+        self.counters.requests += walks
         self._requests += walks
+        values = blocks
+        if isinstance(blocks, np.ndarray) and (self.track_compulsory or not self.tree.flat):
+            values = chunk.tolist()
         if self.track_compulsory:
             # First-touch classification only needs the set of new blocks,
             # not per-access ordering: one set difference per chunk.
-            new_blocks = set(blocks).difference(self._seen_blocks)
+            new_blocks = set(values).difference(self._seen_blocks)
             self._compulsory += len(new_blocks)
             self._seen_blocks |= new_blocks
+        if self.tree.flat:
+            self._kernel_walk(chunk)
+        else:
+            self._python_walk(values)
 
+    def _kernel_walk(self, chunk: np.ndarray) -> None:
+        """One kernel call over a C-contiguous int64 chunk, then the shared
+        derivation.  ``chunk`` and the tree's arrays stay referenced for the
+        whole call, which releases the interpreter lock; each simulator owns
+        its storage."""
+        self._walk.function(chunk.ctypes.data, chunk.size, *self._kernel_args)
+        tally = self._tally.tolist()
+        levels = 2 * self.tree.num_levels
+        self._account(chunk.size, tally[0:levels:2], tally[1:levels:2], *tally[levels:])
+
+    def _python_walk(self, blocks: Sequence[int]) -> None:
+        """The walk in Python, then the shared derivation."""
         associativity = self.tree.associativity
         enable_mra = self.enable_mra
         enable_wave = self.enable_wave
@@ -288,27 +368,46 @@ class DewSimulator:
                     level_fifo[set_index] = (victim + 1) % associativity
                 parent_waves = level_waves
 
-        # Per-level bookkeeping, once per chunk.  A walk reaches level k
-        # unless an MRA match stopped it higher up, and every evaluation
-        # without an MRA match is a direct-mapped miss.
-        misses = self._misses
+        tallies = [view[-1] for view in levels]
+        matches = [tally[0] for tally in tallies]
+        misses = [tally[1] for tally in tallies]
+        for tally in tallies:
+            tally[0] = tally[1] = 0
+        self._account(len(blocks), matches, misses, n_wave, n_wave_hit, n_mre, n_examined)
+
+    def _account(
+        self,
+        walks: int,
+        matches: Sequence[int],
+        misses: Sequence[int],
+        n_wave: int,
+        n_wave_hit: int,
+        n_mre: int,
+        n_examined: int,
+    ) -> None:
+        """Derive every counter of one chunk from either walk's tallies: per
+        level, the MRA matches and misses; in total, the wave decisions and
+        wave hits, the MRE decisions and the entries searches compared."""
+        counters = self.counters
+        enable_mra = self.enable_mra
+        enable_mre = self.enable_mre
+        # A walk reaches level k unless an MRA match stopped it higher up,
+        # and every evaluation without an MRA match is a direct-mapped miss.
+        level_misses = self._misses
         dm_misses = self._dm_misses
         per_level = counters.evaluations_per_level
         reached = walks
         evaluations = unmatched = mra_matches = chunk_misses = 0
-        for level, view in enumerate(levels):
-            tally = view[-1]
-            matches, level_misses = tally
-            tally[0] = tally[1] = 0
+        for level, (level_matches, missed) in enumerate(zip(matches, misses)):
             per_level[level] += reached
-            dm_misses[level] += reached - matches
-            misses[level] += level_misses
+            dm_misses[level] += reached - level_matches
+            level_misses[level] += missed
             evaluations += reached
-            unmatched += reached - matches
-            mra_matches += matches
-            chunk_misses += level_misses
+            unmatched += reached - level_matches
+            mra_matches += level_matches
+            chunk_misses += missed
             if enable_mra:
-                reached -= matches
+                reached -= level_matches
 
         # Each unmatched evaluation is decided by the wave pointer, else by
         # the MRE tag, else by a search, and is a hit or a miss.  Every
@@ -462,9 +561,11 @@ class DewSimulator:
 
     def results(self, trace_name: str = "trace") -> SimulationResults:
         """Per-configuration results accumulated so far (frame-backed view)."""
-        return SimulationResults.from_frame(
+        results = SimulationResults.from_frame(
             self.results_frame(trace_name=trace_name), counters=self.counters
         )
+        results.walk = self.walk
+        return results
 
     def reset(self) -> None:
         """Clear all simulation state, counters and results."""

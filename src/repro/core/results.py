@@ -931,6 +931,10 @@ class SimulationResults:
         self.elapsed_seconds = elapsed_seconds
         self.simulator_name = simulator_name
         self.trace_name = trace_name
+        #: Which DEW walk produced a fresh DEW result (``kernel``, or
+        #: ``python (<reason>)``); ``None`` otherwise.  Observational only:
+        #: never part of rows, frames or store artifacts.
+        self.walk: Optional[str] = None
 
     @classmethod
     def from_frame(
@@ -944,6 +948,7 @@ class SimulationResults:
         view.elapsed_seconds = frame.elapsed_seconds
         view.simulator_name = frame.simulator_name
         view.trace_name = frame.trace_name
+        view.walk = None
         return view
 
     def frame(self) -> ResultsFrame:

@@ -15,14 +15,32 @@ Each node stores, per the paper's Section 5 accounting:
   (Property 4),
 * the FIFO round-robin victim pointer.
 
-The storage is laid out as flat Python lists per level (``tags[k]`` has
-``S_k * A`` slots) because attribute-light list indexing is the fastest pure
-Python representation for the simulator's inner loop.
+The storage has two layouts, one per DEW walk:
+
+* **Lists** (the Python walk): flat Python lists per level and field
+  (``tags[k]`` has ``S_k * A`` slots), because attribute-light list indexing
+  is the fastest pure Python representation for the walk's inner loop.
+  Invalid tags and empty wave pointers hold ``-1``.
+* **Flat** (the compiled walk, :mod:`repro.kernels`): one zero-initialised
+  int64 array per field covering every level, level ``k`` starting at node
+  :attr:`DewTree.level_offsets` ``[k]``.  Each value is stored minus its
+  field's empty value, so tags hold ``block + 1`` and wave pointers
+  ``way + 1``, and 0 means invalid or empty.  Allocation then needs no fill
+  pass: a ``-1`` fill would write every page of trees whose deep levels the
+  walk mostly never touches.
+
+Inspection reads both layouts the same way: ``tags``, ``waves``, ``mra``,
+``mre_tag``, ``mre_wave``, ``fifo_ptr`` and :meth:`DewTree.resident_blocks`
+return decoded per-level values (``-1`` for invalid or empty), decoded in
+:meth:`DewTree._decode` alone.  Over the list layout they are the live
+lists; over the flat layout they are snapshots.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.config import CacheConfig
 from repro.errors import ConfigurationError
@@ -32,6 +50,25 @@ from repro.types import EMPTY_WAVE, INVALID_TAG, ReplacementPolicy, is_power_of_
 def default_paper_set_sizes() -> Tuple[int, ...]:
     """The paper's set-size sweep: ``2^0 .. 2^14``."""
     return tuple(2**i for i in range(0, 15))
+
+
+#: Each node field's empty value: invalid tags and empty wave pointers are -1.
+#: The flat layout stores every value minus its field's empty value.
+EMPTY_VALUES: Dict[str, int] = {
+    "tags": INVALID_TAG,
+    "waves": EMPTY_WAVE,
+    "mra": INVALID_TAG,
+    "mre_tag": INVALID_TAG,
+    "mre_wave": EMPTY_WAVE,
+    "fifo_ptr": 0,
+}
+#: Fields with one slot per tag-list entry (``A`` per node); the rest have
+#: one per node.
+ENTRY_FIELDS = ("tags", "waves")
+
+
+def _decoded_field(name: str, doc: str) -> property:
+    return property(lambda tree: tree.decoded(name), doc=doc)
 
 
 class DewTree:
@@ -46,6 +83,9 @@ class DewTree:
     set_sizes:
         Strictly increasing powers of two, each double the previous, e.g.
         ``(1, 2, 4, ..., 16384)``.  Defaults to the paper's sweep.
+    flat:
+        Lay the storage out for the compiled walk rather than the Python
+        walk (see the module docstring); inspection reads either the same.
     """
 
     def __init__(
@@ -53,6 +93,7 @@ class DewTree:
         block_size: int,
         associativity: int,
         set_sizes: Optional[Sequence[int]] = None,
+        flat: bool = False,
     ) -> None:
         if not is_power_of_two(block_size):
             raise ConfigurationError(f"block size must be a power of two, got {block_size}")
@@ -76,20 +117,22 @@ class DewTree:
         self.offset_bits = log2_exact(block_size)
         self.num_levels = len(sizes)
 
-        # Flat per-level storage (see module docstring).
-        self.tags: List[List[int]] = []
-        self.waves: List[List[int]] = []
-        self.fifo_ptr: List[List[int]] = []
-        self.mra: List[List[int]] = []
-        self.mre_tag: List[List[int]] = []
-        self.mre_wave: List[List[int]] = []
-        for size in sizes:
-            self.tags.append([INVALID_TAG] * (size * associativity))
-            self.waves.append([EMPTY_WAVE] * (size * associativity))
-            self.fifo_ptr.append([0] * size)
-            self.mra.append([INVALID_TAG] * size)
-            self.mre_tag.append([INVALID_TAG] * size)
-            self.mre_wave.append([EMPTY_WAVE] * size)
+        #: ``True`` for the flat layout the compiled walk uses (see module
+        #: docstring); the Python walk uses the list layout.
+        self.flat = flat
+        sizes_array = np.asarray(sizes, dtype=np.int64)
+        #: Per level, the node-index mask and (flat layout) the first node.
+        self.index_masks = sizes_array - 1
+        self.level_offsets = np.cumsum(sizes_array) - sizes_array
+        self.storage: Dict[str, Any] = {}
+        self.reset()
+
+    tags = _decoded_field("tags", "Per-level tag lists, ``S_k * A`` slots each.")
+    waves = _decoded_field("waves", "Per-level wave pointers, one per tag-list slot.")
+    mra = _decoded_field("mra", "Per-level MRA tags, one per node.")
+    mre_tag = _decoded_field("mre_tag", "Per-level MRE tags, one per node.")
+    mre_wave = _decoded_field("mre_wave", "Per-level MRE wave pointers, one per node.")
+    fifo_ptr = _decoded_field("fifo_ptr", "Per-level FIFO victim pointers, one per node.")
 
     # -- structural queries ---------------------------------------------------
 
@@ -147,26 +190,42 @@ class DewTree:
 
     # -- content inspection (used by verification and tests) -------------------
 
+    def _slots(self, field: str) -> int:
+        return self.associativity if field in ENTRY_FIELDS else 1
+
+    def _decode(self, field: str, level: int, start: int, stop: int) -> List[int]:
+        """Decoded slots ``start:stop`` of one level of one field."""
+        storage = self.storage[field]
+        if not self.flat:
+            return storage[level][start:stop]
+        first = int(self.level_offsets[level]) * self._slots(field)
+        return (storage[first + start:first + stop] + EMPTY_VALUES[field]).tolist()
+
+    def decoded(self, field: str) -> List[List[int]]:
+        """One field's per-level values (``-1`` for invalid or empty): the
+        live lists of the list layout, a snapshot of the flat layout."""
+        if not self.flat:
+            return self.storage[field]
+        slots = self._slots(field)
+        return [
+            self._decode(field, level, 0, size * slots)
+            for level, size in enumerate(self.set_sizes)
+        ]
+
     def resident_blocks(self, level: int, set_index: int) -> List[int]:
         """Blocks currently resident in one simulated set (way order)."""
-        associativity = self.associativity
-        base = set_index * associativity
-        level_tags = self.tags[level]
-        return [
-            level_tags[base + way]
-            for way in range(associativity)
-            if level_tags[base + way] != INVALID_TAG
-        ]
+        base = set_index * self.associativity
+        ways = self._decode("tags", level, base, base + self.associativity)
+        return [tag for tag in ways if tag != INVALID_TAG]
 
     def reset(self) -> None:
         """Return every node to the empty state."""
-        for level, size in enumerate(self.set_sizes):
-            self.tags[level] = [INVALID_TAG] * (size * self.associativity)
-            self.waves[level] = [EMPTY_WAVE] * (size * self.associativity)
-            self.fifo_ptr[level] = [0] * size
-            self.mra[level] = [INVALID_TAG] * size
-            self.mre_tag[level] = [INVALID_TAG] * size
-            self.mre_wave[level] = [EMPTY_WAVE] * size
+        for field, empty in EMPTY_VALUES.items():
+            slots = self._slots(field)
+            if self.flat:
+                self.storage[field] = np.zeros(self.node_count() * slots, dtype=np.int64)
+            else:
+                self.storage[field] = [[empty] * (size * slots) for size in self.set_sizes]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

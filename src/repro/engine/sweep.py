@@ -308,7 +308,9 @@ class EngineProfile:
     """Simulate time of one engine's jobs executed in a sweep.
 
     ``accesses_per_s`` and ``ns_per_node_eval`` are medians over the jobs;
-    the per-access DEW work ratios sum the counters of every job first.  The
+    the per-access DEW work ratios sum the counters of every job first.
+    ``walk`` names the DEW walk the jobs ran (``kernel``, or
+    ``python (<reason>)``; several, comma-separated, if they differed).  The
     DEW-only fields are ``None`` for other engines.
     """
 
@@ -319,6 +321,7 @@ class EngineProfile:
     node_evals_per_access: Optional[float] = None
     ns_per_node_eval: Optional[float] = None
     tag_comparisons_per_access: Optional[float] = None
+    walk: Optional[str] = None
 
 
 @dataclass
@@ -361,7 +364,7 @@ class SweepOutcome:
         profiles = []
         for engine, results in by_engine.items():
             rates = [self.accesses / r.elapsed_seconds for r in results if r.elapsed_seconds > 0]
-            dew: Dict[str, float] = {}
+            dew: Dict[str, Any] = {}
             if engine == "dew" and self.accesses:
                 # Every walk evaluates at least the root, so no count is zero.
                 counters = [r.counters for r in results]
@@ -374,6 +377,7 @@ class SweepOutcome:
                     "tag_comparisons_per_access": (
                         sum(c.tag_comparisons for c in counters) / requests
                     ),
+                    "walk": ", ".join(sorted({r.walk for r in results if r.walk})) or None,
                 }
             profiles.append(EngineProfile(
                 engine,

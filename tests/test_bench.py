@@ -1,9 +1,12 @@
 """Tests for the benchmark harness, table formatters and figure series."""
 
+import dataclasses
+
 import pytest
 
 from repro.bench.figures import (
     comparison_reduction_series,
+    implementation_label,
     render_ascii_chart,
     series_as_rows,
     speedup_series,
@@ -126,6 +129,26 @@ class TestTablesAndFigures:
         assert all(0 <= point.value <= 100 for points in reductions.values() for point in points)
         rows = series_as_rows(speedups)
         assert rows[0]["app"] == "cjpeg"
+
+    def test_implementation_label_names_each_side(self, small_cells):
+        [walk] = {cell.dew_walk for cell in small_cells}
+        name, _, reason = walk.partition(" ")
+        expected = f"DEW: {name} walk {reason}".rstrip() + "; baseline: Python single"
+        assert implementation_label(small_cells) == expected
+
+        cell = small_cells[0]
+        stored = dataclasses.replace(cell, dew_walk=None)
+        assert implementation_label([stored]) == (
+            "DEW: unknown walk (from store); baseline: Python single"
+        )
+        mixed = [
+            dataclasses.replace(cell, dew_walk="python (no compiler: cc --version failed)"),
+            dataclasses.replace(cell, dew_walk="kernel"),
+        ]
+        assert implementation_label(mixed) == (
+            "DEW: kernel walk, python walk (no compiler: cc --version failed); "
+            "baseline: Python single"
+        )
 
     def test_render_ascii_chart(self, small_cells):
         chart = render_ascii_chart(speedup_series(small_cells), "speedup")

@@ -6,7 +6,9 @@ counters once per chunk (see :mod:`repro.core.dew`).  Every result row, every
 direct-mapped misses, the compulsory misses and the final tree storage must
 equal those of :class:`dew_reference.ReferenceDewWalk`, which counts each
 comparison where it happens — for every ablation mode, chunking and entry
-point (``run_blocks``, ``run_block_runs`` and per-address ``access``).
+point (``run_blocks``, ``run_block_runs`` and per-address ``access``), and
+for both walks: the compiled kernel over the flat tree layout and the
+Python walk over the list layout.
 """
 
 import dataclasses
@@ -21,6 +23,7 @@ from dew_reference import ReferenceDewWalk
 from repro.core.dew import DewSimulator
 from repro.trace.trace import collapse_block_runs
 from repro.workloads.mediabench import mediabench_trace
+from walks import WALKS, walk_under_test
 
 ASSOCIATIVITIES = (1, 2, 3, 4, 8, 16)
 ABLATION_MODES = list(itertools.product([True, False], repeat=3))
@@ -47,21 +50,25 @@ def _simulate(simulator, addresses, chunk_size, path):
             simulator.run_block_runs(values.tolist(), counts)
 
 
-def assert_matches_reference(addresses, block_size, associativity, levels, modes, chunk_size, path):
+def assert_matches_reference(
+    addresses, block_size, associativity, levels, modes, chunk_size, path, walk
+):
     set_sizes = tuple(2**i for i in range(levels))
     enable_mra, enable_wave, enable_mre = modes
     reference = ReferenceDewWalk(
         block_size, associativity, set_sizes, enable_mra, enable_wave, enable_mre
     )
     reference.run_blocks([address >> reference.tree.offset_bits for address in addresses])
-    simulator = DewSimulator(
-        block_size,
-        associativity,
-        set_sizes,
-        enable_mra=enable_mra,
-        enable_wave=enable_wave,
-        enable_mre=enable_mre,
-    )
+    with walk_under_test(walk):
+        simulator = DewSimulator(
+            block_size,
+            associativity,
+            set_sizes,
+            enable_mra=enable_mra,
+            enable_wave=enable_wave,
+            enable_mre=enable_mre,
+        )
+    assert simulator.walk.split()[0] == walk
     _simulate(simulator, addresses, chunk_size, path)
 
     # Every counter field, the per-level histogram included.
@@ -95,6 +102,7 @@ def address_streams(draw):
     return [address for address, count in zip(heads, repeats) for _ in range(count)]
 
 
+@pytest.mark.parametrize("walk", WALKS)
 @given(
     addresses=address_streams(),
     block_size_log2=st.integers(min_value=0, max_value=6),
@@ -106,25 +114,28 @@ def address_streams(draw):
 )
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_walk_matches_reference(
-    addresses, block_size_log2, associativity, levels, modes, chunk_size, path
+    walk, addresses, block_size_log2, associativity, levels, modes, chunk_size, path
 ):
     assert_matches_reference(
-        addresses, 1 << block_size_log2, associativity, levels, modes, chunk_size, path
+        addresses, 1 << block_size_log2, associativity, levels, modes, chunk_size, path, walk
     )
 
 
+@pytest.mark.parametrize("walk", WALKS)
 @pytest.mark.parametrize("modes", ABLATION_MODES)
 @pytest.mark.parametrize("path", PATHS)
-def test_corpus_trace_matches_reference_in_every_mode(modes, path):
+def test_corpus_trace_matches_reference_in_every_mode(modes, path, walk):
     addresses = mediabench_trace("mpeg2_enc", 1500, seed=3).address_list()
     for block_size, associativity in ((4, 16), (16, 3), (64, 1)):
-        assert_matches_reference(addresses, block_size, associativity, 11, modes, 512, path)
+        assert_matches_reference(addresses, block_size, associativity, 11, modes, 512, path, walk)
 
 
+@pytest.mark.parametrize("walk", WALKS)
 @pytest.mark.parametrize("associativity", ASSOCIATIVITIES)
-def test_full_depth_corpus_trace_matches_reference(associativity):
+def test_full_depth_corpus_trace_matches_reference(associativity, walk):
     addresses = mediabench_trace("cjpeg", 6000, seed=1).address_list()
     for block_size in (4, 16, 64):
         assert_matches_reference(
-            addresses, block_size, associativity, 15, (True, True, True), 65_536, "run_block_runs"
+            addresses, block_size, associativity, 15, (True, True, True), 65_536,
+            "run_block_runs", walk,
         )

@@ -34,6 +34,7 @@ from repro.store import open_store
 from repro.trace.files import load_trace_file
 from repro.trace.textio import write_text_trace
 from repro.workloads.synthetic import WorkingSetGenerator
+from walks import PYTHON_WALK, WALKS, walk_under_test
 
 
 @pytest.fixture
@@ -513,7 +514,8 @@ class TestCliSurfaces:
         warm = run_sweep(trace, jobs, store=store)
         assert warm.executed == () and warm.engine_profiles() == []
 
-    def test_sweep_profile_flag(self, trace_file, tmp_path, capsys):
+    @pytest.mark.parametrize("walk", WALKS)
+    def test_sweep_profile_flag(self, trace_file, tmp_path, capsys, walk):
         from repro.cli import main
 
         argv = [
@@ -531,7 +533,8 @@ class TestCliSurfaces:
             str(tmp_path / "store"),
             "--profile",
         ]
-        assert main(argv) == 0
+        with walk_under_test(walk):
+            assert main(argv) == 0
         err = capsys.readouterr().err
         assert "profile (exclusive seconds per phase):" in err
         assert "simulate" in err
@@ -550,6 +553,10 @@ class TestCliSurfaces:
         assert "node evals/access" not in engines["janapsatya"]
         for ratio in ("node evals/access", "ns/node eval", "tag comparisons/access"):
             assert ratio in engines["dew"]
+        # ... and ends with the walk its jobs ran.
+        expected = "walk=kernel" if walk == "kernel" else f"walk={PYTHON_WALK.name}"
+        assert engines["dew"].endswith(expected)
+        assert "walk=" not in engines["janapsatya"]
 
         # A store-warm rerun executes nothing, so no engine line appears.
         assert main(argv) == 0
