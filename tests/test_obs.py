@@ -34,7 +34,7 @@ from repro.store import open_store
 from repro.trace.files import load_trace_file
 from repro.trace.textio import write_text_trace
 from repro.workloads.synthetic import WorkingSetGenerator
-from walks import PYTHON_WALK, WALKS, walk_under_test
+from walks import PYTHON_WALK, walk_under_test, walks_here
 
 
 @pytest.fixture
@@ -514,53 +514,53 @@ class TestCliSurfaces:
         warm = run_sweep(trace, jobs, store=store)
         assert warm.executed == () and warm.engine_profiles() == []
 
-    @pytest.mark.parametrize("walk", WALKS)
-    def test_sweep_profile_flag(self, trace_file, tmp_path, capsys, walk):
+    def test_sweep_profile_flag(self, trace_file, tmp_path, capsys):
         from repro.cli import main
 
-        argv = [
-            "sweep",
-            trace_file,
-            "--block-sizes",
-            "8,16",
-            "--associativities",
-            "1,2",
-            "--max-sets",
-            "32",
-            "--policies",
-            "fifo,lru",
-            "--store",
-            str(tmp_path / "store"),
-            "--profile",
-        ]
-        with walk_under_test(walk):
+        for walk in walks_here():
+            argv = [
+                "sweep",
+                trace_file,
+                "--block-sizes",
+                "8,16",
+                "--associativities",
+                "1,2",
+                "--max-sets",
+                "32",
+                "--policies",
+                "fifo,lru",
+                "--store",
+                str(tmp_path / walk / "store"),
+                "--profile",
+            ]
+            with walk_under_test(walk):
+                assert main(argv) == 0
+            err = capsys.readouterr().err
+            assert "profile (exclusive seconds per phase):" in err
+            assert "simulate" in err
+            assert "covered" in err
+            # The text parse happens before run_sweep and still shows up.
+            load = [line.split() for line in err.splitlines() if line.split()[:1] == ["load"]]
+            assert len(load) == 1 and float(load[0][1].rstrip("s")) > 0.0
+
+            # One line per engine that simulated: two DEW jobs (B8/A2, B16/A2)
+            # and two LRU jobs; DEW adds its work ratios.
+            engines = {line.split()[0]: line for line in err.splitlines()
+                       if line.split()[:1] in (["dew"], ["janapsatya"])}
+            assert set(engines) == {"dew", "janapsatya"}
+            assert "2 job(s)" in engines["dew"] and "2 job(s)" in engines["janapsatya"]
+            assert "accesses/s per job" in engines["janapsatya"]
+            assert "node evals/access" not in engines["janapsatya"]
+            for ratio in ("node evals/access", "ns/node eval", "tag comparisons/access"):
+                assert ratio in engines["dew"]
+            # ... and ends with the walk its jobs ran.
+            expected = "walk=kernel" if walk == "kernel" else f"walk={PYTHON_WALK.name}"
+            assert engines["dew"].endswith(expected)
+            assert "walk=" not in engines["janapsatya"]
+
+            # A store-warm rerun executes nothing, so no engine line appears.
             assert main(argv) == 0
-        err = capsys.readouterr().err
-        assert "profile (exclusive seconds per phase):" in err
-        assert "simulate" in err
-        assert "covered" in err
-        # The text parse happens before run_sweep and still shows up.
-        load = [line.split() for line in err.splitlines() if line.split()[:1] == ["load"]]
-        assert len(load) == 1 and float(load[0][1].rstrip("s")) > 0.0
-
-        # One line per engine that simulated: two DEW jobs (B8/A2, B16/A2)
-        # and two LRU jobs; DEW adds its work ratios.
-        engines = {line.split()[0]: line for line in err.splitlines()
-                   if line.split()[:1] in (["dew"], ["janapsatya"])}
-        assert set(engines) == {"dew", "janapsatya"}
-        assert "2 job(s)" in engines["dew"] and "2 job(s)" in engines["janapsatya"]
-        assert "accesses/s per job" in engines["janapsatya"]
-        assert "node evals/access" not in engines["janapsatya"]
-        for ratio in ("node evals/access", "ns/node eval", "tag comparisons/access"):
-            assert ratio in engines["dew"]
-        # ... and ends with the walk its jobs ran.
-        expected = "walk=kernel" if walk == "kernel" else f"walk={PYTHON_WALK.name}"
-        assert engines["dew"].endswith(expected)
-        assert "walk=" not in engines["janapsatya"]
-
-        # A store-warm rerun executes nothing, so no engine line appears.
-        assert main(argv) == 0
-        warm = capsys.readouterr().err
-        assert "0 executed" in warm
-        assert not [line for line in warm.splitlines()
-                    if line.split()[:1] in (["dew"], ["janapsatya"])]
+            warm = capsys.readouterr().err
+            assert "0 executed" in warm
+            assert not [line for line in warm.splitlines()
+                        if line.split()[:1] in (["dew"], ["janapsatya"])]

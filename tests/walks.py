@@ -4,7 +4,8 @@
 built inside the block run the Python walk.  ``walk_under_test("kernel")``
 requires the compiled walk: the test skips when no C compiler runs here
 (``$CC --version`` fails, as with ``CC=false``) and fails when one does but
-the kernel still does not load.
+the kernel still does not load.  ``walks_here()`` names the walks a case
+runs under on this host, so one test can check both.
 
 (A plain module rather than a conftest attribute, like ``dew_reference``.)
 """
@@ -31,6 +32,17 @@ def require_kernel() -> None:
     if kernels.compiler_version() is None:
         pytest.skip(f"no C compiler here: {walk.reason}")
     pytest.fail(f"a C compiler runs here but the DEW kernel did not load: {walk.reason}")
+
+
+def walks_here() -> tuple:
+    """The walks a test runs here: both where a C compiler runs, else the Python walk.
+
+    Where one runs, ``walk_under_test("kernel")`` fails the test if the kernel
+    did not load, so the kernel is never dropped silently.
+    """
+    if kernels.dew_walk().function is not None or kernels.compiler_version() is not None:
+        return WALKS
+    return ("python",)
 
 
 @contextlib.contextmanager
