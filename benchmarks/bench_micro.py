@@ -129,49 +129,6 @@ def test_micro_chunked_pipeline_beats_per_address_loop(pr4_report):
     pr4_report["pr1_chunked_pipeline_vs_per_address"] = per_address_seconds / chunked_seconds
 
 
-def test_micro_rle_collapse_speedup(pr4_report):
-    """Run-length collapse must be >= 1.5x on a high-locality trace.
-
-    A byte-granular sequential stream (memcpy-style; the paper's traces are
-    byte addresses) has runs of ``block_size / stride`` consecutive
-    same-block accesses; the collapsed DEW path walks one head per run and
-    bulk-accounts the duplicates, so the Python-level iteration count drops
-    by the run length.  Results and work counters must stay byte-identical
-    (the hypothesis oracle covers exactness; this pins the payoff).
-    """
-    trace = SequentialStream(stride=1, region_bytes=1 << 16).generate(400_000, seed=0)
-
-    def time_plain():
-        engine = get_engine("dew", block_size=64, associativity=4, set_sizes=SET_SIZES)
-        start = time.perf_counter()
-        results = engine.run(trace)
-        return time.perf_counter() - start, results, engine.counters.as_dict()
-
-    def time_collapsed():
-        engine = get_engine(
-            "dew", block_size=64, associativity=4, set_sizes=SET_SIZES, collapse=True
-        )
-        start = time.perf_counter()
-        results = engine.run(trace)
-        return time.perf_counter() - start, results, engine.counters.as_dict()
-
-    plain_seconds, plain_results, plain_counters = min(
-        (time_plain() for _ in range(3)), key=lambda triple: triple[0]
-    )
-    collapsed_seconds, collapsed_results, collapsed_counters = min(
-        (time_collapsed() for _ in range(3)), key=lambda triple: triple[0]
-    )
-
-    assert collapsed_results.as_rows() == plain_results.as_rows()
-    assert collapsed_counters == plain_counters
-    speedup = plain_seconds / collapsed_seconds
-    pr4_report["pr4_rle_collapse_speedup"] = speedup
-    assert speedup >= 1.5, (
-        f"run-length collapse ({collapsed_seconds:.3f}s) should be >= 1.5x "
-        f"faster than the raw walk ({plain_seconds:.3f}s), got {speedup:.2f}x"
-    )
-
-
 def test_micro_victim_cache_block_runs_speedup(pr8_report):
     """The victim-cache run-length path must be >= 1.5x over the raw walk.
 

@@ -82,8 +82,7 @@ def pr8_report():
 
     Written as ``BENCH_PR8.json`` (path overridable via ``REPRO_BENCH_PR8``)
     at session end: the victim-cache run-length-collapse speedup over the
-    raw per-access walk — the mechanism engines' counterpart to the
-    BENCH_PR4 collapse pin.
+    raw per-access walk.
     """
     data = {}
     yield data

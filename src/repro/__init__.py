@@ -8,8 +8,8 @@ inventory):
   wave pointers, MRA/MRE shortcuts) and the configuration space.
 * :mod:`repro.cache` — a conventional single-configuration reference
   simulator with pluggable replacement policies (the Dinero IV stand-in).
-* :mod:`repro.lru` — single-pass LRU baselines (Janapsatya-style simulator,
-  CRCB-style pruning, stack distances).
+* :mod:`repro.lru` — the single-pass LRU baseline (Janapsatya-style
+  simulator).
 * :mod:`repro.trace` — trace containers, file formats, statistics, filters.
 * :mod:`repro.workloads` — synthetic Mediabench-style workload generators.
 * :mod:`repro.explore` — energy model, Pareto fronts and cache tuning.

@@ -155,7 +155,6 @@ def _cmd_dew(args: argparse.Namespace) -> int:
         block_size=args.block_size,
         associativity=args.associativity,
         set_sizes=_set_sizes(args.max_sets),
-        collapse=getattr(args, "collapse", False),
     )
     results = engine.run(trace)
     print(f"DEW: {len(trace):,} requests, {len(results)} configurations, "
@@ -1015,9 +1014,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     dew = subparsers.add_parser("dew", help="run DEW over a trace")
     add_family_arguments(dew)
-    dew.add_argument("--collapse", action="store_true",
-                     help="run-length collapse consecutive same-block accesses "
-                          "before the walk (identical results, fewer iterations)")
     dew.set_defaults(func=_cmd_dew)
 
     baseline = subparsers.add_parser("baseline", help="run the Dinero-style baseline over a trace")

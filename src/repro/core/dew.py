@@ -104,7 +104,8 @@ class DewSimulator:
         simulator performs to obtain them (this is what Table 4 quantifies).
     track_compulsory:
         Record first-touch (compulsory) misses.  Costs one hash-set insert
-        per distinct block.
+        per distinct block, and a set difference over each chunk's run
+        heads.
 
     The simulator runs the kernel walk when :func:`repro.kernels.dew_walk`
     loads it and the Python walk otherwise; :attr:`walk` says which.
@@ -245,19 +246,19 @@ class DewSimulator:
         walks = chunk.size
         self.counters.requests += walks
         self._requests += walks
-        values = blocks
-        if isinstance(blocks, np.ndarray) and (self.track_compulsory or not self.tree.flat):
-            values = chunk.tolist()
         if self.track_compulsory:
             # First-touch classification only needs the set of new blocks,
-            # not per-access ordering: one set difference per chunk.
-            new_blocks = set(values).difference(self._seen_blocks)
+            # not per-access ordering: one set difference per chunk, over
+            # its run heads, since a repeat of the previous block is never
+            # a first touch.
+            heads = chunk[np.concatenate(([True], chunk[1:] != chunk[:-1]))].tolist()
+            new_blocks = set(heads).difference(self._seen_blocks)
             self._compulsory += len(new_blocks)
             self._seen_blocks |= new_blocks
         if self.tree.flat:
             self._kernel_walk(chunk)
         else:
-            self._python_walk(values)
+            self._python_walk(chunk.tolist())
 
     def _kernel_walk(self, chunk: np.ndarray) -> None:
         """One kernel call over a C-contiguous int64 chunk, then the shared
@@ -428,86 +429,17 @@ class DewSimulator:
         counters.search_hits += search_hits
         counters.tag_comparisons += evaluations + n_wave + mre_checks + n_examined
 
-    def run_block_runs(
-        self,
-        values: Union[Sequence[int], np.ndarray],
-        counts: Union[Sequence[int], np.ndarray],
-    ) -> None:
-        """Simulate a run-length-collapsed chunk: ``counts[i]`` consecutive
-        accesses to block ``values[i]`` (see
-        :func:`repro.trace.trace.collapse_block_runs`).
-
-        Exactness rests on Property 2: an immediately-repeated block matches
-        the root node's MRA tag, which is a hit in *every* configuration
-        (simulated associativity and direct-mapped alike) and changes no tree
-        state.  So only each run's head needs the full top-down walk — the
-        remaining ``count - 1`` duplicates are accounted in bulk:
-
-        * with the MRA property enabled, each duplicate costs exactly one
-          root-node evaluation, one tag comparison and one MRA hit (the walk
-          stops at level 0);
-        * with the MRA property disabled (ablation mode), every access walks
-          all levels and the duplicate matches the — fully refreshed — MRA
-          tag at each one, costing one evaluation and one comparison per
-          level and nothing else.
-
-        Both cases leave miss counts, direct-mapped miss counts, compulsory
-        classification and every work counter identical to feeding the
-        uncollapsed stream through :meth:`run_blocks`; the test suite pins
-        this byte-for-byte.
-        """
-        counts_arr = np.asarray(counts, dtype=np.int64)
-        if counts_arr.size != len(values):
-            raise SimulationError(
-                f"run-length chunk mismatch: {len(values)} values vs "
-                f"{counts_arr.size} counts"
-            )
-        if counts_arr.size == 0:
-            return
-        if counts_arr.min() < 1:
-            raise SimulationError("run-length counts must be positive")
-        duplicates = int(counts_arr.sum()) - int(counts_arr.size)
-        self.run_blocks(values)
-        if duplicates == 0:
-            return
-        counters = self.counters
-        counters.requests += duplicates
-        self._requests += duplicates
-        per_level = counters.evaluations_per_level
-        if self.enable_mra:
-            counters.node_evaluations += duplicates
-            counters.tag_comparisons += duplicates
-            counters.mra_hits += duplicates
-            per_level[0] += duplicates
-        else:
-            num_levels = self.tree.num_levels
-            counters.node_evaluations += duplicates * num_levels
-            counters.tag_comparisons += duplicates * num_levels
-            for level in range(num_levels):
-                per_level[level] += duplicates
-
     def run(
         self,
         trace: Union[Trace, Iterable[int]],
         trace_name: Optional[str] = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        collapse: bool = False,
     ) -> SimulationResults:
-        """Simulate a whole trace and return the per-configuration results.
-
-        With ``collapse=True`` (and a :class:`Trace` input) the block stream
-        is run-length collapsed first and fed through
-        :meth:`run_block_runs` — results and counters are identical, only
-        the number of Python-level walk iterations shrinks.
-        """
+        """Simulate a whole trace and return the per-configuration results."""
         start = time.perf_counter()
         if isinstance(trace, Trace):
-            if collapse:
-                for values, counts in trace.iter_block_runs(self._offset_bits, chunk_size):
-                    self.run_block_runs(values, counts)
-            else:
-                for chunk in trace.iter_block_chunks(self._offset_bits, chunk_size):
-                    self.run_blocks(chunk)
+            for chunk in trace.iter_block_chunks(self._offset_bits, chunk_size):
+                self.run_blocks(chunk)
             name = trace_name or trace.name
         else:
             for address in trace:

@@ -15,11 +15,9 @@ from repro.engine.base import (
     register_engine,
 )
 from repro.engine.adapters import (
-    CrcbJanapsatyaEngine,
     DewEngine,
     JanapsatyaEngine,
     SingleConfigEngine,
-    StackDistanceLruEngine,
 )
 from repro.engine.sweep import (
     FusedSweepExecutor,
@@ -45,8 +43,6 @@ __all__ = [
     "DewEngine",
     "SingleConfigEngine",
     "JanapsatyaEngine",
-    "CrcbJanapsatyaEngine",
-    "StackDistanceLruEngine",
     "MissCacheEngine",
     "StreamBufferEngine",
     "VictimCacheEngine",

@@ -446,24 +446,25 @@ class FusedSweepExecutor:
     """Run many sweep jobs in one pass over the trace, sharing the decode.
 
     Running each :class:`SweepJob` on its own (:meth:`Engine.run`) pays one
-    full trace traversal — including the byte-address-to-block-address shift
-    and, for DEW, one Python-level walk per raw access — per job.  This
-    executor exploits that the *trace-side* work is identical across jobs:
+    full trace traversal, including the byte-address-to-block-address shift,
+    per job.  This executor exploits that the *trace-side* work is identical
+    across jobs:
 
     * byte addresses are sliced into chunks once;
     * each distinct ``offset_bits`` shift is computed once per chunk and the
       resulting block array shared by every same-block-size engine;
     * the run-length collapse (:func:`repro.trace.trace.collapse_block_runs`)
       is computed once per (chunk, block size) and fed to every engine that
-      advertises :attr:`~repro.engine.base.Engine.supports_block_runs`, so
-      consecutive same-block accesses cost DEW one bulk root-MRA update
-      instead of one walk each;
-    * engines that do not consume runs (or that want access types) receive
-      the shared raw block array unchanged.
+      advertises :attr:`~repro.engine.base.Engine.supports_block_runs`
+      (``janapsatya`` and the mechanism engines), so consecutive same-block
+      accesses cost those Python walks one bulk update instead of one
+      access each;
+    * engines that do not consume runs (DEW among them) receive the shared
+      raw block array unchanged.
 
     Results are exactly those of running each job separately: identical
-    rows, identical work counters (the collapse bulk-accounting is exact in
-    both MRA-ablation modes), identical store artifacts up to timing.  The
+    rows, identical work counters (the run consumers' bulk accounting is
+    exact), identical store artifacts up to timing.  The
     reported per-job ``elapsed_seconds`` covers only that engine's simulation
     time — the shared decode is excluded, mirroring how a per-job run's
     timing is dominated by engine work.

@@ -1,32 +1,19 @@
-"""Single-pass LRU simulation baselines.
+"""Single-pass LRU simulation baseline.
 
-The DEW paper positions itself against the LRU-only single-pass simulators of
-Janapsatya et al. (ASP-DAC 2006) and the CRCB enhancements of Tojo et al.
-(ASP-DAC 2009).  This package provides working reimplementations of that line
-of work so the paper's limitation statement ("DEW can simulate LRU caches,
-but will typically be slower than Janapsatya's method") can be measured:
-
-``stack``
-    Classic Mattson stack-distance computation, the foundation of
-    all-associativity LRU simulation.
-``janapsatya``
-    A binomial-tree, single-pass, multi-configuration LRU simulator that
-    produces exact hit/miss counts for every (set size, associativity) pair
-    at a fixed block size.
-``crcb``
-    CRCB-inspired trace pruning that removes accesses which provably cannot
-    change search effort, plus accounting of how much was pruned.
+The DEW paper positions itself against the LRU-only single-pass simulator of
+Janapsatya et al. (ASP-DAC 2006).  :mod:`repro.lru.janapsatya` reimplements
+it, so the paper's limitation statement ("DEW can simulate LRU caches, but
+will typically be slower than Janapsatya's method") can be measured: a
+binomial-tree, single-pass, multi-configuration LRU simulator that produces
+exact hit/miss counts for every (set size, associativity) pair at a fixed
+block size.  It consumes run-length collapsed chunks, which is how it skips
+consecutive same-block accesses (the rule of Tojo et al.'s CRCB, ASP-DAC
+2009).
 """
 
-from repro.lru.stack import StackDistanceEngine, stack_distances
 from repro.lru.janapsatya import JanapsatyaSimulator, simulate_lru_family
-from repro.lru.crcb import CrcbFilter, CrcbStatistics
 
 __all__ = [
-    "StackDistanceEngine",
-    "stack_distances",
     "JanapsatyaSimulator",
     "simulate_lru_family",
-    "CrcbFilter",
-    "CrcbStatistics",
 ]

@@ -32,7 +32,6 @@ import numpy as np
 from repro.core.config import CacheConfig
 from repro.core.results import ConfigResult, SimulationResults
 from repro.errors import ConfigurationError, SimulationError
-from repro.lru.crcb import CrcbFilter
 from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace
 from repro.types import ReplacementPolicy, is_power_of_two, log2_exact
 
@@ -45,7 +44,6 @@ class JanapsatyaCounters:
     node_evaluations: int = 0
     mru_stops: int = 0
     tag_comparisons: int = 0
-    crcb_pruned: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dictionary view for reporting."""
@@ -54,7 +52,6 @@ class JanapsatyaCounters:
             "node_evaluations": self.node_evaluations,
             "mru_stops": self.mru_stops,
             "tag_comparisons": self.tag_comparisons,
-            "crcb_pruned": self.crcb_pruned,
         }
 
 
@@ -72,10 +69,6 @@ class JanapsatyaSimulator:
         Strictly doubling powers of two, e.g. ``(1, 2, 4, ..., 1024)``.
     use_mru_stop:
         Apply the early-stop rule when the tag is found in the MRU position.
-    use_crcb_filter:
-        Pre-filter consecutive same-block accesses (CRCB-style); the pruned
-        accesses are universal hits and are added back to the hit counts, so
-        results stay exact.
     """
 
     def __init__(
@@ -84,7 +77,6 @@ class JanapsatyaSimulator:
         associativities: Sequence[int],
         set_sizes: Sequence[int],
         use_mru_stop: bool = True,
-        use_crcb_filter: bool = False,
     ) -> None:
         if not is_power_of_two(block_size):
             raise ConfigurationError(f"block size must be a power of two, got {block_size}")
@@ -106,7 +98,6 @@ class JanapsatyaSimulator:
         self.max_associativity = self.associativities[-1]
         self.set_sizes = tuple(set_sizes)
         self.use_mru_stop = use_mru_stop
-        self.use_crcb_filter = use_crcb_filter
         self.counters = JanapsatyaCounters()
         # Per level: one recency list (most recent first) per set.
         self._sets: List[List[List[int]]] = [
@@ -225,14 +216,6 @@ class JanapsatyaSimulator:
             counters.node_evaluations += duplicates * num_levels
             counters.tag_comparisons += duplicates * num_levels
 
-    def account_pruned_hits(self, pruned: int) -> None:
-        """Fold CRCB-pruned accesses back in as universal hits (exactness)."""
-        if pruned <= 0:
-            return
-        self.counters.crcb_pruned += pruned
-        self._requests += pruned
-        self.counters.requests += pruned
-
     def run(
         self,
         trace: Union[Trace, Iterable[int]],
@@ -241,23 +224,14 @@ class JanapsatyaSimulator:
     ) -> SimulationResults:
         """Simulate a whole trace and return per-configuration results."""
         start = time.perf_counter()
-        pruned = 0
         if isinstance(trace, Trace):
             name = trace_name or trace.name
-            if self.use_crcb_filter:
-                filtered, pruned = CrcbFilter(self.block_size).apply(trace)
-            else:
-                filtered = trace
-            for chunk in filtered.iter_block_chunks(self.offset_bits, chunk_size):
+            for chunk in trace.iter_block_chunks(self.offset_bits, chunk_size):
                 self.run_blocks(chunk)
         else:
             name = trace_name or "trace"
             for address in trace:
                 self.access(int(address))
-        if pruned:
-            # Pruned accesses are guaranteed hits in every configuration:
-            # account for them in the request count without touching misses.
-            self.account_pruned_hits(pruned)
         self._elapsed += time.perf_counter() - start
         return self.results(trace_name=name)
 

@@ -56,8 +56,8 @@ def reuse_distances(block_addresses: np.ndarray) -> List[int]:
     The distance of an access is the number of *distinct* blocks referenced
     since the previous access to the same block, or ``-1`` for a first-time
     (compulsory) access.  This simple O(n·d) stack implementation is intended
-    for reporting on modest traces; the optimised engine lives in
-    :mod:`repro.lru.stack`.
+    for reporting on modest traces, and is the package's only stack-distance
+    computation.
     """
     stack: List[int] = []
     result: List[int] = []

@@ -30,11 +30,12 @@ def collapse_block_runs(blocks: Union[Sequence[int], np.ndarray]) -> Tuple[np.nd
     One vectorised pass: ``values`` holds the first block of every maximal
     run of equal consecutive addresses, ``counts`` its length, so
     ``np.repeat(values, counts)`` reconstructs the input exactly.  This is
-    the run-length collapse stage of the fused pipeline: for DEW an
-    immediately-repeated block is an MRA hit at the tree root — a hit in
-    *every* simulated configuration — so a consumer only needs to walk each
-    run's head and can account the remaining ``count - 1`` accesses in bulk
-    (see :meth:`repro.core.dew.DewSimulator.run_block_runs`).
+    the run-length collapse stage of the fused pipeline, feeding
+    ``janapsatya`` and the mechanism engines: for them an immediately
+    repeated block is a hit in *every* simulated configuration that changes
+    no state, so a consumer only needs to walk each run's head and can
+    account the remaining ``count - 1`` accesses in bulk (see
+    :meth:`repro.lru.janapsatya.JanapsatyaSimulator.run_block_runs`).
 
     Collapsing chunk-by-chunk is safe: a run split across two chunks simply
     yields two runs with the same head block, and re-walking the second head

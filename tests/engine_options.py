@@ -14,8 +14,6 @@ ENGINE_TEST_OPTIONS = {
     "dew": dict(block_size=8, associativity=2, set_sizes=(1, 2, 4)),
     "single": dict(num_sets=4, associativity=2, block_size=8, policy="lru"),
     "janapsatya": dict(block_size=8, associativities=(1, 2), set_sizes=(1, 2, 4)),
-    "janapsatya-crcb": dict(block_size=8, associativities=(1, 2), set_sizes=(1, 2, 4)),
-    "lru-stack": dict(block_size=8, capacities=(1, 2, 4)),
     "miss-cache": dict(num_sets=2, associativity=2, block_size=8, entries=4),
     "stream-buffer": dict(num_sets=2, associativity=2, block_size=8, entries=4),
     "victim-cache": dict(num_sets=2, associativity=2, block_size=8, entries=4),

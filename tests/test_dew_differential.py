@@ -6,9 +6,9 @@ counters once per chunk (see :mod:`repro.core.dew`).  Every result row, every
 direct-mapped misses, the compulsory misses and the final tree storage must
 equal those of :class:`dew_reference.ReferenceDewWalk`, which counts each
 comparison where it happens — for every ablation mode, chunking and entry
-point (``run_blocks``, ``run_block_runs`` and per-address ``access``), and
-for each walk in every case: the compiled kernel over the flat tree layout
-(wherever a C compiler runs) and the Python walk over the list layout.
+point (``run_blocks`` and per-address ``access``), and for each walk in
+every case: the compiled kernel over the flat tree layout (wherever a C
+compiler runs) and the Python walk over the list layout.
 """
 
 import dataclasses
@@ -21,13 +21,12 @@ from hypothesis import HealthCheck, given, settings
 
 from dew_reference import ReferenceDewWalk
 from repro.core.dew import DewSimulator
-from repro.trace.trace import collapse_block_runs
 from repro.workloads.mediabench import mediabench_trace
 from walks import walk_under_test, walks_here
 
 ASSOCIATIVITIES = (1, 2, 3, 4, 8, 16)
 ABLATION_MODES = list(itertools.product([True, False], repeat=3))
-PATHS = ("run_blocks", "run_block_runs", "access")
+PATHS = ("run_blocks", "access")
 
 
 def _tree_state(tree):
@@ -42,12 +41,7 @@ def _simulate(simulator, addresses, chunk_size, path):
         return
     blocks = np.asarray(addresses, dtype=np.int64) >> simulator.tree.offset_bits
     for start in range(0, blocks.size, chunk_size):
-        chunk = blocks[start:start + chunk_size]
-        if path == "run_blocks":
-            simulator.run_blocks(chunk)
-        else:
-            values, counts = collapse_block_runs(chunk)
-            simulator.run_block_runs(values.tolist(), counts)
+        simulator.run_blocks(blocks[start:start + chunk_size])
 
 
 def assert_matches_reference(addresses, block_size, associativity, levels, modes, chunk_size, path):
@@ -136,5 +130,5 @@ def test_full_depth_corpus_trace_matches_reference(associativity):
     addresses = mediabench_trace("cjpeg", 6000, seed=1).address_list()
     for block_size in (4, 16, 64):
         assert_matches_reference(
-            addresses, block_size, associativity, 15, (True, True, True), 65_536, "run_block_runs"
+            addresses, block_size, associativity, 15, (True, True, True), 65_536, "run_blocks"
         )

@@ -36,8 +36,6 @@ class TestRegistry:
             "dew",
             "single",
             "janapsatya",
-            "janapsatya-crcb",
-            "lru-stack",
             "miss-cache",
             "stream-buffer",
             "victim-cache",
@@ -194,27 +192,6 @@ class TestLruEngines:
             "janapsatya", block_size=16, associativities=(1, 2, 4), set_sizes=SET_SIZES
         )
         assert not engine.run(mixed_trace, chunk_size=7).diff(direct)
-
-    def test_crcb_pruning_stays_exact_across_chunk_boundaries(self):
-        # Back-to-back repeats force pruning, including across chunk edges.
-        addresses = [0, 0, 0, 64, 64, 0, 128, 128, 128, 128, 0, 0]
-        trace = Trace(addresses, name="repeats")
-        plain = get_engine(
-            "janapsatya", block_size=16, associativities=(1, 2), set_sizes=(1, 2, 4)
-        ).run(trace)
-        for chunk_size in (1, 2, 3, 100):
-            pruned = get_engine(
-                "janapsatya-crcb", block_size=16, associativities=(1, 2), set_sizes=(1, 2, 4)
-            ).run(trace, chunk_size=chunk_size)
-            assert not pruned.diff(plain), chunk_size
-
-    def test_lru_stack_matches_fully_associative_reference(self, mixed_trace):
-        engine = get_engine("lru-stack", block_size=16, capacities=(1, 2, 4, 8))
-        results = engine.run(mixed_trace, chunk_size=9)
-        for config in results.configs():
-            reference = SingleConfigSimulator(config)
-            reference.run(mixed_trace)
-            assert reference.stats.misses == results[config].misses, config.label()
 
 
 class TestTraceChunking:

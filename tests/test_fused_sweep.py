@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.core.dew import DewSimulator
 from repro.engine import (
     FusedSweepExecutor,
     SweepJob,
@@ -94,80 +93,10 @@ class TestCollapseBlockRuns:
         assert rebuilt == expected
 
 
-class TestRunBlockRunsOracle:
-    """run_block_runs must be byte-identical to the uncollapsed walk."""
-
-    @given(
-        addresses=st.lists(st.integers(min_value=0, max_value=255), max_size=150),
-        enable_mra=st.booleans(),
-        enable_wave=st.booleans(),
-        enable_mre=st.booleans(),
-        associativity=st.sampled_from([1, 2, 4]),
-        chunk_size=st.integers(min_value=1, max_value=64),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_collapsed_matches_raw(
-        self, addresses, enable_mra, enable_wave, enable_mre, associativity, chunk_size
-    ):
-        options = dict(
-            enable_mra=enable_mra, enable_wave=enable_wave, enable_mre=enable_mre
-        )
-        trace = Trace(addresses) if addresses else Trace.empty()
-        raw = DewSimulator(8, associativity, (1, 2, 4, 8), **options)
-        raw.run(trace, chunk_size=chunk_size)
-        collapsed = DewSimulator(8, associativity, (1, 2, 4, 8), **options)
-        collapsed.run(trace, chunk_size=chunk_size, collapse=True)
-        assert collapsed.counters.as_dict() == raw.counters.as_dict()
-        assert not collapsed.results().diff(raw.results())
-        assert collapsed.results().as_rows() == raw.results().as_rows()
-
-    def test_single_block_trace(self):
-        """A trace that is one long run: one walk plus pure bulk accounting."""
-        raw = DewSimulator(16, 2, (1, 2, 4))
-        collapsed = DewSimulator(16, 2, (1, 2, 4))
-        addresses = [64] * 500
-        raw.run(addresses)
-        collapsed.run_block_runs([64 >> 4], [500])
-        assert collapsed.counters.as_dict() == raw.counters.as_dict()
-        assert collapsed.results().as_rows() == raw.results().as_rows()
-
-    def test_count_weighted_chunks_equal_any_split(self):
-        """Splitting one run across chunks costs exactly the bulk accounting."""
-        whole = DewSimulator(4, 2, (1, 2, 4))
-        split = DewSimulator(4, 2, (1, 2, 4))
-        whole.run_block_runs([9, 9], [6, 1])  # same block: split run
-        split.run_block_runs([9], [7])
-        assert whole.counters.as_dict() == split.counters.as_dict()
-        assert whole.results().as_rows() == split.results().as_rows()
-
-    def test_rejects_non_positive_counts(self):
-        simulator = DewSimulator(4, 2, (1, 2))
-        with pytest.raises(Exception):
-            simulator.run_block_runs([1, 2], [1, 0])
-
-    def test_rejects_mismatched_lengths(self):
-        from repro.errors import SimulationError
-
-        simulator = DewSimulator(4, 2, (1, 2))
-        with pytest.raises(SimulationError, match="mismatch"):
-            simulator.run_block_runs([1, 2], [3])
-        # A rejected chunk must not have touched any counter.
-        assert simulator.counters.requests == 0
-
-
 class TestDewEngineCollapse:
-    def test_collapse_engine_matches_plain(self, sweep_trace):
-        plain = get_engine("dew", block_size=16, associativity=4, set_sizes=SET_SIZES)
-        fast = get_engine(
-            "dew", block_size=16, associativity=4, set_sizes=SET_SIZES, collapse=True
-        )
-        plain_results = plain.run(sweep_trace)
-        fast_results = fast.run(sweep_trace)
-        assert fast_results.as_rows() == plain_results.as_rows()
-        assert fast.counters.as_dict() == plain.counters.as_dict()
-
     def test_non_run_engines_reject_collapsed_chunks(self):
-        engine = get_engine("lru-stack", block_size=16, capacities=(1, 2))
+        engine = get_engine("dew", block_size=16, associativity=4, set_sizes=SET_SIZES)
+        assert not engine.supports_block_runs
         with pytest.raises(EngineError, match="run-length"):
             engine.run_block_runs([1], [3])
 
@@ -307,7 +236,7 @@ class TestPooledSweep:
 def mixed_jobs():
     """A grid mixing every capability combination in one sweep.
 
-    dew (runs, no types) + single via the random policy (no runs, types) +
+    dew (no runs, no types) + single via the random policy (no runs, types) +
     victim-cache (runs, no types) + stream-buffer (runs *and* types), so the
     fused executor must route raw chunks, collapsed chunks and per-run head
     types side by side within each batch.
@@ -407,12 +336,11 @@ class TestSweepCli:
 
 
 class TestLruRunLengthOracle:
-    """Janapsatya/CRCB run consumption must be byte-identical to the raw walk.
+    """Janapsatya run consumption must be byte-identical to the raw walk.
 
-    Same oracle pattern as the DEW collapse: replay the identical access
-    stream once through ``run_blocks`` on raw chunks and once through
-    ``run_block_runs`` on the collapsed chunks, then compare every result
-    row *and* every work counter.
+    Replay the identical access stream once through ``run_blocks`` on raw
+    chunks and once through ``run_block_runs`` on the collapsed chunks,
+    then compare every result row *and* every work counter.
     """
 
     @staticmethod
@@ -448,29 +376,9 @@ class TestLruRunLengthOracle:
             runs.simulator.counters.as_dict() == raw.simulator.counters.as_dict()
         )
 
-    @given(
-        addresses=st.lists(st.integers(min_value=0, max_value=255), max_size=150),
-        chunk_size=st.integers(min_value=1, max_value=64),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_crcb_runs_match_raw(self, addresses, chunk_size):
-        trace = Trace(addresses) if addresses else Trace.empty()
-        kwargs = dict(block_size=8, associativities=(1, 2, 4), set_sizes=(1, 2, 4, 8))
-        raw = get_engine("janapsatya-crcb", **kwargs)
-        runs = get_engine("janapsatya-crcb", **kwargs)
-        raw_results = self._drive_raw(raw, trace, chunk_size)
-        runs_results = self._drive_runs(runs, trace, chunk_size)
-        assert runs_results.as_rows() == raw_results.as_rows()
-        assert (
-            runs.simulator.counters.as_dict() == raw.simulator.counters.as_dict()
-        )
-
     def test_lru_engines_advertise_run_support(self):
         jan = get_engine("janapsatya", block_size=8, associativities=(2,), set_sizes=(1, 2))
-        crcb = get_engine(
-            "janapsatya-crcb", block_size=8, associativities=(2,), set_sizes=(1, 2)
-        )
-        assert jan.supports_block_runs and crcb.supports_block_runs
+        assert jan.supports_block_runs
 
     def test_single_block_trace_lru(self):
         """One long run: one walk plus pure bulk MRU-hit accounting."""
@@ -483,16 +391,6 @@ class TestLruRunLengthOracle:
         assert runs.counters.as_dict() == raw.counters.as_dict()
         assert runs.results().as_rows() == raw.results().as_rows()
 
-    def test_crcb_run_split_across_chunks(self):
-        """The chunk-boundary carry prunes a run head equal to the last block."""
-        kwargs = dict(block_size=4, associativities=(1, 2), set_sizes=(1, 2))
-        whole = get_engine("janapsatya-crcb", **kwargs)
-        split = get_engine("janapsatya-crcb", **kwargs)
-        whole.run_block_runs([3, 5], [4, 2])
-        split.run_block_runs([3], [2])
-        split.run_block_runs([3, 5], [2, 2])
-        assert split.finalize().as_rows() == whole.finalize().as_rows()
-
     def test_lru_run_validation(self):
         from repro.errors import SimulationError
         from repro.lru.janapsatya import JanapsatyaSimulator
@@ -502,10 +400,3 @@ class TestLruRunLengthOracle:
             simulator.run_block_runs([1, 2], [3])
         with pytest.raises(SimulationError, match="positive"):
             simulator.run_block_runs([1, 2], [1, 0])
-        crcb = get_engine(
-            "janapsatya-crcb", block_size=8, associativities=(1,), set_sizes=(1, 2)
-        )
-        with pytest.raises(SimulationError, match="mismatch"):
-            crcb.run_block_runs([1, 2], [3])
-        with pytest.raises(SimulationError, match="positive"):
-            crcb.run_block_runs([1, 2], [1, 0])

@@ -58,32 +58,24 @@ def test_dew_engine_matches_reference(addresses, block_size_log2, associativity,
     block_size_log2=st.integers(min_value=0, max_value=4),
     levels=st.integers(min_value=1, max_value=4),
     chunk_size=CHUNK_SIZES,
-    engine_name=st.sampled_from(["janapsatya", "janapsatya-crcb"]),
+    runs=st.booleans(),
 )
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_lru_family_engines_match_reference(addresses, block_size_log2, levels, chunk_size, engine_name):
+def test_lru_family_engines_match_reference(addresses, block_size_log2, levels, chunk_size, runs):
+    """``janapsatya`` is exact fed raw chunks or run-length collapsed ones."""
     trace = Trace(addresses, name="random")
     engine = get_engine(
-        engine_name,
+        "janapsatya",
         block_size=1 << block_size_log2,
         associativities=(1, 2, 4),
         set_sizes=tuple(2**i for i in range(levels)),
     )
-    _assert_matches_reference(engine.run(trace, chunk_size=chunk_size), trace)
-
-
-@given(
-    addresses=ADDRESSES,
-    block_size_log2=st.integers(min_value=0, max_value=4),
-    chunk_size=CHUNK_SIZES,
-)
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_lru_stack_engine_matches_reference(addresses, block_size_log2, chunk_size):
-    trace = Trace(addresses, name="random")
-    engine = get_engine(
-        "lru-stack", block_size=1 << block_size_log2, capacities=(1, 2, 4, 8)
-    )
-    _assert_matches_reference(engine.run(trace, chunk_size=chunk_size), trace)
+    if not runs:
+        _assert_matches_reference(engine.run(trace, chunk_size=chunk_size), trace)
+        return
+    for values, counts in trace.iter_block_runs(engine.offset_bits, chunk_size):
+        engine.run_block_runs(values, counts)
+    _assert_matches_reference(engine.finalize(trace_name=trace.name), trace)
 
 
 @given(

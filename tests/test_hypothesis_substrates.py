@@ -3,12 +3,13 @@
 import io
 
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import given, settings
 
 from repro.cache.cacheset import CacheSet
 from repro.cache.policies import FifoPolicy, LruPolicy
-from repro.lru.stack import stack_distances
 from repro.trace.din import read_din, write_din
+from repro.trace.stats import reuse_distances
 from repro.trace.textio import read_text_trace, write_text_trace
 from repro.trace.trace import Trace
 from repro.types import AccessType
@@ -47,7 +48,7 @@ def test_fifo_eviction_order_is_insertion_order(blocks, associativity):
 @settings(max_examples=60, deadline=None)
 def test_lru_hit_iff_stack_distance_below_associativity(blocks, associativity):
     cache_set = CacheSet(associativity, LruPolicy(associativity))
-    distances = stack_distances(blocks)
+    distances = reuse_distances(np.asarray(blocks, dtype=np.int64))
     for block, distance in zip(blocks, distances):
         hit, _ = cache_set.access(block)
         assert hit == (0 <= distance < associativity)
@@ -56,7 +57,7 @@ def test_lru_hit_iff_stack_distance_below_associativity(blocks, associativity):
 @given(blocks=BLOCKS)
 @settings(max_examples=60, deadline=None)
 def test_stack_distances_are_bounded_by_distinct_blocks(blocks):
-    distances = stack_distances(blocks)
+    distances = reuse_distances(np.asarray(blocks, dtype=np.int64))
     assert len(distances) == len(blocks)
     for distance in distances:
         assert distance == -1 or 0 <= distance < len(set(blocks))

@@ -1,18 +1,22 @@
-"""Tests for the LRU substrate: stack distances, Janapsatya simulator, CRCB."""
+"""Tests for the LRU substrate: stack distances and the Janapsatya simulator."""
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.cache.simulator import SingleConfigSimulator
 from repro.core.config import CacheConfig
 from repro.errors import ConfigurationError
-from repro.lru.crcb import CrcbFilter
 from repro.lru.janapsatya import JanapsatyaSimulator, simulate_lru_family
-from repro.lru.stack import StackDistanceEngine, hits_for_associativities, stack_distances
+from repro.trace.stats import reuse_distances
 from repro.trace.trace import Trace
 from repro.types import ReplacementPolicy
 from repro.workloads.synthetic import WorkingSetGenerator
+
+
+def stack_distances(blocks):
+    return reuse_distances(np.asarray(blocks, dtype=np.int64))
 
 
 class TestStackDistances:
@@ -25,19 +29,6 @@ class TestStackDistances:
     def test_classic_sequence(self):
         # a b c b a: b reused over {c} -> 1, a reused over {b, c} -> 2
         assert stack_distances([1, 2, 3, 2, 1]) == [-1, -1, -1, 1, 2]
-
-    def test_engine_stack_order(self):
-        engine = StackDistanceEngine()
-        for block in [1, 2, 3, 2]:
-            engine.access(block)
-        assert engine.stack() == [2, 3, 1]
-        assert len(engine) == 3
-
-    def test_hits_for_associativities(self):
-        distances = stack_distances([1, 2, 1, 3, 1])
-        hits = hits_for_associativities(distances, [1, 2, 4])
-        # distance sequence: -1, -1, 1, -1, 1
-        assert hits == {1: 0, 2: 2, 4: 2}
 
     def test_matches_fully_associative_lru_cache(self):
         rng = random.Random(5)
@@ -61,8 +52,8 @@ class TestJanapsatyaSimulator:
         return reference.stats.misses
 
     @pytest.mark.parametrize("use_mru_stop", [True, False])
-    @pytest.mark.parametrize("use_crcb_filter", [True, False])
-    def test_exact_against_reference(self, use_mru_stop, use_crcb_filter):
+    @pytest.mark.parametrize("runs", [True, False])
+    def test_exact_against_reference(self, use_mru_stop, runs):
         rng = random.Random(17)
         addresses = [rng.randrange(0, 2048) for _ in range(700)]
         trace = Trace(addresses, name="rand")
@@ -71,9 +62,13 @@ class TestJanapsatyaSimulator:
             associativities=(1, 2, 4),
             set_sizes=self.SET_SIZES,
             use_mru_stop=use_mru_stop,
-            use_crcb_filter=use_crcb_filter,
         )
-        results = simulator.run(trace)
+        if runs:
+            for values, counts in trace.iter_block_runs(simulator.offset_bits):
+                simulator.run_block_runs(values, counts)
+            results = simulator.results()
+        else:
+            results = simulator.run(trace)
         for config in results.configs():
             assert config.policy is ReplacementPolicy.LRU
             assert results[config].misses == self._reference_misses(addresses, config), config.label()
@@ -129,45 +124,3 @@ class TestJanapsatyaSimulator:
         with pytest.raises(ConfigurationError):
             JanapsatyaSimulator(4, (0,), (1, 2))
 
-
-class TestCrcbFilter:
-    def test_statistics_and_apply(self):
-        trace = Trace([0, 1, 2, 3, 64, 65, 0], name="t")
-        crcb = CrcbFilter(block_size=64)
-        stats = crcb.statistics(trace)
-        assert stats.trace_length == 7
-        assert stats.prunable_consecutive == 4  # 1,2,3 follow 0; 65 follows 64
-        assert stats.pruned_fraction == pytest.approx(4 / 7)
-        filtered, pruned = crcb.apply(trace)
-        assert pruned == 4
-        assert filtered.addresses.tolist() == [0, 64, 0]
-
-    def test_short_traces_untouched(self):
-        trace = Trace([5])
-        filtered, pruned = CrcbFilter(16).apply(trace)
-        assert pruned == 0
-        assert filtered is trace
-
-    def test_rejects_bad_block_size(self):
-        with pytest.raises(ConfigurationError):
-            CrcbFilter(10)
-
-    def test_pruned_accesses_are_universal_hits(self):
-        # Filtering plus "add pruned back as hits" must match unfiltered
-        # simulation for any cache with block size >= the filter block size.
-        rng = random.Random(9)
-        addresses = []
-        base = 0
-        for _ in range(300):
-            base = rng.randrange(0, 1024) * 4
-            addresses.extend([base] * rng.randint(1, 3))
-        trace = Trace(addresses, name="bursty")
-        crcb = CrcbFilter(block_size=4)
-        filtered, pruned = crcb.apply(trace)
-        config = CacheConfig(8, 2, 16, ReplacementPolicy.FIFO)
-        full = SingleConfigSimulator(config)
-        full.run(trace)
-        reduced = SingleConfigSimulator(config)
-        reduced.run(filtered)
-        assert reduced.stats.misses == full.stats.misses
-        assert reduced.stats.hits + pruned == full.stats.hits
