@@ -9,11 +9,6 @@
 ``figures``
     Series extraction for Figures 5 (speed-up) and 6 (tag-comparison
     reduction).
-``timing``
-    Small timing utilities shared by the benchmarks.
-``service``
-    Throughput benchmark for the simulation service (concurrent clients,
-    dedup ratio, p50/p95 submit-to-done latency).
 """
 
 from repro.bench.harness import ExperimentCell, ExperimentRunner, PropertyCell, default_request_budget
@@ -30,11 +25,8 @@ from repro.bench.figures import (
     comparison_reduction_series,
     series_as_rows,
 )
-from repro.bench.service import run_service_benchmark
-from repro.bench.timing import Timer
 
 __all__ = [
-    "run_service_benchmark",
     "ExperimentCell",
     "ExperimentRunner",
     "PropertyCell",
@@ -48,5 +40,4 @@ __all__ = [
     "speedup_series",
     "comparison_reduction_series",
     "series_as_rows",
-    "Timer",
 ]

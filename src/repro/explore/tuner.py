@@ -176,17 +176,6 @@ class CacheTuner:
         runtime = frame.accesses * energy.average_access_time_ns
         return energy.total_energy_nj * runtime
 
-    def _objective_value(self, result: ConfigResult, estimate: EnergyEstimate) -> float:
-        """Scalar objective for one result (kept for API compatibility)."""
-        if self.objective == "misses":
-            return float(result.misses)
-        if self.objective == "energy":
-            return estimate.total_energy_nj
-        if self.objective == "amat":
-            return estimate.average_access_time_ns
-        runtime = result.accesses * estimate.average_access_time_ns
-        return estimate.total_energy_nj * runtime
-
     def _admitted_order(
         self,
         frame: ResultsFrame,

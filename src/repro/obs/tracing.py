@@ -21,7 +21,7 @@ is charged to itself and subtracted from its parent, so the per-phase sums
 add up to the covered wall clock without double counting.  ``run_sweep``
 uses it to split execution into decode / plane-ensure / store-lookup /
 simulate / persist (and ``merged()`` adds merge), which is what
-``sweep --profile`` prints and BENCH_PR10.json records.
+``sweep --profile`` prints and BENCH_MICRO.json records.
 """
 
 from __future__ import annotations

@@ -661,7 +661,7 @@ class JobQueue:
         Unreadable files are skipped (a heartbeat mid-rewrite is unreadable
         for at most one atomic rename).  Includes dead daemons' final
         heartbeats — liveness is the *reader's* judgement, via
-        :meth:`live_daemons` or :meth:`lease_deadline`.
+        :meth:`lease_deadline`.
         """
         directory = self.daemons_dir()
         heartbeats: Dict[str, Dict[str, Any]] = {}
@@ -714,19 +714,6 @@ class JobQueue:
             except OSError:
                 pass
         return False
-
-    def live_daemons(
-        self,
-        lease_seconds: float = DEFAULT_LEASE_SECONDS,
-        now: Optional[float] = None,
-    ) -> Dict[str, Dict[str, Any]]:
-        """Heartbeats of daemons currently considered alive."""
-        moment = time.time() if now is None else float(now)
-        return {
-            daemon_id: payload
-            for daemon_id, payload in self.daemon_heartbeats().items()
-            if self._heartbeat_alive(payload, lease_seconds, moment)
-        }
 
     def lease_deadline(
         self,

@@ -20,7 +20,6 @@ from repro.bench.tables import (
     format_table4,
     rows_as_csv,
 )
-from repro.bench.timing import Timer
 from repro.workloads.mediabench import PAPER_REQUEST_COUNTS
 
 
@@ -159,11 +158,3 @@ class TestTablesAndFigures:
         csv_text = rows_as_csv([cell.as_dict() for cell in small_cells])
         assert csv_text.splitlines()[0].startswith("app,")
         assert rows_as_csv([]) == ""
-
-
-class TestTimer:
-    def test_timer_measures(self):
-        with Timer() as timer:
-            sum(range(10000))
-        assert timer.elapsed > 0
-        assert Timer().running() == 0.0

@@ -86,8 +86,16 @@ class TestResultsFrame:
 
         first = SimulationResults([_result(1, 1, 16, misses=5), _result(2, 2, 16, misses=4)])
         second = SimulationResults([_result(1, 1, 16, misses=5), _result(4, 2, 16, misses=3)])
-        merged_frame = ResultsFrame.merge([first.frame(), second.frame()])
-        merged_objects = merge_results([first, second])
+        # Ignoring any one configuration key in the sort moves some row of
+        # this family, so the two paths must agree on every key.
+        third = SimulationResults([
+            _result(2, 2, 16, policy=ReplacementPolicy.LRU, misses=7),
+            _result(2, 1, 64, misses=9),
+            _result(1, 1, 64, misses=6),
+        ])
+        families = [third, first, second]
+        merged_frame = ResultsFrame.merge([family.frame() for family in families])
+        merged_objects = merge_results(families)
         assert [r.as_dict() for r in merged_frame] == merged_objects.as_rows()
 
     def test_merge_conflict_raises(self):

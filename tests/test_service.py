@@ -235,15 +235,21 @@ class TestCanonicalIdentity:
 class TestServedResultsByteIdentity:
     def test_service_result_equals_direct_run_sweep(self, tmp_path, trace_file):
         client = ServiceClient(tmp_path / "svc", create=True)
-        request = _request(trace_file)
-        response = client.submit(request)
-        assert not response["deduped"]
-        ServiceDaemon(tmp_path / "svc").run(drain=True)
-        served = client.result_when_done(response["job_id"], timeout=30)
-        direct = run_sweep(
-            load_trace_file(trace_file), request.build_jobs()
-        ).merged().to_json()
-        assert served == direct
+        # The seeded random-policy grid is served from the corpus the first
+        # job left in the trace cache, and must carry its seed to the engine.
+        requests = (
+            _request(trace_file),
+            _request(trace_file, policies=("random",), seed=3),
+        )
+        for request in requests:
+            response = client.submit(request)
+            assert not response["deduped"]
+            ServiceDaemon(tmp_path / "svc").run(drain=True)
+            served = client.result_when_done(response["job_id"], timeout=30)
+            direct = run_sweep(
+                load_trace_file(trace_file), request.build_jobs()
+            ).merged().to_json()
+            assert served == direct
 
     def test_second_submission_is_served_warm(self, tmp_path, trace_file):
         client = ServiceClient(tmp_path / "svc", create=True)
