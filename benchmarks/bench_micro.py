@@ -47,7 +47,7 @@ def test_micro_chunked_pipeline_beats_per_address_loop(bench_report):
         start = time.perf_counter()
         for address in addresses:
             simulator.access(address)
-        return time.perf_counter() - start, simulator.results()
+        return time.perf_counter() - start, simulator.finalize()
 
     def time_chunked():
         engine = get_engine("dew", block_size=32, associativity=4, set_sizes=SET_SIZES)

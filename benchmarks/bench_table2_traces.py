@@ -1,9 +1,10 @@
 """Table 2 — the workload traces driving the evaluation.
 
 The paper's Table 2 lists the SimpleScalar trace lengths of the six
-Mediabench programs.  Here the traces are synthesised (see DESIGN.md §2);
-this benchmark reports the lengths actually used and measures trace
-generation throughput.
+Mediabench programs.  Here the traces are synthesised (the
+:mod:`repro.workloads` module docstring says why) and scaled down (see
+``REPRO_BENCH_REQUESTS`` in ``conftest.py``); this benchmark reports the
+lengths actually used and measures trace generation throughput.
 """
 
 from repro.bench.tables import format_table2

@@ -1,8 +1,8 @@
 """repro: a reproduction of DEW, the single-pass multi-configuration FIFO
 L1 cache simulator of Haque et al. (DATE 2010).
 
-The package is organised by subsystem (see ``DESIGN.md`` for the full
-inventory):
+The package is organised by subsystem (the README's "Architecture" section
+has the full inventory):
 
 * :mod:`repro.core` — the DEW simulator itself (binomial simulation tree,
   wave pointers, MRA/MRE shortcuts) and the configuration space.
@@ -34,11 +34,11 @@ Quickstart
 from repro._version import __version__
 from repro.core.config import CacheConfig, ConfigSpace
 from repro.core.counters import DewCounters
-from repro.core.dew import DewSimulator, simulate_fifo_family
+from repro.core.dew import DewSimulator
 from repro.core.results import ConfigResult, ResultsFrame, SimulationResults
 from repro.core.tree import DewTree
 from repro.cache.dinero import DineroRunResult, DineroStyleRunner
-from repro.cache.simulator import SingleConfigSimulator, simulate_trace
+from repro.cache.simulator import SingleConfigSimulator
 from repro.cache.stats import CacheStats
 from repro.engine import (
     Engine,
@@ -51,7 +51,7 @@ from repro.engine import (
     register_engine,
     run_sweep,
 )
-from repro.lru.janapsatya import JanapsatyaSimulator, simulate_lru_family
+from repro.lru.janapsatya import JanapsatyaSimulator
 from repro.store import ResultStore, StoreKey, open_store
 from repro.trace.trace import Trace, TraceBuilder
 from repro.trace.din import read_din, write_din
@@ -66,7 +66,6 @@ __all__ = [
     "ConfigSpace",
     "DewCounters",
     "DewSimulator",
-    "simulate_fifo_family",
     "ConfigResult",
     "ResultsFrame",
     "SimulationResults",
@@ -74,7 +73,6 @@ __all__ = [
     "DineroRunResult",
     "DineroStyleRunner",
     "SingleConfigSimulator",
-    "simulate_trace",
     "CacheStats",
     "Engine",
     "available_engines",
@@ -86,7 +84,6 @@ __all__ = [
     "run_sweep",
     "FusedSweepExecutor",
     "JanapsatyaSimulator",
-    "simulate_lru_family",
     "ResultStore",
     "StoreKey",
     "open_store",

@@ -7,9 +7,9 @@ configuration).  :class:`ExperimentRunner` produces those cells, the Table 4
 property-effectiveness rows and — because every cell carries both simulators'
 results — an exactness check on every run.
 
-Trace lengths are scaled down from the paper's multi-million-request traces
-(see DESIGN.md §2); the default budget is controlled by the
-``REPRO_BENCH_REQUESTS`` environment variable.
+The traces are synthesised (:mod:`repro.workloads` says why) and scaled
+down from the paper's multi-million-request traces; the default budget is
+controlled by the ``REPRO_BENCH_REQUESTS`` environment variable.
 """
 
 from __future__ import annotations

@@ -1,12 +1,15 @@
 """Reference single-configuration cache simulator (the "Dinero IV" stand-in).
 
 This package provides a conventional trace-driven, set-associative cache
-model with pluggable replacement policies.  It plays two roles in the
-reproduction:
+model with pluggable replacement policies.  It plays three roles in
+the reproduction:
 
 * it is the *baseline* the paper compares against (Dinero IV simulates one
   configuration per pass over the trace), exposed through
   :class:`~repro.cache.dinero.DineroStyleRunner`;
+* it is the registered ``single`` engine
+  (:class:`~repro.cache.simulator.SingleConfigSimulator`), the reference for
+  every replacement policy in sweeps;
 * it is the *oracle* used to verify that DEW's single-pass results are exact
   (:mod:`repro.verify`).
 """
@@ -21,7 +24,7 @@ from repro.cache.policies import (
 )
 from repro.cache.cacheset import CacheSet
 from repro.cache.stats import CacheStats
-from repro.cache.simulator import SingleConfigSimulator, simulate_trace
+from repro.cache.simulator import SingleConfigSimulator
 from repro.cache.dinero import DineroStyleRunner, DineroRunResult
 
 __all__ = [
@@ -34,7 +37,6 @@ __all__ = [
     "CacheSet",
     "CacheStats",
     "SingleConfigSimulator",
-    "simulate_trace",
     "DineroStyleRunner",
     "DineroRunResult",
 ]

@@ -24,15 +24,20 @@ class CacheSet:
     policy:
         A freshly constructed :class:`ReplacementPolicyModel` owned by this
         set.
+
+    Writes allocate and mark their way dirty (write-back); after a miss,
+    :attr:`evicted_dirty` says whether the block it displaced was dirty,
+    i.e. whether the miss caused a writeback.
     """
 
-    __slots__ = ("associativity", "policy", "tags", "dirty", "_comparisons")
+    __slots__ = ("associativity", "policy", "tags", "dirty", "evicted_dirty", "_comparisons")
 
     def __init__(self, associativity: int, policy: ReplacementPolicyModel) -> None:
         self.associativity = associativity
         self.policy = policy
         self.tags: List[int] = [INVALID_TAG] * associativity
         self.dirty: List[bool] = [False] * associativity
+        self.evicted_dirty = False
         self._comparisons = 0
 
     # -- queries --------------------------------------------------------------
@@ -82,6 +87,7 @@ class CacheSet:
             return True, None
         victim = self.policy.choose_victim(self.occupied())
         evicted = self.tags[victim]
+        self.evicted_dirty = self.dirty[victim]
         self.tags[victim] = block
         self.dirty[victim] = is_write
         self.policy.note_insert(victim)
@@ -91,5 +97,6 @@ class CacheSet:
         """Empty the set and reset the policy and counters."""
         self.tags = [INVALID_TAG] * self.associativity
         self.dirty = [False] * self.associativity
+        self.evicted_dirty = False
         self.policy.reset()
         self._comparisons = 0

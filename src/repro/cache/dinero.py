@@ -3,18 +3,19 @@
 Dinero IV can only simulate one cache configuration per invocation, so
 exploring ``N`` configurations costs ``N`` complete passes over the trace.
 :class:`DineroStyleRunner` reproduces that cost model: it constructs one
-``single`` engine per configuration (via the engine registry) and replays the
-trace through each of them independently, accumulating wall-clock time and
-tag-comparison counts.  This is the baseline that Table 3, Figure 5 and
-Figure 6 measure DEW against.
+:class:`~repro.cache.simulator.SingleConfigSimulator` (the ``single`` engine)
+per configuration and replays the trace through each of them independently,
+accumulating wall-clock time and tag-comparison counts.  This is the
+baseline that Table 3, Figure 5 and Figure 6 measure DEW against.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Sequence, Union
 
+from repro.cache.simulator import SingleConfigSimulator
 from repro.cache.stats import CacheStats
 from repro.core.config import CacheConfig, ConfigSpace
 from repro.errors import SimulationError
@@ -82,38 +83,14 @@ class DineroStyleRunner:
             raise SimulationError("duplicate configurations in Dinero-style sweep")
         self.seed = seed
 
-    def run(
-        self,
-        trace: Trace,
-        time_budget_seconds: Optional[float] = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> DineroRunResult:
-        """Replay ``trace`` once per configuration.
-
-        Parameters
-        ----------
-        trace:
-            The memory trace to simulate.
-        time_budget_seconds:
-            Optional soft limit; if exceeded, remaining configurations are
-            still simulated (exactness first) but a warning field could be
-            added by callers comparing timings.  The limit exists so long
-            benchmark sweeps can bound the baseline cost explicitly.
-        chunk_size:
-            Block-pipeline chunk length forwarded to every engine pass.
-        """
-        from repro.engine import get_engine
-
+    def run(self, trace: Trace, chunk_size: int = DEFAULT_CHUNK_SIZE) -> DineroRunResult:
+        """Replay ``trace`` once per configuration, in chunks of ``chunk_size``."""
         result = DineroRunResult(trace_length=len(trace))
         start = time.perf_counter()
         for config in self.configs:
-            engine = get_engine("single", config=config, seed=self.seed)
-            engine.run(trace, chunk_size=chunk_size)
-            result.stats[config] = engine.stats
+            simulator = SingleConfigSimulator(config, seed=self.seed)
+            simulator.run(trace, chunk_size=chunk_size)
+            result.stats[config] = simulator.stats
             result.passes += 1
-            if time_budget_seconds is not None and time.perf_counter() - start > time_budget_seconds:
-                # Exactness is never sacrificed: the budget only documents
-                # that the baseline is expensive, it does not truncate it.
-                continue
         result.elapsed_seconds = time.perf_counter() - start
         return result

@@ -2,12 +2,14 @@
 
 :class:`SingleConfigSimulator` models what one Dinero IV invocation does: it
 owns the storage for exactly one cache configuration and must be driven over
-the whole trace to produce hit/miss counts for that configuration alone.
+the whole trace to produce hit/miss counts for that configuration alone.  It
+is the registered ``single`` engine (see :mod:`repro.engine.base`), the
+reference for every replacement policy.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set, Union
+from typing import List, Optional, Sequence, Set, Union
 
 import numpy as np
 
@@ -15,18 +17,22 @@ from repro.cache.cacheset import CacheSet
 from repro.cache.policies import make_policy
 from repro.cache.stats import CacheStats
 from repro.core.config import CacheConfig
-from repro.errors import SimulationError
-from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace
-from repro.types import AccessType
+from repro.core.results import ResultsFrame, SimulationResults, policy_code
+from repro.engine.base import Engine, register_engine
+from repro.errors import ConfigurationError, SimulationError
+from repro.types import AccessType, ReplacementPolicy
 
 
-class SingleConfigSimulator:
-    """Trace-driven simulator for one cache configuration.
+@register_engine("single")
+class SingleConfigSimulator(Engine):
+    """Trace-driven simulator for one cache configuration (the ``single`` engine).
 
     Parameters
     ----------
     config:
         The cache configuration (sets, ways, block size, policy) to model.
+    num_sets / associativity / block_size / policy:
+        The configuration by parts, used when ``config`` is not given.
     seed:
         Seed forwarded to stochastic policies (``RANDOM``); ignored by the
         deterministic ones.
@@ -34,9 +40,31 @@ class SingleConfigSimulator:
         When true (the default), first-touch misses are classified as
         compulsory, which requires remembering every block ever seen.
         Disable for very long traces if that memory matters.
+
+    After a run, :attr:`stats` holds the Dinero-style statistics.
     """
 
-    def __init__(self, config: CacheConfig, seed: int = 0, track_compulsory: bool = True) -> None:
+    wants_access_types = True
+
+    def __init__(
+        self,
+        config: Optional[CacheConfig] = None,
+        num_sets: Optional[int] = None,
+        associativity: Optional[int] = None,
+        block_size: Optional[int] = None,
+        policy: Union[str, ReplacementPolicy] = ReplacementPolicy.FIFO,
+        seed: int = 0,
+        track_compulsory: bool = True,
+    ) -> None:
+        super().__init__()
+        if config is None:
+            if num_sets is None or associativity is None or block_size is None:
+                raise ConfigurationError(
+                    "single engine needs either config= or num_sets/associativity/block_size"
+                )
+            config = CacheConfig(
+                num_sets, associativity, block_size, ReplacementPolicy.parse(policy)
+            )
         self.config = config
         self.stats = CacheStats()
         self._sets: List[CacheSet] = [
@@ -47,6 +75,11 @@ class SingleConfigSimulator:
         self._index_mask = config.num_sets - 1
         self._track_compulsory = track_compulsory
         self._seen_blocks: Set[int] = set()
+
+    @property
+    def offset_bits(self) -> int:
+        """Block-offset width used to pre-shift byte addresses."""
+        return self._offset_bits
 
     # -- single access --------------------------------------------------------
 
@@ -83,6 +116,7 @@ class SingleConfigSimulator:
             access_type=access_type,
             compulsory=compulsory and not hit,
             evicted=evicted is not None,
+            evicted_dirty=cache_set.evicted_dirty,
             comparisons=cache_set.comparisons - before,
         )
         return hit, evicted, compulsory and not hit
@@ -107,21 +141,27 @@ class SingleConfigSimulator:
         for block, type_code in zip(blocks, access_types):
             access_block(block, AccessType(type_code))
 
-    def run(
-        self,
-        trace: Union[Trace, Iterable[int]],
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> CacheStats:
-        """Simulate a whole trace (or a bare iterable of addresses)."""
-        if isinstance(trace, Trace):
-            for blocks, types in trace.iter_block_chunks(
-                self._offset_bits, chunk_size, with_types=True
-            ):
-                self.run_blocks(blocks, types)
-        else:
-            for address in trace:
-                self.access(int(address))
-        return self.stats
+    # -- results --------------------------------------------------------------
+
+    def finalize_frame(self, trace_name: str = "trace") -> ResultsFrame:
+        """The configuration's one result row, from :attr:`stats`."""
+        stats = self.stats
+        config = self.config
+        return ResultsFrame(
+            [config.num_sets],
+            [config.associativity],
+            [config.block_size],
+            [policy_code(config.policy)],
+            [stats.accesses],
+            [stats.misses],
+            [stats.compulsory_misses],
+            simulator_name="single",
+            trace_name=trace_name,
+        )
+
+    def finalize(self, trace_name: str = "trace") -> SimulationResults:
+        """The configuration's one result row (frame-backed view)."""
+        return SimulationResults.from_frame(self.finalize_frame(trace_name=trace_name))
 
     # -- inspection -----------------------------------------------------------
 
@@ -142,13 +182,4 @@ class SingleConfigSimulator:
             cache_set.reset()
         self.stats = CacheStats()
         self._seen_blocks = set()
-
-
-def simulate_trace(
-    config: CacheConfig,
-    trace: Union[Trace, Iterable[int]],
-    seed: int = 0,
-) -> CacheStats:
-    """One-shot helper: simulate ``trace`` on ``config`` and return the stats."""
-    simulator = SingleConfigSimulator(config, seed=seed)
-    return simulator.run(trace)
+        self._elapsed = 0.0

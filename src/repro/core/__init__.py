@@ -10,8 +10,8 @@ simulator described in the paper:
     :class:`DewTree`, the binomial simulation tree of cache sets with wave
     pointers, MRA and MRE entries (Properties 1, 3 and 4).
 ``dew``
-    :class:`DewSimulator`, the per-request walk implementing Algorithms 1
-    and 2 and Property 2 (MRA early stop).
+    :class:`DewSimulator`, the registered ``dew`` engine: the per-request
+    walk implementing Algorithms 1 and 2 and Property 2 (MRA early stop).
 ``counters``
     :class:`DewCounters`, the instrumentation behind Table 4 and Figure 6.
 ``results``
@@ -27,7 +27,7 @@ from repro.core.config import CacheConfig, ConfigSpace
 from repro.core.counters import DewCounters
 from repro.core.results import ConfigResult, ResultsFrame, SimulationResults
 from repro.core.tree import DewTree
-from repro.core.dew import DewSimulator, simulate_fifo_family
+from repro.core.dew import DewSimulator
 
 __all__ = [
     "CacheConfig",
@@ -38,5 +38,4 @@ __all__ = [
     "SimulationResults",
     "DewTree",
     "DewSimulator",
-    "simulate_fifo_family",
 ]

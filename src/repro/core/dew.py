@@ -1,8 +1,9 @@
 """The DEW simulator: one pass, many FIFO cache configurations.
 
-:class:`DewSimulator` walks the :class:`~repro.core.tree.DewTree` top-down
-for every trace request, implementing the paper's Algorithms 1 and 2 and the
-four properties of Section 3.2:
+:class:`DewSimulator` is the registered ``dew`` engine (see
+:mod:`repro.engine.base`).  It walks the :class:`~repro.core.tree.DewTree`
+top-down for every trace request, implementing the paper's Algorithms 1 and
+2 and the four properties of Section 3.2:
 
 * Property 1 — the binomial tree itself bounds the walk to one node per
   simulated set size.
@@ -66,8 +67,7 @@ MRE decisions and the entries searches compared; one shared function
 
 from __future__ import annotations
 
-import time
-from typing import Iterable, List, Optional, Sequence, Set, Union
+from typing import List, Optional, Sequence, Set, Union
 
 import numpy as np
 
@@ -75,8 +75,8 @@ from repro import kernels
 from repro.core.counters import DewCounters
 from repro.core.results import ResultsFrame, SimulationResults, policy_code
 from repro.core.tree import DewTree
+from repro.engine.base import Engine, register_engine
 from repro.errors import SimulationError
-from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace
 from repro.types import EMPTY_WAVE, INVALID_TAG, ReplacementPolicy
 
 #: Block addresses the walks accept lie below this: the kernel stores
@@ -84,8 +84,9 @@ from repro.types import EMPTY_WAVE, INVALID_TAG, ReplacementPolicy
 BLOCK_LIMIT = 2**63 - 1
 
 
-class DewSimulator:
-    """Single-pass multi-configuration FIFO cache simulator.
+@register_engine("dew")
+class DewSimulator(Engine):
+    """Single-pass multi-configuration FIFO cache simulator (the ``dew`` engine).
 
     Parameters
     ----------
@@ -108,7 +109,10 @@ class DewSimulator:
         heads.
 
     The simulator runs the kernel walk when :func:`repro.kernels.dew_walk`
-    loads it and the Python walk otherwise; :attr:`walk` says which.
+    loads it and the Python walk otherwise; :attr:`walk` says which.  It
+    takes raw block chunks only: the kernel walk decides an immediately
+    repeated block (a root MRA hit, Property 2) with one comparison, so
+    run-length collapsed chunks would not pay.
     """
 
     def __init__(
@@ -121,6 +125,7 @@ class DewSimulator:
         enable_mre: bool = True,
         track_compulsory: bool = True,
     ) -> None:
+        super().__init__()
         self._walk = kernels.dew_walk()
         self.tree = DewTree(
             block_size, associativity, set_sizes, flat=self._walk.function is not None
@@ -137,7 +142,6 @@ class DewSimulator:
         self._compulsory = 0
         self._seen_blocks: Set[int] = set()
         self._offset_bits = self.tree.offset_bits
-        self._elapsed = 0.0
         self._build_level_views()
 
     def _build_level_views(self) -> None:
@@ -187,6 +191,11 @@ class DewSimulator:
     # -- public queries --------------------------------------------------------
 
     @property
+    def offset_bits(self) -> int:
+        """Block-offset width used to pre-shift byte addresses."""
+        return self._offset_bits
+
+    @property
     def block_size(self) -> int:
         """Block size shared by all simulated configurations."""
         return self.tree.block_size
@@ -218,7 +227,11 @@ class DewSimulator:
             raise SimulationError(f"negative address: {address}")
         self.run_blocks([address >> self._offset_bits])
 
-    def run_blocks(self, blocks: Union[Sequence[int], np.ndarray]) -> None:
+    def run_blocks(
+        self,
+        blocks: Union[Sequence[int], np.ndarray],
+        access_types: Optional[Union[Sequence[int], np.ndarray]] = None,
+    ) -> None:
         """Simulate a chunk of block-address requests against every configuration.
 
         This is the hot loop of the engine pipeline: all per-request state
@@ -229,8 +242,9 @@ class DewSimulator:
 
         Either walk tallies only the counts it cannot derive; the module
         docstring says how every other counter follows from them once per
-        chunk.  Raises :class:`~repro.errors.SimulationError` for a block
-        outside ``[0, 2**63 - 1)``.
+        chunk.  ``access_types`` is ignored: FIFO hits and misses do not
+        depend on them.  Raises :class:`~repro.errors.SimulationError` for a
+        block outside ``[0, 2**63 - 1)``.
         """
         try:
             chunk = np.ascontiguousarray(blocks, dtype=np.int64)
@@ -429,35 +443,16 @@ class DewSimulator:
         counters.search_hits += search_hits
         counters.tag_comparisons += evaluations + n_wave + mre_checks + n_examined
 
-    def run(
-        self,
-        trace: Union[Trace, Iterable[int]],
-        trace_name: Optional[str] = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> SimulationResults:
-        """Simulate a whole trace and return the per-configuration results."""
-        start = time.perf_counter()
-        if isinstance(trace, Trace):
-            for chunk in trace.iter_block_chunks(self._offset_bits, chunk_size):
-                self.run_blocks(chunk)
-            name = trace_name or trace.name
-        else:
-            for address in trace:
-                self.access(int(address))
-            name = trace_name or "trace"
-        self._elapsed += time.perf_counter() - start
-        return self.results(trace_name=name)
-
     # -- results ---------------------------------------------------------------
 
-    def results_frame(self, trace_name: str = "trace") -> ResultsFrame:
+    def finalize_frame(self, trace_name: str = "trace") -> ResultsFrame:
         """Per-configuration results accumulated so far, in columnar form.
 
         Emits the :class:`~repro.core.results.ResultsFrame` columns directly
         from the per-level miss arrays — one family row per level plus the
         free direct-mapped row when ``A > 1`` — without materialising a
         single :class:`~repro.core.results.ConfigResult`.  This is the
-        engine pipeline's native finalize path; :meth:`results` is a thin
+        engine pipeline's native finalize path; :meth:`finalize` is a thin
         view over it.
         """
         tree = self.tree
@@ -491,10 +486,10 @@ class DewSimulator:
             trace_name=trace_name,
         )
 
-    def results(self, trace_name: str = "trace") -> SimulationResults:
+    def finalize(self, trace_name: str = "trace") -> SimulationResults:
         """Per-configuration results accumulated so far (frame-backed view)."""
         results = SimulationResults.from_frame(
-            self.results_frame(trace_name=trace_name), counters=self.counters
+            self.finalize_frame(trace_name=trace_name), counters=self.counters
         )
         results.walk = self.walk
         return results
@@ -517,19 +512,3 @@ class DewSimulator:
             f"DewSimulator(block_size={self.block_size}, associativity={self.associativity}, "
             f"levels={self.tree.num_levels}, requests={self._requests})"
         )
-
-
-def simulate_fifo_family(
-    trace: Union[Trace, Iterable[int]],
-    block_size: int,
-    associativity: int,
-    set_sizes: Optional[Sequence[int]] = None,
-    **simulator_options: bool,
-) -> SimulationResults:
-    """Convenience wrapper: build a :class:`DewSimulator`, run it, return results.
-
-    ``simulator_options`` are forwarded to :class:`DewSimulator` (the
-    ``enable_*`` ablation switches and ``track_compulsory``).
-    """
-    simulator = DewSimulator(block_size, associativity, set_sizes, **simulator_options)
-    return simulator.run(trace)

@@ -8,7 +8,7 @@ persistent result store serialises, what sweep merging operates on, and what
 keeps a million-cell result set cheap to hold and compare.
 
 :class:`ConfigResult` and :class:`SimulationResults` remain the object-level
-API every engine adapter, cross-checker and bench table already speaks — but
+API every engine, cross-checker and bench table already speaks — but
 :class:`SimulationResults` is now a thin view: it can be backed directly by a
 :class:`ResultsFrame` (no per-row Python objects until a caller asks for
 them) and can materialise its columnar form via :meth:`SimulationResults.frame`.
@@ -23,6 +23,7 @@ import json
 import os
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
     BinaryIO,
     Dict,
@@ -38,11 +39,15 @@ from typing import (
 
 import numpy as np
 
-from repro.cache.stats import CacheStats
 from repro.core.config import CacheConfig
 from repro.core.counters import DewCounters
 from repro.errors import SimulationError, VerificationError
 from repro.types import ReplacementPolicy
+
+if TYPE_CHECKING:
+    # Annotation only: repro.cache imports the engine layer, which imports
+    # this module.
+    from repro.cache.stats import CacheStats
 
 #: Version of the columnar payload written by :meth:`ResultsFrame.to_npz`.
 #: Bump whenever the column set, dtypes or metadata layout changes.

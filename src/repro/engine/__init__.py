@@ -3,8 +3,23 @@
 ``get_engine("dew", block_size=16, associativity=4)`` constructs any
 registered simulator behind the uniform :class:`~repro.engine.base.Engine`
 protocol (``run_blocks(chunk)`` / ``finalize()``); :mod:`repro.engine.sweep`
-fans grids of engines out over worker processes.  See
-:mod:`repro.engine.adapters` for the registry inventory.
+fans grids of engines out over worker processes.  The simulators are the
+engines; each registers itself when its module is imported:
+
+========================  ====================================================
+registry key              engine class
+========================  ====================================================
+``dew``                   :class:`repro.core.dew.DewSimulator` (one pass, all
+                          set sizes of one FIFO ``(B, A)`` family + direct
+                          mapped for free)
+``single``                :class:`repro.cache.simulator.SingleConfigSimulator`
+                          (one Dinero-style configuration, any policy)
+``janapsatya``            :class:`repro.lru.janapsatya.JanapsatyaSimulator`
+                          (one pass, all set sizes x associativities, LRU)
+``miss-cache``,           :mod:`repro.mechanisms.engines` (one DL1
+``stream-buffer``,        configuration plus a miss-path mechanism)
+``victim-cache``
+========================  ====================================================
 """
 
 from repro.engine.base import (
@@ -13,11 +28,6 @@ from repro.engine.base import (
     get_engine,
     get_engine_class,
     register_engine,
-)
-from repro.engine.adapters import (
-    DewEngine,
-    JanapsatyaEngine,
-    SingleConfigEngine,
 )
 from repro.engine.sweep import (
     FusedSweepExecutor,
@@ -40,9 +50,6 @@ __all__ = [
     "get_engine",
     "get_engine_class",
     "register_engine",
-    "DewEngine",
-    "SingleConfigEngine",
-    "JanapsatyaEngine",
     "MissCacheEngine",
     "StreamBufferEngine",
     "VictimCacheEngine",

@@ -1,18 +1,23 @@
 """The :class:`Engine` protocol and the string-keyed engine registry.
 
 Every simulator in this package — DEW, the Dinero-style single-configuration
-reference, and the LRU family — is driven through the same three-step API:
+reference, the LRU family and the mechanism engines — is an :class:`Engine`
+subclass registered under a key, and is driven through the same three-step
+API:
 
-1. construct via :func:`get_engine` with a registry key and keyword options;
+1. construct via :func:`get_engine` with a registry key and keyword options
+   (or through the class itself);
 2. feed pre-shifted block-address chunks to :meth:`Engine.run_blocks`
    (produced by :meth:`repro.trace.trace.Trace.iter_block_chunks`);
 3. collect a :class:`~repro.core.results.SimulationResults` from
-   :meth:`Engine.finalize`.
+   :meth:`Engine.finalize`, or its columnar form from
+   :meth:`Engine.finalize_frame`.
 
-:meth:`Engine.run` bundles the three steps for whole traces; the sweep
-orchestrator (:mod:`repro.engine.sweep`) uses the same API to fan a grid of
-engines out over worker processes.  Adding a policy or simulator to the
-system is one :func:`register_engine`-decorated adapter class.
+:meth:`Engine.run` bundles the three steps for whole traces and is the one
+whole-trace driver; the sweep executor (:mod:`repro.engine.sweep`) uses the
+same API to fan a grid of engines out over worker processes.  Adding a
+policy or simulator to the system is one :func:`register_engine`-decorated
+:class:`Engine` subclass.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace
 class Engine(abc.ABC):
     """Uniform chunked-pipeline interface over every simulator.
 
-    Subclasses adapt one concrete simulator: they translate block-address
-    chunks into simulator state updates and report accumulated outcomes as
+    Subclasses are the simulators themselves: they turn block-address chunks
+    into simulator state updates and report accumulated outcomes as
     :class:`~repro.core.results.SimulationResults`.  Engines are cheap,
     single-use objects — build one per run via :func:`get_engine`.
     """

@@ -11,9 +11,8 @@ consecutive same-block accesses (the rule of Tojo et al.'s CRCB, ASP-DAC
 2009).
 """
 
-from repro.lru.janapsatya import JanapsatyaSimulator, simulate_lru_family
+from repro.lru.janapsatya import JanapsatyaSimulator
 
 __all__ = [
     "JanapsatyaSimulator",
-    "simulate_lru_family",
 ]

@@ -15,24 +15,27 @@ Two aspects mirror DEW and make the comparison meaningful:
   since "move to MRU" is then a no-op the walk can stop without
   desynchronising deeper levels.
 
-This simulator is exact for the LRU policy only.  It is used by the test
-suite as an independent oracle for LRU runs and by the ablation benchmarks
-that reproduce the paper's limitation statement (DEW simulating LRU-style
-workloads vs a dedicated LRU simulator).
+This simulator is exact for the LRU policy only.  It is the registered
+``janapsatya`` engine (see :mod:`repro.engine.base`), the test suite's
+independent oracle for LRU runs, and the LRU side of the paper's limitation
+statement (DEW simulating LRU-style workloads vs a dedicated LRU simulator).
+It accepts run-length-collapsed chunks: an immediately repeated block hits at
+the MRU position of every level's set (a universal hit, no recency movement),
+so only each run's head needs the walk — see
+:meth:`JanapsatyaSimulator.run_block_runs`.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.config import CacheConfig
 from repro.core.results import ConfigResult, SimulationResults
+from repro.engine.base import Engine, register_engine
 from repro.errors import ConfigurationError, SimulationError
-from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace
 from repro.types import ReplacementPolicy, is_power_of_two, log2_exact
 
 
@@ -55,7 +58,8 @@ class JanapsatyaCounters:
         }
 
 
-class JanapsatyaSimulator:
+@register_engine("janapsatya")
+class JanapsatyaSimulator(Engine):
     """Exact single-pass LRU simulation of many (set size, associativity) pairs.
 
     Parameters
@@ -71,6 +75,8 @@ class JanapsatyaSimulator:
         Apply the early-stop rule when the tag is found in the MRU position.
     """
 
+    supports_block_runs = True
+
     def __init__(
         self,
         block_size: int,
@@ -78,6 +84,7 @@ class JanapsatyaSimulator:
         set_sizes: Sequence[int],
         use_mru_stop: bool = True,
     ) -> None:
+        super().__init__()
         if not is_power_of_two(block_size):
             raise ConfigurationError(f"block size must be a power of two, got {block_size}")
         if not associativities:
@@ -91,7 +98,7 @@ class JanapsatyaSimulator:
             if current != 2 * previous:
                 raise ConfigurationError("set sizes must double from level to level")
         self.block_size = block_size
-        self.offset_bits = log2_exact(block_size)
+        self._offset_bits = log2_exact(block_size)
         self.associativities = tuple(sorted(set(int(a) for a in associativities)))
         if self.associativities[0] < 1:
             raise ConfigurationError("associativities must be positive")
@@ -108,7 +115,11 @@ class JanapsatyaSimulator:
             {assoc: 0 for assoc in self.associativities} for _ in self.set_sizes
         ]
         self._requests = 0
-        self._elapsed = 0.0
+
+    @property
+    def offset_bits(self) -> int:
+        """Block-offset width used to pre-shift byte addresses."""
+        return self._offset_bits
 
     # -- simulation ------------------------------------------------------------
 
@@ -116,7 +127,7 @@ class JanapsatyaSimulator:
         """Simulate one byte-address request against every configuration."""
         if address < 0:
             raise SimulationError(f"negative address: {address}")
-        self._access_block(address >> self.offset_bits)
+        self._access_block(address >> self._offset_bits)
 
     def _access_block(self, block: int) -> None:
         counters = self.counters
@@ -154,8 +165,15 @@ class JanapsatyaSimulator:
             recency.pop(position)
             recency.insert(0, block)
 
-    def run_blocks(self, blocks: Union[Sequence[int], np.ndarray]) -> None:
-        """Simulate a chunk of pre-shifted block addresses (engine pipeline)."""
+    def run_blocks(
+        self,
+        blocks: Union[Sequence[int], np.ndarray],
+        access_types: Optional[Union[Sequence[int], np.ndarray]] = None,
+    ) -> None:
+        """Simulate a chunk of pre-shifted block addresses (engine pipeline).
+
+        ``access_types`` is ignored: LRU hits and misses do not depend on them.
+        """
         if isinstance(blocks, np.ndarray):
             blocks = blocks.tolist()
         access_block = self._access_block
@@ -166,6 +184,7 @@ class JanapsatyaSimulator:
         self,
         values: Union[Sequence[int], np.ndarray],
         counts: Union[Sequence[int], np.ndarray],
+        access_types: Optional[Union[Sequence[int], np.ndarray]] = None,
     ) -> None:
         """Simulate a run-length-collapsed chunk: ``counts[i]`` consecutive
         accesses to block ``values[i]`` (see
@@ -216,28 +235,9 @@ class JanapsatyaSimulator:
             counters.node_evaluations += duplicates * num_levels
             counters.tag_comparisons += duplicates * num_levels
 
-    def run(
-        self,
-        trace: Union[Trace, Iterable[int]],
-        trace_name: Optional[str] = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> SimulationResults:
-        """Simulate a whole trace and return per-configuration results."""
-        start = time.perf_counter()
-        if isinstance(trace, Trace):
-            name = trace_name or trace.name
-            for chunk in trace.iter_block_chunks(self.offset_bits, chunk_size):
-                self.run_blocks(chunk)
-        else:
-            name = trace_name or "trace"
-            for address in trace:
-                self.access(int(address))
-        self._elapsed += time.perf_counter() - start
-        return self.results(trace_name=name)
-
     # -- results ---------------------------------------------------------------
 
-    def results(self, trace_name: str = "trace") -> SimulationResults:
+    def finalize(self, trace_name: str = "trace") -> SimulationResults:
         """Per-configuration results accumulated so far."""
         results = SimulationResults(
             elapsed_seconds=self._elapsed,
@@ -265,15 +265,3 @@ class JanapsatyaSimulator:
         self._requests = 0
         self._elapsed = 0.0
         self.counters = JanapsatyaCounters()
-
-
-def simulate_lru_family(
-    trace: Union[Trace, Iterable[int]],
-    block_size: int,
-    associativities: Sequence[int],
-    set_sizes: Sequence[int],
-    **options: bool,
-) -> SimulationResults:
-    """Convenience wrapper mirroring :func:`repro.core.dew.simulate_fifo_family`."""
-    simulator = JanapsatyaSimulator(block_size, associativities, set_sizes, **options)
-    return simulator.run(trace)

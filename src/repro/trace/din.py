@@ -12,7 +12,7 @@ import os
 from typing import Iterable, TextIO, Union
 
 from repro.errors import TraceFormatError
-from repro.trace.trace import StreamingTraceBuilder, Trace
+from repro.trace.trace import Trace, TraceBuilder
 from repro.types import AccessType
 
 _LABEL_TO_TYPE = {
@@ -34,7 +34,7 @@ _TYPE_TO_LABEL = {
 def _parse_lines(lines: Iterable[str], source: str) -> Trace:
     """Parse an iterable of lines, streaming accesses into numpy chunks."""
     name = os.path.splitext(os.path.basename(source))[0] or "din"
-    builder = StreamingTraceBuilder(name=name)
+    builder = TraceBuilder(name=name)
     for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -65,7 +65,7 @@ def read_din(path_or_file: Union[str, os.PathLike, TextIO]) -> Trace:
     """Read a Dinero ``.din`` trace from a path or an open text file.
 
     Lines are consumed one at a time: the whole file is never materialised
-    as Python objects (see :class:`~repro.trace.trace.StreamingTraceBuilder`).
+    as Python objects (see :class:`~repro.trace.trace.TraceBuilder`).
     """
     if hasattr(path_or_file, "read"):
         source = getattr(path_or_file, "name", "<stream>")

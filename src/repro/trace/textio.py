@@ -16,7 +16,7 @@ import os
 from typing import Iterable, Iterator, TextIO, Union
 
 from repro.errors import TraceFormatError
-from repro.trace.trace import StreamingTraceBuilder, Trace
+from repro.trace.trace import Trace, TraceBuilder
 from repro.types import AccessType
 
 
@@ -54,7 +54,7 @@ def _read_stream(lines: Iterable[str], source: str) -> Trace:
 
 def _read_hex_list(lines: Iterable[str], source: str) -> Trace:
     name = os.path.splitext(os.path.basename(source))[0] or "text"
-    builder = StreamingTraceBuilder(name=name)
+    builder = TraceBuilder(name=name)
     for line_number, line in enumerate(lines, start=1):
         token = line.strip()
         try:
@@ -71,7 +71,7 @@ def _read_csv(lines: Iterable[str], source: str) -> Trace:
     if reader.fieldnames is None or "address" not in reader.fieldnames:
         raise TraceFormatError(f"{source}: CSV trace must have an 'address' column")
     name = os.path.splitext(os.path.basename(source))[0] or "csv"
-    builder = StreamingTraceBuilder(name=name)
+    builder = TraceBuilder(name=name)
     for row_number, row in enumerate(reader, start=2):
         try:
             address = int(row["address"], 0)

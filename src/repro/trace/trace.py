@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import TraceError
 from repro.trace.record import MemoryAccess
-from repro.types import AccessType, Address
+from repro.types import AccessType
 
 #: Chunk length used by the block pipeline when the caller does not choose one.
 DEFAULT_CHUNK_SIZE = 65_536
@@ -332,67 +332,16 @@ class Trace:
 
 
 class TraceBuilder:
-    """Incremental builder used by workload generators and parsers.
+    """Bounded-memory trace assembly for parsers and generators.
 
-    Appending to Python lists and converting once is far cheaper than
-    repeatedly concatenating numpy arrays.
+    Accesses are buffered in plain Python lists only up to
+    :data:`DEFAULT_CHUNK_SIZE` entries; each full buffer is flushed to packed
+    numpy arrays, so parsing a multi-million-line trace file never holds the
+    whole file's worth of Python objects at once.
     """
 
     def __init__(self, name: str = "trace") -> None:
         self.name = name
-        self._addresses: List[int] = []
-        self._types: List[int] = []
-        self._sizes: List[int] = []
-
-    def __len__(self) -> int:
-        return len(self._addresses)
-
-    def add(
-        self,
-        address: Address,
-        access_type: AccessType = AccessType.READ,
-        size: int = 4,
-    ) -> None:
-        """Append one access."""
-        if address < 0:
-            raise TraceError(f"negative address in trace: {address}")
-        self._addresses.append(int(address))
-        self._types.append(int(access_type))
-        self._sizes.append(int(size))
-
-    def add_access(self, access: MemoryAccess) -> None:
-        """Append a pre-built :class:`MemoryAccess`."""
-        self.add(access.address, access.access_type, access.size)
-
-    def extend_addresses(
-        self,
-        addresses: Iterable[int],
-        access_type: AccessType = AccessType.READ,
-        size: int = 4,
-    ) -> None:
-        """Append many addresses sharing one access type and size."""
-        for address in addresses:
-            self.add(address, access_type, size)
-
-    def build(self) -> Trace:
-        """Freeze the builder into an immutable :class:`Trace`."""
-        return Trace(self._addresses, self._types, self._sizes, name=self.name)
-
-
-class StreamingTraceBuilder:
-    """Bounded-memory trace assembly for streaming file readers.
-
-    Accesses are buffered in plain Python lists only up to ``chunk_size``
-    entries; each full buffer is flushed to packed numpy arrays, so parsing a
-    multi-million-line trace file never holds the whole file's worth of
-    Python objects at once.
-    """
-
-    def __init__(self, name: str = "trace", chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
-        if chunk_size < 1:
-            raise TraceError(f"chunk size must be positive, got {chunk_size}")
-        self.name = name
-        self._chunk_size = chunk_size
         self._addresses: List[int] = []
         self._types: List[int] = []
         self._sizes: List[int] = []
@@ -411,8 +360,22 @@ class StreamingTraceBuilder:
         self._addresses.append(int(address))
         self._types.append(int(access_type))
         self._sizes.append(int(size))
-        if len(self._addresses) >= self._chunk_size:
+        if len(self._addresses) >= DEFAULT_CHUNK_SIZE:
             self._flush()
+
+    def add_access(self, access: MemoryAccess) -> None:
+        """Append a pre-built :class:`MemoryAccess`."""
+        self.add(access.address, access.access_type, access.size)
+
+    def extend_addresses(
+        self,
+        addresses: Iterable[int],
+        access_type: AccessType = AccessType.READ,
+        size: int = 4,
+    ) -> None:
+        """Append many addresses sharing one access type and size."""
+        for address in addresses:
+            self.add(address, access_type, size)
 
     def _flush(self) -> None:
         if not self._addresses:

@@ -3,9 +3,8 @@
 The paper drives its evaluation with SimpleScalar traces of six Mediabench
 programs.  Neither SimpleScalar nor the Mediabench inputs are available
 offline, so this package provides deterministic, parameterised generators
-that model the dominant access structure of each program (see
-``DESIGN.md`` §2 for the substitution rationale), plus a toolbox of generic
-generators for tests and custom studies.
+that model the dominant access structure of each program, plus a toolbox of
+generic generators for tests and custom studies.
 """
 
 from repro.workloads.base import WorkloadGenerator, GeneratorSpec

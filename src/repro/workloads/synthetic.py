@@ -7,7 +7,7 @@ application-shaped workloads.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -342,8 +342,3 @@ class ReadModifyWrite(WorkloadGenerator):
         while len(pieces) < num_requests:
             pieces.append(int(inner_addresses[len(pieces) % inner_addresses.size]))
         return np.asarray(pieces[:num_requests], dtype=np.int64)
-
-
-def sweep_of(generators: Sequence[WorkloadGenerator], num_requests: int, seed: int = 0):
-    """Generate one trace per generator (convenience for parameter sweeps)."""
-    return [generator.generate(num_requests, seed=seed) for generator in generators]

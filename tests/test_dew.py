@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import CacheConfig
-from repro.core.dew import DewSimulator, simulate_fifo_family
+from repro.core.dew import DewSimulator
 from repro.errors import SimulationError
 from repro.types import ReplacementPolicy
 
@@ -70,14 +70,14 @@ class TestDewBasics:
         assert results[CacheConfig(1, 2, 4)].misses == 2
 
     def test_simulate_fifo_family_helper(self):
-        results = simulate_fifo_family([0, 64, 0, 128, 64], block_size=16,
-                                       associativity=2, set_sizes=(1, 2, 4))
+        results = DewSimulator(block_size=16, associativity=2,
+                               set_sizes=(1, 2, 4)).run([0, 64, 0, 128, 64])
         assert len(results) == 6
         assert results.counters.requests == 5
 
     def test_elapsed_time_recorded(self):
-        results = simulate_fifo_family(range(0, 4000, 4), block_size=4,
-                                       associativity=2, set_sizes=(1, 2, 4))
+        results = DewSimulator(block_size=4, associativity=2,
+                               set_sizes=(1, 2, 4)).run(range(0, 4000, 4))
         assert results.elapsed_seconds > 0
 
 

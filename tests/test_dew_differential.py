@@ -81,7 +81,7 @@ def assert_matches_reference(addresses, block_size, associativity, levels, modes
         assert _tree_state(simulator.tree) == _tree_state(reference.tree), walk
 
         rows = {}
-        for result in simulator.results():
+        for result in simulator.finalize():
             config = result.config
             assert (config.block_size, result.accesses) == (block_size, len(addresses)), walk
             assert result.compulsory_misses == reference.compulsory, walk

@@ -1,11 +1,16 @@
-"""Tests for the unified engine layer: registry, adapters, chunking, sweeps."""
+"""Tests for the unified engine layer: registry, engines, chunking, sweeps."""
 
 import gzip
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from engine_options import ENGINE_TEST_OPTIONS
 
+import repro
 from repro.cache.simulator import SingleConfigSimulator
 from repro.cli import main
 from repro.core.config import CacheConfig
@@ -41,6 +46,30 @@ class TestRegistry:
             "victim-cache",
         ):
             assert expected in keys
+        # The simulators are the engines themselves.
+        assert get_engine_class("dew") is DewSimulator
+        assert get_engine_class("single") is SingleConfigSimulator
+        assert get_engine_class("janapsatya") is JanapsatyaSimulator
+
+    def test_importing_the_registry_registers_every_engine(self):
+        # Each engine registers when its module is imported; importing the
+        # registry alone, in a fresh interpreter, must register all six.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "from repro.engine.base import available_engines; print(available_engines())",
+            ],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert completed.stdout.strip() == str(
+            ["dew", "janapsatya", "miss-cache", "single", "stream-buffer", "victim-cache"]
+        )
 
     def test_unknown_engine_raises(self):
         with pytest.raises(EngineError, match="unknown engine"):

@@ -373,7 +373,7 @@ class TestLruRunLengthOracle:
         runs_results = self._drive_runs(runs, trace, chunk_size)
         assert runs_results.as_rows() == raw_results.as_rows()
         assert (
-            runs.simulator.counters.as_dict() == raw.simulator.counters.as_dict()
+            runs.counters.as_dict() == raw.counters.as_dict()
         )
 
     def test_lru_engines_advertise_run_support(self):
@@ -389,7 +389,7 @@ class TestLruRunLengthOracle:
         raw.run_blocks([9] * 500)
         runs.run_block_runs([9], [500])
         assert runs.counters.as_dict() == raw.counters.as_dict()
-        assert runs.results().as_rows() == raw.results().as_rows()
+        assert runs.finalize().as_rows() == raw.finalize().as_rows()
 
     def test_lru_run_validation(self):
         from repro.errors import SimulationError

@@ -167,7 +167,7 @@ def test_non_int64_or_non_contiguous_chunks_are_converted():
         simulator = DewSimulator(16, 4, (1, 2, 4, 8, 16, 32))
         for chunk in chunks:
             simulator.run_blocks(chunk)
-        return simulator.results().to_json(), simulator.counters.as_dict()
+        return simulator.finalize().to_json(), simulator.counters.as_dict()
 
     expected = rows_and_counters([blocks[:2000], blocks[2000:]])
     doubled = np.repeat(blocks, 2)

@@ -8,7 +8,7 @@ import pytest
 from repro.cache.simulator import SingleConfigSimulator
 from repro.core.config import CacheConfig
 from repro.errors import ConfigurationError
-from repro.lru.janapsatya import JanapsatyaSimulator, simulate_lru_family
+from repro.lru.janapsatya import JanapsatyaSimulator
 from repro.trace.stats import reuse_distances
 from repro.trace.trace import Trace
 from repro.types import ReplacementPolicy
@@ -66,7 +66,7 @@ class TestJanapsatyaSimulator:
         if runs:
             for values, counts in trace.iter_block_runs(simulator.offset_bits):
                 simulator.run_block_runs(values, counts)
-            results = simulator.results()
+            results = simulator.finalize()
         else:
             results = simulator.run(trace)
         for config in results.configs():
@@ -76,8 +76,8 @@ class TestJanapsatyaSimulator:
 
     def test_structured_trace_exact(self):
         trace = WorkingSetGenerator(hot_bytes=512, cold_bytes=8192).generate(800, seed=3)
-        results = simulate_lru_family(trace, block_size=16, associativities=(1, 2, 4, 8),
-                                      set_sizes=self.SET_SIZES)
+        results = JanapsatyaSimulator(block_size=16, associativities=(1, 2, 4, 8),
+                                      set_sizes=self.SET_SIZES).run(trace)
         for config in results.configs():
             assert results[config].misses == self._reference_misses(trace.address_list(), config)
 
@@ -94,8 +94,8 @@ class TestJanapsatyaSimulator:
         # LRU hit counts must be monotone in both set size and associativity.
         rng = random.Random(23)
         addresses = [rng.randrange(0, 4096) for _ in range(600)]
-        results = simulate_lru_family(addresses, block_size=4, associativities=(1, 2, 4),
-                                      set_sizes=self.SET_SIZES)
+        results = JanapsatyaSimulator(block_size=4, associativities=(1, 2, 4),
+                                      set_sizes=self.SET_SIZES).run(addresses)
         for config in results.configs():
             double_sets = CacheConfig(config.num_sets * 2, config.associativity,
                                       config.block_size, ReplacementPolicy.LRU)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cache.dinero import DineroStyleRunner
-from repro.cache.simulator import SingleConfigSimulator, simulate_trace
+from repro.cache.simulator import SingleConfigSimulator
 from repro.core.config import CacheConfig
 from repro.errors import SimulationError
 from repro.trace.trace import Trace
@@ -33,10 +33,12 @@ class TestSingleConfigSimulator:
         # Classic sequence where FIFO and LRU disagree: with 2 ways,
         # A B A C A -> FIFO evicts A when C arrives (A oldest), LRU evicts B.
         addresses = [0, 8, 0, 16, 0]
-        fifo = simulate_trace(CacheConfig(1, 2, 4, ReplacementPolicy.FIFO), addresses)
-        lru = simulate_trace(CacheConfig(1, 2, 4, ReplacementPolicy.LRU), addresses)
-        assert fifo.misses == 4   # A, B, C miss; final A misses (was evicted)
-        assert lru.misses == 3    # A, B, C miss; final A hits
+        fifo = SingleConfigSimulator(CacheConfig(1, 2, 4, ReplacementPolicy.FIFO))
+        fifo.run(addresses)
+        lru = SingleConfigSimulator(CacheConfig(1, 2, 4, ReplacementPolicy.LRU))
+        lru.run(addresses)
+        assert fifo.stats.misses == 4   # A, B, C miss; final A misses (was evicted)
+        assert lru.stats.misses == 3    # A, B, C miss; final A hits
 
     def test_compulsory_miss_classification(self):
         config = CacheConfig(1, 1, 4)
@@ -62,9 +64,23 @@ class TestSingleConfigSimulator:
     def test_run_with_trace_object(self):
         trace = Trace([0, 4, 0], [0, 1, 0])
         simulator = SingleConfigSimulator(CacheConfig(1, 2, 4))
-        stats = simulator.run(trace)
+        simulator.run(trace)
+        stats = simulator.stats
         assert stats.accesses == 3
         assert stats.by_type[AccessType.WRITE] == 1
+
+    def test_dirty_evictions_count_writebacks(self):
+        write, read = int(AccessType.WRITE), int(AccessType.READ)
+        # One 1-way set: W0 R4 W0 R4 all miss, the last three evict, and the
+        # two evictions of the written block 0 are writebacks.
+        one_way = SingleConfigSimulator(CacheConfig(1, 1, 4))
+        one_way.run(Trace([0, 4, 0, 4], [write, read, write, read]))
+        assert (one_way.stats.misses, one_way.stats.evictions, one_way.stats.writebacks) == (4, 3, 2)
+        # Two FIFO ways: W0 W4 fill both ways dirty, then R8 and R0 evict
+        # blocks 0 and 4, both dirty.
+        two_way = SingleConfigSimulator(CacheConfig(1, 2, 4, ReplacementPolicy.FIFO))
+        two_way.run(Trace([0, 4, 8, 0], [write, write, read, read]))
+        assert (two_way.stats.misses, two_way.stats.evictions, two_way.stats.writebacks) == (4, 2, 2)
 
     def test_contains_block_and_resident(self):
         simulator = SingleConfigSimulator(CacheConfig(2, 1, 4))
