@@ -32,21 +32,21 @@ Installed as ``repro-dew``.  Subcommands:
     fingerprints) and ``store export`` / ``store import`` (manifest-based,
     rsync-able cross-machine sharing).
 ``serve``
-    Run a simulation service daemon over a service directory: drains the
+    Run the simulation service daemon over a service directory: drains the
     durable job queue through the fused sweep executor, coalescing
-    duplicate and already-stored work.  Any number of ``serve`` processes
-    may share one directory (``--daemon-id``, heartbeat-leased claims);
-    each serves a Unix-domain socket unless ``--no-socket``.
+    duplicate and already-stored work.  One daemon serves a directory (a
+    second ``serve`` is refused while one runs); it serves a Unix-domain
+    socket unless ``--no-socket``.
 ``submit`` / ``status`` / ``result`` / ``cancel``
     Client commands against a service directory.  The transport is the
-    polling files, upgraded automatically to a live daemon's socket
+    polling files, upgraded automatically to the live daemon's socket
     (``--transport`` pins either path).  ``submit`` enqueues a sweep grid
     (idempotent per canonical identity; ``--wait`` blocks to completion),
     ``result`` prints a completed job's payload — byte-identical to a
     direct ``sweep --format json`` run.
 ``queue``
     Inspect and maintain a service: ``queue ls`` (jobs per state),
-    ``queue stats`` (counts, dedup ratio, per-daemon fleet liveness) and
+    ``queue stats`` (counts, dedup ratio, the daemon's heartbeat) and
     ``queue gc`` (evict finished job records past a retention window).
 ``trace``
     Trace utilities — ``trace cache ls/verify/gc/warm`` manage the
@@ -99,10 +99,9 @@ from repro.errors import (
 from repro.explore import CacheTuner, EnergyModel, TuningConstraints, pareto_front_frame
 from repro.obs.metrics import quantile_from_snapshot, render_exposition
 from repro.service import ServiceClient, ServiceDaemon, SweepRequest
-from repro.service.api import doubling_set_sizes, fleet_metrics
+from repro.service.api import doubling_set_sizes, ok_response
 from repro.service.queue import (
     DEFAULT_JOB_RETAIN_SECONDS,
-    DEFAULT_LEASE_SECONDS,
     JOB_STATES,
     open_service,
 )
@@ -644,8 +643,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         sweep_workers=args.sweep_workers,
         poll_interval=args.poll,
-        daemon_id=args.daemon_id,
-        lease_seconds=args.lease,
         socket=args.socket,
         job_retain_seconds=args.job_retain_seconds,
         trace_cache=args.trace_cache,
@@ -792,51 +789,45 @@ def _cmd_queue_stats(args: argparse.Namespace) -> int:
         f"dedup ratio {response['dedup_ratio']:.2f})"
     )
     daemon = response.get("daemon")
-    if daemon:
-        print(
-            f"daemon: pid {daemon.get('pid')}, {daemon.get('jobs_done', 0)} done, "
-            f"{daemon.get('jobs_failed', 0)} failed, "
-            f"{daemon.get('cells_executed', 0)} cells executed, "
-            f"{daemon.get('cells_cached', 0)} cached"
-        )
-    else:
+    if not daemon:
         print("daemon: no heartbeat")
-    daemons = response.get("daemons") or {}
-    if daemons:
-        print(f"fleet: {response.get('live_daemons', 0)}/{len(daemons)} daemon(s) live")
-        for daemon_id, entry in sorted(daemons.items()):
-            line = (
-                f"  {daemon_id}: {'live' if entry.get('alive') else 'dead'}, "
-                f"pid {entry.get('pid')}, {entry.get('jobs_done', 0)} done, "
-                f"{entry.get('jobs_failed', 0)} failed, "
-                f"socket {'yes' if entry.get('socket') else 'no'}"
-            )
-            if entry.get("heartbeat_errors"):
-                line += f", {entry['heartbeat_errors']} heartbeat error(s)"
-            tc = entry.get("trace_cache")
-            if tc:
-                line += (
-                    f", trace cache {tc.get('hits', 0)} hit(s)/"
-                    f"{tc.get('misses', 0)} miss(es)"
-                    f"/{tc.get('sidecar_hits', 0)} sidecar hit(s)"
-                )
-            notes = entry.get("notes") or (
-                [entry["note"]] if entry.get("note") else []
-            )
-            if notes:
-                line += f" ({'; '.join(str(note) for note in notes)})"
-            print(line)
+        return 0
+    line = (
+        f"daemon: {daemon.get('daemon_id')}, pid {daemon.get('pid')}, "
+        f"{daemon.get('jobs_done', 0)} done, {daemon.get('jobs_failed', 0)} failed, "
+        f"{daemon.get('cells_executed', 0)} cells executed, "
+        f"{daemon.get('cells_cached', 0)} cached, "
+        f"socket {'yes' if daemon.get('socket') else 'no'}"
+    )
+    if daemon.get("heartbeat_errors"):
+        line += f", {daemon['heartbeat_errors']} heartbeat error(s)"
+    tc = daemon.get("trace_cache")
+    if tc:
+        line += (
+            f", trace cache {tc.get('hits', 0)} hit(s)/"
+            f"{tc.get('misses', 0)} miss(es)"
+            f"/{tc.get('sidecar_hits', 0)} sidecar hit(s)"
+        )
+    print(line + _notes_text(daemon))
     return 0
 
 
+def _notes_text(daemon) -> str:
+    notes = daemon.get("notes") or ([daemon["note"]] if daemon.get("note") else [])
+    return f" ({'; '.join(str(note) for note in notes)})" if notes else ""
+
+
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    queue = open_service(args.service_dir, create=False)
-    response = fleet_metrics(queue)
+    # The registry snapshot rides the daemon's heartbeat; `stats` answers
+    # with the live one over the socket and the last published one over files.
+    daemon = ServiceClient(args.service_dir).stats().get("daemon") or {}
+    snapshot = daemon.get("metrics") or {}
     if args.format == "text":
-        # Prometheus-style exposition of the fleet-wide merge: pipe it to a
-        # file and any textfile-collector-shaped scraper ingests it as-is.
-        sys.stdout.write(render_exposition(response.get("fleet") or {}))
+        # Prometheus-style exposition: pipe it to a file and any
+        # textfile-collector-shaped scraper ingests it as-is.
+        sys.stdout.write(render_exposition(snapshot))
         return 0
+    response = ok_response("metrics", daemon_id=daemon.get("daemon_id"), metrics=snapshot)
     print(json.dumps(response, indent=2, sort_keys=True))
     return 0
 
@@ -861,63 +852,37 @@ def _claim_latency_text(metrics) -> str:
 
 def _render_queue_top(service_dir: str, response) -> None:
     counts = response["queue"]
-    states = ", ".join(f"{counts[state]} {state}" for state in JOB_STATES)
-    daemons = response.get("daemons") or {}
-    fleet = response.get("fleet_metrics") or {}
-    fleet_counters = fleet.get("counters") or {}
-    print(
-        f"{service_dir}: {states}; "
-        f"{response.get('live_daemons', 0)}/{len(daemons)} daemon(s) live"
-    )
+    print(f"{service_dir}: " + ", ".join(f"{counts[state]} {state}" for state in JOB_STATES))
+    daemon = response.get("daemon")
+    if not daemon:
+        print("daemon: no heartbeat")
+        return
+    jobs_done = int(daemon.get("jobs_done", 0) or 0)
+    try:
+        uptime = float(daemon.get("updated_at", 0) or 0) - float(
+            daemon.get("started_at", 0) or 0
+        )
+    except (TypeError, ValueError):
+        uptime = 0.0
+    rate = jobs_done / uptime if uptime > 0 else 0.0
+    metrics = daemon.get("metrics") or {}
+    counters = metrics.get("counters") or {}
     line = (
-        f"fleet: {fleet_counters.get('queue_claimed_total', 0)} claimed, "
-        f"{fleet_counters.get('queue_completed_total', 0)} done, "
-        f"{fleet_counters.get('queue_failed_total', 0)} failed"
-        f"{_claim_latency_text(fleet)}"
+        f"daemon {daemon.get('daemon_id')}: {jobs_done} done, "
+        f"{daemon.get('jobs_failed', 0)} failed, {rate:.2f} jobs/s, cells "
+        f"{daemon.get('cells_executed', 0)} fresh/"
+        f"{daemon.get('cells_cached', 0)} cached"
+        f"{_claim_latency_text(metrics)}"
     )
-    store_rate = _counter_hit_rate(
-        fleet_counters, "store_hits_total", "store_misses_total"
-    )
+    store_rate = _counter_hit_rate(counters, "store_hits_total", "store_misses_total")
     if store_rate is not None:
         line += f", store hit rate {store_rate:.0%}"
     plane_rate = _counter_hit_rate(
-        fleet_counters, "plane_cache_hits_total", "plane_cache_misses_total"
+        counters, "plane_cache_hits_total", "plane_cache_misses_total"
     )
     if plane_rate is not None:
         line += f", plane cache hit rate {plane_rate:.0%}"
-    print(line)
-    for daemon_id, entry in sorted(daemons.items()):
-        jobs_done = int(entry.get("jobs_done", 0) or 0)
-        try:
-            uptime = float(entry.get("updated_at", 0) or 0) - float(
-                entry.get("started_at", 0) or 0
-            )
-        except (TypeError, ValueError):
-            uptime = 0.0
-        rate = jobs_done / uptime if uptime > 0 else 0.0
-        metrics = entry.get("metrics") or {}
-        counters = metrics.get("counters") or {}
-        line = (
-            f"  {daemon_id}: {'live' if entry.get('alive') else 'dead'}, "
-            f"{jobs_done} job(s), {rate:.2f} jobs/s, cells "
-            f"{entry.get('cells_executed', 0)} fresh/"
-            f"{entry.get('cells_cached', 0)} cached"
-            f"{_claim_latency_text(metrics)}"
-        )
-        store_rate = _counter_hit_rate(
-            counters, "store_hits_total", "store_misses_total"
-        )
-        if store_rate is not None:
-            line += f", store {store_rate:.0%}"
-        plane_rate = _counter_hit_rate(
-            counters, "plane_cache_hits_total", "plane_cache_misses_total"
-        )
-        if plane_rate is not None:
-            line += f", plane {plane_rate:.0%}"
-        notes = entry.get("notes") or ([entry["note"]] if entry.get("note") else [])
-        if notes:
-            line += f" ({'; '.join(str(note) for note in notes)})"
-        print(line)
+    print(line + _notes_text(daemon))
 
 
 def _cmd_queue_top(args: argparse.Namespace) -> int:
@@ -1181,13 +1146,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exit once the queue is empty (batch mode)")
     serve.add_argument("--max-jobs", type=int, default=None, metavar="N",
                        help="exit after finishing N jobs")
-    serve.add_argument("--daemon-id", default=None, metavar="ID",
-                       help="fleet identity of this daemon (heartbeat and "
-                            "socket file names; default: <host>-<pid>)")
-    serve.add_argument("--lease", type=float, default=DEFAULT_LEASE_SECONDS,
-                       metavar="SECONDS",
-                       help="claim lease length; a daemon whose heartbeat "
-                            "goes stale this long forfeits its running jobs")
     serve.add_argument("--socket", dest="socket", action="store_true",
                        default=True,
                        help="serve the Unix-domain-socket front end (default)")
@@ -1199,9 +1157,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "finished job records (default: 7 days)")
     serve.add_argument("--trace-cache", dest="trace_cache", default=None,
                        metavar="DIR",
-                       help="trace cache shared by the fleet "
+                       help="trace cache shared with clients "
                             "(default: <service_dir>/tracecache); a warm "
-                            "cache lets daemons run jobs without ever "
+                            "cache lets the daemon run jobs without ever "
                             "opening the trace file")
     serve.add_argument("--no-trace-cache", dest="trace_cache",
                        action="store_const", const=False,
@@ -1288,13 +1246,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     metrics = subparsers.add_parser(
         "metrics",
-        help="scrape the fleet's metrics registries: live daemons over "
-             "their sockets, dead ones from their last heartbeat")
+        help="the daemon's metrics registry: live over its socket, "
+             "otherwise from its last heartbeat")
     metrics.add_argument("service_dir", help="service directory")
     metrics.add_argument("--format", choices=("text", "json"), default="text",
-                         help="text renders the fleet-wide merge as "
-                              "Prometheus-style exposition; json includes "
-                              "every daemon's snapshot")
+                         help="text renders Prometheus-style "
+                              "exposition; json the registry snapshot")
     metrics.set_defaults(func=_cmd_metrics)
 
     queue = subparsers.add_parser("queue", help="inspect a service's job queue")
@@ -1322,7 +1279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     queue_top = queue_sub.add_parser(
         "top",
-        help="fleet-wide live view: per-daemon jobs/sec, claim latency "
+        help="live view: the daemon's jobs/sec, claim latency "
              "p50/p95, cache hit rates and degradation notes")
     add_service_client_arguments(queue_top, with_job=False)
     queue_top.add_argument("--interval", type=float, default=2.0,

@@ -1,11 +1,11 @@
 """Unified observability plane: metrics registry and span tracing.
 
 Every component of the stack — the result store, the trace plane cache,
-the job queue, the daemons, the socket servers and the sweep orchestrator
+the job queue, the daemon, its socket server and the sweep orchestrator
 — reports through one process-local :class:`~repro.obs.metrics.MetricsRegistry`
-instead of ad-hoc per-object counters.  The registry snapshots ride daemon
-heartbeats, so ``queue stats`` / ``queue top`` / ``repro-dew metrics`` can
-aggregate the whole fleet, and the socket ``metrics`` op exposes each
+instead of ad-hoc per-object counters.  The registry snapshot rides the
+daemon's heartbeat, so ``queue stats`` / ``queue top`` / ``repro-dew
+metrics`` can read it from files, and the socket ``metrics`` op exposes the
 daemon's live numbers in canonical JSON or Prometheus-style text.
 
 :mod:`repro.obs.tracing` adds the time dimension: span records (a trace id
@@ -20,9 +20,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    component_snapshot,
     get_registry,
-    merge_snapshots,
     metrics_enabled,
     quantile_from_snapshot,
     render_exposition,
@@ -37,9 +35,7 @@ __all__ = [
     "MetricsRegistry",
     "PhaseTimer",
     "SpanLog",
-    "component_snapshot",
     "get_registry",
-    "merge_snapshots",
     "metrics_enabled",
     "new_trace_id",
     "quantile_from_snapshot",

@@ -14,11 +14,10 @@ Instruments are *named* and live in a :class:`MetricsRegistry`; the
 process-wide default registry (:func:`get_registry`) is what every
 component reports through, so one ``registry.snapshot()`` captures the
 whole process.  Snapshots are canonical (sorted keys, plain JSON types) and
-therefore stable across runs up to the measured values; they are what
-daemon heartbeats carry and what :func:`merge_snapshots` folds into
-fleet-wide aggregates.  :func:`render_exposition` turns any snapshot into
-Prometheus-style text, so the socket ``metrics`` op and ``repro-dew
-metrics --format text`` are scrapeable.
+therefore stable across runs up to the measured values; the service
+daemon's heartbeat carries one.  :func:`render_exposition` turns any
+snapshot into Prometheus-style text, so the socket ``metrics`` op and
+``repro-dew metrics --format text`` are scrapeable.
 
 The whole plane can be switched off (:func:`set_metrics_enabled`); disabled
 instruments are single-branch no-ops, which is how the benchmark suite
@@ -31,9 +30,9 @@ from __future__ import annotations
 import bisect
 import json
 import threading
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-#: Schema version of snapshot payloads (heartbeats embed them).
+#: Schema version of snapshot payloads (the heartbeat embeds one).
 METRICS_SCHEMA_VERSION = 1
 
 #: Default histogram bucket upper bounds for latencies in seconds: from
@@ -209,7 +208,7 @@ def _json_number(value: float) -> Any:
 
 
 def quantile_from_snapshot(snapshot: Mapping[str, Any], q: float) -> Optional[float]:
-    """Estimate a quantile from a histogram snapshot (fleet-merged or not).
+    """Estimate a quantile from a histogram snapshot.
 
     Linear interpolation inside the target bucket, the classic
     ``histogram_quantile`` estimate; observations in the +Inf tail clamp to
@@ -334,7 +333,7 @@ def _format_value(value: Any) -> str:
 
 
 def render_exposition(snapshot: Mapping[str, Any]) -> str:
-    """Prometheus-style text form of a snapshot (local or fleet-merged).
+    """Prometheus-style text form of a registry snapshot.
 
     Counters and gauges become one sample each; histograms expand to the
     conventional cumulative ``_bucket{le=...}`` series plus ``_sum`` and
@@ -363,90 +362,6 @@ def render_exposition(snapshot: Mapping[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def merge_snapshots(snapshots: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
-    """Fold per-process registry snapshots into one fleet-wide aggregate.
-
-    Counters and gauges sum; histograms sum bucket-wise when their bounds
-    agree (ours always do — bounds are fixed at instrument definition) and
-    fall back to keeping the larger-count snapshot when they do not.
-    Malformed entries are skipped: aggregation must degrade, not fail.
-    """
-    counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
-    histograms: Dict[str, Dict[str, Any]] = {}
-    for snapshot in snapshots:
-        if not isinstance(snapshot, Mapping):
-            continue
-        for name, value in dict(snapshot.get("counters", {})).items():
-            try:
-                counters[name] = counters.get(name, 0.0) + float(value)
-            except (TypeError, ValueError):
-                continue
-        for name, value in dict(snapshot.get("gauges", {})).items():
-            try:
-                gauges[name] = gauges.get(name, 0.0) + float(value)
-            except (TypeError, ValueError):
-                continue
-        for name, hist in dict(snapshot.get("histograms", {})).items():
-            if not isinstance(hist, Mapping):
-                continue
-            merged = histograms.get(name)
-            if merged is None:
-                histograms[name] = {
-                    "buckets": list(hist.get("buckets", ())),
-                    "counts": [int(c) for c in hist.get("counts", ())],
-                    "count": int(hist.get("count", 0)),
-                    "sum": float(hist.get("sum", 0.0)),
-                }
-                continue
-            if list(hist.get("buckets", ())) != merged["buckets"] or len(
-                list(hist.get("counts", ()))
-            ) != len(merged["counts"]):
-                if int(hist.get("count", 0)) > merged["count"]:
-                    histograms[name] = {
-                        "buckets": list(hist.get("buckets", ())),
-                        "counts": [int(c) for c in hist.get("counts", ())],
-                        "count": int(hist.get("count", 0)),
-                        "sum": float(hist.get("sum", 0.0)),
-                    }
-                continue
-            merged["counts"] = [
-                a + int(b) for a, b in zip(merged["counts"], hist.get("counts", ()))
-            ]
-            merged["count"] += int(hist.get("count", 0))
-            merged["sum"] += float(hist.get("sum", 0.0))
-    for hist in histograms.values():
-        hist["sum"] = _json_number(round(hist["sum"], 9))
-    return {
-        "schema": METRICS_SCHEMA_VERSION,
-        "counters": {k: _json_number(v) for k, v in sorted(counters.items())},
-        "gauges": {k: _json_number(v) for k, v in sorted(gauges.items())},
-        "histograms": dict(sorted(histograms.items())),
-    }
-
-
-def component_snapshot(component: str, counters: Mapping[str, Any]) -> Dict[str, Any]:
-    """The shared per-component stats shape.
-
-    ``ResultStore.snapshot()`` and ``TracePlaneCache.snapshot()`` both
-    return this: a schema marker, the component name, and the component's
-    counters under the exact keys its legacy ``stats()`` dict uses (the
-    back-compat contract), plus a derived hit rate where the counters
-    define one.
-    """
-    payload: Dict[str, Any] = {
-        "schema": METRICS_SCHEMA_VERSION,
-        "component": str(component),
-        "counters": dict(sorted((str(k), v) for k, v in counters.items())),
-    }
-    hits = counters.get("hits")
-    misses = counters.get("misses")
-    if isinstance(hits, (int, float)) and isinstance(misses, (int, float)):
-        lookups = hits + misses
-        payload["hit_rate"] = round(hits / lookups, 6) if lookups else 0.0
-    return payload
-
-
 __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
@@ -454,9 +369,7 @@ __all__ = [
     "Histogram",
     "METRICS_SCHEMA_VERSION",
     "MetricsRegistry",
-    "component_snapshot",
     "get_registry",
-    "merge_snapshots",
     "metrics_enabled",
     "quantile_from_snapshot",
     "render_exposition",

@@ -3,10 +3,10 @@
 **Trace ids.**  :func:`new_trace_id` mints the id a
 :class:`~repro.service.api.ServiceClient` stamps onto a submission; it
 rides the wire payload into the job record, survives daemon crashes and
-reclaims (the record is the durable carrier), and every span the executing
+recovery (the record is the durable carrier), and every span the executing
 daemon emits — claim, per-cell completion, terminal state — carries it, so
 one id threads a request from the submitting client through any number of
-daemons down to individual cells.
+daemon restarts down to individual cells.
 
 **Span logs.**  A :class:`SpanLog` appends newline-delimited JSON records
 under ``<svc>/telemetry/`` with size-capped rotation (the current file is

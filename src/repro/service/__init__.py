@@ -13,18 +13,18 @@ the payload of :func:`repro.engine.sweep.run_sweep` executed directly.
 ``api``
     The JSON wire schema and :class:`ServiceClient` — submit / status /
     result / cancel / stats over the polling-file transport, transparently
-    upgraded to a daemon's Unix-domain socket when one is live (clients
-    and daemons share a service directory either way).
+    upgraded to the daemon's Unix-domain socket when it is live (clients
+    and the daemon share a service directory either way).
 ``daemon``
     :class:`ServiceDaemon`, the scheduler draining the queue through the
     fused sweep executor with a bounded worker pool, coalescing work that
     is already stored or already in flight, and recording per-job
-    timings and per-cell progress durably.  Any number of daemons may
-    drain one service directory: claims carry heartbeat-renewed leases,
-    recovery re-queues only provably-dead owners' jobs, and in-flight
-    marks are shared on disk.
+    timings and per-cell progress durably.  One daemon serves a service
+    directory: it holds an exclusive lock on ``daemon.lock`` while it
+    runs, so a second one is refused, and a restart after a crash
+    re-queues every job the dead daemon left running.
 ``socketserver``
-    The per-daemon Unix-domain-socket front end and its client transport:
+    The daemon's Unix-domain-socket front end and its client transport:
     the same JSON envelopes as the polling path, minus the polling floor.
 """
 
@@ -39,7 +39,6 @@ from repro.service.api import (
 from repro.service.daemon import ServiceDaemon, default_daemon_id
 from repro.service.queue import (
     DEFAULT_JOB_RETAIN_SECONDS,
-    DEFAULT_LEASE_SECONDS,
     JOB_STATES,
     SERVICE_SCHEMA_VERSION,
     JobQueue,
@@ -54,7 +53,6 @@ from repro.service.socketserver import (
 
 __all__ = [
     "DEFAULT_JOB_RETAIN_SECONDS",
-    "DEFAULT_LEASE_SECONDS",
     "JOB_STATES",
     "SERVICE_SCHEMA_VERSION",
     "SERVICE_WIRE_VERSION",

@@ -1,13 +1,13 @@
 """JSON wire schema and the :class:`ServiceClient` (files + socket paths).
 
-The baseline transport is *shared files*: clients and daemons operate on
+The baseline transport is *shared files*: clients and the daemon operate on
 one service directory (the :class:`~repro.service.queue.JobQueue` layout),
 so a submit is an atomic enqueue, status is a record read, and waiting is
 polling — no sockets, no extra dependencies, and every operation works
 whether or not a daemon is currently alive (jobs queue up and are drained
 when one starts).
 
-When a daemon *is* alive, the client transparently upgrades to its
+When the daemon *is* alive, the client transparently upgrades to its
 Unix-domain socket (see :mod:`repro.service.socketserver`): the same
 operations become single round trips carrying the same JSON envelopes, and
 ``wait`` is woken by the daemon on completion instead of paying the polling
@@ -23,7 +23,8 @@ Every client operation has a JSON request/response shape so the CLI's
 * ``result``  -> the job's result payload verbatim (the exact bytes
   ``repro-dew sweep --format json`` would print for the same grid)
 * ``cancel``  -> ``{"ok": true, "type": "cancel", "job": {...}}``
-* ``stats``   -> ``{"ok": true, "type": "stats", "queue": {...}, ...}``
+* ``stats``   -> ``{"ok": true, "type": "stats", "queue": {...}, ...,
+  "daemon": {...}}`` (the daemon's heartbeat, ``null`` before the first)
 
 Errors become ``{"ok": false, "error": "..."}`` with a non-zero exit code
 at the CLI.
@@ -49,11 +50,9 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.core.results import ResultsFrame
 from repro.engine.sweep import SweepJob, build_grid_jobs, build_mechanism_grid_jobs
 from repro.errors import ReproError, ServiceError
-from repro.obs.metrics import merge_snapshots
 from repro.obs.tracing import new_trace_id
 from repro.service.queue import (
     DEFAULT_EVENT_RETAIN_SECONDS,
-    DEFAULT_LEASE_SECONDS,
     STATE_DONE,
     STATE_FAILED,
     STATE_RUNNING,
@@ -228,55 +227,17 @@ def record_to_wire(record: JobRecord) -> Dict[str, Any]:
     return record.to_dict()
 
 
-def _heartbeat_updated_at(payload: Dict[str, Any]) -> float:
-    try:
-        return float(payload.get("updated_at", 0.0) or 0.0)
-    except (TypeError, ValueError):
-        return 0.0
-
-
-def service_stats(
-    queue: JobQueue, lease_seconds: float = DEFAULT_LEASE_SECONDS
-) -> Dict[str, Any]:
-    """The fleet-aware ``stats`` response for one service directory.
+def service_stats(queue: JobQueue) -> Dict[str, Any]:
+    """The ``stats`` response for one service directory.
 
     Shared by the polling client and the socket server so both transports
-    report identical shapes.  ``daemons`` maps every daemon id that ever
-    heartbeat to its last payload plus an ``alive`` judgement (fresh
-    heartbeat, and on this host a live pid); ``daemon`` keeps the pre-fleet
-    single-heartbeat field — the most recent heartbeat, falling back to the
-    legacy ``daemon.json`` single-daemon file — so existing consumers keep
-    working.
+    report identical shapes: queue counts, dedup accounting, and under
+    ``daemon`` the daemon's last heartbeat (``None`` before its first).
+    The socket server swaps in the daemon's live counters.
     """
     counts = queue.counts()
     submissions = queue.submissions()
     distinct = sum(counts.values())
-    now = time.time()
-    daemons: Dict[str, Dict[str, Any]] = {}
-    for daemon_id, payload in sorted(queue.daemon_heartbeats().items()):
-        entry = dict(payload)
-        entry["alive"] = JobQueue._heartbeat_alive(payload, lease_seconds, now)
-        daemons[daemon_id] = entry
-    # Fleet-wide metrics: every daemon's heartbeat carries its process
-    # registry snapshot; summing them (bucket-wise for histograms) gives
-    # one view of the whole fleet's counters without touching any socket.
-    fleet_metrics = merge_snapshots(
-        [
-            entry["metrics"]
-            for entry in daemons.values()
-            if isinstance(entry.get("metrics"), dict)
-        ]
-    )
-    daemon: Optional[Dict[str, Any]] = None
-    if daemons:
-        daemon = max(daemons.values(), key=_heartbeat_updated_at)
-    else:
-        legacy_path = queue.root / "daemon.json"
-        if legacy_path.is_file():
-            try:
-                daemon = json.loads(legacy_path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                daemon = None
     return ok_response(
         "stats",
         queue=counts,
@@ -288,55 +249,8 @@ def service_stats(
             if submissions
             else 0.0
         ),
-        daemon=daemon,
-        daemons=daemons,
-        live_daemons=sum(1 for entry in daemons.values() if entry.get("alive")),
-        fleet_metrics=fleet_metrics,
+        daemon=queue.heartbeat(),
     )
-
-
-def fleet_metrics(
-    queue: JobQueue, connect_timeout: float = 0.5
-) -> Dict[str, Any]:
-    """Per-daemon metrics snapshots plus the fleet-wide merge.
-
-    Every daemon with a reachable socket is scraped live (its registry as
-    of *now*); daemons without one — polling-only, or between heartbeat and
-    death — fall back to the snapshot riding their last heartbeat.  The
-    ``fleet`` entry is the bucket-wise sum over whatever was gathered, the
-    payload ``repro-dew metrics`` renders.
-    """
-    from repro.service.socketserver import SOCKET_SUFFIX, SocketTransport
-
-    per_daemon: Dict[str, Dict[str, Any]] = {}
-    for daemon_id, payload in sorted(queue.daemon_heartbeats().items()):
-        snapshot = payload.get("metrics")
-        if isinstance(snapshot, dict):
-            per_daemon[daemon_id] = {"source": "heartbeat", "metrics": snapshot}
-    directory = queue.sockets_dir()
-    if directory.is_dir():
-        for path in sorted(directory.glob("*" + SOCKET_SUFFIX)):
-            daemon_id = path.name[: -len(SOCKET_SUFFIX)]
-            try:
-                transport = SocketTransport(path, connect_timeout=connect_timeout)
-            except OSError:
-                continue  # stale socket file; the heartbeat entry stands
-            try:
-                response = transport.request(
-                    {"wire": SERVICE_WIRE_VERSION, "op": "metrics"},
-                    timeout=connect_timeout + 2.0,
-                )
-                if response.get("ok") and isinstance(response.get("metrics"), dict):
-                    per_daemon[daemon_id] = {
-                        "source": "socket",
-                        "metrics": response["metrics"],
-                    }
-            except (OSError, ValueError):
-                pass
-            finally:
-                transport.close()
-    merged = merge_snapshots([entry["metrics"] for entry in per_daemon.values()])
-    return ok_response("metrics", daemons=per_daemon, fleet=merged)
 
 
 class ServiceClient:
@@ -370,8 +284,8 @@ class ServiceClient:
         self._socket: Optional[SocketTransport] = None
         self._socket_missing = False
         # None -> share the service's own plane cache (<root>/tracecache),
-        # the same directory the daemons use, so a submit's fingerprint
-        # sidecar is already warm for every daemon in the fleet.  False
+        # the same directory the daemon uses, so a submit's fingerprint
+        # sidecar is already warm when the daemon runs the job.  False
         # disables; a path or open cache overrides.
         self._trace_cache_setting = trace_cache
         self._plane_cache_ready = False
@@ -421,7 +335,7 @@ class ServiceClient:
         self._socket_missing = self._socket is None
         if self._socket is None and self.transport == "socket":
             raise ServiceError(
-                f"no live daemon socket under {self.queue.sockets_dir()}"
+                f"no live daemon socket at {self.queue.socket_path()}"
             )
         return self._socket
 
@@ -430,9 +344,9 @@ class ServiceClient:
     ) -> Optional[Dict[str, Any]]:
         """One socket round trip, or ``None`` when the file path should serve.
 
-        A connection that dies mid-request gets one rediscovery (another
-        fleet daemon may be listening); after that, ``auto`` clients fall
-        back to files and ``socket`` clients raise.
+        A connection that dies mid-request gets one rediscovery (the
+        daemon may have restarted); after that, ``auto`` clients fall back
+        to files and ``socket`` clients raise.
         """
         payload = dict(payload)
         payload["wire"] = SERVICE_WIRE_VERSION
@@ -474,7 +388,7 @@ class ServiceClient:
         serve stale results.  With the plane cache enabled (the default),
         the fingerprint rides the ``(path, mtime, size)`` sidecar: the
         first submit of a corpus hashes it once and every later submit —
-        and every daemon executing the job — reads the sidecar instead of
+        and the daemon executing the job — reads the sidecar instead of
         re-hashing the same bytes.
         """
         if trace is None:
@@ -503,7 +417,7 @@ class ServiceClient:
         wire["cells"] = len(digests)
         wire["cell_digests"] = digests
         # The trace id is minted here — the submitting edge — and rides the
-        # durable job record, so every span any daemon emits for this job
+        # durable job record, so every span the daemon emits for this job
         # (including a re-execution after a crash) carries the same id.  A
         # deduped submission keeps the *original* submission's id: the
         # coalesced request observes the first request's trace.
@@ -584,7 +498,7 @@ class ServiceClient:
         return [record_to_wire(record) for record in self.queue.records(state)]
 
     def stats(self) -> Dict[str, Any]:
-        """Queue counts, dedup accounting and per-daemon fleet liveness."""
+        """Queue counts, dedup accounting and the daemon's heartbeat."""
         response = self._socket_request({"op": "stats"})
         if response is not None:
             return self._checked(response)

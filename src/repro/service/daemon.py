@@ -32,22 +32,23 @@ concurrently in threads; each job's sweep may additionally fan out over
 the scheduler loop, which is also what makes the kill-mid-job semantics
 deterministic to test.
 
-**Fleet operation.**  Any number of daemons may drain the *same* service
-directory and store: claims are atomic renames (exactly one winner), each
-claim carries the claiming daemon's id plus a lease that the daemon renews
-through its heartbeat file, and recovery (startup and periodic) re-queues
-only jobs whose owner is provably gone — dead pid, stale heartbeat, or the
-daemon's own previous life.  In-flight cell marks live on disk in the
-shared store, so the overlap deferral that coalesces concurrent duplicate
-work operates across the whole fleet, and each daemon serves a
-Unix-domain socket giving clients a polling-free fast path.
+**One daemon per directory.**  :meth:`ServiceDaemon.run` holds an
+exclusive ``flock`` on ``<root>/daemon.lock`` from before recovery until it
+returns, so a second daemon on the same directory is refused with a
+:class:`~repro.errors.ServiceError`.  The kernel drops the lock when its
+holder dies, so a restart after a crash starts at once, and recovery can
+re-queue every running job it finds.  The daemon serves a Unix-domain
+socket at ``<root>/daemon.sock``, giving clients a polling-free fast path.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
+import multiprocessing.util
 import os
 import re
+import socket as _socketmod
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
@@ -62,39 +63,28 @@ from repro.service.api import SweepRequest
 from repro.service.queue import (
     DEFAULT_EVENT_RETAIN_SECONDS,
     DEFAULT_JOB_RETAIN_SECONDS,
-    DEFAULT_LEASE_SECONDS,
     STATE_QUEUED,
     JobQueue,
     JobRecord,
-    _local_host,
     open_service,
 )
 from repro.service.socketserver import ServiceSocketServer
 from repro.store import ResultStore, StoreKey, open_store
-from repro.store.resultstore import (
-    DEFAULT_INFLIGHT_TTL_SECONDS,
-    _atomic_replace,
-)
+from repro.store.resultstore import _atomic_replace
 from repro.trace.files import trace_name_for_path
 from repro.trace.planecache import CachedPlane, TracePlaneCache, coerce_plane_cache
 
-#: Legacy single-daemon heartbeat file name (pre-fleet); per-daemon
-#: heartbeats now live under ``daemons/<id>.json`` and this name remains
-#: only as the stats fallback for directories written by older builds.
-HEARTBEAT_NAME = "daemon.json"
-
-#: Daemon ids become file names (heartbeat + socket), so keep them tame.
+#: Daemon ids name the span log file, so keep them tame.
 _DAEMON_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 
 def default_daemon_id() -> str:
-    """The id a daemon takes when none is given: ``<host>-<pid>``.
-
-    Stable across a same-process restart (the kill/recover tests rely on
-    the restarted daemon recognising its own stranded claims) and unique
-    across fleet processes on one host.
-    """
-    host = re.sub(r"[^A-Za-z0-9._-]", "-", _local_host()) or "local"
+    """The id a daemon takes when none is given: ``<host>-<pid>``."""
+    try:
+        host = _socketmod.gethostname()
+    except OSError:  # pragma: no cover - hostname lookup failure
+        host = ""
+    host = re.sub(r"[^A-Za-z0-9._-]", "-", host) or "local"
     return f"{host}-{os.getpid()}"
 
 
@@ -122,13 +112,8 @@ class ServiceDaemon:
         job, cached)`` after every persisted cell — the test suite uses it
         to deterministically kill the daemon mid-job.
     daemon_id:
-        This daemon's fleet identity (heartbeat + socket file names, claim
-        ownership).  Defaults to ``<host>-<pid>``; two concurrent daemons
-        in one *process* must be given distinct ids explicitly.
-    lease_seconds:
-        Claim lease length.  The daemon renews by heartbeating; a peer
-        whose heartbeat goes stale for this long (or whose pid dies on
-        this host) forfeits its running jobs to recovery.
+        This daemon's label: its heartbeat and span log name it, and its
+        claims record it.  Defaults to ``<host>-<pid>``.
     socket:
         Serve the Unix-domain-socket front end (default).  A socket that
         fails to bind downgrades to polling-only with a heartbeat note
@@ -156,10 +141,8 @@ class ServiceDaemon:
         on_cell: Optional[Callable[[JobRecord, int, SweepJob, bool], None]] = None,
         event_retain_seconds: float = DEFAULT_EVENT_RETAIN_SECONDS,
         daemon_id: Optional[str] = None,
-        lease_seconds: float = DEFAULT_LEASE_SECONDS,
         socket: bool = True,
         job_retain_seconds: float = DEFAULT_JOB_RETAIN_SECONDS,
-        inflight_ttl_seconds: float = DEFAULT_INFLIGHT_TTL_SECONDS,
         trace_cache: Union[None, bool, str, os.PathLike, TracePlaneCache] = None,
     ) -> None:
         self.queue: JobQueue = open_service(root)
@@ -168,10 +151,10 @@ class ServiceDaemon:
         self.store: ResultStore = (
             store if isinstance(store, ResultStore) else open_store(store)
         )
-        # The trace artifact cache: shared by every daemon draining this
-        # service directory (and by submitting clients, for the
-        # fingerprint sidecar), so an N-daemon fleet parses each corpus
-        # exactly once.  None -> <root>/tracecache; False disables.  An
+        # The trace artifact cache: shared with submitting clients (for the
+        # fingerprint sidecar) and with later daemon runs, so the service
+        # parses each corpus exactly once.  None -> <root>/tracecache;
+        # False disables.  An
         # unusable cache degrades to trace loading rather than failing
         # the daemon — it is an accelerator, never a dependency.
         self.trace_cache: Optional[TracePlaneCache] = None
@@ -188,12 +171,10 @@ class ServiceDaemon:
                 f"daemon id {self.daemon_id!r} is not a safe file name "
                 "(letters, digits, dot, underscore, dash; max 64 chars)"
             )
-        self.lease_seconds = max(float(lease_seconds), 0.1)
         self.socket_enabled = bool(socket)
         self.socket_server: Optional[ServiceSocketServer] = None
         self.socket_error: Optional[str] = None
         self.job_retain_seconds = float(job_retain_seconds)
-        self.inflight_ttl_seconds = float(inflight_ttl_seconds)
         self.workers = max(int(workers), 1)
         self.sweep_workers = max(int(sweep_workers), 1)
         self.poll_interval = max(float(poll_interval), 0.0)
@@ -210,7 +191,7 @@ class ServiceDaemon:
         # Unlike the transient `note` argument to _write_heartbeat, these
         # survive every renewal until the condition clears — the original
         # bug was a socket-bind failure silently erased by the next
-        # heartbeat, leaving the fleet view claiming a healthy socket.
+        # heartbeat, leaving `queue stats` claiming a healthy socket.
         self._notes: Dict[str, str] = {}
         registry = get_registry()
         self._metric_jobs_done = registry.counter(
@@ -235,9 +216,9 @@ class ServiceDaemon:
         self._metric_job_seconds = registry.histogram(
             "daemon_job_seconds", help="Wall-clock seconds per finished job."
         )
-        # One span log per daemon under <root>/telemetry/ — every claim,
+        # One span log per daemon id under <root>/telemetry/ — every claim,
         # cell and terminal transition lands here with the submission's
-        # trace id, so one id can be followed across the whole fleet.
+        # trace id, so one id can be followed across daemon restarts.
         self.span_log = SpanLog(
             Path(self.queue.root) / TELEMETRY_DIR,
             name=f"spans-{self.daemon_id}",
@@ -246,12 +227,7 @@ class ServiceDaemon:
         self._stopping = False
         self._started_at = time.time()
         self._lock = Lock()
-        # Separate lock for heartbeat pacing state: _write_heartbeat calls
-        # heartbeat(), which takes self._lock — a shared (non-reentrant)
-        # lock would deadlock the throttled renewal path.
-        self._heartbeat_state_lock = Lock()
-        self._last_heartbeat_at = 0.0
-        self._last_recover_at = time.monotonic()
+        self._lock_fd: Optional[int] = None  # the held daemon.lock, in run()
         self._inflight_jobs: Dict[str, List[StoreKey]] = {}  # job id -> cell keys
 
     # -- lifecycle ---------------------------------------------------------------
@@ -264,21 +240,22 @@ class ServiceDaemon:
         """The scheduler loop; returns the number of jobs brought to an end.
 
         ``drain=True`` exits once no job is queued and nothing is in
-        flight (batch mode — the CI smoke and the tests use it); jobs that
-        are queued but deferred on a peer's in-flight work keep the daemon
-        alive until the overlap clears.  ``max_jobs`` bounds how many jobs
-        are finished before returning.  Startup always begins with a
-        lease-aware :meth:`JobQueue.recover` — jobs stranded by dead
-        daemons (including this daemon's own previous life) are re-queued
-        and their dead owners' in-flight marks dropped, while a live
-        peer's leased jobs are untouched — followed by submit-event
-        pruning and the ``queue gc`` retention sweep.
+        flight (batch mode — the CI smoke and the tests use it).
+        ``max_jobs`` bounds how many jobs are finished before returning.
+        The daemon first takes the directory's lock (raising
+        :class:`~repro.errors.ServiceError` if another daemon holds it),
+        then re-queues every running job (:meth:`JobQueue.recover`), prunes
+        submit events and runs the ``queue gc`` retention sweep.
         """
         self._stopping = False
-        recovered = self.queue.recover(
-            daemon_id=self.daemon_id, lease_seconds=self.lease_seconds
-        )
-        self._release_reclaimed(recovered)
+        self._acquire_lock()
+        try:
+            return self._serve(drain, max_jobs)
+        finally:
+            self._release_lock()
+
+    def _serve(self, drain: bool, max_jobs: Optional[int]) -> int:
+        recovered = self.queue.recover()
         # Startup is also when queue bookkeeping is compacted: submit
         # events are pruned (their count folds into the archive, keeping
         # the dedup ratio intact) and finished job records past the
@@ -310,6 +287,37 @@ class ServiceDaemon:
             self._write_heartbeat(note="stopped")
         return self._finished_total() - finished_before
 
+    def _acquire_lock(self) -> None:
+        path = self.queue.lock_path()
+        fd = None
+        try:
+            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError as exc:
+            if fd is not None:
+                os.close(fd)
+            if isinstance(exc, BlockingIOError):
+                raise ServiceError(
+                    f"another daemon is serving {self.queue.root} (it holds {path})"
+                ) from None
+            raise ServiceError(f"could not lock {path}: {exc}") from exc
+        self._lock_fd = fd
+        # A forked child shares the lock through its copy of the descriptor
+        # (the lock belongs to the open file description).  Close that copy
+        # in multiprocessing children (the --sweep-workers pool), or the
+        # orphaned workers of a killed daemon would block its restart.
+        multiprocessing.util.register_after_fork(self, ServiceDaemon._close_lock_fd)
+
+    def _close_lock_fd(self) -> None:
+        fd, self._lock_fd = self._lock_fd, None
+        if fd is not None:
+            os.close(fd)
+
+    def _release_lock(self) -> None:
+        if self._lock_fd is not None:
+            fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
+        self._close_lock_fd()
+
     def _finished_total(self) -> int:
         return self.jobs_done + self.jobs_failed + self.jobs_cancelled
 
@@ -337,37 +345,6 @@ class ServiceDaemon:
         if server is not None:
             server.stop()
 
-    def _release_reclaimed(self, recovered: List[JobRecord]) -> None:
-        """Drop dead owners' in-flight marks for every reclaimed job.
-
-        Without this, jobs overlapping a SIGKILLed daemon's cells would
-        stay deferred until the marker TTL ran out even though recovery
-        already proved the owner dead.
-        """
-        for record in recovered:
-            digests = record.request.get("cell_digests")
-            if isinstance(digests, list):
-                self.store.clear_in_flight_digests([str(d) for d in digests])
-
-    def _periodic_recover(self) -> None:
-        """Lease-expiry sweep from the idle path, once per lease interval.
-
-        ``reclaim_own=False``: a daemon's own id on a running record means
-        *this* life's worker threads are executing it — only dead peers
-        (and this daemon's dead previous lives, whose pid probe fails on
-        the claim's behalf) are eligible.
-        """
-        now = time.monotonic()
-        if now - self._last_recover_at < self.lease_seconds:
-            return
-        self._last_recover_at = now
-        recovered = self.queue.recover(
-            daemon_id=self.daemon_id,
-            lease_seconds=self.lease_seconds,
-            reclaim_own=False,
-        )
-        self._release_reclaimed(recovered)
-
     def _finished_enough(self, finished_before: int, max_jobs: Optional[int]) -> bool:
         if max_jobs is None:
             return False
@@ -377,16 +354,11 @@ class ServiceDaemon:
         self, drain: bool, max_jobs: Optional[int], finished_before: int
     ) -> None:
         while not self._stopping and not self._finished_enough(finished_before, max_jobs):
-            record = self.queue.claim(
-                accept=self._accept,
-                daemon_id=self.daemon_id,
-                lease_seconds=self.lease_seconds,
-            )
+            record = self.queue.claim(accept=self._accept, daemon_id=self.daemon_id)
             if record is None:
                 self._write_heartbeat()
                 if drain and not self.queue.records(STATE_QUEUED):
                     break
-                self._periodic_recover()
                 time.sleep(self.poll_interval)
                 continue
             self._mark_job_inflight(record)
@@ -405,9 +377,7 @@ class ServiceDaemon:
                 claimed = None
                 if len(pending) < self.workers:
                     claimed = self.queue.claim(
-                        accept=self._accept,
-                        daemon_id=self.daemon_id,
-                        lease_seconds=self.lease_seconds,
+                        accept=self._accept, daemon_id=self.daemon_id
                     )
                 if claimed is not None:
                     # Mark in flight from the scheduler thread, before the
@@ -419,7 +389,6 @@ class ServiceDaemon:
                 self._write_heartbeat()
                 if drain and not pending and not self.queue.records(STATE_QUEUED):
                     break
-                self._periodic_recover()
                 time.sleep(self.poll_interval)
             for future in pending:
                 future.result()
@@ -431,11 +400,7 @@ class ServiceDaemon:
 
         Once the overlapping job finishes, its cells are in the store and
         the deferred job's next claim attempt loads them for free — that is
-        the cross-job half of request coalescing.  The in-flight set is the
-        union of this daemon's marks and the on-disk markers every fleet
-        daemon writes, so the check holds across daemons: a ``workers=1``
-        daemon defers to a *peer's* in-flight cells even though nothing of
-        its own is ever concurrently in flight.
+        the cross-job half of request coalescing.
         """
         digests = self._request_digests(record)
         if digests is None:
@@ -497,8 +462,8 @@ class ServiceDaemon:
         started = time.perf_counter()
         sweep_input = None
         # The submission's trace id rides the durable job record, so it
-        # survives daemon crashes and reclaims — whichever daemon executes
-        # (or re-executes) the job continues the same trace.
+        # survives daemon crashes — the daemon that re-executes a
+        # recovered job continues the same trace.
         trace_id = record.request.get("trace_id") or None
         self.span_log.emit(
             "job_claimed",
@@ -532,10 +497,6 @@ class ServiceDaemon:
                 )
                 if self.on_cell is not None:
                     self.on_cell(record, index, job, cached)
-                # A long sweep must keep renewing the claim lease even
-                # though the scheduler thread is busy (inline mode) — the
-                # heartbeat is throttled, so this is nearly free per cell.
-                self._maybe_heartbeat()
                 # Cancel requests are honored at cell granularity: the cell
                 # just persisted stays in the store, the rest of the sweep
                 # is abandoned, and run_sweep tears down its pool before
@@ -647,11 +608,7 @@ class ServiceDaemon:
             self._inflight_jobs[record.id] = keys
         for key in keys:
             if not self.store.contains(key):
-                self.store.mark_in_flight(
-                    key,
-                    owner=self.daemon_id,
-                    ttl_seconds=self.inflight_ttl_seconds,
-                )
+                self.store.mark_in_flight(key)
 
     def _clear_inflight(self, job_id: str) -> None:
         with self._lock:
@@ -662,12 +619,7 @@ class ServiceDaemon:
     # -- observability -----------------------------------------------------------
 
     def heartbeat(self) -> Dict[str, Any]:
-        """The daemon's current counters (what ``stats`` reports).
-
-        This payload doubles as the lease-renewal attestation: ``pid`` +
-        ``host`` feed the liveness pid probe, ``updated_at`` is what
-        :meth:`JobQueue.lease_deadline` extends leases from.
-        """
+        """The daemon's current counters (what ``stats`` reports)."""
         with self._lock:
             inflight = sorted(self._inflight_jobs)
         server = self.socket_server
@@ -675,10 +627,8 @@ class ServiceDaemon:
             "schema": 1,
             "daemon_id": self.daemon_id,
             "pid": os.getpid(),
-            "host": _local_host(),
             "started_at": self._started_at,
             "updated_at": time.time(),
-            "lease_seconds": self.lease_seconds,
             "workers": self.workers,
             "sweep_workers": self.sweep_workers,
             "jobs_done": self.jobs_done,
@@ -694,9 +644,9 @@ class ServiceDaemon:
             "trace_cache": (
                 self.trace_cache.stats() if self.trace_cache is not None else None
             ),
-            # The whole process registry rides every heartbeat, so fleet
-            # surfaces (`queue stats`, `queue top`, `repro-dew metrics`)
-            # aggregate without talking to each daemon's socket.
+            # The whole process registry rides every heartbeat, so `queue
+            # stats`, `queue top` and `repro-dew metrics` read it from the
+            # file when no socket answers.
             "metrics": get_registry().snapshot(),
         }
 
@@ -721,32 +671,13 @@ class ServiceDaemon:
         if self._last_heartbeat_error:
             payload["last_heartbeat_error"] = self._last_heartbeat_error
         try:
-            path = self.queue.heartbeat_path(self.daemon_id)
-            path.parent.mkdir(parents=True, exist_ok=True)
             _atomic_replace(
-                path,
+                self.queue.heartbeat_path(),
                 lambda handle: json.dump(payload, handle, sort_keys=True),
                 mode="w",
                 prefix=".tmp-heartbeat-",
             )
         except (OSError, StoreError) as exc:
-            with self._heartbeat_state_lock:
-                self.heartbeat_errors += 1
-                self._last_heartbeat_error = str(exc)
+            self.heartbeat_errors += 1
+            self._last_heartbeat_error = str(exc)
             self._metric_heartbeat_errors.inc()
-        else:
-            with self._heartbeat_state_lock:
-                self._last_heartbeat_at = time.monotonic()
-
-    def _maybe_heartbeat(self, min_interval: Optional[float] = None) -> None:
-        """Heartbeat only if the last one is older than ``min_interval``.
-
-        The default interval is a quarter lease: frequent enough that a
-        healthy daemon's lease never approaches expiry, cheap enough to
-        call from per-cell progress hooks.
-        """
-        interval = self.lease_seconds / 4.0 if min_interval is None else min_interval
-        with self._heartbeat_state_lock:
-            due = time.monotonic() - self._last_heartbeat_at >= interval
-        if due:
-            self._write_heartbeat()

@@ -12,31 +12,32 @@ Every job is one JSON file whose *directory* encodes its state::
     <root>/results/<id>.json      result payload of completed jobs
     <root>/events/<nonce>.submit  one empty file per submit call
     <root>/events/archived.json   count of pruned submit events
-    <root>/daemons/<id>.json      per-daemon heartbeat + counters (the lease clock)
-    <root>/sockets/<id>.sock      per-daemon Unix socket (low-latency transport)
-    <root>/daemon.json            most recent heartbeat (legacy single-daemon alias)
+    <root>/daemon.lock            flock-held by the one daemon serving the directory
+    <root>/daemon.json            that daemon's heartbeat (counters, notes, metrics)
+    <root>/daemon.sock            its Unix socket (low-latency transport)
 
 Durability rules mirror the result store's:
 
-* **State transitions are single renames.**  Claiming a job is one
-  ``os.replace(queued/x, running/x)`` — atomic on POSIX, and it *fails* for
-  every claimant but one, so concurrent claimants (including claimants in
-  different daemon processes) can never double-claim.  Completing, failing
-  and cancelling are the same primitive.
-* **Claims are leased.**  A claim records the claiming daemon's id and a
-  lease expiry; the daemon renews the lease simply by writing its heartbeat
-  file (``daemons/<id>.json``).  :meth:`JobQueue.recover` therefore
-  distinguishes a crashed daemon's stranded jobs (dead pid, stale
-  heartbeat, or expired lease — reclaimed) from a live peer's in-progress
-  ones (fresh heartbeat — left alone), which is what makes running N
-  daemons against one service directory safe.
+* **One daemon per directory.**  A daemon holds an exclusive ``flock`` on
+  ``daemon.lock`` while it runs (see :class:`~repro.service.daemon.ServiceDaemon`),
+  and the kernel drops that lock when its holder dies.  Every job under
+  ``running/`` at a daemon's startup was therefore stranded by a dead
+  daemon, and :meth:`JobQueue.recover` re-queues them all.
+* **Contested transitions move the file first.**  Claiming, cancelling a
+  waiting job and resubmitting a failed or cancelled one each begin with
+  one ``os.replace`` out of the source directory.  It fails for every
+  actor but one, so a daemon's claim and a client's cancel (or two
+  clients) can never leave one job in two directories; the loser re-reads
+  the job and acts on the state it finds.  A record's state is the
+  directory it is read from, so a crash between the rename and the
+  rewrite that follows cannot show a stale state.
 * **Record rewrites are atomic.**  Progress updates go through the shared
   temp-file-plus-rename writer, so a kill mid-update leaves the previous
   consistent record, never a truncated one.
 * **A crash is recoverable by construction.**  A daemon killed mid-job
-  leaves the record under ``running/``; :meth:`JobQueue.recover` moves it
-  back to ``queued`` on the next startup, and because execution is
-  store-backed the re-run pays only for cells that were not yet persisted.
+  leaves the record under ``running/``; the next daemon's recovery moves it
+  back to ``queued``, and because execution is store-backed the re-run pays
+  only for cells that were not yet persisted.
 * **Results are written before the state flips to done**, so observing
   ``done`` guarantees the result payload exists.
 
@@ -53,7 +54,6 @@ from __future__ import annotations
 
 import json
 import os
-import socket as _socketmod
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -104,29 +104,19 @@ _CANCEL_SUFFIX = ".cancel"
 #: so pruning them caps the directory at the last day's submission rate.
 DEFAULT_EVENT_RETAIN_SECONDS = 86_400.0
 
-#: Per-daemon heartbeat files (``<root>/daemons/<daemon_id>.json``) — the
-#: fleet's liveness registry and the lease-renewal clock.
-_DAEMONS_DIR = "daemons"
-
-#: Per-daemon Unix-domain sockets (``<root>/sockets/<daemon_id>.sock``).
-_SOCKETS_DIR = "sockets"
-
-#: How long a claimed job stays owned without a heartbeat renewal before
-#: another daemon's recovery may reclaim it.  Must comfortably exceed the
-#: daemon's heartbeat cadence (one write per scheduler tick).
-DEFAULT_LEASE_SECONDS = 30.0
+#: Files of the one daemon serving a directory: the ``flock`` it holds,
+#: its heartbeat and its Unix socket.
+_LOCK_NAME = "daemon.lock"
+_HEARTBEAT_NAME = "daemon.json"
+_SOCKET_NAME = "daemon.sock"
 
 #: Default retention for finished/failed/cancelled job records and their
 #: result payloads (``queue gc``): one week.
 DEFAULT_JOB_RETAIN_SECONDS = 7 * 86_400.0
 
 
-def _local_host() -> str:
-    """This machine's name, as recorded in heartbeats for pid-probe scoping."""
-    try:
-        return _socketmod.gethostname()
-    except OSError:  # pragma: no cover - hostname lookup failure
-        return ""
+class _MovedAway(Exception):
+    """The job left the source directory before this actor could move it."""
 
 
 @dataclass
@@ -148,7 +138,6 @@ class JobRecord:
     execute_seconds: float = 0.0
     error: Optional[str] = None
     daemon_id: Optional[str] = None
-    lease_expires_at: Optional[float] = None
     extra: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -170,7 +159,6 @@ class JobRecord:
             "execute_seconds": self.execute_seconds,
             "error": self.error,
             "daemon_id": self.daemon_id,
-            "lease_expires_at": self.lease_expires_at,
             "extra": self.extra,
         }
 
@@ -198,7 +186,6 @@ class JobRecord:
             execute_seconds=float(payload.get("execute_seconds", 0.0)),
             error=payload.get("error"),
             daemon_id=payload.get("daemon_id"),
-            lease_expires_at=payload.get("lease_expires_at"),
             extra=dict(payload.get("extra", {})),
         )
 
@@ -277,9 +264,55 @@ class JobQueue:
         except (OSError, ValueError):
             return None
         try:
-            return JobRecord.from_dict(payload)
+            record = JobRecord.from_dict(payload)
         except (KeyError, TypeError, ValueError):
             return None
+        # The directory, not the file's contents, is the state: a crash
+        # between a transition's rename and its rewrite leaves the old one.
+        record.state = path.parent.name
+        return record
+
+    def _move(self, record: JobRecord, source: str, target: str) -> bool:
+        """Move a job that others may move too; ``False`` if it was gone.
+
+        The new record is written and synced to a temp file first, then
+        the job's file is renamed out of ``source``: exactly one of several
+        actors finds it there, and the losers must re-read the job.  The
+        winner's temp file replaces the moved one right after, so the
+        rename that decides and the one that publishes the new fields run
+        back to back.
+        """
+        source_path = self._record_path(source, record.id)
+        target_path = self._record_path(target, record.id)
+        record.state = target
+
+        def write_then_move(handle) -> None:
+            json.dump(record.to_dict(), handle, sort_keys=True)
+            handle.flush()
+            os.fsync(handle.fileno())
+            try:
+                os.replace(source_path, target_path)
+            except FileNotFoundError:
+                raise _MovedAway from None
+
+        try:
+            _atomic_replace(target_path, write_then_move, mode="w", prefix=".tmp-job-")
+        except _MovedAway:
+            return False
+        return True
+
+    def _leave_running(self, record: JobRecord, target: str) -> None:
+        """Move a running job, which only the daemon moves, to ``target``.
+
+        The new record is written before the running one is unlinked, so
+        the job is never missing, and a client that acts on the new record
+        at once (resubmitting a failed job) is not undone by the unlink.
+        """
+        self._write_record(target, record)
+        try:
+            self._record_path(STATE_RUNNING, record.id).unlink()
+        except FileNotFoundError:
+            pass
 
     # -- submission --------------------------------------------------------------
 
@@ -298,8 +331,10 @@ class JobQueue:
         Every call drops one submission event for dedup accounting.
         """
         self._record_event()
-        existing = self._locate(job_id)
-        if existing is not None:
+        while True:
+            existing = self._locate(job_id)
+            if existing is None:
+                break
             state, record = existing
             if state in (STATE_QUEUED, STATE_RUNNING, STATE_DONE):
                 self._metric_deduped.inc()
@@ -311,8 +346,8 @@ class JobQueue:
             record.cells_done = 0
             record.cells_cached = 0
             record.priority = max(record.priority, int(priority))
-            self._write_record(STATE_QUEUED, record)
-            self._transition(state, STATE_QUEUED, job_id, rewritten=True)
+            if not self._move(record, state, STATE_QUEUED):
+                continue  # a cancel or another resubmission moved it first
             # A resubmission is an explicit retry: a cancel marker left by
             # an earlier life of this job must not insta-cancel the new run.
             self.clear_cancel_request(job_id)
@@ -469,69 +504,30 @@ class JobQueue:
 
     # -- transitions -------------------------------------------------------------
 
-    def _transition(
-        self, source: str, target: str, job_id: str, rewritten: bool = False
-    ) -> None:
-        """Atomically move a job file between state directories.
-
-        With ``rewritten=True`` the target file has already been written and
-        the rename just removes the stale source copy — a source that is
-        already gone (a concurrent actor performed the same transition, e.g.
-        two clients resubmitting the same failed job) is therefore not an
-        error: the desired end state holds either way.
-        """
-        source_path = self._record_path(source, job_id)
-        target_path = self._record_path(target, job_id)
-        try:
-            if rewritten:
-                source_path.unlink()
-            else:
-                os.replace(source_path, target_path)
-        except FileNotFoundError:
-            if rewritten:
-                return
-            raise ServiceError(
-                f"job {job_id[:12]} left state {source!r} concurrently"
-            ) from None
-
     def claim(
         self,
         accept: Optional[Callable[[JobRecord], bool]] = None,
         daemon_id: Optional[str] = None,
-        lease_seconds: float = DEFAULT_LEASE_SECONDS,
     ) -> Optional[JobRecord]:
         """Atomically claim the best queued job, or ``None`` when idle.
 
         Queued jobs are considered in (priority desc, submission order)
         sequence; ``accept`` lets the caller skip jobs it cannot run yet
         (the daemon uses it to defer jobs whose cells overlap work already
-        in flight).  The claim itself is one ``os.replace`` — if another
-        claimant (thread or daemon process) wins the race, the next
-        candidate is tried, so any number of daemons can drain one queue
-        and a job is only ever executed by exactly one of them.
-
-        ``daemon_id`` records ownership on the running record, and the
-        claim carries a lease expiring ``lease_seconds`` from now.  The
-        expiry written here is only the *fallback* deadline: as long as the
-        owner keeps writing its heartbeat file the lease is considered
-        renewed (see :meth:`lease_deadline`), so progress rewrites of the
-        record never race a renewal.
+        in flight).  The claim is a :meth:`_move` out of ``queued/``: if a
+        concurrent cancel (or another claimant) moves the job first, the
+        next candidate is tried, so a job is only ever executed once.
+        ``daemon_id`` labels the running record with its claimant.
         """
         for record in self.records(STATE_QUEUED):
             if accept is not None and not accept(record):
                 continue
-            source = self._record_path(STATE_QUEUED, record.id)
-            target = self._record_path(STATE_RUNNING, record.id)
-            try:
-                os.replace(source, target)
-            except FileNotFoundError:
-                continue  # lost the race; try the next candidate
             record.attempts += 1
             record.started_at = time.time()
             record.error = None
             record.daemon_id = daemon_id
-            record.lease_expires_at = record.started_at + max(float(lease_seconds), 0.0)
-            self._write_record(STATE_RUNNING, record)
+            if not self._move(record, STATE_QUEUED, STATE_RUNNING):
+                continue  # lost the race; try the next candidate
             self._metric_claimed.inc()
             if record.submitted_at:
                 self._metric_claim_latency.observe(
@@ -562,8 +558,7 @@ class JobQueue:
             prefix=".tmp-result-",
         )
         record.finished_at = time.time()
-        self._write_record(STATE_DONE, record)
-        self._transition(STATE_RUNNING, STATE_DONE, record.id, rewritten=True)
+        self._leave_running(record, STATE_DONE)
         self.clear_cancel_request(record.id)
         self._metric_completed.inc()
 
@@ -571,8 +566,7 @@ class JobQueue:
         """Flip a running job to ``failed`` with the error message."""
         record.error = str(error)
         record.finished_at = time.time()
-        self._write_record(STATE_FAILED, record)
-        self._transition(STATE_RUNNING, STATE_FAILED, record.id, rewritten=True)
+        self._leave_running(record, STATE_FAILED)
         self.clear_cancel_request(record.id)
         self._metric_failed.inc()
 
@@ -591,13 +585,15 @@ class JobQueue:
         the two outcomes by state.  Done and cancelled jobs are final.
         """
         record = self.find(job_id_or_prefix)
-        if record.state in (STATE_QUEUED, STATE_FAILED):
-            source_state = record.state
+        while record.state in (STATE_QUEUED, STATE_FAILED):
+            source = record.state
             record.finished_at = time.time()
-            self._write_record(STATE_CANCELLED, record)
-            self._transition(source_state, STATE_CANCELLED, record.id, rewritten=True)
-            self._metric_cancelled.inc()
-            return record
+            if self._move(record, source, STATE_CANCELLED):
+                self._metric_cancelled.inc()
+                return record
+            # A claim or a resubmission moved the job first: act on the
+            # state it is in now (a claimed job gets a cancel request).
+            record = self.find(record.id)
         if record.state == STATE_RUNNING:
             self.request_cancel(record.id)
             return record
@@ -636,178 +632,51 @@ class JobQueue:
         :meth:`request_cancel`); clears the marker so a later resubmission
         of the same request starts clean."""
         record.finished_at = time.time()
-        self._write_record(STATE_CANCELLED, record)
-        self._transition(STATE_RUNNING, STATE_CANCELLED, record.id, rewritten=True)
+        self._leave_running(record, STATE_CANCELLED)
         self.clear_cancel_request(record.id)
         self._metric_cancelled.inc()
 
-    # -- fleet liveness ----------------------------------------------------------
+    # -- the daemon's files --------------------------------------------------------
 
-    def daemons_dir(self) -> Path:
-        """Directory of per-daemon heartbeat files."""
-        return self.root / _DAEMONS_DIR
+    def lock_path(self) -> Path:
+        """The file the serving daemon holds an exclusive ``flock`` on."""
+        return self.root / _LOCK_NAME
 
-    def sockets_dir(self) -> Path:
-        """Directory of per-daemon Unix-domain sockets."""
-        return self.root / _SOCKETS_DIR
+    def heartbeat_path(self) -> Path:
+        """Where the daemon publishes its heartbeat."""
+        return self.root / _HEARTBEAT_NAME
 
-    def heartbeat_path(self, daemon_id: str) -> Path:
-        """Where the given daemon's heartbeat file lives."""
-        return self.daemons_dir() / (str(daemon_id) + _RECORD_SUFFIX)
+    def socket_path(self) -> Path:
+        """Where the daemon binds its Unix-domain socket."""
+        return self.root / _SOCKET_NAME
 
-    def daemon_heartbeats(self) -> Dict[str, Dict[str, Any]]:
-        """Every daemon's last heartbeat payload, keyed by daemon id.
+    def heartbeat(self) -> Optional[Dict[str, Any]]:
+        """The daemon's last heartbeat payload, or ``None`` if there is none.
 
-        Unreadable files are skipped (a heartbeat mid-rewrite is unreadable
-        for at most one atomic rename).  Includes dead daemons' final
-        heartbeats — liveness is the *reader's* judgement, via
-        :meth:`lease_deadline`.
-        """
-        directory = self.daemons_dir()
-        heartbeats: Dict[str, Dict[str, Any]] = {}
-        if not directory.is_dir():
-            return heartbeats
-        for path in sorted(directory.glob("*" + _RECORD_SUFFIX)):
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue
-            if isinstance(payload, dict):
-                heartbeats[path.stem] = payload
-        return heartbeats
-
-    @staticmethod
-    def _heartbeat_alive(
-        payload: Dict[str, Any], lease_seconds: float, now: float
-    ) -> bool:
-        """Whether a heartbeat payload attests a live daemon.
-
-        Fresh heartbeat -> alive.  A heartbeat from *this* host whose pid no
-        longer exists -> dead regardless of freshness, which is what lets a
-        restart (or a surviving peer) reclaim a SIGKILLed daemon's jobs
-        immediately instead of waiting out the lease.
+        A stopped or killed daemon's last heartbeat stays readable (a clean
+        stop notes ``stopped``); an unreadable file reads as ``None``.
         """
         try:
-            updated_at = float(payload.get("updated_at", 0.0))
-        except (TypeError, ValueError):
-            return False
-        if now - updated_at >= max(float(lease_seconds), 0.0):
-            return False
-        return not JobQueue._heartbeat_pid_dead(payload)
+            payload = json.loads(self.heartbeat_path().read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            return None
+        return payload if isinstance(payload, dict) else None
 
-    @staticmethod
-    def _heartbeat_pid_dead(payload: Dict[str, Any]) -> bool:
-        """Whether the heartbeat's pid provably no longer exists.
+    def recover(self) -> List[JobRecord]:
+        """Re-queue every running job; the daemon's first step at startup.
 
-        Only a same-host ``ProcessLookupError`` counts: other hosts cannot
-        be probed, and ``EPERM`` means the process exists under another
-        user.  A true result is the strongest death evidence there is — the
-        owner cannot possibly still be executing its jobs.
+        Only the daemon holding the directory's lock calls this, before it
+        claims anything, so each running record was stranded by a daemon
+        that died mid-job.  Progress counters are reset: the store, not the
+        record, is the source of truth for completed cells, and the re-run
+        loads persisted cells instead of re-simulating them.
         """
-        pid = payload.get("pid")
-        host = payload.get("host")
-        if isinstance(pid, int) and (host is None or host == _local_host()):
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                return True
-            except OSError:
-                pass
-        return False
-
-    def lease_deadline(
-        self,
-        record: JobRecord,
-        lease_seconds: float = DEFAULT_LEASE_SECONDS,
-        heartbeats: Optional[Dict[str, Dict[str, Any]]] = None,
-        now: Optional[float] = None,
-    ) -> float:
-        """The moment ``record``'s claim lease runs out.
-
-        The lease is renewed by the owner's heartbeat: the deadline is the
-        later of the claim-time expiry written on the record and (last
-        heartbeat + ``lease_seconds``).  An owner whose pid is provably dead
-        on this host forfeits the lease immediately; a record with no owner
-        id at all (pre-lease records, or direct :meth:`claim` calls without
-        a daemon id) has only its claim-time expiry, defaulting to 0 —
-        i.e. immediately reclaimable, the pre-fleet behaviour.
-        """
-        moment = time.time() if now is None else float(now)
-        deadline = float(record.lease_expires_at or 0.0)
-        if not record.daemon_id:
-            return deadline
-        payload = (
-            heartbeats if heartbeats is not None else self.daemon_heartbeats()
-        ).get(record.daemon_id)
-        if payload is None:
-            return deadline
-        if not self._heartbeat_alive(payload, lease_seconds, moment):
-            if self._heartbeat_pid_dead(payload):
-                # A provably-dead owner forfeits immediately — this is what
-                # lets a survivor reclaim a SIGKILLed peer's jobs without
-                # waiting out the lease.
-                return 0.0
-            # Stale heartbeat: only the shorter of the claim-time expiry
-            # and the last renewal holds.
-            try:
-                updated_at = float(payload.get("updated_at", 0.0))
-            except (TypeError, ValueError):
-                updated_at = 0.0
-            return min(deadline, updated_at + max(float(lease_seconds), 0.0))
-        try:
-            updated_at = float(payload.get("updated_at", 0.0))
-        except (TypeError, ValueError):
-            updated_at = 0.0
-        return max(deadline, updated_at + max(float(lease_seconds), 0.0))
-
-    def recover(
-        self,
-        daemon_id: Optional[str] = None,
-        lease_seconds: float = DEFAULT_LEASE_SECONDS,
-        reclaim_own: bool = True,
-        now: Optional[float] = None,
-    ) -> List[JobRecord]:
-        """Re-queue running jobs stranded by dead daemons; spare live peers.
-
-        Called by every daemon at startup and periodically afterwards.  A
-        running record is reclaimed when its owner is provably gone:
-
-        * it carries no owner id (legacy records, or a claim that died
-          between the rename and the record rewrite);
-        * it is owned by *this* daemon id and ``reclaim_own`` is true — a
-          daemon's own id appearing at startup means a previous life of the
-          same daemon died mid-job (periodic recovery passes
-          ``reclaim_own=False`` so it never steals its own live work);
-        * its lease has run out (see :meth:`lease_deadline`: stale or
-          absent heartbeat past the claim expiry, or a dead pid).
-
-        Jobs whose owner still holds a live lease are left alone — that is
-        the property that makes an N-daemon fleet safe.  Progress counters
-        of reclaimed jobs are reset (the store, not the record, is the
-        source of truth for completed cells — the re-run loads persisted
-        cells instead of re-simulating them).
-        """
-        moment = time.time() if now is None else float(now)
-        heartbeats = self.daemon_heartbeats()
-        recovered = []
-        for record in self.records(STATE_RUNNING):
-            owner = record.daemon_id
-            if owner and daemon_id and owner == daemon_id:
-                if not reclaim_own:
-                    continue
-            elif owner:
-                deadline = self.lease_deadline(
-                    record, lease_seconds, heartbeats=heartbeats, now=moment
-                )
-                if moment < deadline:
-                    continue  # a live peer is executing this job
+        recovered = self.records(STATE_RUNNING)
+        for record in recovered:
             record.cells_done = 0
             record.cells_cached = 0
             record.daemon_id = None
-            record.lease_expires_at = None
-            self._write_record(STATE_QUEUED, record)
-            self._transition(STATE_RUNNING, STATE_QUEUED, record.id, rewritten=True)
-            recovered.append(record)
+            self._leave_running(record, STATE_QUEUED)
         if recovered:
             self._metric_recovered.inc(len(recovered))
         return recovered
@@ -907,32 +776,12 @@ def open_service(path: Union[str, os.PathLike], create: bool = True) -> JobQueue
     """
     root = Path(path)
     manifest_path = root / _SERVICE_MANIFEST
-    if not manifest_path.is_file():
-        if not create:
-            raise ServiceError(
-                f"no service at {root} (start one with 'repro-dew serve {root}')"
-            )
-        try:
-            for name in JOB_STATES:
-                (root / _JOBS_DIR / name).mkdir(parents=True, exist_ok=True)
-            (root / _JOBS_DIR / _CANCEL_DIR).mkdir(parents=True, exist_ok=True)
-            (root / _RESULTS_DIR).mkdir(parents=True, exist_ok=True)
-            (root / _EVENTS_DIR).mkdir(parents=True, exist_ok=True)
-            (root / _DAEMONS_DIR).mkdir(parents=True, exist_ok=True)
-            (root / _SOCKETS_DIR).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ServiceError(f"could not create service at {root}: {exc}") from exc
-        _atomic_replace(
-            manifest_path,
-            lambda handle: json.dump(
-                {"schema": SERVICE_SCHEMA_VERSION, "format": "polling-files"},
-                handle,
-                sort_keys=True,
-            ),
-            mode="w",
-            prefix=".tmp-service-",
+    exists = manifest_path.is_file()
+    if not exists and not create:
+        raise ServiceError(
+            f"no service at {root} (start one with 'repro-dew serve {root}')"
         )
-    else:
+    if exists:
         try:
             manifest = json.loads(manifest_path.read_text(encoding="ascii"))
         except (OSError, ValueError) as exc:
@@ -944,11 +793,22 @@ def open_service(path: Union[str, os.PathLike], create: bool = True) -> JobQueue
                 f"service at {root} uses schema {manifest.get('schema')!r}; "
                 f"this build reads version {SERVICE_SCHEMA_VERSION}"
             )
-        for name in JOB_STATES:
+    try:
+        for name in (*JOB_STATES, _CANCEL_DIR):
             (root / _JOBS_DIR / name).mkdir(parents=True, exist_ok=True)
-        (root / _JOBS_DIR / _CANCEL_DIR).mkdir(parents=True, exist_ok=True)
         (root / _RESULTS_DIR).mkdir(parents=True, exist_ok=True)
         (root / _EVENTS_DIR).mkdir(parents=True, exist_ok=True)
-        (root / _DAEMONS_DIR).mkdir(parents=True, exist_ok=True)
-        (root / _SOCKETS_DIR).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ServiceError(f"could not create service at {root}: {exc}") from exc
+    if not exists:
+        _atomic_replace(
+            manifest_path,
+            lambda handle: json.dump(
+                {"schema": SERVICE_SCHEMA_VERSION, "format": "polling-files"},
+                handle,
+                sort_keys=True,
+            ),
+            mode="w",
+            prefix=".tmp-service-",
+        )
     return JobQueue(root)

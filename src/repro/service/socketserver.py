@@ -3,7 +3,7 @@
 The polling-file transport (see :mod:`repro.service.api`) is durable and
 daemon-optional, but every ``wait`` pays a latency floor of one polling
 interval.  This module adds a *low-latency* path on the same versioned JSON
-envelopes: each daemon binds ``<root>/sockets/<daemon_id>.sock`` and serves
+envelopes: the service's daemon binds ``<root>/daemon.sock`` and serves
 the client operations over newline-delimited JSON, so ``submit`` /
 ``status`` / ``result`` / ``wait`` become one round trip and a waiting
 client is woken the moment the daemon finishes the job instead of on its
@@ -41,12 +41,9 @@ from repro.service.queue import (
     JobQueue,
 )
 
-#: Suffix of per-daemon socket files under ``<root>/sockets/``.
-SOCKET_SUFFIX = ".sock"
-
 #: Interval at which a server-side ``wait`` re-reads the job record even
-#: without a local completion notification — this is what resolves waits
-#: for jobs a *peer* daemon finishes (the peer cannot wake our waiters).
+#: without a completion notification — this is what resolves waits for
+#: jobs that end without the daemon (a queued job cancelled over files).
 _WAIT_RECHECK_SECONDS = 0.05
 
 #: Safety cap on a single request line (a submit request with a large cell
@@ -73,7 +70,7 @@ def recv_message(handle) -> Optional[Dict[str, Any]]:
 
 
 class ServiceSocketServer:
-    """One daemon's socket listener, serving client ops over its queue.
+    """The daemon's socket listener, serving client ops over its queue.
 
     Runs the accept loop in a daemon thread plus one thread per connection.
     All state mutations go through the shared durable :class:`JobQueue`, so
@@ -92,7 +89,7 @@ class ServiceSocketServer:
         self.queue = queue
         self.daemon_id = str(daemon_id)
         self.stats_source = stats_source
-        self.path: Path = queue.sockets_dir() / (self.daemon_id + SOCKET_SUFFIX)
+        self.path: Path = queue.socket_path()
         self.requests_served = 0
         self._metric_requests = get_registry().counter(
             "socket_requests_total", help="Requests answered over daemon sockets."
@@ -112,7 +109,6 @@ class ServiceSocketServer:
     def start(self) -> None:
         """Bind the socket and start accepting; raises ``ServiceError`` on failure."""
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
             try:
                 self.path.unlink()  # a stale socket from a dead previous life
             except OSError:
@@ -280,36 +276,26 @@ class ServiceSocketServer:
         )
 
     def _stats_response(self, service_stats) -> Dict[str, Any]:
-        """Fleet stats with this daemon's entry refreshed from live counters.
+        """Stats with the daemon's entry taken from its live counters.
 
-        Heartbeat files lag by up to a renewal interval; a socket client
-        asking the daemon directly deserves the daemon's current numbers.
+        The heartbeat file lags by up to a scheduler tick (a whole job, in
+        inline mode); a socket client asking the daemon directly deserves
+        the daemon's current numbers.
         """
-        from repro.service.api import _heartbeat_updated_at
-
         response = service_stats(self.queue)
         source = self.stats_source
-        if source is None:
-            return response
-        try:
-            live = dict(source.heartbeat())
-        except Exception:  # noqa: BLE001 - stats must degrade, not fail
-            return response
-        live["alive"] = True
-        daemons = dict(response.get("daemons", {}))
-        daemons[self.daemon_id] = live
-        response["daemons"] = daemons
-        response["live_daemons"] = sum(
-            1 for entry in daemons.values() if entry.get("alive")
-        )
-        response["daemon"] = max(daemons.values(), key=_heartbeat_updated_at)
+        if source is not None:
+            try:
+                response["daemon"] = dict(source.heartbeat())
+            except Exception:  # noqa: BLE001 - stats must degrade, not fail
+                pass
         return response
 
     def _handle_wait(self, request, ok_response, record_to_wire) -> Dict[str, Any]:
         """Block until the job is terminal (or failed), then answer.
 
-        The fast path is the owning daemon's ``notify_job_finished`` call;
-        the periodic re-check covers jobs finished by peer daemons and a
+        The fast path is the daemon's ``notify_job_finished`` call; the
+        periodic re-check covers jobs that end without the daemon and a
         server shutting down mid-wait.
         """
         job_id = str(request["job"])
@@ -380,73 +366,33 @@ class SocketTransport:
 def discover_socket(
     queue: JobQueue, connect_timeout: float = 0.5
 ) -> Optional[SocketTransport]:
-    """Connect to any live daemon socket of the service, or ``None``.
+    """Connect to the service's daemon socket, or ``None`` if none answers.
 
-    Tries every ``sockets/*.sock`` entry (sorted for determinism), verifying
-    liveness with a ``ping`` — a stale socket file left by a SIGKILLed
-    daemon fails to connect (or to answer) and is skipped.
+    Liveness is verified with a ``ping``: a stale socket file left by a
+    SIGKILLed daemon fails to connect (or to answer) and reads as no daemon.
     """
-    directory = queue.sockets_dir()
-    if not directory.is_dir():
-        return None
     from repro.service.api import SERVICE_WIRE_VERSION
 
-    for path in sorted(directory.glob("*" + SOCKET_SUFFIX)):
-        try:
-            transport = SocketTransport(path, connect_timeout=connect_timeout)
-        except OSError:
-            continue
-        try:
-            response = transport.request(
-                {"wire": SERVICE_WIRE_VERSION, "op": "ping"}, timeout=connect_timeout
-            )
-            if response.get("ok") and response.get("type") == "pong":
-                return transport
-        except (OSError, ValueError):
-            pass
-        transport.close()
+    try:
+        transport = SocketTransport(queue.socket_path(), connect_timeout=connect_timeout)
+    except OSError:
+        return None
+    try:
+        response = transport.request(
+            {"wire": SERVICE_WIRE_VERSION, "op": "ping"}, timeout=connect_timeout
+        )
+        if response.get("ok") and response.get("type") == "pong":
+            return transport
+    except (OSError, ValueError):
+        pass
+    transport.close()
     return None
 
 
-def remove_stale_sockets(queue: JobQueue) -> int:
-    """Unlink socket files no daemon answers on; returns how many."""
-    directory = queue.sockets_dir()
-    if not directory.is_dir():
-        return 0
-    from repro.service.api import SERVICE_WIRE_VERSION
-
-    removed = 0
-    for path in sorted(directory.glob("*" + SOCKET_SUFFIX)):
-        try:
-            transport = SocketTransport(path, connect_timeout=0.25)
-        except OSError:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-            continue
-        try:
-            transport.request(
-                {"wire": SERVICE_WIRE_VERSION, "op": "ping"}, timeout=0.25
-            )
-        except (OSError, ValueError):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        finally:
-            transport.close()
-    return removed
-
-
 __all__ = [
-    "SOCKET_SUFFIX",
     "ServiceSocketServer",
     "SocketTransport",
     "discover_socket",
     "recv_message",
-    "remove_stale_sockets",
     "send_message",
 ]

@@ -47,7 +47,6 @@ from repro.store.resultstore import (
     ResultStore,
     StoreKey,
     _ARTIFACT_SUFFIX,
-    _INFLIGHT_DIR,
     _MANIFEST_NAME,
     _OBJECTS_DIR,
     _atomic_replace,
@@ -153,12 +152,9 @@ def scan_store(store: ResultStore) -> List[ArtifactRecord]:
     records: List[ArtifactRecord] = []
     objects = root / _OBJECTS_DIR
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        # store.json, a default-named export manifest and the transient
-        # in-flight coalescing markers are the store's own bookkeeping, not
-        # artifacts and not foreign junk.
+        # store.json and a default-named export manifest are the store's
+        # own bookkeeping, not artifacts and not foreign junk.
         if path in (root / _MANIFEST_NAME, root / DEFAULT_MANIFEST_NAME):
-            continue
-        if path.parent == root / _INFLIGHT_DIR:
             continue
         size = path.stat().st_size
         if path.name.startswith(".tmp-"):

@@ -24,6 +24,10 @@ Durability rules:
 * **Versioned schema** — both the store manifest and each artifact embed a
   schema version; opening a store written by an incompatible build raises
   :class:`~repro.errors.StoreError` instead of misreading it.
+
+A store instance also keeps the set of cells that are being simulated and
+not yet stored (:meth:`ResultStore.mark_in_flight`), in memory only: the
+service daemon defers a job that overlaps them until they are stored.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ import json
 import os
 import tempfile
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
@@ -46,7 +49,7 @@ from repro.core.config import CacheConfig
 from repro.core.counters import DewCounters
 from repro.core.results import ResultsFrame, SimulationResults
 from repro.errors import StoreError
-from repro.obs.metrics import component_snapshot, get_registry
+from repro.obs.metrics import get_registry
 
 #: Version of the store directory layout and artifact envelope.
 STORE_SCHEMA_VERSION = 1
@@ -54,14 +57,6 @@ STORE_SCHEMA_VERSION = 1
 _MANIFEST_NAME = "store.json"
 _OBJECTS_DIR = "objects"
 _ARTIFACT_SUFFIX = ".npz"
-_INFLIGHT_DIR = "inflight"
-_INFLIGHT_SUFFIX = ".flight"
-
-#: How long an on-disk in-flight marker stays authoritative without being
-#: refreshed.  A daemon that crashes mid-cell leaves its markers behind;
-#: once the TTL passes they stop deferring overlapping jobs and are lazily
-#: unlinked by the next reader.
-DEFAULT_INFLIGHT_TTL_SECONDS = 120.0
 
 
 def _atomic_replace(target: Path, writer, mode: str = "wb", prefix: str = ".tmp-") -> None:
@@ -196,7 +191,7 @@ class ResultStore:
         self.put_count = 0
         # Process-wide named instruments (shared across store instances):
         # the per-instance ints above stay the per-sweep view, the registry
-        # aggregates everything the process did and rides heartbeats.
+        # aggregates everything the process did and rides the heartbeat.
         registry = get_registry()
         self._metric_hits = registry.counter(
             "store_hits_total", "result-store artifact lookups served from disk"
@@ -234,124 +229,25 @@ class ResultStore:
             "in_flight": len(self.in_flight_digests()),
         }
 
-    def snapshot(self) -> Dict[str, Any]:
-        """The unified per-component stats shape (see
-        :func:`repro.obs.metrics.component_snapshot`); ``counters`` carries
-        exactly the legacy :meth:`stats` keys."""
-        return component_snapshot("result_store", self.stats())
-
-    def _in_flight_path(self, digest: str) -> Path:
-        return self.root / _INFLIGHT_DIR / (digest + _INFLIGHT_SUFFIX)
-
-    def mark_in_flight(
-        self,
-        key: StoreKey,
-        owner: Optional[str] = None,
-        ttl_seconds: float = DEFAULT_INFLIGHT_TTL_SECONDS,
-    ) -> None:
-        """Record that ``key`` is currently being simulated (not yet stored).
-
-        The mark is kept twice: in this instance's memory (the fast path the
-        single-daemon scheduler reads) and as an atomic-rename marker file
-        under ``<root>/inflight/`` carrying the owner and a TTL, which is
-        what makes in-flight coalescing visible *across* daemon processes
-        sharing the store.  Marker-file write failures degrade to the
-        memory-only mark — coalescing is an optimisation, never a
-        correctness requirement.
-        """
+    def mark_in_flight(self, key: StoreKey) -> None:
+        """Record that ``key`` is currently being simulated (not yet stored)."""
         with self._in_flight_lock:
             self._in_flight.add(key.digest)
-        marker = {
-            "schema": 1,
-            "digest": key.digest,
-            "owner": owner,
-            "marked_at": time.time(),
-            "ttl_seconds": max(float(ttl_seconds), 0.0),
-        }
-        try:
-            path = self._in_flight_path(key.digest)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            _atomic_replace(
-                path,
-                lambda handle: json.dump(marker, handle, sort_keys=True),
-                mode="w",
-                prefix=".tmp-flight-",
-            )
-        except (OSError, StoreError):
-            pass
 
     def clear_in_flight(self, key: StoreKey) -> None:
         """Drop the in-flight mark for ``key`` (no-op when absent)."""
-        self.clear_in_flight_digests((key.digest,))
-
-    def clear_in_flight_digests(self, digests: Sequence[str]) -> None:
-        """Drop in-flight marks by digest (no-ops when absent).
-
-        The digest form serves the reclaim path: a daemon re-queuing a dead
-        peer's job holds the record's persisted digest list, not live
-        :class:`StoreKey` objects, and must drop the dead owner's marks so
-        overlapping jobs stop deferring to a computation nobody is running.
-        """
-        for digest in digests:
-            with self._in_flight_lock:
-                self._in_flight.discard(str(digest))
-            try:
-                self._in_flight_path(str(digest)).unlink()
-            except OSError:
-                pass
-
-    def _read_marker(self, path: Path, now: float) -> Optional[str]:
-        """The digest a live marker file asserts, or ``None`` when expired.
-
-        An expired or unreadable marker is removed on the way out, so a
-        crashed owner's stale marks stop costing a stat per scan.
-        """
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            marked_at = float(payload["marked_at"])
-            ttl = float(payload.get("ttl_seconds", DEFAULT_INFLIGHT_TTL_SECONDS))
-            digest = str(payload["digest"])
-        except (OSError, ValueError, KeyError, TypeError):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        if now - marked_at >= ttl:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        return digest
+        with self._in_flight_lock:
+            self._in_flight.discard(key.digest)
 
     def is_in_flight(self, key: StoreKey) -> bool:
-        """Whether ``key`` is marked as currently being simulated (any owner)."""
+        """Whether ``key`` is marked as currently being simulated."""
         with self._in_flight_lock:
-            if key.digest in self._in_flight:
-                return True
-        path = self._in_flight_path(key.digest)
-        if not path.is_file():
-            return False
-        return self._read_marker(path, time.time()) == key.digest
+            return key.digest in self._in_flight
 
     def in_flight_digests(self) -> frozenset:
-        """Snapshot of the digests currently marked in flight.
-
-        The union of this instance's memory marks and every live (non-TTL-
-        expired) marker file, so a scheduler consulting it defers on work
-        owned by *any* daemon sharing the store.
-        """
+        """Snapshot of the digests currently marked in flight."""
         with self._in_flight_lock:
-            digests = set(self._in_flight)
-        inflight = self.root / _INFLIGHT_DIR
-        if inflight.is_dir():
-            now = time.time()
-            for path in inflight.glob("*" + _INFLIGHT_SUFFIX):
-                digest = self._read_marker(path, now)
-                if digest is not None:
-                    digests.add(digest)
-        return frozenset(digests)
+            return frozenset(self._in_flight)
 
     # -- addressing -------------------------------------------------------------
 

@@ -11,7 +11,7 @@ content fingerprint across processes: a warm load seeds
 :meth:`~repro.trace.trace.Trace.fingerprint` from the ``(path, mtime, size)``
 sidecar and skips the full-array hash; a cold load computes the fingerprint
 once and records the sidecar for every later consumer (the submitting
-client, each daemon in a fleet, the next CLI invocation).
+client, the service daemon, the next CLI invocation).
 
 The module also counts text parses (:func:`decode_count`): every call that
 actually reads and parses a trace file increments a process-wide counter,

@@ -1,11 +1,11 @@
 """Content-addressed on-disk cache of parsed trace columns.
 
-Every sweep surface — ``repro-dew sweep``, ``submit``, the service daemons —
+Every sweep surface — ``repro-dew sweep``, ``submit``, the service daemon —
 would otherwise re-pay the text parse (``.din``/CSV/hex to packed arrays) on
 every run over the same trace file.  This module removes that cost across
 runs and processes: the first sweep over a trace persists its columns, and
-every later sweep — in any process, on any daemon sharing the cache
-directory — ``mmap``-attaches the artifact as a
+every later sweep — in any process sharing the cache directory, the
+service daemon's included — ``mmap``-attaches the artifact as a
 :class:`~repro.trace.trace.Trace` and never touches the text file again.
 What a sweep derives from the columns (per-block-size shifts, run-length
 collapse) is recomputed by each process, pool workers included: it costs a
@@ -62,7 +62,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import StoreError, TraceError
-from repro.obs.metrics import component_snapshot, get_registry
+from repro.obs.metrics import get_registry
 from repro.store.manage import (
     STATUS_CORRUPT,
     STATUS_FOREIGN,
@@ -238,7 +238,7 @@ class TracePlaneCache:
     Construct via :func:`open_plane_cache`.  Lookup statistics (``hits``,
     ``misses``, ``corrupt``, ``puts`` plus the sidecar split) accumulate per
     instance — the service daemon surfaces them through its heartbeat so
-    ``queue stats`` can show how much parsing the fleet skipped.
+    ``queue stats`` can show how much parsing the service skipped.
     """
 
     def __init__(self, root: Union[str, os.PathLike]) -> None:
@@ -250,7 +250,7 @@ class TracePlaneCache:
         self.sidecar_hit_count = 0
         self.sidecar_miss_count = 0
         # Process-wide named instruments alongside the per-instance ints:
-        # the registry totals ride daemon heartbeats for fleet aggregation.
+        # the registry totals ride the daemon's heartbeat.
         registry = get_registry()
         self._metric_hits = registry.counter(
             "plane_cache_hits_total", "trace artifacts attached from the cache"
@@ -283,12 +283,6 @@ class TracePlaneCache:
             "sidecar_hits": self.sidecar_hit_count,
             "sidecar_misses": self.sidecar_miss_count,
         }
-
-    def snapshot(self) -> Dict[str, Any]:
-        """The unified per-component stats shape (see
-        :func:`repro.obs.metrics.component_snapshot`); ``counters`` carries
-        exactly the legacy :meth:`stats` keys."""
-        return component_snapshot("trace_plane_cache", self.stats())
 
     # -- addressing -----------------------------------------------------------
 

@@ -1,23 +1,26 @@
-"""Tests for fleet operation: leases, cross-daemon coalescing, the socket.
+"""Tests for the daemon's directory contract, its socket and queue upkeep.
 
-The property the fleet work protects is the single-daemon service's own
-guarantee scaled out: with N daemons on one store and one queue, every job
-runs exactly once at a time (atomic claims + heartbeat leases), a dead
-daemon's work is reclaimed without re-simulating persisted cells, and no
-transport or failover path bends byte-identity.
+One daemon serves a service directory: a second one is refused while the
+first runs, a claim has exactly one winner, and after a crash (even one
+that leaves a forked child alive) the next daemon starts at once and
+finishes every stranded job without re-simulating persisted cells.  No
+transport or restart path bends byte-identity.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.engine import run_sweep
 from repro.errors import ServiceError
@@ -32,9 +35,7 @@ from repro.service.queue import (
     STATE_DONE,
     STATE_QUEUED,
     STATE_RUNNING,
-    _local_host,
 )
-from repro.store import open_store
 from repro.trace.files import load_trace_file
 from repro.trace.textio import write_text_trace
 from repro.workloads.synthetic import WorkingSetGenerator
@@ -62,28 +63,29 @@ def _request(trace_file, **overrides):
     return SweepRequest(**options)
 
 
-def _write_heartbeat(queue, daemon_id, **overrides):
-    payload = {
-        "schema": 1,
-        "daemon_id": daemon_id,
-        "pid": os.getpid(),
-        "host": _local_host(),
-        "updated_at": time.time(),
-    }
-    payload.update(overrides)
-    queue.daemons_dir().mkdir(parents=True, exist_ok=True)
-    queue.heartbeat_path(daemon_id).write_text(json.dumps(payload))
-    return payload
+def _direct(trace_file, request):
+    return run_sweep(load_trace_file(trace_file), request.build_jobs()).merged().to_json()
 
 
-def _dead_pid():
-    """A pid that provably does not exist (a reaped child's)."""
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()
-    return child.pid
+#: A daemon whose first persisted cell forks a multiprocessing child, prints
+#: both pids and blocks, so a test can SIGKILL it mid-job with the child alive.
+_DAEMON_WITH_FORKED_CHILD = """
+import multiprocessing, os, sys, time
+from repro.service import ServiceDaemon
+
+def fork_child_and_block(record, index, job, cached):
+    child = multiprocessing.get_context("fork").Process(target=time.sleep, args=(600,))
+    child.start()
+    print(os.getpid(), child.pid, flush=True)
+    time.sleep(600)
+
+ServiceDaemon(sys.argv[1], socket=False, on_cell=fork_child_and_block).run(drain=True)
+"""
 
 
 class TestLeases:
+    """A claim is one rename out of ``queued/``: exactly one claimant wins."""
+
     def test_concurrent_claims_have_exactly_one_winner(self, tmp_path):
         queue = open_service(tmp_path)
         queue.submit("a" * 64, {})
@@ -105,154 +107,125 @@ class TestLeases:
         assert len(winners) == 1
         assert queue.counts()[STATE_RUNNING] == 1
         assert winners[0].daemon_id in {f"d{i}" for i in range(8)}
-        assert winners[0].lease_expires_at > time.time()
 
-    def test_recover_spares_live_peer_lease(self, tmp_path):
-        queue = open_service(tmp_path)
-        queue.submit("a" * 64, {})
-        record = queue.claim(daemon_id="d1", lease_seconds=30.0)
-        assert record is not None
-        _write_heartbeat(queue, "d1")
-        peer = open_service(tmp_path)
-        assert peer.recover(daemon_id="d2", lease_seconds=30.0) == []
-        assert queue.counts()[STATE_RUNNING] == 1
 
-    def test_recover_reclaims_stale_heartbeat_after_lease(self, tmp_path):
-        queue = open_service(tmp_path)
-        queue.submit("a" * 64, {})
-        record = queue.claim(daemon_id="d1", lease_seconds=0.05)
-        record.cells_done = 3
-        queue.update_running(record)
-        # The owner's pid is alive (it is this process) but its heartbeat
-        # has gone stale: freshness, not existence, governs renewal.
-        _write_heartbeat(queue, "d1", updated_at=time.time() - 100.0)
-        time.sleep(0.1)
-        recovered = open_service(tmp_path).recover(
-            daemon_id="d2", lease_seconds=0.05
-        )
-        assert [r.id for r in recovered] == ["a" * 64]
-        requeued = queue.find("a" * 64)
-        assert requeued.state == STATE_QUEUED
-        assert requeued.cells_done == 0 and requeued.daemon_id is None
+class TestOneDaemonPerDirectory:
+    def test_second_daemon_is_refused_while_one_runs(
+        self, tmp_path, trace_file, capsys
+    ):
+        root = tmp_path / "svc"
+        client = ServiceClient(root, create=True, transport="files")
+        client.submit(_request(trace_file, block_sizes=(8,)))
+        started, release = threading.Event(), threading.Event()
 
-    def test_recover_reclaims_dead_pid_immediately(self, tmp_path):
-        queue = open_service(tmp_path)
-        queue.submit("a" * 64, {})
-        assert queue.claim(daemon_id="d1", lease_seconds=300.0) is not None
-        # Fresh heartbeat, long lease — but the pid is provably gone, so
-        # the lease is forfeited without waiting anything out.
-        _write_heartbeat(queue, "d1", pid=_dead_pid())
-        recovered = open_service(tmp_path).recover(
-            daemon_id="d2", lease_seconds=300.0
-        )
-        assert [r.id for r in recovered] == ["a" * 64]
+        def hold(record, index, job, cached):
+            started.set()
+            release.wait(60)
 
-    def test_recover_without_own_reclaim_spares_own_jobs(self, tmp_path):
-        queue = open_service(tmp_path)
-        queue.submit("a" * 64, {})
-        assert queue.claim(daemon_id="d1", lease_seconds=300.0) is not None
-        _write_heartbeat(queue, "d1")
-        assert queue.recover(daemon_id="d1", lease_seconds=300.0,
-                             reclaim_own=False) == []
-        assert [r.id for r in queue.recover(daemon_id="d1",
-                                            lease_seconds=300.0)] == ["a" * 64]
+        first = ServiceDaemon(root, socket=False, on_cell=hold)
+        thread = threading.Thread(target=first.run, kwargs={"drain": True})
+        thread.start()
+        try:
+            assert started.wait(60), "the first daemon never ran its job"
+            # A second instance in this process opens its own file
+            # description, so the flock conflicts here too.
+            second = ServiceDaemon(root, socket=False)
+            with pytest.raises(ServiceError, match="another daemon is serving"):
+                second.run(drain=True)
+            assert main(["serve", str(root), "--drain", "--no-socket"]) == 2
+            assert "another daemon is serving" in capsys.readouterr().err
+            # The refused daemons recovered nothing: the job is still running.
+            assert client.queue.counts()[STATE_RUNNING] == 1
+        finally:
+            release.set()
+            thread.join(60)
+        assert not thread.is_alive()
+        assert first.jobs_done == 1
+        # Once the first daemon has returned, the next one drains normally.
+        request = _request(trace_file, block_sizes=(16,))
+        job_id = client.submit(request)["job_id"]
+        assert second.run(drain=True) == 1
+        assert client.queue.find(job_id).state == STATE_DONE
+        assert client.result_text(job_id) == _direct(trace_file, request)
 
-    def test_expired_lease_rerun_pays_only_unpersisted_cells(
+    def test_sigkill_with_a_surviving_forked_child_restarts_at_once(
         self, tmp_path, trace_file
     ):
         root = tmp_path / "svc"
         client = ServiceClient(root, create=True, transport="files")
         request = _request(trace_file)
         job_id = client.submit(request)["job_id"]
-        total_cells = len(request.build_jobs())
-
-        def die_after_first_cell(record, index, job, cached):
-            raise KeyboardInterrupt
-
-        store = open_store(root / "store")
-        first = ServiceDaemon(
-            root, store=store, daemon_id="d1", lease_seconds=0.1,
-            socket=False, on_cell=die_after_first_cell,
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (src, env.get("PYTHONPATH")) if part
         )
-        with pytest.raises(KeyboardInterrupt):
-            first.run(drain=True)
-        assert client.queue.find(job_id).state == STATE_RUNNING
-        assert len(store) == 1
-
-        # A *different* daemon id: only the expired lease (d1's heartbeat
-        # goes stale while its pid stays alive) lets d2 take the job.
-        time.sleep(0.25)
-        second = ServiceDaemon(
-            root, store=store, daemon_id="d2", lease_seconds=0.1, socket=False
+        daemon = subprocess.Popen(
+            [sys.executable, "-c", _DAEMON_WITH_FORKED_CHILD, str(root)],
+            stdout=subprocess.PIPE, text=True, env=env,
         )
-        assert second.run(drain=True) == 1
+        child_pid = None
+        try:
+            line = daemon.stdout.readline()
+            assert line, "the daemon exited before its first cell"
+            daemon_pid, child_pid = (int(token) for token in line.split())
+            assert daemon_pid == daemon.pid
+            os.kill(daemon.pid, signal.SIGKILL)
+            daemon.wait(timeout=60)
+            os.kill(child_pid, 0)  # the forked child outlived the daemon
+            assert client.queue.find(job_id).state == STATE_RUNNING
+            # The child's copy of the lock descriptor was closed at fork, so
+            # the lock died with the daemon and the restart starts at once.
+            restarted = ServiceDaemon(root, socket=False)
+            assert restarted.run(drain=True) == 1
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait()
+            daemon.stdout.close()
+            if child_pid is not None:
+                try:
+                    os.kill(child_pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
         record = client.queue.find(job_id)
         assert record.state == STATE_DONE
-        assert record.cells_cached == 1
-        assert record.extra["executed_jobs"] == total_cells - 1
-        direct = run_sweep(
-            load_trace_file(trace_file), request.build_jobs()
-        ).merged().to_json()
-        assert client.result_text(job_id) == direct
+        assert record.attempts == 2
+        # The cell persisted before the kill was loaded, not re-simulated.
+        assert record.cells_cached >= 1
+        assert client.result_text(job_id) == _direct(trace_file, request)
 
-
-class TestCrossDaemonInflight:
-    def test_markers_visible_across_store_instances(self, tmp_path, trace_file):
-        store_a = open_store(tmp_path / "store")
-        store_b = open_store(tmp_path / "store")
-        request = _request(trace_file)
-        fingerprint = load_trace_file(trace_file).fingerprint()
-        key = request.build_jobs()[0].store_key(fingerprint)
-        store_a.mark_in_flight(key, owner="d1")
-        assert store_b.is_in_flight(key)
-        assert key.digest in store_b.in_flight_digests()
-        store_b.clear_in_flight(key)
-        assert not store_b.is_in_flight(key)
-
-    def test_marker_ttl_expires(self, tmp_path, trace_file):
-        store_a = open_store(tmp_path / "store")
-        request = _request(trace_file)
-        fingerprint = load_trace_file(trace_file).fingerprint()
-        key = request.build_jobs()[0].store_key(fingerprint)
-        store_a.mark_in_flight(key, owner="d1", ttl_seconds=0.05)
-        time.sleep(0.1)
-        store_b = open_store(tmp_path / "store")
-        assert not store_b.is_in_flight(key)
-        assert store_b.in_flight_digests() == frozenset()
-
-    def test_stale_marker_ttl_undefers_overlapping_job(
+    def test_running_record_from_an_older_build_is_recovered(
         self, tmp_path, trace_file
     ):
         root = tmp_path / "svc"
         client = ServiceClient(root, create=True, transport="files")
         request = _request(trace_file)
         job_id = client.submit(request)["job_id"]
+        # Leave the job claimed the way an older build did: the record names
+        # its daemon and carries an unexpired claim lease, and that daemon's
+        # fresh heartbeat sits in the per-daemon directories.
+        queued = root / "jobs" / "queued" / f"{job_id}.json"
+        payload = json.loads(queued.read_text(encoding="utf-8"))
+        now = time.time()
+        payload.update(
+            state="running", attempts=1, started_at=now,
+            daemon_id="old-host-1", lease_expires_at=now + 3600.0,
+        )
+        (root / "jobs" / "running" / f"{job_id}.json").write_text(json.dumps(payload))
+        queued.unlink()
+        (root / "daemons").mkdir()
+        (root / "sockets").mkdir()
+        (root / "daemons" / "old-host-1.json").write_text(json.dumps({
+            "schema": 1, "daemon_id": "old-host-1", "pid": os.getpid(),
+            "updated_at": now,
+        }))
+        assert client.queue.find(job_id).state == STATE_RUNNING
+        assert ServiceDaemon(root, socket=False).run(drain=True) == 1
         record = client.queue.find(job_id)
-        fingerprint = load_trace_file(trace_file).fingerprint()
-        key = request.build_jobs()[0].store_key(fingerprint)
-        # A foreign store handle marks one overlapping cell, as a peer
-        # daemon (since SIGKILLed) would have.
-        foreign = open_store(root / "store")
-        foreign.mark_in_flight(key, owner="dead-peer", ttl_seconds=0.1)
-        daemon = ServiceDaemon(root, daemon_id="d2", socket=False)
-        assert daemon._accept(record) is False
-        time.sleep(0.2)
-        assert daemon._accept(record) is True
-
-    def test_reclaim_clears_dead_owner_markers(self, tmp_path, trace_file):
-        root = tmp_path / "svc"
-        client = ServiceClient(root, create=True, transport="files")
-        request = _request(trace_file)
-        job_id = client.submit(request)["job_id"]
-        record = client.queue.find(job_id)
-        fingerprint = load_trace_file(trace_file).fingerprint()
-        keys = [job.store_key(fingerprint) for job in request.build_jobs()]
-        foreign = open_store(root / "store")
-        for key in keys:
-            foreign.mark_in_flight(key, owner="dead-peer", ttl_seconds=3600.0)
-        daemon = ServiceDaemon(root, daemon_id="d2", socket=False)
-        daemon._release_reclaimed([record])
-        assert daemon.store.in_flight_digests() == frozenset()
+        assert record.state == STATE_DONE
+        assert record.attempts == 2
+        assert client.result_text(job_id) == _direct(trace_file, request)
 
 
 class TestSocketTransport:
@@ -287,9 +260,10 @@ class TestSocketTransport:
             assert served == direct
             status = client.status(response["job_id"])
             assert status["job"]["state"] == STATE_DONE
+            # Over the socket, stats carry the running daemon's live counters.
             stats = client.stats()
-            assert stats["daemons"]["sock1"]["alive"] is True
-            assert stats["live_daemons"] >= 1
+            assert stats["daemon"]["daemon_id"] == "sock1"
+            assert stats["daemon"]["socket"] == str(client.queue.socket_path())
             client.close()
         finally:
             daemon.stop()
@@ -331,8 +305,7 @@ class TestSocketTransport:
 
     def test_stale_socket_file_is_skipped(self, tmp_path):
         queue = open_service(tmp_path)
-        queue.sockets_dir().mkdir(parents=True, exist_ok=True)
-        (queue.sockets_dir() / "dead.sock").touch()
+        queue.socket_path().touch()
         assert discover_socket(queue) is None
 
     def test_rejects_unknown_transport(self, tmp_path):
@@ -415,68 +388,22 @@ class TestQueueGc:
 
 class TestHeartbeatHardening:
     def test_heartbeat_failure_counts_instead_of_crashing(self, tmp_path):
-        import shutil
-
         daemon = ServiceDaemon(tmp_path / "svc", daemon_id="d1", socket=False)
         daemon._write_heartbeat()
         assert daemon.heartbeat_errors == 0
-        # Replace the daemons directory with a plain file: every atomic
-        # rename into it now fails.
-        shutil.rmtree(daemon.queue.daemons_dir())
-        daemon.queue.daemons_dir().write_text("not a directory")
+        # Put a directory where the heartbeat file goes: every atomic
+        # rename onto it now fails.
+        path = daemon.queue.heartbeat_path()
+        path.unlink()
+        path.mkdir()
         daemon._write_heartbeat()
         daemon._write_heartbeat()
         assert daemon.heartbeat_errors == 2
-        # Restore the directory: the next heartbeat lands and carries the
+        # Remove the obstacle: the next heartbeat lands and carries the
         # error trail for operators.
-        daemon.queue.daemons_dir().unlink()
+        path.rmdir()
         daemon._write_heartbeat()
         assert daemon.heartbeat_errors == 2
-        payload = json.loads(
-            daemon.queue.heartbeat_path("d1").read_text(encoding="utf-8")
-        )
+        payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["heartbeat_errors"] == 2
         assert payload["last_heartbeat_error"]
-
-    def test_cli_stats_reports_fleet(self, tmp_path, capsys):
-        root = tmp_path / "svc"
-        queue = open_service(root)
-        _write_heartbeat(queue, "d1", jobs_done=3)
-        _write_heartbeat(queue, "d2", pid=_dead_pid(), jobs_done=1)
-        assert main(["queue", "stats", str(root)]) == 0
-        output = capsys.readouterr().out
-        assert "fleet: 1/2 daemon(s) live" in output
-        assert "d1: live" in output and "d2: dead" in output
-
-
-class TestFleetEndToEnd:
-    def test_two_daemons_split_disjoint_jobs_byte_identically(
-        self, tmp_path, trace_file
-    ):
-        root = tmp_path / "svc"
-        client = ServiceClient(root, create=True, transport="files")
-        requests = [
-            _request(trace_file, block_sizes=(block,), associativities=(assoc,),
-                     policies=("fifo",))
-            for block in (8, 16) for assoc in (1, 2)
-        ]
-        job_ids = [client.submit(request)["job_id"] for request in requests]
-        store = open_store(root / "store")
-        first = ServiceDaemon(root, store=store, daemon_id="d1",
-                              poll_interval=0.005, socket=False)
-        second = ServiceDaemon(root, store=store, daemon_id="d2",
-                               poll_interval=0.005, socket=False)
-        threads = [
-            threading.Thread(target=daemon.run, kwargs={"drain": True})
-            for daemon in (first, second)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        assert first.jobs_done + second.jobs_done == len(requests)
-        assert first.jobs_failed + second.jobs_failed == 0
-        loaded = load_trace_file(trace_file)
-        for request, job_id in zip(requests, job_ids):
-            direct = run_sweep(loaded, request.build_jobs()).merged().to_json()
-            assert client.result_text(job_id) == direct

@@ -1,10 +1,10 @@
 """Tests for the unified telemetry plane: registry, spans, phase timing.
 
-The invariants protected here: instruments are process-shared and
-mergeable across a fleet (heartbeat snapshots sum bucket-wise), span logs
-carry one trace id from the submitting client through claims, cells and
-terminal transitions — across daemon deaths — and every bit of telemetry
-is purely observational (results byte-identical with it on or off).
+The invariants protected here: instruments are process-shared and their
+snapshot rides the daemon's heartbeat, span logs carry one trace id from
+the submitting client through claims, cells and terminal transitions —
+across daemon deaths — and every bit of telemetry is purely observational
+(results byte-identical with it on or off).
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from repro.engine import build_grid_jobs, run_sweep
 from repro.errors import ServiceError
 from repro.obs.metrics import (
     MetricsRegistry,
-    component_snapshot,
     get_registry,
-    merge_snapshots,
     metrics_enabled,
     quantile_from_snapshot,
     render_exposition,
@@ -27,7 +25,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.tracing import PhaseTimer, SpanLog, new_trace_id, read_all_spans
 from repro.service import ServiceClient, ServiceDaemon, SweepRequest, open_service
-from repro.service.api import fleet_metrics
 from repro.service.queue import STATE_DONE, STATE_RUNNING
 from repro.service.socketserver import SocketTransport
 from repro.store import open_store
@@ -126,22 +123,6 @@ class TestRegistry:
         assert "h_seconds_count 1" in text
         assert text.endswith("\n")
 
-    def test_merge_snapshots_sums_counters_and_buckets(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        for registry, count in ((a, 2), (b, 3)):
-            registry.counter("c_total").inc(count)
-            histogram = registry.histogram("h", buckets=(1.0, 10.0))
-            for _ in range(count):
-                histogram.observe(0.5)
-        merged = merge_snapshots([a.snapshot(), b.snapshot()])
-        assert merged["counters"]["c_total"] == 5
-        assert merged["histograms"]["h"]["count"] == 5
-        assert merged["histograms"]["h"]["counts"][0] == 5
-        # Quantiles work on merged snapshots — that is what fleet p50/p95
-        # in `queue top` is computed from.
-        assert quantile_from_snapshot(merged["histograms"]["h"], 0.5) <= 1.0
-
     def test_quantile_from_snapshot_edges(self):
         registry = MetricsRegistry()
         histogram = registry.histogram("h", buckets=(1.0, 2.0))
@@ -152,25 +133,6 @@ class TestRegistry:
         assert quantile_from_snapshot(snap, 0.0) >= 0.0
         # The +Inf tail clamps to the last finite bound.
         assert quantile_from_snapshot(snap, 1.0) == 2.0
-
-    def test_component_snapshot_contract(self):
-        snap = component_snapshot("thing", {"hits": 3, "misses": 1, "puts": 7})
-        assert snap["schema"] == 1
-        assert snap["component"] == "thing"
-        assert snap["counters"] == {"hits": 3, "misses": 1, "puts": 7}
-        assert snap["hit_rate"] == 0.75
-
-    def test_store_and_plane_cache_expose_snapshot(self, tmp_path):
-        store = open_store(tmp_path / "store")
-        snap = store.snapshot()
-        assert snap["component"] == "result_store"
-        assert set(snap["counters"]) >= {"hits", "misses", "puts"}
-        from repro.trace.planecache import TracePlaneCache
-
-        cache = TracePlaneCache(tmp_path / "planes")
-        snap = cache.snapshot()
-        assert snap["component"] == "trace_plane_cache"
-        assert set(snap["counters"]) >= {"hits", "misses", "sidecar_hits"}
 
 
 class TestPhaseTimer:
@@ -320,22 +282,18 @@ class TestStickyNotes:
         client.submit(_request(trace_file))
         daemon = ServiceDaemon(root, daemon_id="sticky1")
         daemon.run(drain=True)
-        payload = json.loads(
-            client.queue.heartbeat_path("sticky1").read_text(encoding="utf-8")
-        )
+        payload = json.loads(client.queue.heartbeat_path().read_text(encoding="utf-8"))
         assert any("socket disabled" in note for note in payload["notes"])
         assert "socket disabled" in payload["note"]
         # The regression: a later renewal without a transient note used to
         # silently erase the degradation.  It must stay sticky.
         daemon._write_heartbeat()
-        payload = json.loads(
-            client.queue.heartbeat_path("sticky1").read_text(encoding="utf-8")
-        )
+        payload = json.loads(client.queue.heartbeat_path().read_text(encoding="utf-8"))
         assert any("socket disabled" in note for note in payload["notes"])
         assert "socket disabled" in payload["note"]
-        # And surface in the fleet stats daemons table.
-        stats = client.stats()
-        entry = stats["daemons"]["sticky1"]
+        # And surface in the stats' daemon entry.
+        entry = client.stats()["daemon"]
+        assert entry["daemon_id"] == "sticky1"
         assert any("socket disabled" in note for note in entry["notes"])
 
 
@@ -347,21 +305,16 @@ class TestFleetMetrics:
         daemon = ServiceDaemon(root, daemon_id="m1", socket=False)
         before = get_registry().snapshot()["counters"].get("queue_completed_total", 0)
         daemon.run(drain=True)
-        heartbeats = client.queue.daemon_heartbeats()
-        snapshot = heartbeats["m1"]["metrics"]
+        heartbeat = client.queue.heartbeat()
+        assert heartbeat["daemon_id"] == "m1"
+        snapshot = heartbeat["metrics"]
         assert snapshot["schema"] == 1
         assert snapshot["counters"]["queue_completed_total"] >= before + 1
+        # With the daemon gone, stats serve the registry from the file.
         stats = client.stats()
-        fleet = stats["fleet_metrics"]
-        assert fleet["counters"]["queue_completed_total"] >= before + 1
-
-        response = fleet_metrics(client.queue)
-        assert response["ok"] is True
-        assert response["daemons"]["m1"]["source"] == "heartbeat"
-        assert (
-            response["fleet"]["counters"]["queue_completed_total"] >= before + 1
-        )
-        text = render_exposition(response["fleet"])
+        assert stats["ok"] is True
+        assert stats["daemon"]["metrics"] == snapshot
+        text = render_exposition(stats["daemon"]["metrics"])
         assert "# TYPE queue_completed_total counter" in text
 
     def test_socket_metrics_op(self, tmp_path, trace_file):
@@ -380,9 +333,7 @@ class TestFleetMetrics:
             transport = None
             while transport is None and deadline:
                 try:
-                    transport = SocketTransport(
-                        client.queue.sockets_dir() / "sock1.sock"
-                    )
+                    transport = SocketTransport(client.queue.socket_path())
                 except OSError:
                     deadline -= 1
                     import time
@@ -478,15 +429,16 @@ class TestCliSurfaces:
 
         assert main(["metrics", root, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["fleet"]["counters"]["queue_completed_total"] >= 1
+        assert payload["daemon_id"] == "cli1"
+        assert payload["metrics"]["counters"]["queue_completed_total"] >= 1
 
         assert main(["queue", "top", root]) == 0
         top = capsys.readouterr().out
-        assert "fleet:" in top and "cli1" in top and "jobs/s" in top
+        assert "daemon cli1: 1 done" in top and "jobs/s" in top
 
         assert main(["queue", "stats", root]) == 0
         stats_text = capsys.readouterr().out
-        assert "fleet:" in stats_text
+        assert "daemon: cli1" in stats_text and "1 done" in stats_text
 
     def test_engine_profiles_cover_only_executed_jobs(self, tmp_path):
         trace = WorkingSetGenerator(hot_bytes=2048, cold_bytes=1 << 15).generate(1500, seed=3)

@@ -552,7 +552,8 @@ class TestServiceIntegration:
         payload = daemon.heartbeat()
         assert payload["trace_cache"]["puts"] == 1
         stats = client.stats()
-        assert stats["daemons"]["counted"]["trace_cache"]["puts"] == 1
+        assert stats["daemon"]["daemon_id"] == "counted"
+        assert stats["daemon"]["trace_cache"]["puts"] == 1
 
     def test_no_trace_cache_disables(self, tmp_path, cache_trace):
         root, trace_path = self._service(tmp_path, cache_trace)

@@ -51,6 +51,22 @@ def trace_file(tmp_path):
     return str(path)
 
 
+def _before_first_write(monkeypatch, state, action):
+    """Run ``action`` once, just before the queue's first record write
+    into the ``state`` directory (whichever queue handle makes it)."""
+    from repro.service import queue as queue_module
+
+    original = queue_module._atomic_replace
+    pending = [action]
+
+    def hooked(target, *args, **kwargs):
+        if pending and target.parent.name == state:
+            pending.pop()()
+        return original(target, *args, **kwargs)
+
+    monkeypatch.setattr(queue_module, "_atomic_replace", hooked)
+
+
 def _request(trace_file, **overrides):
     options = dict(
         trace_path=trace_file,
@@ -187,22 +203,82 @@ class TestJobQueue:
         assert record.cells_done == 0  # the store is the progress truth
         assert record.attempts == 1
 
-    def test_rewritten_transition_tolerates_missing_source(self, tmp_path):
+    def test_rewritten_transition_tolerates_missing_source(self, tmp_path, monkeypatch):
         """Two actors racing the same transition must both succeed.
 
-        E.g. two clients resubmitting one failed job: both write the queued
-        record, the slower one finds the stale failed copy already gone —
-        the desired end state holds, so that is not an error.
+        E.g. two clients resubmitting one failed job: the one whose move
+        finds the failed record gone re-reads the job, finds it queued and
+        coalesces onto it — the desired end state holds, so that is not an
+        error.
         """
         queue = open_service(tmp_path)
         queue.submit("a" * 64, {})
-        record = queue.claim()
-        queue.fail(record, "boom")
-        # Simulate the faster racer having completed the requeue already.
-        queue._record_path(STATE_FAILED, "a" * 64).unlink()
-        queue._write_record(STATE_QUEUED, record)
-        queue._transition(STATE_FAILED, STATE_QUEUED, "a" * 64, rewritten=True)
+        queue.fail(queue.claim(), "boom")
+        faster = open_service(tmp_path)
+        raced = []
+        _before_first_write(
+            monkeypatch, STATE_QUEUED,
+            lambda: raced.append(faster.submit("a" * 64, {})),
+        )
+        _, deduped = queue.submit("a" * 64, {})
+        assert [was_deduped for _, was_deduped in raced] == [False]
+        assert deduped
         assert queue.find("a" * 64).state == STATE_QUEUED
+        assert sum(queue.counts().values()) == 1
+
+    def test_cancel_racing_a_claim_leaves_one_state(self, tmp_path, monkeypatch):
+        queue = open_service(tmp_path)
+        daemon_side = open_service(tmp_path)
+        queue.submit("a" * 64, {})
+        claimed = []
+        _before_first_write(
+            monkeypatch, STATE_CANCELLED,
+            lambda: claimed.append(daemon_side.claim()),
+        )
+        record = queue.cancel("a" * 64)
+        # The claim won: the job runs, and the cancel became a request the
+        # daemon honours between cells instead of a second state.
+        assert claimed[0] is not None
+        assert record.state == STATE_RUNNING
+        assert queue.counts() == {
+            STATE_QUEUED: 0, STATE_RUNNING: 1, STATE_DONE: 0,
+            STATE_FAILED: 0, STATE_CANCELLED: 0,
+        }
+        assert queue.cancel_requested("a" * 64)
+
+    def test_resubmission_racing_a_cancel_leaves_one_state(
+        self, tmp_path, monkeypatch
+    ):
+        queue = open_service(tmp_path)
+        client = open_service(tmp_path)
+        queue.submit("a" * 64, {})
+        queue.fail(queue.claim(), "boom")
+        resubmitted = []
+        _before_first_write(
+            monkeypatch, STATE_CANCELLED,
+            lambda: resubmitted.append(client.submit("a" * 64, {})),
+        )
+        record = queue.cancel("a" * 64)
+        # The resubmission moved the job first; the cancel then found it
+        # queued and cancelled that.
+        assert [deduped for _, deduped in resubmitted] == [False]
+        assert record.state == STATE_CANCELLED
+        assert queue.counts() == {
+            STATE_QUEUED: 0, STATE_RUNNING: 0, STATE_DONE: 0,
+            STATE_FAILED: 0, STATE_CANCELLED: 1,
+        }
+
+    def test_state_is_the_directory_the_record_is_in(self, tmp_path):
+        queue = open_service(tmp_path)
+        queue.submit("a" * 64, {})
+        # A crash right after a transition's rename leaves the old state
+        # inside the moved file.
+        os.replace(
+            tmp_path / "jobs" / "queued" / ("a" * 64 + ".json"),
+            tmp_path / "jobs" / "cancelled" / ("a" * 64 + ".json"),
+        )
+        assert queue.find("a" * 64).state == STATE_CANCELLED
+        assert [record.state for record in queue.records()] == [STATE_CANCELLED]
 
     def test_result_of_unfinished_job_is_an_error(self, tmp_path):
         queue = open_service(tmp_path)
