@@ -1141,7 +1141,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--sweep-workers", type=int, default=1,
                        help="process fan-out within each job's sweep")
     serve.add_argument("--poll", type=float, default=0.1, metavar="SECONDS",
-                       help="idle sleep between scheduler ticks")
+                       help="longest idle wait between scheduler ticks "
+                            "(positive): it bounds only file-path submits "
+                            "and the idle heartbeat; socket submits, "
+                            "finished jobs and stops wake the daemon at once")
     serve.add_argument("--drain", action="store_true",
                        help="exit once the queue is empty (batch mode)")
     serve.add_argument("--max-jobs", type=int, default=None, metavar="N",

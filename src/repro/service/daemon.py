@@ -52,7 +52,7 @@ import socket as _socketmod
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
-from threading import Lock
+from threading import Event, Lock
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.engine.sweep import SweepJob, run_sweep
@@ -106,7 +106,11 @@ class ServiceDaemon:
     sweep_workers:
         Process fan-out *within* each job's sweep (``run_sweep(workers=)``).
     poll_interval:
-        Idle sleep between scheduler ticks, in seconds.
+        Longest idle wait between scheduler ticks, in seconds; must be
+        positive.  It bounds only how late a job submitted as a file is
+        claimed, and how often an idle daemon renews its heartbeat: a
+        socket submit, a finished job and :meth:`stop` wake the scheduler
+        at once.
     on_cell:
         Optional observability hook called as ``on_cell(record, index,
         job, cached)`` after every persisted cell — the test suite uses it
@@ -145,6 +149,12 @@ class ServiceDaemon:
         job_retain_seconds: float = DEFAULT_JOB_RETAIN_SECONDS,
         trace_cache: Union[None, bool, str, os.PathLike, TracePlaneCache] = None,
     ) -> None:
+        poll_interval = float(poll_interval)
+        if not poll_interval > 0:
+            # A zero wait would spin the idle loop, writing a heartbeat on
+            # every pass.
+            raise ServiceError(f"poll interval must be positive, got {poll_interval:g}s")
+        self.poll_interval = poll_interval
         self.queue: JobQueue = open_service(root)
         if store is None:
             store = Path(self.queue.root) / "store"
@@ -177,7 +187,6 @@ class ServiceDaemon:
         self.job_retain_seconds = float(job_retain_seconds)
         self.workers = max(int(workers), 1)
         self.sweep_workers = max(int(sweep_workers), 1)
-        self.poll_interval = max(float(poll_interval), 0.0)
         self.on_cell = on_cell
         self.event_retain_seconds = float(event_retain_seconds)
         self.jobs_done = 0
@@ -225,6 +234,12 @@ class ServiceDaemon:
             source=self.daemon_id,
         )
         self._stopping = False
+        # Set by a socket submit, a finished pooled job and stop(); the
+        # scheduler waits on it between ticks instead of sleeping.
+        self._wake = Event()
+        #: Set once the daemon serves: its socket is up (if it could bind)
+        #: and its first heartbeat is written.  Cleared when run() returns.
+        self.ready = Event()
         self._started_at = time.time()
         self._lock = Lock()
         self._lock_fd: Optional[int] = None  # the held daemon.lock, in run()
@@ -233,8 +248,9 @@ class ServiceDaemon:
     # -- lifecycle ---------------------------------------------------------------
 
     def stop(self) -> None:
-        """Ask the scheduler loop to exit after the current tick."""
+        """Ask the scheduler loop to exit after the current job, if any."""
         self._stopping = True
+        self._wake.set()
 
     def run(self, drain: bool = False, max_jobs: Optional[int] = None) -> int:
         """The scheduler loop; returns the number of jobs brought to an end.
@@ -252,6 +268,7 @@ class ServiceDaemon:
         try:
             return self._serve(drain, max_jobs)
         finally:
+            self.ready.clear()
             self._release_lock()
 
     def _serve(self, drain: bool, max_jobs: Optional[int]) -> int:
@@ -276,6 +293,7 @@ class ServiceDaemon:
             notes.append(f"evicted {evicted_jobs} finished job(s)")
         self._start_socket()
         self._write_heartbeat(note="; ".join(notes) if notes else None)
+        self.ready.set()
         finished_before = self._finished_total()
         try:
             if self.workers == 1:
@@ -324,7 +342,9 @@ class ServiceDaemon:
     def _start_socket(self) -> None:
         if not self.socket_enabled:
             return
-        server = ServiceSocketServer(self.queue, self.daemon_id, stats_source=self)
+        server = ServiceSocketServer(
+            self.queue, self.daemon_id, stats_source=self, on_submit=self._wake.set
+        )
         try:
             server.start()
         except ServiceError as exc:
@@ -353,13 +373,18 @@ class ServiceDaemon:
     def _run_inline(
         self, drain: bool, max_jobs: Optional[int], finished_before: int
     ) -> None:
-        while not self._stopping and not self._finished_enough(finished_before, max_jobs):
+        while True:
+            # Cleared before the checks and the claim: a submit or stop that
+            # they miss sets it again, so the wait below returns at once.
+            self._wake.clear()
+            if self._stopping or self._finished_enough(finished_before, max_jobs):
+                break
             record = self.queue.claim(accept=self._accept, daemon_id=self.daemon_id)
             if record is None:
                 self._write_heartbeat()
                 if drain and not self.queue.records(STATE_QUEUED):
                     break
-                time.sleep(self.poll_interval)
+                self._wake.wait(self.poll_interval)
                 continue
             self._mark_job_inflight(record)
             self._execute(record)
@@ -371,6 +396,7 @@ class ServiceDaemon:
         pending: List[Future] = []
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
             while True:
+                self._wake.clear()  # before the checks, as in _run_inline
                 pending = [future for future in pending if not future.done()]
                 if self._stopping or self._finished_enough(finished_before, max_jobs):
                     break
@@ -384,12 +410,18 @@ class ServiceDaemon:
                     # worker starts, so the next claim's overlap check can
                     # never race the marking.
                     self._mark_job_inflight(claimed)
-                    pending.append(pool.submit(self._execute, claimed))
+                    future = pool.submit(self._execute, claimed)
+                    # A done callback runs once done() holds, after
+                    # _execute has cleared the job's in-flight cells: the
+                    # woken scheduler sees a free slot, and claims a job
+                    # deferred behind those cells.
+                    future.add_done_callback(lambda _: self._wake.set())
+                    pending.append(future)
                     continue
                 self._write_heartbeat()
                 if drain and not pending and not self.queue.records(STATE_QUEUED):
                     break
-                time.sleep(self.poll_interval)
+                self._wake.wait(self.poll_interval)
             for future in pending:
                 future.result()
 
@@ -470,6 +502,7 @@ class ServiceDaemon:
             trace_id=trace_id,
             job_id=record.id,
             attempt=record.attempts,
+            queue_wait_s=round(record.started_at - record.submitted_at, 6),
         )
         try:
             request = SweepRequest.from_wire(record.request)
@@ -494,6 +527,10 @@ class ServiceDaemon:
                     job_id=record.id,
                     index=index,
                     cached=cached,
+                    engine=job.engine,
+                    label=job.label(),
+                    seconds=None if cached else round(results.elapsed_seconds, 6),
+                    walk=results.walk,
                 )
                 if self.on_cell is not None:
                     self.on_cell(record, index, job, cached)

@@ -31,12 +31,13 @@ import socket
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ServiceError
 from repro.obs.metrics import get_registry, render_exposition
 from repro.service.queue import (
     STATE_FAILED,
+    STATE_QUEUED,
     TERMINAL_STATES,
     JobQueue,
 )
@@ -77,7 +78,9 @@ class ServiceSocketServer:
     a socket-served submit is indistinguishable on disk from a file-path
     one.  ``stats_source`` (the owning daemon's live counters) is consulted
     by the ``stats`` op so socket clients see the same heartbeat the file
-    transport reads from disk.
+    transport reads from disk.  ``on_submit`` is called after every submit
+    that leaves its job queued, which is how the owning daemon's scheduler
+    is woken instead of waiting out its poll.
     """
 
     def __init__(
@@ -85,10 +88,12 @@ class ServiceSocketServer:
         queue: JobQueue,
         daemon_id: str,
         stats_source: Optional[Any] = None,
+        on_submit: Optional[Callable[[], None]] = None,
     ) -> None:
         self.queue = queue
         self.daemon_id = str(daemon_id)
         self.stats_source = stats_source
+        self.on_submit = on_submit
         self.path: Path = queue.socket_path()
         self.requests_served = 0
         self._metric_requests = get_registry().counter(
@@ -116,7 +121,6 @@ class ServiceSocketServer:
             listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             listener.bind(str(self.path))
             listener.listen(16)
-            listener.settimeout(0.2)
         except OSError as exc:
             raise ServiceError(
                 f"could not bind service socket {self.path}: {exc}"
@@ -135,6 +139,12 @@ class ServiceSocketServer:
             self._finish_cond.notify_all()
         listener, self._listener = self._listener, None
         if listener is not None:
+            # Shutting the listener down makes a blocked accept() return at
+            # once; close() alone leaves it blocked on Linux.
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 listener.close()
             except OSError:
@@ -159,10 +169,8 @@ class ServiceSocketServer:
         while not self._stopping and listener is not None:
             try:
                 connection, _ = listener.accept()
-            except socket.timeout:
-                continue
             except OSError:
-                break  # listener closed under us during stop()
+                break  # listener shut down under us during stop()
             threading.Thread(
                 target=self._serve_connection, args=(connection,), daemon=True
             ).start()
@@ -223,6 +231,8 @@ class ServiceSocketServer:
                 dict(request["request"]),
                 priority=int(request.get("priority", 0)),
             )
+            if record.state == STATE_QUEUED and self.on_submit is not None:
+                self.on_submit()
             return ok_response(
                 "submit",
                 job_id=record.id,

@@ -69,13 +69,22 @@ def _direct(trace_file, request):
 
 #: A daemon whose first persisted cell forks a multiprocessing child, prints
 #: both pids and blocks, so a test can SIGKILL it mid-job with the child alive.
+#: The pids are printed once the child runs its target: its after-fork hooks,
+#: which close its copy of the lock, have run by then.
 _DAEMON_WITH_FORKED_CHILD = """
 import multiprocessing, os, sys, time
 from repro.service import ServiceDaemon
 
+def signal_and_block(running):
+    running.set()
+    time.sleep(600)
+
 def fork_child_and_block(record, index, job, cached):
-    child = multiprocessing.get_context("fork").Process(target=time.sleep, args=(600,))
+    context = multiprocessing.get_context("fork")
+    running = context.Event()
+    child = context.Process(target=signal_and_block, args=(running,))
     child.start()
+    running.wait(60)
     print(os.getpid(), child.pid, flush=True)
     time.sleep(600)
 
@@ -228,24 +237,27 @@ class TestOneDaemonPerDirectory:
         assert client.result_text(job_id) == _direct(trace_file, request)
 
 
-class TestSocketTransport:
-    def _serve_in_thread(self, root, **kwargs):
-        daemon = ServiceDaemon(root, poll_interval=0.005, **kwargs)
-        thread = threading.Thread(
-            target=daemon.run, kwargs={"drain": False}, daemon=True
-        )
-        thread.start()
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            if daemon.socket_server is not None and daemon.socket_server.running:
-                return daemon, thread
-            time.sleep(0.01)
-        raise AssertionError("daemon socket never came up")
+def _serve_in_thread(root, **kwargs):
+    """Start a daemon in a thread and return once it serves its socket."""
+    daemon = ServiceDaemon(root, **kwargs)
+    thread = threading.Thread(target=daemon.run, kwargs={"drain": False}, daemon=True)
+    thread.start()
+    assert daemon.ready.wait(10.0), "daemon never became ready"
+    assert daemon.socket_server is not None and daemon.socket_server.running
+    return daemon, thread
 
+
+def _stop(daemon, thread):
+    daemon.stop()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive(), "daemon did not stop"
+
+
+class TestSocketTransport:
     def test_socket_roundtrip_matches_direct_run(self, tmp_path, trace_file):
         root = tmp_path / "svc"
         ServiceClient(root, create=True)
-        daemon, thread = self._serve_in_thread(root, daemon_id="sock1")
+        daemon, thread = _serve_in_thread(root, daemon_id="sock1")
         try:
             client = ServiceClient(root, transport="socket")
             request = _request(trace_file)
@@ -266,15 +278,14 @@ class TestSocketTransport:
             assert stats["daemon"]["socket"] == str(client.queue.socket_path())
             client.close()
         finally:
-            daemon.stop()
-            thread.join(timeout=10)
+            _stop(daemon, thread)
 
     def test_socket_and_polling_serve_identical_payloads(
         self, tmp_path, trace_file
     ):
         root = tmp_path / "svc"
         ServiceClient(root, create=True)
-        daemon, thread = self._serve_in_thread(root, daemon_id="sock2")
+        daemon, thread = _serve_in_thread(root, daemon_id="sock2")
         try:
             socket_client = ServiceClient(root, transport="socket")
             files_client = ServiceClient(root, transport="files")
@@ -286,8 +297,7 @@ class TestSocketTransport:
             )
             socket_client.close()
         finally:
-            daemon.stop()
-            thread.join(timeout=10)
+            _stop(daemon, thread)
 
     def test_auto_transport_falls_back_without_daemon(self, tmp_path, trace_file):
         root = tmp_path / "svc"
@@ -311,6 +321,79 @@ class TestSocketTransport:
     def test_rejects_unknown_transport(self, tmp_path):
         with pytest.raises(ServiceError, match="transport"):
             ServiceClient(tmp_path, create=True, transport="carrier-pigeon")
+
+
+class TestSchedulerWake:
+    """An idle daemon is woken, never left to sleep out its poll.
+
+    Every daemon here polls once an hour, so a job can only make progress
+    if a socket submit, a finished job or ``stop()`` wakes the scheduler.
+    """
+
+    def test_socket_submit_wakes_an_idle_daemon(self, tmp_path, trace_file):
+        root = tmp_path / "svc"
+        daemon, thread = _serve_in_thread(root, poll_interval=3600.0)
+        try:
+            client = ServiceClient(root, transport="socket")
+            request = _request(trace_file)
+            job_id = client.submit(request)["job_id"]
+            assert client.wait(job_id, timeout=30.0).state == STATE_DONE
+            assert client.result_text(job_id) == _direct(trace_file, request)
+            client.close()
+        finally:
+            _stop(daemon, thread)
+
+    def test_stop_wakes_an_idle_daemon(self, tmp_path):
+        daemon, thread = _serve_in_thread(tmp_path / "svc", poll_interval=3600.0)
+        _stop(daemon, thread)
+        assert not daemon.ready.is_set()
+
+    def test_finished_job_wakes_a_deferred_one(self, tmp_path, trace_file):
+        # Job B covers every cell of job A and more.  B is claimed while A
+        # still computes, so it is deferred; A's end must wake the pooled
+        # scheduler, and B then loads A's cells from the store.
+        first_cell, release, refused = (threading.Event() for _ in range(3))
+
+        def hold_first_cell(record, index, job, cached):
+            if not first_cell.is_set():
+                first_cell.set()
+                release.wait(30.0)
+
+        root = tmp_path / "svc"
+        daemon = ServiceDaemon(
+            root, workers=2, poll_interval=3600.0, on_cell=hold_first_cell
+        )
+        accept = daemon._accept
+
+        def spy_accept(record):
+            accepted = accept(record)
+            if not accepted:
+                refused.set()
+            return accepted
+
+        daemon._accept = spy_accept
+        thread = threading.Thread(target=daemon.run, daemon=True)
+        thread.start()
+        try:
+            assert daemon.ready.wait(10.0), "daemon never became ready"
+            client = ServiceClient(root, transport="socket")
+            request_a = _request(trace_file)
+            request_b = _request(trace_file, block_sizes=(8, 16, 32))
+            job_a = client.submit(request_a)["job_id"]
+            assert first_cell.wait(30.0), "job A never started"
+            job_b = client.submit(request_b)["job_id"]
+            assert refused.wait(30.0), "job B was not deferred"
+            release.set()
+            record_b = client.wait(job_b, timeout=30.0)
+            assert record_b.state == STATE_DONE
+            assert client.queue.find(job_a).state == STATE_DONE
+            assert record_b.cells_cached == len(request_a.build_jobs())
+            assert record_b.cells_total == len(request_b.build_jobs())
+            assert client.result_text(job_b) == _direct(trace_file, request_b)
+            client.close()
+        finally:
+            release.set()
+            _stop(daemon, thread)
 
 
 class TestWaitBackoff:

@@ -215,8 +215,18 @@ class TestTraceIdPropagation:
         assert names[0] == "job_claimed"
         assert names[-1] == "job_done"
         cells = [span for span in spans if span["name"] == "cell"]
-        assert len(cells) == len(_request(trace_file).build_jobs())
+        jobs = _request(trace_file).build_jobs()
+        assert len(cells) == len(jobs)
         assert all(span["trace_id"] == trace_id for span in spans)
+        # Every cell names its engine job; a fresh one carries its own
+        # simulate time, and a DEW cell the walk that ran it.
+        by_label = {job.label(): job for job in jobs}
+        assert sorted(span["label"] for span in cells) == sorted(by_label)
+        for span in cells:
+            assert span["cached"] is False
+            assert span["engine"] == by_label[span["label"]].engine
+            assert span["seconds"] > 0.0
+            assert ("walk" in span) == (span["engine"] == "dew")
         done = spans[-1]
         assert done["job_id"] == response["job_id"]
         assert done["phases"]["simulate"] > 0.0
@@ -224,6 +234,9 @@ class TestTraceIdPropagation:
         assert done["phases"]["load"] > 0.0
         finished = client.queue.find(response["job_id"])
         assert finished.extra["phases"]["load"] == done["phases"]["load"]
+        # The claim span carries how long the job sat queued.
+        queue_wait = round(finished.started_at - finished.submitted_at, 6)
+        assert spans[0]["queue_wait_s"] == queue_wait >= 0.0
 
     def test_trace_survives_daemon_kill_and_reclaim(self, tmp_path, trace_file):
         root = tmp_path / "svc"
@@ -321,7 +334,7 @@ class TestFleetMetrics:
         root = tmp_path / "svc"
         client = ServiceClient(root, create=True)
         client.submit(_request(trace_file))
-        daemon = ServiceDaemon(root, daemon_id="sock1", poll_interval=0.01)
+        daemon = ServiceDaemon(root, daemon_id="sock1")
         import threading
 
         # Not drain mode: a draining daemon may finish the one job and
@@ -329,17 +342,8 @@ class TestFleetMetrics:
         thread = threading.Thread(target=daemon.run, kwargs={"drain": False})
         thread.start()
         try:
-            deadline = 50
-            transport = None
-            while transport is None and deadline:
-                try:
-                    transport = SocketTransport(client.queue.socket_path())
-                except OSError:
-                    deadline -= 1
-                    import time
-
-                    time.sleep(0.05)
-            assert transport is not None, "daemon socket never came up"
+            assert daemon.ready.wait(10.0), "daemon never became ready"
+            transport = SocketTransport(client.queue.socket_path())
             response = transport.request({"wire": 1, "op": "metrics"})
             assert response["ok"] and response["type"] == "metrics"
             assert response["metrics"]["schema"] == 1

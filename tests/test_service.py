@@ -553,6 +553,18 @@ class TestServiceCli:
         direct = capsys.readouterr().out
         assert served == direct
 
+    def test_serve_rejects_a_non_positive_poll(self, tmp_path, capsys):
+        # A zero or negative poll would spin the idle loop.
+        for poll in (0.0, -1.0):
+            with pytest.raises(ServiceError, match="poll interval must be positive"):
+                ServiceDaemon(tmp_path / "direct", poll_interval=poll)
+        service = tmp_path / "svc"
+        assert main(["serve", str(service), "--poll", "0"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "repro-dew: error: poll interval must be positive, got 0s"
+        ]
+        assert not service.exists()
+
     def test_submit_wait_completes_against_live_daemon(self, tmp_path, trace_file, capsys):
         service = tmp_path / "svc"
         daemon_thread = threading.Thread(
