@@ -63,7 +63,7 @@ def test_micro_chunked_pipeline_beats_per_address_loop(bench_report):
         (time_chunked() for _ in range(3)), key=lambda pair: pair[0]
     )
 
-    assert not chunked_results.diff(per_address_results)
+    assert chunked_results.as_rows() == per_address_results.as_rows()
     assert chunked_seconds < per_address_seconds, (
         f"chunked pipeline ({chunked_seconds:.3f}s) should beat the "
         f"per-address loop ({per_address_seconds:.3f}s)"
@@ -90,14 +90,14 @@ def test_micro_victim_cache_block_runs_speedup(bench_report):
         start = time.perf_counter()
         for blocks in trace.iter_block_chunks(engine.offset_bits):
             engine.run_blocks(blocks)
-        return time.perf_counter() - start, engine.finalize_frame("bench")
+        return time.perf_counter() - start, engine.finalize("bench")
 
     def time_collapsed():
         engine = get_engine("victim-cache", **options)
         start = time.perf_counter()
         for values, counts in trace.iter_block_runs(engine.offset_bits):
             engine.run_block_runs(values, counts)
-        return time.perf_counter() - start, engine.finalize_frame("bench")
+        return time.perf_counter() - start, engine.finalize("bench")
 
     raw_seconds, raw_frame = min(
         (time_raw() for _ in range(3)), key=lambda pair: pair[0]

@@ -16,10 +16,10 @@ be tuned to it.  The flow is:
 Run with:  python examples/design_space_exploration.py
 """
 
-from repro import CacheTuner, DewSimulator, TuningConstraints, mediabench_trace
+from repro import CacheTuner, DewSimulator, ResultsFrame, TuningConstraints, mediabench_trace
 from repro.core.config import ConfigSpace
 from repro.explore.energy import EnergyModel
-from repro.explore.pareto import size_missrate_front
+from repro.explore.pareto import pareto_front_frame
 
 SET_SIZES = tuple(2**i for i in range(10))      # 1 .. 512 sets
 BLOCK_SIZES = (16, 32, 64)
@@ -32,47 +32,42 @@ def main() -> None:
 
     # Sweep the whole space: one DEW pass per (B, A) family.  Direct-mapped
     # configurations are produced as a by-product of each pass.
-    all_results = []
-    passes = 0
-    for block_size in BLOCK_SIZES:
-        for associativity in ASSOCIATIVITIES:
-            simulator = DewSimulator(block_size, associativity, SET_SIZES)
-            family = simulator.run(trace)
-            all_results.extend(family)
-            passes += 1
+    families = [
+        DewSimulator(block_size, associativity, SET_SIZES).run(trace)
+        for block_size in BLOCK_SIZES
+        for associativity in ASSOCIATIVITIES
+    ]
     # The same configuration can appear in two families (direct-mapped caches
-    # are shared); deduplicate keeping the first occurrence.
-    unique = {}
-    for result in all_results:
-        unique.setdefault(result.config, result)
-    results = list(unique.values())
+    # are shared); the merge checks that they agree and keeps one row each.
+    results = ResultsFrame.merge(families, trace_name=trace.name)
     space_size = len(ConfigSpace(SET_SIZES, (1,) + ASSOCIATIVITIES, BLOCK_SIZES))
     print(f"{len(results)} distinct configurations (space of {space_size}) "
-          f"from {passes} single-pass simulations\n")
+          f"from {len(families)} single-pass simulations\n")
 
-    # Pareto front over (capacity, miss rate).
-    front = size_missrate_front(results)
-    front.sort(key=lambda point: point.config.total_size)
+    # Pareto front over (capacity, miss rate), smallest cache first.
+    sizes = results.total_sizes()
+    rates = results.miss_rate_column()
+    front = sorted(pareto_front_frame(results), key=lambda row: sizes[row])
     print("capacity vs miss-rate Pareto front:")
-    for point in front[:12]:
-        size, miss_rate = point.metrics
-        print(f"  {point.config.label():>22}  {int(size):>8,} B   miss rate {miss_rate:.4f}")
+    for row in front[:12]:
+        print(f"  {results.config_at(row).label():>22}  {int(sizes[row]):>8,} B   "
+              f"miss rate {rates[row]:.4f}")
     if len(front) > 12:
         print(f"  ... ({len(front) - 12} more points)")
 
     # Constraint-driven selection: at most 16 KB of data array, a miss rate
     # within 25% of the best achievable at that budget, minimise energy.
     budget = 16 << 10
-    best_rate = min(r.miss_rate for r in results if r.config.total_size <= budget)
+    best_rate = float(rates[sizes <= budget].min())
     constraints = TuningConstraints(max_total_size=budget, max_miss_rate=best_rate * 1.25)
     tuner = CacheTuner(energy_model=EnergyModel(), objective="energy")
-    outcome = tuner.tune(results, constraints)
+    outcome = tuner.tune_frame(results, constraints)
     print(f"\ntuner decision (<=16KB, miss rate <= {best_rate * 1.25:.4f}, minimise energy):")
     for key, value in outcome.as_dict().items():
         print(f"  {key:>24}: {value}")
 
     # Compare against the pure performance objective.
-    fastest = CacheTuner(objective="misses").tune(results, constraints)
+    fastest = CacheTuner(objective="misses").tune_frame(results, constraints)
     print(f"\nfewest-misses choice under the same constraints: "
           f"{fastest.best.config.label()} ({fastest.best.misses:,} misses)")
 

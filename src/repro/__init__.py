@@ -35,7 +35,7 @@ from repro._version import __version__
 from repro.core.config import CacheConfig, ConfigSpace
 from repro.core.counters import DewCounters
 from repro.core.dew import DewSimulator
-from repro.core.results import ConfigResult, ResultsFrame, SimulationResults
+from repro.core.results import ConfigResult, ResultsFrame
 from repro.core.tree import DewTree
 from repro.cache.dinero import DineroRunResult, DineroStyleRunner
 from repro.cache.simulator import SingleConfigSimulator
@@ -68,7 +68,6 @@ __all__ = [
     "DewSimulator",
     "ConfigResult",
     "ResultsFrame",
-    "SimulationResults",
     "DewTree",
     "DineroRunResult",
     "DineroStyleRunner",

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.cache.dinero import DineroStyleRunner
 from repro.core.config import CacheConfig
 from repro.core.counters import DewCounters
-from repro.core.results import SimulationResults
+from repro.core.results import ConfigResult, ResultsFrame
 from repro.engine import build_grid_jobs, get_engine, run_sweep
 from repro.engine.sweep import SweepJob, SweepOutcome
 from repro.errors import VerificationError
@@ -293,8 +293,11 @@ class ExperimentRunner:
         if baseline_results is None:
             runner = DineroStyleRunner(baseline_configs)
             baseline = runner.run(trace)
-            baseline_results = SimulationResults.from_stats(
-                baseline.stats,
+            baseline_results = ResultsFrame.from_results(
+                (
+                    ConfigResult(config, stat.accesses, stat.misses, stat.compulsory_misses)
+                    for config, stat in baseline.stats.items()
+                ),
                 elapsed_seconds=baseline.elapsed_seconds,
                 simulator_name="dinero",
                 trace_name=trace.name,
@@ -336,7 +339,7 @@ class ExperimentRunner:
         return configs
 
     @staticmethod
-    def _verify(dew_results: SimulationResults, baseline_stats) -> bool:
+    def _verify(dew_results: ResultsFrame, baseline_stats) -> bool:
         for config, stats in baseline_stats.items():
             dew_result = dew_results.get(config)
             if dew_result is None:

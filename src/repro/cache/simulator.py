@@ -17,7 +17,7 @@ from repro.cache.cacheset import CacheSet
 from repro.cache.policies import make_policy
 from repro.cache.stats import CacheStats
 from repro.core.config import CacheConfig
-from repro.core.results import ResultsFrame, SimulationResults, policy_code
+from repro.core.results import ResultsFrame, policy_code
 from repro.engine.base import Engine, register_engine
 from repro.errors import ConfigurationError, SimulationError
 from repro.types import AccessType, ReplacementPolicy
@@ -143,7 +143,7 @@ class SingleConfigSimulator(Engine):
 
     # -- results --------------------------------------------------------------
 
-    def finalize_frame(self, trace_name: str = "trace") -> ResultsFrame:
+    def finalize(self, trace_name: str = "trace") -> ResultsFrame:
         """The configuration's one result row, from :attr:`stats`."""
         stats = self.stats
         config = self.config
@@ -158,10 +158,6 @@ class SingleConfigSimulator(Engine):
             simulator_name="single",
             trace_name=trace_name,
         )
-
-    def finalize(self, trace_name: str = "trace") -> SimulationResults:
-        """The configuration's one result row (frame-backed view)."""
-        return SimulationResults.from_frame(self.finalize_frame(trace_name=trace_name))
 
     # -- inspection -----------------------------------------------------------
 

@@ -64,6 +64,7 @@ one-line error instead of a traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -81,7 +82,7 @@ from repro.bench.harness import ExperimentRunner
 from repro.bench.tables import format_table1, format_table2, format_table3, format_table4
 from repro.cache.dinero import DineroStyleRunner
 from repro.core.config import CacheConfig
-from repro.core.results import ResultsFrame, SimulationResults
+from repro.core.results import ResultsFrame
 from repro.engine import (
     build_grid_jobs,
     build_mechanism_grid_jobs,
@@ -512,7 +513,8 @@ def _explore_frame(args: argparse.Namespace) -> ResultsFrame:
         if not getattr(args, "job", None):
             raise ExplorationError("--service needs --job ID (see 'queue ls')")
         try:
-            return ServiceClient(service).result_frame(args.job)
+            with contextlib.closing(ServiceClient(service)) as client:
+                return client.result_frame(args.job)
         except ServiceError as exc:
             raise ExplorationError(str(exc)) from exc
     if getattr(args, "job", None):
@@ -692,12 +694,13 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         transport=args.transport,
         trace_cache=args.trace_cache,
     )
-    response = client.submit(_submit_request(args), priority=args.priority)
-    if args.wait:
-        record = client.wait(response["job_id"], timeout=args.timeout)
-        response["state"] = record.state
-        if record.error:
-            response["error"] = record.error
+    with contextlib.closing(client):
+        response = client.submit(_submit_request(args), priority=args.priority)
+        if args.wait:
+            record = client.wait(response["job_id"], timeout=args.timeout)
+            response["state"] = record.state
+            if record.error:
+                response["error"] = record.error
     if args.format == "json":
         print(json.dumps(response, indent=2))
     else:
@@ -711,7 +714,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    response = ServiceClient(args.service_dir, transport=args.transport).status(args.job)
+    with contextlib.closing(ServiceClient(args.service_dir, transport=args.transport)) as client:
+        response = client.status(args.job)
     if args.format == "json":
         print(json.dumps(response, indent=2))
         return 0
@@ -728,21 +732,22 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_result(args: argparse.Namespace) -> int:
-    client = ServiceClient(args.service_dir, transport=args.transport)
-    payload = client.result_text(args.job)
-    if args.format == "json":
-        # The stored payload verbatim: byte-identical to what a direct
-        # `sweep --format json` over the same grid prints.
-        print(payload)
+    with contextlib.closing(ServiceClient(args.service_dir, transport=args.transport)) as client:
+        payload = client.result_text(args.job)
+        if args.format == "json":
+            # The stored payload verbatim: byte-identical to what a direct
+            # `sweep --format json` over the same grid prints.
+            print(payload)
+            return 0
+        frame = client.result_frame(args.job)
+        print(f"job {client.queue.find(args.job).id[:12]}: {len(frame)} configurations")
+        _print_result_rows(frame)
         return 0
-    frame = client.result_frame(args.job)
-    print(f"job {client.queue.find(args.job).id[:12]}: {len(frame)} configurations")
-    _print_result_rows(SimulationResults.from_frame(frame))
-    return 0
 
 
 def _cmd_cancel(args: argparse.Namespace) -> int:
-    response = ServiceClient(args.service_dir, transport=args.transport).cancel(args.job)
+    with contextlib.closing(ServiceClient(args.service_dir, transport=args.transport)) as client:
+        response = client.cancel(args.job)
     if args.format == "json":
         print(json.dumps(response, indent=2))
     elif response.get("requested"):
@@ -756,8 +761,8 @@ def _cmd_cancel(args: argparse.Namespace) -> int:
 
 
 def _cmd_queue_ls(args: argparse.Namespace) -> int:
-    client = ServiceClient(args.service_dir, transport="files")
-    jobs = client.jobs(state=args.state)
+    with contextlib.closing(ServiceClient(args.service_dir, transport="files")) as client:
+        jobs = client.jobs(state=args.state)
     if args.format == "json":
         print(json.dumps(jobs, indent=2))
         return 0
@@ -772,11 +777,11 @@ def _cmd_queue_ls(args: argparse.Namespace) -> int:
 
 
 def _cmd_queue_stats(args: argparse.Namespace) -> int:
-    client = ServiceClient(args.service_dir, transport=args.transport)
-    if args.prune_events:
-        pruned = client.prune_events(retain_seconds=args.retain_seconds)
-        print(f"pruned {pruned} submit event(s)", file=sys.stderr)
-    response = client.stats()
+    with contextlib.closing(ServiceClient(args.service_dir, transport=args.transport)) as client:
+        if args.prune_events:
+            pruned = client.prune_events(retain_seconds=args.retain_seconds)
+            print(f"pruned {pruned} submit event(s)", file=sys.stderr)
+        response = client.stats()
     if args.format == "json":
         print(json.dumps(response, indent=2))
         return 0
@@ -820,7 +825,8 @@ def _notes_text(daemon) -> str:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     # The registry snapshot rides the daemon's heartbeat; `stats` answers
     # with the live one over the socket and the last published one over files.
-    daemon = ServiceClient(args.service_dir).stats().get("daemon") or {}
+    with contextlib.closing(ServiceClient(args.service_dir)) as client:
+        daemon = client.stats().get("daemon") or {}
     snapshot = daemon.get("metrics") or {}
     if args.format == "text":
         # Prometheus-style exposition: pipe it to a file and any
@@ -886,18 +892,18 @@ def _render_queue_top(service_dir: str, response) -> None:
 
 
 def _cmd_queue_top(args: argparse.Namespace) -> int:
-    client = ServiceClient(args.service_dir, transport=args.transport)
-    iterations = max(int(args.iterations), 1)
-    for iteration in range(iterations):
-        if iteration:
-            time.sleep(max(float(args.interval), 0.0))
-            print()
-        response = client.stats()
-        if args.format == "json":
-            print(json.dumps(response, indent=2, sort_keys=True))
-        else:
-            _render_queue_top(args.service_dir, response)
-    return 0
+    with contextlib.closing(ServiceClient(args.service_dir, transport=args.transport)) as client:
+        iterations = max(int(args.iterations), 1)
+        for iteration in range(iterations):
+            if iteration:
+                time.sleep(max(float(args.interval), 0.0))
+                print()
+            response = client.stats()
+            if args.format == "json":
+                print(json.dumps(response, indent=2, sort_keys=True))
+            else:
+                _render_queue_top(args.service_dir, response)
+        return 0
 
 
 def _cmd_queue_gc(args: argparse.Namespace) -> int:
@@ -1370,10 +1376,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # Flush here, so a closed stdout raises below and not at exit.
+        sys.stdout.flush()
+        return status
     except ReproError as exc:
         print(f"repro-dew: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away (`| head -1`).  Point stdout at devnull, as
+        # the SIGPIPE note in Python's `signal` docs does, so the flush at
+        # exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -16,8 +16,8 @@ simulator described in the paper:
     :class:`DewCounters`, the instrumentation behind Table 4 and Figure 6.
 ``results``
     Per-configuration hit/miss results: the columnar :class:`ResultsFrame`
-    data spine plus the object-level multi-configuration result set
-    returned by a simulation run.
+    every simulation run returns, and the :class:`ConfigResult` row it
+    yields when iterated.
 ``properties``
     Executable statements of the four DEW properties, used by the test
     suite.
@@ -25,7 +25,7 @@ simulator described in the paper:
 
 from repro.core.config import CacheConfig, ConfigSpace
 from repro.core.counters import DewCounters
-from repro.core.results import ConfigResult, ResultsFrame, SimulationResults
+from repro.core.results import ConfigResult, ResultsFrame
 from repro.core.tree import DewTree
 from repro.core.dew import DewSimulator
 
@@ -35,7 +35,6 @@ __all__ = [
     "DewCounters",
     "ConfigResult",
     "ResultsFrame",
-    "SimulationResults",
     "DewTree",
     "DewSimulator",
 ]

@@ -73,7 +73,7 @@ import numpy as np
 
 from repro import kernels
 from repro.core.counters import DewCounters
-from repro.core.results import ResultsFrame, SimulationResults, policy_code
+from repro.core.results import ResultsFrame, policy_code
 from repro.core.tree import DewTree
 from repro.engine.base import Engine, register_engine
 from repro.errors import SimulationError
@@ -445,15 +445,12 @@ class DewSimulator(Engine):
 
     # -- results ---------------------------------------------------------------
 
-    def finalize_frame(self, trace_name: str = "trace") -> ResultsFrame:
-        """Per-configuration results accumulated so far, in columnar form.
+    def finalize(self, trace_name: str = "trace") -> ResultsFrame:
+        """Per-configuration results accumulated so far.
 
-        Emits the :class:`~repro.core.results.ResultsFrame` columns directly
-        from the per-level miss arrays — one family row per level plus the
-        free direct-mapped row when ``A > 1`` — without materialising a
-        single :class:`~repro.core.results.ConfigResult`.  This is the
-        engine pipeline's native finalize path; :meth:`finalize` is a thin
-        view over it.
+        Emits the frame columns directly from the per-level miss arrays —
+        one family row per level plus the free direct-mapped row when
+        ``A > 1`` — with :attr:`counters` and :attr:`walk` riding along.
         """
         tree = self.tree
         num_levels = tree.num_levels
@@ -484,15 +481,9 @@ class DewSimulator(Engine):
             elapsed_seconds=self._elapsed,
             simulator_name="dew",
             trace_name=trace_name,
+            counters=self.counters,
+            walk=self.walk,
         )
-
-    def finalize(self, trace_name: str = "trace") -> SimulationResults:
-        """Per-configuration results accumulated so far (frame-backed view)."""
-        results = SimulationResults.from_frame(
-            self.finalize_frame(trace_name=trace_name), counters=self.counters
-        )
-        results.walk = self.walk
-        return results
 
     def reset(self) -> None:
         """Clear all simulation state, counters and results."""

@@ -1,29 +1,24 @@
-"""Result containers for multi-configuration simulation runs.
+"""The one results container of a simulation run: :class:`ResultsFrame`.
 
-The data spine of the results layer is the columnar :class:`ResultsFrame`:
-parallel numpy arrays keyed by the configuration tuple ``(num_sets,
-associativity, block_size, policy)`` with accesses/misses/compulsory columns
-(hits are derived), held in canonical sorted order.  Frames are what the
-persistent result store serialises, what sweep merging operates on, and what
-keeps a million-cell result set cheap to hold and compare.
+A frame holds parallel numpy arrays keyed by the configuration tuple
+``(num_sets, associativity, block_size, policy)`` plus the mechanism
+identity, with accesses/misses/compulsory columns (hits are derived), in
+canonical sorted order.  Every engine's ``finalize`` returns one; the sweep
+executor merges them, the persistent result store serialises them, and the
+exploration layer runs on their columns.  Iterating a frame yields one
+:class:`ConfigResult` per row, and ``frame[config]`` looks a row up.
 
-:class:`ConfigResult` and :class:`SimulationResults` remain the object-level
-API every engine, cross-checker and bench table already speaks — but
-:class:`SimulationResults` is now a thin view: it can be backed directly by a
-:class:`ResultsFrame` (no per-row Python objects until a caller asks for
-them) and can materialise its columnar form via :meth:`SimulationResults.frame`.
-The same container is produced by the Dinero-style baseline (via
-:func:`SimulationResults.from_stats`) so the two can be compared directly.
+Besides its rows a frame carries two observational fields that stay out of
+the rows and out of equality: ``counters`` (the producing engine's own work
+counters, or ``None``) and ``walk`` (which DEW walk produced it).
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Any,
     BinaryIO,
     Dict,
@@ -40,14 +35,8 @@ from typing import (
 import numpy as np
 
 from repro.core.config import CacheConfig
-from repro.core.counters import DewCounters
 from repro.errors import SimulationError, VerificationError
 from repro.types import ReplacementPolicy
-
-if TYPE_CHECKING:
-    # Annotation only: repro.cache imports the engine layer, which imports
-    # this module.
-    from repro.cache.stats import CacheStats
 
 #: Version of the columnar payload written by :meth:`ResultsFrame.to_npz`.
 #: Bump whenever the column set, dtypes or metadata layout changes.
@@ -202,18 +191,24 @@ class ResultsFrame:
     ``mechanism_entries``/``mechanism_hits``/``mechanism_swaps``/
     ``mechanism_allocations`` (``int64``).  Hits are derived (:attr:`hits`);
     the direct-mapped by-products of a DEW run are ordinary rows with
-    associativity 1 (see :meth:`direct_mapped`); bare-cache rows carry
-    mechanism code 0 (``none``) with zero entries and counters.  The row key
-    is ``(num_sets, associativity, block_size, policy, mechanism,
-    mechanism_entries)``, so one DL1 geometry can coexist with every
-    mechanism/entry-count variant of itself.  ``elapsed_seconds`` plus the
-    simulator/trace names ride along as scalar metadata.
+    associativity 1; bare-cache rows carry mechanism code 0 (``none``) with
+    zero entries and counters.  The row key is ``(num_sets, associativity,
+    block_size, policy, mechanism, mechanism_entries)``, so one DL1 geometry
+    can coexist with every mechanism/entry-count variant of itself.
+    ``elapsed_seconds`` plus the simulator/trace names ride along as scalar
+    metadata, and take part in equality.  ``counters`` (the producing
+    engine's work counters, or ``None``) and ``walk`` (``kernel`` or
+    ``python (<reason>)`` for a fresh DEW frame, else ``None``) are
+    observational: they take no part in equality, and only the store
+    persists counters.
     """
 
     __slots__ = _FRAME_COLUMNS + (
         "elapsed_seconds",
         "simulator_name",
         "trace_name",
+        "counters",
+        "walk",
         "_key_index",
     )
 
@@ -234,6 +229,8 @@ class ResultsFrame:
         mechanism_hits: Optional[Union[Sequence[int], np.ndarray]] = None,
         mechanism_swaps: Optional[Union[Sequence[int], np.ndarray]] = None,
         mechanism_allocations: Optional[Union[Sequence[int], np.ndarray]] = None,
+        counters: Any = None,
+        walk: Optional[str] = None,
     ) -> None:
         columns = {
             "num_sets": np.asarray(num_sets, dtype=np.int64),
@@ -279,6 +276,8 @@ class ResultsFrame:
         self.elapsed_seconds = float(elapsed_seconds)
         self.simulator_name = simulator_name
         self.trace_name = trace_name
+        self.counters = counters
+        self.walk = walk
         self._key_index: Optional[Dict[Tuple[int, int, int, int], int]] = None
 
     @staticmethod
@@ -412,6 +411,31 @@ class ResultsFrame:
         )
         return self._key_index.get(key)
 
+    def get(
+        self,
+        config: CacheConfig,
+        mechanism: str = "none",
+        mechanism_entries: int = 0,
+    ) -> Optional[ConfigResult]:
+        """The row of ``(config, mechanism, entries)``, or ``None`` when absent."""
+        row = self.index_of(config, mechanism, mechanism_entries)
+        return None if row is None else self.result_at(row)
+
+    def __getitem__(self, config: CacheConfig) -> ConfigResult:
+        """The bare-cache row of ``config``; :class:`KeyError` when absent."""
+        result = self.get(config)
+        if result is None:
+            raise KeyError(f"no result for configuration {config.label()}")
+        return result
+
+    def __contains__(self, config: CacheConfig) -> bool:
+        return self.index_of(config) is not None
+
+    def configs(self) -> List[CacheConfig]:
+        """The configuration of every row, in row order (a configuration
+        repeats once per mechanism variant)."""
+        return [self.config_at(row) for row in range(len(self))]
+
     # -- derived columns ------------------------------------------------------
 
     @property
@@ -500,18 +524,6 @@ class ResultsFrame:
             f"unknown metric column {name!r}; expected one of {self.METRIC_NAMES}"
         )
 
-    def direct_mapped(self) -> "ResultsFrame":
-        """The associativity-1 rows (DEW's free by-products) as a sub-frame."""
-        return self.select(self.associativities == 1)
-
-    def dm_misses(self) -> Dict[Tuple[int, int], int]:
-        """Direct-mapped miss counts keyed by ``(block_size, num_sets)``."""
-        sub = self.direct_mapped()
-        return {
-            (int(block), int(sets)): int(misses)
-            for block, sets, misses in zip(sub.block_sizes, sub.num_sets, sub.misses)
-        }
-
     def select(self, mask: np.ndarray) -> "ResultsFrame":
         """A new frame containing only the rows where ``mask`` is true."""
         return ResultsFrame(
@@ -531,24 +543,6 @@ class ResultsFrame:
             mechanism_swaps=self.mechanism_swaps[mask],
             mechanism_allocations=self.mechanism_allocations[mask],
         )
-
-    def with_metadata(
-        self,
-        elapsed_seconds: Optional[float] = None,
-        simulator_name: Optional[str] = None,
-        trace_name: Optional[str] = None,
-    ) -> "ResultsFrame":
-        """A copy of this frame with replaced scalar metadata (arrays shared)."""
-        clone = object.__new__(ResultsFrame)
-        for name in _FRAME_COLUMNS:
-            setattr(clone, name, getattr(self, name))
-        clone.elapsed_seconds = (
-            self.elapsed_seconds if elapsed_seconds is None else float(elapsed_seconds)
-        )
-        clone.simulator_name = self.simulator_name if simulator_name is None else simulator_name
-        clone.trace_name = self.trace_name if trace_name is None else trace_name
-        clone._key_index = self._key_index
-        return clone
 
     # -- construction ---------------------------------------------------------
 
@@ -599,6 +593,8 @@ class ResultsFrame:
         frame.elapsed_seconds = float(elapsed_seconds)
         frame.simulator_name = simulator_name
         frame.trace_name = trace_name
+        frame.counters = None
+        frame.walk = None
         frame._key_index = None
         return frame
 
@@ -640,8 +636,8 @@ class ResultsFrame:
     ) -> "ResultsFrame":
         """Build a frame from ``as_rows()``-style dictionaries.
 
-        This is the inverse of :meth:`SimulationResults.as_rows` /
-        ``to_json`` for the key and count fields (derived fields like
+        This is the inverse of :meth:`as_rows` / :meth:`to_json` for the
+        key and count fields (derived fields like
         ``hits`` and ``miss_rate`` are ignored), so a sweep's JSON output
         round-trips back into columnar form — e.g. for the ``repro-dew
         explore`` CLI.  Missing keys raise
@@ -691,9 +687,9 @@ class ResultsFrame:
 
         Cells reported by more than one frame must agree exactly on
         ``(misses, accesses)`` — a disagreement raises
-        :class:`~repro.errors.VerificationError`, mirroring
-        :func:`repro.engine.sweep.merge_results`; agreeing duplicates keep
-        the row from the earliest frame.  Elapsed times are summed.
+        :class:`~repro.errors.VerificationError`; agreeing duplicates keep
+        the row from the earliest frame.  Elapsed times are summed; the
+        merged frame carries no counters.
         """
         frames = list(frames)
         if not frames:
@@ -875,224 +871,10 @@ class ResultsFrame:
             )
         return frame, metadata.get("extra", {})
 
-    @classmethod
-    def from_npz(cls, file: Union[str, "os.PathLike[str]", BinaryIO]) -> "ResultsFrame":
-        """Load a frame from a ``.npz`` payload, discarding extra metadata."""
-        frame, _ = cls.read_npz(file)
-        return frame
-
-    def to_bytes(self, extra_metadata: Optional[Dict[str, Any]] = None) -> bytes:
-        """The frame as in-memory ``.npz`` bytes (see :meth:`to_npz`)."""
-        buffer = io.BytesIO()
-        self.to_npz(buffer, extra_metadata=extra_metadata)
-        return buffer.getvalue()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "ResultsFrame":
-        """Inverse of :meth:`to_bytes`."""
-        return cls.from_npz(io.BytesIO(data))
-
-
-class SimulationResults:
-    """Hit/miss results for a family of configurations from one simulation run.
-
-    A thin view over columnar data: when built :meth:`from_frame` the rows
-    stay in the backing :class:`ResultsFrame` and :class:`ConfigResult`
-    objects are materialised only on demand; when built incrementally via
-    :meth:`add` the columnar form is materialised on demand via
-    :meth:`frame`.  Either way the object-level API is unchanged.
-
-    Rows are keyed by ``(config, mechanism, mechanism_entries)`` — a bare
-    cache and its mechanism-augmented variants are distinct rows of the same
-    run.  Config-only lookups (:meth:`get`, ``in``, ``[]``) address the bare
-    row; pass ``mechanism``/``mechanism_entries`` to address the others.
-    """
-
-    #: Internal row key: config plus mechanism identity (code keeps sort
-    #: order identical to the frame's canonical order).
-    @staticmethod
-    def _key(result: ConfigResult) -> Tuple[CacheConfig, int, int]:
-        return (
-            result.config,
-            mechanism_code(result.mechanism),
-            result.mechanism_entries,
-        )
-
-    def __init__(
-        self,
-        results: Optional[Iterable[ConfigResult]] = None,
-        counters: Optional[DewCounters] = None,
-        elapsed_seconds: float = 0.0,
-        simulator_name: str = "dew",
-        trace_name: str = "trace",
-    ) -> None:
-        self._by_config: Optional[
-            Dict[Tuple[CacheConfig, int, int], ConfigResult]
-        ] = {}
-        self._frame: Optional[ResultsFrame] = None
-        for result in results or []:
-            self.add(result)
-        self.counters = counters or DewCounters()
-        self.elapsed_seconds = elapsed_seconds
-        self.simulator_name = simulator_name
-        self.trace_name = trace_name
-        #: Which DEW walk produced a fresh DEW result (``kernel``, or
-        #: ``python (<reason>)``); ``None`` otherwise.  Observational only:
-        #: never part of rows, frames or store artifacts.
-        self.walk: Optional[str] = None
-
-    @classmethod
-    def from_frame(
-        cls, frame: ResultsFrame, counters: Optional[DewCounters] = None
-    ) -> "SimulationResults":
-        """Wrap a columnar frame without materialising per-row objects."""
-        view = cls.__new__(cls)
-        view._by_config = None
-        view._frame = frame
-        view.counters = counters or DewCounters()
-        view.elapsed_seconds = frame.elapsed_seconds
-        view.simulator_name = frame.simulator_name
-        view.trace_name = frame.trace_name
-        view.walk = None
-        return view
-
-    def frame(self) -> ResultsFrame:
-        """This run's results in columnar form (cached; canonical row order)."""
-        if self._frame is not None and (
-            self._frame.elapsed_seconds != self.elapsed_seconds
-            or self._frame.simulator_name != self.simulator_name
-            or self._frame.trace_name != self.trace_name
-        ):
-            self._frame = self._frame.with_metadata(
-                elapsed_seconds=self.elapsed_seconds,
-                simulator_name=self.simulator_name,
-                trace_name=self.trace_name,
-            )
-        if self._frame is None:
-            assert self._by_config is not None
-            self._frame = ResultsFrame.from_results(
-                self._by_config.values(),
-                elapsed_seconds=self.elapsed_seconds,
-                simulator_name=self.simulator_name,
-                trace_name=self.trace_name,
-            )
-        return self._frame
-
-    def _mapping(self) -> Dict[Tuple[CacheConfig, int, int], ConfigResult]:
-        if self._by_config is None:
-            assert self._frame is not None
-            self._by_config = {self._key(result): result for result in self._frame}
-        return self._by_config
-
-    # -- container protocol ---------------------------------------------------
-
-    def add(self, result: ConfigResult) -> None:
-        """Insert one per-configuration result (row keys must be unique)."""
-        mapping = self._mapping()
-        key = self._key(result)
-        if key in mapping:
-            raise SimulationError(f"duplicate result for configuration {result.config.label()}")
-        mapping[key] = result
-        self._frame = None
-
-    def __len__(self) -> int:
-        if self._by_config is None:
-            assert self._frame is not None
-            return len(self._frame)
-        return len(self._by_config)
-
-    def __iter__(self) -> Iterator[ConfigResult]:
-        if self._by_config is None:
-            assert self._frame is not None
-            return iter(self._frame)
-        return iter(sorted(self._by_config.values(), key=self._key))
-
-    def __contains__(self, config: CacheConfig) -> bool:
-        return self.get(config) is not None
-
-    def __getitem__(self, config: CacheConfig) -> ConfigResult:
-        result = self.get(config)
-        if result is None:
-            raise KeyError(f"no result for configuration {config.label()}")
-        return result
-
-    def configs(self) -> List[CacheConfig]:
-        """All configurations covered by this run, sorted (duplicates kept
-        once per mechanism variant)."""
-        if self._by_config is None:
-            assert self._frame is not None
-            return [self._frame.config_at(row) for row in range(len(self._frame))]
-        return [key[0] for key in sorted(self._by_config)]
-
-    # -- lookups --------------------------------------------------------------
-
-    def get(
-        self,
-        config: CacheConfig,
-        mechanism: str = "none",
-        mechanism_entries: int = 0,
-    ) -> Optional[ConfigResult]:
-        """Result for ``(config, mechanism, entries)`` or ``None``."""
-        if self._by_config is None:
-            assert self._frame is not None
-            row = self._frame.index_of(config, mechanism, mechanism_entries)
-            return None if row is None else self._frame.result_at(row)
-        return self._by_config.get(
-            (config, mechanism_code(mechanism), int(mechanism_entries))
-        )
-
-    def misses(self, config: CacheConfig) -> int:
-        """Miss count for ``config``."""
-        return self[config].misses
-
-    def miss_rates(self) -> Dict[CacheConfig, float]:
-        """Miss rate per configuration."""
-        return {result.config: result.miss_rate for result in self}
-
-    def best_config(self, max_total_size: Optional[int] = None) -> ConfigResult:
-        """Configuration with the fewest misses (optionally capped by capacity).
-
-        Ties are broken toward the smaller cache, reflecting the embedded
-        design goal the paper opens with.
-        """
-        candidates = [
-            result
-            for result in self
-            if max_total_size is None or result.config.total_size <= max_total_size
-        ]
-        if not candidates:
-            raise SimulationError("no configuration satisfies the size constraint")
-        return min(candidates, key=lambda r: (r.misses, r.config.total_size))
-
-    # -- interoperability -----------------------------------------------------
-
-    @classmethod
-    def from_stats(
-        cls,
-        stats: Mapping[CacheConfig, CacheStats],
-        elapsed_seconds: float = 0.0,
-        simulator_name: str = "dinero",
-        trace_name: str = "trace",
-    ) -> "SimulationResults":
-        """Convert a Dinero-style per-config stats mapping into results."""
-        results = [
-            ConfigResult(
-                config=config,
-                accesses=stat.accesses,
-                misses=stat.misses,
-                compulsory_misses=stat.compulsory_misses,
-            )
-            for config, stat in stats.items()
-        ]
-        return cls(
-            results,
-            elapsed_seconds=elapsed_seconds,
-            simulator_name=simulator_name,
-            trace_name=trace_name,
-        )
+    # -- reporting ------------------------------------------------------------
 
     def as_rows(self) -> List[Dict[str, object]]:
-        """Flat list of per-configuration dictionaries (sorted by config)."""
+        """One :meth:`ConfigResult.as_dict` per row, in canonical order."""
         return [result.as_dict() for result in self]
 
     def to_json(self, indent: Optional[int] = 2) -> str:
@@ -1109,26 +891,3 @@ class SimulationResults:
             "configurations": self.as_rows(),
         }
         return json.dumps(payload, indent=indent)
-
-    def diff(self, other: "SimulationResults") -> List[Tuple[CacheConfig, int, int]]:
-        """Configurations where the two runs disagree on miss counts.
-
-        Returns ``(config, self_misses, other_misses)`` tuples for every
-        configuration present in both runs whose miss counts differ.
-        """
-        differences = []
-        for result in self:
-            other_result = other.get(
-                result.config, result.mechanism, result.mechanism_entries
-            )
-            if other_result is None:
-                continue
-            if other_result.misses != result.misses or other_result.accesses != result.accesses:
-                differences.append((result.config, result.misses, other_result.misses))
-        return differences
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SimulationResults({self.simulator_name!r}, {len(self)} configs, "
-            f"trace={self.trace_name!r}, {self.elapsed_seconds:.3f}s)"
-        )

@@ -2,7 +2,8 @@
 
 ``get_engine("dew", block_size=16, associativity=4)`` constructs any
 registered simulator behind the uniform :class:`~repro.engine.base.Engine`
-protocol (``run_blocks(chunk)`` / ``finalize()``); :mod:`repro.engine.sweep`
+protocol (``run_blocks(chunk)`` / ``finalize()``, which returns a
+:class:`~repro.core.results.ResultsFrame`); :mod:`repro.engine.sweep`
 fans grids of engines out over worker processes.  The simulators are the
 engines; each registers itself when its module is imported:
 
@@ -35,7 +36,6 @@ from repro.engine.sweep import (
     SweepOutcome,
     build_grid_jobs,
     build_mechanism_grid_jobs,
-    merge_results,
     run_sweep,
 )
 from repro.mechanisms import (
@@ -58,6 +58,5 @@ __all__ = [
     "SweepOutcome",
     "build_grid_jobs",
     "build_mechanism_grid_jobs",
-    "merge_results",
     "run_sweep",
 ]

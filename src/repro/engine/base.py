@@ -9,9 +9,8 @@ API:
    (or through the class itself);
 2. feed pre-shifted block-address chunks to :meth:`Engine.run_blocks`
    (produced by :meth:`repro.trace.trace.Trace.iter_block_chunks`);
-3. collect a :class:`~repro.core.results.SimulationResults` from
-   :meth:`Engine.finalize`, or its columnar form from
-   :meth:`Engine.finalize_frame`.
+3. collect a :class:`~repro.core.results.ResultsFrame` from
+   :meth:`Engine.finalize`.
 
 :meth:`Engine.run` bundles the three steps for whole traces and is the one
 whole-trace driver; the sweep executor (:mod:`repro.engine.sweep`) uses the
@@ -28,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Type, Union
 
 import numpy as np
 
-from repro.core.results import ResultsFrame, SimulationResults
+from repro.core.results import ResultsFrame
 from repro.errors import EngineError, SimulationError
 from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace
 
@@ -37,8 +36,8 @@ class Engine(abc.ABC):
     """Uniform chunked-pipeline interface over every simulator.
 
     Subclasses are the simulators themselves: they turn block-address chunks
-    into simulator state updates and report accumulated outcomes as
-    :class:`~repro.core.results.SimulationResults`.  Engines are cheap,
+    into simulator state updates and report accumulated outcomes as a
+    :class:`~repro.core.results.ResultsFrame`.  Engines are cheap,
     single-use objects — build one per run via :func:`get_engine`.
     """
 
@@ -74,8 +73,12 @@ class Engine(abc.ABC):
         """Simulate one chunk of pre-shifted block addresses."""
 
     @abc.abstractmethod
-    def finalize(self, trace_name: str = "trace") -> SimulationResults:
-        """Per-configuration results accumulated so far."""
+    def finalize(self, trace_name: str = "trace") -> ResultsFrame:
+        """Per-configuration results accumulated so far, as one frame.
+
+        The frame carries the engine's own work counters (``counters``)
+        when it keeps any, and for DEW the walk that ran (``walk``).
+        """
 
     @abc.abstractmethod
     def reset(self) -> None:
@@ -103,18 +106,6 @@ class Engine(abc.ABC):
             f"engine {self.family!r} does not accept run-length-collapsed chunks"
         )
 
-    def finalize_frame(self, trace_name: str = "trace") -> ResultsFrame:
-        """Per-configuration results accumulated so far, in columnar form.
-
-        The default adapts :meth:`finalize`; engines whose state is already
-        array-shaped override this to emit
-        :class:`~repro.core.results.ResultsFrame` columns directly (and make
-        :meth:`finalize` a thin frame-backed view), so sweeps never
-        materialise per-row :class:`~repro.core.results.ConfigResult`
-        objects.
-        """
-        return self.finalize(trace_name=trace_name).frame()
-
     # -- shared driver ---------------------------------------------------------
 
     def run(
@@ -122,7 +113,7 @@ class Engine(abc.ABC):
         trace: Union[Trace, Iterable[int]],
         trace_name: Optional[str] = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> SimulationResults:
+    ) -> ResultsFrame:
         """Drive a whole trace (or bare iterable of byte addresses) through the engine."""
         start = time.perf_counter()
         if isinstance(trace, Trace):

@@ -18,8 +18,9 @@ content-addresses in the persistent result store.
 
 :func:`run_sweep` executes the jobs through one :class:`FusedSweepExecutor`
 pass per batch — serially, or one batch per worker of a ``multiprocessing``
-pool — and merges the per-job
-:class:`~repro.core.results.SimulationResults` deterministically: results are
+pool.  Every job yields one :class:`~repro.core.results.ResultsFrame`, and
+:meth:`SweepOutcome.merged` merges them with
+:meth:`~repro.core.results.ResultsFrame.merge` deterministically: frames are
 collected in job order regardless of completion order, and configurations
 reported by more than one job (direct-mapped results come free with every DEW
 run) are deduplicated with an exactness check.  With ``store=`` the sweep is
@@ -52,9 +53,9 @@ from typing import (
 import numpy as np
 
 from repro.core.config import CacheConfig
-from repro.core.results import ResultsFrame, SimulationResults, mechanism_code
+from repro.core.results import ResultsFrame, mechanism_code
 from repro.engine.base import Engine, get_engine
-from repro.errors import EngineError, ReproError, SimulationError, VerificationError
+from repro.errors import EngineError, ReproError, SimulationError
 from repro.obs.tracing import PhaseTimer
 from repro.store import ResultStore, StoreKey, open_store
 from repro.trace.planecache import CachedPlane, TracePlaneCache, coerce_plane_cache
@@ -272,46 +273,16 @@ def build_mechanism_grid_jobs(
     return jobs
 
 
-def merge_results(
-    per_job_results: Iterable[SimulationResults],
-    simulator_name: str = "sweep",
-    trace_name: str = "trace",
-) -> SimulationResults:
-    """Deterministically merge per-job results into one container.
-
-    Configurations reported by several jobs (e.g. direct-mapped results from
-    two DEW runs sharing a block size) must agree exactly; a conflict raises
-    :class:`~repro.errors.VerificationError`.
-    """
-    merged = SimulationResults(simulator_name=simulator_name, trace_name=trace_name)
-    for results in per_job_results:
-        merged.elapsed_seconds += results.elapsed_seconds
-        for result in results:
-            existing = merged.get(
-                result.config, result.mechanism, result.mechanism_entries
-            )
-            if existing is None:
-                merged.add(result)
-            elif (existing.misses, existing.accesses) != (result.misses, result.accesses):
-                label = result.config.label()
-                if result.mechanism != "none":
-                    label += f"+{result.mechanism}x{result.mechanism_entries}"
-                raise VerificationError(
-                    f"sweep jobs disagree on {label}: "
-                    f"{existing.misses}/{existing.accesses} vs {result.misses}/{result.accesses}"
-                )
-    return merged
-
-
 @dataclass(frozen=True)
 class EngineProfile:
     """Simulate time of one engine's jobs executed in a sweep.
 
     ``accesses_per_s`` and ``ns_per_node_eval`` are medians over the jobs;
-    the per-access DEW work ratios sum the counters of every job first.
-    ``walk`` names the DEW walk the jobs ran (``kernel``, or
-    ``python (<reason>)``; several, comma-separated, if they differed).  The
-    DEW-only fields are ``None`` for other engines.
+    the per-access work ratios sum the counters of every job first.  The
+    work fields are filled for engines whose frames carry counters (``dew``
+    and ``janapsatya``), and are ``None`` otherwise.  ``walk`` names the DEW
+    walk the jobs ran (``kernel``, or ``python (<reason>)``; several,
+    comma-separated, if they differed), and is ``None`` for other engines.
     """
 
     engine: str
@@ -329,7 +300,7 @@ class SweepOutcome:
     """Per-job and merged results of one sweep execution."""
 
     jobs: Tuple[SweepJob, ...]
-    results: Tuple[SimulationResults, ...]
+    results: Tuple[ResultsFrame, ...]
     trace_name: str = "trace"
     workers: int = 1
     elapsed_seconds: float = 0.0
@@ -345,7 +316,7 @@ class SweepOutcome:
     #: run.  Purely observational; empty for outcomes built outside
     #: :func:`run_sweep`.
     phases: Dict[str, float] = field(default_factory=dict)
-    _merged: Optional[SimulationResults] = field(default=None, repr=False)
+    _merged: Optional[ResultsFrame] = field(default=None, repr=False)
 
     @property
     def executed_jobs(self) -> int:
@@ -358,18 +329,18 @@ class SweepOutcome:
         One :class:`EngineProfile` per engine, in order of first appearance
         among the executed jobs; engines with no executed job are left out.
         """
-        by_engine: Dict[str, List[SimulationResults]] = {}
+        by_engine: Dict[str, List[ResultsFrame]] = {}
         for index in self.executed:
             by_engine.setdefault(self.jobs[index].engine, []).append(self.results[index])
         profiles = []
         for engine, results in by_engine.items():
             rates = [self.accesses / r.elapsed_seconds for r in results if r.elapsed_seconds > 0]
-            dew: Dict[str, Any] = {}
-            if engine == "dew" and self.accesses:
+            work: Dict[str, Any] = {}
+            counters = [r.counters for r in results]
+            if self.accesses and all(c is not None for c in counters):
                 # Every walk evaluates at least the root, so no count is zero.
-                counters = [r.counters for r in results]
                 requests = sum(c.requests for c in counters)
-                dew = {
+                work = {
                     "node_evals_per_access": sum(c.node_evaluations for c in counters) / requests,
                     "ns_per_node_eval": statistics.median(
                         r.elapsed_seconds * 1e9 / r.counters.node_evaluations for r in results
@@ -377,49 +348,35 @@ class SweepOutcome:
                     "tag_comparisons_per_access": (
                         sum(c.tag_comparisons for c in counters) / requests
                     ),
-                    "walk": ", ".join(sorted({r.walk for r in results if r.walk})) or None,
                 }
             profiles.append(EngineProfile(
                 engine,
                 len(results),
                 sum(r.elapsed_seconds for r in results),
                 statistics.median(rates) if rates else 0.0,
-                **dew,
+                walk=", ".join(sorted({r.walk for r in results if r.walk})) or None,
+                **work,
             ))
         return profiles
 
-    def merged(self) -> SimulationResults:
-        """All configurations of the sweep in one deterministic container.
+    def merged(self) -> ResultsFrame:
+        """All configurations of the sweep in one deterministic frame.
 
-        Merging happens columnar-side (:meth:`ResultsFrame.merge` over the
-        per-job frames) and the outcome is a frame-backed view, so no
-        per-row objects are materialised until a caller iterates; rows,
-        conflict checking and summed elapsed time are identical to the
-        object-level :func:`merge_results`.
+        :meth:`ResultsFrame.merge` over the per-job frames, in job order
+        (cached after the first call); conflicting cells raise
+        :class:`~repro.errors.VerificationError`.  The merged frame feeds
+        straight into :func:`repro.explore.pareto.pareto_front_frame` and
+        :meth:`repro.explore.tuner.CacheTuner.tune_frame`.
         """
         if self._merged is None:
             merge_start = time.perf_counter()
-            merged_frame = ResultsFrame.merge(
-                [results.frame() for results in self.results],
-                simulator_name="sweep",
-                trace_name=self.trace_name,
+            self._merged = ResultsFrame.merge(
+                self.results, simulator_name="sweep", trace_name=self.trace_name
             )
-            self._merged = SimulationResults.from_frame(merged_frame)
             self.phases["merge"] = self.phases.get("merge", 0.0) + (
                 time.perf_counter() - merge_start
             )
         return self._merged
-
-    def frame(self) -> ResultsFrame:
-        """The merged sweep results in columnar form (cached via :meth:`merged`).
-
-        This is the hand-off point to the frame-native exploration layer:
-        ``outcome.frame()`` feeds straight into
-        :func:`repro.explore.pareto.pareto_front_frame` and
-        :meth:`repro.explore.tuner.CacheTuner.tune_frame` without building
-        a single :class:`~repro.core.results.ConfigResult`.
-        """
-        return self.merged().frame()
 
     def as_rows(self) -> List[Dict[str, object]]:
         """Deterministic per-configuration rows (no timing fields).
@@ -428,11 +385,7 @@ class SweepOutcome:
         of the same jobs — and between cold and store-warmed runs — which is
         what the sweep CLI prints and what the test suite compares.
         """
-        rows = []
-        for result in self.merged():
-            row = result.as_dict()
-            rows.append(row)
-        return rows
+        return self.merged().as_rows()
 
 
 def _coerce_trace(trace: Union[Trace, Sequence[int]]) -> Trace:
@@ -482,7 +435,7 @@ class FusedSweepExecutor:
             raise EngineError("FusedSweepExecutor needs at least one job")
         self.chunk_size = max(int(chunk_size), 1)
 
-    def execute(self) -> List[SimulationResults]:
+    def execute(self) -> List[ResultsFrame]:
         """One fused pass; per-job results in job order."""
         engines = [job.build() for job in self.jobs]
         groups: Dict[int, List[int]] = {}
@@ -547,7 +500,7 @@ def _sweep_worker_init(trace: Trace, jobs: Sequence[SweepJob], chunk_size: int) 
     _WORKER_STATE["chunk_size"] = chunk_size
 
 
-def _fused_worker_run(positions: Sequence[int]) -> Tuple[Tuple[int, ...], List[SimulationResults]]:
+def _fused_worker_run(positions: Sequence[int]) -> Tuple[Tuple[int, ...], List[ResultsFrame]]:
     """Execute one fused batch; returns the positions with their results."""
     jobs = _WORKER_STATE["jobs"]
     executor = FusedSweepExecutor(
@@ -601,7 +554,7 @@ def run_sweep(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     store: Optional[Union[str, "os.PathLike", ResultStore]] = None,
     force: bool = False,
-    on_result: Optional[Callable[[int, SweepJob, SimulationResults, bool], None]] = None,
+    on_result: Optional[Callable[[int, SweepJob, ResultsFrame, bool], None]] = None,
     trace_cache: Optional[Union[str, "os.PathLike", TracePlaneCache]] = None,
 ) -> SweepOutcome:
     """Execute sweep jobs over ``trace``, optionally in parallel and incremental.
@@ -662,7 +615,7 @@ def run_sweep(
     timer = PhaseTimer()
     result_store = _coerce_store(store)
     keys: Optional[List[StoreKey]] = None
-    results: List[Optional[SimulationResults]] = [None] * len(job_list)
+    results: List[Optional[ResultsFrame]] = [None] * len(job_list)
     cached_jobs = 0
 
     with timer.phase("decode"):
@@ -697,7 +650,7 @@ def run_sweep(
                 cached_jobs = sum(1 for r in results if r is not None)
     missing = [index for index, loaded in enumerate(results) if loaded is None]
 
-    def persist(index: int, fresh: SimulationResults) -> None:
+    def persist(index: int, fresh: ResultsFrame) -> None:
         with timer.phase("persist"):
             results[index] = fresh
             if result_store is not None and keys is not None:

@@ -12,29 +12,20 @@ energy/performance/cost constraints.  This package closes that loop:
 ``tuner``
     Constraint-driven selection of the best configuration for a workload.
 
-All three are frame-native: the hot paths (``pareto_front_frame``,
-``EnergyModel.estimate_frame``, ``CacheTuner.tune_frame``/``rank_frame``)
-operate on :class:`~repro.core.results.ResultsFrame` columns with vectorised
-numpy kernels; the object-based APIs remain as thin compatibility wrappers.
+All three run on :class:`~repro.core.results.ResultsFrame` columns with
+vectorised numpy kernels (``pareto_front_frame``,
+``EnergyModel.estimate_frame``, ``CacheTuner.tune_frame``/``rank_frame``).
 """
 
 from repro.explore.energy import EnergyModel, EnergyEstimate, FrameEnergyEstimate
-from repro.explore.pareto import (
-    ParetoPoint,
-    metric_matrix,
-    pareto_front,
-    pareto_front_frame,
-    pareto_mask,
-)
+from repro.explore.pareto import metric_matrix, pareto_front_frame, pareto_mask
 from repro.explore.tuner import CacheTuner, TuningConstraints, TuningOutcome
 
 __all__ = [
     "EnergyModel",
     "EnergyEstimate",
     "FrameEnergyEstimate",
-    "ParetoPoint",
     "metric_matrix",
-    "pareto_front",
     "pareto_front_frame",
     "pareto_mask",
     "CacheTuner",

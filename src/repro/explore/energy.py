@@ -15,12 +15,10 @@ The default coefficients follow the usual first-order scaling arguments:
 * a miss costs a main-memory access plus a line refill proportional to the
   block size.
 
-The model is frame-native: :meth:`EnergyModel.estimate_frame` computes
-energy and access-time *columns* over a whole
-:class:`~repro.core.results.ResultsFrame` in one shot of numpy array
-operations, and the per-result :meth:`EnergyModel.estimate` is a thin
-wrapper over the same kernel (one-row arrays), so both paths produce
-bit-identical numbers.
+:meth:`EnergyModel.estimate_frame` computes energy and access-time
+*columns* over a whole :class:`~repro.core.results.ResultsFrame` in one shot
+of numpy array operations; :meth:`FrameEnergyEstimate.estimate_at` gives one
+row's :class:`EnergyEstimate`.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.core.config import CacheConfig
-from repro.core.results import ConfigResult, ResultsFrame
+from repro.core.results import ResultsFrame
 from repro.errors import ExplorationError
 
 
@@ -225,34 +223,3 @@ class EnergyModel:
             total_energy_nj=total_energy,
             average_access_time_ns=average_time,
         )
-
-    # -- per-workload estimate ---------------------------------------------------
-
-    def estimate(self, result: ConfigResult) -> EnergyEstimate:
-        """Estimate energy and average access time for one simulated result.
-
-        Thin wrapper over the vectorised kernel (one-row arrays), so the
-        scalar and frame paths agree bit-for-bit.
-        """
-        config = result.config
-        hit_energy, miss_energy, leakage, total_energy, average_time = self._estimate_columns(
-            np.array([config.total_size]),
-            np.array([config.associativity]),
-            np.array([config.block_size]),
-            np.array([result.accesses]),
-            np.array([result.misses]),
-        )
-        return EnergyEstimate(
-            config=config,
-            accesses=result.accesses,
-            misses=result.misses,
-            hit_energy_nj=float(hit_energy[0]),
-            miss_energy_nj=float(miss_energy[0]),
-            leakage_nj=float(leakage[0]),
-            total_energy_nj=float(total_energy[0]),
-            average_access_time_ns=float(average_time[0]),
-        )
-
-    def estimate_all(self, results) -> Dict[CacheConfig, EnergyEstimate]:
-        """Estimate every configuration in a :class:`SimulationResults`-like iterable."""
-        return {result.config: self.estimate(result) for result in results}

@@ -4,50 +4,25 @@ Cache tuning is inherently multi-objective: capacity (cost/area), miss rate
 (performance) and energy pull in different directions.  The helpers here
 compute the set of configurations not dominated in any requested metric.
 
-The hot path is frame-native: :func:`pareto_front_frame` builds a
-``(rows x metrics)`` matrix straight from a
-:class:`~repro.core.results.ResultsFrame`'s columns and finds the
+:func:`pareto_front_frame` builds a ``(rows x metrics)`` matrix straight
+from a :class:`~repro.core.results.ResultsFrame`'s columns and finds the
 non-dominated rows with :func:`pareto_mask`, a numpy kernel whose pairwise
-comparisons are broadcast array operations — no :class:`ParetoPoint` objects
-are materialised.  The object-based API (:func:`pareto_front` and friends) is
-kept as a thin wrapper that packs point metrics into the same matrix and
-delegates to the same kernel, so both paths agree exactly (including on
-duplicate-metric ties and output order).
+comparisons are broadcast array operations, so no per-row objects are
+materialised.  Rows with identical metrics never dominate each other, and
+surviving rows keep their canonical order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.config import CacheConfig
 from repro.core.results import ResultsFrame
 from repro.errors import ExplorationError
 
 #: Default metric pair of the classic capacity-vs-performance front.
 DEFAULT_METRICS: Tuple[str, ...] = ("total_size", "miss_rate")
-
-
-@dataclass(frozen=True)
-class ParetoPoint:
-    """One configuration and the metric values used for domination checks.
-
-    All metrics are treated as "lower is better"; negate a metric before
-    constructing the point if it should be maximised.
-    """
-
-    config: CacheConfig
-    metrics: Tuple[float, ...]
-
-    def dominates(self, other: "ParetoPoint") -> bool:
-        """True when this point is no worse in every metric and better in one."""
-        if len(self.metrics) != len(other.metrics):
-            raise ExplorationError("Pareto points must have the same number of metrics")
-        no_worse = all(a <= b for a, b in zip(self.metrics, other.metrics))
-        strictly_better = any(a < b for a, b in zip(self.metrics, other.metrics))
-        return no_worse and strictly_better
 
 
 def _pareto_mask_2d(values: np.ndarray) -> np.ndarray:
@@ -182,14 +157,13 @@ def pareto_mask(values: np.ndarray) -> np.ndarray:
     All metrics are lower-is-better.  Row ``j`` is dominated when some row
     ``i`` satisfies ``all(values[i] <= values[j])`` and
     ``any(values[i] < values[j])`` — rows with identical metrics therefore
-    never dominate each other, so exact duplicates all stay on the front,
-    matching :meth:`ParetoPoint.dominates`.
+    never dominate each other, so exact duplicates all stay on the front.
 
     The common two-metric case (the default size/miss-rate front) runs the
     O(n log n) sort-and-scan kernel; arity >= 3 uses the divide-and-conquer
     kernel (which itself bottoms out in the broadcast pairwise kernel on
     small sub-problems); arity 1 stays on the pairwise kernel.  All are
-    exact and agree with the object-level domination semantics.
+    exact and agree on every input.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
@@ -248,55 +222,3 @@ def pareto_front_frame(
     produces a front sub-frame.
     """
     return np.flatnonzero(pareto_mask(metric_matrix(frame, metrics)))
-
-
-def pareto_front(points: Sequence[ParetoPoint]) -> List[ParetoPoint]:
-    """Return the non-dominated subset of ``points`` (stable order).
-
-    Delegates to the same numpy kernel as :func:`pareto_front_frame` (the
-    historical Python loop had an early-exit asymmetry that made it O(n^2)
-    even on easy inputs); output order and tie handling are unchanged —
-    surviving points keep their input order, and points with identical
-    metrics all survive.
-    """
-    point_list = list(points)
-    if not point_list:
-        return []
-    arity = len(point_list[0].metrics)
-    for point in point_list:
-        if len(point.metrics) != arity:
-            raise ExplorationError("Pareto points must have the same number of metrics")
-    values = np.asarray([point.metrics for point in point_list], dtype=np.float64)
-    values = values.reshape(len(point_list), arity)
-    mask = pareto_mask(values)
-    return [point for point, keep in zip(point_list, mask) if keep]
-
-
-def pareto_front_from_results(
-    results,
-    metric_fn,
-) -> List[ParetoPoint]:
-    """Build points from an iterable of :class:`ConfigResult` and extract the front.
-
-    ``metric_fn(result)`` must return a tuple of lower-is-better metrics.
-    """
-    points = [ParetoPoint(result.config, tuple(float(m) for m in metric_fn(result))) for result in results]
-    return pareto_front(points)
-
-
-def size_missrate_front(results) -> List[ParetoPoint]:
-    """The classic (capacity, miss rate) Pareto front of a result set."""
-    return pareto_front_from_results(
-        results, lambda result: (result.config.total_size, result.miss_rate)
-    )
-
-
-def front_as_rows(front: Sequence[ParetoPoint], metric_names: Sequence[str]) -> List[Dict[str, object]]:
-    """Render a front as a list of dictionaries for tabular reporting."""
-    rows = []
-    for point in front:
-        row: Dict[str, object] = {"config": point.config.label(), "total_size": point.config.total_size}
-        for name, value in zip(metric_names, point.metrics):
-            row[name] = value
-        rows.append(row)
-    return rows

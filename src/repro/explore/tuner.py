@@ -5,26 +5,24 @@ run DEW once per (block size, associativity) family, hand the combined
 results to the tuner together with area/performance/energy constraints, and
 get back the configuration an embedded designer would pick.
 
-The tuner is frame-native: :meth:`CacheTuner.tune_frame` and
-:meth:`CacheTuner.rank_frame` evaluate constraints as boolean masks over
-:class:`~repro.core.results.ResultsFrame` columns and pick winners with
-vectorised argmin/lexsort — no per-row :class:`ConfigResult` or
-:class:`EnergyEstimate` objects exist until the chosen rows are
-materialised.  The object-based :meth:`CacheTuner.tune`/:meth:`CacheTuner.rank`
-APIs are thin wrappers that coerce their input to a frame and delegate;
-ties on (objective value, total size) resolve toward the frame's canonical
-row order.
+:meth:`CacheTuner.tune_frame` and :meth:`CacheTuner.rank_frame` evaluate
+constraints as boolean masks over :class:`~repro.core.results.ResultsFrame`
+columns and pick winners with a vectorised lexsort — no per-row
+:class:`ConfigResult` or :class:`EnergyEstimate` objects exist until the
+chosen rows are materialised.  Ties on (objective value, total size)
+resolve toward the frame's canonical row order.  To tune over several
+families, merge their frames first with
+:meth:`~repro.core.results.ResultsFrame.merge`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.config import CacheConfig
-from repro.core.results import ConfigResult, ResultsFrame, SimulationResults
+from repro.core.results import ConfigResult, ResultsFrame
 from repro.errors import ExplorationError
 from repro.explore.energy import EnergyEstimate, EnergyModel, FrameEnergyEstimate
 
@@ -39,26 +37,6 @@ class TuningConstraints:
     max_average_access_time_ns: Optional[float] = None
     min_associativity: Optional[int] = None
     max_associativity: Optional[int] = None
-
-    def admits(self, result: ConfigResult, estimate: EnergyEstimate) -> bool:
-        """Check whether one configuration satisfies every constraint."""
-        config = result.config
-        if self.max_total_size is not None and config.total_size > self.max_total_size:
-            return False
-        if self.max_miss_rate is not None and result.miss_rate > self.max_miss_rate:
-            return False
-        if self.max_energy_nj is not None and estimate.total_energy_nj > self.max_energy_nj:
-            return False
-        if (
-            self.max_average_access_time_ns is not None
-            and estimate.average_access_time_ns > self.max_average_access_time_ns
-        ):
-            return False
-        if self.min_associativity is not None and config.associativity < self.min_associativity:
-            return False
-        if self.max_associativity is not None and config.associativity > self.max_associativity:
-            return False
-        return True
 
     def admit_mask(self, frame: ResultsFrame, energy: FrameEnergyEstimate) -> np.ndarray:
         """Per-row admissibility of a whole frame as one boolean mask."""
@@ -113,31 +91,6 @@ class TuningOutcome:
             row["mechanism"] = self.mechanism
             row["mechanism_entries"] = self.mechanism_entries
         return row
-
-
-def _coerce_frame(
-    results: Union[ResultsFrame, SimulationResults, Iterable[ConfigResult]],
-) -> ResultsFrame:
-    """A columnar view of any results-like input (no copy when already framed).
-
-    Plain iterables may repeat a configuration — e.g. two concatenated
-    result lists sharing DEW's free direct-mapped rows, which the historical
-    object loop simply iterated over.  Exact duplicates are collapsed;
-    duplicates that disagree on their counts are ambiguous and raise
-    :class:`~repro.errors.ExplorationError`.
-    """
-    if isinstance(results, ResultsFrame):
-        return results
-    if isinstance(results, SimulationResults):
-        return results.frame()
-    unique: Dict[CacheConfig, ConfigResult] = {}
-    for result in results:
-        previous = unique.setdefault(result.config, result)
-        if previous is not result and previous != result:
-            raise ExplorationError(
-                f"conflicting duplicate results for {result.config.label()}"
-            )
-    return ResultsFrame.from_results(unique.values())
 
 
 class CacheTuner:
@@ -244,41 +197,3 @@ class CacheTuner:
                 )
             )
         return outcomes
-
-    def tune(
-        self,
-        results: Union[ResultsFrame, SimulationResults, Iterable[ConfigResult]],
-        constraints: Optional[TuningConstraints] = None,
-    ) -> TuningOutcome:
-        """Pick the admissible configuration minimising the objective.
-
-        Thin wrapper: coerces ``results`` to a columnar frame and delegates
-        to :meth:`tune_frame`.  Raises
-        :class:`~repro.errors.ExplorationError` when no configuration
-        satisfies the constraints.
-        """
-        return self.tune_frame(_coerce_frame(results), constraints=constraints)
-
-    def rank(
-        self,
-        results: Union[ResultsFrame, SimulationResults, Iterable[ConfigResult]],
-        constraints: Optional[TuningConstraints] = None,
-        top: int = 10,
-    ) -> List[TuningOutcome]:
-        """Return the ``top`` admissible configurations ordered by the objective.
-
-        Thin wrapper over :meth:`rank_frame`; every outcome reports the full
-        considered/admitted totals.
-        """
-        return self.rank_frame(_coerce_frame(results), constraints=constraints, top=top)
-
-
-def tune_from_results(
-    results: SimulationResults,
-    objective: str = "energy",
-    constraints: Optional[TuningConstraints] = None,
-    energy_model: Optional[EnergyModel] = None,
-) -> TuningOutcome:
-    """One-call convenience wrapper around :class:`CacheTuner`."""
-    tuner = CacheTuner(energy_model=energy_model, objective=objective)
-    return tuner.tune(results, constraints=constraints)

@@ -32,8 +32,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.config import CacheConfig
-from repro.core.results import ConfigResult, SimulationResults
+from repro.core.results import ResultsFrame, policy_code
 from repro.engine.base import Engine, register_engine
 from repro.errors import ConfigurationError, SimulationError
 from repro.types import ReplacementPolicy, is_power_of_two, log2_exact
@@ -237,24 +236,27 @@ class JanapsatyaSimulator(Engine):
 
     # -- results ---------------------------------------------------------------
 
-    def finalize(self, trace_name: str = "trace") -> SimulationResults:
-        """Per-configuration results accumulated so far."""
-        results = SimulationResults(
+    def finalize(self, trace_name: str = "trace") -> ResultsFrame:
+        """Per-configuration results accumulated so far, with :attr:`counters`.
+
+        One row per (set size, associativity), built as columns.
+        """
+        levels = len(self.set_sizes)
+        ways = len(self.associativities)
+        rows = levels * ways
+        return ResultsFrame(
+            np.repeat(self.set_sizes, ways),
+            np.tile(self.associativities, levels),
+            np.full(rows, self.block_size),
+            np.full(rows, policy_code(ReplacementPolicy.LRU)),
+            np.full(rows, self._requests),
+            [misses[assoc] for misses in self._misses for assoc in self.associativities],
+            np.zeros(rows),
             elapsed_seconds=self._elapsed,
             simulator_name="janapsatya-lru",
             trace_name=trace_name,
+            counters=self.counters,
         )
-        for level, size in enumerate(self.set_sizes):
-            for assoc in self.associativities:
-                config = CacheConfig(size, assoc, self.block_size, ReplacementPolicy.LRU)
-                results.add(
-                    ConfigResult(
-                        config=config,
-                        accesses=self._requests,
-                        misses=self._misses[level][assoc],
-                    )
-                )
-        return results
 
     def reset(self) -> None:
         """Clear all simulation state and counters."""

@@ -29,12 +29,7 @@ import numpy as np
 
 from repro.cache.simulator import SingleConfigSimulator
 from repro.core.config import CacheConfig
-from repro.core.results import (
-    ResultsFrame,
-    SimulationResults,
-    mechanism_code,
-    policy_code,
-)
+from repro.core.results import ResultsFrame, mechanism_code, policy_code
 from repro.engine.base import Engine, register_engine
 from repro.errors import ConfigurationError, SimulationError
 from repro.mechanisms.buffers import FullyAssociativeBuffer, StreamBufferSet
@@ -171,7 +166,7 @@ class MechanismEngine(Engine):
             if count > 1:
                 bulk_hits(count - 1, access_type)
 
-    def finalize_frame(self, trace_name: str = "trace") -> ResultsFrame:
+    def finalize(self, trace_name: str = "trace") -> ResultsFrame:
         config = self.config
         return ResultsFrame(
             [config.num_sets],
@@ -189,9 +184,6 @@ class MechanismEngine(Engine):
             mechanism_swaps=[self.mechanism_swaps],
             mechanism_allocations=[self.mechanism_allocations],
         )
-
-    def finalize(self, trace_name: str = "trace") -> SimulationResults:
-        return SimulationResults.from_frame(self.finalize_frame(trace_name=trace_name))
 
     def reset(self) -> None:
         self.dl1 = SingleConfigSimulator(

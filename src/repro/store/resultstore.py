@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.core.config import CacheConfig
 from repro.core.counters import DewCounters
-from repro.core.results import ResultsFrame, SimulationResults
+from repro.core.results import ResultsFrame
 from repro.errors import StoreError
 from repro.obs.metrics import get_registry
 
@@ -264,8 +264,12 @@ class ResultStore:
 
     # -- read/write ---------------------------------------------------------------
 
-    def get(self, key: StoreKey) -> Optional[SimulationResults]:
-        """The stored results for ``key``, or ``None`` on miss.
+    def get(self, key: StoreKey) -> Optional[ResultsFrame]:
+        """The stored frame for ``key``, or ``None`` on miss.
+
+        The frame's ``counters`` are a
+        :class:`~repro.core.counters.DewCounters` when the stored counters
+        fit its fields, and ``None`` otherwise.
 
         Unreadable, schema-incompatible or mis-addressed artifacts are
         treated as misses (counted separately in ``corrupt_count``); the
@@ -290,22 +294,22 @@ class ResultStore:
             return None
         self.hit_count += 1
         self._metric_hits.inc()
-        counters = None
         raw_counters = extra.get("counters")
         if isinstance(raw_counters, dict):
             try:
-                counters = DewCounters(**raw_counters)
+                frame.counters = DewCounters(**raw_counters)
             except TypeError:
-                # Counter fields changed since the artifact was written;
-                # the hit/miss columns are still valid, so keep the result.
-                counters = None
-        return SimulationResults.from_frame(frame, counters=counters)
+                # Not DEW's counter fields (another engine's, or fields
+                # changed since the artifact was written); the hit/miss
+                # columns are still valid, so keep the result.
+                pass
+        return frame
 
-    def put(self, key: StoreKey, results: SimulationResults) -> Path:
-        """Persist ``results`` under ``key`` atomically; returns the path."""
+    def put(self, key: StoreKey, frame: ResultsFrame) -> Path:
+        """Persist ``frame`` under ``key`` atomically; returns the path."""
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        frame = results.frame()
+        counters = None if frame.counters is None else dataclasses.asdict(frame.counters)
         _atomic_replace(
             path,
             lambda handle: frame.to_npz(
@@ -315,7 +319,7 @@ class ResultStore:
                     "key": key.describe(),
                     # Instrumentation rides along so warm runs report the
                     # same work counters the cold run measured.
-                    "counters": dataclasses.asdict(results.counters),
+                    "counters": counters,
                 },
             ),
             prefix=".tmp-" + key.digest[:8] + "-",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import CacheConfig, ConfigSpace
-from repro.core.results import SimulationResults
+from repro.core.results import ResultsFrame
 from repro.engine import get_engine
 from repro.errors import VerificationError
 from repro.trace.trace import Trace
@@ -28,7 +28,7 @@ class CrossCheckReport:
     trace_name: str
     configs_checked: int = 0
     mismatches: List[Tuple[CacheConfig, int, int]] = field(default_factory=list)
-    dew_results: Optional[SimulationResults] = None
+    dew_results: Optional[ResultsFrame] = None
 
     @property
     def exact(self) -> bool:

@@ -1,12 +1,13 @@
-"""Tests for DewCounters, ConfigResult and SimulationResults."""
+"""Tests for DewCounters, ConfigResult and a ResultsFrame's row lookups."""
 
 import pytest
 
 from repro.cache.stats import CacheStats
 from repro.core.config import CacheConfig
 from repro.core.counters import DewCounters
-from repro.core.results import ConfigResult, SimulationResults
-from repro.errors import SimulationError
+from repro.core.results import ConfigResult, ResultsFrame
+from repro.errors import ExplorationError, SimulationError
+from repro.explore.tuner import CacheTuner, TuningConstraints
 from repro.types import AccessType
 
 
@@ -70,24 +71,29 @@ class TestConfigResult:
 
 
 class TestSimulationResults:
-    def _make(self):
-        results = SimulationResults(simulator_name="test", trace_name="t")
-        results.add(ConfigResult(CacheConfig(1, 2, 16), accesses=100, misses=40))
-        results.add(ConfigResult(CacheConfig(2, 2, 16), accesses=100, misses=30))
-        results.add(ConfigResult(CacheConfig(4, 2, 16), accesses=100, misses=10))
-        return results
+    """The lookups and reports a run's results offer, on the one container."""
+
+    ROWS = [
+        ConfigResult(CacheConfig(1, 2, 16), accesses=100, misses=40),
+        ConfigResult(CacheConfig(2, 2, 16), accesses=100, misses=30),
+        ConfigResult(CacheConfig(4, 2, 16), accesses=100, misses=10),
+    ]
+
+    def _make(self, rows=ROWS):
+        return ResultsFrame.from_results(rows, simulator_name="test", trace_name="t")
 
     def test_container_protocol(self):
         results = self._make()
         assert len(results) == 3
         assert CacheConfig(2, 2, 16) in results
+        assert CacheConfig(64, 2, 16) not in results
         assert results[CacheConfig(2, 2, 16)].misses == 30
         assert [r.config.num_sets for r in results] == [1, 2, 4]
+        assert results.configs() == [r.config for r in self.ROWS]
 
     def test_duplicate_rejected(self):
-        results = self._make()
-        with pytest.raises(SimulationError):
-            results.add(ConfigResult(CacheConfig(1, 2, 16), accesses=1, misses=0))
+        with pytest.raises(SimulationError, match="duplicate"):
+            self._make(self.ROWS + [ConfigResult(CacheConfig(1, 2, 16), accesses=1, misses=0)])
 
     def test_missing_config_raises_keyerror(self):
         with pytest.raises(KeyError):
@@ -96,33 +102,49 @@ class TestSimulationResults:
     def test_get_and_misses(self):
         results = self._make()
         assert results.get(CacheConfig(64, 2, 16)) is None
-        assert results.misses(CacheConfig(4, 2, 16)) == 10
+        assert results.get(CacheConfig(4, 2, 16)).misses == 10
+        # A bare configuration has no mechanism variant.
+        assert results.get(CacheConfig(4, 2, 16), "victim-cache", 4) is None
 
     def test_best_config(self):
-        results = self._make()
-        assert results.best_config().config.num_sets == 4
-        assert results.best_config(max_total_size=32).config.num_sets == 1
+        # Fewest misses, ties toward the smaller cache: the tuner's
+        # "misses" objective.
+        tuner = CacheTuner(objective="misses")
+        assert tuner.tune_frame(self._make()).best.config.num_sets == 4
+        capped = tuner.tune_frame(self._make(), TuningConstraints(max_total_size=32))
+        assert capped.best.config.num_sets == 1
 
     def test_best_config_unsatisfiable(self):
-        with pytest.raises(SimulationError):
-            self._make().best_config(max_total_size=8)
+        with pytest.raises(ExplorationError):
+            CacheTuner(objective="misses").tune_frame(
+                self._make(), TuningConstraints(max_total_size=8)
+            )
 
     def test_diff(self):
+        # Two runs agree exactly when their rows do: one differing miss
+        # count breaks both row and frame equality, at that row only.
         a = self._make()
-        b = self._make()
-        assert a.diff(b) == []
-        c = SimulationResults()
-        c.add(ConfigResult(CacheConfig(1, 2, 16), accesses=100, misses=41))
-        differences = a.diff(c)
-        assert len(differences) == 1
-        assert differences[0][1:] == (40, 41)
+        assert a.as_rows() == self._make().as_rows()
+        assert a == self._make()
+        rows = list(self.ROWS)
+        rows[0] = ConfigResult(CacheConfig(1, 2, 16), accesses=100, misses=41)
+        b = self._make(rows)
+        assert a != b
+        differing = [(x["misses"], y["misses"]) for x, y in zip(a.as_rows(), b.as_rows()) if x != y]
+        assert differing == [(40, 41)]
 
     def test_from_stats(self):
+        # The harness builds the Dinero-style baseline's frame from its
+        # per-configuration stats this way.
         stats = CacheStats()
         stats.record(hit=False, access_type=AccessType.READ, compulsory=True, evicted=False)
         stats.record(hit=True, access_type=AccessType.READ, compulsory=False, evicted=False)
-        results = SimulationResults.from_stats({CacheConfig(1, 1, 4): stats})
-        result = results[CacheConfig(1, 1, 4)]
+        config = CacheConfig(1, 1, 4)
+        results = ResultsFrame.from_results(
+            [ConfigResult(config, stats.accesses, stats.misses, stats.compulsory_misses)],
+            simulator_name="dinero",
+        )
+        result = results[config]
         assert result.accesses == 2
         assert result.misses == 1
         assert result.compulsory_misses == 1
@@ -132,4 +154,5 @@ class TestSimulationResults:
         rows = results.as_rows()
         assert len(rows) == 3
         assert rows[0]["num_sets"] == 1
-        assert results.miss_rates()[CacheConfig(4, 2, 16)] == pytest.approx(0.1)
+        assert results.miss_rate_column()[2] == pytest.approx(0.1)
+        assert [row["miss_rate"] for row in rows] == results.miss_rate_column().tolist()

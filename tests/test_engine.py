@@ -15,7 +15,7 @@ from repro.cache.simulator import SingleConfigSimulator
 from repro.cli import main
 from repro.core.config import CacheConfig
 from repro.core.dew import DewSimulator
-from repro.core.results import ConfigResult, SimulationResults
+from repro.core.results import ConfigResult, ResultsFrame
 from repro.engine import (
     Engine,
     SweepJob,
@@ -23,7 +23,6 @@ from repro.engine import (
     build_grid_jobs,
     get_engine,
     get_engine_class,
-    merge_results,
     run_sweep,
 )
 from repro.errors import EngineError, TraceError, VerificationError
@@ -139,12 +138,20 @@ class TestRegistryDriven:
 
     @pytest.mark.parametrize("name", sorted(ENGINE_TEST_OPTIONS))
     def test_finalize_frame_agrees_with_finalize(self, name, loop_trace):
+        # Chunks fed by hand and then finalize give the frame Engine.run
+        # returns, with the same counters and walk.
         engine = _fresh_engine(name)
-        engine.run(loop_trace)
-        frame_rows = SimulationResults.from_frame(
-            engine.finalize_frame(loop_trace.name)
-        ).as_rows()
-        assert frame_rows == engine.finalize(trace_name=loop_trace.name).as_rows()
+        for blocks, types in loop_trace.iter_block_chunks(
+            engine.offset_bits, 64, with_types=True
+        ):
+            engine.run_blocks(blocks, types if engine.wants_access_types else None)
+        frame = engine.finalize(trace_name=loop_trace.name)
+        ran = _fresh_engine(name).run(loop_trace)
+        assert isinstance(frame, ResultsFrame)
+        assert frame.as_rows() == ran.as_rows()
+        assert (frame.simulator_name, frame.trace_name) == (ran.simulator_name, ran.trace_name)
+        assert frame.counters == ran.counters
+        assert frame.walk == ran.walk
 
     @pytest.mark.parametrize("name", sorted(ENGINE_TEST_OPTIONS))
     def test_block_runs_parity_or_loud_rejection(self, name, loop_trace):
@@ -179,7 +186,7 @@ class TestDewEngine:
         baseline = DewSimulator(16, 4, SET_SIZES).run(mixed_trace)
         engine = get_engine("dew", block_size=16, associativity=4, set_sizes=SET_SIZES)
         results = engine.run(mixed_trace, chunk_size=chunk_size)
-        assert not results.diff(baseline)
+        assert results.as_rows() == baseline.as_rows()
 
     def test_counters_match_per_address_path(self, loop_trace):
         per_address = DewSimulator(16, 4, SET_SIZES)
@@ -220,7 +227,7 @@ class TestLruEngines:
         engine = get_engine(
             "janapsatya", block_size=16, associativities=(1, 2, 4), set_sizes=SET_SIZES
         )
-        assert not engine.run(mixed_trace, chunk_size=7).diff(direct)
+        assert engine.run(mixed_trace, chunk_size=7).as_rows() == direct.as_rows()
 
 
 class TestTraceChunking:
@@ -293,13 +300,13 @@ class TestSweep:
 
     def test_merge_detects_conflicts(self):
         config = CacheConfig(2, 2, 16)
-        first = SimulationResults([ConfigResult(config, accesses=10, misses=4)])
-        second = SimulationResults([ConfigResult(config, accesses=10, misses=5)])
+        first = ResultsFrame.from_results([ConfigResult(config, accesses=10, misses=4)])
+        second = ResultsFrame.from_results([ConfigResult(config, accesses=10, misses=5)])
         with pytest.raises(VerificationError, match="disagree"):
-            merge_results([first, second])
+            ResultsFrame.merge([first, second])
         # Identical duplicates (e.g. shared direct-mapped results) are fine.
-        merged = merge_results(
-            [first, SimulationResults([ConfigResult(config, accesses=10, misses=4)])]
+        merged = ResultsFrame.merge(
+            [first, ResultsFrame.from_results([ConfigResult(config, accesses=10, misses=4)])]
         )
         assert merged[config].misses == 4
 

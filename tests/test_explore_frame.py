@@ -1,15 +1,15 @@
 """Frame-native exploration layer: property tests and regression pins.
 
 The key property: the numpy Pareto kernel (``pareto_front_frame`` /
-``pareto_mask``) and the object-based ``pareto_front`` wrapper must agree
-*exactly* — same rows, same stable order — with a straight re-implementation
-of the original Python domination loop, on random frames including
-duplicate-metric ties and single-point frames.
+``pareto_mask``) must agree *exactly* — same rows, same stable order — with
+a straight re-implementation of the original Python domination loop, on
+random frames including duplicate-metric ties and single-point frames.
 """
 
 from __future__ import annotations
 
-from typing import List
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 import pytest
@@ -17,19 +17,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import CacheConfig
-from repro.core.results import POLICY_TABLE, ConfigResult, ResultsFrame, SimulationResults
-from repro.errors import ExplorationError
+from repro.core.results import POLICY_TABLE, ConfigResult, ResultsFrame
+from repro.errors import ExplorationError, VerificationError
 from repro.explore.energy import EnergyModel
-from repro.explore.pareto import (
-    ParetoPoint,
-    metric_matrix,
-    pareto_front,
-    pareto_front_frame,
-    pareto_mask,
-    size_missrate_front,
-)
+from repro.explore.pareto import metric_matrix, pareto_front_frame, pareto_mask
 from repro.explore.tuner import CacheTuner, TuningConstraints
 from repro.types import ReplacementPolicy
+
+
+@dataclass(frozen=True)
+class ParetoPoint:
+    """One configuration and the metric values used for domination checks.
+
+    All metrics are treated as "lower is better"; negate a metric before
+    constructing the point if it should be maximised.
+    """
+
+    config: CacheConfig
+    metrics: Tuple[float, ...]
+
+    def dominates(self, other: "ParetoPoint") -> bool:
+        """True when this point is no worse in every metric and better in one."""
+        if len(self.metrics) != len(other.metrics):
+            raise ExplorationError("Pareto points must have the same number of metrics")
+        no_worse = all(a <= b for a, b in zip(self.metrics, other.metrics))
+        strictly_better = any(a < b for a, b in zip(self.metrics, other.metrics))
+        return no_worse and strictly_better
 
 
 def reference_pareto_front(points: List[ParetoPoint]) -> List[ParetoPoint]:
@@ -90,6 +103,12 @@ def _points_from_frame(frame: ResultsFrame) -> List[ParetoPoint]:
     ]
 
 
+def _mask_front(points: List[ParetoPoint]) -> List[ParetoPoint]:
+    """The points :func:`pareto_mask` keeps, in input order."""
+    mask = pareto_mask(np.asarray([point.metrics for point in points], dtype=np.float64))
+    return [point for point, keep in zip(points, mask) if keep]
+
+
 class TestParetoKernelAgreesWithObjectOracle:
     @settings(max_examples=120, deadline=None)
     @given(frame=result_frames())
@@ -104,9 +123,10 @@ class TestParetoKernelAgreesWithObjectOracle:
     @settings(max_examples=120, deadline=None)
     @given(frame=result_frames())
     def test_object_wrapper_matches_reference_loop(self, frame):
+        """pareto_mask over the points' own metric matrix keeps the oracle's points."""
         points = _points_from_frame(frame)
         oracle = reference_pareto_front(points)
-        front = pareto_front(points)
+        front = _mask_front(points)
         # Same objects, same (stable) order — not just equal values.
         assert [id(point) for point in front] == [id(point) for point in oracle]
 
@@ -133,7 +153,7 @@ class TestParetoKernelAgreesWithObjectOracle:
         frame = ResultsFrame([4], [2], [16], [0], [100], [7], [0])
         assert list(pareto_front_frame(frame)) == [0]
         points = _points_from_frame(frame)
-        assert pareto_front(points) == points
+        assert reference_pareto_front(points) == points
 
 
 class TestParetoRegressions:
@@ -144,14 +164,15 @@ class TestParetoRegressions:
         c = ParetoPoint(CacheConfig(4, 1, 4), (2.0, 3.0))  # duplicate of b
         d = ParetoPoint(CacheConfig(8, 1, 4), (3.0, 4.0))  # dominated by b/c
         e = ParetoPoint(CacheConfig(16, 1, 4), (4.0, 1.0))
-        front = pareto_front([a, b, c, d, e])
-        assert front == [a, b, c, e]
+        front = _mask_front([a, b, c, d, e])
+        assert front == reference_pareto_front([a, b, c, d, e]) == [a, b, c, e]
         assert front[1] is b and front[2] is c
 
     def test_empty_and_arity_checks(self):
-        assert pareto_front([]) == []
+        assert pareto_mask(np.zeros((0, 2))).tolist() == []
+        assert pareto_mask(np.zeros((3, 0))).tolist() == [True, True, True]
         with pytest.raises(ExplorationError):
-            pareto_front([
+            reference_pareto_front([
                 ParetoPoint(CacheConfig(1, 1, 4), (1.0,)),
                 ParetoPoint(CacheConfig(2, 1, 4), (1.0, 2.0)),
             ])
@@ -172,6 +193,27 @@ class TestParetoRegressions:
             metric_matrix(frame, (np.zeros(5),))
 
 
+def _admits(constraints: TuningConstraints, result: ConfigResult, estimate) -> bool:
+    """Whether one configuration satisfies every constraint, row by row."""
+    config = result.config
+    if constraints.max_total_size is not None and config.total_size > constraints.max_total_size:
+        return False
+    if constraints.max_miss_rate is not None and result.miss_rate > constraints.max_miss_rate:
+        return False
+    if constraints.max_energy_nj is not None and estimate.total_energy_nj > constraints.max_energy_nj:
+        return False
+    if (
+        constraints.max_average_access_time_ns is not None
+        and estimate.average_access_time_ns > constraints.max_average_access_time_ns
+    ):
+        return False
+    if constraints.min_associativity is not None and config.associativity < constraints.min_associativity:
+        return False
+    if constraints.max_associativity is not None and config.associativity > constraints.max_associativity:
+        return False
+    return True
+
+
 class TestFrameNativeEnergyAndTuner:
     def _frame(self) -> ResultsFrame:
         results = [
@@ -184,13 +226,15 @@ class TestFrameNativeEnergyAndTuner:
         return ResultsFrame.from_results(results)
 
     def test_estimate_frame_matches_scalar_estimates_bitwise(self):
+        # A row's estimate does not depend on the other rows: the whole
+        # frame's columns equal each row estimated on its own.
         frame = self._frame()
         model = EnergyModel()
         columns = model.estimate_frame(frame)
         for row in range(len(frame)):
-            scalar = model.estimate(frame.result_at(row))
-            assert columns.estimate_at(row) == scalar
-            assert float(columns.total_energy_nj[row]) == scalar.total_energy_nj
+            alone = model.estimate_frame(frame.select(np.arange(len(frame)) == row))
+            assert columns.estimate_at(row) == alone.estimate_at(0)
+            assert float(columns.total_energy_nj[row]) == float(alone.total_energy_nj[0])
 
     def test_frame_estimate_equality_is_identity_not_a_crash(self):
         frame = self._frame()
@@ -207,15 +251,26 @@ class TestFrameNativeEnergyAndTuner:
         assert columns.average_access_time_ns[0] == 0.0
 
     def test_tune_frame_matches_object_tune(self):
+        # The vectorised pick equals a row-by-row minimum over each row's
+        # own estimate, ties toward the smaller cache, then the earlier row.
         frame = self._frame()
-        results = SimulationResults.from_frame(frame)
-        for objective in ("misses", "energy", "edp", "amat"):
-            tuner = CacheTuner(objective=objective)
-            from_frame = tuner.tune_frame(frame)
-            from_objects = tuner.tune(results)
-            assert from_frame.best == from_objects.best
-            assert from_frame.objective_value == from_objects.objective_value
-            assert from_frame.candidates_admitted == from_objects.candidates_admitted
+        energy = EnergyModel().estimate_frame(frame)
+        estimates = [energy.estimate_at(row) for row in range(len(frame))]
+        objectives = {
+            "misses": lambda e: float(e.misses),
+            "energy": lambda e: e.total_energy_nj,
+            "amat": lambda e: e.average_access_time_ns,
+            "edp": lambda e: e.total_energy_nj * (e.accesses * e.average_access_time_ns),
+        }
+        for objective, value in objectives.items():
+            outcome = CacheTuner(objective=objective).tune_frame(frame)
+            best = min(
+                range(len(frame)),
+                key=lambda row: (value(estimates[row]), estimates[row].config.total_size, row),
+            )
+            assert outcome.best == frame.result_at(best), objective
+            assert outcome.objective_value == value(estimates[best]), objective
+            assert outcome.candidates_admitted == len(frame)
 
     def test_admit_mask_matches_scalar_admits(self):
         frame = self._frame()
@@ -230,33 +285,36 @@ class TestFrameNativeEnergyAndTuner:
         )
         mask = constraints.admit_mask(frame, energy)
         for row in range(len(frame)):
-            expected = constraints.admits(frame.result_at(row), energy.estimate_at(row))
+            expected = _admits(constraints, frame.result_at(row), energy.estimate_at(row))
             assert bool(mask[row]) == expected
 
     def test_rank_frame_matches_object_rank(self):
         frame = self._frame()
-        tuner = CacheTuner(objective="misses")
-        frame_ranked = tuner.rank_frame(frame, top=3)
-        object_ranked = tuner.rank(SimulationResults.from_frame(frame), top=3)
-        assert [o.best for o in frame_ranked] == [o.best for o in object_ranked]
-        assert len(frame_ranked) == 3
+        ranked = CacheTuner(objective="misses").rank_frame(frame, top=3)
+        expected = sorted(
+            (frame.result_at(row) for row in range(len(frame))),
+            key=lambda result: (result.misses, result.config.total_size),
+        )[:3]
+        assert [o.best for o in ranked] == expected
+        assert len(ranked) == 3
 
     def test_tune_tolerates_exact_duplicate_rows(self):
-        # Concatenated result lists sharing a config (e.g. DEW's free
-        # direct-mapped by-products) worked with the old object loop and
-        # must keep working through the frame wrapper.
-        rows = list(SimulationResults.from_frame(self._frame()))
-        duplicated = rows + rows[:2]
+        # Families sharing a configuration (DEW's free direct-mapped rows)
+        # are merged before tuning; agreeing duplicates collapse to one row.
+        frame = self._frame()
+        duplicated = ResultsFrame.merge([frame, frame.select(frame.num_sets <= 64)])
+        assert duplicated.as_rows() == frame.as_rows()
         tuner = CacheTuner(objective="misses")
-        assert tuner.tune(duplicated).best == tuner.tune(rows).best
+        assert tuner.tune_frame(duplicated).best == tuner.tune_frame(frame).best
 
     def test_tune_rejects_conflicting_duplicates(self):
+        # Families that disagree on a shared configuration never reach the
+        # tuner: merging them raises.
         config = CacheConfig(64, 2, 16)
-        with pytest.raises(ExplorationError, match="conflicting duplicate"):
-            CacheTuner().tune([
-                ConfigResult(config, accesses=100, misses=5),
-                ConfigResult(config, accesses=100, misses=7),
-            ])
+        first = ResultsFrame.from_results([ConfigResult(config, accesses=100, misses=5)])
+        second = ResultsFrame.from_results([ConfigResult(config, accesses=100, misses=7)])
+        with pytest.raises(VerificationError, match="disagree"):
+            ResultsFrame.merge([first, second])
 
     def test_tune_frame_unsatisfiable(self):
         with pytest.raises(ExplorationError):
@@ -276,7 +334,7 @@ class TestFrameNativeEnergyAndTuner:
         )
         rider.run(trace)
         frame = ResultsFrame.merge(
-            [bare.finalize_frame("tune"), rider.finalize_frame("tune")],
+            [bare.finalize("tune"), rider.finalize("tune")],
             trace_name="tune",
         )
         outcomes = CacheTuner(objective="misses").rank_frame(frame, top=2)
@@ -300,9 +358,10 @@ class TestFrameNativeEnergyAndTuner:
         assert outcome.best.config == CacheConfig(8, 4, 16, ReplacementPolicy.FIFO)
 
     def test_size_missrate_front_consistent_with_frame_path(self):
+        # The default front is the (capacity, miss rate) front.
         frame = self._frame()
-        front = size_missrate_front(SimulationResults.from_frame(frame))
-        indices = pareto_front_frame(frame, ("total_size", "miss_rate"))
+        front = reference_pareto_front(_points_from_frame(frame))
+        indices = pareto_front_frame(frame)
         assert [point.config for point in front] == [
             frame.config_at(int(row)) for row in indices
         ]

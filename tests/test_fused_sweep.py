@@ -21,10 +21,10 @@ from repro.engine import (
     build_mechanism_grid_jobs,
     get_engine,
     get_engine_class,
-    merge_results,
     run_sweep,
 )
 from repro.engine.sweep import _partition_fused_batches
+from repro.core.results import ResultsFrame
 from repro.errors import EngineError, ReproError
 from repro.store import open_store
 from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace, collapse_block_runs
@@ -41,7 +41,7 @@ def assert_matches_per_job(outcome, trace, jobs, chunk_size=DEFAULT_CHUNK_SIZE):
     (``DewCounters`` including ``evaluations_per_level``).
     """
     reference = [job.build().run(trace, chunk_size=chunk_size) for job in jobs]
-    merged = merge_results(reference, trace_name=outcome.trace_name)
+    merged = ResultsFrame.merge(reference, trace_name=outcome.trace_name)
     assert outcome.as_rows() == merged.as_rows()
     assert outcome.merged().to_json() == merged.to_json()
     assert [r.counters for r in outcome.results] == [r.counters for r in reference]
@@ -104,28 +104,54 @@ class TestDewEngineCollapse:
 class TestFinalizeFrame:
     def test_dew_finalize_frame_matches_finalize(self, sweep_trace):
         engine = get_engine("dew", block_size=16, associativity=4, set_sizes=SET_SIZES)
-        engine.run(sweep_trace)
-        frame = engine.finalize_frame(trace_name="t")
-        results = engine.finalize(trace_name="t")
-        assert [r.as_dict() for r in frame] == results.as_rows()
+        ran = engine.run(sweep_trace)
+        frame = engine.finalize(trace_name="t")
+        assert isinstance(frame, ResultsFrame)
+        assert frame.as_rows() == ran.as_rows()
         assert frame.simulator_name == "dew"
+        # One DEW row per level plus the free direct-mapped row per level.
+        assert len(frame) == 2 * len(SET_SIZES)
+        assert frame.counters is engine.counters
+        assert frame.walk == engine.walk
 
     def test_single_finalize_frame_matches_finalize(self, sweep_trace):
         from repro.core.config import CacheConfig
 
-        engine = get_engine("single", config=CacheConfig(8, 2, 16))
+        config = CacheConfig(8, 2, 16)
+        engine = get_engine("single", config=config)
         engine.run(sweep_trace)
-        frame = engine.finalize_frame(trace_name="t")
-        results = engine.finalize(trace_name="t")
-        assert [r.as_dict() for r in frame] == results.as_rows()
+        frame = engine.finalize(trace_name="t")
+        stats = engine.stats
+        [row] = frame
+        assert row.config == config
+        assert (row.accesses, row.misses, row.compulsory_misses) == (
+            stats.accesses, stats.misses, stats.compulsory_misses
+        )
+        assert frame.counters is None and frame.walk is None
 
     def test_default_finalize_frame_adapts_finalize(self, sweep_trace):
+        from repro.core.config import CacheConfig
+        from repro.types import ReplacementPolicy
+
         engine = get_engine(
             "janapsatya", block_size=16, associativities=(1, 2), set_sizes=(1, 2, 4)
         )
         engine.run(sweep_trace)
-        frame = engine.finalize_frame(trace_name="t")
-        assert [r.as_dict() for r in frame] == engine.finalize(trace_name="t").as_rows()
+        frame = engine.finalize(trace_name="t")
+        # One row per (set size, associativity), each equal to that
+        # configuration simulated on its own.
+        configs = [
+            CacheConfig(size, assoc, 16, ReplacementPolicy.LRU)
+            for size in (1, 2, 4)
+            for assoc in (1, 2)
+        ]
+        assert frame.configs() == configs
+        for config in configs:
+            reference = get_engine("single", config=config).run(sweep_trace)
+            assert frame[config].misses == reference[config].misses, config.label()
+        assert all(r.accesses == len(sweep_trace) for r in frame)
+        assert frame.simulator_name == "janapsatya-lru"
+        assert frame.counters is engine.counters
 
 
 class TestFusedSweepIdentity:
@@ -189,7 +215,7 @@ class TestFusedSweepIdentity:
             store.put(job.store_key(fingerprint), results)
         warm_fused = run_sweep(sweep_trace, grid_jobs, store=store)
         assert warm_fused.executed_jobs == 0
-        assert warm_fused.as_rows() == merge_results(per_job).as_rows()
+        assert warm_fused.as_rows() == ResultsFrame.merge(per_job).as_rows()
 
 
 def _abort(index, job, results, cached):

@@ -10,7 +10,7 @@ import pytest
 from repro.cache.dinero import DineroStyleRunner
 from repro.core.config import CacheConfig, ConfigSpace
 from repro.core.dew import DewSimulator
-from repro.explore.pareto import size_missrate_front
+from repro.explore.pareto import pareto_front_frame
 from repro.explore.tuner import CacheTuner, TuningConstraints
 from repro.lru.janapsatya import JanapsatyaSimulator
 from repro.types import ReplacementPolicy
@@ -60,14 +60,14 @@ class TestSinglePassFamilySimulation:
 
 class TestExplorationPipeline:
     def test_pareto_and_tuner_agree_with_results(self, dew_results):
-        front = size_missrate_front(dew_results)
+        front = [dew_results.config_at(int(row)) for row in pareto_front_frame(dew_results)]
         assert front
         constraints = TuningConstraints(max_total_size=16 << 10)
-        outcome = CacheTuner(objective="misses").tune(list(dew_results), constraints)
+        outcome = CacheTuner(objective="misses").tune_frame(dew_results, constraints)
         assert outcome.best.config.total_size <= 16 << 10
         # The tuned configuration cannot be dominated in (size, miss rate).
-        for point in front:
-            if point.config == outcome.best.config:
+        for config in front:
+            if config == outcome.best.config:
                 break
         else:
             # Not on the front is possible only if another config has equal

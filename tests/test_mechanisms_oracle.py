@@ -150,7 +150,7 @@ class NaiveMechanismReference:
 
 
 def _assert_frame_matches_reference(engine, reference, mechanism, entries):
-    frame = engine.finalize_frame("oracle")
+    frame = engine.finalize("oracle")
     assert len(frame) == 1
     assert frame.mechanism_at(0) == mechanism
     assert int(frame.mechanism_entries[0]) == entries
@@ -257,7 +257,7 @@ class TestOracleParity:
                 collapsed.run_block_runs(values, counts, type_chunk[starts])
             else:
                 collapsed.run_block_runs(values, counts)
-        assert collapsed.finalize_frame("runs") == raw.finalize_frame("runs")
+        assert collapsed.finalize("runs") == raw.finalize("runs")
 
 
 class TestDeterministicPins:
@@ -271,7 +271,7 @@ class TestDeterministicPins:
     def test_victim_cache_swap_cycle(self):
         engine = self._thrash_engine("victim-cache")
         engine.run_blocks([0, 1] * 4)
-        frame = engine.finalize_frame("pin")
+        frame = engine.finalize("pin")
         assert int(frame.accesses[0]) == 8
         assert int(frame.misses[0]) == 2
         assert int(frame.compulsory[0]) == 2
@@ -282,7 +282,7 @@ class TestDeterministicPins:
     def test_miss_cache_thrash(self):
         engine = self._thrash_engine("miss-cache")
         engine.run_blocks([0, 1] * 4)
-        frame = engine.finalize_frame("pin")
+        frame = engine.finalize("pin")
         assert int(frame.misses[0]) == 2
         assert int(frame.mechanism_hits[0]) == 6
         assert int(frame.mechanism_swaps[0]) == 0
@@ -291,7 +291,7 @@ class TestDeterministicPins:
     def test_stream_buffer_sequential_stream(self):
         engine = self._thrash_engine("stream-buffer", entries=1)
         engine.run_blocks(list(range(10)))
-        frame = engine.finalize_frame("pin")
+        frame = engine.finalize("pin")
         assert int(frame.misses[0]) == 1
         assert int(frame.mechanism_hits[0]) == 9
         assert int(frame.mechanism_allocations[0]) == 1
@@ -310,14 +310,14 @@ class TestDeterministicPins:
         collapsed.run_block_runs([5, 6], [2, 1])
         raw = get_engine("victim-cache", **options)
         raw.run_blocks([5, 5, 5, 5, 5, 6])
-        assert collapsed.finalize_frame("split") == raw.finalize_frame("split")
+        assert collapsed.finalize("split") == raw.finalize("split")
 
     def test_reset_restores_a_fresh_engine(self):
         engine = self._thrash_engine("victim-cache")
         engine.run_blocks([0, 1, 0, 1])
         engine.reset()
         engine.run_blocks([0, 1] * 4)
-        assert int(engine.finalize_frame("pin").mechanism_swaps[0]) == 6
+        assert int(engine.finalize("pin").mechanism_swaps[0]) == 6
 
 
 class TestValidation:

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.engine import build_grid_jobs, run_sweep
+from repro.engine import build_grid_jobs, get_engine, run_sweep
 from repro.errors import ServiceError
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -470,6 +470,48 @@ class TestCliSurfaces:
         warm = run_sweep(trace, jobs, store=store)
         assert warm.executed == () and warm.engine_profiles() == []
 
+    def test_lru_frames_carry_the_engine_counters(self, trace_file, capsys):
+        from repro.cli import main
+        from repro.lru.janapsatya import JanapsatyaCounters
+
+        trace = WorkingSetGenerator(hot_bytes=2048, cold_bytes=1 << 15).generate(1500, seed=3)
+        engine = get_engine("janapsatya", block_size=16, associativities=(1, 2), set_sizes=(1, 2, 4))
+        frame = engine.run(trace)
+        assert isinstance(frame.counters, JanapsatyaCounters)
+        assert frame.counters is engine.counters
+        assert frame.counters.requests == len(trace)
+        assert frame.counters.node_evaluations > frame.counters.requests
+
+        # The profile's ratios are the executed LRU jobs' counters over the
+        # accesses they replayed.
+        jobs = build_grid_jobs([8, 16], [1, 2], (1, 2, 4, 8), policies=("lru",))
+        outcome = run_sweep(trace, jobs)
+        [profile] = outcome.engine_profiles()
+        counters = [r.counters for r in outcome.results]
+        reference = [job.build().run(trace).counters for job in jobs]
+        assert counters == reference
+        requests = sum(c.requests for c in counters)
+        assert requests == len(trace) * len(jobs)
+        assert profile.node_evals_per_access == (
+            sum(c.node_evaluations for c in counters) / requests
+        )
+        assert profile.tag_comparisons_per_access == (
+            sum(c.tag_comparisons for c in counters) / requests
+        )
+        assert profile.ns_per_node_eval > 0 and profile.walk is None
+
+        argv = ["sweep", trace_file, "--block-sizes", "8", "--associativities", "1,2",
+                "--max-sets", "16", "--policies", "lru", "--profile"]
+        assert main(argv) == 0
+        [line] = [line for line in capsys.readouterr().err.splitlines()
+                  if line.split()[:1] == ["janapsatya"]]
+        ran = get_engine(
+            "janapsatya", block_size=8, associativities=(1, 2), set_sizes=(1, 2, 4, 8, 16)
+        ).run(load_trace_file(trace_file)).counters
+        assert f"{ran.node_evaluations / ran.requests:.2f} node evals/access" in line
+        assert f"{ran.tag_comparisons / ran.requests:.2f} tag comparisons/access" in line
+        assert "ns/node eval" in line
+
     def test_sweep_profile_flag(self, trace_file, tmp_path, capsys):
         from repro.cli import main
 
@@ -500,15 +542,15 @@ class TestCliSurfaces:
             assert len(load) == 1 and float(load[0][1].rstrip("s")) > 0.0
 
             # One line per engine that simulated: two DEW jobs (B8/A2, B16/A2)
-            # and two LRU jobs; DEW adds its work ratios.
+            # and two LRU jobs; both add their work ratios.
             engines = {line.split()[0]: line for line in err.splitlines()
                        if line.split()[:1] in (["dew"], ["janapsatya"])}
             assert set(engines) == {"dew", "janapsatya"}
             assert "2 job(s)" in engines["dew"] and "2 job(s)" in engines["janapsatya"]
             assert "accesses/s per job" in engines["janapsatya"]
-            assert "node evals/access" not in engines["janapsatya"]
             for ratio in ("node evals/access", "ns/node eval", "tag comparisons/access"):
                 assert ratio in engines["dew"]
+                assert ratio in engines["janapsatya"]
             # ... and ends with the walk its jobs ran.
             expected = "walk=kernel" if walk == "kernel" else f"walk={PYTHON_WALK.name}"
             assert engines["dew"].endswith(expected)

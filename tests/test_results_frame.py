@@ -1,6 +1,7 @@
-"""Tests for the columnar ResultsFrame and its SimulationResults views."""
+"""Tests for the columnar ResultsFrame: rows, lookups, merge and npz payloads."""
 
 import io
+import json
 
 import hypothesis.strategies as st
 import numpy as np
@@ -13,7 +14,6 @@ from repro.core.results import (
     POLICY_TABLE,
     ConfigResult,
     ResultsFrame,
-    SimulationResults,
 )
 from repro.errors import SimulationError, VerificationError
 from repro.types import ReplacementPolicy
@@ -27,6 +27,17 @@ def _result(num_sets, assoc, block, policy=ReplacementPolicy.FIFO,
         misses=misses,
         compulsory_misses=compulsory,
     )
+
+
+def _npz_bytes(frame, extra_metadata=None):
+    buffer = io.BytesIO()
+    frame.to_npz(buffer, extra_metadata=extra_metadata)
+    return buffer.getvalue()
+
+
+def _read_npz_bytes(data):
+    frame, _ = ResultsFrame.read_npz(io.BytesIO(data))
+    return frame
 
 
 def _sample_frame():
@@ -69,9 +80,10 @@ class TestResultsFrame:
 
     def test_direct_mapped_and_dm_misses(self):
         frame = _sample_frame()
-        dm = frame.direct_mapped()
+        dm = frame.select(frame.associativities == 1)
         assert all(a == 1 for a in dm.associativities)
-        assert frame.dm_misses() == {(16, 1): 60}
+        assert [(r.config.block_size, r.config.num_sets, r.misses) for r in dm] == [(16, 1, 60)]
+        assert dm.trace_name == frame.trace_name
 
     def test_index_of_and_result_at(self):
         frame = _sample_frame()
@@ -82,21 +94,25 @@ class TestResultsFrame:
         assert frame.index_of(CacheConfig(8, 8, 64)) is None
 
     def test_merge_matches_object_level_merge(self):
-        from repro.engine import merge_results
-
-        first = SimulationResults([_result(1, 1, 16, misses=5), _result(2, 2, 16, misses=4)])
-        second = SimulationResults([_result(1, 1, 16, misses=5), _result(4, 2, 16, misses=3)])
+        first = [_result(1, 1, 16, misses=5), _result(2, 2, 16, misses=4)]
+        second = [_result(1, 1, 16, misses=5), _result(4, 2, 16, misses=3)]
         # Ignoring any one configuration key in the sort moves some row of
-        # this family, so the two paths must agree on every key.
-        third = SimulationResults([
+        # this family, so the merge must order by every key.
+        third = [
             _result(2, 2, 16, policy=ReplacementPolicy.LRU, misses=7),
             _result(2, 1, 64, misses=9),
             _result(1, 1, 64, misses=6),
-        ])
+        ]
         families = [third, first, second]
-        merged_frame = ResultsFrame.merge([family.frame() for family in families])
-        merged_objects = merge_results(families)
-        assert [r.as_dict() for r in merged_frame] == merged_objects.as_rows()
+        merged = ResultsFrame.merge(
+            [ResultsFrame.from_results(family, elapsed_seconds=0.5) for family in families]
+        )
+        # The oracle: the union of every family's rows, one per
+        # configuration, sorted by the configuration tuple.
+        union = {result.config: result for family in families for result in family}
+        assert merged.as_rows() == [union[config].as_dict() for config in sorted(union)]
+        assert merged.elapsed_seconds == 1.5
+        assert merged.counters is None
 
     def test_merge_conflict_raises(self):
         first = ResultsFrame.from_results([_result(1, 1, 16, misses=5)])
@@ -109,7 +125,7 @@ class TestResultsFrame:
 
     def test_npz_round_trip_bytes(self):
         frame = _sample_frame()
-        assert ResultsFrame.from_bytes(frame.to_bytes()) == frame
+        assert _read_npz_bytes(_npz_bytes(frame)) == frame
 
     def test_npz_round_trip_file(self, tmp_path):
         frame = _sample_frame()
@@ -117,22 +133,18 @@ class TestResultsFrame:
         with open(path, "wb") as handle:
             frame.to_npz(handle)
         with open(path, "rb") as handle:
-            assert ResultsFrame.from_npz(handle) == frame
+            assert ResultsFrame.read_npz(handle) == (frame, {})
 
     def test_extra_metadata_round_trip(self):
         frame = _sample_frame()
-        data = frame.to_bytes(extra_metadata={"key": {"digest": "abc"}})
+        data = _npz_bytes(frame, extra_metadata={"key": {"digest": "abc"}})
         loaded, extra = ResultsFrame.read_npz(io.BytesIO(data))
         assert loaded == frame
         assert extra == {"key": {"digest": "abc"}}
 
     def test_schema_version_mismatch_rejected(self):
         frame = _sample_frame()
-        data = frame.to_bytes()
-        import json
-        import zipfile
-
-        buffer = io.BytesIO(data)
+        buffer = io.BytesIO(_npz_bytes(frame))
         with np.load(buffer) as payload:
             arrays = {name: payload[name] for name in payload.files}
         meta = json.loads(str(arrays["metadata"][()]))
@@ -142,66 +154,61 @@ class TestResultsFrame:
         np.savez(rewritten, **arrays)
         rewritten.seek(0)
         with pytest.raises(SimulationError, match="schema"):
-            ResultsFrame.from_npz(rewritten)
-
-    def test_with_metadata_shares_arrays(self):
-        frame = _sample_frame()
-        renamed = frame.with_metadata(trace_name="other", elapsed_seconds=9.0)
-        assert renamed.trace_name == "other"
-        assert renamed.elapsed_seconds == 9.0
-        assert renamed.misses is frame.misses
-        assert renamed != frame  # metadata participates in equality
+            ResultsFrame.read_npz(rewritten)
 
 
 class TestSimulationResultsViews:
+    """Lookup, reporting and metadata of one run's results on the frame."""
+
     def test_from_frame_is_lazy_and_complete(self):
         frame = _sample_frame()
-        view = SimulationResults.from_frame(frame)
-        assert len(view) == len(frame)
-        assert view.elapsed_seconds == frame.elapsed_seconds
-        assert view[CacheConfig(2, 2, 16)].misses == 30
-        assert CacheConfig(4, 2, 16) in view
-        assert view.get(CacheConfig(64, 4, 32)) is None
-        assert view.as_rows() == [r.as_dict() for r in frame]
+        assert len(frame) == 4
+        assert frame[CacheConfig(2, 2, 16)].misses == 30
+        assert CacheConfig(4, 2, 16) in frame
+        assert frame.get(CacheConfig(64, 4, 32)) is None
+        assert frame.as_rows() == [r.as_dict() for r in frame]
+        assert frame.configs() == [r.config for r in frame]
 
     def test_frame_round_trip_preserves_rows(self):
-        results = SimulationResults(
+        frame = ResultsFrame.from_results(
             [_result(1, 1, 16, misses=7), _result(2, 4, 32, misses=3)],
             elapsed_seconds=0.5,
             simulator_name="dew",
             trace_name="t",
         )
-        view = SimulationResults.from_frame(results.frame())
-        assert view.as_rows() == results.as_rows()
-        assert view.elapsed_seconds == results.elapsed_seconds
-
-    def test_add_after_from_frame(self):
-        view = SimulationResults.from_frame(_sample_frame())
-        view.add(_result(8, 2, 16, misses=1))
-        assert len(view) == 5
-        with pytest.raises(SimulationError, match="duplicate"):
-            view.add(_result(8, 2, 16, misses=1))
-        # The frame is rebuilt to include the added row.
-        assert view.frame().index_of(CacheConfig(8, 2, 16)) is not None
+        rebuilt = ResultsFrame.from_rows(frame.as_rows(), simulator_name="dew", trace_name="t")
+        assert rebuilt.as_rows() == frame.as_rows()
+        assert rebuilt.to_json() == frame.to_json()
 
     def test_frame_reflects_updated_elapsed(self):
-        results = SimulationResults([_result(1, 1, 16)])
-        results.frame()
-        results.elapsed_seconds = 3.5
-        assert results.frame().elapsed_seconds == 3.5
+        # Engine.run and the executor stamp the measured time on a finished
+        # frame; the store persists it with the rows.
+        frame = ResultsFrame.from_results([_result(1, 1, 16)])
+        frame.elapsed_seconds = 3.5
+        assert _read_npz_bytes(_npz_bytes(frame)).elapsed_seconds == 3.5
+
+    def test_counters_and_walk_stay_out_of_rows_and_equality(self):
+        frame = _sample_frame()
+        other = _sample_frame()
+        frame.counters = object()
+        frame.walk = "kernel"
+        assert frame == other
+        assert frame.to_json() == other.to_json()
+        assert _read_npz_bytes(_npz_bytes(frame)).counters is None
+        # The scalar metadata does take part in equality.
+        other.elapsed_seconds = 9.0
+        assert frame != other
 
     def test_to_json_is_stable(self):
-        a = SimulationResults(
+        a = ResultsFrame.from_results(
             [_result(2, 2, 16, misses=4), _result(1, 1, 16, misses=9)],
             simulator_name="sweep", trace_name="t",
         )
-        b = SimulationResults(
+        b = ResultsFrame.from_results(
             [_result(1, 1, 16, misses=9), _result(2, 2, 16, misses=4)],
             simulator_name="sweep", trace_name="t",
         )
         assert a.to_json() == b.to_json()
-        import json
-
         payload = json.loads(a.to_json())
         assert payload["schema"] == FRAME_SCHEMA_VERSION
         assert [row["num_sets"] for row in payload["configurations"]] == [1, 2]
@@ -251,12 +258,9 @@ def test_results_frame_disk_round_trip_is_lossless(results, elapsed):
     frame = ResultsFrame.from_results(
         results, elapsed_seconds=elapsed, simulator_name="dew", trace_name="rt"
     )
-    restored = ResultsFrame.from_bytes(frame.to_bytes())
+    restored = _read_npz_bytes(_npz_bytes(frame))
     assert restored == frame
-    assert [r.as_dict() for r in restored] == [r.as_dict() for r in frame]
-    # And through the object-level view as well.
-    view = SimulationResults.from_frame(restored)
-    assert view.as_rows() == SimulationResults(results).as_rows()
+    assert restored.as_rows() == [r.as_dict() for r in sorted(results, key=lambda r: r.config)]
 
 
 class TestMetricColumns:

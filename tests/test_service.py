@@ -620,6 +620,49 @@ class TestServiceCli:
         assert main(["explore", "pareto", "--job", job_id]) == 2
 
 
+    def test_client_commands_close_their_client(self, tmp_path, trace_file, capsys, monkeypatch):
+        closed = []
+        close = ServiceClient.close
+
+        def counting_close(client):
+            closed.append(client)
+            close(client)
+
+        monkeypatch.setattr(ServiceClient, "close", counting_close)
+        service = str(tmp_path / "svc")
+        files = ["--transport", "files"]
+
+        def ran_and_closed(argv, expected_code=0):
+            before = len(closed)
+            assert main(argv) == expected_code, argv
+            return len(closed) == before + 1
+
+        assert ran_and_closed(self._submit_args(service, trace_file) + files)
+        assert main(["serve", service, "--drain"]) == 0
+        capsys.readouterr()
+        assert ran_and_closed(["queue", "ls", service, "--format", "json"])
+        done = json.loads(capsys.readouterr().out)[0]["id"]
+        pending = self._submit_args(service, trace_file)
+        pending[pending.index("--max-sets") + 1] = "16"
+        assert ran_and_closed(pending + files)
+        capsys.readouterr()
+        assert ran_and_closed(["queue", "ls", service, "--state", "queued", "--format", "json"])
+        queued = json.loads(capsys.readouterr().out)[0]["id"]
+        for argv in (
+            ["status", service, done, *files],
+            ["result", service, done, *files],
+            ["result", service, done, "--format", "json", *files],
+            ["queue", "stats", service, *files],
+            ["queue", "top", service, "--iterations", "1", *files],
+            ["metrics", service],
+            ["explore", "pareto", "--service", service, "--job", done],
+            ["cancel", service, queued, *files],
+        ):
+            assert ran_and_closed(argv), argv
+        # A command that fails still closes its client.
+        assert ran_and_closed(["result", service, queued, *files], expected_code=2)
+
+
 class TestRunningJobCancellation:
     def test_daemon_stops_a_cancelled_job_between_cells(self, tmp_path, trace_file):
         root = tmp_path / "svc"

@@ -25,6 +25,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.results import ResultsFrame
 from repro.engine.sweep import (
     FusedSweepExecutor,
     _fused_worker_run,
@@ -32,7 +33,6 @@ from repro.engine.sweep import (
     _sweep_worker_init,
     build_grid_jobs,
     build_mechanism_grid_jobs,
-    merge_results,
     run_sweep,
 )
 from repro.trace.planecache import CachedPlane, open_plane_cache
@@ -92,7 +92,7 @@ def _spawn_pooled(plane, jobs, workers=2):
         ):
             for position, fresh in zip(positions, batch):
                 results[position] = fresh
-    return merge_results(results, trace_name=plane.name)
+    return ResultsFrame.merge(results, trace_name=plane.name)
 
 
 class TestPlanePublication:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.config import CacheConfig
-from repro.core.results import ConfigResult, SimulationResults
+from repro.core.results import ConfigResult, ResultsFrame
 from repro.engine import SweepJob, build_grid_jobs, run_sweep
 from repro.errors import StoreError
 from repro.store import STORE_SCHEMA_VERSION, ResultStore, StoreKey, open_store
@@ -21,7 +21,7 @@ GRID = dict(
 
 
 def _results(misses=5):
-    return SimulationResults(
+    return ResultsFrame.from_results(
         [ConfigResult(CacheConfig(4, 2, 16), accesses=50, misses=misses)],
         elapsed_seconds=0.25,
         simulator_name="dew",

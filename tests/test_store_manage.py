@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core.config import CacheConfig
-from repro.core.results import ConfigResult, SimulationResults
+from repro.core.results import ConfigResult, ResultsFrame
 from repro.engine import build_grid_jobs, run_sweep
 from repro.errors import StoreError
 from repro.store import (
@@ -29,7 +29,7 @@ from repro.trace.trace import Trace
 
 
 def _results(misses=5, config=None):
-    return SimulationResults(
+    return ResultsFrame.from_results(
         [ConfigResult(config or CacheConfig(4, 2, 16), accesses=50, misses=misses)],
         elapsed_seconds=0.25,
         simulator_name="dew",

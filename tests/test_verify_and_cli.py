@@ -1,7 +1,13 @@
 """Tests for the verification package and the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import kernels
 from repro.core.config import ConfigSpace
 from repro.cli import build_parser, main
@@ -79,3 +85,30 @@ class TestCli:
         sides = f"DEW: {dew_side}; baseline: Python single"
         assert f"Figure 5: speed-up of DEW over baseline ({sides})" in output
         assert f"Headline claims (this run; {sides}):" in output
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--block-sizes", "8,16", "--associativities", "1,2", "--max-sets", "64"],
+        ["dew", "--block-size", "8", "--associativity", "2", "--max-sets", "1024"],
+    ])
+    def test_closed_stdout_exits_without_traceback(self, tmp_path, command):
+        # `repro-dew ... | head -1`, made deterministic: the pipe's read end
+        # is closed before the command starts, so its first write fails.
+        trace_path = tmp_path / "pipe.din"
+        assert main(["generate", "cjpeg", str(trace_path), "--requests", "2000"]) == 0
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro.cli", command[0], str(trace_path), *command[1:]],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=src),
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert completed.returncode != 0
+        assert "Traceback" not in completed.stderr
+        assert "BrokenPipeError" not in completed.stderr
