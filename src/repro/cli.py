@@ -335,6 +335,8 @@ def _print_engine_profiles(outcome) -> None:
             line += f", {profile.ns_per_node_eval:.0f} ns/node eval"
         if profile.tag_comparisons_per_access is not None:
             line += f", {profile.tag_comparisons_per_access:.2f} tag comparisons/access"
+        if profile.mru_stops_per_access is not None:
+            line += f", {profile.mru_stops_per_access:.2f} MRU stops/access"
         if profile.walk is not None:
             line += f", walk={profile.walk}"
         print(line, file=sys.stderr)

@@ -30,7 +30,7 @@ There are two walks, with identical results and counters:
 
 * the **kernel walk**, a line-for-line C port of the Python walk
   (``repro/kernels/dew.c``), which :class:`DewSimulator` runs whenever
-  :func:`repro.kernels.dew_walk` builds and loads it;
+  :func:`repro.kernels.load` builds and loads it;
 * the **Python walk** in :meth:`DewSimulator.run_blocks`, the fallback on a
   host without a working C compiler (or with ``CC=false``) and the oracle
   the kernel is tested against.
@@ -79,11 +79,6 @@ from repro.engine.base import Engine, register_engine
 from repro.errors import SimulationError
 from repro.types import EMPTY_WAVE, INVALID_TAG, ReplacementPolicy
 
-#: Block addresses the walks accept lie below this: the kernel stores
-#: ``block + 1``, which must not overflow int64.
-BLOCK_LIMIT = 2**63 - 1
-
-
 @register_engine("dew")
 class DewSimulator(Engine):
     """Single-pass multi-configuration FIFO cache simulator (the ``dew`` engine).
@@ -108,7 +103,7 @@ class DewSimulator(Engine):
         per distinct block, and a set difference over each chunk's run
         heads.
 
-    The simulator runs the kernel walk when :func:`repro.kernels.dew_walk`
+    The simulator runs the kernel walk when :func:`repro.kernels.load`
     loads it and the Python walk otherwise; :attr:`walk` says which.  It
     takes raw block chunks only: the kernel walk decides an immediately
     repeated block (a root MRA hit, Property 2) with one comparison, so
@@ -126,7 +121,7 @@ class DewSimulator(Engine):
         track_compulsory: bool = True,
     ) -> None:
         super().__init__()
-        self._walk = kernels.dew_walk()
+        self._walk = kernels.load("dew")
         self.tree = DewTree(
             block_size, associativity, set_sizes, flat=self._walk.function is not None
         )
@@ -246,17 +241,9 @@ class DewSimulator(Engine):
         depend on them.  Raises :class:`~repro.errors.SimulationError` for a
         block outside ``[0, 2**63 - 1)``.
         """
-        try:
-            chunk = np.ascontiguousarray(blocks, dtype=np.int64)
-        except OverflowError as exc:
-            raise SimulationError(f"block address outside [0, 2**63 - 1): {exc}") from None
+        chunk = kernels.block_chunk(blocks)
         if not chunk.size:
             return
-        low, high = int(chunk.min()), int(chunk.max())
-        if low < 0 or high >= BLOCK_LIMIT:
-            raise SimulationError(
-                f"block address {low if low < 0 else high} is outside [0, 2**63 - 1)"
-            )
         walks = chunk.size
         self.counters.requests += walks
         self._requests += walks

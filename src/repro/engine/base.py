@@ -51,7 +51,10 @@ class Engine(abc.ABC):
     #: When true, the engine accepts run-length-collapsed chunks via
     #: :meth:`run_block_runs` with results identical to the raw stream —
     #: the fused sweep executor then feeds it collapsed ``(values, counts)``
-    #: pairs instead of one entry per access.
+    #: pairs instead of one entry per access.  Only the mechanism engines,
+    #: whose DL1 walks run in Python, set it: the compiled DEW and LRU walks
+    #: decide an immediately repeated block with one comparison at the root,
+    #: so runs would not pay for them.
     supports_block_runs: bool = False
 
     def __init__(self) -> None:
@@ -77,7 +80,8 @@ class Engine(abc.ABC):
         """Per-configuration results accumulated so far, as one frame.
 
         The frame carries the engine's own work counters (``counters``)
-        when it keeps any, and for DEW the walk that ran (``walk``).
+        when it keeps any, and for ``dew`` and ``janapsatya`` the walk that
+        ran (``walk``).
         """
 
     @abc.abstractmethod

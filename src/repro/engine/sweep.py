@@ -280,9 +280,10 @@ class EngineProfile:
     ``accesses_per_s`` and ``ns_per_node_eval`` are medians over the jobs;
     the per-access work ratios sum the counters of every job first.  The
     work fields are filled for engines whose frames carry counters (``dew``
-    and ``janapsatya``), and are ``None`` otherwise.  ``walk`` names the DEW
-    walk the jobs ran (``kernel``, or ``python (<reason>)``; several,
-    comma-separated, if they differed), and is ``None`` for other engines.
+    and ``janapsatya``), and are ``None`` otherwise; ``mru_stops_per_access``
+    only for ``janapsatya``.  ``walk`` names the walk the jobs ran
+    (``kernel``, or ``python (<reason>)``; several, comma-separated, if they
+    differed), and is ``None`` for engines with one walk.
     """
 
     engine: str
@@ -292,6 +293,7 @@ class EngineProfile:
     node_evals_per_access: Optional[float] = None
     ns_per_node_eval: Optional[float] = None
     tag_comparisons_per_access: Optional[float] = None
+    mru_stops_per_access: Optional[float] = None
     walk: Optional[str] = None
 
 
@@ -349,6 +351,8 @@ class SweepOutcome:
                         sum(c.tag_comparisons for c in counters) / requests
                     ),
                 }
+                if all(hasattr(c, "mru_stops") for c in counters):
+                    work["mru_stops_per_access"] = sum(c.mru_stops for c in counters) / requests
             profiles.append(EngineProfile(
                 engine,
                 len(results),
@@ -408,12 +412,13 @@ class FusedSweepExecutor:
       resulting block array shared by every same-block-size engine;
     * the run-length collapse (:func:`repro.trace.trace.collapse_block_runs`)
       is computed once per (chunk, block size) and fed to every engine that
-      advertises :attr:`~repro.engine.base.Engine.supports_block_runs`
-      (``janapsatya`` and the mechanism engines), so consecutive same-block
-      accesses cost those Python walks one bulk update instead of one
-      access each;
-    * engines that do not consume runs (DEW among them) receive the shared
-      raw block array unchanged.
+      advertises :attr:`~repro.engine.base.Engine.supports_block_runs` (the
+      mechanism engines), so consecutive same-block accesses cost those
+      Python walks one bulk update instead of one access each;
+    * engines that do not consume runs (``dew``, ``janapsatya`` and
+      ``single``) receive the shared raw block array unchanged; the
+      compiled DEW and LRU walks decide a repeated block with one
+      comparison, so a collapse would not pay for them.
 
     Results are exactly those of running each job separately: identical
     rows, identical work counters (the run consumers' bulk accounting is

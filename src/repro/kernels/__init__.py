@@ -1,16 +1,27 @@
 """Compiled kernels, built on first use and cached per user.
 
-The one kernel is the DEW walk in ``dew.c``, a line-for-line C port of the
-walk loop in :meth:`repro.core.dew.DewSimulator.run_blocks`.  Importing this
-package builds and loads nothing.  The first :func:`dew_walk` call in a
-process compiles ``dew.c`` with ``$CC`` (default ``cc``) and
+:data:`KERNELS` is the table of kernels.  Each entry names a C source in
+this package, the function it exports and that function's ctypes
+``argtypes``:
+
+* ``dew`` — ``dew.c``, a line-for-line port of the walk loop in
+  :meth:`repro.core.dew.DewSimulator.run_blocks`;
+* ``lru`` — ``lru.c``, a port of the walk in
+  :class:`repro.lru.janapsatya.JanapsatyaSimulator`.
+
+Importing this package builds and loads nothing.  The first :func:`load` of
+an entry in a process compiles its source with ``$CC`` (default ``cc``) and
 ``-O2 -shared -fPIC``, unless a library built from the same source, flags
 and compiler is already in ``$XDG_CACHE_HOME/repro-dew/`` (or
 ``~/.cache/repro-dew/``), and loads it with :mod:`ctypes`.
 
-Any failure (no compiler, a build error, a load error) leaves the Python
-walk in place and records why.  A host opts out the way it would for any C
+Any failure (no compiler, a build error, a load error) leaves that entry's
+simulator on its Python walk and records why; the other entries load on
+their own.  A host opts out of every kernel the way it would for any C
 build, with ``CC=false``.
+
+Every kernel stores ``block + 1`` so that zero-filled storage is empty, and
+walks chunks in the one form :func:`block_chunk` makes.
 """
 
 from __future__ import annotations
@@ -27,18 +38,56 @@ import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
-#: The kernel source and the flags it is built with.
-SOURCE = Path(__file__).with_name("dew.c")
+import numpy as np
+
+from repro.errors import SimulationError
+
+#: The flags every kernel is built with.
 CFLAGS = ("-O2", "-shared", "-fPIC")
+
+#: Block addresses the kernels accept lie below this: they store
+#: ``block + 1``, which must not overflow int64.
+BLOCK_LIMIT = 2**63 - 1
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """One table entry: a C source, the function it exports and its argument types."""
+
+    source: Path
+    function: str
+    argtypes: Tuple[Any, ...]
+
+
+_POINTER, _INTEGER = ctypes.c_void_p, ctypes.c_int64
+_HERE = Path(__file__).parent
+
+#: The kernels, by name.  A library's file name starts with its entry's name.
+KERNELS: Dict[str, Kernel] = {
+    "dew": Kernel(_HERE / "dew.c", "dew_walk", (
+        _POINTER, _INTEGER, _INTEGER, _INTEGER,  # blocks, count, levels, associativity
+        _POINTER, _POINTER,  # index masks, node offsets
+        _POINTER, _POINTER, _POINTER, _POINTER, _POINTER, _POINTER,  # node fields
+        _INTEGER, _INTEGER, _INTEGER,  # enable_mra, enable_wave, enable_mre
+        _POINTER,  # tally
+    )),
+    "lru": Kernel(_HERE / "lru.c", "lru_walk", (
+        _POINTER, _INTEGER, _INTEGER, _INTEGER,  # blocks, count, levels, associativity
+        _POINTER, _POINTER,  # index masks, set offsets
+        _POINTER, _POINTER,  # recency tags, fill lengths
+        _INTEGER,  # mru_stop
+        _POINTER,  # tally
+    )),
+}
 
 
 @dataclass(frozen=True)
 class Walk:
-    """The DEW walk a process runs: the compiled function, or why not."""
+    """The walk a simulator runs: the compiled function, or why not."""
 
-    #: The kernel's ``dew_walk`` ctypes function; ``None`` means the Python walk.
+    #: The kernel's ctypes function; ``None`` means the Python walk.
     function: Optional[Any] = None
     reason: str = ""
 
@@ -46,6 +95,25 @@ class Walk:
     def name(self) -> str:
         """``kernel``, or ``python (<reason>)``."""
         return "kernel" if self.function is not None else f"python ({self.reason})"
+
+
+def block_chunk(blocks: Union[Sequence[int], np.ndarray]) -> np.ndarray:
+    """``blocks`` as the C-contiguous int64 array every walk takes.
+
+    Raises :class:`~repro.errors.SimulationError`, before any walk starts,
+    for a block outside ``[0, 2**63 - 1)``.
+    """
+    try:
+        chunk = np.ascontiguousarray(blocks, dtype=np.int64)
+    except OverflowError as exc:
+        raise SimulationError(f"block address outside [0, 2**63 - 1): {exc}") from None
+    if chunk.size:
+        low, high = int(chunk.min()), int(chunk.max())
+        if low < 0 or high >= BLOCK_LIMIT:
+            raise SimulationError(
+                f"block address {low if low < 0 else high} is outside [0, 2**63 - 1)"
+            )
+    return chunk
 
 
 def _compiler() -> list:
@@ -84,8 +152,8 @@ def _cache_dir() -> Path:
     return Path(private)
 
 
-def _build(library: Path) -> Optional[str]:
-    """Compile the kernel to ``library`` through a temp file and a rename, so
+def _build(library: Path, source: Path) -> Optional[str]:
+    """Compile ``source`` to ``library`` through a temp file and a rename, so
     processes racing to build it never load a partial file.  Returns the
     first line of the compiler's error output, or the OS error, on failure."""
     try:
@@ -95,7 +163,7 @@ def _build(library: Path) -> Optional[str]:
     os.close(handle)
     try:
         completed = subprocess.run(
-            _compiler() + [*CFLAGS, "-o", temporary, str(SOURCE)],
+            _compiler() + [*CFLAGS, "-o", temporary, str(source)],
             capture_output=True,
             timeout=300,
         )
@@ -111,61 +179,57 @@ def _build(library: Path) -> Optional[str]:
     return None
 
 
-def _bind(library: Path) -> Walk:
+def _bind(library: Path, kernel: Kernel) -> Walk:
     """Load ``library`` and declare the kernel's signature."""
-    function = ctypes.CDLL(str(library)).dew_walk
-    pointer, integer = ctypes.c_void_p, ctypes.c_int64
-    function.argtypes = [
-        pointer, integer, integer, integer,  # blocks, count, levels, associativity
-        pointer, pointer,  # index masks, node offsets
-        pointer, pointer, pointer, pointer, pointer, pointer,  # node fields
-        integer, integer, integer,  # enable_mra, enable_wave, enable_mre
-        pointer,  # tally
-    ]
+    function = getattr(ctypes.CDLL(str(library)), kernel.function)
+    function.argtypes = list(kernel.argtypes)
     function.restype = None
     return Walk(function)
 
 
+def _load(name: str, kernel: Kernel) -> Walk:
+    """Bind the cached library of one entry, building it first if needed."""
+    version = compiler_version()
+    if version is None:
+        return Walk(reason=f"no compiler: {os.environ.get('CC') or 'cc'} --version failed")
+    try:
+        source = kernel.source.read_bytes()
+        directory = _cache_dir()
+    except OSError as exc:
+        return Walk(reason=f"build error: {exc}")
+    digest = hashlib.sha256()
+    # The command line keys flags passed in ``$CC`` as well as CFLAGS.
+    for part in (source, " ".join(_compiler() + list(CFLAGS)).encode(), version):
+        digest.update(hashlib.sha256(part).digest())
+    library = directory / f"{name}-{digest.hexdigest()[:32]}.so"
+    if library.exists():
+        try:
+            return _bind(library, kernel)
+        except (OSError, AttributeError):
+            pass  # a cached library that does not load (truncated, say) is rebuilt once
+    error = _build(library, kernel.source)
+    if error is not None:
+        return Walk(reason=f"build error: {error}")
+    try:
+        return _bind(library, kernel)
+    except (OSError, AttributeError) as exc:
+        return Walk(reason=f"load error: {exc}")
+
+
 class KernelLoader:
-    """Builds and loads the DEW kernel at most once, whichever thread asks first."""
+    """Builds and loads each kernel at most once, whichever thread asks first."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._walk: Optional[Walk] = None
+        self._walks: Dict[str, Walk] = {}
 
-    def dew_walk(self) -> Walk:
+    def load(self, name: str) -> Walk:
+        """The walk of :data:`KERNELS` entry ``name``, loaded on first call."""
         with self._lock:
-            if self._walk is None:
-                self._walk = self._load()
-            return self._walk
-
-    @staticmethod
-    def _load() -> Walk:
-        version = compiler_version()
-        if version is None:
-            return Walk(reason=f"no compiler: {os.environ.get('CC') or 'cc'} --version failed")
-        try:
-            source = SOURCE.read_bytes()
-            directory = _cache_dir()
-        except OSError as exc:
-            return Walk(reason=f"build error: {exc}")
-        digest = hashlib.sha256()
-        # The command line keys flags passed in ``$CC`` as well as CFLAGS.
-        for part in (source, " ".join(_compiler() + list(CFLAGS)).encode(), version):
-            digest.update(hashlib.sha256(part).digest())
-        library = directory / f"dew-{digest.hexdigest()[:32]}.so"
-        if library.exists():
-            try:
-                return _bind(library)
-            except (OSError, AttributeError):
-                pass  # a cached library that does not load (truncated, say) is rebuilt once
-        error = _build(library)
-        if error is not None:
-            return Walk(reason=f"build error: {error}")
-        try:
-            return _bind(library)
-        except (OSError, AttributeError) as exc:
-            return Walk(reason=f"load error: {exc}")
+            walk = self._walks.get(name)
+            if walk is None:
+                walk = self._walks[name] = _load(name, KERNELS[name])
+            return walk
 
 
 _LOADER = KernelLoader()
@@ -174,6 +238,6 @@ _LOADER = KernelLoader()
 os.register_at_fork(after_in_child=lambda: setattr(_LOADER, "_lock", threading.Lock()))
 
 
-def dew_walk() -> Walk:
-    """This process's DEW walk, building and loading the kernel on first call."""
-    return _LOADER.dew_walk()
+def load(name: str) -> Walk:
+    """This process's walk for kernel ``name``, built and loaded on first call."""
+    return _LOADER.load(name)

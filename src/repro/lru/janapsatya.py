@@ -19,10 +19,37 @@ This simulator is exact for the LRU policy only.  It is the registered
 ``janapsatya`` engine (see :mod:`repro.engine.base`), the test suite's
 independent oracle for LRU runs, and the LRU side of the paper's limitation
 statement (DEW simulating LRU-style workloads vs a dedicated LRU simulator).
-It accepts run-length-collapsed chunks: an immediately repeated block hits at
-the MRU position of every level's set (a universal hit, no recency movement),
-so only each run's head needs the walk — see
-:meth:`JanapsatyaSimulator.run_block_runs`.
+
+There are two walks, with identical results and counters:
+
+* the **kernel walk**, ``repro/kernels/lru.c``, which
+  :class:`JanapsatyaSimulator` runs whenever :func:`repro.kernels.load`
+  builds and loads it.  It walks zero-initialised flat int64 storage: per
+  set, up to ``A`` tags stored as ``block + 1``, most recent first, and a
+  fill length, so a fresh simulator allocates a few arrays and no
+  per-set objects;
+* the **Python walk** over one recency list per set, the fallback on a host
+  without a working C compiler (or with ``CC=false``) and the oracle the
+  kernel is tested against.
+
+Block addresses must lie in ``[0, 2**63 - 1)``; both walks reject any other
+with :class:`~repro.errors.SimulationError`.  Either walk tallies only, per
+level, the hits at each recency position, and in total the tags compared by
+walks that missed; one shared function (:meth:`JanapsatyaSimulator._account`)
+derives the rest once per chunk:
+
+* a block found at position ``p`` hits in every associativity above ``p``,
+  so each associativity's misses at a level are the walks reaching it less
+  the hits at the positions it holds;
+* with the MRU stop on, a walk stops at the first level that finds the
+  block at position 0, which gives the walks reaching each level (every
+  walk reaches every level with the stop off), the node evaluations and the
+  MRU stops;
+* a hit at position ``p`` compared ``p + 1`` tags.
+
+A run-length collapsed chunk would not pay under the kernel walk, which
+decides an immediately repeated block with one comparison at the root, so
+the engine takes raw block chunks only.
 """
 
 from __future__ import annotations
@@ -32,6 +59,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro import kernels
 from repro.core.results import ResultsFrame, policy_code
 from repro.engine.base import Engine, register_engine
 from repro.errors import ConfigurationError, SimulationError
@@ -72,9 +100,10 @@ class JanapsatyaSimulator(Engine):
         Strictly doubling powers of two, e.g. ``(1, 2, 4, ..., 1024)``.
     use_mru_stop:
         Apply the early-stop rule when the tag is found in the MRU position.
-    """
 
-    supports_block_runs = True
+    The simulator runs the kernel walk when :func:`repro.kernels.load` loads
+    it and the Python walk otherwise; :attr:`walk` says which.
+    """
 
     def __init__(
         self,
@@ -104,21 +133,60 @@ class JanapsatyaSimulator(Engine):
         self.max_associativity = self.associativities[-1]
         self.set_sizes = tuple(set_sizes)
         self.use_mru_stop = use_mru_stop
-        self.counters = JanapsatyaCounters()
-        # Per level: one recency list (most recent first) per set.
-        self._sets: List[List[List[int]]] = [
-            [[] for _ in range(size)] for size in self.set_sizes
-        ]
-        # misses[level][assoc] accumulated so far.
-        self._misses: List[Dict[int, int]] = [
-            {assoc: 0 for assoc in self.associativities} for _ in self.set_sizes
-        ]
-        self._requests = 0
+        self._walk = kernels.load("lru")
+        self.reset()
+
+    def _allocate(self) -> None:
+        """Empty set storage for the walk this simulator runs.
+
+        For the kernel, flat arrays and the pointers to them, which the
+        simulator keeps referenced so a pointer never outlives its array.
+        For the Python walk, one recency list per set and, per level, the
+        walk's hit tallies for the chunk in flight.
+        """
+        ways = self.max_associativity
+        if self._walk.function is None:
+            self._levels = [
+                (size - 1, [[] for _ in range(size)], [0] * ways) for size in self.set_sizes
+            ]
+            return
+        sizes = np.asarray(self.set_sizes, dtype=np.int64)
+        self._offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        masks = sizes - 1
+        self._tags = np.zeros(int(sizes.sum()) * ways, dtype=np.int64)
+        self._fill = np.zeros(int(sizes.sum()), dtype=np.int64)
+        self._tally = np.zeros(sizes.size * ways + 1, dtype=np.int64)
+        arrays = (masks, self._offsets, self._tags, self._fill)
+        self._kernel_arrays = (*arrays, self._tally)
+        self._kernel_args = (
+            sizes.size,
+            ways,
+            *(array.ctypes.data for array in arrays),
+            int(self.use_mru_stop),
+            self._tally.ctypes.data,
+        )
 
     @property
     def offset_bits(self) -> int:
         """Block-offset width used to pre-shift byte addresses."""
         return self._offset_bits
+
+    @property
+    def walk(self) -> str:
+        """The walk this simulator runs: ``kernel``, or ``python (<reason>)``."""
+        return self._walk.name
+
+    def recency_lists(self) -> List[List[List[int]]]:
+        """Per level, every set's blocks, most recent first (a copy)."""
+        if self._walk.function is None:
+            return [[list(recency) for recency in sets] for _, sets, _ in self._levels]
+        ways = self.max_associativity
+        tags = self._tags.reshape(-1, ways) - 1
+        return [
+            [tags[set_index, :self._fill[set_index]].tolist()
+             for set_index in range(offset, offset + size)]
+            for offset, size in zip(self._offsets.tolist(), self.set_sizes)
+        ]
 
     # -- simulation ------------------------------------------------------------
 
@@ -126,43 +194,7 @@ class JanapsatyaSimulator(Engine):
         """Simulate one byte-address request against every configuration."""
         if address < 0:
             raise SimulationError(f"negative address: {address}")
-        self._access_block(address >> self._offset_bits)
-
-    def _access_block(self, block: int) -> None:
-        counters = self.counters
-        counters.requests += 1
-        self._requests += 1
-        max_assoc = self.max_associativity
-        associativities = self.associativities
-        use_mru_stop = self.use_mru_stop
-        for level, size in enumerate(self.set_sizes):
-            counters.node_evaluations += 1
-            recency = self._sets[level][block & (size - 1)]
-            try:
-                position = recency.index(block)
-            except ValueError:
-                position = -1
-            # ``index`` examines position + 1 entries on success, the whole
-            # list on failure.
-            counters.tag_comparisons += position + 1 if position >= 0 else len(recency)
-            misses_here = self._misses[level]
-            if position < 0:
-                for assoc in associativities:
-                    misses_here[assoc] += 1
-                recency.insert(0, block)
-                if len(recency) > max_assoc:
-                    recency.pop()
-                continue
-            for assoc in associativities:
-                if position >= assoc:
-                    misses_here[assoc] += 1
-            if position == 0:
-                if use_mru_stop:
-                    counters.mru_stops += 1
-                    return
-                continue
-            recency.pop(position)
-            recency.insert(0, block)
+        self.run_blocks([address >> self._offset_bits])
 
     def run_blocks(
         self,
@@ -171,73 +203,79 @@ class JanapsatyaSimulator(Engine):
     ) -> None:
         """Simulate a chunk of pre-shifted block addresses (engine pipeline).
 
-        ``access_types`` is ignored: LRU hits and misses do not depend on them.
+        ``access_types`` is ignored: LRU hits and misses do not depend on
+        them.  Raises :class:`~repro.errors.SimulationError`, changing
+        nothing, for a block outside ``[0, 2**63 - 1)``.
         """
-        if isinstance(blocks, np.ndarray):
-            blocks = blocks.tolist()
-        access_block = self._access_block
+        chunk = kernels.block_chunk(blocks)
+        if not chunk.size:
+            return
+        if self._walk.function is None:
+            self._python_walk(chunk.tolist())
+            return
+        # The kernel releases the interpreter lock; ``chunk`` and the
+        # simulator's own arrays stay referenced for the whole call.
+        self._walk.function(chunk.ctypes.data, chunk.size, *self._kernel_args)
+        ways = self.max_associativity
+        self._account(
+            chunk.size, self._tally[:-1].reshape(-1, ways), int(self._tally[-1])
+        )
+
+    def _python_walk(self, blocks: Sequence[int]) -> None:
+        """The walk in Python, then the shared derivation."""
+        max_assoc = self.max_associativity
+        use_mru_stop = self.use_mru_stop
+        levels = self._levels
+        compared = 0
         for block in blocks:
-            access_block(block)
+            for mask, sets, hits in levels:
+                recency = sets[block & mask]
+                try:
+                    position = recency.index(block)
+                except ValueError:
+                    # ``index`` examined the whole list.
+                    compared += len(recency)
+                    recency.insert(0, block)
+                    if len(recency) > max_assoc:
+                        recency.pop()
+                    continue
+                hits[position] += 1
+                if position == 0:
+                    if use_mru_stop:
+                        break
+                    continue
+                recency.pop(position)
+                recency.insert(0, block)
+        tallies = np.array([hits for _, _, hits in levels], dtype=np.int64)
+        for _, _, hits in levels:
+            hits[:] = [0] * max_assoc
+        self._account(len(blocks), tallies, compared)
 
-    def run_block_runs(
-        self,
-        values: Union[Sequence[int], np.ndarray],
-        counts: Union[Sequence[int], np.ndarray],
-        access_types: Optional[Union[Sequence[int], np.ndarray]] = None,
-    ) -> None:
-        """Simulate a run-length-collapsed chunk: ``counts[i]`` consecutive
-        accesses to block ``values[i]`` (see
-        :func:`repro.trace.trace.collapse_block_runs`).
-
-        Exactness mirrors DEW's bulk accounting: after any access to a block,
-        that block sits in the MRU position of *every* level's set, so an
-        immediately-repeated access hits at position 0 everywhere — a hit in
-        every (set size, associativity) configuration — and "move to MRU" is
-        a no-op.  Only each run's head needs the full walk; the remaining
-        ``count - 1`` duplicates are accounted in bulk:
-
-        * with the MRU early-stop enabled, each duplicate costs one node
-          evaluation, one tag comparison and one MRU stop (the walk ends at
-          the root);
-        * with the early-stop disabled, each duplicate walks all levels and
-          finds the tag first at every one: one evaluation and one
-          comparison per level, no recency movement, no MRU stop (the
-          raw walk's ``position == 0`` branch just continues).
-
-        Both cases leave miss counts, request counts and every work counter
-        identical to feeding the uncollapsed stream through
-        :meth:`run_blocks`; the hypothesis oracle pins this byte-for-byte.
-        """
-        counts_arr = np.asarray(counts, dtype=np.int64)
-        if counts_arr.size != len(values):
-            raise SimulationError(
-                f"run-length chunk mismatch: {len(values)} values vs "
-                f"{counts_arr.size} counts"
-            )
-        if counts_arr.size == 0:
-            return
-        if counts_arr.min() < 1:
-            raise SimulationError("run-length counts must be positive")
-        duplicates = int(counts_arr.sum()) - int(counts_arr.size)
-        self.run_blocks(values)
-        if duplicates == 0:
-            return
+    def _account(self, walks: int, hits: np.ndarray, compared: int) -> None:
+        """Derive every counter of one chunk from either walk's tallies: per
+        level (row), the hits at each recency position (column); in total,
+        the tags compared by walks that missed."""
         counters = self.counters
-        counters.requests += duplicates
-        self._requests += duplicates
         if self.use_mru_stop:
-            counters.node_evaluations += duplicates
-            counters.tag_comparisons += duplicates
-            counters.mru_stops += duplicates
+            # A walk stops at the first level that finds its block at MRU.
+            stops = hits[:, 0]
+            reached = walks - np.concatenate(([0], np.cumsum(stops)[:-1]))
+            counters.mru_stops += int(stops.sum())
         else:
-            num_levels = len(self.set_sizes)
-            counters.node_evaluations += duplicates * num_levels
-            counters.tag_comparisons += duplicates * num_levels
+            reached = np.full(len(self.set_sizes), walks, dtype=np.int64)
+        # An associativity hits at the positions below it.
+        held = np.cumsum(hits, axis=1)[:, np.asarray(self.associativities) - 1]
+        self._misses += reached[:, None] - held
+        counters.requests += walks
+        counters.node_evaluations += int(reached.sum())
+        positions = np.arange(1, self.max_associativity + 1, dtype=np.int64)
+        counters.tag_comparisons += int((hits @ positions).sum()) + compared
 
     # -- results ---------------------------------------------------------------
 
     def finalize(self, trace_name: str = "trace") -> ResultsFrame:
-        """Per-configuration results accumulated so far, with :attr:`counters`.
+        """Per-configuration results accumulated so far, with :attr:`counters`
+        and :attr:`walk`.
 
         One row per (set size, associativity), built as columns.
         """
@@ -249,21 +287,19 @@ class JanapsatyaSimulator(Engine):
             np.tile(self.associativities, levels),
             np.full(rows, self.block_size),
             np.full(rows, policy_code(ReplacementPolicy.LRU)),
-            np.full(rows, self._requests),
-            [misses[assoc] for misses in self._misses for assoc in self.associativities],
+            np.full(rows, self.counters.requests),
+            self._misses.flatten(),
             np.zeros(rows),
             elapsed_seconds=self._elapsed,
             simulator_name="janapsatya-lru",
             trace_name=trace_name,
             counters=self.counters,
+            walk=self.walk,
         )
 
     def reset(self) -> None:
         """Clear all simulation state and counters."""
-        self._sets = [[[] for _ in range(size)] for size in self.set_sizes]
-        self._misses = [
-            {assoc: 0 for assoc in self.associativities} for _ in self.set_sizes
-        ]
-        self._requests = 0
+        self._misses = np.zeros((len(self.set_sizes), len(self.associativities)), dtype=np.int64)
         self._elapsed = 0.0
         self.counters = JanapsatyaCounters()
+        self._allocate()

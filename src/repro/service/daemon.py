@@ -511,6 +511,7 @@ class ServiceDaemon:
             load_start = time.perf_counter()
             sweep_input = self._resolve_sweep_input(request, expected)
             load_seconds = time.perf_counter() - load_start
+            accesses = len(sweep_input)
             record.cells_total = len(jobs)
             record.cells_done = 0
             record.cells_cached = 0
@@ -529,7 +530,12 @@ class ServiceDaemon:
                     cached=cached,
                     engine=job.engine,
                     label=job.label(),
+                    accesses=accesses,
                     seconds=None if cached else round(results.elapsed_seconds, 6),
+                    counters=(
+                        None if cached or results.counters is None
+                        else results.counters.as_dict()
+                    ),
                     walk=results.walk,
                 )
                 if self.on_cell is not None:

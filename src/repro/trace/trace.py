@@ -30,12 +30,11 @@ def collapse_block_runs(blocks: Union[Sequence[int], np.ndarray]) -> Tuple[np.nd
     One vectorised pass: ``values`` holds the first block of every maximal
     run of equal consecutive addresses, ``counts`` its length, so
     ``np.repeat(values, counts)`` reconstructs the input exactly.  This is
-    the run-length collapse stage of the fused pipeline, feeding
-    ``janapsatya`` and the mechanism engines: for them an immediately
-    repeated block is a hit in *every* simulated configuration that changes
-    no state, so a consumer only needs to walk each run's head and can
-    account the remaining ``count - 1`` accesses in bulk (see
-    :meth:`repro.lru.janapsatya.JanapsatyaSimulator.run_block_runs`).
+    the run-length collapse stage of the fused pipeline, feeding the
+    mechanism engines: for them an immediately repeated block is a DL1 hit
+    that changes no replacement state, so a consumer only needs to walk each
+    run's head and can account the remaining ``count - 1`` accesses in bulk
+    (see :meth:`repro.mechanisms.engines.MechanismEngine.run_block_runs`).
 
     Collapsing chunk-by-chunk is safe: a run split across two chunks simply
     yields two runs with the same head block, and re-walking the second head

@@ -359,70 +359,3 @@ class TestSweepCli:
         assert main(args + ["--workers", "2"]) == 0
         pooled_out = capsys.readouterr().out
         assert serial_out == pooled_out
-
-
-class TestLruRunLengthOracle:
-    """Janapsatya run consumption must be byte-identical to the raw walk.
-
-    Replay the identical access stream once through ``run_blocks`` on raw
-    chunks and once through ``run_block_runs`` on the collapsed chunks,
-    then compare every result row *and* every work counter.
-    """
-
-    @staticmethod
-    def _drive_raw(engine, trace, chunk_size):
-        for blocks in trace.iter_block_chunks(engine.offset_bits, chunk_size):
-            engine.run_blocks(blocks)
-        return engine.finalize(trace_name="oracle")
-
-    @staticmethod
-    def _drive_runs(engine, trace, chunk_size):
-        for values, counts in trace.iter_block_runs(engine.offset_bits, chunk_size):
-            engine.run_block_runs(values, counts)
-        return engine.finalize(trace_name="oracle")
-
-    @given(
-        addresses=st.lists(st.integers(min_value=0, max_value=255), max_size=150),
-        use_mru_stop=st.booleans(),
-        chunk_size=st.integers(min_value=1, max_value=64),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_janapsatya_runs_match_raw(self, addresses, use_mru_stop, chunk_size):
-        trace = Trace(addresses) if addresses else Trace.empty()
-        kwargs = dict(
-            block_size=8, associativities=(1, 2, 4), set_sizes=(1, 2, 4, 8),
-            use_mru_stop=use_mru_stop,
-        )
-        raw = get_engine("janapsatya", **kwargs)
-        runs = get_engine("janapsatya", **kwargs)
-        raw_results = self._drive_raw(raw, trace, chunk_size)
-        runs_results = self._drive_runs(runs, trace, chunk_size)
-        assert runs_results.as_rows() == raw_results.as_rows()
-        assert (
-            runs.counters.as_dict() == raw.counters.as_dict()
-        )
-
-    def test_lru_engines_advertise_run_support(self):
-        jan = get_engine("janapsatya", block_size=8, associativities=(2,), set_sizes=(1, 2))
-        assert jan.supports_block_runs
-
-    def test_single_block_trace_lru(self):
-        """One long run: one walk plus pure bulk MRU-hit accounting."""
-        from repro.lru.janapsatya import JanapsatyaSimulator
-
-        raw = JanapsatyaSimulator(16, (1, 2), (1, 2, 4))
-        runs = JanapsatyaSimulator(16, (1, 2), (1, 2, 4))
-        raw.run_blocks([9] * 500)
-        runs.run_block_runs([9], [500])
-        assert runs.counters.as_dict() == raw.counters.as_dict()
-        assert runs.finalize().as_rows() == raw.finalize().as_rows()
-
-    def test_lru_run_validation(self):
-        from repro.errors import SimulationError
-        from repro.lru.janapsatya import JanapsatyaSimulator
-
-        simulator = JanapsatyaSimulator(8, (1,), (1, 2))
-        with pytest.raises(SimulationError, match="mismatch"):
-            simulator.run_block_runs([1, 2], [3])
-        with pytest.raises(SimulationError, match="positive"):
-            simulator.run_block_runs([1, 2], [1, 0])

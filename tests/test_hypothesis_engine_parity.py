@@ -58,11 +58,9 @@ def test_dew_engine_matches_reference(addresses, block_size_log2, associativity,
     block_size_log2=st.integers(min_value=0, max_value=4),
     levels=st.integers(min_value=1, max_value=4),
     chunk_size=CHUNK_SIZES,
-    runs=st.booleans(),
 )
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_lru_family_engines_match_reference(addresses, block_size_log2, levels, chunk_size, runs):
-    """``janapsatya`` is exact fed raw chunks or run-length collapsed ones."""
+def test_lru_family_engines_match_reference(addresses, block_size_log2, levels, chunk_size):
     trace = Trace(addresses, name="random")
     engine = get_engine(
         "janapsatya",
@@ -70,12 +68,7 @@ def test_lru_family_engines_match_reference(addresses, block_size_log2, levels, 
         associativities=(1, 2, 4),
         set_sizes=tuple(2**i for i in range(levels)),
     )
-    if not runs:
-        _assert_matches_reference(engine.run(trace, chunk_size=chunk_size), trace)
-        return
-    for values, counts in trace.iter_block_runs(engine.offset_bits, chunk_size):
-        engine.run_block_runs(values, counts)
-    _assert_matches_reference(engine.finalize(trace_name=trace.name), trace)
+    _assert_matches_reference(engine.run(trace, chunk_size=chunk_size), trace)
 
 
 @given(

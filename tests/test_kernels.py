@@ -1,11 +1,13 @@
 """The kernel loader and the compiled DEW walk's input handling.
 
-The differential suite (``test_dew_differential.py``) pins the kernel's
-results, counters and tree storage to the reference walk; these tests pin
-how the kernel is built, cached and loaded, and what the wrapper does with
-the chunks it is handed.
+The differential suites (``test_dew_differential.py``,
+``test_lru_differential.py``) pin each kernel's results, counters and
+storage to its reference walk; these tests pin how the table's kernels are
+built, cached and loaded, and what the DEW wrapper does with the chunks it
+is handed (``test_lru.py`` holds the LRU wrapper's).
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -18,11 +20,16 @@ import pytest
 from repro import kernels
 from repro.core.dew import DewSimulator
 from repro.errors import SimulationError
+from repro.lru.janapsatya import JanapsatyaSimulator
 from repro.workloads.mediabench import mediabench_trace
 from walks import WALKS, require_kernel, walk_under_test
 
 SRC = str(Path(kernels.__file__).resolve().parents[2])
-PRINT_WALK = "from repro.core.dew import DewSimulator; print(DewSimulator(4, 2).walk)"
+PRINT_WALKS = (
+    "from repro.core.dew import DewSimulator; "
+    "from repro.lru.janapsatya import JanapsatyaSimulator; "
+    "print(DewSimulator(4, 2).walk); print(JanapsatyaSimulator(4, (2,), (1, 2)).walk)"
+)
 
 
 def _environment(cache_home, **overrides):
@@ -31,22 +38,24 @@ def _environment(cache_home, **overrides):
     return env
 
 
-def _walk_in_subprocess(cache_home, **overrides):
+def _walks_in_subprocess(cache_home, **overrides):
+    """The walks ``dew`` and ``janapsatya`` run in a fresh process."""
     completed = subprocess.run(
-        [sys.executable, "-c", PRINT_WALK],
+        [sys.executable, "-c", PRINT_WALKS],
         env=_environment(cache_home, **overrides),
         capture_output=True,
         text=True,
         timeout=120,
         check=True,
     )
-    return completed.stdout.strip()
+    return completed.stdout.splitlines()
 
 
 def test_kernel_loads_wherever_a_compiler_runs():
     # Fails rather than skips when ``$CC --version`` works here.
     require_kernel()
     assert DewSimulator(4, 2).walk == "kernel"
+    assert JanapsatyaSimulator(4, (2,), (1, 2)).walk == "kernel"
 
 
 def test_import_builds_and_loads_nothing(tmp_path):
@@ -60,18 +69,32 @@ def test_import_builds_and_loads_nothing(tmp_path):
 
 
 def test_cc_false_keeps_the_python_walk_with_a_reason(tmp_path):
-    walk = _walk_in_subprocess(tmp_path, CC="false")
-    assert walk == "python (no compiler: false --version failed)"
+    walks = _walks_in_subprocess(tmp_path, CC="false")
+    assert walks == ["python (no compiler: false --version failed)"] * 2
 
 
 def test_build_error_keeps_the_python_walk_with_its_first_line(tmp_path, monkeypatch):
     require_kernel()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setenv("CC", f"{os.environ.get('CC') or 'cc'} -include {tmp_path}/missing.h")
-    walk = kernels.KernelLoader().dew_walk()
+    walk = kernels.KernelLoader().load("dew")
     assert walk.function is None
     assert walk.reason.startswith("build error: ") and "missing.h" in walk.reason
     assert os.listdir(tmp_path / "repro-dew") == []
+
+
+def test_build_error_in_one_entry_leaves_the_others_loaded(tmp_path, monkeypatch):
+    require_kernel()
+    lru = kernels.KERNELS["lru"]
+    broken = tmp_path / "lru.c"
+    broken.write_text(lru.source.read_text() + "\n#error deliberately broken\n")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setitem(kernels.KERNELS, "lru", dataclasses.replace(lru, source=broken))
+    monkeypatch.setattr(kernels, "_LOADER", kernels.KernelLoader())
+    assert DewSimulator(4, 2).walk == "kernel"
+    walk = JanapsatyaSimulator(4, (2,), (1, 2)).walk
+    assert walk.startswith("python (build error: ") and "deliberately broken" in walk
+    assert [library.name[:4] for library in (tmp_path / "repro-dew").iterdir()] == ["dew-"]
 
 
 def test_cache_dir_others_can_write_is_not_used(tmp_path, monkeypatch):
@@ -80,36 +103,40 @@ def test_cache_dir_others_can_write_is_not_used(tmp_path, monkeypatch):
     shared.mkdir()
     shared.chmod(0o777)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    assert kernels.KernelLoader().dew_walk().function is not None
+    assert kernels.KernelLoader().load("dew").function is not None
     assert os.listdir(shared) == []
 
 
 def test_truncated_cached_library_is_rebuilt(tmp_path):
     require_kernel()
-    assert _walk_in_subprocess(tmp_path) == "kernel"
-    [library] = (tmp_path / "repro-dew").iterdir()
-    size = library.stat().st_size
-    library.write_bytes(library.read_bytes()[:64])
-    assert _walk_in_subprocess(tmp_path) == "kernel"
-    assert library.stat().st_size == size
+    assert _walks_in_subprocess(tmp_path) == ["kernel", "kernel"]
+    libraries = sorted((tmp_path / "repro-dew").iterdir())
+    assert [library.name[:4] for library in libraries] == ["dew-", "lru-"]
+    sizes = [library.stat().st_size for library in libraries]
+    for library in libraries:
+        library.write_bytes(library.read_bytes()[:64])
+    assert _walks_in_subprocess(tmp_path) == ["kernel", "kernel"]
+    assert [library.stat().st_size for library in libraries] == sizes
 
 
 def test_racing_processes_build_one_library_and_leave_no_temp_files(tmp_path):
     require_kernel()
     processes = [
         subprocess.Popen(
-            [sys.executable, "-c", PRINT_WALK],
+            [sys.executable, "-c", PRINT_WALKS],
             env=_environment(tmp_path),
             stdout=subprocess.PIPE,
             text=True,
         )
         for _ in range(4)
     ]
-    outputs = [process.communicate(timeout=120)[0].strip() for process in processes]
+    outputs = [process.communicate(timeout=120)[0].splitlines() for process in processes]
     assert [process.returncode for process in processes] == [0] * 4
-    assert outputs == ["kernel"] * 4
-    [library] = os.listdir(tmp_path / "repro-dew")
-    assert library.startswith("dew-") and library.endswith(".so")
+    assert outputs == [["kernel", "kernel"]] * 4
+    # One library per entry, and no temp file left behind.
+    libraries = sorted(os.listdir(tmp_path / "repro-dew"))
+    assert [library[:4] for library in libraries] == ["dew-", "lru-"]
+    assert all(library.endswith(".so") for library in libraries)
 
 
 def test_racing_threads_load_once(tmp_path, monkeypatch):
@@ -117,14 +144,16 @@ def test_racing_threads_load_once(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     builds = []
     build = kernels._build
-    monkeypatch.setattr(kernels, "_build", lambda library: builds.append(library) or build(library))
+    monkeypatch.setattr(
+        kernels, "_build", lambda library, source: builds.append(library) or build(library, source)
+    )
     loader = kernels.KernelLoader()
     barrier = threading.Barrier(8)
     walks = []
 
     def load():
         barrier.wait(timeout=60)
-        walks.append(loader.dew_walk())
+        walks.append(loader.load("dew"))
 
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -7,12 +7,14 @@ import pytest
 
 from repro.cache.simulator import SingleConfigSimulator
 from repro.core.config import CacheConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.lru.janapsatya import JanapsatyaSimulator
 from repro.trace.stats import reuse_distances
 from repro.trace.trace import Trace
 from repro.types import ReplacementPolicy
+from repro.workloads.mediabench import mediabench_trace
 from repro.workloads.synthetic import WorkingSetGenerator
+from walks import WALKS, walk_under_test, walks_here
 
 
 def stack_distances(blocks):
@@ -54,8 +56,12 @@ class TestJanapsatyaSimulator:
     @pytest.mark.parametrize("use_mru_stop", [True, False])
     @pytest.mark.parametrize("runs", [True, False])
     def test_exact_against_reference(self, use_mru_stop, runs):
+        # With ``runs``, each address repeats one to four times in a row, so
+        # the walk meets same-block runs (MRU hits at every level).
         rng = random.Random(17)
         addresses = [rng.randrange(0, 2048) for _ in range(700)]
+        if runs:
+            addresses = [a for a in addresses for _ in range(rng.randint(1, 4))]
         trace = Trace(addresses, name="rand")
         simulator = JanapsatyaSimulator(
             block_size=8,
@@ -63,12 +69,7 @@ class TestJanapsatyaSimulator:
             set_sizes=self.SET_SIZES,
             use_mru_stop=use_mru_stop,
         )
-        if runs:
-            for values, counts in trace.iter_block_runs(simulator.offset_bits):
-                simulator.run_block_runs(values, counts)
-            results = simulator.finalize()
-        else:
-            results = simulator.run(trace)
+        results = simulator.run(trace)
         for config in results.configs():
             assert config.policy is ReplacementPolicy.LRU
             assert results[config].misses == self._reference_misses(addresses, config), config.label()
@@ -113,6 +114,46 @@ class TestJanapsatyaSimulator:
         assert simulator.counters.requests == 0
         results = simulator.run([0, 4])
         assert results[CacheConfig(1, 2, 4, ReplacementPolicy.LRU)].misses == 2
+
+    @pytest.mark.parametrize("walk", WALKS)
+    @pytest.mark.parametrize("blocks", [[3, -1, -1, 2**70], [2**63 - 1], np.array([5, -7])])
+    def test_out_of_range_block_raises(self, walk, blocks):
+        with walk_under_test(walk):
+            simulator = JanapsatyaSimulator(4, (2,), (1, 2))
+        simulator.run_blocks([6, 6])
+        before = (simulator.counters.as_dict(), simulator.recency_lists())
+        with pytest.raises(SimulationError, match="outside"):
+            simulator.run_blocks(blocks)
+        # The rejected chunk changed nothing.
+        assert (simulator.counters.as_dict(), simulator.recency_lists()) == before
+        assert [row.accesses for row in simulator.finalize()] == [2, 2]
+
+    def test_largest_valid_block_is_accepted(self):
+        for walk in walks_here():
+            with walk_under_test(walk):
+                simulator = JanapsatyaSimulator(4, (1, 2), (1, 2))
+            simulator.run_blocks([2**63 - 2, 2**63 - 2, 0])
+            assert simulator.recency_lists() == [[[0, 2**63 - 2]], [[0, 2**63 - 2], []]], walk
+            assert [row.misses for row in simulator.finalize()] == [2, 2, 2, 2], walk
+
+    def test_non_int64_or_non_contiguous_chunks_are_converted(self):
+        blocks = mediabench_trace("cjpeg", 4000, seed=5).addresses >> 4
+        doubled = np.repeat(blocks, 2)
+        assert not doubled[::2].flags.c_contiguous
+        for walk in walks_here():
+
+            def rows_and_counters(chunks):
+                with walk_under_test(walk):
+                    simulator = JanapsatyaSimulator(16, (1, 2, 4), (1, 2, 4, 8, 16, 32))
+                for chunk in chunks:
+                    simulator.run_blocks(chunk)
+                return simulator.finalize().to_json(), simulator.counters.as_dict()
+
+            expected = rows_and_counters([blocks[:2000], blocks[2000:]])
+            assert rows_and_counters([blocks.astype(np.int32)]) == expected, walk
+            assert rows_and_counters([doubled[::2]]) == expected, walk
+            assert rows_and_counters([blocks.astype(np.uint64)]) == expected, walk
+            assert rows_and_counters([blocks.tolist()]) == expected, walk
 
     def test_validation_errors(self):
         with pytest.raises(ConfigurationError):

@@ -218,15 +218,22 @@ class TestTraceIdPropagation:
         jobs = _request(trace_file).build_jobs()
         assert len(cells) == len(jobs)
         assert all(span["trace_id"] == trace_id for span in spans)
-        # Every cell names its engine job; a fresh one carries its own
-        # simulate time, and a DEW cell the walk that ran it.
+        # Every cell names its engine job and the accesses it replayed; a
+        # fresh one carries its own simulate time and, for DEW and LRU cells,
+        # the walk that ran it and the engine's work counters.
         by_label = {job.label(): job for job in jobs}
         assert sorted(span["label"] for span in cells) == sorted(by_label)
+        trace = load_trace_file(trace_file)
         for span in cells:
+            job = by_label[span["label"]]
             assert span["cached"] is False
-            assert span["engine"] == by_label[span["label"]].engine
+            assert span["engine"] == job.engine
+            assert span["accesses"] == len(trace)
             assert span["seconds"] > 0.0
-            assert ("walk" in span) == (span["engine"] == "dew")
+            assert span["walk"] == job.build().walk
+            assert span["counters"] == job.build().run(trace).counters.as_dict()
+            assert span["counters"]["requests"] == len(trace)
+        assert {span["engine"] for span in cells} == {"dew", "janapsatya"}
         done = spans[-1]
         assert done["job_id"] == response["job_id"]
         assert done["phases"]["simulate"] > 0.0
@@ -237,6 +244,19 @@ class TestTraceIdPropagation:
         # The claim span carries how long the job sat queued.
         queue_wait = round(finished.started_at - finished.submitted_at, 6)
         assert spans[0]["queue_wait_s"] == queue_wait >= 0.0
+
+        # Another grid: its LRU cells come from the store, and its fresh
+        # PLRU cells run ``single``, which keeps no counters.
+        client.submit(_request(trace_file, policies=("lru", "plru")))
+        second = ServiceDaemon(root, daemon_id="obs2", socket=False)
+        second.run(drain=True)
+        cells = [span for span in second.span_log.read_spans() if span["name"] == "cell"]
+        assert {span["engine"] for span in cells} == {"janapsatya", "single"}
+        for span in cells:
+            assert span["accesses"] == len(trace)
+            assert span["cached"] is (span["engine"] == "janapsatya")
+            assert ("seconds" in span) is (span["engine"] == "single")
+            assert "counters" not in span and "walk" not in span
 
     def test_trace_survives_daemon_kill_and_reclaim(self, tmp_path, trace_file):
         root = tmp_path / "svc"
@@ -498,7 +518,9 @@ class TestCliSurfaces:
         assert profile.tag_comparisons_per_access == (
             sum(c.tag_comparisons for c in counters) / requests
         )
-        assert profile.ns_per_node_eval > 0 and profile.walk is None
+        assert profile.mru_stops_per_access == sum(c.mru_stops for c in counters) / requests
+        assert profile.ns_per_node_eval > 0
+        assert profile.walk == jobs[0].build().walk
 
         argv = ["sweep", trace_file, "--block-sizes", "8", "--associativities", "1,2",
                 "--max-sets", "16", "--policies", "lru", "--profile"]
@@ -510,6 +532,7 @@ class TestCliSurfaces:
         ).run(load_trace_file(trace_file)).counters
         assert f"{ran.node_evaluations / ran.requests:.2f} node evals/access" in line
         assert f"{ran.tag_comparisons / ran.requests:.2f} tag comparisons/access" in line
+        assert f"{ran.mru_stops / ran.requests:.2f} MRU stops/access" in line
         assert "ns/node eval" in line
 
     def test_sweep_profile_flag(self, trace_file, tmp_path, capsys):
@@ -542,7 +565,7 @@ class TestCliSurfaces:
             assert len(load) == 1 and float(load[0][1].rstrip("s")) > 0.0
 
             # One line per engine that simulated: two DEW jobs (B8/A2, B16/A2)
-            # and two LRU jobs; both add their work ratios.
+            # and two LRU jobs; both add their work ratios, LRU its MRU stops.
             engines = {line.split()[0]: line for line in err.splitlines()
                        if line.split()[:1] in (["dew"], ["janapsatya"])}
             assert set(engines) == {"dew", "janapsatya"}
@@ -551,10 +574,12 @@ class TestCliSurfaces:
             for ratio in ("node evals/access", "ns/node eval", "tag comparisons/access"):
                 assert ratio in engines["dew"]
                 assert ratio in engines["janapsatya"]
+            assert "MRU stops/access" in engines["janapsatya"]
+            assert "MRU stops/access" not in engines["dew"]
             # ... and ends with the walk its jobs ran.
             expected = "walk=kernel" if walk == "kernel" else f"walk={PYTHON_WALK.name}"
             assert engines["dew"].endswith(expected)
-            assert "walk=" not in engines["janapsatya"]
+            assert engines["janapsatya"].endswith(expected)
 
             # A store-warm rerun executes nothing, so no engine line appears.
             assert main(argv) == 0

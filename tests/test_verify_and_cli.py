@@ -80,7 +80,7 @@ class TestCli:
         assert "Table 3" in output
         # Figure 5 and the headline claims name each side's implementation:
         # a kernel-walk DEW over the Python baseline includes the compiler's gain.
-        walk = kernels.dew_walk()
+        walk = kernels.load("dew")
         dew_side = "kernel walk" if walk.function is not None else f"python walk ({walk.reason})"
         sides = f"DEW: {dew_side}; baseline: Python single"
         assert f"Figure 5: speed-up of DEW over baseline ({sides})" in output
