@@ -1,15 +1,12 @@
 """Micro-benchmark pins that no perfbench metric measures.
 
 perfbench (``python3 perfbench/run.py --workload W --seed N --seconds S``) is
-the benchmark; tier-1 holds every correctness claim.  Three ratio pins stay
+the benchmark; tier-1 holds every correctness claim.  Two ratio pins stay
 here because perfbench does not time what they compare:
 
 * ``test_micro_chunked_pipeline_beats_per_address_loop``: DEW's chunked
   block pipeline against its per-address ``access`` loop, rows identical.
-* ``test_micro_victim_cache_block_runs_speedup``: the victim cache's
-  run-length path against its raw walk (>= 1.5x), frames identical.
-
-  Both go with the paths they pin, once those paths are deleted.
+  It goes with the path it pins, once that path is deleted.
 * ``test_micro_metrics_overhead_on_fused_hot_path``: the metrics registry
   costs < 2% on the fused sweep, outputs identical
   (``perfbench/layers.json`` points here for the ``obs`` layer).
@@ -69,51 +66,6 @@ def test_micro_chunked_pipeline_beats_per_address_loop(bench_report):
         f"per-address loop ({per_address_seconds:.3f}s)"
     )
     bench_report["pr1_chunked_pipeline_vs_per_address"] = per_address_seconds / chunked_seconds
-
-
-def test_micro_victim_cache_block_runs_speedup(bench_report):
-    """The victim-cache run-length path must be >= 1.5x over the raw walk.
-
-    Mechanism engines pay a Python-level DL1 access per *distinct* block;
-    repeats inside a run are guaranteed DL1 hits that never reach the
-    mechanism, so ``run_block_runs`` bulk-accounts them.  On a byte-granular
-    sequential stream (runs of ``block_size`` same-block accesses) the
-    iteration count drops by the run length.  Emitted rows and every
-    mechanism counter must stay byte-identical (the oracle suite pins
-    exactness; this pins the payoff).
-    """
-    trace = SequentialStream(stride=1, region_bytes=1 << 16).generate(200_000, seed=0)
-    options = dict(num_sets=64, associativity=2, block_size=64, entries=4)
-
-    def time_raw():
-        engine = get_engine("victim-cache", **options)
-        start = time.perf_counter()
-        for blocks in trace.iter_block_chunks(engine.offset_bits):
-            engine.run_blocks(blocks)
-        return time.perf_counter() - start, engine.finalize("bench")
-
-    def time_collapsed():
-        engine = get_engine("victim-cache", **options)
-        start = time.perf_counter()
-        for values, counts in trace.iter_block_runs(engine.offset_bits):
-            engine.run_block_runs(values, counts)
-        return time.perf_counter() - start, engine.finalize("bench")
-
-    raw_seconds, raw_frame = min(
-        (time_raw() for _ in range(3)), key=lambda pair: pair[0]
-    )
-    collapsed_seconds, collapsed_frame = min(
-        (time_collapsed() for _ in range(3)), key=lambda pair: pair[0]
-    )
-
-    assert collapsed_frame == raw_frame
-    speedup = raw_seconds / collapsed_seconds
-    bench_report["pr8_victim_cache_block_runs_speedup"] = speedup
-    assert speedup >= 1.5, (
-        f"victim-cache run-length path ({collapsed_seconds:.3f}s) should be "
-        f">= 1.5x faster than the raw walk ({raw_seconds:.3f}s), "
-        f"got {speedup:.2f}x"
-    )
 
 
 def test_micro_metrics_overhead_on_fused_hot_path(bench_report):

@@ -70,6 +70,9 @@ class ExperimentCell:
     #: The DEW walk that ran (``kernel``, or ``python (<reason>)``); ``None``
     #: when the DEW half came from the result store.
     dew_walk: Optional[str] = None
+    #: The walk the baseline's ``single`` simulators ran, likewise; ``None``
+    #: when the baseline half came from the result store.
+    baseline_walk: Optional[str] = None
 
     @property
     def speedup(self) -> float:
@@ -302,6 +305,7 @@ class ExperimentRunner:
                 simulator_name="dinero",
                 trace_name=trace.name,
             )
+            baseline_results.walk = baseline.walk
             # The artifact's counters carry the baseline's aggregate tag
             # comparisons so warm cells report the cold run's measurement.
             baseline_results.counters = DewCounters(
@@ -328,6 +332,7 @@ class ExperimentRunner:
             configs_simulated=len(baseline_configs),
             exact_match=exact,
             dew_walk=dew_results.walk,
+            baseline_walk=baseline_results.walk,
         )
 
     def _baseline_configs(self, block_size: int, associativity: int) -> List[CacheConfig]:

@@ -9,7 +9,9 @@ the reproduction:
   :class:`~repro.cache.dinero.DineroStyleRunner`;
 * it is the registered ``single`` engine
   (:class:`~repro.cache.simulator.SingleConfigSimulator`), the reference for
-  every replacement policy in sweeps;
+  every replacement policy in sweeps and the DL1 of the mechanism engines,
+  which runs the compiled ``single`` kernel for FIFO, LRU and PLRU wherever
+  it loads;
 * it is the *oracle* used to verify that DEW's single-pass results are exact
   (:mod:`repro.verify`).
 """

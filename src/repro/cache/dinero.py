@@ -6,14 +6,16 @@ exploring ``N`` configurations costs ``N`` complete passes over the trace.
 :class:`~repro.cache.simulator.SingleConfigSimulator` (the ``single`` engine)
 per configuration and replays the trace through each of them independently,
 accumulating wall-clock time and tag-comparison counts.  This is the
-baseline that Table 3, Figure 5 and Figure 6 measure DEW against.
+baseline that Table 3, Figure 5 and Figure 6 measure DEW against; like
+Dinero IV it runs compiled code, the ``single`` kernel walk, wherever that
+loads, and records which walk ran.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.cache.simulator import SingleConfigSimulator
 from repro.cache.stats import CacheStats
@@ -30,6 +32,9 @@ class DineroRunResult:
     elapsed_seconds: float = 0.0
     trace_length: int = 0
     passes: int = 0
+    #: The walk the simulators ran (``kernel``, or ``python (<reason>)``;
+    #: several, comma-separated, if they differed); ``None`` before a run.
+    walk: Optional[str] = None
 
     @property
     def total_tag_comparisons(self) -> int:
@@ -86,11 +91,14 @@ class DineroStyleRunner:
     def run(self, trace: Trace, chunk_size: int = DEFAULT_CHUNK_SIZE) -> DineroRunResult:
         """Replay ``trace`` once per configuration, in chunks of ``chunk_size``."""
         result = DineroRunResult(trace_length=len(trace))
+        walks = set()
         start = time.perf_counter()
         for config in self.configs:
             simulator = SingleConfigSimulator(config, seed=self.seed)
             simulator.run(trace, chunk_size=chunk_size)
             result.stats[config] = simulator.stats
             result.passes += 1
+            walks.add(simulator.walk)
         result.elapsed_seconds = time.perf_counter() - start
+        result.walk = ", ".join(sorted(walks))
         return result

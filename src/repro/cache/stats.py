@@ -72,24 +72,6 @@ class CacheStats:
             if evicted_dirty:
                 self.writebacks += 1
 
-    def record_bulk_hits(
-        self, count: int, access_type: AccessType = AccessType.READ
-    ) -> None:
-        """Record ``count`` accesses known in advance to be hits.
-
-        This is the accounting half of the run-length fast paths: after the
-        head access of a same-block run, the remaining ``count`` repeats are
-        guaranteed hits (hit handling is idempotent for every policy), so the
-        caller skips the per-access walk and bulk-increments here.  Tag
-        comparisons are not modelled for bulk hits — the fast paths only
-        claim exactness for the access/hit/miss counters.
-        """
-        if count <= 0:
-            return
-        self.accesses += count
-        self.hits += count
-        self.by_type[access_type] = self.by_type.get(access_type, 0) + count
-
     def merge(self, other: "CacheStats") -> "CacheStats":
         """Return the element-wise sum of two stats objects."""
         merged = CacheStats(

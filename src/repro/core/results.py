@@ -10,7 +10,8 @@ exploration layer runs on their columns.  Iterating a frame yields one
 
 Besides its rows a frame carries two observational fields that stay out of
 the rows and out of equality: ``counters`` (the producing engine's own work
-counters, or ``None``) and ``walk`` (which DEW or LRU walk produced it).
+counters, or ``None``) and ``walk`` (which walk produced it: compiled or
+Python).
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ class ResultsFrame:
     ``elapsed_seconds`` plus the simulator/trace names ride along as scalar
     metadata, and take part in equality.  ``counters`` (the producing
     engine's work counters, or ``None``) and ``walk`` (``kernel`` or
-    ``python (<reason>)`` for a fresh DEW or LRU frame, else ``None``) are
+    ``python (<reason>)`` for a fresh engine frame, else ``None``) are
     observational: they take no part in equality, and only the store
     persists counters.
     """

@@ -48,15 +48,6 @@ class Engine(abc.ABC):
     #: :meth:`run_blocks` alongside the block addresses.
     wants_access_types: bool = False
 
-    #: When true, the engine accepts run-length-collapsed chunks via
-    #: :meth:`run_block_runs` with results identical to the raw stream —
-    #: the fused sweep executor then feeds it collapsed ``(values, counts)``
-    #: pairs instead of one entry per access.  Only the mechanism engines,
-    #: whose DL1 walks run in Python, set it: the compiled DEW and LRU walks
-    #: decide an immediately repeated block with one comparison at the root,
-    #: so runs would not pay for them.
-    supports_block_runs: bool = False
-
     def __init__(self) -> None:
         self._elapsed = 0.0
 
@@ -80,35 +71,12 @@ class Engine(abc.ABC):
         """Per-configuration results accumulated so far, as one frame.
 
         The frame carries the engine's own work counters (``counters``)
-        when it keeps any, and for ``dew`` and ``janapsatya`` the walk that
-        ran (``walk``).
+        when it keeps any, and the walk that ran (``walk``).
         """
 
     @abc.abstractmethod
     def reset(self) -> None:
         """Clear all simulation state so the engine can be reused."""
-
-    # -- optional surface ------------------------------------------------------
-
-    def run_block_runs(
-        self,
-        values: Union[Sequence[int], np.ndarray],
-        counts: Union[Sequence[int], np.ndarray],
-        access_types: Optional[Union[Sequence[int], np.ndarray]] = None,
-    ) -> None:
-        """Simulate a run-length-collapsed chunk (``counts[i]`` accesses to
-        ``values[i]``).
-
-        ``access_types``, when given, carries one type code per *run* (the
-        head access's type); engines that advertise both
-        :attr:`supports_block_runs` and :attr:`wants_access_types` receive it
-        from the fused executor.  Only meaningful on engines advertising
-        :attr:`supports_block_runs`; the default raises so a mis-routed
-        collapsed chunk can never be silently mis-simulated.
-        """
-        raise EngineError(
-            f"engine {self.family!r} does not accept run-length-collapsed chunks"
-        )
 
     # -- shared driver ---------------------------------------------------------
 
@@ -184,10 +152,10 @@ def get_engine(name: str, **options) -> Engine:
 def get_engine_class(name: str) -> Type[Engine]:
     """Look up a registered engine class by key without constructing it.
 
-    The class-level capability flags (:attr:`Engine.supports_block_runs`,
-    :attr:`Engine.wants_access_types`) are meaningful on the class itself,
-    so callers can interrogate a whole job list without instantiating (and
-    paying the state allocation of) any engine.
+    The class-level capability flag :attr:`Engine.wants_access_types` is
+    meaningful on the class itself, so callers can interrogate a whole job
+    list without instantiating (and paying the state allocation of) any
+    engine.
     """
     key = str(name).strip().lower()
     try:

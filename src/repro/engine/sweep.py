@@ -59,7 +59,7 @@ from repro.errors import EngineError, ReproError, SimulationError
 from repro.obs.tracing import PhaseTimer
 from repro.store import ResultStore, StoreKey, open_store
 from repro.trace.planecache import CachedPlane, TracePlaneCache, coerce_plane_cache
-from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace, collapse_block_runs
+from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace
 from repro.types import ReplacementPolicy
 
 #: Option names whose values are replacement policies and are parsed as such
@@ -216,11 +216,12 @@ def build_mechanism_grid_jobs(
 
     Each job simulates one DL1 configuration augmented with one mechanism at
     one entry count, so the full grid is ``mechanisms x block sizes x
-    associativities x set counts x policies x entry counts``.  Mechanism
-    engines are single-configuration (the mechanism buffer's state depends
-    on the exact DL1 eviction stream), so no multi-configuration collapse
-    applies — but they ride the fused executor's shared decode and
-    run-length fast paths like any other job.  An empty ``mechanisms`` list
+    associativities x set counts x policies x entry counts``.  Each job
+    walks its DL1 (the compiled single-configuration walk wherever it
+    loads) and probes its mechanism over the DL1's miss stream, riding the
+    fused executor's shared decode like any other job.  Every mechanism and
+    entry count over one DL1 configuration sees the same miss stream, but
+    each job still walks that DL1 itself.  An empty ``mechanisms`` list
     yields no jobs, which is how callers make mechanism cells purely
     additive to a base grid.
     """
@@ -283,7 +284,8 @@ class EngineProfile:
     and ``janapsatya``), and are ``None`` otherwise; ``mru_stops_per_access``
     only for ``janapsatya``.  ``walk`` names the walk the jobs ran
     (``kernel``, or ``python (<reason>)``; several, comma-separated, if they
-    differed), and is ``None`` for engines with one walk.
+    differed): the DEW or LRU walk, or for ``single`` and the mechanism
+    engines the single-configuration walk of their cache.
     """
 
     engine: str
@@ -409,23 +411,18 @@ class FusedSweepExecutor:
 
     * byte addresses are sliced into chunks once;
     * each distinct ``offset_bits`` shift is computed once per chunk and the
-      resulting block array shared by every same-block-size engine;
-    * the run-length collapse (:func:`repro.trace.trace.collapse_block_runs`)
-      is computed once per (chunk, block size) and fed to every engine that
-      advertises :attr:`~repro.engine.base.Engine.supports_block_runs` (the
-      mechanism engines), so consecutive same-block accesses cost those
-      Python walks one bulk update instead of one access each;
-    * engines that do not consume runs (``dew``, ``janapsatya`` and
-      ``single``) receive the shared raw block array unchanged; the
-      compiled DEW and LRU walks decide a repeated block with one
-      comparison, so a collapse would not pay for them.
+      resulting block array shared by every same-block-size engine, with
+      the chunk's access types for engines that want them.
+
+    Every engine takes the raw block chunk: the compiled walks decide an
+    immediately repeated block with one comparison, so a run-length
+    collapse would not pay for them.
 
     Results are exactly those of running each job separately: identical
-    rows, identical work counters (the run consumers' bulk accounting is
-    exact), identical store artifacts up to timing.  The
-    reported per-job ``elapsed_seconds`` covers only that engine's simulation
-    time — the shared decode is excluded, mirroring how a per-job run's
-    timing is dominated by engine work.
+    rows, identical work counters, identical store artifacts up to timing.
+    The reported per-job ``elapsed_seconds`` covers only that engine's
+    simulation time — the shared decode is excluded, mirroring how a per-job
+    run's timing is dominated by engine work.
     """
 
     def __init__(
@@ -456,29 +453,10 @@ class FusedSweepExecutor:
                 # All shared decode work happens outside the per-engine
                 # timers, so reported timings are order-independent.
                 blocks = address_chunk >> offset_bits
-                runs: Optional[Tuple[List[int], np.ndarray]] = None
-                if any(engines[index].supports_block_runs for index in members):
-                    values, counts = collapse_block_runs(blocks)
-                    # One list conversion shared by every consumer; counts
-                    # stay an ndarray (summed vectorised).
-                    runs = (values.tolist(), counts)
-                run_head_types: Optional[np.ndarray] = None
                 for index in members:
                     engine = engines[index]
                     begin = time.perf_counter()
-                    if runs is not None and engine.supports_block_runs:
-                        if engine.wants_access_types:
-                            # Collapsed runs carry one type code per run —
-                            # the head access's type (each run's tail
-                            # accesses are guaranteed hits that never reach
-                            # the type-sensitive miss path).  Computed once
-                            # per (chunk, block size) and shared.
-                            if run_head_types is None:
-                                run_head_types = type_chunk[np.cumsum(counts) - counts]
-                            engine.run_block_runs(runs[0], runs[1], run_head_types)
-                        else:
-                            engine.run_block_runs(runs[0], runs[1])
-                    elif engine.wants_access_types:
+                    if engine.wants_access_types:
                         engine.run_blocks(blocks, type_chunk)
                     else:
                         engine.run_blocks(blocks)

@@ -7,7 +7,10 @@ this package, the function it exports and that function's ctypes
 * ``dew`` — ``dew.c``, a line-for-line port of the walk loop in
   :meth:`repro.core.dew.DewSimulator.run_blocks`;
 * ``lru`` — ``lru.c``, a port of the walk in
-  :class:`repro.lru.janapsatya.JanapsatyaSimulator`.
+  :class:`repro.lru.janapsatya.JanapsatyaSimulator`;
+* ``single`` — ``single.c``, a port of the per-access FIFO, LRU and PLRU
+  walk of :class:`repro.cache.simulator.SingleConfigSimulator`, which also
+  writes each chunk's miss stream.
 
 Importing this package builds and loads nothing.  The first :func:`load` of
 an entry in a process compiles its source with ``$CC`` (default ``cc``) and
@@ -79,6 +82,12 @@ KERNELS: Dict[str, Kernel] = {
         _POINTER, _POINTER,  # recency tags, fill lengths
         _INTEGER,  # mru_stop
         _POINTER,  # tally
+    )),
+    "single": Kernel(_HERE / "single.c", "single_walk", (
+        _POINTER, _POINTER, _INTEGER, _INTEGER,  # blocks, access types, count, clock
+        _INTEGER, _INTEGER, _INTEGER,  # sets, associativity, policy
+        _POINTER, _POINTER, _POINTER,  # tags, dirty bits, policy state
+        _POINTER, _POINTER, _POINTER,  # tally, miss positions, evicted tags
     )),
 }
 

@@ -12,31 +12,27 @@ convention:
 * ``mechanism_hits`` / ``mechanism_swaps`` / ``mechanism_allocations`` —
   the per-mechanism counters, emitted via the frame's mechanism columns.
 
-All three engines accept run-length-collapsed chunks exactly: after a run's
-head access the block is resident in DL1, so the remaining repeats are
-guaranteed DL1 hits that never reach the mechanism (hit handling is
-idempotent for every replacement policy), and a run whose value equals the
-carried last block of the previous chunk is *all* hits.  Exactness is
-claimed for the emitted columns above — tag-comparison and dirty-bit
-bookkeeping inside DL1 is skipped for bulk-accounted repeats.
+The DL1 never depends on the mechanism: a probe sees only a miss's outcome
+and changes nothing in the DL1.  So each chunk's DL1 runs in one call
+(:meth:`~repro.cache.simulator.SingleConfigSimulator.run_misses`, the
+compiled walk wherever it loads), and the mechanism is probed over that
+chunk's miss stream only: each missed block, the block the DL1 evicted for
+it, its access type and whether it was a first touch.  A frame carries the
+DL1's ``walk``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from itertools import repeat
+from typing import Optional, Tuple, Union
 
-import numpy as np
-
-from repro.cache.simulator import SingleConfigSimulator
+from repro.cache.simulator import BlockChunk, SingleConfigSimulator, TypeChunk
 from repro.core.config import CacheConfig
 from repro.core.results import ResultsFrame, mechanism_code, policy_code
 from repro.engine.base import Engine, register_engine
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.mechanisms.buffers import FullyAssociativeBuffer, StreamBufferSet
 from repro.types import AccessType, ReplacementPolicy
-
-BlockChunk = Union[Sequence[int], np.ndarray]
-TypeChunk = Optional[Union[Sequence[int], np.ndarray]]
 
 #: Registry keys of the mechanism engines, in MECHANISM_TABLE (code) order.
 MECHANISM_ENGINE_NAMES: Tuple[str, ...] = (
@@ -49,12 +45,11 @@ MECHANISM_ENGINE_NAMES: Tuple[str, ...] = (
 class MechanismEngine(Engine):
     """Shared DL1-plus-mechanism scaffolding (not itself registered).
 
-    Subclasses implement :meth:`_probe` — called once per surviving DL1 miss
-    with the missed block, the block DL1 evicted for it (or ``None``), and
-    the access type — returning whether the mechanism served the miss.
+    Subclasses implement :meth:`_probe` — called once per DL1 miss, in
+    access order, with the missed block, the block DL1 evicted for it (or
+    ``None``), and the access type — returning whether the mechanism served
+    the miss.
     """
-
-    supports_block_runs = True
 
     def __init__(
         self,
@@ -75,17 +70,14 @@ class MechanismEngine(Engine):
                 f"mechanism entry count must be positive, got {entries}"
             )
         self.entries = int(entries)
-        self._seed = int(seed)
-        self._track_compulsory = bool(track_compulsory)
         self.dl1 = SingleConfigSimulator(
-            self.config, seed=self._seed, track_compulsory=self._track_compulsory
+            self.config, seed=int(seed), track_compulsory=bool(track_compulsory)
         )
         self.mechanism_hits = 0
         self.mechanism_swaps = 0
         self.mechanism_allocations = 0
         self._misses = 0
         self._compulsory = 0
-        self._last_block: Optional[int] = None
 
     # -- mechanism hook --------------------------------------------------------
 
@@ -104,67 +96,29 @@ class MechanismEngine(Engine):
     def offset_bits(self) -> int:
         return self.config.offset_bits
 
-    def _access(self, block: int, access_type: AccessType) -> None:
-        hit, evicted, compulsory = self.dl1.access_block_detail(block, access_type)
-        if not hit and not self._probe(block, evicted, access_type):
-            self._misses += 1
-            if compulsory:
-                self._compulsory += 1
-        self._last_block = block
+    @property
+    def walk(self) -> str:
+        """The walk the DL1 runs: ``kernel``, or ``python (<reason>)``."""
+        return self.dl1.walk
 
     def run_blocks(self, blocks: BlockChunk, access_types: TypeChunk = None) -> None:
-        if isinstance(blocks, np.ndarray):
-            blocks = blocks.tolist()
-        access = self._access
-        if access_types is None:
-            for block in blocks:
-                access(block, AccessType.READ)
-            return
-        if isinstance(access_types, np.ndarray):
-            access_types = access_types.tolist()
-        for block, type_code in zip(blocks, access_types):
-            access(block, AccessType(type_code))
+        """Simulate a chunk: the DL1 walks it in one call, then the mechanism
+        is probed over its misses.
 
-    def run_block_runs(
-        self, values: BlockChunk, counts: BlockChunk, access_types: TypeChunk = None
-    ) -> None:
-        arr = np.asarray(values, dtype=np.int64)
-        counts_arr = np.asarray(counts, dtype=np.int64)
-        if counts_arr.size != arr.size:
-            raise SimulationError(
-                f"run-length chunk mismatch: {arr.size} values vs "
-                f"{counts_arr.size} counts"
-            )
-        if arr.size == 0:
-            return
-        if counts_arr.min() < 1:
-            raise SimulationError("run-length counts must be positive")
-        if access_types is None:
-            types = None
-        else:
-            types = np.asarray(access_types, dtype=np.int64)
-            if types.size != arr.size:
-                raise SimulationError(
-                    f"run-length chunk mismatch: {arr.size} values vs "
-                    f"{types.size} access types"
-                )
-            types = types.tolist()
-        bulk_hits = self.dl1.stats.record_bulk_hits
-        for index, (block, count) in enumerate(
-            zip(arr.tolist(), counts_arr.tolist())
+        Raises :class:`~repro.errors.SimulationError`, changing nothing, for
+        a block outside ``[0, 2**63 - 1)`` or an unknown access type.
+        """
+        stream = self.dl1.run_misses(blocks, access_types)
+        probe = self._probe
+        for block, evicted, access_type, compulsory in zip(
+            stream.blocks.tolist(),
+            stream.evicted.tolist(),
+            repeat(AccessType.READ) if stream.types is None else stream.types.tolist(),
+            stream.compulsory.tolist(),
         ):
-            access_type = (
-                AccessType.READ if types is None else AccessType(types[index])
-            )
-            if block == self._last_block:
-                # The previous access inserted (or hit) this block, so every
-                # repeat — the run's head included — is a guaranteed DL1 hit
-                # that never probes the mechanism.
-                bulk_hits(count, access_type)
-                continue
-            self._access(block, access_type)
-            if count > 1:
-                bulk_hits(count - 1, access_type)
+            if not probe(block, None if evicted < 0 else evicted, access_type):
+                self._misses += 1
+                self._compulsory += compulsory
 
     def finalize(self, trace_name: str = "trace") -> ResultsFrame:
         config = self.config
@@ -183,18 +137,16 @@ class MechanismEngine(Engine):
             mechanism_hits=[self.mechanism_hits],
             mechanism_swaps=[self.mechanism_swaps],
             mechanism_allocations=[self.mechanism_allocations],
+            walk=self.walk,
         )
 
     def reset(self) -> None:
-        self.dl1 = SingleConfigSimulator(
-            self.config, seed=self._seed, track_compulsory=self._track_compulsory
-        )
+        self.dl1.reset()
         self.mechanism_hits = 0
         self.mechanism_swaps = 0
         self.mechanism_allocations = 0
         self._misses = 0
         self._compulsory = 0
-        self._last_block = None
         self._reset_mechanism()
         self._elapsed = 0.0
 

@@ -25,7 +25,7 @@ The sub-modules are:
 """
 
 from repro.trace.record import MemoryAccess
-from repro.trace.trace import Trace, TraceBuilder, collapse_block_runs
+from repro.trace.trace import Trace, TraceBuilder
 from repro.trace.din import read_din, write_din
 from repro.trace.files import load_trace_file
 from repro.trace.textio import read_text_trace, write_text_trace
@@ -41,7 +41,6 @@ __all__ = [
     "MemoryAccess",
     "Trace",
     "TraceBuilder",
-    "collapse_block_runs",
     "read_din",
     "write_din",
     "load_trace_file",

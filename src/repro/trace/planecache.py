@@ -7,8 +7,8 @@ runs and processes: the first sweep over a trace persists its columns, and
 every later sweep — in any process sharing the cache directory, the
 service daemon's included — ``mmap``-attaches the artifact as a
 :class:`~repro.trace.trace.Trace` and never touches the text file again.
-What a sweep derives from the columns (per-block-size shifts, run-length
-collapse) is recomputed by each process, pool workers included: it costs a
+What a sweep derives from the columns (the per-block-size shifts) is
+recomputed by each process, pool workers included: it costs a
 small fraction of the parse and depends on the job grid, which the artifact
 therefore never does.
 

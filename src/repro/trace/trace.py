@@ -24,35 +24,6 @@ from repro.types import AccessType
 DEFAULT_CHUNK_SIZE = 65_536
 
 
-def collapse_block_runs(blocks: Union[Sequence[int], np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Fold consecutive duplicate block addresses into ``(values, counts)``.
-
-    One vectorised pass: ``values`` holds the first block of every maximal
-    run of equal consecutive addresses, ``counts`` its length, so
-    ``np.repeat(values, counts)`` reconstructs the input exactly.  This is
-    the run-length collapse stage of the fused pipeline, feeding the
-    mechanism engines: for them an immediately repeated block is a DL1 hit
-    that changes no replacement state, so a consumer only needs to walk each
-    run's head and can account the remaining ``count - 1`` accesses in bulk
-    (see :meth:`repro.mechanisms.engines.MechanismEngine.run_block_runs`).
-
-    Collapsing chunk-by-chunk is safe: a run split across two chunks simply
-    yields two runs with the same head block, and re-walking the second head
-    costs (and counts) exactly what one more bulk duplicate would.
-    """
-    arr = np.asarray(blocks, dtype=np.int64)
-    if arr.ndim != 1:
-        raise TraceError("block addresses must be one-dimensional")
-    if arr.size == 0:
-        return arr, np.empty(0, dtype=np.int64)
-    boundaries = np.empty(arr.size, dtype=bool)
-    boundaries[0] = True
-    np.not_equal(arr[1:], arr[:-1], out=boundaries[1:])
-    starts = np.flatnonzero(boundaries)
-    counts = np.diff(np.append(starts, arr.size))
-    return arr[starts], counts
-
-
 class Trace:
     """An immutable sequence of memory accesses.
 
@@ -244,23 +215,6 @@ class Trace:
                 yield blocks, self._types[start:stop]
             else:
                 yield blocks
-
-    def iter_block_runs(
-        self,
-        offset_bits: int,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Yield run-length-collapsed block-address chunks.
-
-        Each yielded pair is ``(values, counts)`` produced by
-        :func:`collapse_block_runs` over one :meth:`iter_block_chunks` chunk:
-        consecutive accesses landing in the same block collapse into one
-        entry with a count.  Runs are never merged across chunk boundaries
-        (the consumers' bulk accounting makes the split exact), so
-        ``chunk_size`` governs memory exactly as in the raw pipeline.
-        """
-        for blocks in self.iter_block_chunks(offset_bits, chunk_size):
-            yield collapse_block_runs(blocks)
 
     def fingerprint(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> str:
         """Content digest of the trace (addresses, types and sizes).

@@ -131,22 +131,27 @@ class TestTablesAndFigures:
 
     def test_implementation_label_names_each_side(self, small_cells):
         [walk] = {cell.dew_walk for cell in small_cells}
+        # The baseline runs the same kernel table, so both sides ran the
+        # same kind of walk: both compiled, or both Python for one reason.
+        assert {cell.baseline_walk for cell in small_cells} == {walk}
         name, _, reason = walk.partition(" ")
-        expected = f"DEW: {name} walk {reason}".rstrip() + "; baseline: Python single"
-        assert implementation_label(small_cells) == expected
+        expected = f"DEW: {name} walk {reason}".rstrip() + f"; baseline: {name} single {reason}"
+        assert implementation_label(small_cells) == expected.rstrip()
 
-        cell = small_cells[0]
-        stored = dataclasses.replace(cell, dew_walk=None)
+        cell = dataclasses.replace(small_cells[0], dew_walk="kernel", baseline_walk="kernel")
+        assert implementation_label([cell]) == "DEW: kernel walk; baseline: kernel single"
+        stored = dataclasses.replace(cell, dew_walk=None, baseline_walk=None)
         assert implementation_label([stored]) == (
-            "DEW: unknown walk (from store); baseline: Python single"
+            "DEW: unknown walk (from store); baseline: unknown single (from store)"
         )
+        no_compiler = "python (no compiler: cc --version failed)"
         mixed = [
-            dataclasses.replace(cell, dew_walk="python (no compiler: cc --version failed)"),
-            dataclasses.replace(cell, dew_walk="kernel"),
+            dataclasses.replace(cell, dew_walk=no_compiler, baseline_walk=no_compiler),
+            cell,
         ]
         assert implementation_label(mixed) == (
             "DEW: kernel walk, python walk (no compiler: cc --version failed); "
-            "baseline: Python single"
+            "baseline: kernel single, python single (no compiler: cc --version failed)"
         )
 
     def test_render_ascii_chart(self, small_cells):

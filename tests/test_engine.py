@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from engine_options import ENGINE_TEST_OPTIONS
 
@@ -92,22 +91,6 @@ def _fresh_engine(name):
     return get_engine(name, **ENGINE_TEST_OPTIONS[name])
 
 
-def _collapsed_feed(engine, trace, chunk_size=32):
-    """Feed a trace as per-chunk run-length-collapsed (values, counts) pairs."""
-    iterator = trace.iter_block_chunks(
-        engine.offset_bits, chunk_size, with_types=engine.wants_access_types
-    )
-    for chunk in iterator:
-        blocks, types = chunk if engine.wants_access_types else (chunk, None)
-        boundaries = np.flatnonzero(np.diff(blocks)) + 1
-        starts = np.concatenate(([0], boundaries))
-        counts = np.diff(np.concatenate((starts, [blocks.size])))
-        if types is None:
-            engine.run_block_runs(blocks[starts], counts)
-        else:
-            engine.run_block_runs(blocks[starts], counts, types[starts])
-
-
 class TestRegistryDriven:
     """Universal properties every registered engine must satisfy.
 
@@ -126,7 +109,6 @@ class TestRegistryDriven:
         assert engine.family == name
         assert engine.offset_bits >= 0
         cls = get_engine_class(name)
-        assert cls.supports_block_runs == engine.supports_block_runs
         assert cls.wants_access_types == engine.wants_access_types
 
     @pytest.mark.parametrize("name", sorted(ENGINE_TEST_OPTIONS))
@@ -152,17 +134,6 @@ class TestRegistryDriven:
         assert (frame.simulator_name, frame.trace_name) == (ran.simulator_name, ran.trace_name)
         assert frame.counters == ran.counters
         assert frame.walk == ran.walk
-
-    @pytest.mark.parametrize("name", sorted(ENGINE_TEST_OPTIONS))
-    def test_block_runs_parity_or_loud_rejection(self, name, loop_trace):
-        engine = _fresh_engine(name)
-        if not engine.supports_block_runs:
-            with pytest.raises(EngineError, match="run-length"):
-                engine.run_block_runs([0], [1])
-            return
-        _collapsed_feed(engine, loop_trace, chunk_size=37)
-        raw = _fresh_engine(name).run(loop_trace, chunk_size=37)
-        assert engine.finalize(trace_name=loop_trace.name).as_rows() == raw.as_rows()
 
     @pytest.mark.parametrize("name", sorted(ENGINE_TEST_OPTIONS))
     def test_reset_reproduces_first_run(self, name, loop_trace):

@@ -1,7 +1,7 @@
-"""Tests for the fused single-pass sweep executor and run-length collapse.
+"""Tests for the fused single-pass sweep executor.
 
 The contract under test is *byte-identity*: the fused executor (shared
-decode, run-length collapse, frame-native finalize) must produce exactly the
+decode, frame-native finalize) must produce exactly the
 rows, counters and store artifacts of running each job on its own through
 :meth:`Engine.run` — serial, pooled, cold, warm and partially warm alike.
 """
@@ -27,7 +27,7 @@ from repro.engine.sweep import _partition_fused_batches
 from repro.core.results import ResultsFrame
 from repro.errors import EngineError, ReproError
 from repro.store import open_store
-from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace, collapse_block_runs
+from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace
 from repro.types import AccessType
 from repro.workloads.synthetic import SequentialStream, WorkingSetGenerator
 
@@ -59,48 +59,6 @@ def grid_jobs():
     return build_grid_jobs([8, 32], [1, 2, 4], SET_SIZES, policies=("fifo", "lru"))
 
 
-class TestCollapseBlockRuns:
-    def test_empty(self):
-        values, counts = collapse_block_runs(np.empty(0, dtype=np.int64))
-        assert values.size == 0 and counts.size == 0
-
-    def test_single_run(self):
-        values, counts = collapse_block_runs([7, 7, 7, 7])
-        assert values.tolist() == [7]
-        assert counts.tolist() == [4]
-
-    def test_alternating(self):
-        values, counts = collapse_block_runs([1, 2, 1, 2])
-        assert values.tolist() == [1, 2, 1, 2]
-        assert counts.tolist() == [1, 1, 1, 1]
-
-    @given(blocks=st.lists(st.integers(min_value=0, max_value=7), max_size=200))
-    @settings(max_examples=50, deadline=None)
-    def test_repeat_reconstructs_input(self, blocks):
-        values, counts = collapse_block_runs(blocks)
-        assert np.repeat(values, counts).tolist() == blocks
-        # Maximal runs: no two consecutive collapsed values are equal.
-        assert all(a != b for a, b in zip(values[:-1], values[1:]))
-
-    def test_iter_block_runs_matches_chunks(self):
-        trace = SequentialStream(stride=4).generate(1000, seed=0)
-        rebuilt = []
-        for values, counts in trace.iter_block_runs(4, chunk_size=77):
-            rebuilt.extend(np.repeat(values, counts).tolist())
-        expected = []
-        for chunk in trace.iter_block_chunks(4, chunk_size=77):
-            expected.extend(chunk.tolist())
-        assert rebuilt == expected
-
-
-class TestDewEngineCollapse:
-    def test_non_run_engines_reject_collapsed_chunks(self):
-        engine = get_engine("dew", block_size=16, associativity=4, set_sizes=SET_SIZES)
-        assert not engine.supports_block_runs
-        with pytest.raises(EngineError, match="run-length"):
-            engine.run_block_runs([1], [3])
-
-
 class TestFinalizeFrame:
     def test_dew_finalize_frame_matches_finalize(self, sweep_trace):
         engine = get_engine("dew", block_size=16, associativity=4, set_sizes=SET_SIZES)
@@ -127,7 +85,7 @@ class TestFinalizeFrame:
         assert (row.accesses, row.misses, row.compulsory_misses) == (
             stats.accesses, stats.misses, stats.compulsory_misses
         )
-        assert frame.counters is None and frame.walk is None
+        assert frame.counters is None and frame.walk == engine.walk
 
     def test_default_finalize_frame_adapts_finalize(self, sweep_trace):
         from repro.core.config import CacheConfig
@@ -224,7 +182,7 @@ def _abort(index, job, results, cached):
 
 class TestPooledSweep:
     """The pooled path: one fused batch per worker, each deriving its own
-    shift and run-length arrays from the trace it was handed."""
+    shifted arrays from the trace it was handed."""
 
     def test_pooled_store_resume_reruns_one_cell(self, tmp_path, sweep_trace, grid_jobs):
         store = open_store(tmp_path / "store")
@@ -262,10 +220,10 @@ class TestPooledSweep:
 def mixed_jobs():
     """A grid mixing every capability combination in one sweep.
 
-    dew (no runs, no types) + single via the random policy (no runs, types) +
-    victim-cache (runs, no types) + stream-buffer (runs *and* types), so the
-    fused executor must route raw chunks, collapsed chunks and per-run head
-    types side by side within each batch.
+    dew (no types) + single via the random policy (types) + victim-cache
+    (no types) + stream-buffer (types), so the fused executor must route
+    chunks with and without their access types side by side within each
+    batch.
     """
     jobs = build_grid_jobs([8, 16], [1, 2], (1, 2, 4), policies=("fifo", "random"))
     return jobs + build_mechanism_grid_jobs(
@@ -288,9 +246,7 @@ def typed_trace(sweep_trace) -> Trace:
 
 class TestMixedEngineSweeps:
     def test_grid_is_heterogeneous(self, mixed_jobs):
-        run_flags = {get_engine_class(job.engine).supports_block_runs for job in mixed_jobs}
         type_flags = {get_engine_class(job.engine).wants_access_types for job in mixed_jobs}
-        assert run_flags == {True, False}
         assert type_flags == {True, False}
 
     def test_fused_matches_per_job(self, typed_trace, mixed_jobs):

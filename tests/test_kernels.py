@@ -1,10 +1,11 @@
-"""The kernel loader and the compiled DEW walk's input handling.
+"""The kernel loader and the compiled walks' input handling.
 
 The differential suites (``test_dew_differential.py``,
-``test_lru_differential.py``) pin each kernel's results, counters and
-storage to its reference walk; these tests pin how the table's kernels are
-built, cached and loaded, and what the DEW wrapper does with the chunks it
-is handed (``test_lru.py`` holds the LRU wrapper's).
+``test_lru_differential.py``, ``test_single_differential.py``) pin each
+kernel's results, counters and storage to its reference walk; these tests
+pin how the table's kernels are built, cached and loaded, and what the DEW,
+``single`` and mechanism wrappers do with the chunks they are handed
+(``test_lru.py`` holds the LRU wrapper's).
 """
 
 import dataclasses
@@ -18,9 +19,14 @@ import numpy as np
 import pytest
 
 from repro import kernels
+from repro.cache.simulator import SingleConfigSimulator
+from repro.core.config import CacheConfig
 from repro.core.dew import DewSimulator
+from repro.engine import get_engine
 from repro.errors import SimulationError
 from repro.lru.janapsatya import JanapsatyaSimulator
+from repro.mechanisms import MECHANISM_ENGINE_NAMES
+from repro.types import ReplacementPolicy
 from repro.workloads.mediabench import mediabench_trace
 from walks import WALKS, require_kernel, walk_under_test
 
@@ -28,8 +34,25 @@ SRC = str(Path(kernels.__file__).resolve().parents[2])
 PRINT_WALKS = (
     "from repro.core.dew import DewSimulator; "
     "from repro.lru.janapsatya import JanapsatyaSimulator; "
-    "print(DewSimulator(4, 2).walk); print(JanapsatyaSimulator(4, (2,), (1, 2)).walk)"
+    "from repro.cache.simulator import SingleConfigSimulator; "
+    "print(DewSimulator(4, 2).walk); print(JanapsatyaSimulator(4, (2,), (1, 2)).walk); "
+    "print(SingleConfigSimulator(num_sets=4, associativity=2, block_size=4).walk)"
 )
+ENTRIES = ["dew", "lru", "single"]
+
+
+def _walks():
+    """The walks ``dew``, ``janapsatya`` and ``single`` run in this process."""
+    return [
+        DewSimulator(4, 2).walk,
+        JanapsatyaSimulator(4, (2,), (1, 2)).walk,
+        SingleConfigSimulator(num_sets=4, associativity=2, block_size=4).walk,
+    ]
+
+
+def _library_entries(directory):
+    """The table entry each library in ``directory`` was built for, sorted."""
+    return sorted(library.name.rsplit("-", 1)[0] for library in Path(directory).iterdir())
 
 
 def _environment(cache_home, **overrides):
@@ -39,7 +62,7 @@ def _environment(cache_home, **overrides):
 
 
 def _walks_in_subprocess(cache_home, **overrides):
-    """The walks ``dew`` and ``janapsatya`` run in a fresh process."""
+    """The walks ``dew``, ``janapsatya`` and ``single`` run in a fresh process."""
     completed = subprocess.run(
         [sys.executable, "-c", PRINT_WALKS],
         env=_environment(cache_home, **overrides),
@@ -54,8 +77,7 @@ def _walks_in_subprocess(cache_home, **overrides):
 def test_kernel_loads_wherever_a_compiler_runs():
     # Fails rather than skips when ``$CC --version`` works here.
     require_kernel()
-    assert DewSimulator(4, 2).walk == "kernel"
-    assert JanapsatyaSimulator(4, (2,), (1, 2)).walk == "kernel"
+    assert _walks() == ["kernel"] * 3
 
 
 def test_import_builds_and_loads_nothing(tmp_path):
@@ -70,7 +92,7 @@ def test_import_builds_and_loads_nothing(tmp_path):
 
 def test_cc_false_keeps_the_python_walk_with_a_reason(tmp_path):
     walks = _walks_in_subprocess(tmp_path, CC="false")
-    assert walks == ["python (no compiler: false --version failed)"] * 2
+    assert walks == ["python (no compiler: false --version failed)"] * 3
 
 
 def test_build_error_keeps_the_python_walk_with_its_first_line(tmp_path, monkeypatch):
@@ -85,16 +107,23 @@ def test_build_error_keeps_the_python_walk_with_its_first_line(tmp_path, monkeyp
 
 def test_build_error_in_one_entry_leaves_the_others_loaded(tmp_path, monkeypatch):
     require_kernel()
-    lru = kernels.KERNELS["lru"]
-    broken = tmp_path / "lru.c"
-    broken.write_text(lru.source.read_text() + "\n#error deliberately broken\n")
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setitem(kernels.KERNELS, "lru", dataclasses.replace(lru, source=broken))
-    monkeypatch.setattr(kernels, "_LOADER", kernels.KernelLoader())
-    assert DewSimulator(4, 2).walk == "kernel"
-    walk = JanapsatyaSimulator(4, (2,), (1, 2)).walk
-    assert walk.startswith("python (build error: ") and "deliberately broken" in walk
-    assert [library.name[:4] for library in (tmp_path / "repro-dew").iterdir()] == ["dew-"]
+    for position, name in enumerate(("lru", "single")):
+        kernel = kernels.KERNELS[name]
+        cache_home = tmp_path / name
+        broken = cache_home / f"{name}.c"
+        cache_home.mkdir()
+        broken.write_text(kernel.source.read_text() + "\n#error deliberately broken\n")
+        with monkeypatch.context() as patch:
+            patch.setenv("XDG_CACHE_HOME", str(cache_home))
+            patch.setitem(kernels.KERNELS, name, dataclasses.replace(kernel, source=broken))
+            patch.setattr(kernels, "_LOADER", kernels.KernelLoader())
+            walks = _walks()
+        failed = walks.pop(position + 1)
+        assert failed.startswith("python (build error: ") and "deliberately broken" in failed
+        assert walks == ["kernel", "kernel"], name
+        assert _library_entries(cache_home / "repro-dew") == [
+            entry for entry in ENTRIES if entry != name
+        ]
 
 
 def test_cache_dir_others_can_write_is_not_used(tmp_path, monkeypatch):
@@ -109,13 +138,13 @@ def test_cache_dir_others_can_write_is_not_used(tmp_path, monkeypatch):
 
 def test_truncated_cached_library_is_rebuilt(tmp_path):
     require_kernel()
-    assert _walks_in_subprocess(tmp_path) == ["kernel", "kernel"]
+    assert _walks_in_subprocess(tmp_path) == ["kernel"] * 3
     libraries = sorted((tmp_path / "repro-dew").iterdir())
-    assert [library.name[:4] for library in libraries] == ["dew-", "lru-"]
+    assert _library_entries(tmp_path / "repro-dew") == ENTRIES
     sizes = [library.stat().st_size for library in libraries]
     for library in libraries:
         library.write_bytes(library.read_bytes()[:64])
-    assert _walks_in_subprocess(tmp_path) == ["kernel", "kernel"]
+    assert _walks_in_subprocess(tmp_path) == ["kernel"] * 3
     assert [library.stat().st_size for library in libraries] == sizes
 
 
@@ -132,11 +161,10 @@ def test_racing_processes_build_one_library_and_leave_no_temp_files(tmp_path):
     ]
     outputs = [process.communicate(timeout=120)[0].splitlines() for process in processes]
     assert [process.returncode for process in processes] == [0] * 4
-    assert outputs == [["kernel", "kernel"]] * 4
+    assert outputs == [["kernel"] * 3] * 4
     # One library per entry, and no temp file left behind.
-    libraries = sorted(os.listdir(tmp_path / "repro-dew"))
-    assert [library[:4] for library in libraries] == ["dew-", "lru-"]
-    assert all(library.endswith(".so") for library in libraries)
+    assert _library_entries(tmp_path / "repro-dew") == ENTRIES
+    assert all(library.endswith(".so") for library in os.listdir(tmp_path / "repro-dew"))
 
 
 def test_racing_threads_load_once(tmp_path, monkeypatch):
@@ -179,6 +207,39 @@ def test_out_of_range_block_raises(walk, blocks):
         simulator.run_blocks(blocks)
     # The rejected chunk changed nothing.
     assert simulator.requests == 0 and simulator.counters.node_evaluations == 0
+
+
+#: ``single`` under every policy (``random`` has only its Python walk) and
+#: each mechanism engine, all over one small cache.
+CACHE_ENGINES = [
+    ("single", dict(config=CacheConfig(4, 2, 4, policy))) for policy in ReplacementPolicy
+] + [
+    (mechanism, dict(num_sets=4, associativity=2, block_size=4, entries=2))
+    for mechanism in MECHANISM_ENGINE_NAMES
+]
+
+
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize(
+    "engine, options",
+    CACHE_ENGINES,
+    ids=[f"{engine}-{options['config'].policy.value}" if "config" in options else engine
+         for engine, options in CACHE_ENGINES],
+)
+@pytest.mark.parametrize(
+    "blocks", [[-1, -1, -1, 2**70], [3, -1], [2**63 - 1], np.array([5, -7], dtype=np.int64)]
+)
+def test_out_of_range_block_raises_in_cache_engines(walk, engine, options, blocks):
+    with walk_under_test(walk):
+        simulator = get_engine(engine, **options)
+    with pytest.raises(SimulationError, match="outside"):
+        simulator.run_blocks(blocks)
+    # The rejected chunk changed nothing, and the largest valid block runs.
+    cache = simulator if engine == "single" else simulator.dl1
+    assert cache.stats.accesses == 0 and cache.resident_blocks() == [[]] * 4
+    simulator.run_blocks([2**63 - 2, 2**63 - 2, 0])
+    assert (cache.stats.accesses, cache.stats.misses) == (3, 2)
+    assert cache.resident_blocks() == [[0], [], [2**63 - 2], []]
 
 
 def test_largest_valid_block_is_accepted():

@@ -1,21 +1,21 @@
 """Oracle tests for the mechanism engines (victim / miss cache, stream buffers).
 
 A naive pure-python reference re-implements each mechanism with plain lists,
-driven strictly one access at a time.  Hypothesis then pins the registered
-engines byte-identical to the reference — emitted frame rows *and* every
-mechanism counter — across geometries, policies, entry counts {2, 4, 8, 16}
-and chunk sizes, and pins ``run_block_runs`` to the raw per-access walk on
-adversarial run-length-heavy traces (including runs split across chunk
-boundaries, which exercises the carried last-block fast path).
+driven strictly one access at a time over its own DL1 of
+:class:`~repro.cache.cacheset.CacheSet` objects, so the engines' DL1 (the
+compiled single-configuration walk wherever it loads) is checked against an
+independent one.  Hypothesis then pins the registered engines byte-identical
+to the reference — emitted frame rows *and* every mechanism counter — on
+both walks, across geometries, all four policies (``random`` seeded), entry
+counts {2, 4, 8, 16}, write-heavy access-type mixes and chunk sizes.
 """
 
 import hypothesis.strategies as st
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.cache.simulator import SingleConfigSimulator
-from repro.core.config import CacheConfig
+from repro.cache.cacheset import CacheSet
+from repro.cache.policies import make_policy
 from repro.engine import get_engine, get_engine_class
 from repro.errors import ConfigurationError, SimulationError
 from repro.mechanisms import (
@@ -25,42 +25,53 @@ from repro.mechanisms import (
 )
 from repro.trace.trace import Trace
 from repro.types import AccessType, ReplacementPolicy
+from walks import walk_under_test, walks_here
 
 ENTRY_COUNTS = (2, 4, 8, 16)
-TYPE_CODES = (int(AccessType.READ), int(AccessType.WRITE))
+READ, WRITE, FETCH = (int(AccessType.READ), int(AccessType.WRITE), int(AccessType.INSTR_FETCH))
 
-#: (address, access-type) streams with a footprint small enough to thrash
-#: tiny caches but large enough to cycle every buffer size under test.
-ACCESSES = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=255), st.sampled_from(TYPE_CODES)),
-    min_size=0,
-    max_size=150,
-)
+#: Access-type mixes, from all reads to three writes in four.
+TYPE_MIXES = ((READ,), (READ, WRITE), (WRITE, WRITE, WRITE, READ), (READ, WRITE, FETCH))
 
-#: Run-length segments: (block, repeat count, head access type).  Small block
-#: range + repeats up to 9 yields RLE-heavy streams whose runs regularly
-#: straddle the chunk boundaries below.
-RUN_SEGMENTS = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=63),
-        st.integers(min_value=1, max_value=9),
-        st.sampled_from(TYPE_CODES),
-    ),
-    min_size=1,
-    max_size=40,
-)
 
-CHUNK_SIZES = st.sampled_from([1, 7, 1000])
+@st.composite
+def accesses(draw):
+    """(address, access-type) streams with a footprint small enough to thrash
+    tiny caches but large enough to cycle every buffer size under test, in
+    same-address runs of up to 9 that regularly straddle chunk boundaries."""
+    heads = draw(st.lists(st.integers(min_value=0, max_value=255), max_size=80))
+    repeats = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=len(heads),
+                            max_size=len(heads)))
+    addresses = [address for address, count in zip(heads, repeats) for _ in range(count)]
+    mix = draw(st.sampled_from(TYPE_MIXES))
+    types = draw(st.lists(st.sampled_from(mix), min_size=len(addresses),
+                          max_size=len(addresses)))
+    return list(zip(addresses, types))
+
+
+@st.composite
+def dl1_geometries(draw):
+    """(policy, sets, ways): PLRU only with a power-of-two way count."""
+    policy = draw(st.sampled_from(["fifo", "lru", "plru", "random"]))
+    ways = (
+        draw(st.sampled_from([1, 2, 4, 8]))
+        if policy == "plru"
+        else draw(st.integers(min_value=1, max_value=8))
+    )
+    sets = draw(st.sampled_from([1, 2, 4, 8, 16, 32, 64]))
+    return policy, sets, ways
 
 
 class NaiveMechanismReference:
-    """Per-access reference: DL1 simulator plus naive list-based mechanism state.
+    """Per-access reference: a DL1 of CacheSet objects plus naive list-based
+    mechanism state.
 
     Mirrors the documented mechanism semantics with the dumbest possible data
     structures — ``buffer`` is a plain list (index 0 LRU, end MRU) and
     ``streams`` a list of lists probed MRU-first — so any cleverness in
-    :mod:`repro.mechanisms.buffers` or the bulk run-collapse path has an
-    independent implementation to disagree with.
+    :mod:`repro.mechanisms.buffers`, the engines' miss-stream probing or
+    the compiled DL1 walk has an independent implementation to disagree
+    with.
     """
 
     def __init__(
@@ -77,13 +88,16 @@ class NaiveMechanismReference:
         self.mechanism = mechanism
         self.entries = entries
         self.depth = depth
-        self.dl1 = SingleConfigSimulator(
-            CacheConfig(
-                num_sets, associativity, block_size, ReplacementPolicy.parse(policy)
-            ),
-            seed=seed,
-            track_compulsory=True,
-        )
+        self.offset_bits = block_size.bit_length() - 1
+        self.sets = [
+            CacheSet(
+                associativity,
+                make_policy(ReplacementPolicy.parse(policy), associativity, seed=seed + index),
+            )
+            for index in range(num_sets)
+        ]
+        self.seen = set()
+        self.accesses = 0
         self.buffer = []
         self.streams = []
         self.misses = 0
@@ -93,14 +107,19 @@ class NaiveMechanismReference:
         self.allocations = 0
 
     def access(self, address, access_type=AccessType.READ):
-        self.access_block(address >> self.dl1.config.offset_bits, access_type)
+        self.access_block(address >> self.offset_bits, access_type)
 
     def access_block(self, block, access_type=AccessType.READ):
-        hit, evicted, compulsory = self.dl1.access_block_detail(block, access_type)
+        self.accesses += 1
+        first_touch = block not in self.seen
+        self.seen.add(block)
+        hit, evicted = self.sets[block % len(self.sets)].access(
+            block, is_write=access_type == AccessType.WRITE
+        )
         if hit or self._probe(block, evicted, access_type):
             return
         self.misses += 1
-        if compulsory:
+        if first_touch:
             self.compulsory += 1
 
     def _file(self, block):
@@ -154,6 +173,7 @@ def _assert_frame_matches_reference(engine, reference, mechanism, entries):
     assert len(frame) == 1
     assert frame.mechanism_at(0) == mechanism
     assert int(frame.mechanism_entries[0]) == entries
+    assert frame.walk == engine.walk
     observed = {
         "accesses": int(frame.accesses[0]),
         "misses": int(frame.misses[0]),
@@ -163,101 +183,56 @@ def _assert_frame_matches_reference(engine, reference, mechanism, entries):
         "mechanism_allocations": int(frame.mechanism_allocations[0]),
     }
     expected = {
-        "accesses": reference.dl1.stats.accesses,
+        "accesses": reference.accesses,
         "misses": reference.misses,
         "compulsory": reference.compulsory,
         "mechanism_hits": reference.hits,
         "mechanism_swaps": reference.swaps,
         "mechanism_allocations": reference.allocations,
     }
-    assert observed == expected
+    assert observed == expected, engine.walk
 
 
 class TestOracleParity:
     @given(
-        accesses=ACCESSES,
+        stream=accesses(),
         mechanism=st.sampled_from(MECHANISM_ENGINE_NAMES),
         entries=st.sampled_from(ENTRY_COUNTS),
         block_size_log2=st.integers(min_value=0, max_value=3),
-        num_sets=st.sampled_from([1, 2, 4]),
-        associativity=st.sampled_from([1, 2]),
-        policy=st.sampled_from(["fifo", "lru"]),
-        chunk_size=CHUNK_SIZES,
+        geometry=dl1_geometries(),
+        seed=st.integers(min_value=0, max_value=3),
+        chunk_size=st.sampled_from([1, 3, 7, 1000]),
     )
     @settings(
-        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
     )
     def test_engine_matches_naive_reference(
-        self,
-        accesses,
-        mechanism,
-        entries,
-        block_size_log2,
-        num_sets,
-        associativity,
-        policy,
-        chunk_size,
+        self, stream, mechanism, entries, block_size_log2, geometry, seed, chunk_size
     ):
-        addresses = [address for address, _ in accesses]
-        types = [code for _, code in accesses]
+        addresses = [address for address, _ in stream]
+        types = [code for _, code in stream]
+        policy, num_sets, associativity = geometry
         options = dict(
             num_sets=num_sets,
             associativity=associativity,
             block_size=1 << block_size_log2,
             entries=entries,
             policy=policy,
+            seed=seed,
         )
-        engine = get_engine(mechanism, **options)
-        engine.run(Trace(addresses, types, name="oracle"), chunk_size=chunk_size)
         reference = NaiveMechanismReference(mechanism, **options)
         # Engines without wants_access_types never see the type stream, so
         # the reference must replay the same all-reads view they simulated.
         wants = get_engine_class(mechanism).wants_access_types
         for address, code in zip(addresses, types):
             reference.access(address, AccessType(code) if wants else AccessType.READ)
-        _assert_frame_matches_reference(engine, reference, mechanism, entries)
-
-    @given(
-        segments=RUN_SEGMENTS,
-        mechanism=st.sampled_from(MECHANISM_ENGINE_NAMES),
-        entries=st.sampled_from(ENTRY_COUNTS),
-        chunk_size=st.sampled_from([1, 3, 5, 1000]),
-    )
-    @settings(
-        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-    )
-    def test_block_runs_match_raw_walk(self, segments, mechanism, entries, chunk_size):
-        """Collapsed (values, counts) chunks are byte-identical to the raw walk.
-
-        Chunks are re-run-length-encoded per slice exactly like the fused
-        executor does, so runs split across chunk boundaries hit the carried
-        ``_last_block`` all-hits path.
-        """
-        blocks = np.repeat(
-            [block for block, _, _ in segments], [count for _, count, _ in segments]
-        ).astype(np.int64)
-        expanded_types = np.repeat(
-            [code for _, _, code in segments], [count for _, count, _ in segments]
-        ).astype(np.int8)
-        options = dict(
-            num_sets=2, associativity=2, block_size=4, entries=entries, policy="fifo"
-        )
-        raw = get_engine(mechanism, **options)
-        collapsed = get_engine(mechanism, **options)
-        wants = raw.wants_access_types
-        for start in range(0, blocks.size, chunk_size):
-            chunk = blocks[start : start + chunk_size]
-            type_chunk = expanded_types[start : start + chunk_size]
-            raw.run_blocks(chunk, type_chunk if wants else None)
-            boundaries = np.flatnonzero(np.diff(chunk)) + 1
-            starts = np.concatenate(([0], boundaries))
-            values = chunk[starts]
-            counts = np.diff(np.concatenate((starts, [chunk.size])))
-            if wants:
-                collapsed.run_block_runs(values, counts, type_chunk[starts])
-            else:
-                collapsed.run_block_runs(values, counts)
-        assert collapsed.finalize("runs") == raw.finalize("runs")
+        for walk in walks_here():
+            with walk_under_test(walk):
+                engine = get_engine(mechanism, **options)
+            if policy != "random":
+                assert engine.walk.split()[0] == walk
+            engine.run(Trace(addresses, types, name="oracle"), chunk_size=chunk_size)
+            _assert_frame_matches_reference(engine, reference, mechanism, entries)
 
 
 class TestDeterministicPins:
@@ -304,13 +279,18 @@ class TestDeterministicPins:
         assert engine.mechanism_allocations == 1
 
     def test_run_split_across_calls_matches_raw(self):
+        # A same-block run split across two calls gives the frame of the
+        # whole stream in one call.
         options = dict(num_sets=1, associativity=1, block_size=1, entries=4)
-        collapsed = get_engine("victim-cache", **options)
-        collapsed.run_block_runs([5], [3])
-        collapsed.run_block_runs([5, 6], [2, 1])
-        raw = get_engine("victim-cache", **options)
-        raw.run_blocks([5, 5, 5, 5, 5, 6])
-        assert collapsed.finalize("split") == raw.finalize("split")
+        for walk in walks_here():
+            with walk_under_test(walk):
+                split = get_engine("victim-cache", **options)
+                raw = get_engine("victim-cache", **options)
+            split.run_blocks([6, 5, 5, 5])
+            split.run_blocks([5, 5, 6])
+            raw.run_blocks([6, 5, 5, 5, 5, 5, 6])
+            assert split.finalize("split") == raw.finalize("split"), walk
+            assert int(raw.finalize("split").mechanism_hits[0]) == 1, walk
 
     def test_reset_restores_a_fresh_engine(self):
         engine = self._thrash_engine("victim-cache")
@@ -328,21 +308,18 @@ class TestValidation:
                 mechanism, num_sets=1, associativity=1, block_size=4, entries=0
             )
 
-    def test_run_length_size_mismatch_rejected(self):
-        engine = get_engine(
-            "miss-cache", num_sets=1, associativity=1, block_size=4, entries=2
-        )
-        with pytest.raises(SimulationError, match="mismatch"):
-            engine.run_block_runs([1, 2], [1])
-        with pytest.raises(SimulationError, match="positive"):
-            engine.run_block_runs([1], [0])
-
     def test_stream_buffer_type_mismatch_rejected(self):
-        engine = get_engine(
-            "stream-buffer", num_sets=1, associativity=1, block_size=4, entries=2
-        )
-        with pytest.raises(SimulationError, match="access types"):
-            engine.run_block_runs([1, 2], [1, 1], [0])
+        options = dict(num_sets=1, associativity=1, block_size=4, entries=2)
+        for walk in walks_here():
+            with walk_under_test(walk):
+                engine = get_engine("stream-buffer", **options)
+            for types in ([0], [0, 1, 0], [0, 3]):
+                with pytest.raises(SimulationError, match="access type"):
+                    engine.run_blocks([1, 2], types)
+            # The rejected chunks changed nothing.
+            assert engine.finalize("pin") == get_engine("stream-buffer", **options).finalize(
+                "pin"
+            ), walk
 
 
 class TestBufferStructures:

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro import kernels
 from repro.engine import build_grid_jobs, get_engine, run_sweep
 from repro.errors import ServiceError
 from repro.obs.metrics import (
@@ -246,7 +247,7 @@ class TestTraceIdPropagation:
         assert spans[0]["queue_wait_s"] == queue_wait >= 0.0
 
         # Another grid: its LRU cells come from the store, and its fresh
-        # PLRU cells run ``single``, which keeps no counters.
+        # PLRU cells run ``single``, which keeps no counters but names its walk.
         client.submit(_request(trace_file, policies=("lru", "plru")))
         second = ServiceDaemon(root, daemon_id="obs2", socket=False)
         second.run(drain=True)
@@ -256,7 +257,10 @@ class TestTraceIdPropagation:
             assert span["accesses"] == len(trace)
             assert span["cached"] is (span["engine"] == "janapsatya")
             assert ("seconds" in span) is (span["engine"] == "single")
-            assert "counters" not in span and "walk" not in span
+            assert "counters" not in span
+            assert span.get("walk") == (
+                kernels.load("single").name if span["engine"] == "single" else None
+            )
 
     def test_trace_survives_daemon_kill_and_reclaim(self, tmp_path, trace_file):
         root = tmp_path / "svc"

@@ -79,10 +79,12 @@ class TestCli:
         assert "Table 1" in output
         assert "Table 3" in output
         # Figure 5 and the headline claims name each side's implementation:
-        # a kernel-walk DEW over the Python baseline includes the compiler's gain.
-        walk = kernels.load("dew")
-        dew_side = "kernel walk" if walk.function is not None else f"python walk ({walk.reason})"
-        sides = f"DEW: {dew_side}; baseline: Python single"
+        # DEW's walk and the walk of the baseline's single simulators.
+        def side(name, noun):
+            walk = kernels.load(name)
+            return f"kernel {noun}" if walk.function is not None else f"python {noun} ({walk.reason})"
+
+        sides = f"DEW: {side('dew', 'walk')}; baseline: {side('single', 'single')}"
         assert f"Figure 5: speed-up of DEW over baseline ({sides})" in output
         assert f"Headline claims (this run; {sides}):" in output
 
