@@ -131,10 +131,8 @@ class SingleConfigSimulator(Engine):
                 raise ConfigurationError(
                     "single engine needs either config= or num_sets/associativity/block_size"
                 )
-            config = CacheConfig(
-                num_sets, associativity, block_size, ReplacementPolicy.parse(policy)
-            )
-        self._policy = ReplacementPolicy.parse(config.policy)
+            config = CacheConfig(num_sets, associativity, block_size, policy)
+        self._policy = config.policy
         if self._policy is ReplacementPolicy.PLRU and not is_power_of_two(config.associativity):
             raise SimulationError("PLRU requires a power-of-two associativity")
         self.config = config

@@ -251,7 +251,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             set_sizes=_set_sizes(args.max_sets),
             entry_counts=_parse_int_list(args.mechanism_entries, "mechanism entry count"),
             policies=[token for token in args.policies.split(",") if token.strip()],
-            stream_depth=args.stream_depth,
             seed=args.seed,
         )
     store = open_store(args.store) if args.store else None
@@ -282,6 +281,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if isinstance(sweep_input, CachedPlane):
             sweep_input.close()
     merged = outcome.merged()
+    wall_seconds = time.perf_counter() - load_start
     # Result lines are deterministic (byte-identical for any worker count and
     # for cold vs store-warmed runs); timing and store bookkeeping go to
     # stderr so stdout stays comparable.
@@ -303,6 +303,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.profile:
         # merged() already ran above, so the merge phase is accounted for;
         # the trace load (text parse or cache attach) precedes run_sweep.
+        # The wall runs from the load to the end of the merge, so it holds
+        # every phase.
         phases = dict(outcome.phases, load=load_seconds)
         covered = sum(phases.values())
         print("profile (exclusive seconds per phase):", file=sys.stderr)
@@ -310,8 +312,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             share = (seconds / covered * 100.0) if covered else 0.0
             print(f"  {name:<14} {seconds:9.4f}s  {share:5.1f}%", file=sys.stderr)
         print(
-            f"  {'covered':<14} {covered:9.4f}s of "
-            f"{outcome.elapsed_seconds + load_seconds:.4f}s wall",
+            f"  {'covered':<14} {covered:9.4f}s of {wall_seconds:.4f}s wall",
             file=sys.stderr,
         )
         _print_engine_profiles(outcome)
@@ -337,6 +338,10 @@ def _print_engine_profiles(outcome) -> None:
             line += f", {profile.tag_comparisons_per_access:.2f} tag comparisons/access"
         if profile.mru_stops_per_access is not None:
             line += f", {profile.mru_stops_per_access:.2f} MRU stops/access"
+        if profile.hits_per_lookup is not None:
+            line += ", hits/lookup " + " ".join(
+                f"{entries}:{rate:.3f}" for entries, rate in profile.hits_per_lookup
+            )
         if profile.walk is not None:
             line += f", walk={profile.walk}"
         print(line, file=sys.stderr)
@@ -685,7 +690,6 @@ def _submit_request(args: argparse.Namespace) -> SweepRequest:
         mechanism_entries=tuple(
             _parse_int_list(args.mechanism_entries, "mechanism entry count")
         ),
-        stream_depth=args.stream_depth,
     )
 
 
@@ -1012,8 +1016,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "miss-cache, stream-buffer)")
     sweep.add_argument("--mechanism-entries", default="2,4,8,16",
                        help="comma-separated mechanism buffer entry counts")
-    sweep.add_argument("--stream-depth", type=int, default=4,
-                       help="prefetch depth of each stream buffer")
     sweep.add_argument("--workers", type=int, default=1,
                        help="worker processes (1 = serial; results are identical)")
     sweep.add_argument("--seed", type=int, default=0,
@@ -1209,8 +1211,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "miss-cache, stream-buffer)")
     submit.add_argument("--mechanism-entries", default="2,4,8,16",
                         help="comma-separated mechanism buffer entry counts")
-    submit.add_argument("--stream-depth", type=int, default=4,
-                        help="prefetch depth of each stream buffer")
     submit.add_argument("--seed", type=int, default=0,
                         help="seed for stochastic policies")
     submit.add_argument("--priority", type=int, default=0,

@@ -31,8 +31,9 @@ class CacheConfig:
     block_size:
         Block (line) size ``B`` in bytes (power of two).
     policy:
-        Replacement policy; DEW itself only produces exact results for FIFO,
-        the reference simulator supports the full set.
+        Replacement policy, or its name (parsed with
+        :meth:`ReplacementPolicy.parse`); DEW itself only produces exact
+        results for FIFO, the reference simulator supports the full set.
     """
 
     num_sets: int
@@ -41,6 +42,10 @@ class CacheConfig:
     policy: ReplacementPolicy = ReplacementPolicy.FIFO
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "policy", ReplacementPolicy.parse(self.policy))
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from None
         if not is_power_of_two(self.num_sets):
             raise ConfigurationError(f"number of sets must be a power of two, got {self.num_sets}")
         if self.associativity < 1:

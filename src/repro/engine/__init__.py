@@ -17,9 +17,9 @@ registry key              engine class
                           (one Dinero-style configuration, any policy)
 ``janapsatya``            :class:`repro.lru.janapsatya.JanapsatyaSimulator`
                           (one pass, all set sizes x associativities, LRU)
-``miss-cache``,           :mod:`repro.mechanisms.engines` (one DL1
-``stream-buffer``,        configuration plus a miss-path mechanism)
-``victim-cache``
+``miss-cache``,           :mod:`repro.mechanisms.engines` (one pass, one DL1
+``stream-buffer``,        configuration plus a miss-path mechanism at every
+``victim-cache``          entry count)
 ========================  ====================================================
 """
 

@@ -209,21 +209,18 @@ def build_mechanism_grid_jobs(
     set_sizes: Sequence[int],
     entry_counts: Sequence[int] = (2, 4, 8, 16),
     policies: Sequence[Union[str, ReplacementPolicy]] = (ReplacementPolicy.FIFO,),
-    stream_depth: int = 4,
     seed: int = 0,
 ) -> List[SweepJob]:
-    """Decompose a mechanism grid into sweep jobs (one per cell).
+    """Decompose a mechanism grid into sweep jobs, one per mechanism family.
 
-    Each job simulates one DL1 configuration augmented with one mechanism at
-    one entry count, so the full grid is ``mechanisms x block sizes x
-    associativities x set counts x policies x entry counts``.  Each job
-    walks its DL1 (the compiled single-configuration walk wherever it
-    loads) and probes its mechanism over the DL1's miss stream, riding the
-    fused executor's shared decode like any other job.  Every mechanism and
-    entry count over one DL1 configuration sees the same miss stream, but
-    each job still walks that DL1 itself.  An empty ``mechanisms`` list
-    yields no jobs, which is how callers make mechanism cells purely
-    additive to a base grid.
+    The grid is ``mechanisms x block sizes x associativities x set counts x
+    policies x entry counts``.  Each job is one mechanism over one DL1
+    configuration at every entry count (a sorted, de-duplicated ``entries``
+    tuple): it walks its DL1 once and emits one row per count, riding the
+    fused executor's shared decode like any other job.  Mechanisms do not
+    share a DL1 pass with each other.  An empty ``mechanisms`` list yields
+    no jobs, which is how callers make mechanism cells purely additive to a
+    base grid.
     """
     if not mechanisms:
         return []
@@ -253,25 +250,23 @@ def build_mechanism_grid_jobs(
             raise EngineError(str(exc)) from None
         if policy not in policy_list:
             policy_list.append(policy)
-    jobs: List[SweepJob] = []
-    for mechanism in sorted(mech_list):
-        for block_size in sorted(set(int(b) for b in block_sizes)):
-            for associativity in sorted(set(int(a) for a in associativities)):
-                for num_sets in sorted(set(int(s) for s in set_sizes)):
-                    for policy in policy_list:
-                        for entries in sorted(set(int(e) for e in entry_counts)):
-                            options: Dict[str, Any] = {
-                                "num_sets": num_sets,
-                                "associativity": associativity,
-                                "block_size": block_size,
-                                "policy": policy,
-                                "entries": entries,
-                                "seed": seed,
-                            }
-                            if mechanism == "stream-buffer":
-                                options["depth"] = int(stream_depth)
-                            jobs.append(SweepJob.make(mechanism, **options))
-    return jobs
+    entries = tuple(sorted(set(int(e) for e in entry_counts)))
+    return [
+        SweepJob.make(
+            mechanism,
+            num_sets=num_sets,
+            associativity=associativity,
+            block_size=block_size,
+            policy=policy,
+            entries=entries,
+            seed=seed,
+        )
+        for mechanism in sorted(mech_list)
+        for block_size in sorted(set(int(b) for b in block_sizes))
+        for associativity in sorted(set(int(a) for a in associativities))
+        for num_sets in sorted(set(int(s) for s in set_sizes))
+        for policy in policy_list
+    ]
 
 
 @dataclass(frozen=True)
@@ -282,10 +277,14 @@ class EngineProfile:
     the per-access work ratios sum the counters of every job first.  The
     work fields are filled for engines whose frames carry counters (``dew``
     and ``janapsatya``), and are ``None`` otherwise; ``mru_stops_per_access``
-    only for ``janapsatya``.  ``walk`` names the walk the jobs ran
+    only for ``janapsatya``.  ``hits_per_lookup`` is filled for the
+    mechanism engines: per entry count, ascending, the hits over the
+    lookups (hits plus surviving misses) summed over the jobs' rows, which
+    is ``mechanism_hit_rate``.  ``walk`` names the walk the jobs ran
     (``kernel``, or ``python (<reason>)``; several, comma-separated, if they
-    differed): the DEW or LRU walk, or for ``single`` and the mechanism
-    engines the single-configuration walk of their cache.
+    differed): the DEW or LRU walk, for ``single`` the single-configuration
+    walk of its cache, and for the mechanism engines ``kernel`` only when
+    both their cache's walk and their probes are compiled.
     """
 
     engine: str
@@ -296,6 +295,7 @@ class EngineProfile:
     ns_per_node_eval: Optional[float] = None
     tag_comparisons_per_access: Optional[float] = None
     mru_stops_per_access: Optional[float] = None
+    hits_per_lookup: Optional[Tuple[Tuple[int, float], ...]] = None
     walk: Optional[str] = None
 
 
@@ -355,6 +355,8 @@ class SweepOutcome:
                 }
                 if all(hasattr(c, "mru_stops") for c in counters):
                     work["mru_stops_per_access"] = sum(c.mru_stops for c in counters) / requests
+            if all(r.mechanism_codes.all() for r in results):
+                work["hits_per_lookup"] = _hits_per_lookup(results)
             profiles.append(EngineProfile(
                 engine,
                 len(results),
@@ -392,6 +394,20 @@ class SweepOutcome:
         what the sweep CLI prints and what the test suite compares.
         """
         return self.merged().as_rows()
+
+
+def _hits_per_lookup(results: Sequence[ResultsFrame]) -> Tuple[Tuple[int, float], ...]:
+    """Per entry count, ascending, the mechanism rows' hits over their
+    lookups (hits plus surviving misses), summed over ``results``."""
+    entries = np.concatenate([r.mechanism_entries for r in results])
+    hits = np.concatenate([r.mechanism_hits for r in results])
+    misses = np.concatenate([r.misses for r in results])
+    rates = []
+    for count in np.unique(entries).tolist():
+        mine = entries == count
+        served, lookups = int(hits[mine].sum()), int((hits + misses)[mine].sum())
+        rates.append((count, served / lookups if lookups else 0.0))
+    return tuple(rates)
 
 
 def _coerce_trace(trace: Union[Trace, Sequence[int]]) -> Trace:

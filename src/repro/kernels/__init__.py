@@ -10,7 +10,11 @@ this package, the function it exports and that function's ctypes
   :class:`repro.lru.janapsatya.JanapsatyaSimulator`;
 * ``single`` — ``single.c``, a port of the per-access FIFO, LRU and PLRU
   walk of :class:`repro.cache.simulator.SingleConfigSimulator`, which also
-  writes each chunk's miss stream.
+  writes each chunk's miss stream;
+* ``mechanisms`` — ``mechanisms.c``, a port of the Python walks of the
+  mechanism engines (:mod:`repro.mechanisms.engines`), which probe every
+  entry count of a victim cache, miss cache or stream buffers over that
+  miss stream in one pass.
 
 Importing this package builds and loads nothing.  The first :func:`load` of
 an entry in a process compiles its source with ``$CC`` (default ``cc``) and
@@ -23,8 +27,10 @@ simulator on its Python walk and records why; the other entries load on
 their own.  A host opts out of every kernel the way it would for any C
 build, with ``CC=false``.
 
-Every kernel stores ``block + 1`` so that zero-filled storage is empty, and
-walks chunks in the one form :func:`block_chunk` makes.
+The cache walks store ``block + 1`` so that zero-filled storage is empty,
+and walk chunks in the one form :func:`block_chunk` makes; the mechanism
+probes keep a fill length per list instead, and take the ``single`` walk's
+miss stream.
 """
 
 from __future__ import annotations
@@ -88,6 +94,11 @@ KERNELS: Dict[str, Kernel] = {
         _INTEGER, _INTEGER, _INTEGER,  # sets, associativity, policy
         _POINTER, _POINTER, _POINTER,  # tags, dirty bits, policy state
         _POINTER, _POINTER, _POINTER,  # tally, miss positions, evicted tags
+    )),
+    "mechanisms": Kernel(_HERE / "mechanisms.c", "mechanism_walk", (
+        _POINTER, _POINTER, _POINTER, _POINTER, _INTEGER,  # blocks, evicted, types, first, count
+        _INTEGER, _POINTER, _INTEGER,  # mechanism, entry counts, how many
+        _POINTER, _POINTER, _POINTER,  # lists, fill lengths, tally
     )),
 }
 

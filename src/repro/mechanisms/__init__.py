@@ -1,30 +1,34 @@
 """Miss-path mechanism engines: victim cache, miss cache, stream buffers.
 
-Each engine composes the existing single-configuration DL1 simulator
+Each engine composes the single-configuration DL1 simulator
 (:class:`repro.cache.simulator.SingleConfigSimulator`) with a small buffer
-probed on DL1 misses, and reports one :class:`~repro.core.results.ResultsFrame`
-row keyed by ``(config, mechanism, entries)`` — so ``repro-dew explore
-pareto/tune`` can rank "victim cache vs miss cache vs bigger L1" directly.
+probed on DL1 misses.  One engine takes every entry count of its mechanism
+and emits one :class:`~repro.core.results.ResultsFrame` row per count,
+keyed by ``(config, mechanism, entries)``, from a single DL1 pass: the
+victim and miss caches keep one recency list cut at the largest count, and
+stream buffers one set of stream heads per count.  The probes run in
+``kernels/mechanisms.c`` wherever it builds.  ``repro-dew explore
+pareto/tune`` can then rank "victim cache vs miss cache vs bigger L1"
+directly.
 
 Importing this package registers the engines (``victim-cache``,
 ``miss-cache``, ``stream-buffer``) in the engine registry.
 """
 
-from repro.mechanisms.buffers import FullyAssociativeBuffer, StreamBufferSet
 from repro.mechanisms.engines import (
     MECHANISM_ENGINE_NAMES,
     MechanismEngine,
     MissCacheEngine,
     StreamBufferEngine,
     VictimCacheEngine,
+    entry_counts,
 )
 
 __all__ = [
-    "FullyAssociativeBuffer",
-    "StreamBufferSet",
     "MECHANISM_ENGINE_NAMES",
     "MechanismEngine",
     "MissCacheEngine",
     "StreamBufferEngine",
     "VictimCacheEngine",
+    "entry_counts",
 ]

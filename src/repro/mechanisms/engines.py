@@ -1,9 +1,11 @@
-"""Mechanism engines: a DL1 cache augmented on its miss path.
+"""Mechanism engines: a DL1 cache augmented on its miss path, every entry
+count in one pass.
 
 Each engine owns one :class:`~repro.cache.simulator.SingleConfigSimulator`
-(the DL1 level) plus a small mechanism buffer probed only when the DL1
-misses.  The emitted columns follow the "trips to the next memory level"
-convention:
+(the DL1 level) and one mechanism probed only when the DL1 misses.  It
+takes all its entry counts at once, as one sorted, de-duplicated tuple,
+and emits one row per count.  The emitted columns follow the "trips to the
+next memory level" convention:
 
 * ``accesses``  — DL1 accesses (identical to the bare cache's column);
 * ``misses``    — DL1 misses *not* served by the mechanism, so a mechanism
@@ -14,24 +16,48 @@ convention:
 
 The DL1 never depends on the mechanism: a probe sees only a miss's outcome
 and changes nothing in the DL1.  So each chunk's DL1 runs in one call
-(:meth:`~repro.cache.simulator.SingleConfigSimulator.run_misses`, the
-compiled walk wherever it loads), and the mechanism is probed over that
-chunk's miss stream only: each missed block, the block the DL1 evicted for
-it, its access type and whether it was a first touch.  A frame carries the
-DL1's ``walk``.
+(:meth:`~repro.cache.simulator.SingleConfigSimulator.run_misses`), and
+every entry count is probed over that chunk's miss stream: each missed
+block, the block the DL1 evicted for it, its access type and whether it
+was a first touch.  The probes run in ``kernels/mechanisms.c`` (the
+``mechanisms`` entry of :data:`repro.kernels.KERNELS`) wherever it loads,
+and otherwise in a Python walk with the same tallies:
+
+* the victim and miss caches are stack algorithms over the miss stream
+  (Mattson et al., IBM Systems Journal 1970).  Each keeps one recency list
+  cut at its largest count, whose first ``n`` blocks are the ``n``-entry
+  buffer, and tallies hits (and victim swaps) by list position: count
+  ``n`` is credited with every hit at a position below ``n``.  A block is
+  on the victim list only while it is out of the DL1, and a victim hit
+  always comes with a DL1 eviction (the block left a full set, and a full
+  set stays full), so the victim list never shrinks;
+* stream buffers (Jouppi, ISCA 1990) keep one set of streams per count,
+  since a write miss that only a larger set serves changes that set
+  alone.  Only heads are probed and a head hit advances its head by one,
+  so each stream is held as its head block.
+
+Per count ``n``: ``misses`` is the DL1's misses less ``n``'s hits; a
+victim cache's allocations are the DL1's evictions less its swaps, and a
+miss cache's its surviving misses; ``compulsory`` is the DL1's count (a
+first touch was never evicted or missed before), less the first touches
+served for stream buffers.  A frame's ``walk`` reads ``kernel`` only when
+both the DL1 and the probes run compiled.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Optional, Tuple, Union
+from typing import Iterable, List, Tuple, Union
 
-from repro.cache.simulator import BlockChunk, SingleConfigSimulator, TypeChunk
+import numpy as np
+
+from repro import kernels
+from repro.cache.simulator import BlockChunk, MissStream, SingleConfigSimulator, TypeChunk
+from repro.cache.stats import CacheStats
 from repro.core.config import CacheConfig
 from repro.core.results import ResultsFrame, mechanism_code, policy_code
 from repro.engine.base import Engine, register_engine
 from repro.errors import ConfigurationError
-from repro.mechanisms.buffers import FullyAssociativeBuffer, StreamBufferSet
 from repro.types import AccessType, ReplacementPolicy
 
 #: Registry keys of the mechanism engines, in MECHANISM_TABLE (code) order.
@@ -41,54 +67,80 @@ MECHANISM_ENGINE_NAMES: Tuple[str, ...] = (
     "victim-cache",
 )
 
+#: The mechanism codes of ``kernels/mechanisms.c``.
+_VICTIM, _MISS, _STREAM = range(3)
+
+#: Per-count columns: hits, swaps, allocations and first touches served.
+Columns = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def entry_counts(entries: Union[int, Iterable[int]]) -> Tuple[int, ...]:
+    """``entries``, one count or several, as a sorted, de-duplicated tuple.
+
+    Raises :class:`~repro.errors.ConfigurationError` for no count, or for
+    any count below 1.
+    """
+    counts = (entries,) if isinstance(entries, (int, np.integer)) else entries
+    counts = tuple(sorted({int(count) for count in counts}))
+    if not counts or counts[0] < 1:
+        raise ConfigurationError(
+            f"mechanism entry counts must be one or more positive integers, got {entries!r}"
+        )
+    return counts
+
 
 class MechanismEngine(Engine):
-    """Shared DL1-plus-mechanism scaffolding (not itself registered).
+    """A DL1 plus one mechanism at every entry count (not itself registered).
 
-    Subclasses implement :meth:`_probe` — called once per DL1 miss, in
-    access order, with the missed block, the block DL1 evicted for it (or
-    ``None``), and the access type — returning whether the mechanism served
-    the miss.
+    Subclasses name their mechanism's code in ``kernels/mechanisms.c``
+    (``_code``), walk a chunk's miss stream in Python with the kernel's
+    tallies (:meth:`_probe_python`), and turn the tallies into per-count
+    columns (:meth:`_columns`).
     """
+
+    _code = -1
 
     def __init__(
         self,
         num_sets: int,
         associativity: int,
         block_size: int,
-        entries: int,
+        entries: Union[int, Iterable[int]],
         policy: Union[str, ReplacementPolicy] = ReplacementPolicy.FIFO,
         seed: int = 0,
         track_compulsory: bool = True,
     ) -> None:
         super().__init__()
-        self.config = CacheConfig(
-            num_sets, associativity, block_size, ReplacementPolicy.parse(policy)
-        )
-        if int(entries) < 1:
-            raise ConfigurationError(
-                f"mechanism entry count must be positive, got {entries}"
-            )
-        self.entries = int(entries)
+        self.config = CacheConfig(num_sets, associativity, block_size, policy)
+        self.entries = entry_counts(entries)
         self.dl1 = SingleConfigSimulator(
             self.config, seed=int(seed), track_compulsory=bool(track_compulsory)
         )
-        self.mechanism_hits = 0
-        self.mechanism_swaps = 0
-        self.mechanism_allocations = 0
-        self._misses = 0
-        self._compulsory = 0
+        self._walk = kernels.load("mechanisms")
+        self._allocate()
 
-    # -- mechanism hook --------------------------------------------------------
+    def _allocate(self) -> None:
+        """Empty probe state and zero tallies for the walk this engine runs.
 
-    def _probe(
-        self, block: int, evicted: Optional[int], access_type: AccessType
-    ) -> bool:
-        """Probe the mechanism for a DL1 miss; return ``True`` when served."""
-        raise NotImplementedError
-
-    def _reset_mechanism(self) -> None:
-        raise NotImplementedError
+        The recency list holds up to the largest count of blocks; stream
+        buffers hold the sum of the counts of heads.  The kernel gets flat
+        int64 storage and a fill length per list, which the engine keeps
+        referenced so a pointer never outlives its array.
+        """
+        counts = self.entries
+        streams = self._code == _STREAM
+        self._tally = np.zeros(3 * len(counts) if streams else 2 * counts[-1], dtype=np.int64)
+        if self._walk.function is None:
+            self._lists: List[List[int]] = [[] for _ in (counts if streams else counts[-1:])]
+            return
+        self._kernel_arrays = (
+            np.array(counts, dtype=np.int64),
+            np.zeros(sum(counts) if streams else counts[-1], dtype=np.int64),
+            np.zeros(len(counts), dtype=np.int64),
+            self._tally,
+        )
+        entries, heads, fill, tally = (array.ctypes.data for array in self._kernel_arrays)
+        self._kernel_args = (self._code, entries, len(counts), heads, fill, tally)
 
     # -- engine surface --------------------------------------------------------
 
@@ -98,56 +150,74 @@ class MechanismEngine(Engine):
 
     @property
     def walk(self) -> str:
-        """The walk the DL1 runs: ``kernel``, or ``python (<reason>)``."""
-        return self.dl1.walk
+        """``kernel`` when the DL1 and the probes both run compiled, else the
+        DL1's ``python (<reason>)``, or the probes' when only they do not."""
+        dl1 = self.dl1.walk
+        return self._walk.name if dl1 == "kernel" else dl1
 
     def run_blocks(self, blocks: BlockChunk, access_types: TypeChunk = None) -> None:
-        """Simulate a chunk: the DL1 walks it in one call, then the mechanism
-        is probed over its misses.
+        """Simulate a chunk: the DL1 walks it in one call, then every entry
+        count is probed over its misses.
 
         Raises :class:`~repro.errors.SimulationError`, changing nothing, for
         a block outside ``[0, 2**63 - 1)`` or an unknown access type.
         """
         stream = self.dl1.run_misses(blocks, access_types)
-        probe = self._probe
-        for block, evicted, access_type, compulsory in zip(
-            stream.blocks.tolist(),
-            stream.evicted.tolist(),
-            repeat(AccessType.READ) if stream.types is None else stream.types.tolist(),
-            stream.compulsory.tolist(),
-        ):
-            if not probe(block, None if evicted < 0 else evicted, access_type):
-                self._misses += 1
-                self._compulsory += compulsory
+        if not stream.blocks.size:
+            return
+        if self._walk.function is None:
+            self._tally += self._probe_python(stream)
+            return
+        # The kernel releases the interpreter lock; every array passed stays
+        # referenced for the whole call.
+        self._walk.function(
+            stream.blocks.ctypes.data,
+            stream.evicted.ctypes.data,
+            None if stream.types is None else stream.types.ctypes.data,
+            stream.compulsory.ctypes.data,
+            stream.blocks.size,
+            *self._kernel_args,
+        )
+
+    def _probe_python(self, stream: MissStream) -> List[int]:
+        """One chunk's tallies, in the kernel's layout, from the Python walk."""
+        raise NotImplementedError
+
+    def _columns(self, stats: CacheStats) -> Columns:
+        """Per-count hits, swaps, allocations and first touches served."""
+        raise NotImplementedError
+
+    def _by_position(self, tallies: np.ndarray) -> np.ndarray:
+        """Per count ``n``, the sum of ``tallies`` over list positions below ``n``."""
+        return np.cumsum(tallies)[np.array(self.entries) - 1]
 
     def finalize(self, trace_name: str = "trace") -> ResultsFrame:
+        """One row per entry count, in the order of :attr:`entries`."""
+        stats = self.dl1.stats
         config = self.config
+        rows = np.ones(len(self.entries), dtype=np.int64)
+        hits, swaps, allocations, served = self._columns(stats)
         return ResultsFrame(
-            [config.num_sets],
-            [config.associativity],
-            [config.block_size],
-            [policy_code(config.policy)],
-            [self.dl1.stats.accesses],
-            [self._misses],
-            [self._compulsory],
+            rows * config.num_sets,
+            rows * config.associativity,
+            rows * config.block_size,
+            rows * policy_code(config.policy),
+            rows * stats.accesses,
+            stats.misses - hits,
+            stats.compulsory_misses - served,
             simulator_name=self.family,
             trace_name=trace_name,
-            mechanism_codes=[mechanism_code(self.family)],
-            mechanism_entries=[self.entries],
-            mechanism_hits=[self.mechanism_hits],
-            mechanism_swaps=[self.mechanism_swaps],
-            mechanism_allocations=[self.mechanism_allocations],
+            mechanism_codes=rows * mechanism_code(self.family),
+            mechanism_entries=self.entries,
+            mechanism_hits=hits,
+            mechanism_swaps=swaps,
+            mechanism_allocations=allocations,
             walk=self.walk,
         )
 
     def reset(self) -> None:
         self.dl1.reset()
-        self.mechanism_hits = 0
-        self.mechanism_swaps = 0
-        self.mechanism_allocations = 0
-        self._misses = 0
-        self._compulsory = 0
-        self._reset_mechanism()
+        self._allocate()
         self._elapsed = 0.0
 
 
@@ -163,28 +233,29 @@ class VictimCacheEngine(MechanismEngine):
     buffer's LRU entry to make room.
     """
 
-    def __init__(self, *args, **options) -> None:
-        super().__init__(*args, **options)
-        self.buffer = FullyAssociativeBuffer(self.entries)
+    _code = _VICTIM
 
-    def _probe(
-        self, block: int, evicted: Optional[int], access_type: AccessType
-    ) -> bool:
-        buffer = self.buffer
-        if block in buffer:
-            self.mechanism_hits += 1
-            buffer.remove(block)
-            if evicted is not None:
-                buffer.insert(evicted)
-                self.mechanism_swaps += 1
-            return True
-        if evicted is not None:
-            buffer.insert(evicted)
-            self.mechanism_allocations += 1
-        return False
+    def _probe_python(self, stream: MissStream) -> List[int]:
+        (recency,) = self._lists
+        largest = self.entries[-1]
+        tally = [0] * (2 * largest)
+        for block, victim in zip(stream.blocks.tolist(), stream.evicted.tolist()):
+            if block in recency:
+                position = recency.index(block)
+                tally[position] += 1
+                del recency[position]
+                if victim >= 0:
+                    tally[largest + position] += 1
+                    recency.insert(0, victim)
+            elif victim >= 0:
+                recency.insert(0, victim)
+                del recency[largest:]
+        return tally
 
-    def _reset_mechanism(self) -> None:
-        self.buffer = FullyAssociativeBuffer(self.entries)
+    def _columns(self, stats: CacheStats) -> Columns:
+        hits, swaps = self._tally.reshape(2, -1)
+        swaps = self._by_position(swaps)
+        return self._by_position(hits), swaps, stats.evictions - swaps, np.zeros_like(swaps)
 
 
 @register_engine("miss-cache")
@@ -197,29 +268,30 @@ class MissCacheEngine(MechanismEngine):
     exchanged with DL1).
     """
 
-    def __init__(self, *args, **options) -> None:
-        super().__init__(*args, **options)
-        self.buffer = FullyAssociativeBuffer(self.entries)
+    _code = _MISS
 
-    def _probe(
-        self, block: int, evicted: Optional[int], access_type: AccessType
-    ) -> bool:
-        buffer = self.buffer
-        if block in buffer:
-            self.mechanism_hits += 1
-            buffer.touch(block)
-            return True
-        buffer.insert(block)
-        self.mechanism_allocations += 1
-        return False
+    def _probe_python(self, stream: MissStream) -> List[int]:
+        (recency,) = self._lists
+        largest = self.entries[-1]
+        tally = [0] * (2 * largest)
+        for block in stream.blocks.tolist():
+            if block in recency:
+                position = recency.index(block)
+                tally[position] += 1
+                del recency[position]
+            recency.insert(0, block)
+            del recency[largest:]
+        return tally
 
-    def _reset_mechanism(self) -> None:
-        self.buffer = FullyAssociativeBuffer(self.entries)
+    def _columns(self, stats: CacheStats) -> Columns:
+        hits = self._by_position(self._tally[: self.entries[-1]])
+        zeros = np.zeros_like(hits)
+        return hits, zeros, stats.misses - hits, zeros
 
 
 @register_engine("stream-buffer")
 class StreamBufferEngine(MechanismEngine):
-    """DL1 plus N FIFO sequential-prefetch stream buffers.
+    """DL1 plus N sequential-prefetch stream buffers.
 
     A DL1 miss head-probes every buffer (MRU first): a head hit serves the
     miss, advances that stream by one block and marks it MRU
@@ -230,23 +302,31 @@ class StreamBufferEngine(MechanismEngine):
     (:attr:`wants_access_types`).
     """
 
+    _code = _STREAM
     wants_access_types = True
 
-    def __init__(self, *args, depth: int = 4, **options) -> None:
-        super().__init__(*args, **options)
-        self.depth = int(depth)
-        self.buffers = StreamBufferSet(self.entries, depth=self.depth)
+    def _probe_python(self, stream: MissStream) -> List[int]:
+        tally = [0] * (3 * len(self.entries))
+        write = int(AccessType.WRITE)
+        types = repeat(int(AccessType.READ)) if stream.types is None else stream.types.tolist()
+        for block, access_type, first in zip(
+            stream.blocks.tolist(), types, stream.compulsory.tolist()
+        ):
+            for index, (entries, heads) in enumerate(zip(self.entries, self._lists)):
+                if block in heads:
+                    # Most recently used (last) first.
+                    del heads[len(heads) - 1 - heads[::-1].index(block)]
+                    tally[3 * index] += 1
+                    tally[3 * index + 2] += first
+                elif access_type != write:
+                    if len(heads) == entries:
+                        del heads[0]
+                    tally[3 * index + 1] += 1
+                else:
+                    continue
+                heads.append(block + 1)
+        return tally
 
-    def _probe(
-        self, block: int, evicted: Optional[int], access_type: AccessType
-    ) -> bool:
-        if self.buffers.probe(block):
-            self.mechanism_hits += 1
-            return True
-        if access_type != AccessType.WRITE:
-            self.buffers.allocate(block)
-            self.mechanism_allocations += 1
-        return False
-
-    def _reset_mechanism(self) -> None:
-        self.buffers = StreamBufferSet(self.entries, depth=self.depth)
+    def _columns(self, stats: CacheStats) -> Columns:
+        hits, allocations, served = self._tally.reshape(-1, 3).T
+        return hits, np.zeros_like(hits), allocations, served

@@ -112,7 +112,6 @@ class SweepRequest:
     seed: int = 0
     mechanisms: Tuple[str, ...] = ()
     mechanism_entries: Tuple[int, ...] = (2, 4, 8, 16)
-    stream_depth: int = 4
 
     def to_wire(self) -> Dict[str, Any]:
         """JSON-able request payload stored in the job record."""
@@ -126,7 +125,6 @@ class SweepRequest:
             "seed": self.seed,
             "mechanisms": list(self.mechanisms),
             "mechanism_entries": list(self.mechanism_entries),
-            "stream_depth": self.stream_depth,
         }
 
     @classmethod
@@ -135,7 +133,8 @@ class SweepRequest:
 
         The mechanism fields read tolerantly (``.get`` with the dataclass
         defaults), so mechanism-free payloads written by older builds stay
-        acceptable without a wire-version bump.
+        acceptable without a wire-version bump.  A ``stream_depth`` field,
+        which older builds wrote and which changed no result, is ignored.
         """
         if payload.get("wire") != SERVICE_WIRE_VERSION:
             raise ServiceError(
@@ -153,7 +152,6 @@ class SweepRequest:
             mechanism_entries=tuple(
                 int(e) for e in payload.get("mechanism_entries", (2, 4, 8, 16))
             ),
-            stream_depth=int(payload.get("stream_depth", 4)),
         )
 
     def build_jobs(self) -> List[SweepJob]:
@@ -173,7 +171,6 @@ class SweepRequest:
                 set_sizes=doubling_set_sizes(self.max_sets),
                 entry_counts=self.mechanism_entries,
                 policies=self.policies,
-                stream_depth=self.stream_depth,
                 seed=self.seed,
             )
         return jobs

@@ -58,6 +58,18 @@ class TestCacheConfig:
         assert a < b
         assert len({a, b, CacheConfig(4, 2, 16)}) == 2
 
+    def test_policy_name_is_parsed(self):
+        config = CacheConfig(4, 2, 4, " LRU ")
+        assert config.policy is ReplacementPolicy.LRU
+        assert config.label() == "S4-A2-B4-lru"
+        assert str(config).endswith(", lru)")
+        # It compares, orders and hashes like the enum form.
+        enum_form = CacheConfig(4, 2, 4, ReplacementPolicy.LRU)
+        assert config == enum_form and hash(config) == hash(enum_form)
+        assert CacheConfig(4, 2, 4, "fifo") < config
+        with pytest.raises(ConfigurationError, match="unknown replacement policy"):
+            CacheConfig(4, 2, 4, "mru")
+
 
 class TestConfigSpace:
     def test_paper_space_has_525_configurations(self):

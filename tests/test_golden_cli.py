@@ -47,7 +47,7 @@ GOLDEN = {
     "explore-tune": "594f1a55d89f6aa5a121f15055c40ff432a9300ad8ddf5eff38fe28ad0642682",
     "sweep": "ca93a4a22d6dc379f23d7ff7703ac046464d920062fbbc9842579294a4ae377b",
     "sweep-json": "efe9cedc76ef0af13b05aebad6a21571a7cb776220b691f8ce52de99daf1eacb",
-    "sweep-mechanisms": "591bc7331aec264d2902f7dedc9d701b4bc0c865246c5261a873874c9ba078e9",
+    "sweep-mechanisms": "ce3e078c4778338878a008058debfd01d734a13e59be9af07fcc340acd94ab56",
     "sweep-mechanisms-json": "df34bee55c0e573d604876694933a7d1624b598dd802d233ad3056bc00b75e33",
     "verify": "4c1377e0d0c1d08e516b2c0f5c78df74f156352c7c19c702d40b290aee83eb62",
 }

@@ -5,7 +5,8 @@ The differential suites (``test_dew_differential.py``,
 kernel's results, counters and storage to its reference walk; these tests
 pin how the table's kernels are built, cached and loaded, and what the DEW,
 ``single`` and mechanism wrappers do with the chunks they are handed
-(``test_lru.py`` holds the LRU wrapper's).
+(``test_lru.py`` holds the LRU wrapper's).  ``test_mechanisms_oracle.py``
+pins the ``mechanisms`` kernel's rows on both walks.
 """
 
 import dataclasses
@@ -25,7 +26,7 @@ from repro.core.dew import DewSimulator
 from repro.engine import get_engine
 from repro.errors import SimulationError
 from repro.lru.janapsatya import JanapsatyaSimulator
-from repro.mechanisms import MECHANISM_ENGINE_NAMES
+from repro.mechanisms import MECHANISM_ENGINE_NAMES, VictimCacheEngine
 from repro.types import ReplacementPolicy
 from repro.workloads.mediabench import mediabench_trace
 from walks import WALKS, require_kernel, walk_under_test
@@ -35,18 +36,25 @@ PRINT_WALKS = (
     "from repro.core.dew import DewSimulator; "
     "from repro.lru.janapsatya import JanapsatyaSimulator; "
     "from repro.cache.simulator import SingleConfigSimulator; "
+    "from repro.mechanisms import VictimCacheEngine; "
     "print(DewSimulator(4, 2).walk); print(JanapsatyaSimulator(4, (2,), (1, 2)).walk); "
-    "print(SingleConfigSimulator(num_sets=4, associativity=2, block_size=4).walk)"
+    "print(SingleConfigSimulator(num_sets=4, associativity=2, block_size=4).walk); "
+    "print(VictimCacheEngine(4, 2, 4, (1, 2))._walk.name)"
 )
-ENTRIES = ["dew", "lru", "single"]
+#: The table's entries, in the order the walks are listed.
+NAMES = ("dew", "lru", "single", "mechanisms")
+ENTRIES = sorted(NAMES)
 
 
 def _walks():
-    """The walks ``dew``, ``janapsatya`` and ``single`` run in this process."""
+    """The walks ``dew``, ``janapsatya`` and ``single`` run in this process,
+    and the mechanism engines' probes (the engines' own ``walk`` is also
+    their cache's)."""
     return [
         DewSimulator(4, 2).walk,
         JanapsatyaSimulator(4, (2,), (1, 2)).walk,
         SingleConfigSimulator(num_sets=4, associativity=2, block_size=4).walk,
+        VictimCacheEngine(4, 2, 4, (1, 2))._walk.name,
     ]
 
 
@@ -62,7 +70,7 @@ def _environment(cache_home, **overrides):
 
 
 def _walks_in_subprocess(cache_home, **overrides):
-    """The walks ``dew``, ``janapsatya`` and ``single`` run in a fresh process."""
+    """:func:`_walks` in a fresh process."""
     completed = subprocess.run(
         [sys.executable, "-c", PRINT_WALKS],
         env=_environment(cache_home, **overrides),
@@ -77,7 +85,7 @@ def _walks_in_subprocess(cache_home, **overrides):
 def test_kernel_loads_wherever_a_compiler_runs():
     # Fails rather than skips when ``$CC --version`` works here.
     require_kernel()
-    assert _walks() == ["kernel"] * 3
+    assert _walks() == ["kernel"] * 4
 
 
 def test_import_builds_and_loads_nothing(tmp_path):
@@ -92,7 +100,7 @@ def test_import_builds_and_loads_nothing(tmp_path):
 
 def test_cc_false_keeps_the_python_walk_with_a_reason(tmp_path):
     walks = _walks_in_subprocess(tmp_path, CC="false")
-    assert walks == ["python (no compiler: false --version failed)"] * 3
+    assert walks == ["python (no compiler: false --version failed)"] * 4
 
 
 def test_build_error_keeps_the_python_walk_with_its_first_line(tmp_path, monkeypatch):
@@ -107,7 +115,7 @@ def test_build_error_keeps_the_python_walk_with_its_first_line(tmp_path, monkeyp
 
 def test_build_error_in_one_entry_leaves_the_others_loaded(tmp_path, monkeypatch):
     require_kernel()
-    for position, name in enumerate(("lru", "single")):
+    for position, name in enumerate(NAMES):
         kernel = kernels.KERNELS[name]
         cache_home = tmp_path / name
         broken = cache_home / f"{name}.c"
@@ -118,9 +126,9 @@ def test_build_error_in_one_entry_leaves_the_others_loaded(tmp_path, monkeypatch
             patch.setitem(kernels.KERNELS, name, dataclasses.replace(kernel, source=broken))
             patch.setattr(kernels, "_LOADER", kernels.KernelLoader())
             walks = _walks()
-        failed = walks.pop(position + 1)
+        failed = walks.pop(position)
         assert failed.startswith("python (build error: ") and "deliberately broken" in failed
-        assert walks == ["kernel", "kernel"], name
+        assert walks == ["kernel"] * 3, name
         assert _library_entries(cache_home / "repro-dew") == [
             entry for entry in ENTRIES if entry != name
         ]
@@ -138,13 +146,13 @@ def test_cache_dir_others_can_write_is_not_used(tmp_path, monkeypatch):
 
 def test_truncated_cached_library_is_rebuilt(tmp_path):
     require_kernel()
-    assert _walks_in_subprocess(tmp_path) == ["kernel"] * 3
+    assert _walks_in_subprocess(tmp_path) == ["kernel"] * 4
     libraries = sorted((tmp_path / "repro-dew").iterdir())
     assert _library_entries(tmp_path / "repro-dew") == ENTRIES
     sizes = [library.stat().st_size for library in libraries]
     for library in libraries:
         library.write_bytes(library.read_bytes()[:64])
-    assert _walks_in_subprocess(tmp_path) == ["kernel"] * 3
+    assert _walks_in_subprocess(tmp_path) == ["kernel"] * 4
     assert [library.stat().st_size for library in libraries] == sizes
 
 
@@ -161,7 +169,7 @@ def test_racing_processes_build_one_library_and_leave_no_temp_files(tmp_path):
     ]
     outputs = [process.communicate(timeout=120)[0].splitlines() for process in processes]
     assert [process.returncode for process in processes] == [0] * 4
-    assert outputs == [["kernel"] * 3] * 4
+    assert outputs == [["kernel"] * 4] * 4
     # One library per entry, and no temp file left behind.
     assert _library_entries(tmp_path / "repro-dew") == ENTRIES
     assert all(library.endswith(".so") for library in os.listdir(tmp_path / "repro-dew"))
@@ -210,11 +218,11 @@ def test_out_of_range_block_raises(walk, blocks):
 
 
 #: ``single`` under every policy (``random`` has only its Python walk) and
-#: each mechanism engine, all over one small cache.
+#: each mechanism engine at two entry counts, all over one small cache.
 CACHE_ENGINES = [
     ("single", dict(config=CacheConfig(4, 2, 4, policy))) for policy in ReplacementPolicy
 ] + [
-    (mechanism, dict(num_sets=4, associativity=2, block_size=4, entries=2))
+    (mechanism, dict(num_sets=4, associativity=2, block_size=4, entries=(1, 2)))
     for mechanism in MECHANISM_ENGINE_NAMES
 ]
 

@@ -591,3 +591,44 @@ class TestCliSurfaces:
             assert "0 executed" in warm
             assert not [line for line in warm.splitlines()
                         if line.split()[:1] in (["dew"], ["janapsatya"])]
+
+    def test_sweep_profile_mechanism_lines(self, trace_file, capsys):
+        from repro.cli import main
+
+        grid = [
+            "sweep", trace_file, "--block-sizes", "16", "--associativities", "1,2",
+            "--max-sets", "16", "--policies", "fifo",
+            "--mechanisms", "victim-cache,miss-cache,stream-buffer",
+            "--mechanism-entries", "16,2",
+        ]
+        assert main([*grid, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["configurations"]
+        for walk in walks_here():
+            with walk_under_test(walk):
+                assert main([*grid, "--profile"]) == 0
+            err = capsys.readouterr().err.splitlines()
+            # The wall runs from the trace load to the end of the merge, so
+            # it holds every phase the profile lists.
+            [covered] = [line.split() for line in err if line.split()[:1] == ["covered"]]
+            assert float(covered[1].rstrip("s")) <= float(covered[3].rstrip("s"))
+            for mechanism in ("victim-cache", "miss-cache", "stream-buffer"):
+                [line] = [line for line in err if line.split()[:1] == [mechanism]]
+                # One job per DL1 (5 set counts x 2 associativities) serves
+                # both entry counts.
+                assert "10 job(s)" in line
+                # Per count, the rows' hits over hits plus surviving misses.
+                rates = []
+                for count in (2, 16):
+                    mine = [row for row in rows if row.get("mechanism") == mechanism
+                            and row["mechanism_entries"] == count]
+                    hits = sum(row["mechanism_hits"] for row in mine)
+                    lookups = hits + sum(row["misses"] for row in mine)
+                    assert 0 < hits < lookups
+                    rates.append(f"{count}:{hits / lookups:.3f}")
+                assert f", hits/lookup {' '.join(rates)}, " in line
+                # kernel only when the cache walk and the probes both are.
+                expected = "walk=kernel" if walk == "kernel" else f"walk={PYTHON_WALK.name}"
+                assert line.endswith(expected)
+            # Bare engines carry no hit rate.
+            assert not [line for line in err if line.split()[:1] == ["dew"]
+                        and "hits/lookup" in line]

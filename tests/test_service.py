@@ -307,6 +307,17 @@ class TestCanonicalIdentity:
         request = _request(trace_file)
         assert SweepRequest.from_wire(request.to_wire()) == request
 
+    def test_stream_depth_of_an_older_payload_is_ignored(self, trace_file):
+        # Older builds wrote a stream depth, which changed no result.
+        request = _request(trace_file, mechanisms=("stream-buffer",))
+        payload = dict(request.to_wire(), stream_depth=16)
+        assert "stream_depth" not in request.to_wire()
+        assert SweepRequest.from_wire(payload) == request
+        fingerprint = "f" * 64
+        assert SweepRequest.from_wire(payload).canonical_job_id(
+            fingerprint
+        ) == request.canonical_job_id(fingerprint)
+
 
 class TestServedResultsByteIdentity:
     def test_service_result_equals_direct_run_sweep(self, tmp_path, trace_file):
