@@ -24,10 +24,16 @@ Both walk a chunk in :meth:`SingleConfigSimulator._walk_chunk`, which
 tallies the chunk's hits, misses, evictions, writebacks and tag comparisons
 and returns its *miss stream*: each miss's position in the chunk and the
 block it evicted.  :meth:`SingleConfigSimulator.run_misses` derives every
-:class:`~repro.cache.stats.CacheStats` field from them: ``by_type`` is a
-count of the chunk's access types, and the compulsory misses are the missed
-blocks never seen before, since a block's first touch always misses.  The
-mechanism engines probe their buffers over that miss stream only.
+:class:`~repro.cache.stats.CacheStats` field from them; ``by_type`` is a
+count of the chunk's access types.  The mechanism engines probe their
+buffers over that miss stream only.
+
+The compulsory misses are the trace's distinct blocks, since a block's
+first touch always misses: ``Engine.run`` and the sweep executor count them
+once per (trace, block size) and hand them over
+(:meth:`SingleConfigSimulator.set_compulsory`).  Only a simulator built
+with ``track_compulsory`` (the stream buffer's DL1) flags each miss that is
+its block's first touch, from a set of the blocks seen so far.
 
 Block addresses must lie in ``[0, 2**63 - 1)``; both walks reject any other
 with :class:`~repro.errors.SimulationError`, changing nothing.
@@ -103,9 +109,11 @@ class SingleConfigSimulator(Engine):
         Seed forwarded to stochastic policies (``RANDOM``); ignored by the
         deterministic ones.
     track_compulsory:
-        When true (the default), first-touch misses are classified as
-        compulsory, which requires remembering every block ever missed.
-        Disable for very long traces if that memory matters.
+        Flag each miss that is its block's first touch in the miss stream
+        and count those in :attr:`stats`, which requires remembering every
+        block ever missed.  The stream buffer's DL1 needs the flags; off by
+        default, since ``Engine.run`` and the sweep executor hand over
+        the count.
 
     After a run, :attr:`stats` holds the Dinero-style statistics.  The
     simulator runs the kernel walk when :func:`repro.kernels.load` loads it
@@ -123,7 +131,7 @@ class SingleConfigSimulator(Engine):
         block_size: Optional[int] = None,
         policy: Union[str, ReplacementPolicy] = ReplacementPolicy.FIFO,
         seed: int = 0,
-        track_compulsory: bool = True,
+        track_compulsory: bool = False,
     ) -> None:
         super().__init__()
         if config is None:
@@ -311,6 +319,10 @@ class SingleConfigSimulator(Engine):
         )
 
     # -- results --------------------------------------------------------------
+
+    def set_compulsory(self, distinct_blocks: int) -> None:
+        """Record ``distinct_blocks`` as :attr:`stats`' compulsory misses."""
+        self.stats.compulsory_misses = int(distinct_blocks)
 
     def finalize(self, trace_name: str = "trace") -> ResultsFrame:
         """The configuration's one result row, from :attr:`stats`, with :attr:`walk`."""

@@ -315,6 +315,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"  {'covered':<14} {covered:9.4f}s of {wall_seconds:.4f}s wall",
             file=sys.stderr,
         )
+        faults = (
+            "not counted (worker processes simulated)"
+            if outcome.minor_faults is None
+            else f"{outcome.minor_faults:,} while simulating"
+        )
+        print(f"  {'minor faults':<14} {faults}", file=sys.stderr)
         _print_engine_profiles(outcome)
     return 0
 

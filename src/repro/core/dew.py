@@ -36,11 +36,19 @@ There are two walks, with identical results and counters:
   the kernel is tested against.
 
 The kernel walks the tree's flat layout (see :mod:`repro.core.tree`):
-zero-initialised int64 arrays in which tags hold ``block + 1`` and wave
-pointers ``way + 1``, so 0 is the invalid/empty sentinel and a fresh tree
-needs no fill pass.  Block addresses must therefore lie in
-``[0, 2**63 - 1)``; both walks reject any other with
-:class:`~repro.errors.SimulationError`.
+zero-initialised arrays in which tags hold ``block + 1`` and wave pointers
+``way + 1``, so 0 is the invalid/empty sentinel and a fresh tree needs no
+fill pass.  Block addresses must therefore lie in ``[0, 2**63 - 1)``; both
+walks reject any other with :class:`~repro.errors.SimulationError`.  A
+simulator the sweep executor builds (``recycled=True``) takes its flat
+storage from the tree module's pool and hands it back, zeroed, on
+:meth:`DewSimulator.release`.
+
+The rows' compulsory misses are the trace's distinct blocks, which
+``Engine.run`` and the sweep executor count once per (trace, block size)
+and hand over through
+:meth:`~repro.engine.base.Engine.set_compulsory`: a first touch misses in
+every configuration, and no other miss is compulsory.
 
 The work counters (:class:`~repro.core.counters.DewCounters`) count what the
 paper's algorithm does, not what the interpreter does.  A tag-list search
@@ -67,7 +75,7 @@ MRE decisions and the entries searches compared; one shared function
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -98,10 +106,10 @@ class DewSimulator(Engine):
         Ablation switches for Properties 2, 3 and 4.  Disabling a property
         never changes the reported hit/miss counts — only how much work the
         simulator performs to obtain them (this is what Table 4 quantifies).
-    track_compulsory:
-        Record first-touch (compulsory) misses.  Costs one hash-set insert
-        per distinct block, and a set difference over each chunk's run
-        heads.
+    recycled:
+        Take the flat tree storage from the pool of storage finished sweep
+        jobs released, and hand it back on :meth:`release` (see
+        :mod:`repro.core.tree`).  The sweep executor builds its engines so.
 
     The simulator runs the kernel walk when :func:`repro.kernels.load`
     loads it and the Python walk otherwise; :attr:`walk` says which.  It
@@ -109,6 +117,8 @@ class DewSimulator(Engine):
     repeated block (a root MRA hit, Property 2) with one comparison, so
     run-length collapsed chunks would not pay.
     """
+
+    recycles_storage = True
 
     def __init__(
         self,
@@ -118,24 +128,25 @@ class DewSimulator(Engine):
         enable_mra: bool = True,
         enable_wave: bool = True,
         enable_mre: bool = True,
-        track_compulsory: bool = True,
+        recycled: bool = False,
     ) -> None:
         super().__init__()
         self._walk = kernels.load("dew")
         self.tree = DewTree(
-            block_size, associativity, set_sizes, flat=self._walk.function is not None
+            block_size,
+            associativity,
+            set_sizes,
+            flat=self._walk.function is not None,
+            recycled=recycled,
         )
         self.enable_mra = enable_mra
         self.enable_wave = enable_wave
         self.enable_mre = enable_mre
-        self.track_compulsory = track_compulsory
         self.counters = DewCounters()
         self.counters.ensure_levels(self.tree.num_levels)
         self._misses: List[int] = [0] * self.tree.num_levels
         self._dm_misses: List[int] = [0] * self.tree.num_levels
         self._requests = 0
-        self._compulsory = 0
-        self._seen_blocks: Set[int] = set()
         self._offset_bits = self.tree.offset_bits
         self._build_level_views()
 
@@ -239,23 +250,17 @@ class DewSimulator(Engine):
         docstring says how every other counter follows from them once per
         chunk.  ``access_types`` is ignored: FIFO hits and misses do not
         depend on them.  Raises :class:`~repro.errors.SimulationError` for a
-        block outside ``[0, 2**63 - 1)``.
+        block outside ``[0, 2**63 - 1)``, and once :meth:`release` gave the
+        tree's storage away.
         """
+        if not self.tree.storage:
+            raise SimulationError("this simulator's tree storage was released")
         chunk = kernels.block_chunk(blocks)
         if not chunk.size:
             return
         walks = chunk.size
         self.counters.requests += walks
         self._requests += walks
-        if self.track_compulsory:
-            # First-touch classification only needs the set of new blocks,
-            # not per-access ordering: one set difference per chunk, over
-            # its run heads, since a repeat of the previous block is never
-            # a first touch.
-            heads = chunk[np.concatenate(([True], chunk[1:] != chunk[:-1]))].tolist()
-            new_blocks = set(heads).difference(self._seen_blocks)
-            self._compulsory += len(new_blocks)
-            self._seen_blocks |= new_blocks
         if self.tree.flat:
             self._kernel_walk(chunk)
         else:
@@ -464,13 +469,21 @@ class DewSimulator(Engine):
             np.full(rows, policy_code(ReplacementPolicy.FIFO), dtype=np.int8),
             np.full(rows, self._requests, dtype=np.int64),
             miss_col,
-            np.full(rows, self._compulsory, dtype=np.int64),
+            np.full(rows, self.compulsory_misses, dtype=np.int64),
             elapsed_seconds=self._elapsed,
             simulator_name="dew",
             trace_name=trace_name,
             counters=self.counters,
             walk=self.walk,
         )
+
+    def release(self) -> None:
+        """Hand recycled tree storage back to the pool, zeroed; the simulator
+        then raises instead of simulating, until :meth:`reset`.  A no-op for
+        a simulator that allocated its own storage."""
+        if self.tree.recycled:
+            self.tree.release()
+            self._kernel_arrays = self._kernel_args = ()
 
     def reset(self) -> None:
         """Clear all simulation state, counters and results."""
@@ -480,8 +493,7 @@ class DewSimulator(Engine):
         self._misses = [0] * self.tree.num_levels
         self._dm_misses = [0] * self.tree.num_levels
         self._requests = 0
-        self._compulsory = 0
-        self._seen_blocks = set()
+        self.compulsory_misses = 0
         self._elapsed = 0.0
         self._build_level_views()
 

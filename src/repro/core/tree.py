@@ -22,12 +22,27 @@ The storage has two layouts, one per DEW walk:
   is the fastest pure Python representation for the walk's inner loop.
   Invalid tags and empty wave pointers hold ``-1``.
 * **Flat** (the compiled walk, :mod:`repro.kernels`): one zero-initialised
-  int64 array per field covering every level, level ``k`` starting at node
+  array per field covering every level, level ``k`` starting at node
   :attr:`DewTree.level_offsets` ``[k]``.  Each value is stored minus its
   field's empty value, so tags hold ``block + 1`` and wave pointers
-  ``way + 1``, and 0 means invalid or empty.  Allocation then needs no fill
-  pass: a ``-1`` fill would write every page of trees whose deep levels the
-  walk mostly never touches.
+  ``way + 1``, and 0 means invalid or empty.  Tags, MRA tags and MRE tags
+  are int64; wave pointers, MRE wave pointers and FIFO pointers are int32,
+  the 32-bit pointers the paper budgets (Section 5).  Allocation needs no
+  fill pass: a ``-1`` fill would write every page of trees whose deep
+  levels the walk mostly never touches.
+
+Flat storage is recycled within a process through :data:`STORAGE_POOL`.
+The sweep executor builds its DEW trees with ``recycled=True``: such a tree
+takes empty storage of its node count and associativity from the pool when
+the pool has some, and :meth:`DewTree.release` hands it back once the job
+is finalized, so a sweep's later jobs do not page-fault fresh storage in.
+Releasing zeroes only the nodes the walk touched.  These are exactly the
+nodes whose MRA slot is non-zero: the walk writes only to a node whose MRA
+it has just set, or to the wave pointer of that node's parent entry, and
+it never clears an MRA slot.  :meth:`DewTree.reset` zeroes the same way.
+The pool keeps only what the latest executor pass released, and a forked
+child starts with it empty.  Trees built any other way (``Engine.run``,
+the harness, tests) allocate their own storage and never touch the pool.
 
 Inspection reads both layouts the same way: ``tags``, ``waves``, ``mra``,
 ``mre_tag``, ``mre_wave``, ``fifo_ptr`` and :meth:`DewTree.resident_blocks`
@@ -38,12 +53,15 @@ lists; over the flat layout they are snapshots.
 
 from __future__ import annotations
 
+import os
+import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.core.config import CacheConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.types import EMPTY_WAVE, INVALID_TAG, ReplacementPolicy, is_power_of_two, log2_exact
 
 
@@ -65,6 +83,66 @@ EMPTY_VALUES: Dict[str, int] = {
 #: Fields with one slot per tag-list entry (``A`` per node); the rest have
 #: one per node.
 ENTRY_FIELDS = ("tags", "waves")
+#: Each field's type in the flat layout: tags are blocks, pointers are ways.
+FLAT_DTYPES: Dict[str, Any] = {
+    "tags": np.int64,
+    "waves": np.int32,
+    "mra": np.int64,
+    "mre_tag": np.int64,
+    "mre_wave": np.int32,
+    "fifo_ptr": np.int32,
+}
+
+#: One flat tree's storage: an array per field, keyed like EMPTY_VALUES.
+Storage = Dict[str, np.ndarray]
+#: What a tree's storage is pooled by: its node count and associativity.
+Shape = Tuple[int, int]
+
+
+class StoragePool:
+    """Empty flat-tree storage, kept for the next tree of the same shape.
+
+    Every method takes the pool's lock, so trees built and released on
+    several threads never share storage.  The pool holds what it is given
+    until :meth:`clear`; the sweep executor clears it once its engines have
+    taken what they can use, so it keeps only what the latest pass released.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._free: Dict[Shape, List[Storage]] = {}
+
+    def take(self, shape: Shape) -> Optional[Storage]:
+        """Empty storage of ``shape``, or ``None`` when the pool holds none."""
+        with self._lock:
+            free = self._free.get(shape)
+            return free.pop() if free else None
+
+    def put(self, shape: Shape, storage: Storage) -> None:
+        """Keep empty ``storage`` for the next tree of ``shape``."""
+        with self._lock:
+            self._free.setdefault(shape, []).append(storage)
+
+    def clear(self) -> None:
+        """Drop everything the pool holds."""
+        with self._lock:
+            self._free = {}
+
+    def held(self) -> List[Storage]:
+        """The storage the pool holds now."""
+        with self._lock:
+            return [storage for free in self._free.values() for storage in free]
+
+    def _forget(self) -> None:
+        # A child forked while another thread held the lock would wait on it
+        # forever; the child gets a fresh lock and an empty pool.
+        self._lock = threading.Lock()
+        self._free = {}
+
+
+#: This process's pool of empty flat-tree storage.
+STORAGE_POOL = StoragePool()
+os.register_at_fork(after_in_child=STORAGE_POOL._forget)
 
 
 def _decoded_field(name: str, doc: str) -> property:
@@ -86,6 +164,10 @@ class DewTree:
     flat:
         Lay the storage out for the compiled walk rather than the Python
         walk (see the module docstring); inspection reads either the same.
+    recycled:
+        Take flat storage from :data:`STORAGE_POOL` when it holds some of
+        this tree's shape, and hand it back on :meth:`release`.  Ignored for
+        the list layout.
     """
 
     def __init__(
@@ -94,6 +176,7 @@ class DewTree:
         associativity: int,
         set_sizes: Optional[Sequence[int]] = None,
         flat: bool = False,
+        recycled: bool = False,
     ) -> None:
         if not is_power_of_two(block_size):
             raise ConfigurationError(f"block size must be a power of two, got {block_size}")
@@ -120,12 +203,19 @@ class DewTree:
         #: ``True`` for the flat layout the compiled walk uses (see module
         #: docstring); the Python walk uses the list layout.
         self.flat = flat
+        #: ``True`` when the flat storage comes from, and goes back to,
+        #: :data:`STORAGE_POOL`.
+        self.recycled = flat and recycled
         sizes_array = np.asarray(sizes, dtype=np.int64)
         #: Per level, the node-index mask and (flat layout) the first node.
         self.index_masks = sizes_array - 1
         self.level_offsets = np.cumsum(sizes_array) - sizes_array
         self.storage: Dict[str, Any] = {}
-        self.reset()
+        self._allocate()
+        if self.recycled:
+            # Load the clear kernel now: its first build or load in a process
+            # must not land in the timed release of a job.
+            kernels.load("dew_clear")
 
     tags = _decoded_field("tags", "Per-level tag lists, ``S_k * A`` slots each.")
     waves = _decoded_field("waves", "Per-level wave pointers, one per tag-list slot.")
@@ -193,9 +283,15 @@ class DewTree:
     def _slots(self, field: str) -> int:
         return self.associativity if field in ENTRY_FIELDS else 1
 
+    def _field(self, field: str) -> Any:
+        """One field's storage; raises once :meth:`release` gave it away."""
+        if not self.storage:
+            raise SimulationError("this tree's storage was released")
+        return self.storage[field]
+
     def _decode(self, field: str, level: int, start: int, stop: int) -> List[int]:
         """Decoded slots ``start:stop`` of one level of one field."""
-        storage = self.storage[field]
+        storage = self._field(field)
         if not self.flat:
             return storage[level][start:stop]
         first = int(self.level_offsets[level]) * self._slots(field)
@@ -205,7 +301,7 @@ class DewTree:
         """One field's per-level values (``-1`` for invalid or empty): the
         live lists of the list layout, a snapshot of the flat layout."""
         if not self.flat:
-            return self.storage[field]
+            return self._field(field)
         slots = self._slots(field)
         return [
             self._decode(field, level, 0, size * slots)
@@ -218,14 +314,59 @@ class DewTree:
         ways = self._decode("tags", level, base, base + self.associativity)
         return [tag for tag in ways if tag != INVALID_TAG]
 
-    def reset(self) -> None:
-        """Return every node to the empty state."""
-        for field, empty in EMPTY_VALUES.items():
-            slots = self._slots(field)
-            if self.flat:
-                self.storage[field] = np.zeros(self.node_count() * slots, dtype=np.int64)
+    # -- storage lifecycle -----------------------------------------------------
+
+    @property
+    def shape(self) -> Shape:
+        """What the storage pool keys this tree's storage by."""
+        return self.node_count(), self.associativity
+
+    def _allocate(self) -> None:
+        """Empty storage: recycled from the pool when it holds some, else new."""
+        if not self.flat:
+            self.storage = {
+                field: [[empty] * (size * self._slots(field)) for size in self.set_sizes]
+                for field, empty in EMPTY_VALUES.items()
+            }
+            return
+        storage = STORAGE_POOL.take(self.shape) if self.recycled else None
+        self.storage = storage or {
+            field: np.zeros(self.node_count() * self._slots(field), dtype=dtype)
+            for field, dtype in FLAT_DTYPES.items()
+        }
+
+    def _zero_touched(self) -> None:
+        """Zero the flat storage of every node the walk touched: the nodes
+        whose MRA slot is non-zero (see the module docstring).  Compiled
+        (``kernels/dew_clear.c``) wherever that kernel loads."""
+        clear = kernels.load("dew_clear").function
+        if clear is not None:
+            # The fields in FLAT_DTYPES order, which is the kernel's.
+            arrays = [self.storage[field].ctypes.data for field in FLAT_DTYPES]
+            clear(self.node_count(), self.associativity, *arrays)
+            return
+        touched = np.flatnonzero(self.storage["mra"])
+        for field, array in self.storage.items():
+            if field in ENTRY_FIELDS:
+                array.reshape(-1, self.associativity)[touched] = 0
             else:
-                self.storage[field] = [[empty] * (size * slots) for size in self.set_sizes]
+                array[touched] = 0
+
+    def release(self) -> None:
+        """Hand recycled storage back to the pool, zeroed; the tree then has
+        none until :meth:`reset`.  A no-op for a tree that is not recycled."""
+        if not (self.recycled and self.storage):
+            return
+        self._zero_touched()
+        STORAGE_POOL.put(self.shape, self.storage)
+        self.storage = {}
+
+    def reset(self) -> None:
+        """Return every node to the empty state, in place for flat storage."""
+        if self.flat and self.storage:
+            self._zero_touched()
+        else:
+            self._allocate()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -9,8 +9,9 @@ API:
    (or through the class itself);
 2. feed pre-shifted block-address chunks to :meth:`Engine.run_blocks`
    (produced by :meth:`repro.trace.trace.Trace.iter_block_chunks`);
-3. collect a :class:`~repro.core.results.ResultsFrame` from
-   :meth:`Engine.finalize`.
+3. hand over the trace's distinct-block count with
+   :meth:`Engine.set_compulsory`, and collect a
+   :class:`~repro.core.results.ResultsFrame` from :meth:`Engine.finalize`.
 
 :meth:`Engine.run` bundles the three steps for whole traces and is the one
 whole-trace driver; the sweep executor (:mod:`repro.engine.sweep`) uses the
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import abc
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Type, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Type, Union
 
 import numpy as np
 
@@ -48,8 +49,20 @@ class Engine(abc.ABC):
     #: :meth:`run_blocks` alongside the block addresses.
     wants_access_types: bool = False
 
+    #: When true, the engine takes a ``recycled`` construction flag: it then
+    #: reuses storage a finished engine released, and :meth:`release` hands
+    #: its own back.  Only the sweep executor builds engines so.
+    recycles_storage: bool = False
+
+    #: Bumped when the engine's rows change for the same options, so that
+    #: the result store never serves rows an older build stored (see
+    #: :meth:`repro.engine.sweep.SweepJob.store_key`).
+    result_version: int = 1
+
     def __init__(self) -> None:
         self._elapsed = 0.0
+        #: Every row's compulsory misses, set by :meth:`set_compulsory`.
+        self.compulsory_misses = 0
 
     # -- required surface ------------------------------------------------------
 
@@ -78,6 +91,22 @@ class Engine(abc.ABC):
     def reset(self) -> None:
         """Clear all simulation state so the engine can be reused."""
 
+    def set_compulsory(self, distinct_blocks: int) -> None:
+        """Report ``distinct_blocks`` as every row's compulsory misses.
+
+        A first touch misses in every cache and no other miss is
+        compulsory, so a row's compulsory misses are the trace's distinct
+        blocks at the engine's block size.  :meth:`run` and the sweep
+        executor count them once per (trace, block size) and call
+        this before :meth:`finalize`.
+        """
+        self.compulsory_misses = int(distinct_blocks)
+
+    def release(self) -> None:
+        """Hand recycled storage back once the engine is finalized (see
+        :attr:`recycles_storage`); a recycling engine then simulates no more
+        until :meth:`reset`.  A no-op for engines that recycle nothing."""
+
     # -- shared driver ---------------------------------------------------------
 
     def run(
@@ -86,7 +115,8 @@ class Engine(abc.ABC):
         trace_name: Optional[str] = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> ResultsFrame:
-        """Drive a whole trace (or bare iterable of byte addresses) through the engine."""
+        """Drive a whole trace (or bare iterable of byte addresses) through
+        the engine, then hand it the trace's distinct-block count."""
         start = time.perf_counter()
         if isinstance(trace, Trace):
             name = trace_name or trace.name
@@ -98,9 +128,11 @@ class Engine(abc.ABC):
             else:
                 for blocks in trace.iter_block_chunks(self.offset_bits, chunk_size):
                     self.run_blocks(blocks)
+            distinct = trace.unique_blocks(1 << self.offset_bits)
         else:
             name = trace_name or "trace"
             offset_bits = self.offset_bits
+            seen: Set[int] = set()
             buffer: List[int] = []
             for address in trace:
                 address = int(address)
@@ -109,9 +141,13 @@ class Engine(abc.ABC):
                 buffer.append(address >> offset_bits)
                 if len(buffer) >= chunk_size:
                     self.run_blocks(buffer)
+                    seen.update(buffer)
                     buffer = []
             if buffer:
                 self.run_blocks(buffer)
+                seen.update(buffer)
+            distinct = len(seen)
+        self.set_compulsory(distinct)
         self._elapsed += time.perf_counter() - start
         results = self.finalize(trace_name=name)
         results.elapsed_seconds = self._elapsed

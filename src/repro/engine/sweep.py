@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import multiprocessing
 import os
+import resource
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -54,7 +55,8 @@ import numpy as np
 
 from repro.core.config import CacheConfig
 from repro.core.results import ResultsFrame, mechanism_code
-from repro.engine.base import Engine, get_engine
+from repro.core.tree import STORAGE_POOL
+from repro.engine.base import Engine, get_engine_class
 from repro.errors import EngineError, ReproError, SimulationError
 from repro.obs.tracing import PhaseTimer
 from repro.store import ResultStore, StoreKey, open_store
@@ -127,13 +129,31 @@ class SweepJob:
         }
         return cls(str(engine).strip().lower(), tuple(sorted(canonical.items())))
 
-    def build(self) -> Engine:
-        """Construct the engine this job describes."""
-        return get_engine(self.engine, **dict(self.options))
+    def build(self, recycled: bool = False) -> Engine:
+        """Construct the engine this job describes.
+
+        With ``recycled``, an engine that recycles storage
+        (:attr:`Engine.recycles_storage`) takes storage a finished engine
+        released instead of allocating its own.
+        """
+        engine_class = get_engine_class(self.engine)
+        options = dict(self.options)
+        if recycled and engine_class.recycles_storage:
+            options["recycled"] = True
+        return engine_class(**options)
 
     def store_key(self, trace_fingerprint: str) -> StoreKey:
-        """Content address of this job's results over the given trace."""
-        return StoreKey.make(trace_fingerprint, self.engine, self.options)
+        """Content address of this job's results over the given trace.
+
+        An engine past its first :attr:`Engine.result_version` adds the
+        version to the keyed options, so artifacts stored before its rows
+        changed are never served.
+        """
+        options = self.options
+        version = get_engine_class(self.engine).result_version
+        if version > 1:
+            options += (("result_version", version),)
+        return StoreKey.make(trace_fingerprint, self.engine, options)
 
     def label(self) -> str:
         """Short human-readable job description."""
@@ -320,6 +340,10 @@ class SweepOutcome:
     #: run.  Purely observational; empty for outcomes built outside
     #: :func:`run_sweep`.
     phases: Dict[str, float] = field(default_factory=dict)
+    #: Minor page faults the executor passes took when they ran in this
+    #: process (persisting excluded); ``None`` when worker processes ran
+    #: them, or for outcomes built outside :func:`run_sweep`.
+    minor_faults: Optional[int] = None
     _merged: Optional[ResultsFrame] = field(default=None, repr=False)
 
     @property
@@ -410,6 +434,15 @@ def _hits_per_lookup(results: Sequence[ResultsFrame]) -> Tuple[Tuple[int, float]
     return tuple(rates)
 
 
+#: Usage of the calling thread where the platform counts it, else of the process.
+_RUSAGE_WHO = getattr(resource, "RUSAGE_THREAD", resource.RUSAGE_SELF)
+
+
+def _minor_faults() -> int:
+    """Minor page faults taken so far (see :data:`_RUSAGE_WHO`)."""
+    return resource.getrusage(_RUSAGE_WHO).ru_minflt
+
+
 def _coerce_trace(trace: Union[Trace, Sequence[int]]) -> Trace:
     """A :class:`Trace` view of any address input (no copy when already one)."""
     if isinstance(trace, Trace):
@@ -434,11 +467,21 @@ class FusedSweepExecutor:
     immediately repeated block with one comparison, so a run-length
     collapse would not pay for them.
 
+    The trace's distinct blocks, every row's compulsory misses, are counted
+    once per block size (memoized on the trace) and handed to every engine.
+
+    Engines that recycle storage (DEW trees) are built to take what the
+    previous pass released and release their own once finalized, so a
+    process's later passes do not page-fault fresh storage in.  The pool
+    keeps only what the latest pass released (:mod:`repro.core.tree`).
+
     Results are exactly those of running each job separately: identical
     rows, identical work counters, identical store artifacts up to timing.
-    The reported per-job ``elapsed_seconds`` covers only that engine's
-    simulation time — the shared decode is excluded, mirroring how a per-job
-    run's timing is dominated by engine work.
+    The reported per-job ``elapsed_seconds`` covers that engine's
+    simulation time and its storage release — the zeroing that lets the
+    next job reuse the storage is this job's cost, as its page faults would
+    be.  The shared decode is excluded, mirroring how a per-job run's
+    timing is dominated by engine work.
     """
 
     def __init__(
@@ -455,7 +498,10 @@ class FusedSweepExecutor:
 
     def execute(self) -> List[ResultsFrame]:
         """One fused pass; per-job results in job order."""
-        engines = [job.build() for job in self.jobs]
+        engines = [job.build(recycled=True) for job in self.jobs]
+        # The engines took what they could use of the storage the last pass
+        # released; the pool keeps only what this pass releases.
+        STORAGE_POOL.clear()
         groups: Dict[int, List[int]] = {}
         for index, engine in enumerate(engines):
             groups.setdefault(engine.offset_bits, []).append(index)
@@ -479,8 +525,11 @@ class FusedSweepExecutor:
                     elapsed[index] += time.perf_counter() - begin
         results = []
         for index, engine in enumerate(engines):
+            engine.set_compulsory(self.trace.unique_blocks(1 << engine.offset_bits))
             fresh = engine.finalize(trace_name=self.trace.name)
-            fresh.elapsed_seconds = elapsed[index]
+            begin = time.perf_counter()
+            engine.release()
+            fresh.elapsed_seconds = elapsed[index] + (time.perf_counter() - begin)
             results.append(fresh)
         return results
 
@@ -658,10 +707,12 @@ def run_sweep(
                 on_result(index, job_list[index], fresh, False)
 
     effective_workers = 1
+    minor_faults: Optional[int] = 0
     try:
         with timer.phase("simulate"):
             if workers > 1 and len(missing) > 1:
                 effective_workers = min(workers, len(missing))
+                minor_faults = None
                 pending = [job_list[index] for index in missing]
                 with multiprocessing.Pool(
                     effective_workers,
@@ -693,7 +744,10 @@ def run_sweep(
                     executor = FusedSweepExecutor(
                         trace, [job_list[index] for index in batch], chunk_size
                     )
-                    for offset, fresh in enumerate(executor.execute()):
+                    before = _minor_faults()
+                    fresh_frames = executor.execute()
+                    minor_faults += _minor_faults() - before
+                    for offset, fresh in enumerate(fresh_frames):
                         persist(batch[offset], fresh)
     finally:
         if attached is not None:
@@ -712,4 +766,5 @@ def run_sweep(
         accesses=len(trace),
         # The live timer dict: `merged()` keeps adding its merge time here.
         phases=timer.times,
+        minor_faults=minor_faults,
     )

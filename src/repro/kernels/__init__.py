@@ -6,6 +6,8 @@ this package, the function it exports and that function's ctypes
 
 * ``dew`` — ``dew.c``, a line-for-line port of the walk loop in
   :meth:`repro.core.dew.DewSimulator.run_blocks`;
+* ``dew_clear`` — ``dew_clear.c``, which empties that walk's storage for
+  reuse by zeroing only the nodes it touched (see :mod:`repro.core.tree`);
 * ``lru`` — ``lru.c``, a port of the walk in
   :class:`repro.lru.janapsatya.JanapsatyaSimulator`;
 * ``single`` — ``single.c``, a port of the per-access FIFO, LRU and PLRU
@@ -81,6 +83,10 @@ KERNELS: Dict[str, Kernel] = {
         _POINTER, _POINTER, _POINTER, _POINTER, _POINTER, _POINTER,  # node fields
         _INTEGER, _INTEGER, _INTEGER,  # enable_mra, enable_wave, enable_mre
         _POINTER,  # tally
+    )),
+    "dew_clear": Kernel(_HERE / "dew_clear.c", "dew_clear", (
+        _INTEGER, _INTEGER,  # nodes, associativity
+        _POINTER, _POINTER, _POINTER, _POINTER, _POINTER, _POINTER,  # node fields
     )),
     "lru": Kernel(_HERE / "lru.c", "lru_walk", (
         _POINTER, _INTEGER, _INTEGER, _INTEGER,  # blocks, count, levels, associativity

@@ -1,11 +1,18 @@
-/* The DEW walk over flat int64 node storage: a line-for-line port of the
- * walk loop in repro.core.dew.DewSimulator.run_blocks.
+/* The DEW walk over flat node storage: a line-for-line port of the walk
+ * loop in repro.core.dew.DewSimulator.run_blocks.
  *
  * Every node field is one array.  Level k's nodes start at node offsets[k],
  * a block maps to node offsets[k] + (block & masks[k]), and a node's A
- * tag-list entries start at node * A.  Tags, MRA tags and MRE tags hold
- * block + 1 and wave pointers hold way + 1, so 0 means invalid or empty and
- * zero-filled storage is an empty tree.
+ * tag-list entries start at node * A.  Tags, MRA tags and MRE tags are
+ * int64 and hold block + 1; wave pointers, MRE wave pointers and FIFO
+ * pointers are int32 (the paper's 32-bit pointers) and wave pointers hold
+ * way + 1.  So 0 means invalid or empty and zero-filled storage is an
+ * empty tree.
+ *
+ * Every write lands on a node whose MRA slot the walk has just set, or on
+ * the wave pointer of that node's parent entry, and no MRA slot is ever
+ * cleared: the nodes with a non-zero MRA are exactly the nodes to zero
+ * when the storage is recycled (repro.core.tree).
  *
  * tally receives, per level k, the MRA matches at 2k and the misses at
  * 2k + 1, then the wave decisions, wave hits, MRE decisions and entries
@@ -15,15 +22,15 @@
 
 void dew_walk(const int64_t *blocks, int64_t count, int64_t levels,
               int64_t associativity, const int64_t *masks,
-              const int64_t *offsets, int64_t *tags, int64_t *waves,
-              int64_t *mra, int64_t *mre_tag, int64_t *mre_wave,
-              int64_t *fifo_ptr, int64_t enable_mra, int64_t enable_wave,
+              const int64_t *offsets, int64_t *tags, int32_t *waves,
+              int64_t *mra, int64_t *mre_tag, int32_t *mre_wave,
+              int32_t *fifo_ptr, int64_t enable_mra, int64_t enable_wave,
               int64_t enable_mre, int64_t *tally)
 {
     int64_t n_wave = 0, n_wave_hit = 0, n_mre = 0, n_examined = 0;
     /* The root (and, with Property 2 off, a node below an MRA match) has no
      * parent entry whose wave pointer needs refreshing. */
-    int64_t no_parent = 0;
+    int32_t no_parent = 0;
 
     for (int64_t k = 0; k < 2 * levels; k++)
         tally[k] = 0;
@@ -33,7 +40,7 @@ void dew_walk(const int64_t *blocks, int64_t count, int64_t levels,
         const int64_t tag = block + 1;
         /* Wave pointer and matching entry carried down from the parent. */
         int64_t incoming_wave = 0;
-        int64_t *parent_wave = &no_parent;
+        int32_t *parent_wave = &no_parent;
 
         for (int64_t level = 0; level < levels; level++) {
             const int64_t node = offsets[level] + (block & masks[level]);
@@ -49,7 +56,7 @@ void dew_walk(const int64_t *blocks, int64_t count, int64_t levels,
             }
 
             int64_t *node_tags = tags + node * associativity;
-            int64_t *node_waves = waves + node * associativity;
+            int32_t *node_waves = waves + node * associativity;
             int64_t way = -1;
             if (enable_wave && incoming_wave) {
                 /* Property 3: probe the way the parent last saw. */

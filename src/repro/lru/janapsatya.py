@@ -102,8 +102,13 @@ class JanapsatyaSimulator(Engine):
         Apply the early-stop rule when the tag is found in the MRU position.
 
     The simulator runs the kernel walk when :func:`repro.kernels.load` loads
-    it and the Python walk otherwise; :attr:`walk` says which.
+    it and the Python walk otherwise; :attr:`walk` says which.  The rows'
+    compulsory misses are the distinct-block count handed over
+    (:meth:`~repro.engine.base.Engine.set_compulsory`).
     """
+
+    #: 2: rows report the compulsory misses handed over (they read 0 before).
+    result_version = 2
 
     def __init__(
         self,
@@ -289,7 +294,7 @@ class JanapsatyaSimulator(Engine):
             np.full(rows, policy_code(ReplacementPolicy.LRU)),
             np.full(rows, self.counters.requests),
             self._misses.flatten(),
-            np.zeros(rows),
+            np.full(rows, self.compulsory_misses),
             elapsed_seconds=self._elapsed,
             simulator_name="janapsatya-lru",
             trace_name=trace_name,
@@ -301,5 +306,6 @@ class JanapsatyaSimulator(Engine):
         """Clear all simulation state and counters."""
         self._misses = np.zeros((len(self.set_sizes), len(self.associativities)), dtype=np.int64)
         self._elapsed = 0.0
+        self.compulsory_misses = 0
         self.counters = JanapsatyaCounters()
         self._allocate()

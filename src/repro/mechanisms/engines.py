@@ -38,10 +38,13 @@ and otherwise in a Python walk with the same tallies:
 
 Per count ``n``: ``misses`` is the DL1's misses less ``n``'s hits; a
 victim cache's allocations are the DL1's evictions less its swaps, and a
-miss cache's its surviving misses; ``compulsory`` is the DL1's count (a
+miss cache's its surviving misses; ``compulsory`` is the DL1's count, the
+distinct-block count ``Engine.run`` or the sweep executor hands over (a
 first touch was never evicted or missed before), less the first touches
-served for stream buffers.  A frame's ``walk`` reads ``kernel`` only when
-both the DL1 and the probes run compiled.
+served for stream buffers.  Only the stream buffer's DL1 flags each miss
+that is a first touch, since only stream buffers can serve one.  A frame's
+``walk`` reads ``kernel`` only when both the DL1 and the probes run
+compiled.
 """
 
 from __future__ import annotations
@@ -108,13 +111,12 @@ class MechanismEngine(Engine):
         entries: Union[int, Iterable[int]],
         policy: Union[str, ReplacementPolicy] = ReplacementPolicy.FIFO,
         seed: int = 0,
-        track_compulsory: bool = True,
     ) -> None:
         super().__init__()
         self.config = CacheConfig(num_sets, associativity, block_size, policy)
         self.entries = entry_counts(entries)
         self.dl1 = SingleConfigSimulator(
-            self.config, seed=int(seed), track_compulsory=bool(track_compulsory)
+            self.config, seed=int(seed), track_compulsory=self._code == _STREAM
         )
         self._walk = kernels.load("mechanisms")
         self._allocate()
@@ -182,6 +184,10 @@ class MechanismEngine(Engine):
     def _probe_python(self, stream: MissStream) -> List[int]:
         """One chunk's tallies, in the kernel's layout, from the Python walk."""
         raise NotImplementedError
+
+    def set_compulsory(self, distinct_blocks: int) -> None:
+        """Record ``distinct_blocks`` as the DL1's compulsory misses."""
+        self.dl1.set_compulsory(distinct_blocks)
 
     def _columns(self, stats: CacheStats) -> Columns:
         """Per-count hits, swaps, allocations and first touches served."""

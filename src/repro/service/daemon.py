@@ -570,6 +570,7 @@ class ServiceDaemon:
                     "executed_jobs": outcome.executed_jobs,
                     "trace": outcome.trace_name,
                     "phases": phases,
+                    "minor_faults": outcome.minor_faults,
                 }
             )
             self.queue.complete(record, payload)
@@ -589,6 +590,7 @@ class ServiceDaemon:
                 cells_done=record.cells_done,
                 cells_cached=record.cells_cached,
                 phases=phases,
+                minor_faults=outcome.minor_faults,
             )
         except SweepAborted as exc:
             record.execute_seconds = time.perf_counter() - started

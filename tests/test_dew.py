@@ -43,10 +43,14 @@ class TestDewBasics:
         for result in results:
             assert result.compulsory_misses == 3
 
-    def test_compulsory_tracking_can_be_disabled(self):
-        simulator = DewSimulator(block_size=4, associativity=2, set_sizes=(1,), track_compulsory=False)
-        results = simulator.run([0, 4, 8])
-        assert all(result.compulsory_misses == 0 for result in results)
+    def test_compulsory_misses_are_handed_over(self):
+        # Fed chunk by chunk, the simulator counts no first touches itself:
+        # its rows report the distinct-block count it is handed.
+        simulator = DewSimulator(block_size=4, associativity=2, set_sizes=(1,))
+        simulator.run_blocks([0, 1, 2, 0])
+        assert all(result.compulsory_misses == 0 for result in simulator.finalize())
+        simulator.set_compulsory(3)
+        assert all(result.compulsory_misses == 3 for result in simulator.finalize())
 
     def test_negative_address_rejected(self):
         simulator = DewSimulator(4, 2, (1, 2))

@@ -3,12 +3,15 @@
 ``DewSimulator`` scans a set's ways in one call and derives most work
 counters once per chunk (see :mod:`repro.core.dew`).  Every result row, every
 ``DewCounters`` field, the per-level evaluation histogram, the per-level and
-direct-mapped misses, the compulsory misses and the final tree storage must
-equal those of :class:`dew_reference.ReferenceDewWalk`, which counts each
-comparison where it happens — for every ablation mode, chunking and entry
-point (``run_blocks`` and per-address ``access``), and for each walk in
-every case: the compiled kernel over the flat tree layout (wherever a C
-compiler runs) and the Python walk over the list layout.
+direct-mapped misses and the final tree storage must equal those of
+:class:`dew_reference.ReferenceDewWalk`, which counts each comparison where
+it happens — for every ablation mode, chunking and entry point
+(``run_blocks`` and per-address ``access``), and for each walk in every
+case: the compiled kernel over the flat tree layout (wherever a C compiler
+runs) and the Python walk over the list layout.  The rows' compulsory
+misses, which ``Engine.run`` and the sweep executor hand over as
+:meth:`Trace.unique_blocks`, must
+equal the reference's first touches.
 """
 
 import dataclasses
@@ -21,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 
 from dew_reference import ReferenceDewWalk
 from repro.core.dew import DewSimulator
+from repro.trace.trace import Trace
 from repro.workloads.mediabench import mediabench_trace
 from walks import walk_under_test, walks_here
 
@@ -80,6 +84,7 @@ def assert_matches_reference(addresses, block_size, associativity, levels, modes
             ), (walk, level)
         assert _tree_state(simulator.tree) == _tree_state(reference.tree), walk
 
+        simulator.set_compulsory(Trace(addresses).unique_blocks(block_size))
         rows = {}
         for result in simulator.finalize():
             config = result.config

@@ -120,13 +120,15 @@ class TestRegistryDriven:
 
     @pytest.mark.parametrize("name", sorted(ENGINE_TEST_OPTIONS))
     def test_finalize_frame_agrees_with_finalize(self, name, loop_trace):
-        # Chunks fed by hand and then finalize give the frame Engine.run
-        # returns, with the same counters and walk.
+        # Chunks fed by hand, the distinct-block count handed over, and then
+        # finalize give the frame Engine.run returns, with the same counters
+        # and walk.
         engine = _fresh_engine(name)
         for blocks, types in loop_trace.iter_block_chunks(
             engine.offset_bits, 64, with_types=True
         ):
             engine.run_blocks(blocks, types if engine.wants_access_types else None)
+        engine.set_compulsory(loop_trace.unique_blocks(1 << engine.offset_bits))
         frame = engine.finalize(trace_name=loop_trace.name)
         ran = _fresh_engine(name).run(loop_trace)
         assert isinstance(frame, ResultsFrame)

@@ -91,7 +91,7 @@ def test_single_engine_matches_direct_simulation(
                          ReplacementPolicy.parse(policy))
     engine = get_engine("single", config=config)
     results = engine.run(trace, chunk_size=chunk_size)
-    direct = SingleConfigSimulator(config)
+    direct = SingleConfigSimulator(config, track_compulsory=True)
     for address in addresses:
         direct.access(address)
     assert direct.stats.misses == results[config].misses

@@ -165,3 +165,27 @@ class TestJanapsatyaSimulator:
         with pytest.raises(ConfigurationError):
             JanapsatyaSimulator(4, (0,), (1, 2))
 
+
+
+class TestCompulsoryMisses:
+    def test_every_lru_row_reports_the_single_engines_compulsory_misses(self):
+        # The single engine classifies each miss as it happens (first touches
+        # flagged); the LRU rows report the sweep's distinct-block count.
+        from repro.engine.sweep import build_grid_jobs, run_sweep
+
+        trace = mediabench_trace("cjpeg", 4000, seed=5)
+        jobs = build_grid_jobs((4, 32), (1, 2, 4), (1, 2, 4, 8, 16, 32, 64), ("lru",))
+        rows = [row for row in run_sweep(trace, jobs).merged()]
+        assert len(rows) == 2 * 3 * 7
+        for walk in walks_here():
+            for row in rows:
+                with walk_under_test(walk):
+                    single = SingleConfigSimulator(row.config, track_compulsory=True)
+                for blocks, types in trace.iter_block_chunks(
+                    single.offset_bits, 1000, with_types=True
+                ):
+                    single.run_blocks(blocks, types)
+                assert row.misses == single.stats.misses, (walk, row.config)
+                assert row.compulsory_misses == single.stats.compulsory_misses > 0, (
+                    walk, row.config
+                )

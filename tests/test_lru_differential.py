@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 
 from lru_reference import ReferenceLruWalk
 from repro.lru.janapsatya import JanapsatyaSimulator
+from repro.trace.trace import Trace
 from repro.workloads.mediabench import mediabench_trace
 from walks import walk_under_test, walks_here
 
@@ -45,6 +46,7 @@ def assert_matches_reference(
     reference = ReferenceLruWalk(associativities, set_sizes, use_mru_stop)
     offset_bits = block_size.bit_length() - 1
     reference.run_blocks([address >> offset_bits for address in addresses])
+    distinct = len({address >> offset_bits for address in addresses})
 
     for walk in walks_here():
         with walk_under_test(walk):
@@ -56,13 +58,14 @@ def assert_matches_reference(
             reference.counters
         ), walk
         assert simulator.recency_lists() == reference.recency_lists(), walk
+        simulator.set_compulsory(Trace(addresses).unique_blocks(block_size))
         frame = simulator.finalize()
         assert frame.walk == simulator.walk and frame.counters is simulator.counters
         rows = {}
         for result in frame:
             config = result.config
             assert (config.block_size, result.accesses) == (block_size, len(addresses)), walk
-            assert result.compulsory_misses == 0, walk
+            assert result.compulsory_misses == distinct, walk
             rows[(config.num_sets, config.associativity)] = result.misses
         assert rows == reference.misses, walk
 

@@ -287,6 +287,7 @@ def _run(mechanism, blocks, types=None, entries=(2,)):
                 mechanism, num_sets=1, associativity=1, block_size=1, entries=entries
             )
         engine.run_blocks(blocks, types)
+        engine.set_compulsory(len(set(blocks)))
         frames.append(engine.finalize("pin"))
     assert all(frame == frames[0] for frame in frames), walks_here()
     return frames[0]
@@ -452,6 +453,7 @@ class TestDeterministicPins:
                 engine.run_blocks([0, 1, 2, 0, 1])
                 engine.reset()
                 engine.run_blocks([0, 1] * 4)
+                engine.set_compulsory(2)
                 assert engine.finalize("pin") == _run(mechanism, [0, 1] * 4, entries=(2, 3))
 
 

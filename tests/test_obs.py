@@ -238,10 +238,13 @@ class TestTraceIdPropagation:
         done = spans[-1]
         assert done["job_id"] == response["job_id"]
         assert done["phases"]["simulate"] > 0.0
+        # The daemon simulated in-process, so it counted its minor faults.
+        assert isinstance(done["minor_faults"], int) and done["minor_faults"] >= 0
         # Resolving the job's trace (here a text parse) is its own phase.
         assert done["phases"]["load"] > 0.0
         finished = client.queue.find(response["job_id"])
         assert finished.extra["phases"]["load"] == done["phases"]["load"]
+        assert finished.extra["minor_faults"] == done["minor_faults"]
         # The claim span carries how long the job sat queued.
         queue_wait = round(finished.started_at - finished.submitted_at, 6)
         assert spans[0]["queue_wait_s"] == queue_wait >= 0.0
@@ -410,6 +413,15 @@ class TestSweepPhasesAndIdentity:
         assert covered <= outcome.elapsed_seconds * 1.10 + 0.05
         assert covered >= outcome.elapsed_seconds * 0.5
 
+    def test_minor_faults_counted_only_when_simulating_in_process(self, trace_file):
+        trace = load_trace_file(trace_file)
+        jobs = build_grid_jobs([8, 16], [2], [1, 2, 4], policies=["fifo", "lru"])
+        serial = run_sweep(trace, jobs)
+        assert isinstance(serial.minor_faults, int) and serial.minor_faults >= 0
+        # Worker processes take their own faults, which this process does
+        # not see.
+        assert run_sweep(trace, jobs, workers=2).minor_faults is None
+
     def test_results_byte_identical_with_metrics_disabled(self, trace_file):
         trace = load_trace_file(trace_file)
         jobs = build_grid_jobs(
@@ -564,6 +576,8 @@ class TestCliSurfaces:
             assert "profile (exclusive seconds per phase):" in err
             assert "simulate" in err
             assert "covered" in err
+            faults = [line.split() for line in err.splitlines() if "minor faults" in line]
+            assert len(faults) == 1 and faults[0][-2:] == ["while", "simulating"]
             # The text parse happens before run_sweep and still shows up.
             load = [line.split() for line in err.splitlines() if line.split()[:1] == ["load"]]
             assert len(load) == 1 and float(load[0][1].rstrip("s")) > 0.0

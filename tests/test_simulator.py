@@ -42,7 +42,7 @@ class TestSingleConfigSimulator:
 
     def test_compulsory_miss_classification(self):
         config = CacheConfig(1, 1, 4)
-        simulator = SingleConfigSimulator(config)
+        simulator = SingleConfigSimulator(config, track_compulsory=True)
         for address in [0, 4, 0, 4]:
             simulator.access(address)
         assert simulator.stats.misses == 4

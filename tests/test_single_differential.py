@@ -105,7 +105,7 @@ def assert_matches_reference(addresses, types, config, chunk_size, path):
 
     for walk in walks_here():
         with walk_under_test(walk):
-            simulator = SingleConfigSimulator(config)
+            simulator = SingleConfigSimulator(config, track_compulsory=True)
         assert simulator.walk.split()[0] == walk
         stream = _simulate(simulator, addresses, types, chunk_size, path)
 
@@ -184,7 +184,9 @@ def test_access_matches_run_blocks(policy):
     config = CacheConfig(16, 4, 8, ReplacementPolicy.parse(policy))
     for walk in walks_here():
         with walk_under_test(walk):
-            chunked, single = SingleConfigSimulator(config), SingleConfigSimulator(config)
+            chunked, single = (
+                SingleConfigSimulator(config, track_compulsory=True) for _ in range(2)
+            )
         chunked.run(trace, chunk_size=333)
         hits = [
             single.access(address, AccessType(code))

@@ -222,6 +222,30 @@ class TestIncrementalSweep:
         assert renamed.executed_jobs == 0
 
 
+    def test_lru_artifacts_of_the_first_result_version_are_not_served(
+        self, cjpeg_trace, tmp_path
+    ):
+        # Rows stored before janapsatya reported compulsory misses held 0;
+        # its store key carries its result version, so they are never served.
+        store = open_store(tmp_path)
+        jobs = build_grid_jobs([16], [1, 2], (1, 2, 4), policies=("lru",))
+        [job] = jobs
+        fingerprint = cjpeg_trace.fingerprint()
+        key = job.store_key(fingerprint)
+        assert json.loads(key.options_json)["result_version"] == 2
+        # Whatever sits under the key of the first version is never looked up.
+        old_key = StoreKey.make(fingerprint, job.engine, job.options)
+        store.put(old_key, run_sweep(cjpeg_trace, jobs).results[0])
+        outcome = run_sweep(cjpeg_trace, jobs, store=store)
+        assert outcome.executed_jobs == 1
+        assert outcome.as_rows() == run_sweep(cjpeg_trace, jobs).as_rows()
+        # Engines at their first result version keep their keys.
+        dew_job = build_grid_jobs([16], [2], (1, 2, 4))[0]
+        assert dew_job.store_key(fingerprint) == StoreKey.make(
+            fingerprint, "dew", dew_job.options
+        )
+
+
 class TestHarnessStore:
     def test_sweep_app_is_incremental(self, tmp_path):
         from repro.bench.harness import ExperimentRunner
