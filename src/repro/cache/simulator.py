@@ -197,6 +197,11 @@ class SingleConfigSimulator(Engine):
         """The walk this simulator runs: ``kernel``, or ``python (<reason>)``."""
         return self._walk.name
 
+    @property
+    def accesses(self) -> int:
+        """Accesses simulated since construction or the last :meth:`reset`."""
+        return self.stats.accesses
+
     # -- single access --------------------------------------------------------
 
     def access(self, address: int, access_type: AccessType = AccessType.READ) -> bool:

@@ -30,7 +30,8 @@ There are two walks, with identical results and counters:
 
 * the **kernel walk**, a line-for-line C port of the Python walk
   (``repro/kernels/dew.c``), which :class:`DewSimulator` runs whenever
-  :func:`repro.kernels.load` builds and loads it;
+  :func:`repro.kernels.load` builds and loads it and ``dew_clear.c``,
+  which empties its storage for reuse;
 * the **Python walk** in :meth:`DewSimulator.run_blocks`, the fallback on a
   host without a working C compiler (or with ``CC=false``) and the oracle
   the kernel is tested against.
@@ -112,10 +113,10 @@ class DewSimulator(Engine):
         :mod:`repro.core.tree`).  The sweep executor builds its engines so.
 
     The simulator runs the kernel walk when :func:`repro.kernels.load`
-    loads it and the Python walk otherwise; :attr:`walk` says which.  It
-    takes raw block chunks only: the kernel walk decides an immediately
-    repeated block (a root MRA hit, Property 2) with one comparison, so
-    run-length collapsed chunks would not pay.
+    loads it and the ``dew_clear`` kernel, and the Python walk otherwise;
+    :attr:`walk` says which.  It takes raw block chunks only: the kernel
+    walk decides an immediately repeated block (a root MRA hit, Property 2)
+    with one comparison, so run-length collapsed chunks would not pay.
     """
 
     recycles_storage = True
@@ -131,7 +132,11 @@ class DewSimulator(Engine):
         recycled: bool = False,
     ) -> None:
         super().__init__()
-        self._walk = kernels.load("dew")
+        # The kernel walk needs both entries: ``dew`` walks the flat layout
+        # and ``dew_clear`` empties it for reuse.  Where either does not
+        # load, the Python walk runs, with the first missing entry's reason.
+        walks = [kernels.load(name) for name in ("dew", "dew_clear")]
+        self._walk = next((walk for walk in walks if walk.function is None), walks[0])
         self.tree = DewTree(
             block_size,
             associativity,
@@ -219,6 +224,11 @@ class DewSimulator(Engine):
     @property
     def requests(self) -> int:
         """Number of accesses simulated so far."""
+        return self._requests
+
+    @property
+    def accesses(self) -> int:
+        """Accesses simulated since construction or the last :meth:`reset`."""
         return self._requests
 
     def misses_at_level(self, level: int, direct_mapped: bool = False) -> int:

@@ -40,6 +40,9 @@ Releasing zeroes only the nodes the walk touched.  These are exactly the
 nodes whose MRA slot is non-zero: the walk writes only to a node whose MRA
 it has just set, or to the wave pointer of that node's parent entry, and
 it never clears an MRA slot.  :meth:`DewTree.reset` zeroes the same way.
+The zeroing is compiled (``kernels/dew_clear.c``), so the flat layout
+needs that kernel as well as the walk's: the DEW simulator runs its kernel
+walk only where both load.
 The pool keeps only what the latest executor pass released, and a forked
 child starts with it empty.  Trees built any other way (``Engine.run``,
 the harness, tests) allocate their own storage and never touch the pool.
@@ -128,11 +131,6 @@ class StoragePool:
         with self._lock:
             self._free = {}
 
-    def held(self) -> List[Storage]:
-        """The storage the pool holds now."""
-        with self._lock:
-            return [storage for free in self._free.values() for storage in free]
-
     def _forget(self) -> None:
         # A child forked while another thread held the lock would wait on it
         # forever; the child gets a fresh lock and an empty pool.
@@ -164,6 +162,8 @@ class DewTree:
     flat:
         Lay the storage out for the compiled walk rather than the Python
         walk (see the module docstring); inspection reads either the same.
+        Raises :class:`~repro.errors.ConfigurationError` where the
+        ``dew_clear`` kernel, which empties that layout, does not load.
     recycled:
         Take flat storage from :data:`STORAGE_POOL` when it holds some of
         this tree's shape, and hand it back on :meth:`release`.  Ignored for
@@ -210,12 +210,13 @@ class DewTree:
         #: Per level, the node-index mask and (flat layout) the first node.
         self.index_masks = sizes_array - 1
         self.level_offsets = np.cumsum(sizes_array) - sizes_array
+        clear = kernels.load("dew_clear") if flat else kernels.Walk()
+        if flat and clear.function is None:
+            raise ConfigurationError(f"the flat layout needs the dew_clear kernel: {clear.name}")
+        #: The compiled clear that empties flat storage for reuse.
+        self._clear = clear.function
         self.storage: Dict[str, Any] = {}
         self._allocate()
-        if self.recycled:
-            # Load the clear kernel now: its first build or load in a process
-            # must not land in the timed release of a job.
-            kernels.load("dew_clear")
 
     tags = _decoded_field("tags", "Per-level tag lists, ``S_k * A`` slots each.")
     waves = _decoded_field("waves", "Per-level wave pointers, one per tag-list slot.")
@@ -337,20 +338,10 @@ class DewTree:
 
     def _zero_touched(self) -> None:
         """Zero the flat storage of every node the walk touched: the nodes
-        whose MRA slot is non-zero (see the module docstring).  Compiled
-        (``kernels/dew_clear.c``) wherever that kernel loads."""
-        clear = kernels.load("dew_clear").function
-        if clear is not None:
-            # The fields in FLAT_DTYPES order, which is the kernel's.
-            arrays = [self.storage[field].ctypes.data for field in FLAT_DTYPES]
-            clear(self.node_count(), self.associativity, *arrays)
-            return
-        touched = np.flatnonzero(self.storage["mra"])
-        for field, array in self.storage.items():
-            if field in ENTRY_FIELDS:
-                array.reshape(-1, self.associativity)[touched] = 0
-            else:
-                array[touched] = 0
+        whose MRA slot is non-zero (see the module docstring)."""
+        # The fields in FLAT_DTYPES order, which is the kernel's.
+        arrays = [self.storage[field].ctypes.data for field in FLAT_DTYPES]
+        self._clear(self.node_count(), self.associativity, *arrays)
 
     def release(self) -> None:
         """Hand recycled storage back to the pool, zeroed; the tree then has

@@ -71,6 +71,11 @@ class Engine(abc.ABC):
     def offset_bits(self) -> int:
         """Block-offset width used to pre-shift byte addresses."""
 
+    @property
+    @abc.abstractmethod
+    def accesses(self) -> int:
+        """Accesses simulated since construction or the last :meth:`reset`."""
+
     @abc.abstractmethod
     def run_blocks(
         self,
@@ -116,7 +121,19 @@ class Engine(abc.ABC):
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> ResultsFrame:
         """Drive a whole trace (or bare iterable of byte addresses) through
-        the engine, then hand it the trace's distinct-block count."""
+        the engine, then hand it the trace's distinct-block count.
+
+        The engine must not have simulated anything yet: its rows'
+        compulsory misses are this trace's distinct blocks, which would not
+        count what it simulated before.  Raises
+        :class:`~repro.errors.SimulationError` otherwise; :meth:`reset`
+        first to run another trace.
+        """
+        if self.accesses:
+            raise SimulationError(
+                f"this {self.family} engine already simulated {self.accesses} accesses; "
+                "reset() it before running a trace"
+            )
         start = time.perf_counter()
         if isinstance(trace, Trace):
             name = trace_name or trace.name

@@ -56,7 +56,7 @@ import numpy as np
 from repro.core.config import CacheConfig
 from repro.core.results import ResultsFrame, mechanism_code
 from repro.core.tree import STORAGE_POOL
-from repro.engine.base import Engine, get_engine_class
+from repro.engine.base import Engine, get_engine, get_engine_class
 from repro.errors import EngineError, ReproError, SimulationError
 from repro.obs.tracing import PhaseTimer
 from repro.store import ResultStore, StoreKey, open_store
@@ -129,18 +129,9 @@ class SweepJob:
         }
         return cls(str(engine).strip().lower(), tuple(sorted(canonical.items())))
 
-    def build(self, recycled: bool = False) -> Engine:
-        """Construct the engine this job describes.
-
-        With ``recycled``, an engine that recycles storage
-        (:attr:`Engine.recycles_storage`) takes storage a finished engine
-        released instead of allocating its own.
-        """
-        engine_class = get_engine_class(self.engine)
-        options = dict(self.options)
-        if recycled and engine_class.recycles_storage:
-            options["recycled"] = True
-        return engine_class(**options)
+    def build(self) -> Engine:
+        """Construct the engine this job describes."""
+        return get_engine(self.engine, **dict(self.options))
 
     def store_key(self, trace_fingerprint: str) -> StoreKey:
         """Content address of this job's results over the given trace.
@@ -443,6 +434,15 @@ def _minor_faults() -> int:
     return resource.getrusage(_RUSAGE_WHO).ru_minflt
 
 
+def _build_recycling(job: SweepJob) -> Engine:
+    """``job``'s engine, built to recycle storage when its class can
+    (:attr:`Engine.recycles_storage`)."""
+    options = dict(job.options)
+    if get_engine_class(job.engine).recycles_storage:
+        options["recycled"] = True
+    return get_engine(job.engine, **options)
+
+
 def _coerce_trace(trace: Union[Trace, Sequence[int]]) -> Trace:
     """A :class:`Trace` view of any address input (no copy when already one)."""
     if isinstance(trace, Trace):
@@ -498,7 +498,7 @@ class FusedSweepExecutor:
 
     def execute(self) -> List[ResultsFrame]:
         """One fused pass; per-job results in job order."""
-        engines = [job.build(recycled=True) for job in self.jobs]
+        engines = [_build_recycling(job) for job in self.jobs]
         # The engines took what they could use of the storage the last pass
         # released; the pool keeps only what this pass releases.
         STORAGE_POOL.clear()

@@ -8,6 +8,7 @@ this package, the function it exports and that function's ctypes
   :meth:`repro.core.dew.DewSimulator.run_blocks`;
 * ``dew_clear`` — ``dew_clear.c``, which empties that walk's storage for
   reuse by zeroing only the nodes it touched (see :mod:`repro.core.tree`);
+  the DEW simulator runs its kernel walk only where both entries load;
 * ``lru`` — ``lru.c``, a port of the walk in
   :class:`repro.lru.janapsatya.JanapsatyaSimulator`;
 * ``single`` — ``single.c``, a port of the per-access FIFO, LRU and PLRU

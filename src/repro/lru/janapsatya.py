@@ -181,6 +181,11 @@ class JanapsatyaSimulator(Engine):
         """The walk this simulator runs: ``kernel``, or ``python (<reason>)``."""
         return self._walk.name
 
+    @property
+    def accesses(self) -> int:
+        """Accesses simulated since construction or the last :meth:`reset`."""
+        return self.counters.requests
+
     def recency_lists(self) -> List[List[List[int]]]:
         """Per level, every set's blocks, most recent first (a copy)."""
         if self._walk.function is None:

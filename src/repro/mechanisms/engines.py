@@ -157,6 +157,11 @@ class MechanismEngine(Engine):
         dl1 = self.dl1.walk
         return self._walk.name if dl1 == "kernel" else dl1
 
+    @property
+    def accesses(self) -> int:
+        """Accesses simulated since construction or the last :meth:`reset`."""
+        return self.dl1.accesses
+
     def run_blocks(self, blocks: BlockChunk, access_types: TypeChunk = None) -> None:
         """Simulate a chunk: the DL1 walks it in one call, then every entry
         count is probed over its misses.

@@ -100,7 +100,7 @@ def compute_trace_statistics(trace: Trace, block_size: int = 32) -> TraceStatist
         name=trace.name,
         length=length,
         block_size=block_size,
-        unique_blocks=int(np.unique(blocks).size),
+        unique_blocks=trace.unique_blocks(block_size),
         repeat_block_fraction=repeats / max(length - 1, 1),
         read_fraction=counts.get(int(AccessType.READ), 0) / length,
         write_fraction=counts.get(int(AccessType.WRITE), 0) / length,

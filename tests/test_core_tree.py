@@ -2,12 +2,20 @@
 
 import pytest
 
+from repro import kernels
 from repro.core.tree import DewTree, default_paper_set_sizes
 from repro.errors import ConfigurationError
 from repro.types import EMPTY_WAVE, INVALID_TAG
+from walks import PYTHON_WALK
 
 
 class TestDewTreeConstruction:
+    def test_flat_layout_needs_the_clear_kernel(self, monkeypatch):
+        # Only the compiled clear empties flat storage for reuse.
+        monkeypatch.setattr(kernels, "load", lambda name: PYTHON_WALK)
+        with pytest.raises(ConfigurationError, match="dew_clear"):
+            DewTree(4, 2, set_sizes=(1, 2), flat=True)
+
     def test_default_levels_match_paper(self):
         tree = DewTree(block_size=4, associativity=4)
         assert tree.num_levels == 15

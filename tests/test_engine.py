@@ -24,7 +24,7 @@ from repro.engine import (
     get_engine_class,
     run_sweep,
 )
-from repro.errors import EngineError, TraceError, VerificationError
+from repro.errors import EngineError, SimulationError, TraceError, VerificationError
 from repro.lru.janapsatya import JanapsatyaSimulator
 from repro.trace.trace import Trace
 from repro.types import ReplacementPolicy
@@ -143,6 +143,22 @@ class TestRegistryDriven:
         first = engine.run(loop_trace).as_rows()
         engine.reset()
         assert engine.run(loop_trace).as_rows() == first
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_TEST_OPTIONS))
+    def test_run_raises_on_an_engine_that_already_simulated(self, name, loop_trace, mixed_trace):
+        # Every row's compulsory misses are one trace's distinct blocks, so
+        # a second run, or a run after chunks fed by hand, would not count
+        # what came before (a stream buffer's could even go negative).
+        engine = _fresh_engine(name)
+        engine.run(loop_trace)
+        with pytest.raises(SimulationError, match="reset"):
+            engine.run(mixed_trace)
+        hand_fed = _fresh_engine(name)
+        hand_fed.run_blocks([1, 2, 3])
+        with pytest.raises(SimulationError, match="reset"):
+            hand_fed.run(mixed_trace)
+        engine.reset()
+        assert engine.run(mixed_trace).as_rows() == _fresh_engine(name).run(mixed_trace).as_rows()
 
     @pytest.mark.parametrize("name", sorted(ENGINE_TEST_OPTIONS))
     def test_sweep_job_round_trips(self, name):

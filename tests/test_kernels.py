@@ -41,8 +41,10 @@ PRINT_WALKS = (
     "print(SingleConfigSimulator(num_sets=4, associativity=2, block_size=4).walk); "
     "print(VictimCacheEngine(4, 2, 4, (1, 2))._walk.name)"
 )
-#: The table's entries, in the order the walks are listed.
-NAMES = ("dew", "lru", "single", "mechanisms")
+#: The table's entries, each with the position in :func:`_walks` of the walk
+#: it runs in: the DEW walk needs ``dew_clear`` to empty its storage.
+WALK_OF = {"dew": 0, "dew_clear": 0, "lru": 1, "single": 2, "mechanisms": 3}
+NAMES = tuple(WALK_OF)
 ENTRIES = sorted(NAMES)
 
 
@@ -115,7 +117,8 @@ def test_build_error_keeps_the_python_walk_with_its_first_line(tmp_path, monkeyp
 
 def test_build_error_in_one_entry_leaves_the_others_loaded(tmp_path, monkeypatch):
     require_kernel()
-    for position, name in enumerate(NAMES):
+    assert sorted(kernels.KERNELS) == ENTRIES
+    for name in NAMES:
         kernel = kernels.KERNELS[name]
         cache_home = tmp_path / name
         broken = cache_home / f"{name}.c"
@@ -126,7 +129,7 @@ def test_build_error_in_one_entry_leaves_the_others_loaded(tmp_path, monkeypatch
             patch.setitem(kernels.KERNELS, name, dataclasses.replace(kernel, source=broken))
             patch.setattr(kernels, "_LOADER", kernels.KernelLoader())
             walks = _walks()
-        failed = walks.pop(position)
+        failed = walks.pop(WALK_OF[name])
         assert failed.startswith("python (build error: ") and "deliberately broken" in failed
         assert walks == ["kernel"] * 3, name
         assert _library_entries(cache_home / "repro-dew") == [

@@ -20,7 +20,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro import kernels
 from repro.core.dew import DewSimulator
 from repro.core.tree import FLAT_DTYPES, STORAGE_POOL
 from repro.engine.base import get_engine_class
@@ -28,7 +27,7 @@ from repro.engine.sweep import FusedSweepExecutor, build_grid_jobs, run_sweep
 from repro.errors import SimulationError
 from repro.service.api import doubling_set_sizes
 from repro.workloads.mediabench import mediabench_trace
-from walks import PYTHON_WALK, require_kernel
+from walks import require_kernel
 
 ABLATION_MODES = list(itertools.product([True, False], repeat=3))
 TABLE3_SETS = doubling_set_sizes(16384)
@@ -45,6 +44,11 @@ def empty_pool():
 
 def _tree_state(tree):
     return (tree.tags, tree.waves, tree.mra, tree.mre_tag, tree.mre_wave, tree.fifo_ptr)
+
+
+def _held():
+    """The storage the pool holds now."""
+    return [storage for free in STORAGE_POOL._free.values() for storage in free]
 
 
 def _shape(storage):
@@ -95,10 +99,10 @@ def test_recycled_storage_matches_fresh(
     used = _dew(block_size, associativity, set_sizes, previous_modes, recycled=True)
     used.run(previous)
     used.release()
-    [released] = STORAGE_POOL.held()
+    [released] = _held()
 
     recycled = _dew(block_size, associativity, set_sizes, modes, recycled=True)
-    assert recycled.tree.storage is released and not STORAGE_POOL.held()
+    assert recycled.tree.storage is released and not _held()
     fresh = _dew(block_size, associativity, set_sizes, modes)
     recycled_frame, fresh_frame = recycled.run(addresses), fresh.run(addresses)
 
@@ -118,17 +122,11 @@ def test_recycling_passes_give_the_frames_of_fresh_engines():
             assert dataclasses.asdict(frame.counters) == dataclasses.asdict(alone.counters)
 
 
-@pytest.mark.parametrize("clear", ["kernel", "numpy"])
-def test_released_storage_is_all_zeros(clear, monkeypatch):
-    if clear == "numpy":
-        load = kernels.load
-        monkeypatch.setattr(
-            kernels, "load", lambda name: PYTHON_WALK if name == "dew_clear" else load(name)
-        )
+def test_released_storage_is_all_zeros():
     trace = mediabench_trace("mpeg2_enc", 3000, seed=3)
     jobs = build_grid_jobs((4, 16), (2, 4, 16), TABLE3_SETS, ("fifo",))
     FusedSweepExecutor(trace, jobs).execute()
-    held = STORAGE_POOL.held()
+    held = _held()
     assert sorted(_shape(storage) for storage in held) == [
         (32767, 2), (32767, 2), (32767, 4), (32767, 4), (32767, 16), (32767, 16)
     ]
@@ -154,7 +152,7 @@ def test_released_engine_raises_instead_of_writing():
     simulator = DewSimulator(4, 4, (1, 2, 4), recycled=True)
     simulator.run_blocks([1, 2, 3, 1])
     simulator.release()
-    [held] = STORAGE_POOL.held()
+    [held] = _held()
     with pytest.raises(SimulationError, match="released"):
         simulator.run_blocks([5, 6])
     with pytest.raises(SimulationError, match="released"):
@@ -174,12 +172,12 @@ def test_engines_built_by_callers_never_touch_the_pool():
     trace = mediabench_trace("cjpeg", 2000, seed=6)
     jobs = build_grid_jobs((16,), (4,), TABLE3_SETS, ("fifo",))
     FusedSweepExecutor(trace, jobs).execute()
-    [held] = STORAGE_POOL.held()
+    [held] = _held()
     simulator = jobs[0].build()
     assert simulator.tree.storage is not held
     simulator.run(trace)
     simulator.release()
-    assert [id(storage) for storage in STORAGE_POOL.held()] == [id(held)]
+    assert [id(storage) for storage in _held()] == [id(held)]
     assert simulator.tree.storage
     # LRU storage is not pooled at all.
     assert not get_engine_class("janapsatya").recycles_storage
@@ -191,11 +189,11 @@ def test_pool_keeps_only_what_the_latest_pass_released():
     first = build_grid_jobs((4,), (2, 4), sizes, ("fifo",))
     second = build_grid_jobs((4,), (4, 8), sizes, ("fifo",))
     FusedSweepExecutor(trace, first).execute()
-    held_first = STORAGE_POOL.held()
+    held_first = _held()
     assert sorted(_shape(storage) for storage in held_first) == [(2047, 2), (2047, 4)]
     for _ in range(3):
         FusedSweepExecutor(trace, second).execute()
-        held = STORAGE_POOL.held()
+        held = _held()
         assert sorted(_shape(storage) for storage in held) == [(2047, 4), (2047, 8)]
     # The A 4 trees kept reusing the first pass's A 4 storage; its A 2
     # storage went with the second pass.
@@ -239,7 +237,7 @@ def test_threads_sharing_the_pool_never_share_storage():
 def test_forked_child_starts_with_an_empty_pool():
     trace = mediabench_trace("cjpeg", 1000, seed=8)
     FusedSweepExecutor(trace, build_grid_jobs((4,), (4,), (1, 2), ("fifo",))).execute()
-    assert STORAGE_POOL.held()
+    assert _held()
     # Another thread's hold on the lock, at the moment of the fork: the
     # child must get a fresh lock as well as an empty pool.
     with STORAGE_POOL._lock:
@@ -254,7 +252,7 @@ def test_forked_child_starts_with_an_empty_pool():
                 os._exit(code)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
-    assert STORAGE_POOL.held()
+    assert _held()
 
 
 def test_repeated_pass_takes_almost_no_minor_faults():
