@@ -17,11 +17,11 @@ Python).
 from __future__ import annotations
 
 import json
-import os
+import struct
+import zlib
 from dataclasses import dataclass
 from typing import (
     Any,
-    BinaryIO,
     Dict,
     Iterable,
     Iterator,
@@ -39,16 +39,24 @@ from repro.core.config import CacheConfig
 from repro.errors import SimulationError, VerificationError
 from repro.types import ReplacementPolicy
 
-#: Version of the columnar payload written by :meth:`ResultsFrame.to_npz`.
-#: Bump whenever the column set, dtypes or metadata layout changes.
-#: Version 2 added the mechanism key columns (``mechanism_codes``,
-#: ``mechanism_entries``) and counter columns (``mechanism_hits``,
-#: ``mechanism_swaps``, ``mechanism_allocations``); version-1 payloads are
-#: still readable (the new columns zero-fill).
+#: Version of the frame's column set, written into :meth:`ResultsFrame.to_json`
+#: payloads and :meth:`ResultsFrame.to_bytes` artifacts.  Bump whenever the
+#: column set, dtypes or metadata layout changes.  Version 2 added the
+#: mechanism key columns (``mechanism_codes``, ``mechanism_entries``) and
+#: counter columns (``mechanism_hits``, ``mechanism_swaps``,
+#: ``mechanism_allocations``).
 FRAME_SCHEMA_VERSION = 2
 
-#: Schema versions :meth:`ResultsFrame.read_npz` accepts.
-_READABLE_SCHEMAS = (1, 2)
+#: Flat artifact preamble (:meth:`ResultsFrame.to_bytes`): 12 magic bytes,
+#: then a little-endian uint32 header size.
+_FLAT_MAGIC = b"REPROFRAME1\n"
+_FLAT_PREAMBLE = struct.Struct("<12sI")
+
+#: Headers beyond this are corrupt by definition (a real one is a few KB).
+_FLAT_MAX_HEADER_BYTES = 1 << 20
+
+#: Every column is stored as this dtype, so the body is one matrix.
+_FLAT_DTYPE = np.dtype("<i8")
 
 #: Fixed policy-code table.  Codes index this tuple; it is alphabetical by
 #: policy value, so code order equals the sort order used by
@@ -74,6 +82,11 @@ def mechanism_code(mechanism: str) -> int:
         raise SimulationError(
             f"unknown mechanism {mechanism!r}; expected one of {MECHANISM_TABLE}"
         ) from None
+
+
+def _flat_body_offset(header_bytes: int) -> int:
+    """Where a flat artifact's body starts: past the header, 8-byte aligned."""
+    return -(-(_FLAT_PREAMBLE.size + header_bytes) // 8) * 8
 
 
 @dataclass(frozen=True)
@@ -768,109 +781,90 @@ class ResultsFrame:
 
     # -- serialization --------------------------------------------------------
 
-    def to_npz(self, file: Union[str, "os.PathLike[str]", BinaryIO],
-               extra_metadata: Optional[Dict[str, Any]] = None) -> None:
-        """Write the frame as a compressed ``.npz`` payload.
+    def to_bytes(self, extra_metadata: Optional[Dict[str, Any]] = None) -> bytes:
+        """The frame as one flat artifact.
 
-        ``extra_metadata`` (JSON-able) is embedded alongside the frame's own
-        metadata; the result store uses it to tie an artifact to its key.
+        Layout: 12 magic bytes, a little-endian ``uint32`` header size, an
+        ASCII JSON header (frame schema, policy and mechanism tables, the
+        scalar metadata, the row count, a CRC-32 of the body and
+        ``extra_metadata``), zero padding to an 8-byte boundary, then the
+        twelve columns as one little-endian ``int64`` matrix, a column per
+        matrix row in constructor order.  ``extra_metadata`` (JSON-able) is
+        returned by :meth:`from_bytes`; the result store uses it to tie an
+        artifact to its key.  Counters and walk are not written.
         """
-        metadata = {
+        body = np.stack(
+            [getattr(self, name) for name in _FRAME_COLUMNS]
+        ).astype(_FLAT_DTYPE).tobytes()
+        header = {
             "schema": FRAME_SCHEMA_VERSION,
+            "policy_table": list(POLICY_TABLE),
+            "mechanism_table": list(MECHANISM_TABLE),
             "elapsed_seconds": self.elapsed_seconds,
             "simulator_name": self.simulator_name,
             "trace_name": self.trace_name,
-            "policy_table": list(POLICY_TABLE),
-            "mechanism_table": list(MECHANISM_TABLE),
+            "rows": len(self),
+            "body_crc32": zlib.crc32(body),
+            "extra": extra_metadata or {},
         }
-        if extra_metadata:
-            metadata["extra"] = extra_metadata
-        np.savez_compressed(
-            file,
-            num_sets=self.num_sets,
-            associativities=self.associativities,
-            block_sizes=self.block_sizes,
-            policy_codes=self.policy_codes,
-            accesses=self.accesses,
-            misses=self.misses,
-            compulsory=self.compulsory,
-            mechanism_codes=self.mechanism_codes,
-            mechanism_entries=self.mechanism_entries,
-            mechanism_hits=self.mechanism_hits,
-            mechanism_swaps=self.mechanism_swaps,
-            mechanism_allocations=self.mechanism_allocations,
-            metadata=np.asarray(json.dumps(metadata, sort_keys=True)),
+        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+        padding = _flat_body_offset(len(blob)) - _FLAT_PREAMBLE.size - len(blob)
+        return b"".join(
+            (_FLAT_PREAMBLE.pack(_FLAT_MAGIC, len(blob)), blob, bytes(padding), body)
         )
 
     @classmethod
-    def read_npz(
-        cls, file: Union[str, "os.PathLike[str]", BinaryIO]
-    ) -> Tuple["ResultsFrame", Dict[str, Any]]:
-        """Load a frame plus its embedded extra metadata from ``.npz``.
+    def from_bytes(cls, data: bytes) -> Tuple["ResultsFrame", Dict[str, Any]]:
+        """Decode a :meth:`to_bytes` artifact into ``(frame, extra_metadata)``.
 
-        Raises :class:`~repro.errors.SimulationError` for unknown schema
-        versions or malformed payloads.
+        Raises :class:`~repro.errors.SimulationError` on a bad magic
+        preamble, a malformed header, another frame schema or code table, a
+        size other than the header promises, or a body whose CRC-32
+        disagrees with the header.
         """
-        with np.load(file, allow_pickle=False) as payload:
-            try:
-                metadata = json.loads(str(payload["metadata"][()]))
-            except (KeyError, ValueError) as exc:
-                raise SimulationError(f"results payload has no readable metadata: {exc}") from exc
-            if metadata.get("schema") not in _READABLE_SCHEMAS:
-                raise SimulationError(
-                    f"unsupported results schema {metadata.get('schema')!r} "
-                    f"(this build reads versions {_READABLE_SCHEMAS})"
-                )
-            stored_table = metadata.get("policy_table", list(POLICY_TABLE))
-            codes = payload["policy_codes"]
-            if list(stored_table) != list(POLICY_TABLE):
-                # Remap codes written under a different policy table.
-                try:
-                    remap = np.asarray(
-                        [_POLICY_CODES[value] for value in stored_table], dtype=np.int8
-                    )
-                except KeyError as exc:
-                    raise SimulationError(f"results payload uses unknown policy {exc}") from exc
-                codes = remap[codes]
-            mechanism_columns: Dict[str, Optional[np.ndarray]] = {
-                "mechanism_codes": None,
-                "mechanism_entries": None,
-                "mechanism_hits": None,
-                "mechanism_swaps": None,
-                "mechanism_allocations": None,
-            }
-            if "mechanism_codes" in payload:
-                for name in mechanism_columns:
-                    mechanism_columns[name] = payload[name]
-                stored_mechs = metadata.get("mechanism_table", list(MECHANISM_TABLE))
-                if list(stored_mechs) != list(MECHANISM_TABLE):
-                    # Remap codes written under a different mechanism table.
-                    try:
-                        remap = np.asarray(
-                            [_MECHANISM_CODES[value] for value in stored_mechs],
-                            dtype=np.int8,
-                        )
-                    except KeyError as exc:
-                        raise SimulationError(
-                            f"results payload uses unknown mechanism {exc}"
-                        ) from exc
-                    mechanism_columns["mechanism_codes"] = remap[
-                        mechanism_columns["mechanism_codes"]
-                    ]
-            frame = cls(
-                payload["num_sets"],
-                payload["associativities"],
-                payload["block_sizes"],
-                codes,
-                payload["accesses"],
-                payload["misses"],
-                payload["compulsory"],
-                elapsed_seconds=float(metadata.get("elapsed_seconds", 0.0)),
-                simulator_name=str(metadata.get("simulator_name", "dew")),
-                trace_name=str(metadata.get("trace_name", "trace")),
-                **mechanism_columns,
+        if len(data) < _FLAT_PREAMBLE.size:
+            raise SimulationError("results artifact is truncated")
+        magic, header_bytes = _FLAT_PREAMBLE.unpack_from(data)
+        if magic != _FLAT_MAGIC:
+            raise SimulationError("results artifact has a bad magic preamble")
+        if not 0 < header_bytes <= _FLAT_MAX_HEADER_BYTES:
+            raise SimulationError("results artifact declares an implausible header size")
+        try:
+            header = json.loads(data[_FLAT_PREAMBLE.size:_FLAT_PREAMBLE.size + header_bytes])
+            schema = header["schema"]
+            rows = int(header["rows"])
+            crc = header["body_crc32"]
+            metadata = dict(
+                elapsed_seconds=float(header["elapsed_seconds"]),
+                simulator_name=str(header["simulator_name"]),
+                trace_name=str(header["trace_name"]),
             )
-        return frame, metadata.get("extra", {})
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise SimulationError(f"results artifact has a malformed header: {exc}") from exc
+        if schema != FRAME_SCHEMA_VERSION:
+            raise SimulationError(
+                f"unsupported results schema {schema!r} "
+                f"(this build reads version {FRAME_SCHEMA_VERSION})"
+            )
+        if (
+            header.get("policy_table") != list(POLICY_TABLE)
+            or header.get("mechanism_table") != list(MECHANISM_TABLE)
+        ):
+            raise SimulationError("results artifact uses other policy or mechanism codes")
+        offset = _flat_body_offset(header_bytes)
+        expected = offset + rows * len(_FRAME_COLUMNS) * _FLAT_DTYPE.itemsize
+        if rows < 0 or len(data) != expected:
+            raise SimulationError(
+                f"results artifact is {len(data)} bytes; its header promises {expected}"
+            )
+        if zlib.crc32(data[offset:]) != crc:
+            raise SimulationError("results artifact body fails its CRC-32 check")
+        matrix = np.frombuffer(data, dtype=_FLAT_DTYPE, offset=offset).reshape(
+            len(_FRAME_COLUMNS), rows
+        )
+        frame = cls(**dict(zip(_FRAME_COLUMNS, matrix)), **metadata)
+        extra = header.get("extra")
+        return frame, extra if isinstance(extra, dict) else {}
 
     # -- reporting ------------------------------------------------------------
 

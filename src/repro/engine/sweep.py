@@ -327,8 +327,9 @@ class SweepOutcome:
     accesses: int = 0
     #: Exclusive per-phase wall clock from the orchestrator's
     #: :class:`~repro.obs.tracing.PhaseTimer` — decode / plane_ensure /
-    #: store_lookup / simulate / persist, plus merge once :meth:`merged` has
-    #: run.  Purely observational; empty for outcomes built outside
+    #: store_lookup / simulate / persist, progress (the ``on_result`` hook)
+    #: when a hook was given, plus merge once :meth:`merged` has run.
+    #: Purely observational; empty for outcomes built outside
     #: :func:`run_sweep`.
     phases: Dict[str, float] = field(default_factory=dict)
     #: Minor page faults the executor passes took when they ran in this
@@ -643,7 +644,8 @@ def run_sweep(
         may raise (conventionally :class:`~repro.errors.SweepAborted`) and
         the exception propagates to the caller after the worker pool is
         torn down.  Results persisted before the abort stay in the store,
-        so a re-run resumes from them.
+        so a re-run resumes from them.  The hook's own time is the
+        ``progress`` phase, not the store's.
     trace_cache:
         Optional trace artifact cache (a
         :class:`~repro.trace.planecache.TracePlaneCache` or a directory
@@ -694,7 +696,8 @@ def run_sweep(
                     if cached is not None:
                         results[index] = cached
                         if on_result is not None:
-                            on_result(index, job_list[index], cached, True)
+                            with timer.phase("progress"):
+                                on_result(index, job_list[index], cached, True)
                 cached_jobs = sum(1 for r in results if r is not None)
     missing = [index for index, loaded in enumerate(results) if loaded is None]
 
@@ -704,7 +707,8 @@ def run_sweep(
             if result_store is not None and keys is not None:
                 result_store.put(keys[index], fresh)
             if on_result is not None:
-                on_result(index, job_list[index], fresh, False)
+                with timer.phase("progress"):
+                    on_result(index, job_list[index], fresh, False)
 
     effective_workers = 1
     minor_faults: Optional[int] = 0

@@ -13,14 +13,17 @@ computed by another worker are *in flight* — a job overlapping in-flight
 work is deferred (left queued) until the overlap clears, at which point its
 overlapping cells are store hits.
 
-**Durability.**  Cell completion is persisted twice over: the store write
-happens the moment a cell's execution unit finishes inside ``run_sweep``
-(the fused executor persists per decode-group batch — often a single cell,
-at most the same-block-size cells that share one decode), and the job
-record's progress counters are atomically rewritten from the job-granular
-``on_result`` hook.  A daemon killed mid-job therefore loses at most the
-batch it was computing; after a restart, :meth:`JobQueue.recover` re-queues
-the job and the re-run pays only for unpersisted cells.
+**Durability.**  The store is the record of finished cells: a cell's
+artifact is written the moment its execution unit finishes inside
+``run_sweep`` (the fused executor persists per decode-group batch — often a
+single cell, at most the same-block-size cells that share one decode).  The
+job record carries progress for ``queue status`` only.  It is written at the
+claim (with the submitted cell count), once per *fresh* cell after that
+cell's store write, and at the finish; a store hit advances the counts in
+memory only, since it adds nothing the store does not already hold.  A
+daemon killed mid-job therefore loses at most the batch it was computing;
+after a restart, :meth:`JobQueue.recover` re-queues the job (resetting its
+counts) and the re-run pays only for unpersisted cells.
 
 **Byte-identity.**  The daemon runs exactly the engine jobs a direct sweep
 would run and stores the merged payload verbatim, so a served result equals
@@ -512,16 +515,18 @@ class ServiceDaemon:
             sweep_input = self._resolve_sweep_input(request, expected)
             load_seconds = time.perf_counter() - load_start
             accesses = len(sweep_input)
+            # The claim wrote the record with the submitted cell count; the
+            # counts below reach disk with the next fresh cell or the finish.
             record.cells_total = len(jobs)
             record.cells_done = 0
             record.cells_cached = 0
-            self.queue.update_running(record)
 
             def progress(index: int, job: SweepJob, results, cached: bool) -> None:
                 record.cells_done += 1
                 if cached:
                     record.cells_cached += 1
-                self.queue.update_running(record)
+                else:
+                    self.queue.update_running(record)
                 self.span_log.emit(
                     "cell",
                     trace_id=trace_id,

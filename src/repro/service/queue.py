@@ -190,6 +190,14 @@ class JobRecord:
         )
 
 
+def _submitted_cells(request: Dict[str, Any]) -> int:
+    """The cell count a submit recorded in the request (0 when absent)."""
+    try:
+        return max(int(request.get("cells", 0)), 0)
+    except (TypeError, ValueError):
+        return 0
+
+
 def _claim_order_key(record: JobRecord) -> Tuple[int, int, str]:
     """Higher priority first, then submission order, then id (deterministic)."""
     return (-record.priority, record.sequence, record.id)
@@ -517,7 +525,8 @@ class JobQueue:
         in flight).  The claim is a :meth:`_move` out of ``queued/``: if a
         concurrent cancel (or another claimant) moves the job first, the
         next candidate is tried, so a job is only ever executed once.
-        ``daemon_id`` labels the running record with its claimant.
+        ``daemon_id`` labels the running record with its claimant, and its
+        ``cells_total`` is the request's submitted cell count.
         """
         for record in self.records(STATE_QUEUED):
             if accept is not None and not accept(record):
@@ -526,6 +535,7 @@ class JobQueue:
             record.started_at = time.time()
             record.error = None
             record.daemon_id = daemon_id
+            record.cells_total = _submitted_cells(record.request)
             if not self._move(record, STATE_QUEUED, STATE_RUNNING):
                 continue  # lost the race; try the next candidate
             self._metric_claimed.inc()

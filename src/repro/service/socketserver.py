@@ -103,6 +103,9 @@ class ServiceSocketServer:
         self._accept_thread: Optional[threading.Thread] = None
         self._stopping = False
         self._finish_cond = threading.Condition()
+        # Bumped under the condition per finished job: a wait handler reads
+        # it before re-reading the job, and waits only while it is unchanged.
+        self._finished = 0
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -160,6 +163,7 @@ class ServiceSocketServer:
     def notify_job_finished(self) -> None:
         """Wake blocked ``wait`` handlers (called by the daemon per finished job)."""
         with self._finish_cond:
+            self._finished += 1
             self._finish_cond.notify_all()
 
     # -- server loops ------------------------------------------------------------
@@ -306,12 +310,15 @@ class ServiceSocketServer:
 
         The fast path is the daemon's ``notify_job_finished`` call; the
         periodic re-check covers jobs that end without the daemon and a
-        server shutting down mid-wait.
+        server shutting down mid-wait.  The finish count is read before the
+        job is, so a job that finishes after that read is never waited out.
         """
         job_id = str(request["job"])
         timeout = float(request.get("timeout", 60.0))
         deadline = time.monotonic() + timeout
         while True:
+            with self._finish_cond:
+                seen = self._finished
             record = self.queue.find(job_id)
             if record.state in TERMINAL_STATES or record.state == STATE_FAILED:
                 return ok_response("wait", job=record_to_wire(record))
@@ -324,7 +331,8 @@ class ServiceSocketServer:
                     f"{record.id[:12]} (state: {record.state})"
                 )
             with self._finish_cond:
-                self._finish_cond.wait(min(_WAIT_RECHECK_SECONDS, remaining))
+                if self._finished == seen and not self._stopping:
+                    self._finish_cond.wait(min(_WAIT_RECHECK_SECONDS, remaining))
 
 
 class SocketTransport:

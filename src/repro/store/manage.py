@@ -9,10 +9,11 @@ The store itself (:mod:`repro.store.resultstore`) only ever needs ``get`` /
     ``ok``, ``corrupt`` (unreadable / truncated / wrong schema),
     ``mis-addressed`` (the embedded key does not hash to the file's address),
     ``temp`` (orphaned in-flight write) or ``foreign`` (a file that is not a
-    store artifact at all).  Verification fully re-parses each payload
-    (exercising the zip layer's per-member CRC32) and re-derives the
-    address from the embedded key fields; it does not maintain a separate
-    whole-file content hash — ``export``/``import`` add that for transfers.
+    store artifact at all).  Verification decodes each artifact with the
+    store's own codec (which checks the body against the CRC-32 in its
+    header) and re-derives the address from the embedded key fields; it
+    does not maintain a separate whole-file content hash —
+    ``export``/``import`` add that for transfers.
 ``gc_store``
     Remove temp files, corrupt and mis-addressed artifacts, and — given a
     keep-list of trace fingerprints — every artifact belonging to other
@@ -38,7 +39,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.results import ResultsFrame
 from repro.errors import StoreError
@@ -50,6 +51,7 @@ from repro.store.resultstore import (
     _MANIFEST_NAME,
     _OBJECTS_DIR,
     _atomic_replace,
+    read_artifact,
 )
 
 #: Version of the export manifest format written by :func:`export_store`.
@@ -104,18 +106,24 @@ class ArtifactRecord:
         }
 
 
-def _classify_artifact(path: Path, size: int) -> ArtifactRecord:
-    """Read one digest-named ``.npz`` file and decide ok/corrupt/mis-addressed."""
+def _classify_artifact(
+    path: Path, size: int
+) -> Tuple[ArtifactRecord, Optional[ResultsFrame]]:
+    """Decode one digest-named artifact and decide ok/corrupt/mis-addressed.
+
+    Returns the record with the decoded frame (``None`` when corrupt).
+    """
     stem = path.name[: -len(_ARTIFACT_SUFFIX)]
     try:
-        with open(path, "rb") as handle:
-            frame, extra = ResultsFrame.read_npz(handle)
+        frame, extra = read_artifact(path)
     except Exception as exc:
         return ArtifactRecord(
             path=path, status=STATUS_CORRUPT, size_bytes=size, digest=stem,
             detail=f"unreadable artifact: {exc}",
-        )
-    key_info = extra.get("key", {}) if isinstance(extra, dict) else {}
+        ), None
+    key_info = extra.get("key")
+    if not isinstance(key_info, dict):
+        key_info = {}
     embedded_digest = key_info.get("digest", "")
     key = StoreKey(
         trace_fingerprint=str(key_info.get("trace_fingerprint", "")),
@@ -132,13 +140,48 @@ def _classify_artifact(path: Path, size: int) -> ArtifactRecord:
                 f"address {stem[:12]}... does not match embedded key "
                 f"(embedded {str(embedded_digest)[:12]}..., re-hashed {rehashed[:12]}...)"
             ),
-        )
+        ), frame
     return ArtifactRecord(
         path=path, status=STATUS_OK, size_bytes=size, digest=stem,
         engine=key.engine, trace_fingerprint=key.trace_fingerprint,
         options_json=key.options_json, rows=len(frame),
         elapsed_seconds=frame.elapsed_seconds,
-    )
+    ), frame
+
+
+def _scan(store: ResultStore) -> Iterator[Tuple[ArtifactRecord, Optional[ResultsFrame]]]:
+    """Classify every file under the store root, with each artifact's frame.
+
+    Each artifact is decoded once; the frame is ``None`` for every file that
+    is not a readable artifact.
+    """
+    root = store.root
+    objects = root / _OBJECTS_DIR
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        # store.json and a default-named export manifest are the store's
+        # own bookkeeping, not artifacts and not foreign junk.
+        if path in (root / _MANIFEST_NAME, root / DEFAULT_MANIFEST_NAME):
+            continue
+        size = path.stat().st_size
+        if path.name.startswith(".tmp-"):
+            yield ArtifactRecord(
+                path=path, status=STATUS_TEMP, size_bytes=size,
+                detail="orphaned in-flight write",
+            ), None
+            continue
+        in_bucket = (
+            path.parent.parent == objects
+            and path.name.endswith(_ARTIFACT_SUFFIX)
+            and _DIGEST_RE.match(path.name[: -len(_ARTIFACT_SUFFIX)]) is not None
+            and path.parent.name == path.name[:2]
+        )
+        if not in_bucket:
+            yield ArtifactRecord(
+                path=path, status=STATUS_FOREIGN, size_bytes=size,
+                detail="not a store artifact",
+            ), None
+            continue
+        yield _classify_artifact(path, size)
 
 
 def scan_store(store: ResultStore) -> List[ArtifactRecord]:
@@ -148,35 +191,7 @@ def scan_store(store: ResultStore) -> List[ArtifactRecord]:
     artifact nor reported; everything else is classified as described in the
     module docstring.
     """
-    root = store.root
-    records: List[ArtifactRecord] = []
-    objects = root / _OBJECTS_DIR
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        # store.json and a default-named export manifest are the store's
-        # own bookkeeping, not artifacts and not foreign junk.
-        if path in (root / _MANIFEST_NAME, root / DEFAULT_MANIFEST_NAME):
-            continue
-        size = path.stat().st_size
-        if path.name.startswith(".tmp-"):
-            records.append(ArtifactRecord(
-                path=path, status=STATUS_TEMP, size_bytes=size,
-                detail="orphaned in-flight write",
-            ))
-            continue
-        in_bucket = (
-            path.parent.parent == objects
-            and path.name.endswith(_ARTIFACT_SUFFIX)
-            and _DIGEST_RE.match(path.name[: -len(_ARTIFACT_SUFFIX)]) is not None
-            and path.parent.name == path.name[:2]
-        )
-        if not in_bucket:
-            records.append(ArtifactRecord(
-                path=path, status=STATUS_FOREIGN, size_bytes=size,
-                detail="not a store artifact",
-            ))
-            continue
-        records.append(_classify_artifact(path, size))
-    return records
+    return [record for record, _ in _scan(store)]
 
 
 @dataclass(frozen=True)
@@ -218,7 +233,7 @@ def verify_store(store: ResultStore) -> VerifyReport:
 
     Catches truncation, malformed payloads, wrong schema versions and
     mis-addressed artifacts (embedded key vs filename).  Data integrity
-    within a parseable payload rests on the npz/zip CRC32 — see the module
+    within a parseable payload rests on the body's CRC-32 — see the module
     docstring for the exact guarantees.
     """
     return VerifyReport(records=tuple(scan_store(store)))
@@ -387,16 +402,16 @@ def load_store_frame(
     several traces present the caller has to disambiguate, and the error
     lists the candidate fingerprints.  Corrupt/mis-addressed/temp/foreign
     files are skipped exactly as ``store export`` skips them.  This is the
-    data source behind ``repro-dew explore --store``.
+    data source behind ``repro-dew explore --store``; each artifact is
+    decoded once, by the scan that classifies it.
     """
-    artifacts = [record for record in scan_store(store) if record.status == STATUS_OK]
-    if trace_fingerprint:
-        artifacts = [
-            record
-            for record in artifacts
-            if record.trace_fingerprint.startswith(trace_fingerprint)
-        ]
-    fingerprints = sorted({record.trace_fingerprint for record in artifacts})
+    artifacts = [
+        (record, frame)
+        for record, frame in _scan(store)
+        if record.status == STATUS_OK
+        and record.trace_fingerprint.startswith(trace_fingerprint or "")
+    ]
+    fingerprints = sorted({record.trace_fingerprint for record, _ in artifacts})
     if not artifacts:
         raise StoreError(
             f"store {store.root} holds no valid artifacts"
@@ -408,13 +423,10 @@ def load_store_frame(
             f"store {store.root} holds results for {len(fingerprints)} traces "
             f"({listing}); pick one with --trace"
         )
-    frames = []
-    for record in artifacts:
-        with open(record.path, "rb") as handle:
-            frame, _ = ResultsFrame.read_npz(handle)
-        frames.append(frame)
     return ResultsFrame.merge(
-        frames, simulator_name="store", trace_name=fingerprints[0][:12]
+        [frame for _, frame in artifacts],
+        simulator_name="store",
+        trace_name=fingerprints[0][:12],
     )
 
 

@@ -9,8 +9,15 @@ the cells whose key has never been computed.
 
 Layout::
 
-    <root>/store.json               {"schema": 1, "format": "npz-frame"}
-    <root>/objects/<d[:2]>/<d>.npz  one frame per artifact, d = key digest
+    <root>/store.json                 {"schema": 2, "format": "flat-frame"}
+    <root>/objects/<d[:2]>/<d>.frame  one frame per artifact, d = key digest
+
+An artifact is :meth:`ResultsFrame.to_bytes`'s flat file, as the plane
+cache's is: a magic preamble, a JSON header (frame schema, code tables,
+metadata, row count, body CRC-32, and the store's ``extra``: the full key
+and the producing engine's counters) and one ``int64`` matrix of the
+frame's columns.  A lookup reads it in one call and decodes the columns with
+one ``np.frombuffer``.
 
 Durability rules:
 
@@ -23,7 +30,9 @@ Durability rules:
   next ``put`` simply overwrites it.
 * **Versioned schema** — both the store manifest and each artifact embed a
   schema version; opening a store written by an incompatible build raises
-  :class:`~repro.errors.StoreError` instead of misreading it.
+  :class:`~repro.errors.StoreError` instead of misreading it.  Schema 1
+  held compressed numpy archives; such a store is refused, and deleting it
+  costs only re-simulating its cells.
 
 A store instance also keeps the set of cells that are being simulated and
 not yet stored (:meth:`ResultStore.mark_in_flight`), in memory only: the
@@ -51,12 +60,13 @@ from repro.core.results import ResultsFrame
 from repro.errors import StoreError
 from repro.obs.metrics import get_registry
 
-#: Version of the store directory layout and artifact envelope.
-STORE_SCHEMA_VERSION = 1
+#: Version of the store directory layout and artifact envelope.  It is part
+#: of every key digest, so artifacts of two versions never share an address.
+STORE_SCHEMA_VERSION = 2
 
 _MANIFEST_NAME = "store.json"
 _OBJECTS_DIR = "objects"
-_ARTIFACT_SUFFIX = ".npz"
+_ARTIFACT_SUFFIX = ".frame"
 
 
 def _atomic_replace(target: Path, writer, mode: str = "wb", prefix: str = ".tmp-") -> None:
@@ -175,6 +185,15 @@ class StoreKey:
         }
 
 
+def read_artifact(path: Path) -> Tuple[ResultsFrame, Dict[str, Any]]:
+    """Read one artifact file in one call and decode it.
+
+    Returns ``(frame, extra)``; raises ``OSError`` when the file cannot be
+    read and :class:`~repro.errors.SimulationError` when it is damaged.
+    """
+    return ResultsFrame.from_bytes(path.read_bytes())
+
+
 class ResultStore:
     """A directory of content-addressed result artifacts.
 
@@ -275,20 +294,19 @@ class ResultStore:
         treated as misses (counted separately in ``corrupt_count``); the
         caller re-simulates and overwrites.
         """
-        path = self.path_for(key)
         try:
-            with open(path, "rb") as handle:
-                frame, extra = ResultsFrame.read_npz(handle)
+            frame, extra = read_artifact(self.path_for(key))
         except FileNotFoundError:
             self.miss_count += 1
             self._metric_misses.inc()
             return None
         except Exception:
-            # Truncated npz, malformed metadata, wrong schema version, ...
+            # Truncated body, bad magic, malformed header, wrong schema, ...
             self.corrupt_count += 1
             self._metric_corrupt.inc()
             return None
-        if extra.get("key", {}).get("digest") != key.digest:
+        embedded = extra.get("key")
+        if not isinstance(embedded, dict) or embedded.get("digest") != key.digest:
             self.corrupt_count += 1
             self._metric_corrupt.inc()
             return None
@@ -310,19 +328,17 @@ class ResultStore:
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         counters = None if frame.counters is None else dataclasses.asdict(frame.counters)
+        data = frame.to_bytes(
+            extra_metadata={
+                "store_schema": STORE_SCHEMA_VERSION,
+                "key": key.describe(),
+                # Instrumentation rides along so warm runs report the
+                # same work counters the cold run measured.
+                "counters": counters,
+            }
+        )
         _atomic_replace(
-            path,
-            lambda handle: frame.to_npz(
-                handle,
-                extra_metadata={
-                    "store_schema": STORE_SCHEMA_VERSION,
-                    "key": key.describe(),
-                    # Instrumentation rides along so warm runs report the
-                    # same work counters the cold run measured.
-                    "counters": counters,
-                },
-            ),
-            prefix=".tmp-" + key.digest[:8] + "-",
+            path, lambda handle: handle.write(data), prefix=".tmp-" + key.digest[:8] + "-"
         )
         self.put_count += 1
         self._metric_puts.inc()
@@ -380,10 +396,11 @@ def open_store(path: Union[str, os.PathLike]) -> ResultStore:
         if manifest.get("schema") != STORE_SCHEMA_VERSION:
             raise StoreError(
                 f"store at {root} uses schema {manifest.get('schema')!r}; "
-                f"this build reads version {STORE_SCHEMA_VERSION}"
+                f"this build reads version {STORE_SCHEMA_VERSION} "
+                "(delete the store: its cells re-simulate)"
             )
     else:
-        manifest = {"schema": STORE_SCHEMA_VERSION, "format": "npz-frame"}
+        manifest = {"schema": STORE_SCHEMA_VERSION, "format": "flat-frame"}
         _atomic_replace(
             manifest_path,
             lambda handle: json.dump(manifest, handle, sort_keys=True),

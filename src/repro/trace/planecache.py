@@ -28,13 +28,14 @@ through the atomic temp-plus-``os.replace`` primitive, a damaged artifact
 treated as a miss and overwritten by the next put, and concurrent writers
 race benignly (both produce byte-identical content).
 
-**Artifact format.**  ``numpy``'s ``.npz`` cannot be memory-mapped (members
-sit inside a zip), so the artifact is a flat file: a magic preamble, an
-ASCII JSON header (artifact schema, fingerprint, trace name, length) and the
-three :class:`Trace` columns — addresses ``int64``, access types ``int8``,
-sizes ``int16`` — each starting on a 64-byte boundary at an offset fixed by
-the length.  Attaching validates only the header and the total size, then
-maps the file read-only, so a warm sweep faults in only the pages it walks.
+**Artifact format.**  A zipped numpy archive cannot be memory-mapped
+(members sit inside a zip), so the artifact is a flat file: a magic
+preamble, an ASCII JSON header (artifact schema, fingerprint, trace name,
+length) and the three :class:`Trace` columns — addresses ``int64``, access
+types ``int8``, sizes ``int16`` — each starting on a 64-byte boundary at an
+offset fixed by the length.  Attaching validates only the header and the
+total size, then maps the file read-only, so a warm sweep faults in only
+the pages it walks.
 Integrity is the address itself: ``trace cache verify`` recomputes the
 fingerprint over the mapped columns, the get-vs-verify split the result
 store uses.

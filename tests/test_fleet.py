@@ -426,6 +426,47 @@ class TestWaitBackoff:
             client.wait("a" * 64, timeout=0.3, poll_interval=0.01)
 
 
+class TestSocketWaitWakeUp:
+    def test_a_finish_between_the_read_and_the_wait_is_not_lost(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import socketserver
+        from repro.service.api import SERVICE_WIRE_VERSION
+
+        queue = open_service(tmp_path)
+        queue.submit("a" * 64, {})
+        running = queue.claim(daemon_id="d1")
+        server = socketserver.ServiceSocketServer(queue, "d1")
+        # Waiting out one recheck would now take a minute: the handler has
+        # to see the finish without it.
+        monkeypatch.setattr(socketserver, "_WAIT_RECHECK_SECONDS", 60.0)
+
+        def never_wait(timeout=None):
+            raise AssertionError(f"the wait handler slept {timeout}s on a finished job")
+
+        monkeypatch.setattr(server._finish_cond, "wait", never_wait)
+        find = queue.find
+        reads = []
+
+        def find_then_finish(job_id):
+            reads.append(job_id)
+            record = find(job_id)
+            if len(reads) == 1:
+                # The job finishes, and the daemon notifies, after this read
+                # saw it running and before the handler could wait.
+                assert record.state == STATE_RUNNING
+                queue.complete(running, "payload")
+                server.notify_job_finished()
+            return record
+
+        monkeypatch.setattr(queue, "find", find_then_finish)
+        response = server._dispatch(
+            {"wire": SERVICE_WIRE_VERSION, "op": "wait", "job": "a" * 64, "timeout": 120}
+        )
+        assert response["ok"] and response["job"]["state"] == STATE_DONE
+        assert len(reads) == 2
+
+
 class TestQueueGc:
     def test_gc_evicts_only_old_finished_jobs(self, tmp_path):
         queue = open_service(tmp_path)

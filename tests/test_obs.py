@@ -413,6 +413,42 @@ class TestSweepPhasesAndIdentity:
         assert covered <= outcome.elapsed_seconds * 1.10 + 0.05
         assert covered >= outcome.elapsed_seconds * 0.5
 
+    def test_on_result_hook_time_is_the_progress_phase(
+        self, trace_file, tmp_path, monkeypatch
+    ):
+        import time
+
+        from repro.obs import tracing
+
+        class Clock:
+            """The phase timer's clock, which the hook moves on an hour."""
+
+            skew = 0.0
+
+            def perf_counter(self):
+                return time.perf_counter() + self.skew
+
+            def __getattr__(self, name):
+                return getattr(time, name)
+
+        clock = Clock()
+        monkeypatch.setattr(tracing, "time", clock)
+        trace = load_trace_file(trace_file)
+        jobs = build_grid_jobs([8, 16], [1, 2], [1, 2, 4], policies=["fifo", "lru"])
+        store = open_store(tmp_path / "store")
+        run_sweep(trace, jobs[:2], store=store)
+        calls = []
+
+        def slow_hook(index, job, results, cached):
+            calls.append(cached)
+            clock.skew += 3600.0
+
+        phases = run_sweep(trace, jobs, store=store, on_result=slow_hook).phases
+        assert sorted(calls) == [False] * (len(jobs) - 2) + [True, True]
+        assert phases["progress"] >= 3600.0 * len(jobs)
+        assert phases["store_lookup"] < 3600.0
+        assert phases["persist"] < 3600.0
+
     def test_minor_faults_counted_only_when_simulating_in_process(self, trace_file):
         trace = load_trace_file(trace_file)
         jobs = build_grid_jobs([8, 16], [2], [1, 2, 4], policies=["fifo", "lru"])

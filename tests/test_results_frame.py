@@ -1,7 +1,7 @@
-"""Tests for the columnar ResultsFrame: rows, lookups, merge and npz payloads."""
+"""Tests for the columnar ResultsFrame: rows, lookups, merge and flat artifacts."""
 
-import io
 import json
+import struct
 
 import hypothesis.strategies as st
 import numpy as np
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from repro.core.config import CacheConfig
 from repro.core.results import (
     FRAME_SCHEMA_VERSION,
+    MECHANISM_TABLE,
     POLICY_TABLE,
     ConfigResult,
     ResultsFrame,
@@ -29,15 +30,20 @@ def _result(num_sets, assoc, block, policy=ReplacementPolicy.FIFO,
     )
 
 
-def _npz_bytes(frame, extra_metadata=None):
-    buffer = io.BytesIO()
-    frame.to_npz(buffer, extra_metadata=extra_metadata)
-    return buffer.getvalue()
+def _round_trip(frame):
+    restored, _ = ResultsFrame.from_bytes(frame.to_bytes())
+    return restored
 
 
-def _read_npz_bytes(data):
-    frame, _ = ResultsFrame.read_npz(io.BytesIO(data))
-    return frame
+def _rewrite_header(data, **changes):
+    """The artifact with header fields replaced (body and CRC kept)."""
+    size = struct.unpack_from("<I", data, 12)[0]
+    header = json.loads(data[16:16 + size])
+    header.update(changes)
+    blob = json.dumps(header).encode("ascii")
+    body = data[-(header["rows"] * 12 * 8):] if header["rows"] else b""
+    padding = -(16 + len(blob)) % 8
+    return data[:12] + struct.pack("<I", len(blob)) + blob + bytes(padding) + body
 
 
 def _sample_frame():
@@ -123,38 +129,53 @@ class TestResultsFrame:
     def test_merge_empty(self):
         assert len(ResultsFrame.merge([])) == 0
 
-    def test_npz_round_trip_bytes(self):
+    def test_flat_round_trip_bytes(self):
         frame = _sample_frame()
-        assert _read_npz_bytes(_npz_bytes(frame)) == frame
+        assert _round_trip(frame) == frame
 
-    def test_npz_round_trip_file(self, tmp_path):
+    def test_flat_round_trip_file(self, tmp_path):
         frame = _sample_frame()
-        path = tmp_path / "frame.npz"
-        with open(path, "wb") as handle:
-            frame.to_npz(handle)
-        with open(path, "rb") as handle:
-            assert ResultsFrame.read_npz(handle) == (frame, {})
+        path = tmp_path / "frame.frame"
+        path.write_bytes(frame.to_bytes())
+        assert ResultsFrame.from_bytes(path.read_bytes()) == (frame, {})
+
+    def test_flat_layout_is_a_header_then_one_int64_matrix(self):
+        frame = _sample_frame()
+        data = frame.to_bytes()
+        assert data[:12] == b"REPROFRAME1\n"
+        body = np.frombuffer(data[-len(frame) * 12 * 8:], dtype="<i8").reshape(12, -1)
+        assert body[0].tolist() == frame.num_sets.tolist()
+        assert body[3].tolist() == frame.policy_codes.tolist()
+        assert body[11].tolist() == frame.mechanism_allocations.tolist()
 
     def test_extra_metadata_round_trip(self):
         frame = _sample_frame()
-        data = _npz_bytes(frame, extra_metadata={"key": {"digest": "abc"}})
-        loaded, extra = ResultsFrame.read_npz(io.BytesIO(data))
+        data = frame.to_bytes(extra_metadata={"key": {"digest": "abc"}})
+        loaded, extra = ResultsFrame.from_bytes(data)
         assert loaded == frame
         assert extra == {"key": {"digest": "abc"}}
 
     def test_schema_version_mismatch_rejected(self):
-        frame = _sample_frame()
-        buffer = io.BytesIO(_npz_bytes(frame))
-        with np.load(buffer) as payload:
-            arrays = {name: payload[name] for name in payload.files}
-        meta = json.loads(str(arrays["metadata"][()]))
-        meta["schema"] = FRAME_SCHEMA_VERSION + 1
-        arrays["metadata"] = np.asarray(json.dumps(meta))
-        rewritten = io.BytesIO()
-        np.savez(rewritten, **arrays)
-        rewritten.seek(0)
+        data = _rewrite_header(_sample_frame().to_bytes(), schema=FRAME_SCHEMA_VERSION + 1)
         with pytest.raises(SimulationError, match="schema"):
-            ResultsFrame.read_npz(rewritten)
+            ResultsFrame.from_bytes(data)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda data: b"NOTAFRAME!!\n" + data[12:], "magic"),
+            (lambda data: data[:-8], "bytes"),
+            (lambda data: data[:10], "truncated"),
+            (lambda data: data[:-1] + bytes([data[-1] ^ 1]), "CRC-32"),
+            (lambda data: _rewrite_header(data, policy_table=["lru", "fifo"]), "codes"),
+            (lambda data: data[:12] + struct.pack("<I", 3) + data[16:], "header"),
+        ],
+        ids=["magic", "short-body", "short-preamble", "flipped-bit", "tables", "header"],
+    )
+    def test_damaged_artifacts_are_rejected(self, damage, message):
+        data = damage(_sample_frame().to_bytes())
+        with pytest.raises(SimulationError, match=message):
+            ResultsFrame.from_bytes(data)
 
 
 class TestSimulationResultsViews:
@@ -185,7 +206,7 @@ class TestSimulationResultsViews:
         # frame; the store persists it with the rows.
         frame = ResultsFrame.from_results([_result(1, 1, 16)])
         frame.elapsed_seconds = 3.5
-        assert _read_npz_bytes(_npz_bytes(frame)).elapsed_seconds == 3.5
+        assert _round_trip(frame).elapsed_seconds == 3.5
 
     def test_counters_and_walk_stay_out_of_rows_and_equality(self):
         frame = _sample_frame()
@@ -194,7 +215,7 @@ class TestSimulationResultsViews:
         frame.walk = "kernel"
         assert frame == other
         assert frame.to_json() == other.to_json()
-        assert _read_npz_bytes(_npz_bytes(frame)).counters is None
+        assert _round_trip(frame).counters is None
         # The scalar metadata does take part in equality.
         other.elapsed_seconds = 9.0
         assert frame != other
@@ -239,12 +260,19 @@ def result_lists(draw):
         accesses = draw(st.integers(min_value=0, max_value=2**40))
         misses = draw(st.integers(min_value=0, max_value=accesses))
         compulsory = draw(st.integers(min_value=0, max_value=misses))
+        mechanism = draw(st.sampled_from(MECHANISM_TABLE))
+        bare = mechanism == "none"
         results.append(
             ConfigResult(
                 CacheConfig(num_sets, assoc, block, policy),
                 accesses=accesses,
                 misses=misses,
                 compulsory_misses=compulsory,
+                mechanism=mechanism,
+                mechanism_entries=0 if bare else draw(st.integers(1, 64)),
+                mechanism_hits=0 if bare else draw(st.integers(0, 2**40)),
+                mechanism_swaps=0 if bare else draw(st.integers(0, 2**40)),
+                mechanism_allocations=0 if bare else draw(st.integers(0, 2**40)),
             )
         )
     return results
@@ -254,11 +282,11 @@ def result_lists(draw):
                                                  allow_nan=False, allow_infinity=False))
 @settings(max_examples=60, deadline=None)
 def test_results_frame_disk_round_trip_is_lossless(results, elapsed):
-    """A frame survives the npz round trip bit-for-bit, any key mix."""
+    """A frame survives the flat artifact round trip bit-for-bit, any key mix."""
     frame = ResultsFrame.from_results(
         results, elapsed_seconds=elapsed, simulator_name="dew", trace_name="rt"
     )
-    restored = _read_npz_bytes(_npz_bytes(frame))
+    restored = _round_trip(frame)
     assert restored == frame
     assert restored.as_rows() == [r.as_dict() for r in sorted(results, key=lambda r: r.config)]
 

@@ -373,6 +373,58 @@ class TestServedResultsByteIdentity:
         assert served == direct
 
 
+class TestRunningRecordWrites:
+    def test_record_is_rewritten_once_per_fresh_cell_only(
+        self, tmp_path, trace_file, monkeypatch
+    ):
+        from repro.service.queue import JobQueue
+
+        root = tmp_path / "svc"
+        client = ServiceClient(root, create=True)
+        store = open_store(root / "store")
+        trace = load_trace_file(trace_file)
+        mixed = _request(trace_file)
+        jobs = mixed.build_jobs()
+        run_sweep(trace, jobs[:1], store=store)  # one cell stored ahead
+        writes = []
+        update_running = JobQueue.update_running
+
+        def counted(queue, record):
+            writes.append(record.cells_done)
+            update_running(queue, record)
+
+        monkeypatch.setattr(JobQueue, "update_running", counted)
+        mixed_id = client.submit(mixed)["job_id"]
+        ServiceDaemon(root, store=store).run(drain=True)
+        record = client.queue.find(mixed_id)
+        assert (record.cells_done, record.cells_cached) == (len(jobs), 1)
+        assert len(writes) == len(jobs) - 1
+        direct = run_sweep(trace, jobs).merged().to_json()
+        assert client.result_text(mixed_id) == direct
+
+        # Every cell of this grid is stored now: no rewrite between the
+        # claim and the finish, and the claim's record has the cell count.
+        stored = _request(trace_file, block_sizes=(8,))
+        stored_id = client.submit(stored)["job_id"]
+        claimed = []
+
+        def on_cell(record, index, job, cached):
+            assert cached
+            claimed.append(client.queue.find(stored_id))
+
+        writes.clear()
+        ServiceDaemon(root, store=store, on_cell=on_cell).run(drain=True)
+        assert writes == []
+        cells = len(stored.build_jobs())
+        assert [(r.state, r.cells_total, r.cells_done) for r in claimed] == [
+            (STATE_RUNNING, cells, 0)
+        ] * cells
+        record = client.queue.find(stored_id)
+        assert (record.cells_done, record.cells_cached) == (cells, cells)
+        direct = run_sweep(trace, stored.build_jobs()).merged().to_json()
+        assert client.result_text(stored_id) == direct
+
+
 class TestConcurrentDuplicateSubmissions:
     def test_concurrent_duplicates_collapse_to_one_execution(self, tmp_path, trace_file):
         client_root = tmp_path / "svc"

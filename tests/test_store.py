@@ -77,6 +77,21 @@ class TestResultStore:
         with pytest.raises(StoreError, match="schema"):
             open_store(root)
 
+    def test_schema_1_store_is_refused_naming_both_versions(self, tmp_path):
+        # The layout of the compressed-artifact stores: refused, not misread.
+        root = tmp_path / "store"
+        (root / "objects" / "ab").mkdir(parents=True)
+        (root / "objects" / "ab" / ("ab" * 32 + ".npz")).write_bytes(b"PK\x03\x04")
+        (root / "store.json").write_text(json.dumps({"schema": 1, "format": "npz-frame"}))
+        with pytest.raises(StoreError, match="schema 1; this build reads version 2"):
+            open_store(root)
+
+    def test_manifest_names_the_flat_format(self, tmp_path):
+        store = open_store(tmp_path)
+        manifest = json.loads((tmp_path / "store.json").read_text())
+        assert manifest == {"schema": 2, "format": "flat-frame"}
+        assert store.put(_key(), _results()).suffix == ".frame"
+
     def test_put_get_round_trip(self, tmp_path):
         store = open_store(tmp_path)
         key = _key()
@@ -95,7 +110,7 @@ class TestResultStore:
         store = open_store(tmp_path)
         key = _key()
         path = store.put(key, _results())
-        path.write_bytes(b"garbage, not an npz payload")
+        path.write_bytes(b"garbage, not a frame artifact")
         assert store.get(key) is None
         assert store.corrupt_count == 1
         # A fresh put repairs the slot.
@@ -131,7 +146,7 @@ class TestResultStore:
     def test_artifact_paths_skip_temp_files(self, tmp_path):
         store = open_store(tmp_path)
         path = store.put(_key(), _results())
-        (path.parent / ".tmp-deadbeef-orphan.npz").write_bytes(b"partial write")
+        (path.parent / ".tmp-deadbeef-orphan.frame").write_bytes(b"partial write")
         assert len(store) == 1
         assert list(store.artifact_paths()) == [path]
 
@@ -167,6 +182,42 @@ class TestIncrementalSweep:
         assert resumed.executed_jobs == 1
         assert resumed.cached_jobs == len(jobs) - 1
         assert resumed.as_rows() == cold.as_rows()
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["bad-magic", "truncated-body", "frame-schema", "header-digest", "header-key"],
+    )
+    def test_damaged_artifact_is_counted_corrupt_and_resimulated(
+        self, cjpeg_trace, tmp_path, damage
+    ):
+        store = open_store(tmp_path)
+        jobs = build_grid_jobs(**GRID)
+        cold = run_sweep(cjpeg_trace, jobs, store=store)
+        fingerprint = cjpeg_trace.fingerprint()
+        path = store.path_for(jobs[3].store_key(fingerprint))
+        data = path.read_bytes()
+        frame, extra = ResultsFrame.from_bytes(data)
+        if damage == "bad-magic":
+            data = b"X" + data[1:]
+        elif damage == "truncated-body":
+            data = data[:-1]
+        elif damage == "frame-schema":
+            assert b'"schema":2' in data
+            data = data.replace(b'"schema":2', b'"schema":3', 1)
+        elif damage == "header-digest":
+            # A well-formed artifact whose header names another cell.
+            extra["key"] = jobs[0].store_key(fingerprint).describe()
+            data = frame.to_bytes(extra_metadata=extra)
+        else:
+            extra["key"] = [extra["key"]["digest"]]
+            data = frame.to_bytes(extra_metadata=extra)
+        path.write_bytes(data)
+        resumed = run_sweep(cjpeg_trace, jobs, store=store)
+        assert resumed.executed == (3,)
+        assert store.corrupt_count == 1
+        assert resumed.merged().to_json() == cold.merged().to_json()
+        # The re-simulated cell overwrote the damaged artifact.
+        assert run_sweep(cjpeg_trace, jobs, store=store).executed == ()
 
     def test_resume_after_kill_equivalence(self, cjpeg_trace, tmp_path):
         """A sweep killed partway resumes paying only for unfinished jobs."""

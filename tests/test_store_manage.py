@@ -86,7 +86,7 @@ class TestVerifyStore:
         store = open_store(tmp_path)
         path = store.put(_key(), _results())
         (store.root / "notes.txt").write_text("operator scribbles")
-        (path.parent / ".tmp-deadbeef-orphan.npz").write_bytes(b"partial")
+        (path.parent / ".tmp-deadbeef-orphan.frame").write_bytes(b"partial")
         report = verify_store(store)
         assert report.count("foreign") == 1
         assert report.count("temp") == 1
@@ -101,6 +101,24 @@ class TestVerifyStore:
         assert first == second == sorted(first)
 
 
+class TestLoadStoreFrame:
+    def test_each_artifact_is_decoded_once(self, tmp_path, monkeypatch):
+        import repro.store.manage as manage
+
+        store = open_store(tmp_path)
+        frames = [_results(config=CacheConfig(2 ** n, 2, 16)) for n in range(3)]
+        for block, frame in zip((8, 16, 32), frames):
+            store.put(_key(block_size=block), frame)
+        decoded = []
+        read = manage.read_artifact
+        monkeypatch.setattr(
+            manage, "read_artifact", lambda path: decoded.append(path) or read(path)
+        )
+        merged = manage.load_store_frame(store)
+        assert sorted(decoded) == sorted(store.artifact_paths())
+        assert merged.as_rows() == ResultsFrame.merge(frames).as_rows()
+
+
 class TestGcStore:
     def test_gc_empty_store(self, tmp_path):
         report = gc_store(open_store(tmp_path))
@@ -112,7 +130,7 @@ class TestGcStore:
         good = store.put(_key(block_size=16), _results())
         bad = store.put(_key(block_size=32), _results())
         bad.write_bytes(b"garbage")
-        (bad.parent / ".tmp-x-orphan.npz").write_bytes(b"partial")
+        (bad.parent / ".tmp-x-orphan.frame").write_bytes(b"partial")
         foreign = store.root / "notes.txt"
         foreign.write_text("keep me")
         report = gc_store(store)
@@ -396,14 +414,23 @@ class TestCliStoreManagement:
     def test_verify_detects_deliberate_corruption(self, warm_store, capsys):
         assert main(["store", "verify", str(warm_store)]) == 0
         assert "0 corrupt" in capsys.readouterr().out
-        victim = sorted((warm_store / "objects").glob("*/*.npz"))[0]
+        victim = sorted((warm_store / "objects").glob("*/*.frame"))[0]
         victim.write_bytes(b"deliberately corrupted")
         assert main(["store", "verify", str(warm_store)]) == 1
         out = capsys.readouterr().out
         assert "1 corrupt" in out and "[corrupt]" in out
 
+    def test_verify_flags_a_truncated_frame(self, warm_store, capsys):
+        victim = sorted((warm_store / "objects").glob("*/*.frame"))[0]
+        # Header intact, the body's last column cut short.
+        victim.write_bytes(victim.read_bytes()[:-8])
+        assert main(["store", "verify", str(warm_store)]) == 1
+        out = capsys.readouterr().out
+        assert "1 corrupt" in out and "[corrupt]" in out
+        assert victim.name[:12] in out
+
     def test_gc_cleans_corruption_then_verify_passes(self, warm_store, capsys):
-        victim = sorted((warm_store / "objects").glob("*/*.npz"))[0]
+        victim = sorted((warm_store / "objects").glob("*/*.frame"))[0]
         victim.write_bytes(b"deliberately corrupted")
         assert main(["store", "gc", str(warm_store)]) == 0
         assert "removed 1 file(s)" in capsys.readouterr().out
