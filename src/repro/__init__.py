@@ -21,6 +21,12 @@ has the full inventory):
 * :mod:`repro.bench` — the harness regenerating the paper's tables/figures.
 * :mod:`repro.verify` — exact-match cross-checking between simulators.
 
+Importing :mod:`repro` (or any of its packages) imports none of them: each
+name below is re-exported lazily, and imports its module on first access
+(see :mod:`repro._lazy`).  ``from repro import DewSimulator`` loads DEW and
+what it needs, and ``import repro.cli`` stays clear of numpy until a
+command runs.
+
 Quickstart
 ----------
 >>> from repro import DewSimulator, mediabench_trace
@@ -31,71 +37,40 @@ Quickstart
 12
 """
 
+from repro._lazy import lazy_exports
 from repro._version import __version__
-from repro.core.config import CacheConfig, ConfigSpace
-from repro.core.counters import DewCounters
-from repro.core.dew import DewSimulator
-from repro.core.results import ConfigResult, ResultsFrame
-from repro.core.tree import DewTree
-from repro.cache.dinero import DineroRunResult, DineroStyleRunner
-from repro.cache.simulator import SingleConfigSimulator
-from repro.cache.stats import CacheStats
-from repro.engine import (
-    Engine,
-    FusedSweepExecutor,
-    SweepJob,
-    SweepOutcome,
-    available_engines,
-    build_grid_jobs,
-    get_engine,
-    register_engine,
-    run_sweep,
-)
-from repro.lru.janapsatya import JanapsatyaSimulator
-from repro.store import ResultStore, StoreKey, open_store
-from repro.trace.trace import Trace, TraceBuilder
-from repro.trace.din import read_din, write_din
-from repro.types import AccessType, ReplacementPolicy
-from repro.verify.crosscheck import cross_check, cross_check_space
-from repro.workloads.mediabench import MEDIABENCH_APPS, mediabench_trace
-from repro.explore.tuner import CacheTuner, TuningConstraints
 
-__all__ = [
-    "__version__",
-    "CacheConfig",
-    "ConfigSpace",
-    "DewCounters",
-    "DewSimulator",
-    "ConfigResult",
-    "ResultsFrame",
-    "DewTree",
-    "DineroRunResult",
-    "DineroStyleRunner",
-    "SingleConfigSimulator",
-    "CacheStats",
-    "Engine",
-    "available_engines",
-    "get_engine",
-    "register_engine",
-    "SweepJob",
-    "SweepOutcome",
-    "build_grid_jobs",
-    "run_sweep",
-    "FusedSweepExecutor",
-    "JanapsatyaSimulator",
-    "ResultStore",
-    "StoreKey",
-    "open_store",
-    "Trace",
-    "TraceBuilder",
-    "read_din",
-    "write_din",
-    "AccessType",
-    "ReplacementPolicy",
-    "cross_check",
-    "cross_check_space",
-    "MEDIABENCH_APPS",
-    "mediabench_trace",
-    "CacheTuner",
-    "TuningConstraints",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".core.config": ("CacheConfig", "ConfigSpace"),
+        ".core.counters": ("DewCounters",),
+        ".core.dew": ("DewSimulator",),
+        ".core.results": ("ConfigResult", "ResultsFrame"),
+        ".core.tree": ("DewTree",),
+        ".cache.dinero": ("DineroRunResult", "DineroStyleRunner"),
+        ".cache.simulator": ("SingleConfigSimulator",),
+        ".cache.stats": ("CacheStats",),
+        ".engine.base": ("Engine", "available_engines", "get_engine", "register_engine"),
+        ".engine.sweep": (
+            "SweepJob",
+            "SweepOutcome",
+            "build_grid_jobs",
+            "run_sweep",
+            "FusedSweepExecutor",
+        ),
+        ".lru.janapsatya": ("JanapsatyaSimulator",),
+        ".store.resultstore": ("ResultStore", "StoreKey", "open_store"),
+        ".trace.trace": ("Trace", "TraceBuilder"),
+        ".trace.din": ("read_din", "write_din"),
+        ".types": ("AccessType", "ReplacementPolicy"),
+        ".verify.crosscheck": ("cross_check", "cross_check_space"),
+        ".workloads.mediabench": ("MEDIABENCH_APPS", "mediabench_trace"),
+        ".explore.tuner": ("CacheTuner", "TuningConstraints"),
+    },
+    submodules=(
+        "bench", "cache", "core", "engine", "explore", "kernels", "lru", "mechanisms",
+        "obs", "service", "store", "trace", "verify", "workloads",
+    ),
+)
+__all__.insert(0, "__version__")

@@ -11,33 +11,29 @@
     reduction).
 """
 
-from repro.bench.harness import ExperimentCell, ExperimentRunner, PropertyCell, default_request_budget
-from repro.bench.tables import (
-    format_table,
-    format_table1,
-    format_table2,
-    format_table3,
-    format_table4,
-)
-from repro.bench.figures import (
-    FigurePoint,
-    speedup_series,
-    comparison_reduction_series,
-    series_as_rows,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentCell",
-    "ExperimentRunner",
-    "PropertyCell",
-    "default_request_budget",
-    "format_table",
-    "format_table1",
-    "format_table2",
-    "format_table3",
-    "format_table4",
-    "FigurePoint",
-    "speedup_series",
-    "comparison_reduction_series",
-    "series_as_rows",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".harness": (
+            "ExperimentCell",
+            "ExperimentRunner",
+            "PropertyCell",
+            "default_request_budget",
+        ),
+        ".tables": (
+            "format_table",
+            "format_table1",
+            "format_table2",
+            "format_table3",
+            "format_table4",
+        ),
+        ".figures": (
+            "FigurePoint",
+            "speedup_series",
+            "comparison_reduction_series",
+            "series_as_rows",
+        ),
+    },
+)

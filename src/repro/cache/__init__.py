@@ -16,29 +16,22 @@ the reproduction:
   (:mod:`repro.verify`).
 """
 
-from repro.cache.policies import (
-    FifoPolicy,
-    LruPolicy,
-    PlruPolicy,
-    RandomPolicy,
-    ReplacementPolicyModel,
-    make_policy,
-)
-from repro.cache.cacheset import CacheSet
-from repro.cache.stats import CacheStats
-from repro.cache.simulator import SingleConfigSimulator
-from repro.cache.dinero import DineroStyleRunner, DineroRunResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FifoPolicy",
-    "LruPolicy",
-    "PlruPolicy",
-    "RandomPolicy",
-    "ReplacementPolicyModel",
-    "make_policy",
-    "CacheSet",
-    "CacheStats",
-    "SingleConfigSimulator",
-    "DineroStyleRunner",
-    "DineroRunResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".policies": (
+            "FifoPolicy",
+            "LruPolicy",
+            "PlruPolicy",
+            "RandomPolicy",
+            "ReplacementPolicyModel",
+            "make_policy",
+        ),
+        ".cacheset": ("CacheSet",),
+        ".stats": ("CacheStats",),
+        ".simulator": ("SingleConfigSimulator",),
+        ".dinero": ("DineroStyleRunner", "DineroRunResult"),
+    },
+)

@@ -51,7 +51,7 @@ from repro.cache.policies import make_policy
 from repro.cache.stats import CacheStats
 from repro.core.config import CacheConfig
 from repro.core.results import ResultsFrame, policy_code
-from repro.engine.base import Engine, register_engine
+from repro.engine.base import Engine
 from repro.errors import ConfigurationError, SimulationError
 from repro.types import AccessType, ReplacementPolicy, is_power_of_two
 
@@ -95,7 +95,6 @@ def _type_chunk(access_types: TypeChunk, size: int) -> Optional[np.ndarray]:
     return np.ascontiguousarray(types, dtype=np.int8)
 
 
-@register_engine("single")
 class SingleConfigSimulator(Engine):
     """Trace-driven simulator for one cache configuration (the ``single`` engine).
 
@@ -121,6 +120,7 @@ class SingleConfigSimulator(Engine):
     says which.
     """
 
+    family = "single"
     wants_access_types = True
 
     def __init__(

@@ -69,76 +69,54 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro._version import __version__
-from repro.bench.figures import (
-    comparison_reduction_series,
-    implementation_label,
-    render_ascii_chart,
-    speedup_series,
-)
-from repro.bench.harness import ExperimentRunner
-from repro.bench.tables import format_table1, format_table2, format_table3, format_table4
-from repro.cache.dinero import DineroStyleRunner
-from repro.core.config import CacheConfig
-from repro.core.results import ResultsFrame
-from repro.engine import (
-    build_grid_jobs,
-    build_mechanism_grid_jobs,
-    get_engine,
-    run_sweep,
-)
 from repro.errors import (
     ConfigurationError,
     ExplorationError,
     ReproError,
     ServiceError,
-    SimulationError,
     StoreError,
 )
-from repro.explore import CacheTuner, EnergyModel, TuningConstraints, pareto_front_frame
-from repro.obs.metrics import quantile_from_snapshot, render_exposition
-from repro.service import ServiceClient, ServiceDaemon, SweepRequest
-from repro.service.api import doubling_set_sizes, ok_response
-from repro.service.queue import (
-    DEFAULT_JOB_RETAIN_SECONDS,
-    JOB_STATES,
-    open_service,
-)
-from repro.store import open_store
-from repro.store.manage import (
-    DEFAULT_MANIFEST_NAME,
-    export_store,
-    gc_store,
-    import_store,
-    load_store_frame,
-    verify_store,
-)
-from repro.trace.din import write_din
-from repro.trace.files import load_trace_file, trace_name_for_path
-from repro.trace.planecache import (
-    CachedPlane,
-    coerce_plane_cache,
-    gc_plane_cache,
-    open_plane_cache,
-    scan_plane_cache,
-    verify_plane_cache,
-)
-from repro.trace.textio import write_text_trace
-from repro.types import ReplacementPolicy
-from repro.verify.crosscheck import cross_check
-from repro.workloads.mediabench import PAPER_REQUEST_COUNTS, mediabench_trace
+from repro.service import DEFAULT_JOB_RETAIN_SECONDS, JOB_STATES
+from repro.store import DEFAULT_MANIFEST_NAME
+from repro.workloads import PAPER_REQUEST_COUNTS
+
+if TYPE_CHECKING:
+    from repro.core.results import ResultsFrame
+
+# Only light modules are imported above: building the parser, which every
+# command (``--help`` and ``--version`` too) does, imports no numpy.  Each
+# command imports what it runs.
 
 
-#: Trace loading is shared with the service daemon; see repro.trace.files.
-_load_trace = load_trace_file
+def _load_trace(path: str, cache=None):
+    """Trace loading is shared with the service daemon; see repro.trace.files."""
+    from repro.trace.files import load_trace_file
 
-#: The power-of-two set-size ladder is shared with the service request layer.
-_set_sizes = doubling_set_sizes
+    return load_trace_file(path, cache=cache)
+
+
+def _set_sizes(max_sets: int) -> List[int]:
+    """The power-of-two set-size ladder, shared with the service requests."""
+    from repro.core.config import doubling_set_sizes
+
+    return doubling_set_sizes(max_sets)
+
+
+def _client(service_dir: str, **options):
+    """A :class:`~repro.service.api.ServiceClient`, closed on leaving the block."""
+    from repro.service.api import ServiceClient
+
+    return contextlib.closing(ServiceClient(service_dir, **options))
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.trace.din import write_din
+    from repro.trace.textio import write_text_trace
+    from repro.workloads.mediabench import mediabench_trace
+
     trace = mediabench_trace(args.app, args.requests, seed=args.seed)
     if args.output.endswith(".din"):
         write_din(trace, args.output)
@@ -149,6 +127,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_dew(args: argparse.Namespace) -> int:
+    from repro.engine.base import get_engine
+
     trace = _load_trace(args.trace)
     engine = get_engine(
         "dew",
@@ -169,6 +149,10 @@ def _cmd_dew(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
+    from repro.cache.dinero import DineroStyleRunner
+    from repro.core.config import CacheConfig
+    from repro.types import ReplacementPolicy
+
     trace = _load_trace(args.trace)
     configs = [
         CacheConfig(num_sets, assoc, args.block_size, ReplacementPolicy.FIFO)
@@ -222,6 +206,8 @@ def _sweep_trace_cache(args: argparse.Namespace):
     Cache-open failures degrade to no cache with a stderr note — the cache
     accelerates, it never gates.
     """
+    from repro.trace.planecache import coerce_plane_cache
+
     target = getattr(args, "trace_cache", None)
     if not target:
         return None
@@ -233,6 +219,11 @@ def _sweep_trace_cache(args: argparse.Namespace):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.engine.sweep import build_grid_jobs, build_mechanism_grid_jobs, run_sweep
+    from repro.store.resultstore import open_store
+    from repro.trace.files import trace_name_for_path
+    from repro.trace.planecache import CachedPlane
+
     jobs = build_grid_jobs(
         block_sizes=_parse_int_list(args.block_sizes, "block size"),
         associativities=_parse_int_list(args.associativities, "associativity"),
@@ -361,6 +352,8 @@ def _open_existing_store(path: str):
     it clean would be worse than an error.  ``store import`` is the one
     command allowed to create its destination.
     """
+    from repro.store.resultstore import open_store
+
     if not os.path.isfile(os.path.join(path, "store.json")):
         raise StoreError(
             f"no result store at {path} "
@@ -370,6 +363,8 @@ def _open_existing_store(path: str):
 
 
 def _cmd_store_ls(args: argparse.Namespace) -> int:
+    from repro.store.manage import verify_store
+
     store = _open_existing_store(args.store_dir)
     report = verify_store(store)
     if args.format == "json":
@@ -397,6 +392,8 @@ def _cmd_store_ls(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_verify(args: argparse.Namespace) -> int:
+    from repro.store.manage import verify_store
+
     report = verify_store(_open_existing_store(args.store_dir))
     print(report.summary())
     for record in report.problems:
@@ -405,6 +402,8 @@ def _cmd_store_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_gc(args: argparse.Namespace) -> int:
+    from repro.store.manage import gc_store
+
     keep = None
     if args.keep_fingerprints is not None:
         keep = [token.strip() for token in args.keep_fingerprints.split(",") if token.strip()]
@@ -422,6 +421,8 @@ def _cmd_store_gc(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_export(args: argparse.Namespace) -> int:
+    from repro.store.manage import export_store
+
     store = _open_existing_store(args.store_dir)
     manifest = args.manifest or os.path.join(args.store_dir, DEFAULT_MANIFEST_NAME)
     payload = export_store(store, manifest)
@@ -430,6 +431,9 @@ def _cmd_store_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_import(args: argparse.Namespace) -> int:
+    from repro.store.manage import import_store
+    from repro.store.resultstore import open_store
+
     report = import_store(open_store(args.store_dir), args.manifest)
     print(report.summary())
     return 0
@@ -437,6 +441,8 @@ def _cmd_store_import(args: argparse.Namespace) -> int:
 
 def _open_existing_plane_cache(path: str):
     """Open a plane cache that must already exist (management commands)."""
+    from repro.trace.planecache import open_plane_cache
+
     if not os.path.isfile(os.path.join(path, "planecache.json")):
         raise StoreError(
             f"no trace plane cache at {path} "
@@ -446,6 +452,8 @@ def _open_existing_plane_cache(path: str):
 
 
 def _cmd_trace_cache_ls(args: argparse.Namespace) -> int:
+    from repro.trace.planecache import scan_plane_cache
+
     cache = _open_existing_plane_cache(args.cache_dir)
     records = scan_plane_cache(cache)
     if args.format == "json":
@@ -472,6 +480,8 @@ def _cmd_trace_cache_ls(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_cache_verify(args: argparse.Namespace) -> int:
+    from repro.trace.planecache import verify_plane_cache
+
     report = verify_plane_cache(_open_existing_plane_cache(args.cache_dir))
     print(report.summary())
     for record in report.problems:
@@ -480,6 +490,8 @@ def _cmd_trace_cache_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_cache_gc(args: argparse.Namespace) -> int:
+    from repro.trace.planecache import gc_plane_cache
+
     keep = None
     if args.keep_fingerprints is not None:
         keep = [token.strip() for token in args.keep_fingerprints.split(",") if token.strip()]
@@ -498,6 +510,8 @@ def _cmd_trace_cache_gc(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_cache_warm(args: argparse.Namespace) -> int:
+    from repro.trace.planecache import open_plane_cache
+
     cache = open_plane_cache(args.cache_dir)
     trace = _load_trace(args.trace, cache=cache)
     cache.ensure(trace).close()
@@ -515,6 +529,9 @@ def _explore_frame(args: argparse.Namespace) -> ResultsFrame:
     payload), ``--store`` (every valid artifact of one trace, merged) or
     ``--service`` + ``--job`` (a completed service job's frame).
     """
+    from repro.core.results import ResultsFrame
+    from repro.store.manage import load_store_frame
+
     service = getattr(args, "service", None)
     chosen = sum(1 for source in (args.json, args.store, service) if source)
     if chosen != 1:
@@ -526,7 +543,7 @@ def _explore_frame(args: argparse.Namespace) -> ResultsFrame:
         if not getattr(args, "job", None):
             raise ExplorationError("--service needs --job ID (see 'queue ls')")
         try:
-            with contextlib.closing(ServiceClient(service)) as client:
+            with _client(service) as client:
                 return client.result_frame(args.job)
         except ServiceError as exc:
             raise ExplorationError(str(exc)) from exc
@@ -563,6 +580,8 @@ _ENERGY_METRICS = ("energy", "amat")
 
 
 def _explore_metric_columns(frame: ResultsFrame, names: List[str]):
+    from repro.explore.energy import EnergyModel
+
     model_estimate = None
     columns = []
     for name in names:
@@ -580,6 +599,8 @@ def _explore_metric_columns(frame: ResultsFrame, names: List[str]):
 
 
 def _cmd_explore_pareto(args: argparse.Namespace) -> int:
+    from repro.explore.pareto import pareto_front_frame
+
     frame = _explore_frame(args)
     names = [token.strip() for token in args.metrics.split(",") if token.strip()]
     if len(names) < 2:
@@ -620,6 +641,8 @@ def _cmd_explore_pareto(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore_tune(args: argparse.Namespace) -> int:
+    from repro.explore.tuner import CacheTuner, TuningConstraints
+
     frame = _explore_frame(args)
     constraints = TuningConstraints(
         max_total_size=args.max_size,
@@ -652,6 +675,8 @@ def _cmd_explore_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.service.daemon import ServiceDaemon
+
     daemon = ServiceDaemon(
         args.service_dir,
         store=args.store,
@@ -682,7 +707,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _submit_request(args: argparse.Namespace) -> SweepRequest:
+def _submit_request(args: argparse.Namespace):
+    from repro.service.api import SweepRequest
+
     return SweepRequest(
         trace_path=os.path.abspath(args.trace),
         block_sizes=tuple(_parse_int_list(args.block_sizes, "block size")),
@@ -700,13 +727,12 @@ def _submit_request(args: argparse.Namespace) -> SweepRequest:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    client = ServiceClient(
+    with _client(
         args.service_dir,
         create=True,
         transport=args.transport,
         trace_cache=args.trace_cache,
-    )
-    with contextlib.closing(client):
+    ) as client:
         response = client.submit(_submit_request(args), priority=args.priority)
         if args.wait:
             record = client.wait(response["job_id"], timeout=args.timeout)
@@ -726,7 +752,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    with contextlib.closing(ServiceClient(args.service_dir, transport=args.transport)) as client:
+    with _client(args.service_dir, transport=args.transport) as client:
         response = client.status(args.job)
     if args.format == "json":
         print(json.dumps(response, indent=2))
@@ -744,7 +770,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_result(args: argparse.Namespace) -> int:
-    with contextlib.closing(ServiceClient(args.service_dir, transport=args.transport)) as client:
+    with _client(args.service_dir, transport=args.transport) as client:
         payload = client.result_text(args.job)
         if args.format == "json":
             # The stored payload verbatim: byte-identical to what a direct
@@ -758,7 +784,7 @@ def _cmd_result(args: argparse.Namespace) -> int:
 
 
 def _cmd_cancel(args: argparse.Namespace) -> int:
-    with contextlib.closing(ServiceClient(args.service_dir, transport=args.transport)) as client:
+    with _client(args.service_dir, transport=args.transport) as client:
         response = client.cancel(args.job)
     if args.format == "json":
         print(json.dumps(response, indent=2))
@@ -773,7 +799,7 @@ def _cmd_cancel(args: argparse.Namespace) -> int:
 
 
 def _cmd_queue_ls(args: argparse.Namespace) -> int:
-    with contextlib.closing(ServiceClient(args.service_dir, transport="files")) as client:
+    with _client(args.service_dir, transport="files") as client:
         jobs = client.jobs(state=args.state)
     if args.format == "json":
         print(json.dumps(jobs, indent=2))
@@ -789,7 +815,7 @@ def _cmd_queue_ls(args: argparse.Namespace) -> int:
 
 
 def _cmd_queue_stats(args: argparse.Namespace) -> int:
-    with contextlib.closing(ServiceClient(args.service_dir, transport=args.transport)) as client:
+    with _client(args.service_dir, transport=args.transport) as client:
         if args.prune_events:
             pruned = client.prune_events(retain_seconds=args.retain_seconds)
             print(f"pruned {pruned} submit event(s)", file=sys.stderr)
@@ -835,9 +861,12 @@ def _notes_text(daemon) -> str:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    from repro.obs.metrics import render_exposition
+    from repro.service.api import ok_response
+
     # The registry snapshot rides the daemon's heartbeat; `stats` answers
     # with the live one over the socket and the last published one over files.
-    with contextlib.closing(ServiceClient(args.service_dir)) as client:
+    with _client(args.service_dir) as client:
         daemon = client.stats().get("daemon") or {}
     snapshot = daemon.get("metrics") or {}
     if args.format == "text":
@@ -858,6 +887,8 @@ def _counter_hit_rate(counters, hits_key: str, misses_key: str) -> Optional[floa
 
 
 def _claim_latency_text(metrics) -> str:
+    from repro.obs.metrics import quantile_from_snapshot
+
     histogram = (metrics.get("histograms") or {}).get("queue_claim_latency_seconds")
     if not histogram:
         return ""
@@ -901,10 +932,18 @@ def _render_queue_top(service_dir: str, response) -> None:
     if plane_rate is not None:
         line += f", plane cache hit rate {plane_rate:.0%}"
     print(line + _notes_text(daemon))
+    # Where the finished jobs' execute time went, largest phase first.
+    phases = daemon.get("phase_seconds") or {}
+    total = sum(phases.values())
+    if total > 0:
+        print("job phases: " + ", ".join(
+            f"{name} {seconds:.3f}s ({seconds / total:.0%})"
+            for name, seconds in sorted(phases.items(), key=lambda item: -item[1])
+        ))
 
 
 def _cmd_queue_top(args: argparse.Namespace) -> int:
-    with contextlib.closing(ServiceClient(args.service_dir, transport=args.transport)) as client:
+    with _client(args.service_dir, transport=args.transport) as client:
         iterations = max(int(args.iterations), 1)
         for iteration in range(iterations):
             if iteration:
@@ -919,6 +958,8 @@ def _cmd_queue_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_queue_gc(args: argparse.Namespace) -> int:
+    from repro.service.queue import open_service
+
     queue = open_service(args.service_dir, create=False)
     report = queue.gc(retain_seconds=args.retain_seconds, dry_run=args.dry_run)
     if args.format == "json":
@@ -942,6 +983,8 @@ def _cmd_queue_gc(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from repro.verify.crosscheck import cross_check
+
     trace = _load_trace(args.trace)
     report = cross_check(trace, args.block_size, args.associativity, _set_sizes(args.max_sets))
     print(report.summary())
@@ -949,6 +992,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
+    from repro.bench.figures import (
+        comparison_reduction_series,
+        implementation_label,
+        render_ascii_chart,
+        speedup_series,
+    )
+    from repro.bench.harness import ExperimentRunner
+    from repro.bench.tables import format_table1, format_table2, format_table3, format_table4
+
     runner = ExperimentRunner(max_requests=args.requests, seed=args.seed, workers=args.workers)
     print(format_table1())
     print()

@@ -23,18 +23,15 @@ simulator described in the paper:
     suite.
 """
 
-from repro.core.config import CacheConfig, ConfigSpace
-from repro.core.counters import DewCounters
-from repro.core.results import ConfigResult, ResultsFrame
-from repro.core.tree import DewTree
-from repro.core.dew import DewSimulator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheConfig",
-    "ConfigSpace",
-    "DewCounters",
-    "ConfigResult",
-    "ResultsFrame",
-    "DewTree",
-    "DewSimulator",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".config": ("CacheConfig", "ConfigSpace"),
+        ".counters": ("DewCounters",),
+        ".results": ("ConfigResult", "ResultsFrame"),
+        ".tree": ("DewTree",),
+        ".dew": ("DewSimulator",),
+    },
+)

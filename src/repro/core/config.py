@@ -251,3 +251,13 @@ def config_grid(
 ) -> List[CacheConfig]:
     """Convenience wrapper building a list of configurations directly."""
     return ConfigSpace(list(set_sizes), list(associativities), list(block_sizes), policy).configs()
+
+
+def doubling_set_sizes(max_sets: int) -> List[int]:
+    """The power-of-two set-size ladder ``1, 2, 4, ... <= max_sets``."""
+    sizes = []
+    size = 1
+    while size <= int(max_sets):
+        sizes.append(size)
+        size *= 2
+    return sizes

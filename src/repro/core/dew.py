@@ -84,11 +84,10 @@ from repro import kernels
 from repro.core.counters import DewCounters
 from repro.core.results import ResultsFrame, policy_code
 from repro.core.tree import DewTree
-from repro.engine.base import Engine, register_engine
+from repro.engine.base import Engine
 from repro.errors import SimulationError
 from repro.types import EMPTY_WAVE, INVALID_TAG, ReplacementPolicy
 
-@register_engine("dew")
 class DewSimulator(Engine):
     """Single-pass multi-configuration FIFO cache simulator (the ``dew`` engine).
 
@@ -119,6 +118,7 @@ class DewSimulator(Engine):
     with one comparison, so run-length collapsed chunks would not pay.
     """
 
+    family = "dew"
     recycles_storage = True
 
     def __init__(

@@ -5,7 +5,11 @@ registered simulator behind the uniform :class:`~repro.engine.base.Engine`
 protocol (``run_blocks(chunk)`` / ``finalize()``, which returns a
 :class:`~repro.core.results.ResultsFrame`); :mod:`repro.engine.sweep`
 fans grids of engines out over worker processes.  The simulators are the
-engines; each registers itself when its module is imported:
+engines.  The registry is a table (:data:`repro.engine.base.ENGINES`) of
+each key's module and class: listing it imports nothing, and the first
+lookup of a key imports that engine's module.  Importing
+:mod:`repro.engine.sweep` looks every engine up, so no sweep imports one
+mid-run:
 
 ========================  ====================================================
 registry key              engine class
@@ -23,40 +27,30 @@ registry key              engine class
 ========================  ====================================================
 """
 
-from repro.engine.base import (
-    Engine,
-    available_engines,
-    get_engine,
-    get_engine_class,
-    register_engine,
-)
-from repro.engine.sweep import (
-    FusedSweepExecutor,
-    SweepJob,
-    SweepOutcome,
-    build_grid_jobs,
-    build_mechanism_grid_jobs,
-    run_sweep,
-)
-from repro.mechanisms import (
-    MissCacheEngine,
-    StreamBufferEngine,
-    VictimCacheEngine,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Engine",
-    "available_engines",
-    "get_engine",
-    "get_engine_class",
-    "register_engine",
-    "MissCacheEngine",
-    "StreamBufferEngine",
-    "VictimCacheEngine",
-    "FusedSweepExecutor",
-    "SweepJob",
-    "SweepOutcome",
-    "build_grid_jobs",
-    "build_mechanism_grid_jobs",
-    "run_sweep",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".base": (
+            "Engine",
+            "available_engines",
+            "get_engine",
+            "get_engine_class",
+            "register_engine",
+        ),
+        "repro.mechanisms.engines": (
+            "MissCacheEngine",
+            "StreamBufferEngine",
+            "VictimCacheEngine",
+        ),
+        ".sweep": (
+            "FusedSweepExecutor",
+            "SweepJob",
+            "SweepOutcome",
+            "build_grid_jobs",
+            "build_mechanism_grid_jobs",
+            "run_sweep",
+        ),
+    },
+)

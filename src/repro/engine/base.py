@@ -15,16 +15,24 @@ API:
 
 :meth:`Engine.run` bundles the three steps for whole traces and is the one
 whole-trace driver; the sweep executor (:mod:`repro.engine.sweep`) uses the
-same API to fan a grid of engines out over worker processes.  Adding a
-policy or simulator to the system is one :func:`register_engine`-decorated
+same API to fan a grid of engines out over worker processes.
+
+The registry is a table, :data:`ENGINES`, like
+:data:`repro.kernels.KERNELS`: each key names the module that defines its
+engine and the class.  :func:`available_engines` lists the table without
+importing anything, and :func:`get_engine_class` imports an engine's module
+on its first lookup.  :mod:`repro.engine.sweep` looks every engine up when
+it is imported, so no sweep imports a module mid-run.  An engine defined
+outside the package joins with a :func:`register_engine`-decorated
 :class:`Engine` subclass.
 """
 
 from __future__ import annotations
 
 import abc
+import importlib
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Type, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type, Union
 
 import numpy as np
 
@@ -42,7 +50,8 @@ class Engine(abc.ABC):
     single-use objects — build one per run via :func:`get_engine`.
     """
 
-    #: Registry key, filled in by :func:`register_engine`.
+    #: Registry key: the engine's key in :data:`ENGINES`, or the one
+    #: :func:`register_engine` gave it.
     family: str = "engine"
 
     #: When true, :meth:`run` feeds per-access type codes to
@@ -176,22 +185,37 @@ class Engine(abc.ABC):
 
 # -- registry ------------------------------------------------------------------
 
-_ENGINE_REGISTRY: Dict[str, Type[Engine]] = {}
+#: The package's engines, by registry key: the module that defines each and
+#: its class, whose :attr:`Engine.family` is the key.
+ENGINES: Dict[str, Tuple[str, str]] = {
+    "dew": ("repro.core.dew", "DewSimulator"),
+    "single": ("repro.cache.simulator", "SingleConfigSimulator"),
+    "janapsatya": ("repro.lru.janapsatya", "JanapsatyaSimulator"),
+    "victim-cache": ("repro.mechanisms.engines", "VictimCacheEngine"),
+    "miss-cache": ("repro.mechanisms.engines", "MissCacheEngine"),
+    "stream-buffer": ("repro.mechanisms.engines", "StreamBufferEngine"),
+}
+
+#: Engine classes looked up so far, and those :func:`register_engine` added.
+_ENGINE_CLASSES: Dict[str, Type[Engine]] = {}
 
 
 def register_engine(name: str):
-    """Class decorator registering an :class:`Engine` under ``name``."""
+    """Class decorator registering an :class:`Engine` under ``name``.
+
+    A key that :data:`ENGINES` or an earlier registration holds is refused.
+    """
 
     def decorator(cls: Type[Engine]) -> Type[Engine]:
         key = name.strip().lower()
         if not key:
             raise EngineError("engine name must be non-empty")
-        if key in _ENGINE_REGISTRY:
+        if key in ENGINES or key in _ENGINE_CLASSES:
             raise EngineError(f"engine {key!r} is already registered")
         if not (isinstance(cls, type) and issubclass(cls, Engine)):
             raise EngineError(f"{cls!r} is not an Engine subclass")
         cls.family = key
-        _ENGINE_REGISTRY[key] = cls
+        _ENGINE_CLASSES[key] = cls
         return cls
 
     return decorator
@@ -205,19 +229,24 @@ def get_engine(name: str, **options) -> Engine:
 def get_engine_class(name: str) -> Type[Engine]:
     """Look up a registered engine class by key without constructing it.
 
-    The class-level capability flag :attr:`Engine.wants_access_types` is
+    The first lookup of a key in :data:`ENGINES` imports its module.  The
+    class-level capability flag :attr:`Engine.wants_access_types` is
     meaningful on the class itself, so callers can interrogate a whole job
     list without instantiating (and paying the state allocation of) any
     engine.
     """
     key = str(name).strip().lower()
-    try:
-        return _ENGINE_REGISTRY[key]
-    except KeyError:
-        available = ", ".join(available_engines()) or "<none>"
-        raise EngineError(f"unknown engine {name!r}; available: {available}") from None
+    cls = _ENGINE_CLASSES.get(key)
+    if cls is None:
+        try:
+            module, class_name = ENGINES[key]
+        except KeyError:
+            available = ", ".join(available_engines()) or "<none>"
+            raise EngineError(f"unknown engine {name!r}; available: {available}") from None
+        cls = _ENGINE_CLASSES[key] = getattr(importlib.import_module(module), class_name)
+    return cls
 
 
 def available_engines() -> List[str]:
     """Sorted list of registered engine keys."""
-    return sorted(_ENGINE_REGISTRY)
+    return sorted({*ENGINES, *_ENGINE_CLASSES})

@@ -56,13 +56,20 @@ import numpy as np
 from repro.core.config import CacheConfig
 from repro.core.results import ResultsFrame, mechanism_code
 from repro.core.tree import STORAGE_POOL
-from repro.engine.base import Engine, get_engine, get_engine_class
+from repro.engine.base import ENGINES, Engine, get_engine, get_engine_class
 from repro.errors import EngineError, ReproError, SimulationError
 from repro.obs.tracing import PhaseTimer
 from repro.store import ResultStore, StoreKey, open_store
 from repro.trace.planecache import CachedPlane, TracePlaneCache, coerce_plane_cache
 from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace
 from repro.types import ReplacementPolicy
+
+# Import every engine's module with this one, so that no sweep, served
+# request or benchmark unit imports one mid-run (the registry imports an
+# engine's module on its first lookup).
+for _key in ENGINES:
+    get_engine_class(_key)
+del _key
 
 #: Option names whose values are replacement policies and are parsed as such
 #: during canonicalization (so ``"FIFO"``, ``"fifo"`` and

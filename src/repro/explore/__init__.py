@@ -17,18 +17,13 @@ vectorised numpy kernels (``pareto_front_frame``,
 ``EnergyModel.estimate_frame``, ``CacheTuner.tune_frame``/``rank_frame``).
 """
 
-from repro.explore.energy import EnergyModel, EnergyEstimate, FrameEnergyEstimate
-from repro.explore.pareto import metric_matrix, pareto_front_frame, pareto_mask
-from repro.explore.tuner import CacheTuner, TuningConstraints, TuningOutcome
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EnergyModel",
-    "EnergyEstimate",
-    "FrameEnergyEstimate",
-    "metric_matrix",
-    "pareto_front_frame",
-    "pareto_mask",
-    "CacheTuner",
-    "TuningConstraints",
-    "TuningOutcome",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".energy": ("EnergyModel", "EnergyEstimate", "FrameEnergyEstimate"),
+        ".pareto": ("metric_matrix", "pareto_front_frame", "pareto_mask"),
+        ".tuner": ("CacheTuner", "TuningConstraints", "TuningOutcome"),
+    },
+)

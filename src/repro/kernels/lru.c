@@ -4,7 +4,8 @@
  * Level k's sets start at set offsets[k], and a block maps to set
  * offsets[k] + (block & masks[k]).  A set's recency list is its A entries
  * starting at set * A, most recent first, of which the first fill[set] are
- * valid.  Tags hold block + 1, so zero-filled storage is an empty cache.
+ * valid; the walk reads no tag past them, so only fill starts zeroed.  Tags
+ * hold block + 1, as the other cache walks store them.
  *
  * tally receives, per level k, the hits at each recency position p at
  * k * A + p, then the tags compared by walks that missed; the caller

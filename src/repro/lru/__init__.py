@@ -10,8 +10,8 @@ block size.  Its walk is compiled (``repro/kernels/lru.c``) wherever a C
 compiler runs, with the Python walk as fallback and oracle.
 """
 
-from repro.lru.janapsatya import JanapsatyaSimulator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "JanapsatyaSimulator",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__, {".janapsatya": ("JanapsatyaSimulator",)}
+)

@@ -61,7 +61,7 @@ import numpy as np
 
 from repro import kernels
 from repro.core.results import ResultsFrame, policy_code
-from repro.engine.base import Engine, register_engine
+from repro.engine.base import Engine
 from repro.errors import ConfigurationError, SimulationError
 from repro.types import ReplacementPolicy, is_power_of_two, log2_exact
 
@@ -85,7 +85,6 @@ class JanapsatyaCounters:
         }
 
 
-@register_engine("janapsatya")
 class JanapsatyaSimulator(Engine):
     """Exact single-pass LRU simulation of many (set size, associativity) pairs.
 
@@ -106,6 +105,8 @@ class JanapsatyaSimulator(Engine):
     compulsory misses are the distinct-block count handed over
     (:meth:`~repro.engine.base.Engine.set_compulsory`).
     """
+
+    family = "janapsatya"
 
     #: 2: rows report the compulsory misses handed over (they read 0 before).
     result_version = 2
@@ -158,7 +159,9 @@ class JanapsatyaSimulator(Engine):
         sizes = np.asarray(self.set_sizes, dtype=np.int64)
         self._offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
         masks = sizes - 1
-        self._tags = np.zeros(int(sizes.sum()) * ways, dtype=np.int64)
+        # The walks read a set's tags only below its fill length, so only
+        # the fill lengths need zeroing.
+        self._tags = np.empty(int(sizes.sum()) * ways, dtype=np.int64)
         self._fill = np.zeros(int(sizes.sum()), dtype=np.int64)
         self._tally = np.zeros(sizes.size * ways + 1, dtype=np.int64)
         arrays = (masks, self._offsets, self._tags, self._fill)

@@ -11,24 +11,23 @@ stream buffers one set of stream heads per count.  The probes run in
 pareto/tune`` can then rank "victim cache vs miss cache vs bigger L1"
 directly.
 
-Importing this package registers the engines (``victim-cache``,
-``miss-cache``, ``stream-buffer``) in the engine registry.
+The engine registry's table (:mod:`repro.engine.base`) names the engines
+(``victim-cache``, ``miss-cache``, ``stream-buffer``) and imports
+:mod:`repro.mechanisms.engines` on the first lookup of one of them.
 """
 
-from repro.mechanisms.engines import (
-    MECHANISM_ENGINE_NAMES,
-    MechanismEngine,
-    MissCacheEngine,
-    StreamBufferEngine,
-    VictimCacheEngine,
-    entry_counts,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MECHANISM_ENGINE_NAMES",
-    "MechanismEngine",
-    "MissCacheEngine",
-    "StreamBufferEngine",
-    "VictimCacheEngine",
-    "entry_counts",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".engines": (
+            "MECHANISM_ENGINE_NAMES",
+            "MechanismEngine",
+            "MissCacheEngine",
+            "StreamBufferEngine",
+            "VictimCacheEngine",
+            "entry_counts",
+        ),
+    },
+)

@@ -59,7 +59,7 @@ from repro.cache.simulator import BlockChunk, MissStream, SingleConfigSimulator,
 from repro.cache.stats import CacheStats
 from repro.core.config import CacheConfig
 from repro.core.results import ResultsFrame, mechanism_code, policy_code
-from repro.engine.base import Engine, register_engine
+from repro.engine.base import Engine
 from repro.errors import ConfigurationError
 from repro.types import AccessType, ReplacementPolicy
 
@@ -232,7 +232,6 @@ class MechanismEngine(Engine):
         self._elapsed = 0.0
 
 
-@register_engine("victim-cache")
 class VictimCacheEngine(MechanismEngine):
     """DL1 plus a fully-associative victim cache of DL1 evictions.
 
@@ -244,6 +243,7 @@ class VictimCacheEngine(MechanismEngine):
     buffer's LRU entry to make room.
     """
 
+    family = "victim-cache"
     _code = _VICTIM
 
     def _probe_python(self, stream: MissStream) -> List[int]:
@@ -269,7 +269,6 @@ class VictimCacheEngine(MechanismEngine):
         return self._by_position(hits), swaps, stats.evictions - swaps, np.zeros_like(swaps)
 
 
-@register_engine("miss-cache")
 class MissCacheEngine(MechanismEngine):
     """DL1 plus a tags-only fully-associative miss cache.
 
@@ -279,6 +278,7 @@ class MissCacheEngine(MechanismEngine):
     exchanged with DL1).
     """
 
+    family = "miss-cache"
     _code = _MISS
 
     def _probe_python(self, stream: MissStream) -> List[int]:
@@ -300,7 +300,6 @@ class MissCacheEngine(MechanismEngine):
         return hits, zeros, stats.misses - hits, zeros
 
 
-@register_engine("stream-buffer")
 class StreamBufferEngine(MechanismEngine):
     """DL1 plus N sequential-prefetch stream buffers.
 
@@ -313,6 +312,7 @@ class StreamBufferEngine(MechanismEngine):
     (:attr:`wants_access_types`).
     """
 
+    family = "stream-buffer"
     _code = _STREAM
     wants_access_types = True
 

@@ -15,30 +15,22 @@ attributes ``run_sweep`` wall clock to decode / plane-ensure / store-lookup
 / simulate / persist / merge.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    metrics_enabled,
-    quantile_from_snapshot,
-    render_exposition,
-    set_metrics_enabled,
-)
-from repro.obs.tracing import PhaseTimer, SpanLog, new_trace_id
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "PhaseTimer",
-    "SpanLog",
-    "get_registry",
-    "metrics_enabled",
-    "new_trace_id",
-    "quantile_from_snapshot",
-    "render_exposition",
-    "set_metrics_enabled",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".metrics": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "get_registry",
+            "metrics_enabled",
+            "quantile_from_snapshot",
+            "render_exposition",
+            "set_metrics_enabled",
+        ),
+        ".tracing": ("PhaseTimer", "SpanLog", "new_trace_id"),
+    },
+)

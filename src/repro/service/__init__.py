@@ -28,45 +28,32 @@ the payload of :func:`repro.engine.sweep.run_sweep` executed directly.
     the same JSON envelopes as the polling path, minus the polling floor.
 """
 
-from repro.service.api import (
-    SERVICE_WIRE_VERSION,
-    ServiceClient,
-    SweepRequest,
-    error_response,
-    ok_response,
-    service_stats,
-)
-from repro.service.daemon import ServiceDaemon, default_daemon_id
-from repro.service.queue import (
-    DEFAULT_JOB_RETAIN_SECONDS,
-    JOB_STATES,
-    SERVICE_SCHEMA_VERSION,
-    JobQueue,
-    JobRecord,
-    open_service,
-)
-from repro.service.socketserver import (
-    ServiceSocketServer,
-    SocketTransport,
-    discover_socket,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_JOB_RETAIN_SECONDS",
-    "JOB_STATES",
-    "SERVICE_SCHEMA_VERSION",
-    "SERVICE_WIRE_VERSION",
-    "JobQueue",
-    "JobRecord",
-    "ServiceClient",
-    "ServiceDaemon",
-    "ServiceSocketServer",
-    "SocketTransport",
-    "SweepRequest",
-    "default_daemon_id",
-    "discover_socket",
-    "error_response",
-    "ok_response",
-    "open_service",
-    "service_stats",
-]
+#: Job lifecycle states, in order; each is a sub-directory of a service's
+#: ``jobs/`` (see :mod:`repro.service.queue`).  They and the retention
+#: default live here, not in the queue, so the CLI's parser reads them
+#: without importing the queue and the store beneath it.
+JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+
+#: Default retention for finished/failed/cancelled job records and their
+#: result payloads (``queue gc``): one week.
+DEFAULT_JOB_RETAIN_SECONDS = 7 * 86_400.0
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".api": (
+            "SERVICE_WIRE_VERSION",
+            "ServiceClient",
+            "SweepRequest",
+            "error_response",
+            "ok_response",
+            "service_stats",
+        ),
+        ".daemon": ("ServiceDaemon", "default_daemon_id"),
+        ".queue": ("SERVICE_SCHEMA_VERSION", "JobQueue", "JobRecord", "open_service"),
+        ".socketserver": ("ServiceSocketServer", "SocketTransport", "discover_socket"),
+    },
+)
+__all__ += ["DEFAULT_JOB_RETAIN_SECONDS", "JOB_STATES"]

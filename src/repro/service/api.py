@@ -47,6 +47,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.core.config import doubling_set_sizes
 from repro.core.results import ResultsFrame
 from repro.engine.sweep import SweepJob, build_grid_jobs, build_mechanism_grid_jobs
 from repro.errors import ReproError, ServiceError
@@ -70,16 +71,6 @@ SERVICE_WIRE_VERSION = 1
 
 #: Default sizes swept when a request does not pin ``max_sets``.
 DEFAULT_MAX_SETS = 16384
-
-
-def doubling_set_sizes(max_sets: int) -> List[int]:
-    """The power-of-two set-size ladder ``1, 2, 4, ... <= max_sets``."""
-    sizes = []
-    size = 1
-    while size <= int(max_sets):
-        sizes.append(size)
-        size *= 2
-    return sizes
 
 
 def ok_response(kind: str, **body: Any) -> Dict[str, Any]:

@@ -197,6 +197,8 @@ class ServiceDaemon:
         self.jobs_cancelled = 0
         self.cells_executed = 0
         self.cells_cached = 0
+        #: Seconds each phase took, summed over the jobs finished as done.
+        self.phase_seconds: Dict[str, float] = {}
         self.heartbeat_errors = 0
         self._last_heartbeat_error: Optional[str] = None
         # Sticky degradation notes, keyed by condition ("socket", ...).
@@ -563,11 +565,16 @@ class ServiceDaemon:
                 on_result=progress,
                 trace_cache=self.trace_cache,
             )
-            payload = outcome.merged().to_json()
+            merged = outcome.merged()
+            encode_start = time.perf_counter()
+            payload = merged.to_json()
+            encode_seconds = time.perf_counter() - encode_start
             record.execute_seconds = time.perf_counter() - started
             phases = {
                 name: round(value, 6)
-                for name, value in dict(outcome.phases, load=load_seconds).items()
+                for name, value in dict(
+                    outcome.phases, load=load_seconds, encode=encode_seconds
+                ).items()
             }
             record.extra.update(
                 {
@@ -583,6 +590,8 @@ class ServiceDaemon:
                 self.jobs_done += 1
                 self.cells_executed += outcome.executed_jobs
                 self.cells_cached += outcome.cached_jobs
+                for name, seconds in phases.items():
+                    self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
             self._metric_jobs_done.inc()
             self._metric_cells_executed.inc(outcome.executed_jobs)
             self._metric_cells_cached.inc(outcome.cached_jobs)
@@ -672,6 +681,9 @@ class ServiceDaemon:
         """The daemon's current counters (what ``stats`` reports)."""
         with self._lock:
             inflight = sorted(self._inflight_jobs)
+            phase_seconds = {
+                name: round(seconds, 6) for name, seconds in sorted(self.phase_seconds.items())
+            }
         server = self.socket_server
         return {
             "schema": 1,
@@ -686,6 +698,7 @@ class ServiceDaemon:
             "jobs_cancelled": self.jobs_cancelled,
             "cells_executed": self.cells_executed,
             "cells_cached": self.cells_cached,
+            "phase_seconds": phase_seconds,
             "heartbeat_errors": self.heartbeat_errors,
             "socket": str(server.path) if server is not None and server.running else None,
             "inflight_jobs": [job_id[:12] for job_id in inflight],

@@ -61,24 +61,15 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ServiceError
 from repro.obs.metrics import get_registry
+from repro.service import DEFAULT_JOB_RETAIN_SECONDS, JOB_STATES
 from repro.store.resultstore import _atomic_replace
 
 #: Version of the service directory layout and job record schema.
 SERVICE_SCHEMA_VERSION = 1
 
-#: Job lifecycle states; each is a sub-directory of ``jobs/``.
-STATE_QUEUED = "queued"
-STATE_RUNNING = "running"
-STATE_DONE = "done"
-STATE_FAILED = "failed"
-STATE_CANCELLED = "cancelled"
-JOB_STATES: Tuple[str, ...] = (
-    STATE_QUEUED,
-    STATE_RUNNING,
-    STATE_DONE,
-    STATE_FAILED,
-    STATE_CANCELLED,
-)
+#: Job lifecycle states (:data:`repro.service.JOB_STATES`); each is a
+#: sub-directory of ``jobs/``.
+STATE_QUEUED, STATE_RUNNING, STATE_DONE, STATE_FAILED, STATE_CANCELLED = JOB_STATES
 
 #: States a job can never leave (their results/errors are final).
 TERMINAL_STATES: Tuple[str, ...] = (STATE_DONE, STATE_CANCELLED)
@@ -109,10 +100,6 @@ DEFAULT_EVENT_RETAIN_SECONDS = 86_400.0
 _LOCK_NAME = "daemon.lock"
 _HEARTBEAT_NAME = "daemon.json"
 _SOCKET_NAME = "daemon.sock"
-
-#: Default retention for finished/failed/cancelled job records and their
-#: result payloads (``queue gc``): one week.
-DEFAULT_JOB_RETAIN_SECONDS = 7 * 86_400.0
 
 
 class _MovedAway(Exception):

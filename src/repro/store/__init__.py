@@ -10,40 +10,35 @@ verification, garbage collection and manifest-based export/import) behind
 the ``repro-dew store`` CLI family.
 """
 
-from repro.store.manage import (
-    MANIFEST_SCHEMA_VERSION,
-    ArtifactRecord,
-    GcReport,
-    ImportReport,
-    VerifyReport,
-    export_store,
-    gc_store,
-    import_store,
-    scan_store,
-    verify_store,
-)
-from repro.store.resultstore import (
-    STORE_SCHEMA_VERSION,
-    ResultStore,
-    StoreKey,
-    canonical_options_json,
-    open_store,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MANIFEST_SCHEMA_VERSION",
-    "STORE_SCHEMA_VERSION",
-    "ArtifactRecord",
-    "GcReport",
-    "ImportReport",
-    "ResultStore",
-    "StoreKey",
-    "VerifyReport",
-    "canonical_options_json",
-    "export_store",
-    "gc_store",
-    "import_store",
-    "open_store",
-    "scan_store",
-    "verify_store",
-]
+#: Default manifest filename of ``store export`` when none is given.  It
+#: lives here, not in :mod:`repro.store.manage`, so the CLI's parser reads
+#: it without importing the store.
+DEFAULT_MANIFEST_NAME = "MANIFEST.json"
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".manage": (
+            "MANIFEST_SCHEMA_VERSION",
+            "ArtifactRecord",
+            "GcReport",
+            "ImportReport",
+            "VerifyReport",
+            "export_store",
+            "gc_store",
+            "import_store",
+            "scan_store",
+            "verify_store",
+        ),
+        ".resultstore": (
+            "STORE_SCHEMA_VERSION",
+            "ResultStore",
+            "StoreKey",
+            "canonical_options_json",
+            "open_store",
+        ),
+    },
+)
+__all__.append("DEFAULT_MANIFEST_NAME")

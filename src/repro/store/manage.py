@@ -43,6 +43,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.results import ResultsFrame
 from repro.errors import StoreError
+from repro.store import DEFAULT_MANIFEST_NAME
 from repro.store.resultstore import (
     STORE_SCHEMA_VERSION,
     ResultStore,
@@ -56,9 +57,6 @@ from repro.store.resultstore import (
 
 #: Version of the export manifest format written by :func:`export_store`.
 MANIFEST_SCHEMA_VERSION = 1
-
-#: Default manifest filename used by the CLI when none is given.
-DEFAULT_MANIFEST_NAME = "MANIFEST.json"
 
 STATUS_OK = "ok"
 STATUS_CORRUPT = "corrupt"

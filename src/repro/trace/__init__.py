@@ -24,32 +24,22 @@ The sub-modules are:
     Splitting and filtering (instruction vs data, reads vs writes, windows).
 """
 
-from repro.trace.record import MemoryAccess
-from repro.trace.trace import Trace, TraceBuilder
-from repro.trace.din import read_din, write_din
-from repro.trace.files import load_trace_file
-from repro.trace.textio import read_text_trace, write_text_trace
-from repro.trace.stats import TraceStatistics, compute_trace_statistics
-from repro.trace.filters import (
-    filter_by_type,
-    split_instruction_data,
-    window,
-    unique_block_trace,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MemoryAccess",
-    "Trace",
-    "TraceBuilder",
-    "read_din",
-    "write_din",
-    "load_trace_file",
-    "read_text_trace",
-    "write_text_trace",
-    "TraceStatistics",
-    "compute_trace_statistics",
-    "filter_by_type",
-    "split_instruction_data",
-    "window",
-    "unique_block_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".record": ("MemoryAccess",),
+        ".trace": ("Trace", "TraceBuilder"),
+        ".din": ("read_din", "write_din"),
+        ".files": ("load_trace_file",),
+        ".textio": ("read_text_trace", "write_text_trace"),
+        ".stats": ("TraceStatistics", "compute_trace_statistics"),
+        ".filters": (
+            "filter_by_type",
+            "split_instruction_data",
+            "window",
+            "unique_block_trace",
+        ),
+    },
+)

@@ -5,6 +5,8 @@ with Dinero IV and found that they are exactly the same."  This package makes
 the same verification a first-class, reusable operation.
 """
 
-from repro.verify.crosscheck import CrossCheckReport, cross_check, cross_check_space
+from repro._lazy import lazy_exports
 
-__all__ = ["CrossCheckReport", "cross_check", "cross_check_space"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__, {".crosscheck": ("CrossCheckReport", "cross_check", "cross_check_space")}
+)

@@ -32,10 +32,11 @@ Table 2 trace lengths so harnesses can preserve the relative scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import WorkloadError
 from repro.trace.trace import Trace
+from repro.workloads import PAPER_REQUEST_COUNTS
 from repro.workloads.base import WorkloadGenerator
 from repro.workloads.mixes import InterleavedWorkload
 from repro.workloads.synthetic import (
@@ -47,17 +48,6 @@ from repro.workloads.synthetic import (
     WorkingSetGenerator,
     ZipfGenerator,
 )
-
-#: Trace lengths reported in Table 2 of the paper (number of requests).
-PAPER_REQUEST_COUNTS: Dict[str, int] = {
-    "cjpeg": 25_680_911,
-    "djpeg": 7_617_458,
-    "g721_enc": 154_999_563,
-    "g721_dec": 154_856_346,
-    "mpeg2_enc": 3_738_851_450,
-    "mpeg2_dec": 1_411_434_040,
-}
-
 
 @dataclass(frozen=True)
 class MediabenchApp:

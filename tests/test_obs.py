@@ -240,10 +240,12 @@ class TestTraceIdPropagation:
         assert done["phases"]["simulate"] > 0.0
         # The daemon simulated in-process, so it counted its minor faults.
         assert isinstance(done["minor_faults"], int) and done["minor_faults"] >= 0
-        # Resolving the job's trace (here a text parse) is its own phase.
+        # Resolving the job's trace (here a text parse) is its own phase,
+        # and so is encoding the payload.
         assert done["phases"]["load"] > 0.0
+        assert done["phases"]["encode"] > 0.0
         finished = client.queue.find(response["job_id"])
-        assert finished.extra["phases"]["load"] == done["phases"]["load"]
+        assert finished.extra["phases"] == done["phases"]
         assert finished.extra["minor_faults"] == done["minor_faults"]
         # The claim span carries how long the job sat queued.
         queue_wait = round(finished.started_at - finished.submitted_at, 6)
@@ -413,6 +415,28 @@ class TestSweepPhasesAndIdentity:
         assert covered <= outcome.elapsed_seconds * 1.10 + 0.05
         assert covered >= outcome.elapsed_seconds * 0.5
 
+    def test_served_job_phases_cover_its_execute_time(self, tmp_path, trace_file):
+        # A served job's phases (the trace load, the sweep's phases and the
+        # payload encode) blanket its execute time, as a sweep's phases do
+        # its wall clock; the daemon sums them per phase for `queue top`.
+        root = tmp_path / "svc"
+        client = ServiceClient(root, create=True)
+        job_id = client.submit(_request(trace_file))["job_id"]
+        daemon = ServiceDaemon(root, daemon_id="phases", socket=False)
+        daemon.run(drain=True)
+        record = client.queue.find(job_id)
+        assert record.state == STATE_DONE
+        phases = record.extra["phases"]
+        assert set(phases) >= {"load", "simulate", "persist", "merge", "encode"}
+        assert all(value >= 0.0 for value in phases.values())
+        covered = sum(phases.values())
+        # Every phase runs inside the execute time (6-digit rounding aside);
+        # what is left outside (decoding the request, building its jobs) is
+        # a small share.
+        assert covered <= record.execute_seconds + 1e-5
+        assert covered >= record.execute_seconds * 0.5
+        assert daemon.heartbeat()["phase_seconds"] == phases
+
     def test_on_result_hook_time_is_the_progress_phase(
         self, trace_file, tmp_path, monkeypatch
     ):
@@ -511,6 +535,9 @@ class TestCliSurfaces:
         assert main(["queue", "top", root]) == 0
         top = capsys.readouterr().out
         assert "daemon cli1: 1 done" in top and "jobs/s" in top
+        # The finished job's phases, the payload encode among them.
+        [phases] = [line for line in top.splitlines() if line.startswith("job phases: ")]
+        assert "simulate" in phases and "encode" in phases
 
         assert main(["queue", "stats", root]) == 0
         stats_text = capsys.readouterr().out
