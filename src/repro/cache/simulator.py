@@ -333,7 +333,7 @@ class SingleConfigSimulator(Engine):
         """The configuration's one result row, from :attr:`stats`, with :attr:`walk`."""
         stats = self.stats
         config = self.config
-        return ResultsFrame(
+        return ResultsFrame._from_canonical(
             [config.num_sets],
             [config.associativity],
             [config.block_size],

@@ -312,6 +312,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             else f"{outcome.minor_faults:,} while simulating"
         )
         print(f"  {'minor faults':<14} {faults}", file=sys.stderr)
+        overhead = (
+            "not measured (worker processes simulated)"
+            if outcome.engine_overhead_seconds is None
+            else f"{outcome.engine_overhead_seconds:.4f}s of simulate outside the executed "
+            "jobs' own seconds (engine build, finalize, decode and loop)"
+        )
+        print(f"  {'engine overhead':<14} {overhead}", file=sys.stderr)
         _print_engine_profiles(outcome)
     return 0
 

@@ -30,19 +30,21 @@ There are two walks, with identical results and counters:
 
 * the **kernel walk**, a line-for-line C port of the Python walk
   (``repro/kernels/dew.c``), which :class:`DewSimulator` runs whenever
-  :func:`repro.kernels.load` builds and loads it and ``dew_clear.c``,
-  which empties its storage for reuse;
+  :func:`repro.kernels.load` builds and loads it;
 * the **Python walk** in :meth:`DewSimulator.run_blocks`, the fallback on a
   host without a working C compiler (or with ``CC=false``) and the oracle
   the kernel is tested against.
 
-The kernel walks the tree's flat layout (see :mod:`repro.core.tree`):
-zero-initialised arrays in which tags hold ``block + 1`` and wave pointers
-``way + 1``, so 0 is the invalid/empty sentinel and a fresh tree needs no
-fill pass.  Block addresses must therefore lie in ``[0, 2**63 - 1)``; both
-walks reject any other with :class:`~repro.errors.SimulationError`.  A
-simulator the sweep executor builds (``recycled=True``) takes its flat
-storage from the tree module's pool and hands it back, zeroed, on
+The kernel walks the tree's record layout (see :mod:`repro.core.tree`):
+one zero-initialised record per node, in which tags hold ``block + 1`` and
+wave pointers ``way + 1``, so 0 is the invalid/empty sentinel.  A record
+stamped with another epoch than the tree's reads as empty, and the walk
+zeroes it when it first evaluates the node, so neither a fresh tree nor a
+reused one needs a pass over its storage: :meth:`DewSimulator.reset` moves
+the tree to a new epoch.  Block addresses must lie in ``[0, 2**63 - 1)``;
+both walks reject any other with :class:`~repro.errors.SimulationError`.
+A simulator the sweep executor builds (``recycled=True``) takes its record
+storage from the tree module's pool and hands it back, as it is, on
 :meth:`DewSimulator.release`.
 
 The rows' compulsory misses are the trace's distinct blocks, which
@@ -107,15 +109,15 @@ class DewSimulator(Engine):
         never changes the reported hit/miss counts — only how much work the
         simulator performs to obtain them (this is what Table 4 quantifies).
     recycled:
-        Take the flat tree storage from the pool of storage finished sweep
-        jobs released, and hand it back on :meth:`release` (see
+        Take the tree's record storage from the pool of storage finished
+        sweep jobs released, and hand it back on :meth:`release` (see
         :mod:`repro.core.tree`).  The sweep executor builds its engines so.
 
     The simulator runs the kernel walk when :func:`repro.kernels.load`
-    loads it and the ``dew_clear`` kernel, and the Python walk otherwise;
-    :attr:`walk` says which.  It takes raw block chunks only: the kernel
-    walk decides an immediately repeated block (a root MRA hit, Property 2)
-    with one comparison, so run-length collapsed chunks would not pay.
+    loads it, and the Python walk otherwise; :attr:`walk` says which.  It
+    takes raw block chunks only: the kernel walk decides an immediately
+    repeated block (a root MRA hit, Property 2) with one comparison, so
+    run-length collapsed chunks would not pay.
     """
 
     family = "dew"
@@ -132,11 +134,7 @@ class DewSimulator(Engine):
         recycled: bool = False,
     ) -> None:
         super().__init__()
-        # The kernel walk needs both entries: ``dew`` walks the flat layout
-        # and ``dew_clear`` empties it for reuse.  Where either does not
-        # load, the Python walk runs, with the first missing entry's reason.
-        walks = [kernels.load(name) for name in ("dew", "dew_clear")]
-        self._walk = next((walk for walk in walks if walk.function is None), walks[0])
+        self._walk = kernels.load("dew")
         self.tree = DewTree(
             block_size,
             associativity,
@@ -167,12 +165,7 @@ class DewSimulator(Engine):
         """
         tree = self.tree
         if tree.flat:
-            arrays = (
-                tree.index_masks,
-                tree.level_offsets,
-                *(tree.storage[field] for field in
-                  ("tags", "waves", "mra", "mre_tag", "mre_wave", "fifo_ptr")),
-            )
+            arrays = (tree.index_masks, tree.level_offsets, tree.storage.array)
             self._tally = np.zeros(2 * tree.num_levels + 4, dtype=np.int64)
             self._kernel_arrays = (*arrays, self._tally)
             self._kernel_args = (
@@ -263,7 +256,7 @@ class DewSimulator(Engine):
         block outside ``[0, 2**63 - 1)``, and once :meth:`release` gave the
         tree's storage away.
         """
-        if not self.tree.storage:
+        if self.tree.storage is None:
             raise SimulationError("this simulator's tree storage was released")
         chunk = kernels.block_chunk(blocks)
         if not chunk.size:
@@ -277,11 +270,13 @@ class DewSimulator(Engine):
             self._python_walk(chunk.tolist())
 
     def _kernel_walk(self, chunk: np.ndarray) -> None:
-        """One kernel call over a C-contiguous int64 chunk, then the shared
-        derivation.  ``chunk`` and the tree's arrays stay referenced for the
-        whole call, which releases the interpreter lock; each simulator owns
-        its storage."""
-        self._walk.function(chunk.ctypes.data, chunk.size, *self._kernel_args)
+        """One kernel call over a C-contiguous int64 chunk, at the tree's
+        current epoch, then the shared derivation.  ``chunk`` and the tree's
+        arrays stay referenced for the whole call, which releases the
+        interpreter lock; each simulator owns its storage."""
+        self._walk.function(
+            chunk.ctypes.data, chunk.size, *self._kernel_args, self.tree.storage.epoch
+        )
         tally = self._tally.tolist()
         levels = 2 * self.tree.num_levels
         self._account(chunk.size, tally[0:levels:2], tally[1:levels:2], *tally[levels:])
@@ -450,35 +445,25 @@ class DewSimulator(Engine):
     def finalize(self, trace_name: str = "trace") -> ResultsFrame:
         """Per-configuration results accumulated so far.
 
-        Emits the frame columns directly from the per-level miss arrays —
-        one family row per level plus the free direct-mapped row when
-        ``A > 1`` — with :attr:`counters` and :attr:`walk` riding along.
+        Emits the frame columns directly from the per-level miss arrays, in
+        canonical order: per set size, the free direct-mapped row when
+        ``A > 1``, then the family row.  :attr:`counters` and :attr:`walk`
+        ride along.
         """
         tree = self.tree
-        num_levels = tree.num_levels
-        sets = np.asarray(tree.set_sizes[:num_levels], dtype=np.int64)
-        misses = np.asarray(self._misses, dtype=np.int64)
         if tree.associativity > 1:
-            num_sets = np.concatenate([sets, sets])
-            assocs = np.concatenate(
-                [
-                    np.full(num_levels, tree.associativity, dtype=np.int64),
-                    np.ones(num_levels, dtype=np.int64),
-                ]
-            )
-            miss_col = np.concatenate([misses, np.asarray(self._dm_misses, dtype=np.int64)])
+            ways, misses = [1, tree.associativity], [self._dm_misses, self._misses]
         else:
-            num_sets = sets
-            assocs = np.ones(num_levels, dtype=np.int64)
-            miss_col = misses
-        rows = num_sets.size
-        return ResultsFrame(
-            num_sets,
-            assocs,
+            ways, misses = [1], [self._misses]
+        sets = np.asarray(tree.set_sizes, dtype=np.int64)
+        rows = sets.size * len(ways)
+        return ResultsFrame._from_canonical(
+            np.repeat(sets, len(ways)),
+            np.tile(np.asarray(ways, dtype=np.int64), sets.size),
             np.full(rows, tree.block_size, dtype=np.int64),
             np.full(rows, policy_code(ReplacementPolicy.FIFO), dtype=np.int8),
             np.full(rows, self._requests, dtype=np.int64),
-            miss_col,
+            np.column_stack(misses).ravel(),
             np.full(rows, self.compulsory_misses, dtype=np.int64),
             elapsed_seconds=self._elapsed,
             simulator_name="dew",
@@ -488,9 +473,9 @@ class DewSimulator(Engine):
         )
 
     def release(self) -> None:
-        """Hand recycled tree storage back to the pool, zeroed; the simulator
-        then raises instead of simulating, until :meth:`reset`.  A no-op for
-        a simulator that allocated its own storage."""
+        """Hand recycled tree storage back to the pool; the simulator then
+        raises instead of simulating, until :meth:`reset`.  A no-op for a
+        simulator that allocated its own storage."""
         if self.tree.recycled:
             self.tree.release()
             self._kernel_arrays = self._kernel_args = ()

@@ -22,6 +22,7 @@ import zlib
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -184,6 +185,24 @@ _FRAME_COLUMNS: Tuple[str, ...] = (
     "mechanism_swaps",
     "mechanism_allocations",
 )
+#: Each column's type: int8 codes, int64 otherwise.
+_COLUMN_DTYPES = tuple(np.int8 if name.endswith("codes") else np.int64 for name in _FRAME_COLUMNS)
+
+
+def _frame_columns(
+    values: Sequence[Any], convert: Callable[..., np.ndarray]
+) -> Dict[str, np.ndarray]:
+    """The columns from the constructor's arguments in ``_FRAME_COLUMNS``
+    order, each converted to its type; an omitted (``None``) mechanism
+    column is zeros."""
+    columns: Dict[str, np.ndarray] = {}
+    for name, dtype, value in zip(_FRAME_COLUMNS, _COLUMN_DTYPES, values):
+        columns[name] = (
+            np.zeros(columns["num_sets"].size, dtype=dtype)
+            if value is None
+            else convert(value, dtype=dtype)
+        )
+    return columns
 
 
 class ResultsFrame:
@@ -246,28 +265,13 @@ class ResultsFrame:
         counters: Any = None,
         walk: Optional[str] = None,
     ) -> None:
-        columns = {
-            "num_sets": np.asarray(num_sets, dtype=np.int64),
-            "associativities": np.asarray(associativities, dtype=np.int64),
-            "block_sizes": np.asarray(block_sizes, dtype=np.int64),
-            "policy_codes": np.asarray(policy_codes, dtype=np.int8),
-            "accesses": np.asarray(accesses, dtype=np.int64),
-            "misses": np.asarray(misses, dtype=np.int64),
-            "compulsory": np.asarray(compulsory, dtype=np.int64),
-        }
+        columns = _frame_columns(
+            (num_sets, associativities, block_sizes, policy_codes, accesses, misses,
+             compulsory, mechanism_codes, mechanism_entries, mechanism_hits,
+             mechanism_swaps, mechanism_allocations),
+            np.asarray,
+        )
         length = columns["num_sets"].size
-        for name, values, dtype in (
-            ("mechanism_codes", mechanism_codes, np.int8),
-            ("mechanism_entries", mechanism_entries, np.int64),
-            ("mechanism_hits", mechanism_hits, np.int64),
-            ("mechanism_swaps", mechanism_swaps, np.int64),
-            ("mechanism_allocations", mechanism_allocations, np.int64),
-        ):
-            columns[name] = (
-                np.zeros(length, dtype=dtype)
-                if values is None
-                else np.asarray(values, dtype=dtype)
-            )
         for name, column in columns.items():
             if column.ndim != 1:
                 raise SimulationError(f"frame column {name} must be one-dimensional")
@@ -563,52 +567,47 @@ class ResultsFrame:
     @classmethod
     def _from_canonical(
         cls,
-        num_sets: np.ndarray,
-        associativities: np.ndarray,
-        block_sizes: np.ndarray,
-        policy_codes: np.ndarray,
-        accesses: np.ndarray,
-        misses: np.ndarray,
-        compulsory: np.ndarray,
-        elapsed_seconds: float,
-        simulator_name: str,
-        trace_name: str,
-        mechanism_codes: np.ndarray,
-        mechanism_entries: np.ndarray,
-        mechanism_hits: np.ndarray,
-        mechanism_swaps: np.ndarray,
-        mechanism_allocations: np.ndarray,
+        num_sets: Union[Sequence[int], np.ndarray],
+        associativities: Union[Sequence[int], np.ndarray],
+        block_sizes: Union[Sequence[int], np.ndarray],
+        policy_codes: Union[Sequence[int], np.ndarray],
+        accesses: Union[Sequence[int], np.ndarray],
+        misses: Union[Sequence[int], np.ndarray],
+        compulsory: Union[Sequence[int], np.ndarray],
+        elapsed_seconds: float = 0.0,
+        simulator_name: str = "dew",
+        trace_name: str = "trace",
+        mechanism_codes: Optional[Union[Sequence[int], np.ndarray]] = None,
+        mechanism_entries: Optional[Union[Sequence[int], np.ndarray]] = None,
+        mechanism_hits: Optional[Union[Sequence[int], np.ndarray]] = None,
+        mechanism_swaps: Optional[Union[Sequence[int], np.ndarray]] = None,
+        mechanism_allocations: Optional[Union[Sequence[int], np.ndarray]] = None,
+        counters: Any = None,
+        walk: Optional[str] = None,
     ) -> "ResultsFrame":
         """Internal fast path: columns already sorted canonically and unique.
 
-        Skips the public constructor's re-sort and duplicate scan; callers
-        (:meth:`merge`) guarantee both invariants.
+        Takes the public constructor's arguments but skips its checks, sort
+        and duplicate scan; callers (:meth:`merge`, every engine's
+        ``finalize``) guarantee the columns' lengths, codes, order and
+        unique keys.  The frame keeps a contiguous array it is given as it
+        is, so callers pass arrays nothing writes any more.
         """
         frame = object.__new__(cls)
-        columns = {
-            "num_sets": np.ascontiguousarray(num_sets, dtype=np.int64),
-            "associativities": np.ascontiguousarray(associativities, dtype=np.int64),
-            "block_sizes": np.ascontiguousarray(block_sizes, dtype=np.int64),
-            "policy_codes": np.ascontiguousarray(policy_codes, dtype=np.int8),
-            "accesses": np.ascontiguousarray(accesses, dtype=np.int64),
-            "misses": np.ascontiguousarray(misses, dtype=np.int64),
-            "compulsory": np.ascontiguousarray(compulsory, dtype=np.int64),
-            "mechanism_codes": np.ascontiguousarray(mechanism_codes, dtype=np.int8),
-            "mechanism_entries": np.ascontiguousarray(mechanism_entries, dtype=np.int64),
-            "mechanism_hits": np.ascontiguousarray(mechanism_hits, dtype=np.int64),
-            "mechanism_swaps": np.ascontiguousarray(mechanism_swaps, dtype=np.int64),
-            "mechanism_allocations": np.ascontiguousarray(
-                mechanism_allocations, dtype=np.int64
-            ),
-        }
+        columns = _frame_columns(
+            (num_sets, associativities, block_sizes, policy_codes, accesses, misses,
+             compulsory, mechanism_codes, mechanism_entries, mechanism_hits,
+             mechanism_swaps, mechanism_allocations),
+            np.ascontiguousarray,
+        )
         for name, column in columns.items():
             column.setflags(write=False)
             setattr(frame, name, column)
         frame.elapsed_seconds = float(elapsed_seconds)
         frame.simulator_name = simulator_name
         frame.trace_name = trace_name
-        frame.counters = None
-        frame.walk = None
+        frame.counters = counters
+        frame.walk = walk
         frame._key_index = None
         return frame
 

@@ -21,48 +21,46 @@ The storage has two layouts, one per DEW walk:
   (``tags[k]`` has ``S_k * A`` slots), because attribute-light list indexing
   is the fastest pure Python representation for the walk's inner loop.
   Invalid tags and empty wave pointers hold ``-1``.
-* **Flat** (the compiled walk, :mod:`repro.kernels`): one zero-initialised
-  array per field covering every level, level ``k`` starting at node
-  :attr:`DewTree.level_offsets` ``[k]``.  Each value is stored minus its
-  field's empty value, so tags hold ``block + 1`` and wave pointers
-  ``way + 1``, and 0 means invalid or empty.  Tags, MRA tags and MRE tags
-  are int64; wave pointers, MRE wave pointers and FIFO pointers are int32,
-  the 32-bit pointers the paper budgets (Section 5).  Allocation needs no
-  fill pass: a ``-1`` fill would write every page of trees whose deep
-  levels the walk mostly never touches.
+* **Records** (the compiled walk, :mod:`repro.kernels`): one int64 array
+  per tree, a row per node, level ``k`` from row :attr:`DewTree.level_offsets`
+  ``[k]``.  A record holds the MRA tag, MRE tag, MRE wave pointer, FIFO
+  pointer and epoch, then the ``A`` tags and ``A`` wave pointers
+  (:func:`record_words`: 224 B at ``A = 16``, 7.3 MB for 15 levels).  Tags
+  are int64; pointers and epoch int32, the paper's 32-bit pointers
+  (Section 5).  Values are stored minus their field's empty value, so tags
+  hold ``block + 1``, wave pointers ``way + 1``, and 0 means empty.
 
-Flat storage is recycled within a process through :data:`STORAGE_POOL`.
+A record whose epoch is not its tree's is empty, whatever it holds: the
+walk (``kernels/dew.c``) zeroes and stamps it when it first evaluates the
+node.  So nothing ever clears a tree.  Zero-filled storage is empty from
+epoch 1 on, :meth:`DewTree.reset` moves to the next epoch, and only at
+:data:`EPOCH_LIMIT` does it zero-fill the array and restart at 1.
+
+Record storage is recycled within a process through :data:`STORAGE_POOL`.
 The sweep executor builds its DEW trees with ``recycled=True``: such a tree
-takes empty storage of its node count and associativity from the pool when
-the pool has some, and :meth:`DewTree.release` hands it back once the job
-is finalized, so a sweep's later jobs do not page-fault fresh storage in.
-Releasing zeroes only the nodes the walk touched.  These are exactly the
-nodes whose MRA slot is non-zero: the walk writes only to a node whose MRA
-it has just set, or to the wave pointer of that node's parent entry, and
-it never clears an MRA slot.  :meth:`DewTree.reset` zeroes the same way.
-The zeroing is compiled (``kernels/dew_clear.c``), so the flat layout
-needs that kernel as well as the walk's: the DEW simulator runs its kernel
-walk only where both load.
-The pool keeps only what the latest executor pass released, and a forked
-child starts with it empty.  Trees built any other way (``Engine.run``,
-the harness, tests) allocate their own storage and never touch the pool.
+takes storage of its node count and associativity from the pool when it
+holds some, moving it to its next epoch, and :meth:`DewTree.release` hands
+it back as it is once the job is finalized, so later jobs do not
+page-fault fresh storage in.  The pool keeps only what the latest executor
+pass released, and a forked child starts with it empty.  Trees built any
+other way (``Engine.run``, the harness, tests) allocate their own storage.
 
 Inspection reads both layouts the same way: ``tags``, ``waves``, ``mra``,
 ``mre_tag``, ``mre_wave``, ``fifo_ptr`` and :meth:`DewTree.resident_blocks`
-return decoded per-level values (``-1`` for invalid or empty), decoded in
-:meth:`DewTree._decode` alone.  Over the list layout they are the live
-lists; over the flat layout they are snapshots.
+return decoded per-level values (``-1`` for invalid or empty; a stale
+record reads as empty), decoded in :meth:`DewTree._decode` alone: the live
+lists of the list layout, snapshots of the records.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import kernels
 from repro.core.config import CacheConfig
 from repro.errors import ConfigurationError, SimulationError
 from repro.types import EMPTY_WAVE, INVALID_TAG, ReplacementPolicy, is_power_of_two, log2_exact
@@ -74,7 +72,7 @@ def default_paper_set_sizes() -> Tuple[int, ...]:
 
 
 #: Each node field's empty value: invalid tags and empty wave pointers are -1.
-#: The flat layout stores every value minus its field's empty value.
+#: The records store every value minus its field's empty value.
 EMPTY_VALUES: Dict[str, int] = {
     "tags": INVALID_TAG,
     "waves": EMPTY_WAVE,
@@ -86,24 +84,39 @@ EMPTY_VALUES: Dict[str, int] = {
 #: Fields with one slot per tag-list entry (``A`` per node); the rest have
 #: one per node.
 ENTRY_FIELDS = ("tags", "waves")
-#: Each field's type in the flat layout: tags are blocks, pointers are ways.
-FLAT_DTYPES: Dict[str, Any] = {
-    "tags": np.int64,
-    "waves": np.int32,
-    "mra": np.int64,
-    "mre_tag": np.int64,
-    "mre_wave": np.int32,
-    "fifo_ptr": np.int32,
-}
+#: Words of a record before its tags: the MRA tag, the MRE tag, then the
+#: int32 MRE wave pointer, FIFO pointer and epoch, and four unused bytes.
+HEADER_WORDS = 4
+#: Each field's first slot in a record, in int64 words for these fields and
+#: in int32 halves for the rest; the wave pointers follow the ``A`` tags.
+_INT64_FIELDS = ("mra", "mre_tag", "tags")
+_FIRST_SLOTS = {"mra": 0, "mre_tag": 1, "tags": HEADER_WORDS, "mre_wave": 4, "fifo_ptr": 5,
+                "epoch": 6}
+#: Epochs run from 1 up to, not including, this limit (the int32 maximum).
+EPOCH_LIMIT = 2**31 - 1
 
-#: One flat tree's storage: an array per field, keyed like EMPTY_VALUES.
-Storage = Dict[str, np.ndarray]
+
+def record_words(associativity: int) -> int:
+    """int64 words per record: the header, ``A`` tags and ``A`` int32 wave
+    pointers (``kernels/dew.c`` derives the same stride)."""
+    return HEADER_WORDS + associativity + (associativity + 1) // 2
+
+
+@dataclass(eq=False)
+class Records:
+    """One tree's record storage and the latest epoch it was used at (0 for
+    none: zero-filled records are empty under every epoch)."""
+
+    array: np.ndarray
+    epoch: int = 0
+
+
 #: What a tree's storage is pooled by: its node count and associativity.
 Shape = Tuple[int, int]
 
 
 class StoragePool:
-    """Empty flat-tree storage, kept for the next tree of the same shape.
+    """Released record storage, kept for the next tree of the same shape.
 
     Every method takes the pool's lock, so trees built and released on
     several threads never share storage.  The pool holds what it is given
@@ -113,16 +126,16 @@ class StoragePool:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._free: Dict[Shape, List[Storage]] = {}
+        self._free: Dict[Shape, List[Records]] = {}
 
-    def take(self, shape: Shape) -> Optional[Storage]:
-        """Empty storage of ``shape``, or ``None`` when the pool holds none."""
+    def take(self, shape: Shape) -> Optional[Records]:
+        """Storage of ``shape``, or ``None`` when the pool holds none."""
         with self._lock:
             free = self._free.get(shape)
             return free.pop() if free else None
 
-    def put(self, shape: Shape, storage: Storage) -> None:
-        """Keep empty ``storage`` for the next tree of ``shape``."""
+    def put(self, shape: Shape, storage: Records) -> None:
+        """Keep ``storage`` for the next tree of ``shape``."""
         with self._lock:
             self._free.setdefault(shape, []).append(storage)
 
@@ -138,7 +151,7 @@ class StoragePool:
         self._free = {}
 
 
-#: This process's pool of empty flat-tree storage.
+#: This process's pool of released record storage.
 STORAGE_POOL = StoragePool()
 os.register_at_fork(after_in_child=STORAGE_POOL._forget)
 
@@ -160,12 +173,11 @@ class DewTree:
         Strictly increasing powers of two, each double the previous, e.g.
         ``(1, 2, 4, ..., 16384)``.  Defaults to the paper's sweep.
     flat:
-        Lay the storage out for the compiled walk rather than the Python
-        walk (see the module docstring); inspection reads either the same.
-        Raises :class:`~repro.errors.ConfigurationError` where the
-        ``dew_clear`` kernel, which empties that layout, does not load.
+        Lay the storage out as records for the compiled walk rather than as
+        the Python walk's lists (see the module docstring); inspection reads
+        either the same.
     recycled:
-        Take flat storage from :data:`STORAGE_POOL` when it holds some of
+        Take record storage from :data:`STORAGE_POOL` when it holds some of
         this tree's shape, and hand it back on :meth:`release`.  Ignored for
         the list layout.
     """
@@ -200,22 +212,19 @@ class DewTree:
         self.offset_bits = log2_exact(block_size)
         self.num_levels = len(sizes)
 
-        #: ``True`` for the flat layout the compiled walk uses (see module
+        #: ``True`` for the record layout the compiled walk uses (see module
         #: docstring); the Python walk uses the list layout.
         self.flat = flat
-        #: ``True`` when the flat storage comes from, and goes back to,
+        #: ``True`` when the record storage comes from, and goes back to,
         #: :data:`STORAGE_POOL`.
         self.recycled = flat and recycled
         sizes_array = np.asarray(sizes, dtype=np.int64)
-        #: Per level, the node-index mask and (flat layout) the first node.
+        #: Per level, the node-index mask and (record layout) the first node.
         self.index_masks = sizes_array - 1
         self.level_offsets = np.cumsum(sizes_array) - sizes_array
-        clear = kernels.load("dew_clear") if flat else kernels.Walk()
-        if flat and clear.function is None:
-            raise ConfigurationError(f"the flat layout needs the dew_clear kernel: {clear.name}")
-        #: The compiled clear that empties flat storage for reuse.
-        self._clear = clear.function
-        self.storage: Dict[str, Any] = {}
+        #: The per-field lists, or the :class:`Records`; ``None`` once
+        #: :meth:`release` gave the storage away.
+        self.storage: Any = None
         self._allocate()
 
     tags = _decoded_field("tags", "Per-level tag lists, ``S_k * A`` slots each.")
@@ -284,25 +293,40 @@ class DewTree:
     def _slots(self, field: str) -> int:
         return self.associativity if field in ENTRY_FIELDS else 1
 
-    def _field(self, field: str) -> Any:
-        """One field's storage; raises once :meth:`release` gave it away."""
-        if not self.storage:
+    def _live(self) -> Any:
+        """The tree's storage; raises once :meth:`release` gave it away."""
+        if self.storage is None:
             raise SimulationError("this tree's storage was released")
-        return self.storage[field]
+        return self.storage
+
+    def _record_field(self, field: str) -> np.ndarray:
+        """One field of every record as stored, one row per node."""
+        records = self._live().array
+        if field in _INT64_FIELDS:
+            view, start = records, _FIRST_SLOTS[field]
+        else:
+            view = records.view(np.int32)
+            start = _FIRST_SLOTS.get(field, 2 * (HEADER_WORDS + self.associativity))
+        return view[:, start:start + self._slots(field)]
 
     def _decode(self, field: str, level: int, start: int, stop: int) -> List[int]:
         """Decoded slots ``start:stop`` of one level of one field."""
-        storage = self._field(field)
+        storage = self._live()
         if not self.flat:
-            return storage[level][start:stop]
-        first = int(self.level_offsets[level]) * self._slots(field)
-        return (storage[first + start:first + stop] + EMPTY_VALUES[field]).tolist()
+            return storage[field][level][start:stop]
+        slots = self._slots(field)
+        first = int(self.level_offsets[level])
+        rows = slice(first + start // slots, first - (-stop // slots))
+        live = self._record_field("epoch")[rows] == storage.epoch
+        values = np.where(live, self._record_field(field)[rows], 0).ravel()
+        skip = start % slots
+        return (values[skip:skip + stop - start] + EMPTY_VALUES[field]).tolist()
 
     def decoded(self, field: str) -> List[List[int]]:
         """One field's per-level values (``-1`` for invalid or empty): the
-        live lists of the list layout, a snapshot of the flat layout."""
+        live lists of the list layout, a snapshot of the records."""
         if not self.flat:
-            return self._field(field)
+            return self._live()[field]
         slots = self._slots(field)
         return [
             self._decode(field, level, 0, size * slots)
@@ -331,31 +355,32 @@ class DewTree:
             }
             return
         storage = STORAGE_POOL.take(self.shape) if self.recycled else None
-        self.storage = storage or {
-            field: np.zeros(self.node_count() * self._slots(field), dtype=dtype)
-            for field, dtype in FLAT_DTYPES.items()
-        }
+        self.storage = storage or Records(
+            np.zeros((self.node_count(), record_words(self.associativity)), dtype=np.int64)
+        )
+        self._next_epoch()
 
-    def _zero_touched(self) -> None:
-        """Zero the flat storage of every node the walk touched: the nodes
-        whose MRA slot is non-zero (see the module docstring)."""
-        # The fields in FLAT_DTYPES order, which is the kernel's.
-        arrays = [self.storage[field].ctypes.data for field in FLAT_DTYPES]
-        self._clear(self.node_count(), self.associativity, *arrays)
+    def _next_epoch(self) -> None:
+        """Empty every record at once: the next epoch, or at
+        :data:`EPOCH_LIMIT` a zero fill and epoch 1."""
+        storage = self.storage
+        storage.epoch += 1
+        if storage.epoch == EPOCH_LIMIT:
+            storage.array.fill(0)
+            storage.epoch = 1
 
     def release(self) -> None:
-        """Hand recycled storage back to the pool, zeroed; the tree then has
+        """Hand recycled storage back to the pool as it is; the tree then has
         none until :meth:`reset`.  A no-op for a tree that is not recycled."""
-        if not (self.recycled and self.storage):
+        if not (self.recycled and self.storage is not None):
             return
-        self._zero_touched()
         STORAGE_POOL.put(self.shape, self.storage)
-        self.storage = {}
+        self.storage = None
 
     def reset(self) -> None:
-        """Return every node to the empty state, in place for flat storage."""
-        if self.flat and self.storage:
-            self._zero_touched()
+        """Return every node to the empty state: a new epoch for records."""
+        if self.flat and self.storage is not None:
+            self._next_epoch()
         else:
             self._allocate()
 

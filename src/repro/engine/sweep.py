@@ -343,6 +343,11 @@ class SweepOutcome:
     #: process (persisting excluded); ``None`` when worker processes ran
     #: them, or for outcomes built outside :func:`run_sweep`.
     minor_faults: Optional[int] = None
+    #: The ``simulate`` phase minus the executed jobs' own
+    #: ``elapsed_seconds``: building, finalizing and looping over the
+    #: engines, and the shared decode.  ``None`` when worker processes
+    #: simulated, or for outcomes built outside :func:`run_sweep`.
+    engine_overhead_seconds: Optional[float] = None
     _merged: Optional[ResultsFrame] = field(default=None, repr=False)
 
     @property
@@ -486,10 +491,10 @@ class FusedSweepExecutor:
     Results are exactly those of running each job separately: identical
     rows, identical work counters, identical store artifacts up to timing.
     The reported per-job ``elapsed_seconds`` covers that engine's
-    simulation time and its storage release — the zeroing that lets the
-    next job reuse the storage is this job's cost, as its page faults would
-    be.  The shared decode is excluded, mirroring how a per-job run's
-    timing is dominated by engine work.
+    simulation time and its storage release.  The shared decode, building
+    and finalizing are excluded, mirroring how a per-job run's timing is
+    dominated by engine work; :attr:`SweepOutcome.engine_overhead_seconds`
+    reports them.
     """
 
     def __init__(
@@ -766,6 +771,11 @@ def run_sweep(
     elapsed = time.perf_counter() - start
     final = [result for result in results if result is not None]
     assert len(final) == len(job_list)
+    engine_overhead: Optional[float] = None
+    if minor_faults is not None:
+        engine_overhead = timer.times.get("simulate", 0.0) - sum(
+            final[index].elapsed_seconds for index in missing
+        )
     return SweepOutcome(
         jobs=tuple(job_list),
         results=tuple(final),
@@ -778,4 +788,5 @@ def run_sweep(
         # The live timer dict: `merged()` keeps adding its merge time here.
         phases=timer.times,
         minor_faults=minor_faults,
+        engine_overhead_seconds=engine_overhead,
     )

@@ -5,10 +5,9 @@ this package, the function it exports and that function's ctypes
 ``argtypes``:
 
 * ``dew`` — ``dew.c``, a line-for-line port of the walk loop in
-  :meth:`repro.core.dew.DewSimulator.run_blocks`;
-* ``dew_clear`` — ``dew_clear.c``, which empties that walk's storage for
-  reuse by zeroing only the nodes it touched (see :mod:`repro.core.tree`);
-  the DEW simulator runs its kernel walk only where both entries load;
+  :meth:`repro.core.dew.DewSimulator.run_blocks`, over one record per tree
+  node; a record stamped with an older epoch reads as empty, so emptying a
+  tree for reuse takes no pass (see :mod:`repro.core.tree`);
 * ``lru`` — ``lru.c``, a port of the walk in
   :class:`repro.lru.janapsatya.JanapsatyaSimulator`;
 * ``single`` — ``single.c``, a port of the per-access FIFO, LRU and PLRU
@@ -80,14 +79,9 @@ _HERE = Path(__file__).parent
 KERNELS: Dict[str, Kernel] = {
     "dew": Kernel(_HERE / "dew.c", "dew_walk", (
         _POINTER, _INTEGER, _INTEGER, _INTEGER,  # blocks, count, levels, associativity
-        _POINTER, _POINTER,  # index masks, node offsets
-        _POINTER, _POINTER, _POINTER, _POINTER, _POINTER, _POINTER,  # node fields
+        _POINTER, _POINTER, _POINTER,  # index masks, node offsets, node records
         _INTEGER, _INTEGER, _INTEGER,  # enable_mra, enable_wave, enable_mre
-        _POINTER,  # tally
-    )),
-    "dew_clear": Kernel(_HERE / "dew_clear.c", "dew_clear", (
-        _INTEGER, _INTEGER,  # nodes, associativity
-        _POINTER, _POINTER, _POINTER, _POINTER, _POINTER, _POINTER,  # node fields
+        _POINTER, _INTEGER,  # tally, epoch
     )),
     "lru": Kernel(_HERE / "lru.c", "lru_walk", (
         _POINTER, _INTEGER, _INTEGER, _INTEGER,  # blocks, count, levels, associativity

@@ -1,32 +1,44 @@
-/* The DEW walk over flat node storage: a line-for-line port of the walk
- * loop in repro.core.dew.DewSimulator.run_blocks.
+/* The DEW walk over node records: a line-for-line port of the walk loop in
+ * repro.core.dew.DewSimulator.run_blocks.
  *
- * Every node field is one array.  Level k's nodes start at node offsets[k],
- * a block maps to node offsets[k] + (block & masks[k]), and a node's A
- * tag-list entries start at node * A.  Tags, MRA tags and MRE tags are
- * int64 and hold block + 1; wave pointers, MRE wave pointers and FIFO
- * pointers are int32 (the paper's 32-bit pointers) and wave pointers hold
- * way + 1.  So 0 means invalid or empty and zero-filled storage is an
- * empty tree.
+ * Each node is one record of 4 + A + ceil(A / 2) int64 words
+ * (repro.core.tree): the header below, the A tags, then the A int32 wave
+ * pointers.  Level k's nodes start at record offsets[k], and a block maps
+ * to record offsets[k] + (block & masks[k]).  Tags hold block + 1 and wave
+ * pointers way + 1, so 0 means invalid or empty.
  *
- * Every write lands on a node whose MRA slot the walk has just set, or on
- * the wave pointer of that node's parent entry, and no MRA slot is ever
- * cleared: the nodes with a non-zero MRA are exactly the nodes to zero
- * when the storage is recycled (repro.core.tree).
+ * A record whose epoch is not the tree's is empty, whatever it holds: the
+ * walk zeroes and stamps it when it first evaluates the node, before any
+ * read.  Every other access is to that node or to the wave pointer of its
+ * parent's entry, so emptying a tree is a new epoch, not a pass.  Epoch 0
+ * marks a record no walk has written, which is still zero.
  *
  * tally receives, per level k, the MRA matches at 2k and the misses at
  * 2k + 1, then the wave decisions, wave hits, MRE decisions and entries
  * compared by searches; the caller derives every other counter from them.
  */
 #include <stdint.h>
+#include <string.h>
+
+typedef struct {
+    int64_t mra;      /* most recently accessed tag (Property 2) */
+    int64_t mre_tag;  /* most recently evicted tag (Property 4) */
+    int32_t mre_wave; /* the evicted entry's wave pointer */
+    int32_t fifo_ptr; /* the next way to fill or evict */
+    int32_t epoch;
+    int32_t unused;
+    int64_t tags[];   /* A tags, then A int32 wave pointers */
+} node_t;
 
 void dew_walk(const int64_t *blocks, int64_t count, int64_t levels,
               int64_t associativity, const int64_t *masks,
-              const int64_t *offsets, int64_t *tags, int32_t *waves,
-              int64_t *mra, int64_t *mre_tag, int32_t *mre_wave,
-              int32_t *fifo_ptr, int64_t enable_mra, int64_t enable_wave,
-              int64_t enable_mre, int64_t *tally)
+              const int64_t *offsets, int64_t *records, int64_t enable_mra,
+              int64_t enable_wave, int64_t enable_mre, int64_t *tally,
+              int64_t epoch)
 {
+    const int64_t stride = sizeof(node_t) / sizeof(int64_t) + associativity
+                           + (associativity + 1) / 2;
+    const int32_t current = (int32_t)epoch;
     int64_t n_wave = 0, n_wave_hit = 0, n_mre = 0, n_examined = 0;
     /* The root (and, with Property 2 off, a node below an MRA match) has no
      * parent entry whose wave pointer needs refreshing. */
@@ -43,10 +55,16 @@ void dew_walk(const int64_t *blocks, int64_t count, int64_t levels,
         int32_t *parent_wave = &no_parent;
 
         for (int64_t level = 0; level < levels; level++) {
-            const int64_t node = offsets[level] + (block & masks[level]);
+            node_t *node = (node_t *)(records
+                                      + (offsets[level] + (block & masks[level])) * stride);
+            if (node->epoch != current) {
+                if (node->epoch)  /* epoch 0: never written, still zero */
+                    memset(node, 0, stride * sizeof *records);
+                node->epoch = current;
+            }
 
             /* Property 2 (MRA). */
-            if (mra[node] == tag) {
+            if (node->mra == tag) {
                 tally[2 * level]++;
                 if (enable_mra)
                     break;
@@ -55,8 +73,8 @@ void dew_walk(const int64_t *blocks, int64_t count, int64_t levels,
                 continue;
             }
 
-            int64_t *node_tags = tags + node * associativity;
-            int32_t *node_waves = waves + node * associativity;
+            int64_t *node_tags = node->tags;
+            int32_t *node_waves = (int32_t *)(node->tags + associativity);
             int64_t way = -1;
             if (enable_wave && incoming_wave) {
                 /* Property 3: probe the way the parent last saw. */
@@ -65,7 +83,7 @@ void dew_walk(const int64_t *blocks, int64_t count, int64_t levels,
                     way = incoming_wave - 1;
                     n_wave_hit++;
                 }
-            } else if (enable_mre && mre_tag[node] == tag) {
+            } else if (enable_mre && node->mre_tag == tag) {
                 /* Property 4: the most recently evicted tag is absent. */
                 n_mre++;
             } else {
@@ -77,13 +95,13 @@ void dew_walk(const int64_t *blocks, int64_t count, int64_t levels,
                     way = w;
                     n_examined += w + 1;
                 } else if (node_tags[associativity - 1] == 0) {
-                    n_examined += fifo_ptr[node];
+                    n_examined += node->fifo_ptr;
                 } else {
                     n_examined += associativity;
                 }
             }
 
-            mra[node] = tag;
+            node->mra = tag;
             if (way >= 0) {
                 /* Algorithm 1: Handle_hit. */
                 *parent_wave = way + 1;
@@ -92,25 +110,25 @@ void dew_walk(const int64_t *blocks, int64_t count, int64_t levels,
             } else {
                 /* Algorithm 2: Handle_miss. */
                 tally[2 * level + 1]++;
-                const int64_t victim = fifo_ptr[node];
+                const int64_t victim = node->fifo_ptr;
                 *parent_wave = victim + 1;
                 parent_wave = node_waves + victim;
                 const int64_t displaced_tag = node_tags[victim];
                 node_tags[victim] = tag;
-                if (mre_tag[node] == tag) {
+                if (node->mre_tag == tag) {
                     /* Re-insert the evicted tag, recycling its wave pointer. */
-                    incoming_wave = mre_wave[node];
-                    mre_tag[node] = displaced_tag;
-                    mre_wave[node] = *parent_wave;
+                    incoming_wave = node->mre_wave;
+                    node->mre_tag = displaced_tag;
+                    node->mre_wave = *parent_wave;
                 } else {
                     incoming_wave = 0;
                     if (displaced_tag != 0) {
-                        mre_tag[node] = displaced_tag;
-                        mre_wave[node] = *parent_wave;
+                        node->mre_tag = displaced_tag;
+                        node->mre_wave = *parent_wave;
                     }
                 }
                 *parent_wave = incoming_wave;
-                fifo_ptr[node] = victim + 1 == associativity ? 0 : victim + 1;
+                node->fifo_ptr = victim + 1 == associativity ? 0 : victim + 1;
             }
         }
     }

@@ -290,12 +290,13 @@ class JanapsatyaSimulator(Engine):
         """Per-configuration results accumulated so far, with :attr:`counters`
         and :attr:`walk`.
 
-        One row per (set size, associativity), built as columns.
+        One row per (set size, associativity), built as columns in canonical
+        order: set sizes ascending, each with every associativity ascending.
         """
         levels = len(self.set_sizes)
         ways = len(self.associativities)
         rows = levels * ways
-        return ResultsFrame(
+        return ResultsFrame._from_canonical(
             np.repeat(self.set_sizes, ways),
             np.tile(self.associativities, levels),
             np.full(rows, self.block_size),

@@ -203,12 +203,13 @@ class MechanismEngine(Engine):
         return np.cumsum(tallies)[np.array(self.entries) - 1]
 
     def finalize(self, trace_name: str = "trace") -> ResultsFrame:
-        """One row per entry count, in the order of :attr:`entries`."""
+        """One row per entry count, in the order of :attr:`entries`
+        (ascending, so canonical)."""
         stats = self.dl1.stats
         config = self.config
         rows = np.ones(len(self.entries), dtype=np.int64)
         hits, swaps, allocations, served = self._columns(stats)
-        return ResultsFrame(
+        return ResultsFrame._from_canonical(
             rows * config.num_sets,
             rows * config.associativity,
             rows * config.block_size,
@@ -339,5 +340,7 @@ class StreamBufferEngine(MechanismEngine):
         return tally
 
     def _columns(self, stats: CacheStats) -> Columns:
-        hits, allocations, served = self._tally.reshape(-1, 3).T
+        # A copy: the frame keeps its columns, and the walk keeps writing
+        # the tally.
+        hits, allocations, served = self._tally.reshape(-1, 3).T.copy()
         return hits, np.zeros_like(hits), allocations, served

@@ -605,6 +605,11 @@ class ServiceDaemon:
                 cells_cached=record.cells_cached,
                 phases=phases,
                 minor_faults=outcome.minor_faults,
+                engine_overhead_s=(
+                    None
+                    if outcome.engine_overhead_seconds is None
+                    else round(outcome.engine_overhead_seconds, 6)
+                ),
             )
         except SweepAborted as exc:
             record.execute_seconds = time.perf_counter() - started

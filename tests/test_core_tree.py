@@ -3,18 +3,34 @@
 import pytest
 
 from repro import kernels
-from repro.core.tree import DewTree, default_paper_set_sizes
-from repro.errors import ConfigurationError
+from repro.core.tree import STORAGE_POOL, DewTree, default_paper_set_sizes, record_words
+from repro.errors import ConfigurationError, SimulationError
 from repro.types import EMPTY_WAVE, INVALID_TAG
-from walks import PYTHON_WALK
 
 
 class TestDewTreeConstruction:
-    def test_flat_layout_needs_the_clear_kernel(self, monkeypatch):
-        # Only the compiled clear empties flat storage for reuse.
-        monkeypatch.setattr(kernels, "load", lambda name: PYTHON_WALK)
-        with pytest.raises(ConfigurationError, match="dew_clear"):
-            DewTree(4, 2, set_sizes=(1, 2), flat=True)
+    def test_flat_layout_needs_no_kernel(self, monkeypatch):
+        # The record layout is plain numpy: a host with no compiler
+        # (CC=false) builds, inspects, resets and recycles it all the same.
+        monkeypatch.setenv("CC", "false")
+        monkeypatch.setattr(kernels, "_LOADER", kernels.KernelLoader())
+        assert kernels.load("dew").name == "python (no compiler: false --version failed)"
+        tree = DewTree(4, 2, set_sizes=(1, 2), flat=True, recycled=True)
+        assert tree.storage.array.shape == (3, record_words(2)) == (3, 7)
+        assert tree.storage.epoch == 1
+        assert tree.tags == [[INVALID_TAG] * 2, [INVALID_TAG] * 4]
+        assert tree.waves == [[EMPTY_WAVE] * 2, [EMPTY_WAVE] * 4]
+        for field in ("mra", "mre_tag", "mre_wave"):
+            assert tree.decoded(field) == [[-1], [-1, -1]], field
+        assert tree.fifo_ptr == [[0], [0, 0]]
+        assert tree.resident_blocks(1, 1) == []
+        tree.reset()
+        assert tree.storage.epoch == 2
+        tree.release()
+        STORAGE_POOL.clear()
+        assert tree.storage is None
+        with pytest.raises(SimulationError, match="released"):
+            tree.mra
 
     def test_default_levels_match_paper(self):
         tree = DewTree(block_size=4, associativity=4)

@@ -7,7 +7,7 @@ direct-mapped misses and the final tree storage must equal those of
 :class:`dew_reference.ReferenceDewWalk`, which counts each comparison where
 it happens — for every ablation mode, chunking and entry point
 (``run_blocks`` and per-address ``access``), and for each walk in every
-case: the compiled kernel over the flat tree layout (wherever a C compiler
+case: the compiled kernel over the tree's node records (wherever a C compiler
 runs) and the Python walk over the list layout.  The rows' compulsory
 misses, which ``Engine.run`` and the sweep executor hand over as
 :meth:`Trace.unique_blocks`, must

@@ -168,6 +168,57 @@ class TestRegistryDriven:
         assert pickle.loads(pickle.dumps(job)) == job
         assert name in job.label()
 
+    @pytest.mark.parametrize("name", sorted(ENGINE_TEST_OPTIONS))
+    @pytest.mark.parametrize("many_rows", [False, True])
+    def test_finalized_frame_is_canonical(self, name, many_rows, mixed_trace):
+        # Every engine emits its rows in canonical order and builds its
+        # frame without the constructor's sort and duplicate scan.  The
+        # validating constructor, handed the same columns, must build the
+        # very same frame, down to its bytes, with counters and walk riding
+        # along.
+        options = dict(ENGINE_TEST_OPTIONS[name])
+        if many_rows:
+            options.update(MANY_ROWS.get(name, {}))
+        engine = get_engine(name, **options)
+        frame = engine.run(mixed_trace)
+        columns = {column: getattr(frame, column) for column in FRAME_COLUMNS}
+        rebuilt = ResultsFrame(
+            **columns,
+            elapsed_seconds=frame.elapsed_seconds,
+            simulator_name=frame.simulator_name,
+            trace_name=frame.trace_name,
+            counters=frame.counters,
+            walk=frame.walk,
+        )
+        assert rebuilt == frame
+        assert rebuilt.to_bytes() == frame.to_bytes()
+        for column in FRAME_COLUMNS:
+            assert getattr(frame, column).dtype == getattr(rebuilt, column).dtype, column
+            assert not getattr(frame, column).flags.writeable, column
+        assert frame.counters is getattr(engine, "counters", None)
+        assert frame.walk == engine.walk
+        # The frame shares no array the engine still writes.
+        for blocks, types in mixed_trace.iter_block_chunks(engine.offset_bits, 64, with_types=True):
+            engine.run_blocks(blocks, types if engine.wants_access_types else None)
+        assert frame.to_bytes() == rebuilt.to_bytes()
+
+
+#: Options under which every engine that can emits several rows per set
+#: size or several set sizes, so its row order is put to the test.
+MANY_ROWS = {
+    "dew": dict(associativity=4, set_sizes=(1, 2, 4, 8)),
+    "janapsatya": dict(associativities=(4, 1, 2)),
+    "miss-cache": dict(entries=(16, 2, 4)),
+    "stream-buffer": dict(entries=(16, 2, 4)),
+    "victim-cache": dict(entries=(16, 2, 4)),
+}
+#: Every column of a frame, by its constructor keyword.
+FRAME_COLUMNS = (
+    "num_sets", "associativities", "block_sizes", "policy_codes", "accesses", "misses",
+    "compulsory", "mechanism_codes", "mechanism_entries", "mechanism_hits",
+    "mechanism_swaps", "mechanism_allocations",
+)
+
 
 class TestDewEngine:
     @pytest.mark.parametrize("chunk_size", [1, 7, 100_000])

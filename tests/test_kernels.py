@@ -42,8 +42,8 @@ PRINT_WALKS = (
     "print(VictimCacheEngine(4, 2, 4, (1, 2))._walk.name)"
 )
 #: The table's entries, each with the position in :func:`_walks` of the walk
-#: it runs in: the DEW walk needs ``dew_clear`` to empty its storage.
-WALK_OF = {"dew": 0, "dew_clear": 0, "lru": 1, "single": 2, "mechanisms": 3}
+#: it runs in.
+WALK_OF = {"dew": 0, "lru": 1, "single": 2, "mechanisms": 3}
 NAMES = tuple(WALK_OF)
 ENTRIES = sorted(NAMES)
 

@@ -238,8 +238,10 @@ class TestTraceIdPropagation:
         done = spans[-1]
         assert done["job_id"] == response["job_id"]
         assert done["phases"]["simulate"] > 0.0
-        # The daemon simulated in-process, so it counted its minor faults.
+        # The daemon simulated in-process, so it counted its minor faults
+        # and the engine overhead of its simulate phase.
         assert isinstance(done["minor_faults"], int) and done["minor_faults"] >= 0
+        assert 0.0 <= done["engine_overhead_s"] <= done["phases"]["simulate"]
         # Resolving the job's trace (here a text parse) is its own phase,
         # and so is encoding the payload.
         assert done["phases"]["load"] > 0.0
@@ -482,6 +484,20 @@ class TestSweepPhasesAndIdentity:
         # not see.
         assert run_sweep(trace, jobs, workers=2).minor_faults is None
 
+    def test_engine_overhead_is_simulate_outside_the_jobs(self, trace_file, tmp_path):
+        trace = load_trace_file(trace_file)
+        jobs = build_grid_jobs([8, 16], [1, 2], [1, 2, 4, 8], policies=["fifo", "lru", "plru"])
+        store = open_store(tmp_path / "store")
+        run_sweep(trace, jobs[:3], store=store)
+        for outcome in (run_sweep(trace, jobs), run_sweep(trace, jobs, store=store)):
+            overhead = outcome.engine_overhead_seconds
+            simulate = outcome.phases["simulate"]
+            job_seconds = sum(outcome.results[index].elapsed_seconds for index in outcome.executed)
+            assert 0.0 <= overhead <= simulate
+            assert overhead == pytest.approx(simulate - job_seconds, abs=1e-12)
+        # Worker processes time their own engines, outside this process.
+        assert run_sweep(trace, jobs, workers=2).engine_overhead_seconds is None
+
     def test_results_byte_identical_with_metrics_disabled(self, trace_file):
         trace = load_trace_file(trace_file)
         jobs = build_grid_jobs(
@@ -641,6 +657,8 @@ class TestCliSurfaces:
             assert "covered" in err
             faults = [line.split() for line in err.splitlines() if "minor faults" in line]
             assert len(faults) == 1 and faults[0][-2:] == ["while", "simulating"]
+            overhead = [line.split() for line in err.splitlines() if "engine overhead" in line]
+            assert len(overhead) == 1 and float(overhead[0][2].rstrip("s")) >= 0.0
             # The text parse happens before run_sweep and still shows up.
             load = [line.split() for line in err.splitlines() if line.split()[:1] == ["load"]]
             assert len(load) == 1 and float(load[0][1].rstrip("s")) > 0.0

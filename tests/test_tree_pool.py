@@ -1,13 +1,15 @@
 """Recycled DEW tree storage: the pool of :mod:`repro.core.tree`.
 
 Each pass of the sweep executor builds its DEW engines with
-``recycled=True``: a tree takes empty flat storage of its shape that the
-previous pass released, and hands its own back, zeroed, once its job is
-finalized.  Recycled storage must give exactly what fresh storage gives —
-rows, every ``DewCounters`` field and the final tree — under every ablation
-mode; the pool holds only zeros, only what the latest pass released, and
-nothing in a forked child.  Flat storage exists only under the compiled
-walk, so every case here needs the kernels.
+``recycled=True``: a tree takes record storage of its shape that the
+previous pass released, and hands its own back, as it is, once its job is
+finalized.  The taker moves the storage to a new epoch, under which every
+record the last tree wrote reads as empty.  Recycled storage must give
+exactly what fresh storage gives — rows, every ``DewCounters`` field and
+the final tree — under every ablation mode, the same trace run twice
+included; the pool holds only what the latest pass released, and nothing
+in a forked child.  The records exist only under the compiled walk, so
+every case here needs the kernels.
 """
 
 import dataclasses
@@ -17,11 +19,12 @@ import sys
 import threading
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.dew import DewSimulator
-from repro.core.tree import FLAT_DTYPES, STORAGE_POOL
+from repro.core.tree import EPOCH_LIMIT, STORAGE_POOL, Records, record_words
 from repro.engine.base import get_engine_class
 from repro.engine.sweep import FusedSweepExecutor, build_grid_jobs, run_sweep
 from repro.errors import SimulationError
@@ -47,14 +50,26 @@ def _tree_state(tree):
 
 
 def _held():
-    """The storage the pool holds now."""
-    return [storage for free in STORAGE_POOL._free.values() for storage in free]
+    """The storage the pool holds now, each with the shape it is held by:
+    ``(node count, associativity)``."""
+    return [(shape, storage) for shape, free in STORAGE_POOL._free.items() for storage in free]
 
 
-def _shape(storage):
-    """A held storage's (node count, associativity)."""
-    nodes = storage["mra"].size
-    return nodes, storage["tags"].size // nodes
+def _epochs(storage):
+    """The epoch each record was last stamped with (0: never)."""
+    return storage.array.view(np.int32)[:, 6]
+
+
+def _assert_empty(tree):
+    """Every node of ``tree`` reads as empty, whatever its records hold (the
+    resident blocks of each level's first 16 sets)."""
+    assert tree.mra == [[-1] * size for size in tree.set_sizes]
+    assert tree.tags == [[-1] * (size * tree.associativity) for size in tree.set_sizes]
+    assert all(
+        tree.resident_blocks(level, index) == []
+        for level, size in enumerate(tree.set_sizes)
+        for index in range(min(size, 16))
+    )
 
 
 def _dew(block_size, associativity, set_sizes, modes, recycled=False):
@@ -99,7 +114,7 @@ def test_recycled_storage_matches_fresh(
     used = _dew(block_size, associativity, set_sizes, previous_modes, recycled=True)
     used.run(previous)
     used.release()
-    [released] = _held()
+    [(_, released)] = _held()
 
     recycled = _dew(block_size, associativity, set_sizes, modes, recycled=True)
     assert recycled.tree.storage is released and not _held()
@@ -122,29 +137,89 @@ def test_recycling_passes_give_the_frames_of_fresh_engines():
             assert dataclasses.asdict(frame.counters) == dataclasses.asdict(alone.counters)
 
 
-def test_released_storage_is_all_zeros():
+@pytest.mark.parametrize("modes", ABLATION_MODES)
+def test_same_trace_twice_over_recycled_storage_matches_fresh(modes):
+    # The second run looks up exactly the blocks the stale records hold, so
+    # a walk that read a stale record as live would hit where fresh storage
+    # misses.
+    trace = mediabench_trace("cjpeg", 3000, seed=11)
+    for block_size, associativity in ((4, 1), (16, 4), (64, 16)):
+        STORAGE_POOL.clear()
+        used = _dew(block_size, associativity, TABLE3_SETS, modes, recycled=True)
+        used.run(trace)
+        used.release()
+        [(_, released)] = _held()
+        again = _dew(block_size, associativity, TABLE3_SETS, modes, recycled=True)
+        assert again.tree.storage is released
+        _assert_empty(again.tree)
+        fresh = _dew(block_size, associativity, TABLE3_SETS, modes)
+        again_frame, fresh_frame = again.run(trace), fresh.run(trace)
+        assert again_frame.as_rows() == fresh_frame.as_rows(), (block_size, associativity)
+        assert dataclasses.asdict(again.counters) == dataclasses.asdict(fresh.counters)
+        assert _tree_state(again.tree) == _tree_state(fresh.tree)
+
+
+def test_released_storage_is_handed_back_as_it_is():
     trace = mediabench_trace("mpeg2_enc", 3000, seed=3)
     jobs = build_grid_jobs((4, 16), (2, 4, 16), TABLE3_SETS, ("fifo",))
     FusedSweepExecutor(trace, jobs).execute()
     held = _held()
-    assert sorted(_shape(storage) for storage in held) == [
+    assert sorted(shape for shape, _ in held) == [
         (32767, 2), (32767, 2), (32767, 4), (32767, 4), (32767, 16), (32767, 16)
     ]
-    for storage in held:
-        assert list(storage) == list(FLAT_DTYPES)
-        for field, array in storage.items():
-            assert array.dtype == FLAT_DTYPES[field], field
-            assert not array.any(), field
+    for (nodes, associativity), storage in held:
+        assert isinstance(storage, Records)
+        assert storage.array.shape == (nodes, record_words(associativity))
+        assert storage.array.dtype == np.int64
+        # No pass zeroed it: the records keep what the walk wrote, stamped
+        # with the epoch the storage was last used at.
+        assert storage.epoch == 1 and _epochs(storage).max() == 1
+    # The next tree of a shape takes one, at the next epoch, and reads every
+    # node as empty.
+    for associativity in (2, 4, 16):
+        taker = DewSimulator(4, associativity, TABLE3_SETS, recycled=True)
+        assert any(taker.tree.storage is storage for _, storage in held)
+        assert taker.tree.storage.epoch == 2
+        _assert_empty(taker.tree)
 
 
-def test_reset_zeroes_the_same_storage_in_place():
+def test_reset_empties_the_same_storage_in_place():
     trace = mediabench_trace("cjpeg", 2000, seed=5)
     simulator = DewSimulator(16, 4, TABLE3_SETS)
     first = simulator.run(trace).as_rows()
-    arrays = dict(simulator.tree.storage)
+    storage = simulator.tree.storage
+    written = storage.array.copy()
     simulator.reset()
-    assert all(simulator.tree.storage[field] is array for field, array in arrays.items())
-    assert not any(array.any() for array in arrays.values())
+    # A new epoch, and no pass over the array.
+    assert simulator.tree.storage is storage and storage.epoch == 2
+    assert np.array_equal(storage.array, written)
+    _assert_empty(simulator.tree)
+    assert simulator.run(trace).as_rows() == first
+    # A reset of the tree alone empties it for the simulator's walk too.
+    simulator.tree.reset()
+    blocks = trace.addresses >> 4
+    fresh = DewSimulator(16, 4, TABLE3_SETS)
+    simulator.run_blocks(blocks)
+    fresh.run_blocks(blocks)
+    assert _tree_state(simulator.tree) == _tree_state(fresh.tree)
+
+
+def test_epoch_limit_zero_fills_and_restarts_at_one():
+    trace = mediabench_trace("cjpeg", 2000, seed=5)
+    simulator = DewSimulator(16, 4, TABLE3_SETS)
+    first = simulator.run(trace).as_rows()
+    storage = simulator.tree.storage
+    # The last epoch below the limit: the walk stamps it like any other.
+    storage.epoch = EPOCH_LIMIT - 2
+    simulator.reset()
+    assert storage.epoch == EPOCH_LIMIT - 1 == 2**31 - 2
+    assert simulator.run(trace).as_rows() == first
+    assert _epochs(storage).max() == EPOCH_LIMIT - 1
+    # The next epoch would reach the limit: the array is zero-filled and
+    # the epochs restart at 1.
+    simulator.reset()
+    assert storage.epoch == 1 and not storage.array.any()
+    assert simulator.tree.storage is storage
     assert simulator.run(trace).as_rows() == first
 
 
@@ -152,14 +227,15 @@ def test_released_engine_raises_instead_of_writing():
     simulator = DewSimulator(4, 4, (1, 2, 4), recycled=True)
     simulator.run_blocks([1, 2, 3, 1])
     simulator.release()
-    [held] = _held()
+    [(_, held)] = _held()
+    written = held.array.copy()
     with pytest.raises(SimulationError, match="released"):
         simulator.run_blocks([5, 6])
     with pytest.raises(SimulationError, match="released"):
         simulator.access(20)
     with pytest.raises(SimulationError, match="released"):
         simulator.tree.tags
-    assert not any(array.any() for array in held.values())
+    assert held.epoch == 1 and np.array_equal(held.array, written)
     # What it simulated before the release still finalizes.
     assert set(simulator.finalize().accesses.tolist()) == {4}
     # A reset gives the simulator storage again.
@@ -172,13 +248,13 @@ def test_engines_built_by_callers_never_touch_the_pool():
     trace = mediabench_trace("cjpeg", 2000, seed=6)
     jobs = build_grid_jobs((16,), (4,), TABLE3_SETS, ("fifo",))
     FusedSweepExecutor(trace, jobs).execute()
-    [held] = _held()
+    [(_, held)] = _held()
     simulator = jobs[0].build()
     assert simulator.tree.storage is not held
     simulator.run(trace)
     simulator.release()
-    assert [id(storage) for storage in _held()] == [id(held)]
-    assert simulator.tree.storage
+    assert [id(storage) for _, storage in _held()] == [id(held)]
+    assert simulator.tree.storage is not None
     # LRU storage is not pooled at all.
     assert not get_engine_class("janapsatya").recycles_storage
 
@@ -190,21 +266,21 @@ def test_pool_keeps_only_what_the_latest_pass_released():
     second = build_grid_jobs((4,), (4, 8), sizes, ("fifo",))
     FusedSweepExecutor(trace, first).execute()
     held_first = _held()
-    assert sorted(_shape(storage) for storage in held_first) == [(2047, 2), (2047, 4)]
+    assert sorted(shape for shape, _ in held_first) == [(2047, 2), (2047, 4)]
     for _ in range(3):
         FusedSweepExecutor(trace, second).execute()
         held = _held()
-        assert sorted(_shape(storage) for storage in held) == [(2047, 4), (2047, 8)]
+        assert sorted(shape for shape, _ in held) == [(2047, 4), (2047, 8)]
     # The A 4 trees kept reusing the first pass's A 4 storage; its A 2
     # storage went with the second pass.
-    assert {id(storage) for storage in held_first} & {id(storage) for storage in held} == {
-        id(storage) for storage in held_first if _shape(storage) == (2047, 4)
+    assert {id(storage) for _, storage in held_first} & {id(storage) for _, storage in held} == {
+        id(storage) for shape, storage in held_first if shape == (2047, 4)
     }
 
 
 def test_threads_sharing_the_pool_never_share_storage():
-    # The service daemon runs jobs on several threads, and the walks and
-    # clears run with the interpreter lock released.  A tree handed storage
+    # The service daemon runs jobs on several threads, and the walks run
+    # with the interpreter lock released.  A tree handed storage
     # another live tree still uses would give other rows.
     trace = mediabench_trace("cjpeg", 2000, seed=9)
     jobs = build_grid_jobs((4, 16), (2, 4), doubling_set_sizes(1024), ("fifo",))
