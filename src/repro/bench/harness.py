@@ -277,15 +277,19 @@ class ExperimentRunner:
 
         dew_results = store.get(dew_key) if store is not None else None
         if dew_results is None:
+            # Recycled tree storage, as in a sweep: the timed walk then runs
+            # over pages an earlier cell faulted in, not over fresh ones.
             dew = get_engine(
                 "dew",
                 block_size=block_size,
                 associativity=associativity,
                 set_sizes=self.set_sizes,
+                recycled=True,
             )
             dew_start = time.perf_counter()
             dew_results = dew.run(trace)
             dew_seconds = time.perf_counter() - dew_start
+            dew.release()
             dew_results.elapsed_seconds = dew_seconds
             if store is not None:
                 store.put(dew_key, dew_results)

@@ -43,9 +43,9 @@ zeroes it when it first evaluates the node, so neither a fresh tree nor a
 reused one needs a pass over its storage: :meth:`DewSimulator.reset` moves
 the tree to a new epoch.  Block addresses must lie in ``[0, 2**63 - 1)``;
 both walks reject any other with :class:`~repro.errors.SimulationError`.
-A simulator the sweep executor builds (``recycled=True``) takes its record
-storage from the tree module's pool and hands it back, as it is, on
-:meth:`DewSimulator.release`.
+A simulator built with ``recycled=True`` (by the sweep executor, and for
+the harness's timed Table 3 cells) takes its record storage from the tree
+module's pool and hands it back, as it is, on :meth:`DewSimulator.release`.
 
 The rows' compulsory misses are the trace's distinct blocks, which
 ``Engine.run`` and the sweep executor count once per (trace, block size)
@@ -111,7 +111,8 @@ class DewSimulator(Engine):
     recycled:
         Take the tree's record storage from the pool of storage finished
         sweep jobs released, and hand it back on :meth:`release` (see
-        :mod:`repro.core.tree`).  The sweep executor builds its engines so.
+        :mod:`repro.core.tree`).  The sweep executor builds its engines so,
+        and so does the harness for the DEW half of a Table 3 cell.
 
     The simulator runs the kernel walk when :func:`repro.kernels.load`
     loads it, and the Python walk otherwise; :attr:`walk` says which.  It
@@ -158,20 +159,23 @@ class DewSimulator(Engine):
 
         For the Python walk, each level's tuple ends with the walk's two
         tallies for the chunk in flight, ``[MRA matches, misses]``.  For the
-        kernel, the pointers to the tree's arrays and to the tally array it
-        fills.  The simulator keeps those arrays referenced, so a pointer
-        never outlives its array, even if the tree's storage is replaced
-        other than through :meth:`reset`.
+        kernel, the pointers to the tree's arrays, the size of a record and
+        the pointer to the tally array it fills.  The simulator keeps those
+        arrays referenced, so a pointer never outlives its array, even if
+        the tree's storage is replaced other than through :meth:`reset`.
         """
         tree = self.tree
         if tree.flat:
-            arrays = (tree.index_masks, tree.level_offsets, tree.storage.array)
+            records = tree.storage.array
             self._tally = np.zeros(2 * tree.num_levels + 4, dtype=np.int64)
-            self._kernel_arrays = (*arrays, self._tally)
+            self._kernel_arrays = (tree.index_masks, tree.level_offsets, records, self._tally)
             self._kernel_args = (
                 tree.num_levels,
                 tree.associativity,
-                *(array.ctypes.data for array in arrays),
+                tree.index_masks.ctypes.data,
+                tree.level_offsets.ctypes.data,
+                records.ctypes.data,
+                records.itemsize,
                 self.enable_mra,
                 self.enable_wave,
                 self.enable_mre,

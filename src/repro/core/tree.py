@@ -21,20 +21,20 @@ The storage has two layouts, one per DEW walk:
   (``tags[k]`` has ``S_k * A`` slots), because attribute-light list indexing
   is the fastest pure Python representation for the walk's inner loop.
   Invalid tags and empty wave pointers hold ``-1``.
-* **Records** (the compiled walk, :mod:`repro.kernels`): one int64 array
-  per tree, a row per node, level ``k`` from row :attr:`DewTree.level_offsets`
-  ``[k]``.  A record holds the MRA tag, MRE tag, MRE wave pointer, FIFO
-  pointer and epoch, then the ``A`` tags and ``A`` wave pointers
-  (:func:`record_words`: 224 B at ``A = 16``, 7.3 MB for 15 levels).  Tags
-  are int64; pointers and epoch int32, the paper's 32-bit pointers
-  (Section 5).  Values are stored minus their field's empty value, so tags
-  hold ``block + 1``, wave pointers ``way + 1``, and 0 means empty.
+* **Records** (the compiled walk, :mod:`repro.kernels`): one structured
+  array per tree, a record per node (:func:`record_dtype`), level ``k``
+  from record :attr:`DewTree.level_offsets` ``[k]``.  A record holds the MRA
+  tag, MRE tag, MRE wave pointer, FIFO pointer and epoch, then the ``A``
+  tags and ``A`` wave pointers: 224 B at ``A = 16``, 7.3 MB for 15 levels.
+  Tags and the epoch are int64; pointers are int32, the paper's 32-bit
+  pointers (Section 5).  Values are stored minus their field's empty value,
+  so tags hold ``block + 1``, wave pointers ``way + 1``, and 0 means empty.
 
 A record whose epoch is not its tree's is empty, whatever it holds: the
 walk (``kernels/dew.c``) zeroes and stamps it when it first evaluates the
-node.  So nothing ever clears a tree.  Zero-filled storage is empty from
-epoch 1 on, :meth:`DewTree.reset` moves to the next epoch, and only at
-:data:`EPOCH_LIMIT` does it zero-fill the array and restart at 1.
+node.  So nothing ever clears a tree: zero-filled storage is empty from
+epoch 1 on, and :meth:`DewTree.reset` moves to the next epoch.  Epochs only
+grow, and at 64 bits they never wrap.
 
 Record storage is recycled within a process through :data:`STORAGE_POOL`.
 The sweep executor builds its DEW trees with ``recycled=True``: such a tree
@@ -42,8 +42,10 @@ takes storage of its node count and associativity from the pool when it
 holds some, moving it to its next epoch, and :meth:`DewTree.release` hands
 it back as it is once the job is finalized, so later jobs do not
 page-fault fresh storage in.  The pool keeps only what the latest executor
-pass released, and a forked child starts with it empty.  Trees built any
-other way (``Engine.run``, the harness, tests) allocate their own storage.
+pass released, and a forked child starts with it empty.  The harness's
+Table 3 cells recycle the same way, so their timed walks do not fault in a
+fresh tree per cell either.  Trees built any other way (``Engine.run``,
+tests) allocate their own storage.
 
 Inspection reads both layouts the same way: ``tags``, ``waves``, ``mra``,
 ``mre_tag``, ``mre_wave``, ``fifo_ptr`` and :meth:`DewTree.resident_blocks`
@@ -84,22 +86,24 @@ EMPTY_VALUES: Dict[str, int] = {
 #: Fields with one slot per tag-list entry (``A`` per node); the rest have
 #: one per node.
 ENTRY_FIELDS = ("tags", "waves")
-#: Words of a record before its tags: the MRA tag, the MRE tag, then the
-#: int32 MRE wave pointer, FIFO pointer and epoch, and four unused bytes.
-HEADER_WORDS = 4
-#: Each field's first slot in a record, in int64 words for these fields and
-#: in int32 halves for the rest; the wave pointers follow the ``A`` tags.
-_INT64_FIELDS = ("mra", "mre_tag", "tags")
-_FIRST_SLOTS = {"mra": 0, "mre_tag": 1, "tags": HEADER_WORDS, "mre_wave": 4, "fifo_ptr": 5,
-                "epoch": 6}
-#: Epochs run from 1 up to, not including, this limit (the int32 maximum).
-EPOCH_LIMIT = 2**31 - 1
 
 
-def record_words(associativity: int) -> int:
-    """int64 words per record: the header, ``A`` tags and ``A`` int32 wave
-    pointers (``kernels/dew.c`` derives the same stride)."""
-    return HEADER_WORDS + associativity + (associativity + 1) // 2
+def record_dtype(associativity: int) -> np.dtype:
+    """One node's record, padded to 8 bytes: the header ``kernels/dew.c``
+    declares as its ``node_t``, then the ``A`` tags and ``A`` wave pointers.
+    The walk takes the record size from here."""
+    return np.dtype(
+        [
+            ("mra", np.int64),
+            ("mre_tag", np.int64),
+            ("mre_wave", np.int32),
+            ("fifo_ptr", np.int32),
+            ("epoch", np.int64),
+            ("tags", np.int64, (associativity,)),
+            ("waves", np.int32, (associativity,)),
+        ],
+        align=True,
+    )
 
 
 @dataclass(eq=False)
@@ -299,16 +303,6 @@ class DewTree:
             raise SimulationError("this tree's storage was released")
         return self.storage
 
-    def _record_field(self, field: str) -> np.ndarray:
-        """One field of every record as stored, one row per node."""
-        records = self._live().array
-        if field in _INT64_FIELDS:
-            view, start = records, _FIRST_SLOTS[field]
-        else:
-            view = records.view(np.int32)
-            start = _FIRST_SLOTS.get(field, 2 * (HEADER_WORDS + self.associativity))
-        return view[:, start:start + self._slots(field)]
-
     def _decode(self, field: str, level: int, start: int, stop: int) -> List[int]:
         """Decoded slots ``start:stop`` of one level of one field."""
         storage = self._live()
@@ -316,9 +310,9 @@ class DewTree:
             return storage[field][level][start:stop]
         slots = self._slots(field)
         first = int(self.level_offsets[level])
-        rows = slice(first + start // slots, first - (-stop // slots))
-        live = self._record_field("epoch")[rows] == storage.epoch
-        values = np.where(live, self._record_field(field)[rows], 0).ravel()
+        records = storage.array[first + start // slots:first - (-stop // slots)]
+        live = (records["epoch"] == storage.epoch)[:, None]
+        values = np.where(live, records[field].reshape(records.size, slots), 0).ravel()
         skip = start % slots
         return (values[skip:skip + stop - start] + EMPTY_VALUES[field]).tolist()
 
@@ -356,18 +350,9 @@ class DewTree:
             return
         storage = STORAGE_POOL.take(self.shape) if self.recycled else None
         self.storage = storage or Records(
-            np.zeros((self.node_count(), record_words(self.associativity)), dtype=np.int64)
+            np.zeros(self.node_count(), dtype=record_dtype(self.associativity))
         )
-        self._next_epoch()
-
-    def _next_epoch(self) -> None:
-        """Empty every record at once: the next epoch, or at
-        :data:`EPOCH_LIMIT` a zero fill and epoch 1."""
-        storage = self.storage
-        storage.epoch += 1
-        if storage.epoch == EPOCH_LIMIT:
-            storage.array.fill(0)
-            storage.epoch = 1
+        self.storage.epoch += 1
 
     def release(self) -> None:
         """Hand recycled storage back to the pool as it is; the tree then has
@@ -380,7 +365,7 @@ class DewTree:
     def reset(self) -> None:
         """Return every node to the empty state: a new epoch for records."""
         if self.flat and self.storage is not None:
-            self._next_epoch()
+            self.storage.epoch += 1
         else:
             self._allocate()
 

@@ -60,7 +60,8 @@ class Engine(abc.ABC):
 
     #: When true, the engine takes a ``recycled`` construction flag: it then
     #: reuses storage a finished engine released, and :meth:`release` hands
-    #: its own back.  Only the sweep executor builds engines so.
+    #: its own back.  The sweep executor builds engines so, and the
+    #: harness its timed DEW cells.
     recycles_storage: bool = False
 
     #: Bumped when the engine's rows change for the same options, so that

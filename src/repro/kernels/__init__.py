@@ -79,7 +79,7 @@ _HERE = Path(__file__).parent
 KERNELS: Dict[str, Kernel] = {
     "dew": Kernel(_HERE / "dew.c", "dew_walk", (
         _POINTER, _INTEGER, _INTEGER, _INTEGER,  # blocks, count, levels, associativity
-        _POINTER, _POINTER, _POINTER,  # index masks, node offsets, node records
+        _POINTER, _POINTER, _POINTER, _INTEGER,  # index masks, node offsets, records, record size
         _INTEGER, _INTEGER, _INTEGER,  # enable_mra, enable_wave, enable_mre
         _POINTER, _INTEGER,  # tally, epoch
     )),

@@ -1,8 +1,8 @@
 /* The DEW walk over node records: a line-for-line port of the walk loop in
  * repro.core.dew.DewSimulator.run_blocks.
  *
- * Each node is one record of 4 + A + ceil(A / 2) int64 words
- * (repro.core.tree): the header below, the A tags, then the A int32 wave
+ * Each node is one record of record_size bytes (repro.core.tree's
+ * record_dtype): the header below, the A int64 tags, then the A int32 wave
  * pointers.  Level k's nodes start at record offsets[k], and a block maps
  * to record offsets[k] + (block & masks[k]).  Tags hold block + 1 and wave
  * pointers way + 1, so 0 means invalid or empty.
@@ -25,20 +25,16 @@ typedef struct {
     int64_t mre_tag;  /* most recently evicted tag (Property 4) */
     int32_t mre_wave; /* the evicted entry's wave pointer */
     int32_t fifo_ptr; /* the next way to fill or evict */
-    int32_t epoch;
-    int32_t unused;
+    int64_t epoch;    /* the tree's epoch when the walk last wrote it */
     int64_t tags[];   /* A tags, then A int32 wave pointers */
 } node_t;
 
 void dew_walk(const int64_t *blocks, int64_t count, int64_t levels,
               int64_t associativity, const int64_t *masks,
-              const int64_t *offsets, int64_t *records, int64_t enable_mra,
-              int64_t enable_wave, int64_t enable_mre, int64_t *tally,
-              int64_t epoch)
+              const int64_t *offsets, char *records, int64_t record_size,
+              int64_t enable_mra, int64_t enable_wave, int64_t enable_mre,
+              int64_t *tally, int64_t epoch)
 {
-    const int64_t stride = sizeof(node_t) / sizeof(int64_t) + associativity
-                           + (associativity + 1) / 2;
-    const int32_t current = (int32_t)epoch;
     int64_t n_wave = 0, n_wave_hit = 0, n_mre = 0, n_examined = 0;
     /* The root (and, with Property 2 off, a node below an MRA match) has no
      * parent entry whose wave pointer needs refreshing. */
@@ -55,12 +51,12 @@ void dew_walk(const int64_t *blocks, int64_t count, int64_t levels,
         int32_t *parent_wave = &no_parent;
 
         for (int64_t level = 0; level < levels; level++) {
-            node_t *node = (node_t *)(records
-                                      + (offsets[level] + (block & masks[level])) * stride);
-            if (node->epoch != current) {
+            const int64_t index = offsets[level] + (block & masks[level]);
+            node_t *node = (node_t *)(records + index * record_size);
+            if (node->epoch != epoch) {
                 if (node->epoch)  /* epoch 0: never written, still zero */
-                    memset(node, 0, stride * sizeof *records);
-                node->epoch = current;
+                    memset(node, 0, record_size);
+                node->epoch = epoch;
             }
 
             /* Property 2 (MRA). */

@@ -20,7 +20,9 @@ from repro.bench.tables import (
     format_table4,
     rows_as_csv,
 )
+from repro.core.tree import STORAGE_POOL
 from repro.workloads.mediabench import PAPER_REQUEST_COUNTS
+from walks import require_kernel
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +77,19 @@ class TestExperimentRunner:
         assert 0.0 <= cell.comparison_reduction_percent <= 100.0
         assert cell.comparison_ratio > 1.0
         assert cell.as_dict()["app"] == cell.app
+
+    def test_dew_cells_recycle_one_tree_per_associativity(self, small_runner):
+        # A cell's timed DEW walk runs over tree storage an earlier cell
+        # released, as a sweep job's does, not over a fresh tree's pages.
+        require_kernel()
+        STORAGE_POOL.clear()
+        try:
+            small_runner.run_cell("cjpeg", 16, 4)
+            [held] = STORAGE_POOL._free[(255, 4)]
+            assert small_runner.run_cell("g721_enc", 16, 4).exact_match
+            assert [id(storage) for storage in STORAGE_POOL._free[(255, 4)]] == [id(held)]
+        finally:
+            STORAGE_POOL.clear()
 
     def test_dew_beats_baseline_everywhere(self, small_cells):
         assert all(cell.speedup > 1.0 for cell in small_cells)

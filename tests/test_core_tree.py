@@ -3,7 +3,7 @@
 import pytest
 
 from repro import kernels
-from repro.core.tree import STORAGE_POOL, DewTree, default_paper_set_sizes, record_words
+from repro.core.tree import STORAGE_POOL, DewTree, default_paper_set_sizes, record_dtype
 from repro.errors import ConfigurationError, SimulationError
 from repro.types import EMPTY_WAVE, INVALID_TAG
 
@@ -16,7 +16,7 @@ class TestDewTreeConstruction:
         monkeypatch.setattr(kernels, "_LOADER", kernels.KernelLoader())
         assert kernels.load("dew").name == "python (no compiler: false --version failed)"
         tree = DewTree(4, 2, set_sizes=(1, 2), flat=True, recycled=True)
-        assert tree.storage.array.shape == (3, record_words(2)) == (3, 7)
+        assert tree.storage.array.shape == (3,) and tree.storage.array.dtype == record_dtype(2)
         assert tree.storage.epoch == 1
         assert tree.tags == [[INVALID_TAG] * 2, [INVALID_TAG] * 4]
         assert tree.waves == [[EMPTY_WAVE] * 2, [EMPTY_WAVE] * 4]
@@ -31,6 +31,20 @@ class TestDewTreeConstruction:
         assert tree.storage is None
         with pytest.raises(SimulationError, match="released"):
             tree.mra
+
+    def test_record_layout_is_the_kernel_header_then_the_entries(self):
+        # kernels/dew.c reads the header as its node_t (two int64 tags, two
+        # int32 pointers, an int64 epoch) and takes the record size from the
+        # dtype: 4 + A + ceil(A / 2) words, 224 B at A 16.
+        for associativity in (1, 2, 3, 16):
+            dtype = record_dtype(associativity)
+            offsets = {name: dtype.fields[name][1] for name in dtype.names}
+            assert offsets == {
+                "mra": 0, "mre_tag": 8, "mre_wave": 16, "fifo_ptr": 20, "epoch": 24,
+                "tags": 32, "waves": 32 + 8 * associativity,
+            }
+            assert dtype.itemsize == 8 * (4 + associativity + (associativity + 1) // 2)
+        assert record_dtype(16).itemsize == 224
 
     def test_default_levels_match_paper(self):
         tree = DewTree(block_size=4, associativity=4)

@@ -14,7 +14,7 @@ from repro.cache.simulator import SingleConfigSimulator
 from repro.cli import main
 from repro.core.config import CacheConfig
 from repro.core.dew import DewSimulator
-from repro.core.results import ConfigResult, ResultsFrame
+from repro.core.results import _FRAME_COLUMNS, ConfigResult, ResultsFrame
 from repro.engine import (
     Engine,
     SweepJob,
@@ -181,7 +181,7 @@ class TestRegistryDriven:
             options.update(MANY_ROWS.get(name, {}))
         engine = get_engine(name, **options)
         frame = engine.run(mixed_trace)
-        columns = {column: getattr(frame, column) for column in FRAME_COLUMNS}
+        columns = {column: getattr(frame, column) for column in _FRAME_COLUMNS}
         rebuilt = ResultsFrame(
             **columns,
             elapsed_seconds=frame.elapsed_seconds,
@@ -192,7 +192,7 @@ class TestRegistryDriven:
         )
         assert rebuilt == frame
         assert rebuilt.to_bytes() == frame.to_bytes()
-        for column in FRAME_COLUMNS:
+        for column in _FRAME_COLUMNS:
             assert getattr(frame, column).dtype == getattr(rebuilt, column).dtype, column
             assert not getattr(frame, column).flags.writeable, column
         assert frame.counters is getattr(engine, "counters", None)
@@ -212,12 +212,6 @@ MANY_ROWS = {
     "stream-buffer": dict(entries=(16, 2, 4)),
     "victim-cache": dict(entries=(16, 2, 4)),
 }
-#: Every column of a frame, by its constructor keyword.
-FRAME_COLUMNS = (
-    "num_sets", "associativities", "block_sizes", "policy_codes", "accesses", "misses",
-    "compulsory", "mechanism_codes", "mechanism_entries", "mechanism_hits",
-    "mechanism_swaps", "mechanism_allocations",
-)
 
 
 class TestDewEngine:

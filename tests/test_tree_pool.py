@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.dew import DewSimulator
-from repro.core.tree import EPOCH_LIMIT, STORAGE_POOL, Records, record_words
+from repro.core.tree import STORAGE_POOL, Records, record_dtype
 from repro.engine.base import get_engine_class
 from repro.engine.sweep import FusedSweepExecutor, build_grid_jobs, run_sweep
 from repro.errors import SimulationError
@@ -57,7 +57,7 @@ def _held():
 
 def _epochs(storage):
     """The epoch each record was last stamped with (0: never)."""
-    return storage.array.view(np.int32)[:, 6]
+    return storage.array["epoch"]
 
 
 def _assert_empty(tree):
@@ -169,8 +169,8 @@ def test_released_storage_is_handed_back_as_it_is():
     ]
     for (nodes, associativity), storage in held:
         assert isinstance(storage, Records)
-        assert storage.array.shape == (nodes, record_words(associativity))
-        assert storage.array.dtype == np.int64
+        assert storage.array.shape == (nodes,)
+        assert storage.array.dtype == record_dtype(associativity)
         # No pass zeroed it: the records keep what the walk wrote, stamped
         # with the epoch the storage was last used at.
         assert storage.epoch == 1 and _epochs(storage).max() == 1
@@ -204,23 +204,23 @@ def test_reset_empties_the_same_storage_in_place():
     assert _tree_state(simulator.tree) == _tree_state(fresh.tree)
 
 
-def test_epoch_limit_zero_fills_and_restarts_at_one():
+def test_epochs_past_the_int32_range_never_wrap():
     trace = mediabench_trace("cjpeg", 2000, seed=5)
     simulator = DewSimulator(16, 4, TABLE3_SETS)
     first = simulator.run(trace).as_rows()
     storage = simulator.tree.storage
-    # The last epoch below the limit: the walk stamps it like any other.
-    storage.epoch = EPOCH_LIMIT - 2
-    simulator.reset()
-    assert storage.epoch == EPOCH_LIMIT - 1 == 2**31 - 2
-    assert simulator.run(trace).as_rows() == first
-    assert _epochs(storage).max() == EPOCH_LIMIT - 1
-    # The next epoch would reach the limit: the array is zero-filled and
-    # the epochs restart at 1.
-    simulator.reset()
-    assert storage.epoch == 1 and not storage.array.any()
-    assert simulator.tree.storage is storage
-    assert simulator.run(trace).as_rows() == first
+    # Epochs are int64: the walk stamps 2**31 - 1 and 2**31 like any other,
+    # and each reads the records of the one before as stale.
+    storage.epoch = 2**31 - 2
+    for epoch in (2**31 - 1, 2**31):
+        simulator.reset()
+        assert storage.epoch == epoch and simulator.tree.storage is storage
+        _assert_empty(simulator.tree)
+        assert simulator.run(trace).as_rows() == first
+        assert _epochs(storage).max() == epoch
+    fresh = DewSimulator(16, 4, TABLE3_SETS)
+    fresh.run(trace)
+    assert _tree_state(simulator.tree) == _tree_state(fresh.tree)
 
 
 def test_released_engine_raises_instead_of_writing():
