@@ -17,8 +17,8 @@ the payload of :func:`repro.engine.sweep.run_sweep` executed directly.
     and the daemon share a service directory either way).
 ``daemon``
     :class:`ServiceDaemon`, the scheduler draining the queue through the
-    fused sweep executor with a bounded worker pool, coalescing work that
-    is already stored or already in flight, and recording per-job
+    fused sweep executor with a bounded worker pool, loading every cell
+    already stored instead of simulating it, and recording per-job
     timings and per-cell progress durably.  One daemon serves a service
     directory: it holds an exclusive lock on ``daemon.lock`` while it
     runs, so a second one is refused, and a restart after a crash

@@ -191,8 +191,8 @@ class SweepRequest:
         Requests that cover the same cells over the same trace — however
         their grids were spelled — share an id, which is what makes queue
         submission idempotent and duplicate submissions free.  Callers that
-        already hold the digests (the submit path computes them once and
-        persists them in the job record) pass them in to skip recomputing.
+        already hold the digests (the submit path computes them once, for
+        the id and the cell count) pass them in to skip recomputing.
         """
         payload = json.dumps(
             {
@@ -395,15 +395,12 @@ class ServiceClient:
             # An explicitly passed trace may not match the file at
             # trace_path, so its fingerprint must not seed the sidecar.
             fingerprint = trace.fingerprint()
-        # One grid decomposition serves everything: the id, the cell count
-        # and the persisted digest list the daemon's overlap check reads
-        # (so scheduling never has to re-derive store keys per tick).
+        # One grid decomposition serves both the id and the cell count.
         digests = request.cell_digests(fingerprint)
         job_id = request.canonical_job_id(fingerprint, cell_digests=digests)
         wire = request.to_wire()
         wire["trace_fingerprint"] = fingerprint
         wire["cells"] = len(digests)
-        wire["cell_digests"] = digests
         # The trace id is minted here — the submitting edge — and rides the
         # durable job record, so every span the daemon emits for this job
         # (including a re-execution after a crash) carries the same id.  A

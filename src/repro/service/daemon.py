@@ -6,12 +6,12 @@ persistent result store.  The combination gives the service its three core
 properties:
 
 **Coalescing.**  Duplicate submissions never reach the daemon at all (the
-queue keys jobs by canonical content identity).  Cells shared by *different*
-jobs cost zero extra simulation in two ways: cells already persisted are
-loaded from the store instead of executed, and cells currently being
-computed by another worker are *in flight* — a job overlapping in-flight
-work is deferred (left queued) until the overlap clears, at which point its
-overlapping cells are store hits.
+queue keys jobs by canonical content identity).  A cell shared by
+*different* jobs is simulated once when they run one after another: the
+later job loads it from the store.  With ``workers`` above 1, two jobs that
+run at the same time and share a cell may both simulate it; each store write
+replaces the artifact atomically with the same bytes, so the payloads and
+the store stay byte-identical.
 
 **Durability.**  The store is the record of finished cells: a cell's
 artifact is written the moment its execution unit finishes inside
@@ -72,7 +72,7 @@ from repro.service.queue import (
     open_service,
 )
 from repro.service.socketserver import ServiceSocketServer
-from repro.store import ResultStore, StoreKey, open_store
+from repro.store import ResultStore, open_store
 from repro.store.resultstore import _atomic_replace
 from repro.trace.files import trace_name_for_path
 from repro.trace.planecache import CachedPlane, TracePlaneCache, coerce_plane_cache
@@ -248,7 +248,6 @@ class ServiceDaemon:
         self._started_at = time.time()
         self._lock = Lock()
         self._lock_fd: Optional[int] = None  # the held daemon.lock, in run()
-        self._inflight_jobs: Dict[str, List[StoreKey]] = {}  # job id -> cell keys
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -260,8 +259,8 @@ class ServiceDaemon:
     def run(self, drain: bool = False, max_jobs: Optional[int] = None) -> int:
         """The scheduler loop; returns the number of jobs brought to an end.
 
-        ``drain=True`` exits once no job is queued and nothing is in
-        flight (batch mode — the CI smoke and the tests use it).
+        ``drain=True`` exits once no job is queued or running (batch
+        mode — the CI smoke and the tests use it).
         ``max_jobs`` bounds how many jobs are finished before returning.
         The daemon first takes the directory's lock (raising
         :class:`~repro.errors.ServiceError` if another daemon holds it),
@@ -384,14 +383,13 @@ class ServiceDaemon:
             self._wake.clear()
             if self._stopping or self._finished_enough(finished_before, max_jobs):
                 break
-            record = self.queue.claim(accept=self._accept, daemon_id=self.daemon_id)
+            record = self.queue.claim(daemon_id=self.daemon_id)
             if record is None:
                 self._write_heartbeat()
                 if drain and not self.queue.records(STATE_QUEUED):
                     break
                 self._wake.wait(self.poll_interval)
                 continue
-            self._mark_job_inflight(record)
             self._execute(record)
             self._write_heartbeat()
 
@@ -407,19 +405,12 @@ class ServiceDaemon:
                     break
                 claimed = None
                 if len(pending) < self.workers:
-                    claimed = self.queue.claim(
-                        accept=self._accept, daemon_id=self.daemon_id
-                    )
+                    claimed = self.queue.claim(daemon_id=self.daemon_id)
                 if claimed is not None:
-                    # Mark in flight from the scheduler thread, before the
-                    # worker starts, so the next claim's overlap check can
-                    # never race the marking.
-                    self._mark_job_inflight(claimed)
                     future = pool.submit(self._execute, claimed)
-                    # A done callback runs once done() holds, after
-                    # _execute has cleared the job's in-flight cells: the
-                    # woken scheduler sees a free slot, and claims a job
-                    # deferred behind those cells.
+                    # A done callback runs once done() holds, so the woken
+                    # scheduler sees the slot free and claims a job that
+                    # waited for one.
                     future.add_done_callback(lambda _: self._wake.set())
                     pending.append(future)
                     continue
@@ -429,40 +420,6 @@ class ServiceDaemon:
                 self._wake.wait(self.poll_interval)
             for future in pending:
                 future.result()
-
-    # -- scheduling --------------------------------------------------------------
-
-    def _accept(self, record: JobRecord) -> bool:
-        """Defer jobs whose cells overlap work already in flight.
-
-        Once the overlapping job finishes, its cells are in the store and
-        the deferred job's next claim attempt loads them for free — that is
-        the cross-job half of request coalescing.
-        """
-        digests = self._request_digests(record)
-        if digests is None:
-            return True  # malformed requests fail properly inside _execute
-        inflight = self.store.in_flight_digests()
-        return not (digests & inflight)
-
-    @staticmethod
-    def _request_digests(record: JobRecord) -> Optional[set]:
-        """The record's cell store-key digests, without re-deriving them.
-
-        The submit path persists the digest list in the job record, so the
-        per-tick overlap check is a set intersection; records written
-        without one (or malformed ones) fall back to recomputing from the
-        request grid.
-        """
-        stored = record.request.get("cell_digests")
-        if isinstance(stored, list) and stored:
-            return {str(digest) for digest in stored}
-        try:
-            request = SweepRequest.from_wire(record.request)
-            fingerprint = str(record.request.get("trace_fingerprint", ""))
-            return set(request.cell_digests(fingerprint))
-        except (ReproError, KeyError, ValueError, TypeError):
-            return None
 
     # -- execution ---------------------------------------------------------------
 
@@ -649,43 +606,15 @@ class ServiceDaemon:
         finally:
             if isinstance(sweep_input, CachedPlane):
                 sweep_input.close()
-            self._clear_inflight(record.id)
             server = self.socket_server
             if server is not None:
                 server.notify_job_finished()
-
-    def _mark_job_inflight(self, record: JobRecord) -> None:
-        """Register a claimed job's cell keys as in flight (scheduler thread).
-
-        Cells already persisted are not marked — they will be store hits,
-        not duplicate work — so the overlap check only defers jobs on
-        genuinely concurrent simulation.  A malformed request marks nothing
-        and is left for :meth:`_execute` to fail properly.
-        """
-        try:
-            request = SweepRequest.from_wire(record.request)
-            fingerprint = str(record.request.get("trace_fingerprint", ""))
-            keys = [job.store_key(fingerprint) for job in request.build_jobs()]
-        except (ReproError, KeyError, ValueError, TypeError):
-            return
-        with self._lock:
-            self._inflight_jobs[record.id] = keys
-        for key in keys:
-            if not self.store.contains(key):
-                self.store.mark_in_flight(key)
-
-    def _clear_inflight(self, job_id: str) -> None:
-        with self._lock:
-            keys = self._inflight_jobs.pop(job_id, [])
-        for key in keys:
-            self.store.clear_in_flight(key)
 
     # -- observability -----------------------------------------------------------
 
     def heartbeat(self) -> Dict[str, Any]:
         """The daemon's current counters (what ``stats`` reports)."""
         with self._lock:
-            inflight = sorted(self._inflight_jobs)
             phase_seconds = {
                 name: round(seconds, 6) for name, seconds in sorted(self.phase_seconds.items())
             }
@@ -706,7 +635,6 @@ class ServiceDaemon:
             "phase_seconds": phase_seconds,
             "heartbeat_errors": self.heartbeat_errors,
             "socket": str(server.path) if server is not None and server.running else None,
-            "inflight_jobs": [job_id[:12] for job_id in inflight],
             "notes": [self._notes[key] for key in sorted(self._notes)],
             "store": self.store.stats(),
             "trace_cache": (

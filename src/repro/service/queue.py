@@ -57,7 +57,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ServiceError
 from repro.obs.metrics import get_registry
@@ -499,25 +499,17 @@ class JobQueue:
 
     # -- transitions -------------------------------------------------------------
 
-    def claim(
-        self,
-        accept: Optional[Callable[[JobRecord], bool]] = None,
-        daemon_id: Optional[str] = None,
-    ) -> Optional[JobRecord]:
+    def claim(self, daemon_id: Optional[str] = None) -> Optional[JobRecord]:
         """Atomically claim the best queued job, or ``None`` when idle.
 
         Queued jobs are considered in (priority desc, submission order)
-        sequence; ``accept`` lets the caller skip jobs it cannot run yet
-        (the daemon uses it to defer jobs whose cells overlap work already
-        in flight).  The claim is a :meth:`_move` out of ``queued/``: if a
+        sequence.  The claim is a :meth:`_move` out of ``queued/``: if a
         concurrent cancel (or another claimant) moves the job first, the
         next candidate is tried, so a job is only ever executed once.
         ``daemon_id`` labels the running record with its claimant, and its
         ``cells_total`` is the request's submitted cell count.
         """
         for record in self.records(STATE_QUEUED):
-            if accept is not None and not accept(record):
-                continue
             record.attempts += 1
             record.started_at = time.time()
             record.error = None

@@ -36,7 +36,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -49,6 +48,7 @@ from repro.store.resultstore import (
     ResultStore,
     StoreKey,
     _ARTIFACT_SUFFIX,
+    _DIGEST_RE,
     _MANIFEST_NAME,
     _OBJECTS_DIR,
     _atomic_replace,
@@ -63,8 +63,6 @@ STATUS_CORRUPT = "corrupt"
 STATUS_MIS_ADDRESSED = "mis-addressed"
 STATUS_TEMP = "temp"
 STATUS_FOREIGN = "foreign"
-
-_DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
 
 
 @dataclass(frozen=True)

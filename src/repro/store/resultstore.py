@@ -23,7 +23,9 @@ Durability rules:
 
 * **Atomic writes** — artifacts are written to a temporary file in the same
   directory and ``os.replace``-d into place, so a killed sweep never leaves a
-  truncated artifact under its final name.
+  truncated artifact under its final name.  Two writers of one key (two jobs
+  of a multi-worker daemon that share a cell) each replace it with the same
+  bytes.
 * **Corruption is a miss** — an artifact that cannot be parsed, carries an
   unknown schema version, or whose embedded key digest disagrees with its
   address is ignored (and counted in :attr:`ResultStore.corrupt_count`); the
@@ -33,10 +35,6 @@ Durability rules:
   :class:`~repro.errors.StoreError` instead of misreading it.  Schema 1
   held compressed numpy archives; such a store is refused, and deleting it
   costs only re-simulating its cells.
-
-A store instance also keeps the set of cells that are being simulated and
-not yet stored (:meth:`ResultStore.mark_in_flight`), in memory only: the
-service daemon defers a job that overlaps them until they are stored.
 """
 
 from __future__ import annotations
@@ -46,8 +44,8 @@ import enum
 import hashlib
 import json
 import os
+import re
 import tempfile
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
@@ -67,6 +65,9 @@ STORE_SCHEMA_VERSION = 2
 _MANIFEST_NAME = "store.json"
 _OBJECTS_DIR = "objects"
 _ARTIFACT_SUFFIX = ".frame"
+
+#: A SHA-256 hex digest: an artifact's address (and a plane's fingerprint).
+_DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
 
 
 def _atomic_replace(target: Path, writer, mode: str = "wb", prefix: str = ".tmp-") -> None:
@@ -224,11 +225,6 @@ class ResultStore:
         self._metric_puts = registry.counter(
             "store_puts_total", "artifacts persisted"
         )
-        # In-flight marks are read by a scheduler thread while worker
-        # threads add/discard them (daemon with workers > 1), so every
-        # access goes through the lock.
-        self._in_flight: set = set()
-        self._in_flight_lock = threading.Lock()
 
     # -- accounting --------------------------------------------------------------
 
@@ -245,28 +241,7 @@ class ResultStore:
             "misses": self.miss_count,
             "corrupt": self.corrupt_count,
             "puts": self.put_count,
-            "in_flight": len(self.in_flight_digests()),
         }
-
-    def mark_in_flight(self, key: StoreKey) -> None:
-        """Record that ``key`` is currently being simulated (not yet stored)."""
-        with self._in_flight_lock:
-            self._in_flight.add(key.digest)
-
-    def clear_in_flight(self, key: StoreKey) -> None:
-        """Drop the in-flight mark for ``key`` (no-op when absent)."""
-        with self._in_flight_lock:
-            self._in_flight.discard(key.digest)
-
-    def is_in_flight(self, key: StoreKey) -> bool:
-        """Whether ``key`` is marked as currently being simulated."""
-        with self._in_flight_lock:
-            return key.digest in self._in_flight
-
-    def in_flight_digests(self) -> frozenset:
-        """Snapshot of the digests currently marked in flight."""
-        with self._in_flight_lock:
-            return frozenset(self._in_flight)
 
     # -- addressing -------------------------------------------------------------
 
@@ -342,8 +317,6 @@ class ResultStore:
         )
         self.put_count += 1
         self._metric_puts.inc()
-        # A persisted artifact is by definition no longer being computed.
-        self.clear_in_flight(key)
         return path
 
     def delete(self, key: StoreKey) -> bool:

@@ -58,26 +58,17 @@ import mmap
 import os
 import struct
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import StoreError, TraceError
 from repro.obs.metrics import get_registry
-from repro.store.manage import (
-    STATUS_CORRUPT,
-    STATUS_FOREIGN,
-    STATUS_MIS_ADDRESSED,
-    STATUS_OK,
-    STATUS_TEMP,
-    ArtifactRecord,
-    GcReport,
-    VerifyReport,
-    _DIGEST_RE,
-    collect_garbage,
-)
-from repro.store.resultstore import _atomic_replace
+from repro.store.resultstore import _DIGEST_RE, _atomic_replace
 from repro.trace.trace import Trace
+
+if TYPE_CHECKING:
+    from repro.store.manage import ArtifactRecord, GcReport, VerifyReport
 
 #: Version of the cache directory layout recorded in ``planecache.json``.
 CACHE_SCHEMA_VERSION = 1
@@ -533,11 +524,20 @@ def coerce_plane_cache(
 # These reuse the result store's operator vocabulary wholesale: the same
 # ArtifactRecord/VerifyReport/GcReport types, the same status constants and
 # the same eviction policy, so `trace cache verify/gc` behaves exactly like
-# `store verify/gc` with a different artifact parser.
+# `store verify/gc` with a different artifact parser.  Each imports them
+# from repro.store.manage where it runs: a sweep attaching a plane needs
+# none of them.
 
 
 def _classify_plane(path: Path, size: int) -> ArtifactRecord:
     """Fully re-verify one fingerprint-named ``.plane`` file."""
+    from repro.store.manage import (
+        STATUS_CORRUPT,
+        STATUS_MIS_ADDRESSED,
+        STATUS_OK,
+        ArtifactRecord,
+    )
+
     stem = path.name[: -len(_PLANE_SUFFIX)]
     try:
         plane = CachedPlane(path)
@@ -585,6 +585,8 @@ def scan_plane_cache(cache: TracePlaneCache) -> List[ArtifactRecord]:
     classified ok/corrupt/mis-addressed/temp/foreign exactly as
     :func:`repro.store.manage.scan_store` does for result artifacts.
     """
+    from repro.store.manage import STATUS_FOREIGN, STATUS_TEMP, ArtifactRecord
+
     root = cache.root
     objects = cache.objects_dir
     sidecars = root / _FINGERPRINTS_DIR
@@ -619,6 +621,8 @@ def scan_plane_cache(cache: TracePlaneCache) -> List[ArtifactRecord]:
 
 def verify_plane_cache(cache: TracePlaneCache) -> VerifyReport:
     """Re-read every artifact and recompute its trace's fingerprint."""
+    from repro.store.manage import VerifyReport
+
     return VerifyReport(records=tuple(scan_plane_cache(cache)))
 
 
@@ -636,6 +640,8 @@ def gc_plane_cache(
     oldest-modification-time-first; foreign files are never touched.  An
     evicted artifact is only a cache loss: the next sweep re-parses it.
     """
+    from repro.store.manage import collect_garbage
+
     return collect_garbage(
         scan_plane_cache(cache),
         cache.objects_dir,

@@ -348,51 +348,49 @@ class TestSchedulerWake:
         _stop(daemon, thread)
         assert not daemon.ready.is_set()
 
-    def test_finished_job_wakes_a_deferred_one(self, tmp_path, trace_file):
-        # Job B covers every cell of job A and more.  B is claimed while A
-        # still computes, so it is deferred; A's end must wake the pooled
-        # scheduler, and B then loads A's cells from the store.
-        first_cell, release, refused = (threading.Event() for _ in range(3))
+    def test_finished_job_wakes_a_queued_one(self, tmp_path, trace_file):
+        # Two held jobs fill both slots, so a third waits queued.  The end
+        # of one held job must wake the pooled scheduler to claim it.
+        held = {}  # job id -> its release, for the first two jobs to persist a cell
+        held_lock = threading.Lock()
+        both_held = threading.Event()
 
-        def hold_first_cell(record, index, job, cached):
-            if not first_cell.is_set():
-                first_cell.set()
+        def hold_two_jobs(record, index, job, cached):
+            with held_lock:
+                if record.id not in held and len(held) < 2:
+                    held[record.id] = threading.Event()
+                    if len(held) == 2:
+                        both_held.set()
+                release = held.get(record.id)
+            if release is not None:
                 release.wait(30.0)
 
         root = tmp_path / "svc"
-        daemon = ServiceDaemon(
-            root, workers=2, poll_interval=3600.0, on_cell=hold_first_cell
+        daemon, thread = _serve_in_thread(
+            root, workers=2, poll_interval=3600.0, on_cell=hold_two_jobs
         )
-        accept = daemon._accept
-
-        def spy_accept(record):
-            accepted = accept(record)
-            if not accepted:
-                refused.set()
-            return accepted
-
-        daemon._accept = spy_accept
-        thread = threading.Thread(target=daemon.run, daemon=True)
-        thread.start()
         try:
-            assert daemon.ready.wait(10.0), "daemon never became ready"
             client = ServiceClient(root, transport="socket")
-            request_a = _request(trace_file)
-            request_b = _request(trace_file, block_sizes=(8, 16, 32))
-            job_a = client.submit(request_a)["job_id"]
-            assert first_cell.wait(30.0), "job A never started"
-            job_b = client.submit(request_b)["job_id"]
-            assert refused.wait(30.0), "job B was not deferred"
-            release.set()
-            record_b = client.wait(job_b, timeout=30.0)
-            assert record_b.state == STATE_DONE
-            assert client.queue.find(job_a).state == STATE_DONE
-            assert record_b.cells_cached == len(request_a.build_jobs())
-            assert record_b.cells_total == len(request_b.build_jobs())
-            assert client.result_text(job_b) == _direct(trace_file, request_b)
+            requests = [
+                _request(trace_file, block_sizes=(block_size,))
+                for block_size in (8, 16, 32)
+            ]
+            first, second = (client.submit(r)["job_id"] for r in requests[:2])
+            assert both_held.wait(30.0), "two jobs never ran at once"
+            third = client.submit(requests[2])["job_id"]
+            assert client.queue.find(third).state == STATE_QUEUED
+            held[first].set()
+            assert client.wait(third, timeout=30.0).state == STATE_DONE
+            held[second].set()
+            for job_id, request in zip((first, second, third), requests):
+                assert client.wait(job_id, timeout=30.0).state == STATE_DONE
+                assert client.result_text(job_id) == _direct(trace_file, request)
             client.close()
         finally:
-            release.set()
+            with held_lock:
+                releases = list(held.values())
+            for release in releases:
+                release.set()
             _stop(daemon, thread)
 
 

@@ -101,6 +101,9 @@ def test_importing_the_sweep_imports_every_engine_module():
         "repro.mechanisms.engines",
     }
     assert modules <= set(loaded)
+    # The plane cache's management helpers import the store's operator
+    # surface where they run; a sweep needs none of it.
+    assert "repro.store.manage" not in loaded
 
 
 def test_the_registry_imports_an_engine_module_on_its_first_lookup():

@@ -35,7 +35,7 @@ from repro.service.queue import (
     STATE_QUEUED,
     STATE_RUNNING,
 )
-from repro.store import open_store
+from repro.store import open_store, verify_store
 from repro.trace.files import load_trace_file
 from repro.trace.textio import write_text_trace
 from repro.workloads.synthetic import WorkingSetGenerator
@@ -115,14 +115,6 @@ class TestJobQueue:
         assert claimed[0] == "b" * 64
         assert claimed[1:] == ["a" * 64, "c" * 64]
         assert queue.claim() is None
-
-    def test_claim_accept_defers_jobs(self, tmp_path):
-        queue = open_service(tmp_path)
-        queue.submit("a" * 64, {})
-        queue.submit("b" * 64, {})
-        record = queue.claim(accept=lambda r: r.id != "a" * 64)
-        assert record.id == "b" * 64
-        assert queue.counts()[STATE_QUEUED] == 1
 
     def test_complete_writes_payload_before_done(self, tmp_path):
         queue = open_service(tmp_path)
@@ -532,43 +524,42 @@ class TestDaemonDurability:
         assert client.queue.find(job_id).state == STATE_DONE
 
 
-class TestInFlightCoalescing:
-    def test_accept_defers_overlapping_jobs_only(self, tmp_path, trace_file):
-        root = tmp_path / "svc"
-        client = ServiceClient(root, create=True)
-        trace = load_trace_file(trace_file)
-        overlapping = _request(trace_file)  # shares cells with `small`
-        small = _request(trace_file, block_sizes=(8,))
-        disjoint = _request(trace_file, block_sizes=(64,))
-        client.submit(small, trace=trace)
-        client.submit(overlapping, trace=trace)
-        client.submit(disjoint, trace=trace)
-        daemon = ServiceDaemon(root, workers=2)
-        first = daemon.queue.claim(accept=daemon._accept)
-        daemon._mark_job_inflight(first)
-        assert first.request["block_sizes"] == [8]
-        overlapping_record = client.queue.find(
-            overlapping.canonical_job_id(trace.fingerprint())
-        )
-        disjoint_record = client.queue.find(
-            disjoint.canonical_job_id(trace.fingerprint())
-        )
-        assert not daemon._accept(overlapping_record)
-        assert daemon._accept(disjoint_record)
-        daemon._clear_inflight(first.id)
-        assert daemon._accept(overlapping_record)
+class TestOverlappingJobs:
+    def test_overlapping_jobs_run_at_once_and_stay_byte_identical(
+        self, tmp_path, trace_file
+    ):
+        # Job B covers every cell of job A and more.  A's first persisted
+        # cell holds A until B has persisted a fresh cell, so both jobs run
+        # at once over shared cells; each may simulate and store them.
+        b_persisted = threading.Event()
+        overlapped = []
+        request_a = _request(trace_file)
+        request_b = _request(trace_file, block_sizes=(8, 16, 32))
+        client = ServiceClient(tmp_path / "svc", create=True)
+        job_a = client.submit(request_a)["job_id"]
+        job_b = client.submit(request_b)["job_id"]
 
-    def test_store_stats_include_in_flight(self, tmp_path):
-        store = open_store(tmp_path / "store")
-        from repro.store import StoreKey
+        def hold_a_until_b_persists(record, index, job, cached):
+            if record.id == job_b and not cached:
+                b_persisted.set()
+            elif record.id == job_a and not overlapped:
+                overlapped.append(b_persisted.wait(30.0))
 
-        key = StoreKey.make("f" * 64, "dew", {"block_size": 8})
-        assert store.stats()["in_flight"] == 0
-        store.mark_in_flight(key)
-        assert store.is_in_flight(key)
-        assert store.stats()["in_flight"] == 1
-        store.clear_in_flight(key)
-        assert store.stats()["in_flight"] == 0
+        daemon = ServiceDaemon(
+            tmp_path / "svc", workers=2, on_cell=hold_a_until_b_persists
+        )
+        daemon.run(drain=True)
+        assert overlapped == [True], "job B did not run while job A ran"
+        for job_id, request in ((job_a, request_a), (job_b, request_b)):
+            assert client.queue.find(job_id).state == STATE_DONE
+            direct = run_sweep(
+                load_trace_file(trace_file), request.build_jobs()
+            ).merged().to_json()
+            assert client.result_text(job_id) == direct
+        report = verify_store(daemon.store)
+        assert [record.status for record in report.records] == ["ok"] * len(
+            request_b.build_jobs()
+        )
 
 
 class TestOnResultHook:
