@@ -21,19 +21,20 @@ There are two walks, with identical results and statistics:
   of ``random`` replacement.
 
 Both walk a chunk in :meth:`SingleConfigSimulator._walk_chunk`, which
-tallies the chunk's hits, misses, evictions, writebacks and tag comparisons
-and returns its *miss stream*: each miss's position in the chunk and the
-block it evicted.  :meth:`SingleConfigSimulator.run_misses` derives every
-:class:`~repro.cache.stats.CacheStats` field from them; ``by_type`` is a
-count of the chunk's access types.  The mechanism engines probe their
-buffers over that miss stream only.
+tallies the chunk's hits, misses, evictions, writebacks, tag comparisons
+and accesses of each type, and returns its *miss stream*: each miss's
+position in the chunk and the block it evicted.
+:meth:`SingleConfigSimulator.run_misses` derives every
+:class:`~repro.cache.stats.CacheStats` field from them.  The mechanism
+engines probe their buffers over that miss stream only.
 
 The compulsory misses are the trace's distinct blocks, since a block's
 first touch always misses: ``Engine.run`` and the sweep executor count them
 once per (trace, block size) and hand them over
 (:meth:`SingleConfigSimulator.set_compulsory`).  Only a simulator built
 with ``track_compulsory`` (the stream buffer's DL1) flags each miss that is
-its block's first touch, from a set of the blocks seen so far.
+its block's first touch, looking its blocks up in a sorted array of the
+blocks seen so far.
 
 Block addresses must lie in ``[0, 2**63 - 1)``; both walks reject any other
 with :class:`~repro.errors.SimulationError`, changing nothing.
@@ -41,7 +42,7 @@ with :class:`~repro.errors.SimulationError`, changing nothing.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -79,20 +80,6 @@ class MissStream(NamedTuple):
     #: True for a miss that is its block's first touch (always false when
     #: compulsory misses are not tracked).
     compulsory: np.ndarray
-
-
-def _type_chunk(access_types: TypeChunk, size: int) -> Optional[np.ndarray]:
-    """``access_types`` as an int8 array of ``size`` valid type codes."""
-    if access_types is None:
-        return None
-    types = np.asarray(access_types)
-    if types.shape != (size,):
-        raise SimulationError(
-            f"chunk mismatch: {size} blocks vs {types.size} access types"
-        )
-    if size and (types.min() < 0 or types.max() > max(AccessType)):
-        raise SimulationError(f"unknown access type code in {types.min()}..{types.max()}")
-    return np.ascontiguousarray(types, dtype=np.int8)
 
 
 class SingleConfigSimulator(Engine):
@@ -178,7 +165,7 @@ class SingleConfigSimulator(Engine):
         self._tags = np.zeros(config.num_sets * ways, dtype=np.int64)
         dirty = np.zeros(config.num_sets * ways, dtype=np.int64)
         state = np.zeros(config.num_sets * width, dtype=np.int64)
-        self._tally = np.zeros(5, dtype=np.int64)
+        self._tally = np.zeros(5 + len(AccessType), dtype=np.int64)
         self._kernel_arrays = (self._tags, dirty, state, self._tally)
         self._kernel_args = (
             config.num_sets,
@@ -227,38 +214,42 @@ class SingleConfigSimulator(Engine):
     def run_misses(self, blocks: BlockChunk, access_types: TypeChunk = None) -> MissStream:
         """Simulate a chunk like :meth:`run_blocks` and return its misses."""
         chunk = kernels.block_chunk(blocks)
-        types = _type_chunk(access_types, chunk.size)
-        tally, positions, evicted = self._walk_chunk(chunk, types)
+        return self.run_checked(chunk, kernels.type_chunk(access_types, chunk.size))
+
+    def run_checked(
+        self, blocks: np.ndarray, access_types: Optional[np.ndarray] = None
+    ) -> MissStream:
+        """:meth:`run_misses` over a chunk its caller checked (see
+        :meth:`~repro.engine.base.Engine.run_checked`)."""
+        tally, positions, evicted = self._walk_chunk(blocks, access_types)
         stats = self.stats
-        hits, misses, evictions, writebacks, compared = tally
-        stats.accesses += chunk.size
+        hits, misses, evictions, writebacks, compared, *by_type = tally
+        stats.accesses += blocks.size
         stats.hits += hits
         stats.misses += misses
         stats.evictions += evictions
         stats.writebacks += writebacks
         stats.tag_comparisons += compared
-        if types is None:
-            stats.by_type[AccessType.READ] += chunk.size
-        else:
-            for access_type, count in zip(
-                AccessType, np.bincount(types, minlength=len(AccessType)).tolist()
-            ):
-                stats.by_type[access_type] += count
-        missed = chunk[positions]
+        for access_type, count in zip(AccessType, by_type):
+            stats.by_type[access_type] += count
+        missed = blocks[positions]
         compulsory = np.zeros(missed.size, dtype=bool)
         if self._track_compulsory and missed.size:
             # A first touch always misses, so the missed blocks include
             # every block's first touch.
             distinct, first = np.unique(missed, return_index=True)
             seen = self._seen_blocks
-            fresh = np.fromiter(
-                (block not in seen for block in distinct.tolist()), dtype=bool, count=distinct.size
-            )
-            seen.update(distinct[fresh].tolist())
+            where = np.searchsorted(seen, distinct)
+            fresh = where == seen.size
+            fresh[~fresh] = seen[where[~fresh]] != distinct[~fresh]
+            self._seen_blocks = np.insert(seen, where[fresh], distinct[fresh])
             compulsory[first[fresh]] = True
-            stats.compulsory_misses += int(fresh.sum())
+            stats.compulsory_misses += int(np.count_nonzero(fresh))
         return MissStream(
-            missed, evicted - 1, None if types is None else types[positions], compulsory
+            missed,
+            evicted - 1,
+            None if access_types is None else access_types[positions],
+            compulsory,
         )
 
     def _walk_chunk(
@@ -267,8 +258,9 @@ class SingleConfigSimulator(Engine):
         """Walk one checked chunk.
 
         Returns the tally ``(hits, misses, evictions, writebacks, tag
-        comparisons)``, each miss's position in the chunk, and the tag it
-        evicted (``block + 1``, 0 for an empty way).
+        comparisons)`` followed by the accesses of each
+        :class:`~repro.types.AccessType`, each miss's position in the
+        chunk, and the tag it evicted (``block + 1``, 0 for an empty way).
         """
         if self._walk.function is None:
             return self._python_walk(chunk.tolist(), None if types is None else types.tolist())
@@ -316,7 +308,11 @@ class SingleConfigSimulator(Engine):
                 evictions += 1
                 writebacks += cache_set.evicted_dirty
         misses = len(positions)
-        tally = (len(blocks) - misses, misses, evictions, writebacks, compared)
+        if types is None:
+            by_type = [len(blocks) if t is AccessType.READ else 0 for t in AccessType]
+        else:
+            by_type = [types.count(int(t)) for t in AccessType]
+        tally = (len(blocks) - misses, misses, evictions, writebacks, compared, *by_type)
         return (
             tally,
             np.array(positions, dtype=np.int64),
@@ -366,6 +362,7 @@ class SingleConfigSimulator(Engine):
     def reset(self) -> None:
         """Empty the cache and zero the statistics."""
         self.stats = CacheStats()
-        self._seen_blocks: Set[int] = set()
+        #: Sorted, the blocks missed so far (``track_compulsory`` only).
+        self._seen_blocks = np.empty(0, dtype=np.int64)
         self._elapsed = 0.0
         self._allocate()

@@ -316,7 +316,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "not measured (worker processes simulated)"
             if outcome.engine_overhead_seconds is None
             else f"{outcome.engine_overhead_seconds:.4f}s of simulate outside the executed "
-            "jobs' own seconds (engine build, finalize, decode and loop)"
+            "jobs' own seconds (engine build, finalize, checks, shifts and loop)"
         )
         print(f"  {'engine overhead':<14} {overhead}", file=sys.stderr)
         _print_engine_profiles(outcome)

@@ -260,18 +260,23 @@ class DewSimulator(Engine):
         block outside ``[0, 2**63 - 1)``, and once :meth:`release` gave the
         tree's storage away.
         """
+        self.run_checked(kernels.block_chunk(blocks))
+
+    def run_checked(
+        self, blocks: np.ndarray, access_types: Optional[np.ndarray] = None
+    ) -> None:
+        """:meth:`run_blocks` over a chunk its caller checked (see
+        :meth:`~repro.engine.base.Engine.run_checked`)."""
         if self.tree.storage is None:
             raise SimulationError("this simulator's tree storage was released")
-        chunk = kernels.block_chunk(blocks)
-        if not chunk.size:
+        if not blocks.size:
             return
-        walks = chunk.size
-        self.counters.requests += walks
-        self._requests += walks
+        self.counters.requests += blocks.size
+        self._requests += blocks.size
         if self.tree.flat:
-            self._kernel_walk(chunk)
+            self._kernel_walk(blocks)
         else:
-            self._python_walk(chunk.tolist())
+            self._python_walk(blocks.tolist())
 
     def _kernel_walk(self, chunk: np.ndarray) -> None:
         """One kernel call over a C-contiguous int64 chunk, at the tree's

@@ -36,16 +36,20 @@ node.  So nothing ever clears a tree: zero-filled storage is empty from
 epoch 1 on, and :meth:`DewTree.reset` moves to the next epoch.  Epochs only
 grow, and at 64 bits they never wrap.
 
-Record storage is recycled within a process through :data:`STORAGE_POOL`.
-The sweep executor builds its DEW trees with ``recycled=True``: such a tree
-takes storage of its node count and associativity from the pool when it
-holds some, moving it to its next epoch, and :meth:`DewTree.release` hands
-it back as it is once the job is finalized, so later jobs do not
-page-fault fresh storage in.  The pool keeps only what the latest executor
-pass released, and a forked child starts with it empty.  The harness's
-Table 3 cells recycle the same way, so their timed walks do not fault in a
-fresh tree per cell either.  Trees built any other way (``Engine.run``,
-tests) allocate their own storage.
+Record storage is recycled within a process through :data:`STORAGE_POOL`,
+the one pool of released engine storage, which also holds the LRU
+engine's (:mod:`repro.lru.janapsatya`).  The sweep executor builds its
+engines with ``recycled=True``: such a DEW tree takes storage of its node
+count and associativity from the pool when it holds some, moving it to its
+next epoch, and :meth:`DewTree.release` hands it back as it is once the
+job is finalized, so later jobs do not page-fault fresh storage in.  The
+executor runs one engine at a time, so jobs of one shape share one
+storage.  A pass that builds a recycling engine leaves the pool holding
+only what it released (:meth:`StoragePool.one_pass`); any other pass
+leaves it as it was.  A forked child starts with the pool empty.  The
+harness's Table 3 cells recycle the same way, so their timed walks do not
+fault in a fresh tree per cell either.  Trees built any other way
+(``Engine.run``, tests) allocate their own storage.
 
 Inspection reads both layouts the same way: ``tags``, ``waves``, ``mra``,
 ``mre_tag``, ``mre_wave``, ``fifo_ptr`` and :meth:`DewTree.resident_blocks`
@@ -56,10 +60,11 @@ lists of the list layout, snapshots of the records.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,44 +123,67 @@ class Records:
 #: What a tree's storage is pooled by: its node count and associativity.
 Shape = Tuple[int, int]
 
+#: What the pool keys storage by: a DEW tree's :data:`Shape`, or another
+#: engine family's key and its shape (the LRU engine's
+#: ``("janapsatya", sets, ways)``), so that no two families meet.
+PoolKey = Tuple[Any, ...]
+
 
 class StoragePool:
-    """Released record storage, kept for the next tree of the same shape.
+    """Released engine storage, kept for the next engine of the same key.
 
-    Every method takes the pool's lock, so trees built and released on
+    Every method takes the pool's lock, so engines built and released on
     several threads never share storage.  The pool holds what it is given
-    until :meth:`clear`; the sweep executor clears it once its engines have
-    taken what they can use, so it keeps only what the latest pass released.
+    until :meth:`clear`, or until the end of a :meth:`one_pass` block that
+    nobody took it in.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._free: Dict[Shape, List[Records]] = {}
+        self._free: Dict[PoolKey, List[Any]] = {}
+        #: What the pool held when the latest :meth:`one_pass` began.
+        self._before: Dict[PoolKey, List[Any]] = {}
 
-    def take(self, shape: Shape) -> Optional[Records]:
-        """Storage of ``shape``, or ``None`` when the pool holds none."""
+    def take(self, key: PoolKey) -> Optional[Any]:
+        """Storage of ``key``, or ``None`` when the pool holds none."""
         with self._lock:
-            free = self._free.get(shape)
-            return free.pop() if free else None
+            for held in (self._free, self._before):
+                free = held.get(key)
+                if free:
+                    return free.pop()
+            return None
 
-    def put(self, shape: Shape, storage: Records) -> None:
-        """Keep ``storage`` for the next tree of ``shape``."""
+    def put(self, key: PoolKey, storage: Any) -> None:
+        """Keep ``storage`` for the next engine of ``key``."""
         with self._lock:
-            self._free.setdefault(shape, []).append(storage)
+            self._free.setdefault(key, []).append(storage)
 
     def clear(self) -> None:
         """Drop everything the pool holds."""
         with self._lock:
-            self._free = {}
+            self._free, self._before = {}, {}
+
+    @contextlib.contextmanager
+    def one_pass(self) -> Iterator[None]:
+        """Within the block, engines take what the pool holds as ever; when
+        it ends, the pool drops what it held before the block and nobody
+        took, so it keeps only what the block released."""
+        with self._lock:
+            self._before, self._free = self._free, {}
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._before = {}
 
     def _forget(self) -> None:
         # A child forked while another thread held the lock would wait on it
         # forever; the child gets a fresh lock and an empty pool.
         self._lock = threading.Lock()
-        self._free = {}
+        self._free, self._before = {}, {}
 
 
-#: This process's pool of released record storage.
+#: This process's pool of released engine storage.
 STORAGE_POOL = StoragePool()
 os.register_at_fork(after_in_child=STORAGE_POOL._forget)
 

@@ -59,9 +59,10 @@ class Engine(abc.ABC):
     wants_access_types: bool = False
 
     #: When true, the engine takes a ``recycled`` construction flag: it then
-    #: reuses storage a finished engine released, and :meth:`release` hands
-    #: its own back.  The sweep executor builds engines so, and the
-    #: harness its timed DEW cells.
+    #: reuses storage a finished engine of its family and shape released
+    #: (:data:`repro.core.tree.STORAGE_POOL`), and :meth:`release` hands its
+    #: own back.  The sweep executor builds engines so, and the harness its
+    #: timed DEW cells.
     recycles_storage: bool = False
 
     #: Bumped when the engine's rows change for the same options, so that
@@ -93,6 +94,24 @@ class Engine(abc.ABC):
         access_types: Optional[Union[Sequence[int], np.ndarray]] = None,
     ) -> None:
         """Simulate one chunk of pre-shifted block addresses."""
+
+    def run_checked(
+        self, blocks: np.ndarray, access_types: Optional[np.ndarray] = None
+    ) -> None:
+        """:meth:`run_blocks` over a chunk its caller already checked.
+
+        ``blocks`` is a C-contiguous int64 array of blocks in ``[0, 2**63 -
+        1)``, and ``access_types`` ``None`` or a C-contiguous int8 array of
+        as many valid type codes (see :func:`repro.kernels.block_chunk` and
+        :func:`repro.kernels.type_chunk`).  The sweep executor checks a
+        pass's trace once and feeds every engine through here.  The
+        package's engines skip their own checks; by default this is
+        :meth:`run_blocks`.
+        """
+        if self.wants_access_types:
+            self.run_blocks(blocks, access_types)
+        else:
+            self.run_blocks(blocks)
 
     @abc.abstractmethod
     def finalize(self, trace_name: str = "trace") -> ResultsFrame:

@@ -31,8 +31,8 @@ and the merged outcome is byte-identical to a cold run.
 
 from __future__ import annotations
 
+import contextlib
 import enum
-import multiprocessing
 import os
 import resource
 import statistics
@@ -53,6 +53,7 @@ from typing import (
 
 import numpy as np
 
+from repro import kernels
 from repro.core.config import CacheConfig
 from repro.core.results import ResultsFrame, mechanism_code
 from repro.core.tree import STORAGE_POOL
@@ -235,7 +236,7 @@ def build_mechanism_grid_jobs(
     policies x entry counts``.  Each job is one mechanism over one DL1
     configuration at every entry count (a sorted, de-duplicated ``entries``
     tuple): it walks its DL1 once and emits one row per count, riding the
-    fused executor's shared decode like any other job.  Mechanisms do not
+    executor's once-per-pass checks like any other job.  Mechanisms do not
     share a DL1 pass with each other.  An empty ``mechanisms`` list yields
     no jobs, which is how callers make mechanism cells purely additive to a
     base grid.
@@ -345,8 +346,9 @@ class SweepOutcome:
     minor_faults: Optional[int] = None
     #: The ``simulate`` phase minus the executed jobs' own
     #: ``elapsed_seconds``: building, finalizing and looping over the
-    #: engines, and the shared decode.  ``None`` when worker processes
-    #: simulated, or for outcomes built outside :func:`run_sweep`.
+    #: engines, a pass's checks and each engine's shifts.  ``None`` when
+    #: worker processes simulated, or for outcomes built outside
+    #: :func:`run_sweep`.
     engine_overhead_seconds: Optional[float] = None
     _merged: Optional[ResultsFrame] = field(default=None, repr=False)
 
@@ -464,17 +466,21 @@ def _coerce_trace(trace: Union[Trace, Sequence[int]]) -> Trace:
 
 
 class FusedSweepExecutor:
-    """Run many sweep jobs in one pass over the trace, sharing the decode.
+    """Run many sweep jobs in one pass, one engine at a time, sharing the checks.
 
-    Running each :class:`SweepJob` on its own (:meth:`Engine.run`) pays one
-    full trace traversal, including the byte-address-to-block-address shift,
-    per job.  This executor exploits that the *trace-side* work is identical
-    across jobs:
+    Running each :class:`SweepJob` on its own (:meth:`Engine.run`) checks
+    every chunk it walks, once per job.  This executor exploits that the
+    *trace-side* checks are identical across jobs, and that engines of one
+    shape can share their storage:
 
-    * byte addresses are sliced into chunks once;
-    * each distinct ``offset_bits`` shift is computed once per chunk and the
-      resulting block array shared by every same-block-size engine, with
-      the chunk's access types for engines that want them.
+    * the trace's address range and access types are checked once per pass,
+      and every engine walks its chunks through
+      :meth:`Engine.run_checked`, with the chunk's access types for engines
+      that want them;
+    * the jobs run in job order, one engine at a time: the executor builds
+      an engine, feeds it every chunk (shifting the chunk's addresses to its
+      block size), finalizes it and releases its storage before it builds
+      the next, so the next job of the same shape takes that storage.
 
     Every engine takes the raw block chunk: the compiled walks decide an
     immediately repeated block with one comparison, so a run-length
@@ -483,18 +489,19 @@ class FusedSweepExecutor:
     The trace's distinct blocks, every row's compulsory misses, are counted
     once per block size (memoized on the trace) and handed to every engine.
 
-    Engines that recycle storage (DEW trees) are built to take what the
-    previous pass released and release their own once finalized, so a
-    process's later passes do not page-fault fresh storage in.  The pool
-    keeps only what the latest pass released (:mod:`repro.core.tree`).
+    Engines that recycle storage (DEW trees, LRU stores) are built to take
+    what an earlier engine released, so a process's later jobs and passes do
+    not page-fault fresh storage in.  A pass that builds one leaves the pool
+    holding only what it released; any other pass leaves the pool as it was
+    (:mod:`repro.core.tree`).
 
     Results are exactly those of running each job separately: identical
     rows, identical work counters, identical store artifacts up to timing.
     The reported per-job ``elapsed_seconds`` covers that engine's
-    simulation time and its storage release.  The shared decode, building
-    and finalizing are excluded, mirroring how a per-job run's timing is
-    dominated by engine work; :attr:`SweepOutcome.engine_overhead_seconds`
-    reports them.
+    simulation time and its storage release.  The checks, the shifts,
+    building and finalizing are excluded, mirroring how a per-job run's
+    timing is dominated by engine work;
+    :attr:`SweepOutcome.engine_overhead_seconds` reports them.
     """
 
     def __init__(
@@ -510,40 +517,35 @@ class FusedSweepExecutor:
         self.chunk_size = max(int(chunk_size), 1)
 
     def execute(self) -> List[ResultsFrame]:
-        """One fused pass; per-job results in job order."""
-        engines = [_build_recycling(job) for job in self.jobs]
-        # The engines took what they could use of the storage the last pass
-        # released; the pool keeps only what this pass releases.
-        STORAGE_POOL.clear()
-        groups: Dict[int, List[int]] = {}
-        for index, engine in enumerate(engines):
-            groups.setdefault(engine.offset_bits, []).append(index)
-        elapsed = [0.0] * len(engines)
-        addresses = self.trace.addresses
-        access_types = self.trace.access_types
-        for start in range(0, addresses.size, self.chunk_size):
-            address_chunk = addresses[start:start + self.chunk_size]
-            type_chunk = access_types[start:start + self.chunk_size]
-            for offset_bits, members in groups.items():
-                # All shared decode work happens outside the per-engine
-                # timers, so reported timings are order-independent.
-                blocks = address_chunk >> offset_bits
-                for index in members:
-                    engine = engines[index]
+        """One pass; per-job results in job order."""
+        recycling = any(get_engine_class(job.engine).recycles_storage for job in self.jobs)
+        # The checks every engine's run_blocks would repeat: the address
+        # range bounds each block size's, and the types are checked once.
+        addresses = np.ascontiguousarray(self.trace.addresses, dtype=np.int64)
+        low, high = (int(addresses.min()), int(addresses.max())) if addresses.size else (0, 0)
+        types: Optional[np.ndarray] = None
+        with STORAGE_POOL.one_pass() if recycling else contextlib.nullcontext():
+            results = []
+            for job in self.jobs:
+                engine = _build_recycling(job)
+                shift = engine.offset_bits
+                kernels.check_block_range(low >> shift, high >> shift)
+                if engine.wants_access_types and types is None:
+                    types = kernels.type_chunk(self.trace.access_types, addresses.size)
+                elapsed = 0.0
+                for start in range(0, addresses.size, self.chunk_size):
+                    stop = start + self.chunk_size
+                    blocks = addresses[start:stop] >> shift
+                    chunk_types = types[start:stop] if engine.wants_access_types else None
                     begin = time.perf_counter()
-                    if engine.wants_access_types:
-                        engine.run_blocks(blocks, type_chunk)
-                    else:
-                        engine.run_blocks(blocks)
-                    elapsed[index] += time.perf_counter() - begin
-        results = []
-        for index, engine in enumerate(engines):
-            engine.set_compulsory(self.trace.unique_blocks(1 << engine.offset_bits))
-            fresh = engine.finalize(trace_name=self.trace.name)
-            begin = time.perf_counter()
-            engine.release()
-            fresh.elapsed_seconds = elapsed[index] + (time.perf_counter() - begin)
-            results.append(fresh)
+                    engine.run_checked(blocks, chunk_types)
+                    elapsed += time.perf_counter() - begin
+                engine.set_compulsory(self.trace.unique_blocks(1 << shift))
+                fresh = engine.finalize(trace_name=self.trace.name)
+                begin = time.perf_counter()
+                engine.release()
+                fresh.elapsed_seconds = elapsed + (time.perf_counter() - begin)
+                results.append(fresh)
         return results
 
 
@@ -573,7 +575,7 @@ def _fused_worker_run(positions: Sequence[int]) -> Tuple[Tuple[int, ...], List[R
 
 
 def _job_decode_key(job: SweepJob) -> Tuple[int, str]:
-    """Grouping key approximating the job's decode (block size) requirements."""
+    """Grouping key: the job's block size and engine."""
     options = dict(job.options)
     block_size = options.get("block_size")
     if block_size is None:
@@ -583,13 +585,13 @@ def _job_decode_key(job: SweepJob) -> Tuple[int, str]:
 
 
 def _partition_fused_batches(jobs: Sequence[SweepJob], workers: int) -> List[List[int]]:
-    """Split job positions into ``workers`` batches maximising shared decode.
+    """Split job positions into ``workers`` batches of like jobs.
 
-    Positions are ordered by block size (so same-shift jobs land in the same
-    batch and share one set of decoded arrays) and split contiguously into
-    near-equal slices.  Batch contents are deterministic for a given job
-    list and worker count; merge order is unaffected because callers map
-    results back through the returned positions.
+    Positions are ordered by block size and engine (so like jobs land in the
+    same batch, where jobs of one shape share one storage) and split
+    contiguously into near-equal slices.  Batch contents are deterministic
+    for a given job list and worker count; merge order is unaffected
+    because callers map results back through the returned positions.
     """
     order = sorted(range(len(jobs)), key=lambda position: (_job_decode_key(jobs[position]), position))
     batches: List[List[int]] = [[] for _ in range(workers)]
@@ -639,10 +641,10 @@ def run_sweep(
         Optional persistent result store (a :class:`~repro.store.ResultStore`
         or a directory path).  Jobs whose results are already stored for this
         trace are loaded instead of executed; fresh results are persisted the
-        moment their fused pass finishes — one decode group per pass
-        serially, one batch per worker in parallel — so an interrupted sweep
-        resumes paying only for unfinished work.  The merged outcome is
-        byte-identical to a cold run.
+        moment their pass finishes — one (block size, engine) group per
+        pass serially, one batch per worker in parallel — so an interrupted
+        sweep resumes paying only for unfinished work.  The merged outcome
+        is byte-identical to a cold run.
     force:
         With a store, re-execute (and overwrite) every job even when cached.
     on_result:
@@ -727,6 +729,8 @@ def run_sweep(
     try:
         with timer.phase("simulate"):
             if workers > 1 and len(missing) > 1:
+                import multiprocessing
+
                 effective_workers = min(workers, len(missing))
                 minor_faults = None
                 pending = [job_list[index] for index in missing]
@@ -735,19 +739,18 @@ def run_sweep(
                     initializer=_sweep_worker_init,
                     initargs=(trace, pending, chunk_size),
                 ) as pool:
-                    # One fused batch per worker, batched to maximise shared
-                    # decode; each batch's artifacts are persisted the moment
-                    # the batch finishes.
+                    # One batch of like jobs per worker; each batch's
+                    # artifacts are persisted the moment the batch finishes.
                     batches = _partition_fused_batches(pending, effective_workers)
                     for positions, batch in pool.imap_unordered(_fused_worker_run, batches):
                         for position, fresh in zip(positions, batch):
                             persist(missing[position], fresh)
             elif missing:
-                # With a store, run one fused pass per decode group and
-                # persist as each group finishes: cross-block-size fusion
-                # shares almost nothing (the shift and collapse are
-                # per-offset anyway), so this keeps a killed sweep's resume
-                # granularity close to per-job instead of all-or-nothing.
+                # With a store, run one pass per (block size, engine) group
+                # and persist as each group finishes, so a killed sweep's
+                # resume granularity stays close to per-job instead of
+                # all-or-nothing: a pass shares only its checks, and the
+                # storage pool carries storage from pass to pass.
                 # Storeless runs use one pass over everything.
                 if result_store is not None:
                     group_batches: Dict[Tuple[int, str], List[int]] = {}

@@ -22,7 +22,8 @@ Importing this package builds and loads nothing.  The first :func:`load` of
 an entry in a process compiles its source with ``$CC`` (default ``cc``) and
 ``-O2 -shared -fPIC``, unless a library built from the same source, flags
 and compiler is already in ``$XDG_CACHE_HOME/repro-dew/`` (or
-``~/.cache/repro-dew/``), and loads it with :mod:`ctypes`.
+``~/.cache/repro-dew/``), and loads it with :mod:`ctypes`.  The compiler
+is asked its version once per process.
 
 Any failure (no compiler, a build error, a load error) leaves that entry's
 simulator on its Python walk and records why; the other entries load on
@@ -30,9 +31,9 @@ their own.  A host opts out of every kernel the way it would for any C
 build, with ``CC=false``.
 
 The cache walks store ``block + 1`` so that zero-filled storage is empty,
-and walk chunks in the one form :func:`block_chunk` makes; the mechanism
-probes keep a fill length per list instead, and take the ``single`` walk's
-miss stream.
+and walk chunks in the one form :func:`block_chunk` makes (with type codes
+in the one form :func:`type_chunk` makes); the mechanism probes keep a
+fill length per list instead, and take the ``single`` walk's miss stream.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.types import AccessType
 
 #: The flags every kernel is built with.
 CFLAGS = ("-O2", "-shared", "-fPIC")
@@ -129,27 +131,64 @@ def block_chunk(blocks: Union[Sequence[int], np.ndarray]) -> np.ndarray:
     except OverflowError as exc:
         raise SimulationError(f"block address outside [0, 2**63 - 1): {exc}") from None
     if chunk.size:
-        low, high = int(chunk.min()), int(chunk.max())
-        if low < 0 or high >= BLOCK_LIMIT:
-            raise SimulationError(
-                f"block address {low if low < 0 else high} is outside [0, 2**63 - 1)"
-            )
+        check_block_range(int(chunk.min()), int(chunk.max()))
     return chunk
+
+
+def check_block_range(low: int, high: int) -> None:
+    """Raise :class:`~repro.errors.SimulationError` unless every block from
+    ``low`` to ``high`` lies in ``[0, 2**63 - 1)``."""
+    if low < 0 or high >= BLOCK_LIMIT:
+        raise SimulationError(
+            f"block address {low if low < 0 else high} is outside [0, 2**63 - 1)"
+        )
+
+
+def type_chunk(
+    access_types: Optional[Union[Sequence[int], np.ndarray]], size: int
+) -> Optional[np.ndarray]:
+    """``access_types`` as the C-contiguous int8 array of ``size`` valid type
+    codes the ``single`` walk takes, or ``None`` (every access a read).
+
+    Raises :class:`~repro.errors.SimulationError` for another length or an
+    unknown code.
+    """
+    if access_types is None:
+        return None
+    types = np.asarray(access_types)
+    if types.shape != (size,):
+        raise SimulationError(
+            f"chunk mismatch: {size} blocks vs {types.size} access types"
+        )
+    if size and (types.min() < 0 or types.max() > max(AccessType)):
+        raise SimulationError(f"unknown access type code in {types.min()}..{types.max()}")
+    return np.ascontiguousarray(types, dtype=np.int8)
 
 
 def _compiler() -> list:
     return shlex.split(os.environ.get("CC") or "cc")
 
 
+#: ``--version`` output per compiler command, asked once per process.
+_VERSIONS: Dict[str, Optional[bytes]] = {}
+
+
 def compiler_version() -> Optional[bytes]:
-    """``$CC --version`` output, or ``None`` when no compiler runs."""
-    try:
-        completed = subprocess.run(
-            _compiler() + ["--version"], capture_output=True, check=True, timeout=60
-        )
-    except (OSError, ValueError, subprocess.SubprocessError):
-        return None
-    return completed.stdout
+    """``$CC --version`` output, or ``None`` when no compiler runs.
+
+    Asked once per process for each ``$CC`` command, so loading every
+    kernel spawns one ``--version``, and a changed ``$CC`` gets its own.
+    """
+    command = os.environ.get("CC") or "cc"
+    if command not in _VERSIONS:
+        try:
+            completed = subprocess.run(
+                _compiler() + ["--version"], capture_output=True, check=True, timeout=60
+            )
+            _VERSIONS[command] = completed.stdout
+        except (OSError, ValueError, subprocess.SubprocessError):
+            _VERSIONS[command] = None
+    return _VERSIONS[command]
 
 
 def _cache_dir() -> Path:

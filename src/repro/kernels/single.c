@@ -12,9 +12,11 @@
  *   PLRU  width A - 1  the tree bits (width 1 when A is 1).
  *
  * tally receives the chunk's hits, misses, evictions, writebacks and tag
- * comparisons.  Miss j of the chunk writes its position to positions[j]
- * and the tag it evicted to evicted[j], 0 for an empty way; both arrays
- * hold count entries.  types is NULL when every access is a read.
+ * comparisons, then its reads, writes and instruction fetches.  Miss j of
+ * the chunk writes its position to positions[j] and the tag it evicted to
+ * evicted[j], 0 for an empty way; both arrays hold count entries.  types
+ * holds codes 0..2 (the caller checks them), or is NULL when every access
+ * is a read.
  */
 #include <stdint.h>
 
@@ -65,11 +67,14 @@ void single_walk(const int64_t *blocks, const int8_t *types, int64_t count,
                         : policy == LRU ? associativity
                         : (associativity > 1 ? associativity - 1 : 1);
     int64_t misses = 0, evictions = 0, writebacks = 0, compared = 0;
+    int64_t by_type[3] = {0, 0, 0};
 
     for (int64_t i = 0; i < count; i++) {
         const int64_t tag = blocks[i] + 1;
         const int64_t set = blocks[i] & mask;
-        const int64_t write = types != 0 && types[i] == WRITE;
+        const int64_t type = types != 0 ? types[i] : 0;
+        const int64_t write = type == WRITE;
+        by_type[type]++;
         int64_t *way_tags = tags + set * associativity;
         int64_t *way_dirty = dirty + set * associativity;
         int64_t *policy_state = state + set * width;
@@ -132,4 +137,6 @@ void single_walk(const int64_t *blocks, const int8_t *types, int64_t count,
     tally[2] = evictions;
     tally[3] = writebacks;
     tally[4] = compared;
+    for (int t = 0; t < 3; t++)
+        tally[5 + t] = by_type[t];
 }

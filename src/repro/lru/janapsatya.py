@@ -24,10 +24,16 @@ There are two walks, with identical results and counters:
 
 * the **kernel walk**, ``repro/kernels/lru.c``, which
   :class:`JanapsatyaSimulator` runs whenever :func:`repro.kernels.load`
-  builds and loads it.  It walks zero-initialised flat int64 storage: per
-  set, up to ``A`` tags stored as ``block + 1``, most recent first, and a
-  fill length, so a fresh simulator allocates a few arrays and no
-  per-set objects;
+  builds and loads it.  It walks flat int64 storage: per set, up to ``A``
+  tags stored as ``block + 1``, most recent first, and a fill length.  The
+  walk reads no tag past a set's fill length, so only the fill lengths
+  start zeroed, and a simulator allocates two arrays and no per-set
+  objects.  One built with ``recycled=True`` (by the sweep executor) takes
+  the two arrays of its shape from the pool of released engine storage
+  (:data:`repro.core.tree.STORAGE_POOL`, keyed ``("janapsatya", sets,
+  ways)``), zeroes only their fill lengths, and hands them back on
+  :meth:`JanapsatyaSimulator.release`, so a sweep's LRU jobs do not
+  page-fault a fresh tag array in each;
 * the **Python walk** over one recency list per set, the fallback on a host
   without a working C compiler (or with ``CC=false``) and the oracle the
   kernel is tested against.
@@ -55,12 +61,13 @@ the engine takes raw block chunks only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import kernels
 from repro.core.results import ResultsFrame, policy_code
+from repro.core.tree import STORAGE_POOL
 from repro.engine.base import Engine
 from repro.errors import ConfigurationError, SimulationError
 from repro.types import ReplacementPolicy, is_power_of_two, log2_exact
@@ -99,6 +106,10 @@ class JanapsatyaSimulator(Engine):
         Strictly doubling powers of two, e.g. ``(1, 2, 4, ..., 1024)``.
     use_mru_stop:
         Apply the early-stop rule when the tag is found in the MRU position.
+    recycled:
+        Take the kernel walk's storage from the pool of storage finished
+        sweep jobs released, and hand it back on :meth:`release` (see the
+        module docstring).  Ignored by the Python walk.
 
     The simulator runs the kernel walk when :func:`repro.kernels.load` loads
     it and the Python walk otherwise; :attr:`walk` says which.  The rows'
@@ -107,6 +118,7 @@ class JanapsatyaSimulator(Engine):
     """
 
     family = "janapsatya"
+    recycles_storage = True
 
     #: 2: rows report the compulsory misses handed over (they read 0 before).
     result_version = 2
@@ -117,6 +129,7 @@ class JanapsatyaSimulator(Engine):
         associativities: Sequence[int],
         set_sizes: Sequence[int],
         use_mru_stop: bool = True,
+        recycled: bool = False,
     ) -> None:
         super().__init__()
         if not is_power_of_two(block_size):
@@ -140,13 +153,21 @@ class JanapsatyaSimulator(Engine):
         self.set_sizes = tuple(set_sizes)
         self.use_mru_stop = use_mru_stop
         self._walk = kernels.load("lru")
+        #: ``True`` when the kernel walk's storage comes from, and goes back
+        #: to, :data:`~repro.core.tree.STORAGE_POOL`, under ``_pool_key``.
+        self.recycled = recycled and self._walk.function is not None
+        self._pool_key = (self.family, sum(self.set_sizes), self.max_associativity)
+        #: The kernel walk's ``(tags, fill lengths)``; ``None`` before the
+        #: first :meth:`reset` and once :meth:`release` gave them away.
+        self._storage: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self.reset()
 
     def _allocate(self) -> None:
         """Empty set storage for the walk this simulator runs.
 
         For the kernel, flat arrays and the pointers to them, which the
-        simulator keeps referenced so a pointer never outlives its array.
+        simulator keeps referenced so a pointer never outlives its array: its
+        own storage emptied in place, or recycled storage, or new storage.
         For the Python walk, one recency list per set and, per level, the
         walk's hit tallies for the chunk in flight.
         """
@@ -159,12 +180,17 @@ class JanapsatyaSimulator(Engine):
         sizes = np.asarray(self.set_sizes, dtype=np.int64)
         self._offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
         masks = sizes - 1
-        # The walks read a set's tags only below its fill length, so only
-        # the fill lengths need zeroing.
-        self._tags = np.empty(int(sizes.sum()) * ways, dtype=np.int64)
-        self._fill = np.zeros(int(sizes.sum()), dtype=np.int64)
+        if self._storage is None and self.recycled:
+            self._storage = STORAGE_POOL.take(self._pool_key)
+        if self._storage is None:
+            sets = int(sizes.sum())
+            self._storage = (np.empty(sets * ways, dtype=np.int64), np.zeros(sets, dtype=np.int64))
+        else:
+            # The walks read a set's tags only below its fill length, so
+            # only the fill lengths need zeroing.
+            self._storage[1].fill(0)
         self._tally = np.zeros(sizes.size * ways + 1, dtype=np.int64)
-        arrays = (masks, self._offsets, self._tags, self._fill)
+        arrays = (masks, self._offsets, *self._storage)
         self._kernel_arrays = (*arrays, self._tally)
         self._kernel_args = (
             sizes.size,
@@ -193,10 +219,11 @@ class JanapsatyaSimulator(Engine):
         """Per level, every set's blocks, most recent first (a copy)."""
         if self._walk.function is None:
             return [[list(recency) for recency in sets] for _, sets, _ in self._levels]
-        ways = self.max_associativity
-        tags = self._tags.reshape(-1, ways) - 1
+        self._check_storage()
+        tags, fill = self._storage
+        tags = tags.reshape(-1, self.max_associativity) - 1
         return [
-            [tags[set_index, :self._fill[set_index]].tolist()
+            [tags[set_index, :fill[set_index]].tolist()
              for set_index in range(offset, offset + size)]
             for offset, size in zip(self._offsets.tolist(), self.set_sizes)
         ]
@@ -218,21 +245,34 @@ class JanapsatyaSimulator(Engine):
 
         ``access_types`` is ignored: LRU hits and misses do not depend on
         them.  Raises :class:`~repro.errors.SimulationError`, changing
-        nothing, for a block outside ``[0, 2**63 - 1)``.
+        nothing, for a block outside ``[0, 2**63 - 1)``, and once
+        :meth:`release` gave the storage away.
         """
-        chunk = kernels.block_chunk(blocks)
-        if not chunk.size:
-            return
+        self.run_checked(kernels.block_chunk(blocks))
+
+    def run_checked(
+        self, blocks: np.ndarray, access_types: Optional[np.ndarray] = None
+    ) -> None:
+        """:meth:`run_blocks` over a chunk its caller checked (see
+        :meth:`~repro.engine.base.Engine.run_checked`)."""
         if self._walk.function is None:
-            self._python_walk(chunk.tolist())
+            if blocks.size:
+                self._python_walk(blocks.tolist())
             return
-        # The kernel releases the interpreter lock; ``chunk`` and the
+        self._check_storage()
+        if not blocks.size:
+            return
+        # The kernel releases the interpreter lock; ``blocks`` and the
         # simulator's own arrays stay referenced for the whole call.
-        self._walk.function(chunk.ctypes.data, chunk.size, *self._kernel_args)
+        self._walk.function(blocks.ctypes.data, blocks.size, *self._kernel_args)
         ways = self.max_associativity
         self._account(
-            chunk.size, self._tally[:-1].reshape(-1, ways), int(self._tally[-1])
+            blocks.size, self._tally[:-1].reshape(-1, ways), int(self._tally[-1])
         )
+
+    def _check_storage(self) -> None:
+        if self._storage is None:
+            raise SimulationError("this simulator's storage was released")
 
     def _python_walk(self, blocks: Sequence[int]) -> None:
         """The walk in Python, then the shared derivation."""
@@ -311,8 +351,18 @@ class JanapsatyaSimulator(Engine):
             walk=self.walk,
         )
 
+    def release(self) -> None:
+        """Hand recycled storage back to the pool as it is; the simulator then
+        raises instead of simulating, until :meth:`reset`.  A no-op for a
+        simulator that is not recycled."""
+        if self.recycled and self._storage is not None:
+            STORAGE_POOL.put(self._pool_key, self._storage)
+            self._storage = None
+            self._kernel_arrays = self._kernel_args = ()
+
     def reset(self) -> None:
-        """Clear all simulation state and counters."""
+        """Clear all simulation state and counters, emptying the storage in
+        place (or taking storage again after :meth:`release`)."""
         self._misses = np.zeros((len(self.set_sizes), len(self.associativities)), dtype=np.int64)
         self._elapsed = 0.0
         self.compulsory_misses = 0

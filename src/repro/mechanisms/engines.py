@@ -50,7 +50,7 @@ compiled.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterable, List, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -169,7 +169,15 @@ class MechanismEngine(Engine):
         Raises :class:`~repro.errors.SimulationError`, changing nothing, for
         a block outside ``[0, 2**63 - 1)`` or an unknown access type.
         """
-        stream = self.dl1.run_misses(blocks, access_types)
+        self._probe(self.dl1.run_misses(blocks, access_types))
+
+    def run_checked(self, blocks: np.ndarray, access_types: Optional[np.ndarray] = None) -> None:
+        """:meth:`run_blocks` over a chunk its caller checked (see
+        :meth:`~repro.engine.base.Engine.run_checked`)."""
+        self._probe(self.dl1.run_checked(blocks, access_types))
+
+    def _probe(self, stream: MissStream) -> None:
+        """Probe every entry count over one chunk's miss stream."""
         if not stream.blocks.size:
             return
         if self._walk.function is None:

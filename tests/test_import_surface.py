@@ -102,8 +102,10 @@ def test_importing_the_sweep_imports_every_engine_module():
     }
     assert modules <= set(loaded)
     # The plane cache's management helpers import the store's operator
-    # surface where they run; a sweep needs none of it.
+    # surface where they run; a sweep needs none of it, and only a pooled
+    # sweep needs multiprocessing, which it imports where the pool starts.
     assert "repro.store.manage" not in loaded
+    assert "multiprocessing" not in loaded
 
 
 def test_the_registry_imports_an_engine_module_on_its_first_lookup():

@@ -178,6 +178,26 @@ def test_racing_processes_build_one_library_and_leave_no_temp_files(tmp_path):
     assert all(library.endswith(".so") for library in os.listdir(tmp_path / "repro-dew"))
 
 
+def test_loading_every_kernel_asks_the_compiler_its_version_once(tmp_path, monkeypatch):
+    calls = []
+    run = subprocess.run
+
+    def counting_run(command, *args, **kwargs):
+        calls.append(list(command))
+        return run(command, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_VERSIONS", {})
+    monkeypatch.setattr(kernels.subprocess, "run", counting_run)
+    loader = kernels.KernelLoader()
+    for name in kernels.KERNELS:
+        loader.load(name)
+    assert [command[-1] for command in calls].count("--version") == 1
+    # Another compiler command gets its own answer.
+    monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
+    assert kernels.compiler_version() is None
+    assert [command[-1] for command in calls].count("--version") == 2
+
+
 def test_racing_threads_load_once(tmp_path, monkeypatch):
     require_kernel()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))

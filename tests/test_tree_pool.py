@@ -1,39 +1,51 @@
-"""Recycled DEW tree storage: the pool of :mod:`repro.core.tree`.
+"""Recycled engine storage: the pool of :mod:`repro.core.tree`.
 
-Each pass of the sweep executor builds its DEW engines with
-``recycled=True``: a tree takes record storage of its shape that the
-previous pass released, and hands its own back, as it is, once its job is
-finalized.  The taker moves the storage to a new epoch, under which every
-record the last tree wrote reads as empty.  Recycled storage must give
-exactly what fresh storage gives — rows, every ``DewCounters`` field and
-the final tree — under every ablation mode, the same trace run twice
-included; the pool holds only what the latest pass released, and nothing
-in a forked child.  The records exist only under the compiled walk, so
-every case here needs the kernels.
+The sweep executor builds its DEW and LRU engines with ``recycled=True``
+and runs them one at a time: a DEW tree takes record storage of its shape
+that an earlier job released, and hands its own back, as it is, once its
+job is finalized.  The taker moves the storage to a new epoch, under which
+every record the last tree wrote reads as empty.  An LRU engine takes the
+tag array and fill lengths of its shape and zeroes only the fill lengths.
+Recycled storage must give exactly what fresh storage gives — rows, every
+``DewCounters`` or ``JanapsatyaCounters`` field and the final tree or
+recency lists — under every ablation mode, the same trace run twice
+included.  A pass that builds a recycling engine leaves the pool holding
+only what it released, any other pass leaves it as it was, and a forked
+child starts with it empty.  The records and the LRU store exist only
+under the compiled walks, so the cases here need the kernels.
 """
 
 import dataclasses
 import itertools
 import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+import repro
 from repro.core.dew import DewSimulator
 from repro.core.tree import STORAGE_POOL, Records, record_dtype
-from repro.engine.base import get_engine_class
-from repro.engine.sweep import FusedSweepExecutor, build_grid_jobs, run_sweep
+from repro.engine.sweep import (
+    FusedSweepExecutor,
+    build_grid_jobs,
+    build_mechanism_grid_jobs,
+    run_sweep,
+)
 from repro.errors import SimulationError
+from repro.lru.janapsatya import JanapsatyaSimulator
 from repro.service.api import doubling_set_sizes
 from repro.workloads.mediabench import mediabench_trace
-from walks import require_kernel
+from walks import WALKS, require_kernel, walk_under_test
 
 ABLATION_MODES = list(itertools.product([True, False], repeat=3))
 TABLE3_SETS = doubling_set_sizes(16384)
+SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
 @pytest.fixture(autouse=True)
@@ -50,8 +62,9 @@ def _tree_state(tree):
 
 
 def _held():
-    """The storage the pool holds now, each with the shape it is held by:
-    ``(node count, associativity)``."""
+    """The storage the pool holds now, each with the key it is held by: a
+    DEW tree's ``(node count, associativity)``, an LRU store's
+    ``("janapsatya", sets, ways)``."""
     return [(shape, storage) for shape, free in STORAGE_POOL._free.items() for storage in free]
 
 
@@ -164,22 +177,22 @@ def test_released_storage_is_handed_back_as_it_is():
     jobs = build_grid_jobs((4, 16), (2, 4, 16), TABLE3_SETS, ("fifo",))
     FusedSweepExecutor(trace, jobs).execute()
     held = _held()
-    assert sorted(shape for shape, _ in held) == [
-        (32767, 2), (32767, 2), (32767, 4), (32767, 4), (32767, 16), (32767, 16)
-    ]
+    # One engine at a time: the B 16 job of each shape took the storage its
+    # B 4 job released, so the six jobs used one storage per shape.
+    assert sorted(shape for shape, _ in held) == [(32767, 2), (32767, 4), (32767, 16)]
     for (nodes, associativity), storage in held:
         assert isinstance(storage, Records)
         assert storage.array.shape == (nodes,)
         assert storage.array.dtype == record_dtype(associativity)
-        # No pass zeroed it: the records keep what the walk wrote, stamped
-        # with the epoch the storage was last used at.
-        assert storage.epoch == 1 and _epochs(storage).max() == 1
-    # The next tree of a shape takes one, at the next epoch, and reads every
+        # No pass zeroed it: the records keep what the walks wrote, stamped
+        # with the epoch of the job that last evaluated each node.
+        assert storage.epoch == 2 and set(np.unique(_epochs(storage))) == {0, 1, 2}
+    # The next tree of a shape takes it, at the next epoch, and reads every
     # node as empty.
     for associativity in (2, 4, 16):
         taker = DewSimulator(4, associativity, TABLE3_SETS, recycled=True)
         assert any(taker.tree.storage is storage for _, storage in held)
-        assert taker.tree.storage.epoch == 2
+        assert taker.tree.storage.epoch == 3
         _assert_empty(taker.tree)
 
 
@@ -255,8 +268,17 @@ def test_engines_built_by_callers_never_touch_the_pool():
     simulator.release()
     assert [id(storage) for _, storage in _held()] == [id(held)]
     assert simulator.tree.storage is not None
-    # LRU storage is not pooled at all.
-    assert not get_engine_class("janapsatya").recycles_storage
+    # Nor does an LRU engine a caller builds.
+    lru = build_grid_jobs((16,), (1, 4), TABLE3_SETS, ("lru",))
+    FusedSweepExecutor(trace, lru).execute()
+    [(key, held)] = _held()
+    assert key == ("janapsatya", 32767, 4)
+    simulator = lru[0].build()
+    assert simulator._storage is not held
+    simulator.run(trace)
+    simulator.release()
+    assert [id(storage) for _, storage in _held()] == [id(held)]
+    assert simulator.recency_lists()[0][0]
 
 
 def test_pool_keeps_only_what_the_latest_pass_released():
@@ -339,3 +361,114 @@ def test_repeated_pass_takes_almost_no_minor_faults():
     # tree (fewer where the heap happens to hold freed pages); what is left
     # on recycled storage are the pass's small allocations.
     assert run_sweep(trace, jobs).minor_faults <= 128
+
+
+def _lru(block_size, associativities, set_sizes, recycled=False):
+    return JanapsatyaSimulator(block_size, associativities, set_sizes, recycled=recycled)
+
+
+@pytest.mark.parametrize("previous", ["mpeg2_enc", "cjpeg"])
+def test_recycled_lru_storage_matches_fresh(previous):
+    # With ``cjpeg`` twice, the stale tags hold exactly the blocks the next
+    # run looks up, so a walk that read a tag past a set's fill length would
+    # hit where fresh storage misses.
+    trace = mediabench_trace("cjpeg", 3000, seed=11)
+    for block_size, associativities in ((4, (1,)), (16, (1, 2, 4)), (64, (2, 16))):
+        STORAGE_POOL.clear()
+        used = _lru(block_size, associativities, TABLE3_SETS, recycled=True)
+        used.run(mediabench_trace(previous, 3000, seed=11))
+        used.release()
+        [(key, released)] = _held()
+        assert key == ("janapsatya", 32767, associativities[-1])
+        again = _lru(block_size, associativities, TABLE3_SETS, recycled=True)
+        assert again._storage is released and not _held()
+        assert not np.any(released[1])
+        assert not any(any(sets) for sets in again.recency_lists())
+        fresh = _lru(block_size, associativities, TABLE3_SETS)
+        again_frame, fresh_frame = again.run(trace), fresh.run(trace)
+        assert again_frame.as_rows() == fresh_frame.as_rows(), (block_size, associativities)
+        assert again.counters == fresh.counters
+        assert again.recency_lists() == fresh.recency_lists()
+
+
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("chunk_size", [1, 7, 65536])
+def test_recycling_lru_passes_give_the_frames_of_fresh_engines(walk, chunk_size):
+    accesses = 600 if chunk_size == 1 else 3000
+    traces = [mediabench_trace(app, accesses, seed=4) for app in ("mpeg2_enc", "cjpeg")]
+    jobs = build_grid_jobs((4, 64), (1, 2, 16), doubling_set_sizes(1024), ("lru",))
+    with walk_under_test(walk):
+        for trace in traces:
+            frames = FusedSweepExecutor(trace, jobs, chunk_size).execute()
+            for job, frame in zip(jobs, frames):
+                alone = job.build().run(trace, chunk_size=chunk_size)
+                assert frame.as_rows() == alone.as_rows(), job.label()
+                assert frame.counters == alone.counters, job.label()
+                assert frame.walk == alone.walk
+            # Both jobs are of one shape: under the kernel the second took
+            # the storage the first released; the Python walk pools nothing.
+            pooled = [("janapsatya", 2047, 16)] if walk == "kernel" else []
+            assert [key for key, _ in _held()] == pooled
+
+
+def test_a_pass_that_recycles_nothing_leaves_the_pool_as_it_was():
+    trace = mediabench_trace("cjpeg", 2000, seed=7)
+    sizes = doubling_set_sizes(1024)
+    FusedSweepExecutor(trace, build_grid_jobs((4,), (4,), sizes, ("fifo", "lru"))).execute()
+    before = [(key, id(storage)) for key, storage in _held()]
+    assert {key for key, _ in before} == {(2047, 4), ("janapsatya", 2047, 4)}
+    jobs = build_grid_jobs((32,), (2,), (64,), ("plru",)) + build_mechanism_grid_jobs(
+        ("victim-cache", "stream-buffer"), (32,), (1,), (64,), (2, 4)
+    )
+    FusedSweepExecutor(trace, jobs).execute()
+    assert [(key, id(storage)) for key, storage in _held()] == before
+
+
+def test_released_lru_engine_raises_instead_of_writing():
+    simulator = _lru(4, (1, 2), (1, 2, 4), recycled=True)
+    simulator.run_blocks([1, 2, 3, 1])
+    simulator.release()
+    [(key, held)] = _held()
+    assert key == ("janapsatya", 7, 2)
+    written = [array.copy() for array in held]
+    with pytest.raises(SimulationError, match="released"):
+        simulator.run_blocks([5, 6])
+    with pytest.raises(SimulationError, match="released"):
+        simulator.access(20)
+    with pytest.raises(SimulationError, match="released"):
+        simulator.recency_lists()
+    assert all(np.array_equal(array, copy) for array, copy in zip(held, written))
+    # What it simulated before the release still finalizes.
+    assert set(simulator.finalize().accesses.tolist()) == {4}
+    # A reset gives the simulator storage again: the storage it released.
+    simulator.reset()
+    assert simulator._storage is held and not _held()
+    simulator.run_blocks([5, 6])
+    assert simulator.accesses == 2
+    assert simulator.recency_lists()[0] == [[6, 5]]
+
+
+def test_repeated_lru_pass_takes_almost_no_minor_faults():
+    # In a fresh interpreter: memory that earlier tests freed in this one
+    # can hold a fresh store's pages without a fault.
+    code = (
+        "from repro.engine.sweep import build_grid_jobs, run_sweep\n"
+        "from repro.service.api import doubling_set_sizes\n"
+        "from repro.workloads.mediabench import mediabench_trace\n"
+        "trace = mediabench_trace('mpeg2_enc', 6000, seed=1)\n"
+        "jobs = build_grid_jobs((4, 16, 64), (1, 2, 4, 8, 16), doubling_set_sizes(16384),"
+        " ('lru',))\n"
+        "run_sweep(trace, jobs)\n"
+        "print(run_sweep(trace, jobs).minor_faults)\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    # A fresh 32,767-set, 16-way store is 4.2 MB of tags, over 1,000 pages
+    # per job; the three jobs share one recycled store.
+    assert int(completed.stdout) <= 128
