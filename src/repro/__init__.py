@@ -51,7 +51,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".cache.dinero": ("DineroRunResult", "DineroStyleRunner"),
         ".cache.simulator": ("SingleConfigSimulator",),
         ".cache.stats": ("CacheStats",),
-        ".engine.base": ("Engine", "available_engines", "get_engine", "register_engine"),
+        ".engine.base": ("Engine", "available_engines", "get_engine"),
         ".engine.sweep": (
             "SweepJob",
             "SweepOutcome",

@@ -24,20 +24,21 @@ Both walk a chunk in :meth:`SingleConfigSimulator._walk_chunk`, which
 tallies the chunk's hits, misses, evictions, writebacks, tag comparisons
 and accesses of each type, and returns its *miss stream*: each miss's
 position in the chunk and the block it evicted.
-:meth:`SingleConfigSimulator.run_misses` derives every
+:meth:`SingleConfigSimulator.run_checked` derives every
 :class:`~repro.cache.stats.CacheStats` field from them.  The mechanism
 engines probe their buffers over that miss stream only.
 
 The compulsory misses are the trace's distinct blocks, since a block's
-first touch always misses: ``Engine.run`` and the sweep executor count them
-once per (trace, block size) and hand them over
+first touch always misses: ``Engine.run`` counts them once per (trace,
+block size) and hands them over
 (:meth:`SingleConfigSimulator.set_compulsory`).  Only a simulator built
 with ``track_compulsory`` (the stream buffer's DL1) flags each miss that is
 its block's first touch, looking its blocks up in a sorted array of the
 blocks seen so far.
 
-Block addresses must lie in ``[0, 2**63 - 1)``; both walks reject any other
-with :class:`~repro.errors.SimulationError`, changing nothing.
+Block addresses must lie in ``[0, 2**63 - 1)``; the checks of
+``Engine.run``, ``run_blocks`` and :meth:`SingleConfigSimulator.run_misses`
+reject any other, and any unknown access type, before a walk starts.
 """
 
 from __future__ import annotations
@@ -98,8 +99,7 @@ class SingleConfigSimulator(Engine):
         Flag each miss that is its block's first touch in the miss stream
         and count those in :attr:`stats`, which requires remembering every
         block ever missed.  The stream buffer's DL1 needs the flags; off by
-        default, since ``Engine.run`` and the sweep executor hand over
-        the count.
+        default, since ``Engine.run`` hands over the count.
 
     After a run, :attr:`stats` holds the Dinero-style statistics.  The
     simulator runs the kernel walk when :func:`repro.kernels.load` loads it
@@ -203,14 +203,6 @@ class SingleConfigSimulator(Engine):
 
     # -- bulk simulation ------------------------------------------------------
 
-    def run_blocks(self, blocks: BlockChunk, access_types: TypeChunk = None) -> None:
-        """Simulate a chunk of pre-shifted block addresses (engine pipeline).
-
-        Raises :class:`~repro.errors.SimulationError`, changing nothing, for
-        a block outside ``[0, 2**63 - 1)`` or an unknown access type.
-        """
-        self.run_misses(blocks, access_types)
-
     def run_misses(self, blocks: BlockChunk, access_types: TypeChunk = None) -> MissStream:
         """Simulate a chunk like :meth:`run_blocks` and return its misses."""
         chunk = kernels.block_chunk(blocks)
@@ -219,8 +211,9 @@ class SingleConfigSimulator(Engine):
     def run_checked(
         self, blocks: np.ndarray, access_types: Optional[np.ndarray] = None
     ) -> MissStream:
-        """:meth:`run_misses` over a chunk its caller checked (see
-        :meth:`~repro.engine.base.Engine.run_checked`)."""
+        """Simulate a checked chunk (see
+        :meth:`~repro.engine.base.Engine.run_checked`) and return its
+        misses."""
         tally, positions, evicted = self._walk_chunk(blocks, access_types)
         stats = self.stats
         hits, misses, evictions, writebacks, compared, *by_type = tally
@@ -364,5 +357,4 @@ class SingleConfigSimulator(Engine):
         self.stats = CacheStats()
         #: Sorted, the blocks missed so far (``track_compulsory`` only).
         self._seen_blocks = np.empty(0, dtype=np.int64)
-        self._elapsed = 0.0
         self._allocate()

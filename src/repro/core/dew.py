@@ -31,7 +31,7 @@ There are two walks, with identical results and counters:
 * the **kernel walk**, a line-for-line C port of the Python walk
   (``repro/kernels/dew.c``), which :class:`DewSimulator` runs whenever
   :func:`repro.kernels.load` builds and loads it;
-* the **Python walk** in :meth:`DewSimulator.run_blocks`, the fallback on a
+* the **Python walk** (``DewSimulator._python_walk``), the fallback on a
   host without a working C compiler (or with ``CC=false``) and the oracle
   the kernel is tested against.
 
@@ -42,14 +42,14 @@ stamped with another epoch than the tree's reads as empty, and the walk
 zeroes it when it first evaluates the node, so neither a fresh tree nor a
 reused one needs a pass over its storage: :meth:`DewSimulator.reset` moves
 the tree to a new epoch.  Block addresses must lie in ``[0, 2**63 - 1)``;
-both walks reject any other with :class:`~repro.errors.SimulationError`.
+the checks of ``Engine.run`` and ``run_blocks`` (:mod:`repro.engine.base`)
+reject any other before a walk starts.
 A simulator built with ``recycled=True`` (by the sweep executor, and for
 the harness's timed Table 3 cells) takes its record storage from the tree
 module's pool and hands it back, as it is, on :meth:`DewSimulator.release`.
 
 The rows' compulsory misses are the trace's distinct blocks, which
-``Engine.run`` and the sweep executor count once per (trace, block size)
-and hand over through
+``Engine.run`` counts once per (trace, block size) and hands over through
 :meth:`~repro.engine.base.Engine.set_compulsory`: a first touch misses in
 every configuration, and no other miss is compulsory.
 
@@ -78,7 +78,7 @@ MRE decisions and the entries searches compared; one shared function
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -240,33 +240,20 @@ class DewSimulator(Engine):
             raise SimulationError(f"negative address: {address}")
         self.run_blocks([address >> self._offset_bits])
 
-    def run_blocks(
-        self,
-        blocks: Union[Sequence[int], np.ndarray],
-        access_types: Optional[Union[Sequence[int], np.ndarray]] = None,
-    ) -> None:
-        """Simulate a chunk of block-address requests against every configuration.
-
-        This is the hot loop of the engine pipeline: all per-request state
-        (ablation switches, per-level storage views, counter references) is
-        hoisted once per chunk instead of once per access, and callers are
-        expected to hand in pre-shifted block addresses (see
-        :meth:`repro.trace.trace.Trace.iter_block_chunks`).
-
-        Either walk tallies only the counts it cannot derive; the module
-        docstring says how every other counter follows from them once per
-        chunk.  ``access_types`` is ignored: FIFO hits and misses do not
-        depend on them.  Raises :class:`~repro.errors.SimulationError` for a
-        block outside ``[0, 2**63 - 1)``, and once :meth:`release` gave the
-        tree's storage away.
-        """
-        self.run_checked(kernels.block_chunk(blocks))
-
     def run_checked(
         self, blocks: np.ndarray, access_types: Optional[np.ndarray] = None
     ) -> None:
-        """:meth:`run_blocks` over a chunk its caller checked (see
-        :meth:`~repro.engine.base.Engine.run_checked`)."""
+        """Simulate a checked chunk of block addresses against every
+        configuration (see :meth:`~repro.engine.base.Engine.run_checked`).
+
+        Either walk hoists its per-request state (ablation switches,
+        per-level storage views, counter references) once per chunk and
+        tallies only the counts it cannot derive; the module docstring says
+        how every other counter follows from them once per chunk.
+        ``access_types`` is ignored: FIFO hits and misses do not depend on
+        them.  Raises :class:`~repro.errors.SimulationError` once
+        :meth:`release` gave the tree's storage away.
+        """
         if self.tree.storage is None:
             raise SimulationError("this simulator's tree storage was released")
         if not blocks.size:
@@ -474,7 +461,6 @@ class DewSimulator(Engine):
             np.full(rows, self._requests, dtype=np.int64),
             np.column_stack(misses).ravel(),
             np.full(rows, self.compulsory_misses, dtype=np.int64),
-            elapsed_seconds=self._elapsed,
             simulator_name="dew",
             trace_name=trace_name,
             counters=self.counters,
@@ -498,7 +484,6 @@ class DewSimulator(Engine):
         self._dm_misses = [0] * self.tree.num_levels
         self._requests = 0
         self.compulsory_misses = 0
-        self._elapsed = 0.0
         self._build_level_views()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

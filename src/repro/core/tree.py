@@ -49,7 +49,8 @@ only what it released (:meth:`StoragePool.one_pass`); any other pass
 leaves it as it was.  A forked child starts with the pool empty.  The
 harness's Table 3 cells recycle the same way, so their timed walks do not
 fault in a fresh tree per cell either.  Trees built any other way
-(``Engine.run``, tests) allocate their own storage.
+(``DewSimulator(...)`` without ``recycled``, tests) allocate their own
+storage.
 
 Inspection reads both layouts the same way: ``tags``, ``waves``, ``mra``,
 ``mre_tag``, ``mre_wave``, ``fifo_ptr`` and :meth:`DewTree.resident_blocks`

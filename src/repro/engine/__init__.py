@@ -2,9 +2,10 @@
 
 ``get_engine("dew", block_size=16, associativity=4)`` constructs any
 registered simulator behind the uniform :class:`~repro.engine.base.Engine`
-protocol (``run_blocks(chunk)`` / ``finalize()``, which returns a
+protocol (``run(trace)``, the one whole-trace driver, or ``run_blocks(chunk)``
+then ``finalize()``; either returns a
 :class:`~repro.core.results.ResultsFrame`); :mod:`repro.engine.sweep`
-fans grids of engines out over worker processes.  The simulators are the
+runs grids of engines through ``run``, serially or over worker processes.  The simulators are the
 engines.  The registry is a table (:data:`repro.engine.base.ENGINES`) of
 each key's module and class: listing it imports nothing, and the first
 lookup of a key imports that engine's module.  Importing
@@ -37,7 +38,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "available_engines",
             "get_engine",
             "get_engine_class",
-            "register_engine",
         ),
         "repro.mechanisms.engines": (
             "MissCacheEngine",

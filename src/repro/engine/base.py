@@ -2,29 +2,28 @@
 
 Every simulator in this package — DEW, the Dinero-style single-configuration
 reference, the LRU family and the mechanism engines — is an :class:`Engine`
-subclass registered under a key, and is driven through the same three-step
-API:
+subclass registered under a key.  Build one with :func:`get_engine` (a
+registry key and keyword options) or through the class itself, then:
 
-1. construct via :func:`get_engine` with a registry key and keyword options
-   (or through the class itself);
-2. feed pre-shifted block-address chunks to :meth:`Engine.run_blocks`
-   (produced by :meth:`repro.trace.trace.Trace.iter_block_chunks`);
-3. hand over the trace's distinct-block count with
-   :meth:`Engine.set_compulsory`, and collect a
-   :class:`~repro.core.results.ResultsFrame` from :meth:`Engine.finalize`.
+* :meth:`Engine.run` a whole trace through it: the one whole-trace driver,
+  which the sweep executor (:mod:`repro.engine.sweep`) runs every job
+  through.  It checks the trace once (memoized on the trace), feeds each
+  chunk of pre-shifted block addresses to :meth:`Engine.run_checked`, hands
+  over the trace's distinct-block count (:meth:`Engine.set_compulsory`) and
+  returns :meth:`Engine.finalize`'s
+  :class:`~repro.core.results.ResultsFrame`;
+* or feed chunks by hand to :meth:`Engine.run_blocks`, the checked entry
+  point, and :meth:`Engine.finalize` when done.
 
-:meth:`Engine.run` bundles the three steps for whole traces and is the one
-whole-trace driver; the sweep executor (:mod:`repro.engine.sweep`) uses the
-same API to fan a grid of engines out over worker processes.
+Each engine implements :meth:`Engine.run_checked`; the checks and the
+driver are written once, here.
 
 The registry is a table, :data:`ENGINES`, like
 :data:`repro.kernels.KERNELS`: each key names the module that defines its
 engine and the class.  :func:`available_engines` lists the table without
 importing anything, and :func:`get_engine_class` imports an engine's module
 on its first lookup.  :mod:`repro.engine.sweep` looks every engine up when
-it is imported, so no sweep imports a module mid-run.  An engine defined
-outside the package joins with a :func:`register_engine`-decorated
-:class:`Engine` subclass.
+it is imported, so no sweep imports a module mid-run.
 """
 
 from __future__ import annotations
@@ -32,13 +31,14 @@ from __future__ import annotations
 import abc
 import importlib
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
+from repro import kernels
 from repro.core.results import ResultsFrame
-from repro.errors import EngineError, SimulationError
-from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace
+from repro.errors import EngineError, SimulationError, TraceError
+from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace, as_trace
 
 
 class Engine(abc.ABC):
@@ -50,12 +50,11 @@ class Engine(abc.ABC):
     single-use objects — build one per run via :func:`get_engine`.
     """
 
-    #: Registry key: the engine's key in :data:`ENGINES`, or the one
-    #: :func:`register_engine` gave it.
+    #: Registry key: the engine's key in :data:`ENGINES`.
     family: str = "engine"
 
     #: When true, :meth:`run` feeds per-access type codes to
-    #: :meth:`run_blocks` alongside the block addresses.
+    #: :meth:`run_checked` alongside the block addresses.
     wants_access_types: bool = False
 
     #: When true, the engine takes a ``recycled`` construction flag: it then
@@ -71,7 +70,6 @@ class Engine(abc.ABC):
     result_version: int = 1
 
     def __init__(self) -> None:
-        self._elapsed = 0.0
         #: Every row's compulsory misses, set by :meth:`set_compulsory`.
         self.compulsory_misses = 0
 
@@ -87,31 +85,34 @@ class Engine(abc.ABC):
     def accesses(self) -> int:
         """Accesses simulated since construction or the last :meth:`reset`."""
 
-    @abc.abstractmethod
     def run_blocks(
         self,
         blocks: Union[Sequence[int], np.ndarray],
         access_types: Optional[Union[Sequence[int], np.ndarray]] = None,
     ) -> None:
-        """Simulate one chunk of pre-shifted block addresses."""
+        """Simulate one chunk of pre-shifted block addresses fed by hand.
 
+        The checked entry point: raises
+        :class:`~repro.errors.SimulationError`, changing nothing, for a
+        block outside ``[0, 2**63 - 1)``, or for access types of another
+        length or with an unknown code (:func:`repro.kernels.block_chunk`,
+        :func:`repro.kernels.type_chunk`); then :meth:`run_checked`.
+        """
+        chunk = kernels.block_chunk(blocks)
+        self.run_checked(chunk, kernels.type_chunk(access_types, chunk.size))
+
+    @abc.abstractmethod
     def run_checked(
         self, blocks: np.ndarray, access_types: Optional[np.ndarray] = None
     ) -> None:
-        """:meth:`run_blocks` over a chunk its caller already checked.
+        """Simulate one chunk its caller already checked.
 
         ``blocks`` is a C-contiguous int64 array of blocks in ``[0, 2**63 -
-        1)``, and ``access_types`` ``None`` or a C-contiguous int8 array of
-        as many valid type codes (see :func:`repro.kernels.block_chunk` and
-        :func:`repro.kernels.type_chunk`).  The sweep executor checks a
-        pass's trace once and feeds every engine through here.  The
-        package's engines skip their own checks; by default this is
-        :meth:`run_blocks`.
+        1)``, and ``access_types`` ``None`` (every access a read) or a
+        C-contiguous int8 array of as many valid type codes.  :meth:`run`
+        checks a whole trace once and feeds every chunk through here, and
+        :meth:`run_blocks` checks each chunk it is handed.
         """
-        if self.wants_access_types:
-            self.run_blocks(blocks, access_types)
-        else:
-            self.run_blocks(blocks)
 
     @abc.abstractmethod
     def finalize(self, trace_name: str = "trace") -> ResultsFrame:
@@ -130,9 +131,9 @@ class Engine(abc.ABC):
 
         A first touch misses in every cache and no other miss is
         compulsory, so a row's compulsory misses are the trace's distinct
-        blocks at the engine's block size.  :meth:`run` and the sweep
-        executor count them once per (trace, block size) and call
-        this before :meth:`finalize`.
+        blocks at the engine's block size.  :meth:`run` counts them once
+        per (trace, block size), memoized on the trace, and calls this
+        before :meth:`finalize`.
         """
         self.compulsory_misses = int(distinct_blocks)
 
@@ -149,58 +150,58 @@ class Engine(abc.ABC):
         trace_name: Optional[str] = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> ResultsFrame:
-        """Drive a whole trace (or bare iterable of byte addresses) through
-        the engine, then hand it the trace's distinct-block count.
+        """Drive a whole trace (or any iterable of byte addresses, read once
+        into a :class:`Trace`) through the engine, then hand it the trace's
+        distinct-block count and finalize.
 
+        The trace is checked once (:meth:`Trace.checked_range`, memoized on
+        the trace), so every chunk goes straight to :meth:`run_checked`, and
+        the frame's ``elapsed_seconds`` is the time spent in those calls.
         The engine must not have simulated anything yet: its rows'
         compulsory misses are this trace's distinct blocks, which would not
         count what it simulated before.  Raises
-        :class:`~repro.errors.SimulationError` otherwise; :meth:`reset`
-        first to run another trace.
+        :class:`~repro.errors.SimulationError` otherwise (:meth:`reset`
+        first to run another trace), :class:`~repro.errors.TraceError` for a
+        malformed trace or a ``chunk_size`` below 1.
         """
         if self.accesses:
             raise SimulationError(
                 f"this {self.family} engine already simulated {self.accesses} accesses; "
                 "reset() it before running a trace"
             )
-        start = time.perf_counter()
-        if isinstance(trace, Trace):
-            name = trace_name or trace.name
-            if self.wants_access_types:
-                for blocks, types in trace.iter_block_chunks(
-                    self.offset_bits, chunk_size, with_types=True
-                ):
-                    self.run_blocks(blocks, types)
-            else:
-                for blocks in trace.iter_block_chunks(self.offset_bits, chunk_size):
-                    self.run_blocks(blocks)
-            distinct = trace.unique_blocks(1 << self.offset_bits)
-        else:
-            name = trace_name or "trace"
-            offset_bits = self.offset_bits
-            seen: Set[int] = set()
-            buffer: List[int] = []
-            for address in trace:
-                address = int(address)
-                if address < 0:
-                    raise SimulationError(f"negative address: {address}")
-                buffer.append(address >> offset_bits)
-                if len(buffer) >= chunk_size:
-                    self.run_blocks(buffer)
-                    seen.update(buffer)
-                    buffer = []
-            if buffer:
-                self.run_blocks(buffer)
-                seen.update(buffer)
-            distinct = len(seen)
-        self.set_compulsory(distinct)
-        self._elapsed += time.perf_counter() - start
-        results = self.finalize(trace_name=name)
-        results.elapsed_seconds = self._elapsed
+        chunk_size = check_chunk_size(chunk_size)
+        trace = as_trace(trace)
+        low, high = trace.checked_range()
+        shift = self.offset_bits
+        kernels.check_block_range(low >> shift, high >> shift)
+        addresses = trace.addresses
+        types = None
+        if self.wants_access_types:
+            types = np.ascontiguousarray(trace.access_types, dtype=np.int8)
+        elapsed = 0.0
+        for start in range(0, addresses.size, chunk_size):
+            stop = start + chunk_size
+            blocks = addresses[start:stop] >> shift
+            chunk_types = None if types is None else types[start:stop]
+            begin = time.perf_counter()
+            self.run_checked(blocks, chunk_types)
+            elapsed += time.perf_counter() - begin
+        self.set_compulsory(trace.unique_blocks(1 << shift))
+        results = self.finalize(trace_name=trace_name or trace.name)
+        results.elapsed_seconds = elapsed
         return results
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(family={self.family!r})"
+
+
+def check_chunk_size(chunk_size: int) -> int:
+    """``chunk_size`` as an ``int``; raises :class:`~repro.errors.TraceError`
+    below 1."""
+    chunk_size = int(chunk_size)
+    if chunk_size < 1:
+        raise TraceError(f"chunk size must be positive, got {chunk_size}")
+    return chunk_size
 
 
 # -- registry ------------------------------------------------------------------
@@ -216,29 +217,8 @@ ENGINES: Dict[str, Tuple[str, str]] = {
     "stream-buffer": ("repro.mechanisms.engines", "StreamBufferEngine"),
 }
 
-#: Engine classes looked up so far, and those :func:`register_engine` added.
+#: Engine classes looked up so far.
 _ENGINE_CLASSES: Dict[str, Type[Engine]] = {}
-
-
-def register_engine(name: str):
-    """Class decorator registering an :class:`Engine` under ``name``.
-
-    A key that :data:`ENGINES` or an earlier registration holds is refused.
-    """
-
-    def decorator(cls: Type[Engine]) -> Type[Engine]:
-        key = name.strip().lower()
-        if not key:
-            raise EngineError("engine name must be non-empty")
-        if key in ENGINES or key in _ENGINE_CLASSES:
-            raise EngineError(f"engine {key!r} is already registered")
-        if not (isinstance(cls, type) and issubclass(cls, Engine)):
-            raise EngineError(f"{cls!r} is not an Engine subclass")
-        cls.family = key
-        _ENGINE_CLASSES[key] = cls
-        return cls
-
-    return decorator
 
 
 def get_engine(name: str, **options) -> Engine:
@@ -269,4 +249,4 @@ def get_engine_class(name: str) -> Type[Engine]:
 
 def available_engines() -> List[str]:
     """Sorted list of registered engine keys."""
-    return sorted({*ENGINES, *_ENGINE_CLASSES})
+    return sorted(ENGINES)

@@ -43,6 +43,7 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -53,16 +54,15 @@ from typing import (
 
 import numpy as np
 
-from repro import kernels
 from repro.core.config import CacheConfig
 from repro.core.results import ResultsFrame, mechanism_code
 from repro.core.tree import STORAGE_POOL
-from repro.engine.base import ENGINES, Engine, get_engine, get_engine_class
+from repro.engine.base import ENGINES, Engine, check_chunk_size, get_engine, get_engine_class
 from repro.errors import EngineError, ReproError, SimulationError
 from repro.obs.tracing import PhaseTimer
 from repro.store import ResultStore, StoreKey, open_store
 from repro.trace.planecache import CachedPlane, TracePlaneCache, coerce_plane_cache
-from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace
+from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace, as_trace
 from repro.types import ReplacementPolicy
 
 # Import every engine's module with this one, so that no sweep, served
@@ -236,7 +236,7 @@ def build_mechanism_grid_jobs(
     policies x entry counts``.  Each job is one mechanism over one DL1
     configuration at every entry count (a sorted, de-duplicated ``entries``
     tuple): it walks its DL1 once and emits one row per count, riding the
-    executor's once-per-pass checks like any other job.  Mechanisms do not
+    pass's once-per-trace checks like any other job.  Mechanisms do not
     share a DL1 pass with each other.  An empty ``mechanisms`` list yields
     no jobs, which is how callers make mechanism cells purely additive to a
     base grid.
@@ -345,8 +345,8 @@ class SweepOutcome:
     #: them, or for outcomes built outside :func:`run_sweep`.
     minor_faults: Optional[int] = None
     #: The ``simulate`` phase minus the executed jobs' own
-    #: ``elapsed_seconds``: building, finalizing and looping over the
-    #: engines, a pass's checks and each engine's shifts.  ``None`` when
+    #: ``elapsed_seconds``: building, finalizing and releasing the engines,
+    #: a pass's checks and each engine's shifts.  ``None`` when
     #: worker processes simulated, or for outcomes built outside
     #: :func:`run_sweep`.
     engine_overhead_seconds: Optional[float] = None
@@ -458,50 +458,29 @@ def _build_recycling(job: SweepJob) -> Engine:
     return get_engine(job.engine, **options)
 
 
-def _coerce_trace(trace: Union[Trace, Sequence[int]]) -> Trace:
-    """A :class:`Trace` view of any address input (no copy when already one)."""
-    if isinstance(trace, Trace):
-        return trace
-    return Trace(np.fromiter((int(a) for a in trace), dtype=np.int64))
-
-
 class FusedSweepExecutor:
-    """Run many sweep jobs in one pass, one engine at a time, sharing the checks.
+    """Run many sweep jobs in one pass, one engine at a time.
 
-    Running each :class:`SweepJob` on its own (:meth:`Engine.run`) checks
-    every chunk it walks, once per job.  This executor exploits that the
-    *trace-side* checks are identical across jobs, and that engines of one
-    shape can share their storage:
+    Each job runs, in job order, as a build, :meth:`Engine.run` (the one
+    whole-trace driver) and :meth:`Engine.release`, so the jobs share what
+    a per-job run would repeat:
 
-    * the trace's address range and access types are checked once per pass,
-      and every engine walks its chunks through
-      :meth:`Engine.run_checked`, with the chunk's access types for engines
-      that want them;
-    * the jobs run in job order, one engine at a time: the executor builds
-      an engine, feeds it every chunk (shifting the chunk's addresses to its
-      block size), finalizes it and releases its storage before it builds
-      the next, so the next job of the same shape takes that storage.
-
-    Every engine takes the raw block chunk: the compiled walks decide an
-    immediately repeated block with one comparison, so a run-length
-    collapse would not pay for them.
-
-    The trace's distinct blocks, every row's compulsory misses, are counted
-    once per block size (memoized on the trace) and handed to every engine.
-
-    Engines that recycle storage (DEW trees, LRU stores) are built to take
-    what an earlier engine released, so a process's later jobs and passes do
-    not page-fault fresh storage in.  A pass that builds one leaves the pool
-    holding only what it released; any other pass leaves the pool as it was
-    (:mod:`repro.core.tree`).
+    * the trace's checks, and its distinct blocks per block size (every
+      row's compulsory misses), which :meth:`Engine.run` memoizes on the
+      trace, so a pass checks its trace once;
+    * storage: engines that recycle it (DEW trees, LRU stores) are built to
+      take what an earlier engine released, and each releases its own
+      before the next is built, so jobs of one shape share one storage and
+      a process's later jobs and passes do not page-fault fresh storage
+      in.  A pass that builds one leaves the pool holding only what it
+      released; any other pass leaves the pool as it was
+      (:mod:`repro.core.tree`).
 
     Results are exactly those of running each job separately: identical
     rows, identical work counters, identical store artifacts up to timing.
-    The reported per-job ``elapsed_seconds`` covers that engine's
-    simulation time and its storage release.  The checks, the shifts,
-    building and finalizing are excluded, mirroring how a per-job run's
-    timing is dominated by engine work;
-    :attr:`SweepOutcome.engine_overhead_seconds` reports them.
+    A job's ``elapsed_seconds`` is its engine's time walking chunks;
+    building, the shifts, finalizing and releasing are
+    :attr:`SweepOutcome.engine_overhead_seconds`.
     """
 
     def __init__(
@@ -510,43 +489,30 @@ class FusedSweepExecutor:
         jobs: Sequence[SweepJob],
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> None:
-        self.trace = _coerce_trace(trace)
+        self.trace = as_trace(trace)
         self.jobs = list(jobs)
         if not self.jobs:
             raise EngineError("FusedSweepExecutor needs at least one job")
-        self.chunk_size = max(int(chunk_size), 1)
+        self.chunk_size = check_chunk_size(chunk_size)
+
+    def frames(self) -> Iterator[ResultsFrame]:
+        """Each job's frame, in job order, the moment the job finishes.
+
+        The pass ends when the iterator is exhausted or closed: a caller
+        that stops early closes it, so the storage pool's pass scope ends
+        then, not when the iterator is collected.
+        """
+        recycling = any(get_engine_class(job.engine).recycles_storage for job in self.jobs)
+        with STORAGE_POOL.one_pass() if recycling else contextlib.nullcontext():
+            for job in self.jobs:
+                engine = _build_recycling(job)
+                fresh = engine.run(self.trace, chunk_size=self.chunk_size)
+                engine.release()
+                yield fresh
 
     def execute(self) -> List[ResultsFrame]:
         """One pass; per-job results in job order."""
-        recycling = any(get_engine_class(job.engine).recycles_storage for job in self.jobs)
-        # The checks every engine's run_blocks would repeat: the address
-        # range bounds each block size's, and the types are checked once.
-        addresses = np.ascontiguousarray(self.trace.addresses, dtype=np.int64)
-        low, high = (int(addresses.min()), int(addresses.max())) if addresses.size else (0, 0)
-        types: Optional[np.ndarray] = None
-        with STORAGE_POOL.one_pass() if recycling else contextlib.nullcontext():
-            results = []
-            for job in self.jobs:
-                engine = _build_recycling(job)
-                shift = engine.offset_bits
-                kernels.check_block_range(low >> shift, high >> shift)
-                if engine.wants_access_types and types is None:
-                    types = kernels.type_chunk(self.trace.access_types, addresses.size)
-                elapsed = 0.0
-                for start in range(0, addresses.size, self.chunk_size):
-                    stop = start + self.chunk_size
-                    blocks = addresses[start:stop] >> shift
-                    chunk_types = types[start:stop] if engine.wants_access_types else None
-                    begin = time.perf_counter()
-                    engine.run_checked(blocks, chunk_types)
-                    elapsed += time.perf_counter() - begin
-                engine.set_compulsory(self.trace.unique_blocks(1 << shift))
-                fresh = engine.finalize(trace_name=self.trace.name)
-                begin = time.perf_counter()
-                engine.release()
-                fresh.elapsed_seconds = elapsed + (time.perf_counter() - begin)
-                results.append(fresh)
-        return results
+        return list(self.frames())
 
 
 # Per-worker state installed by the pool initializer: each worker receives
@@ -636,15 +602,16 @@ def run_sweep(
         jobs run through :class:`FusedSweepExecutor` passes, and results are
         merged in job order, so the outcome is identical.
     chunk_size:
-        Block-pipeline chunk length.
+        Block-pipeline chunk length; below 1 raises
+        :class:`~repro.errors.TraceError`, as :meth:`Engine.run` does.
     store:
         Optional persistent result store (a :class:`~repro.store.ResultStore`
         or a directory path).  Jobs whose results are already stored for this
         trace are loaded instead of executed; fresh results are persisted the
-        moment their pass finishes — one (block size, engine) group per
-        pass serially, one batch per worker in parallel — so an interrupted
-        sweep resumes paying only for unfinished work.  The merged outcome
-        is byte-identical to a cold run.
+        moment they finish — each job serially, each worker's batch in
+        parallel — so an interrupted sweep resumes paying only for
+        unfinished work.  The merged outcome is byte-identical to a cold
+        run.
     force:
         With a store, re-execute (and overwrite) every job even when cached.
     on_result:
@@ -656,8 +623,9 @@ def run_sweep(
         in use).  The service daemon uses this to record per-cell
         completion durably, and to *abort* a sweep between cells: a hook
         may raise (conventionally :class:`~repro.errors.SweepAborted`) and
-        the exception propagates to the caller after the worker pool is
-        torn down.  Results persisted before the abort stay in the store,
+        the exception propagates to the caller once the serial pass has
+        ended, running no further job, or the worker pool is torn down.
+        Results persisted before the abort stay in the store,
         so a re-run resumes from them.  The hook's own time is the
         ``progress`` phase, not the store's.
     trace_cache:
@@ -672,6 +640,7 @@ def run_sweep(
     job_list = list(jobs)
     if not job_list:
         raise EngineError("run_sweep needs at least one job")
+    chunk_size = check_chunk_size(chunk_size)
     start = time.perf_counter()
     # Exclusive phase accounting for the orchestrating thread; the timer's
     # live dict is handed to the outcome, so `sweep --profile` and the
@@ -683,7 +652,7 @@ def run_sweep(
     cached_jobs = 0
 
     with timer.phase("decode"):
-        trace = _coerce_trace(trace)
+        trace = as_trace(trace)
     trace_name = trace.name
     attached: Optional[CachedPlane] = None
     if trace_cache is not None and not isinstance(trace, CachedPlane):
@@ -746,28 +715,18 @@ def run_sweep(
                         for position, fresh in zip(positions, batch):
                             persist(missing[position], fresh)
             elif missing:
-                # With a store, run one pass per (block size, engine) group
-                # and persist as each group finishes, so a killed sweep's
-                # resume granularity stays close to per-job instead of
-                # all-or-nothing: a pass shares only its checks, and the
-                # storage pool carries storage from pass to pass.
-                # Storeless runs use one pass over everything.
-                if result_store is not None:
-                    group_batches: Dict[Tuple[int, str], List[int]] = {}
+                # One pass.  Each job is persisted and reported the moment it
+                # finishes, so a killed or aborted sweep keeps every job
+                # done before it; a hook that raises ends the pass at once.
+                pending = [job_list[index] for index in missing]
+                with contextlib.closing(
+                    FusedSweepExecutor(trace, pending, chunk_size).frames()
+                ) as frames:
                     for index in missing:
-                        group_batches.setdefault(_job_decode_key(job_list[index]), []).append(index)
-                    batches = list(group_batches.values())
-                else:
-                    batches = [missing]
-                for batch in batches:
-                    executor = FusedSweepExecutor(
-                        trace, [job_list[index] for index in batch], chunk_size
-                    )
-                    before = _minor_faults()
-                    fresh_frames = executor.execute()
-                    minor_faults += _minor_faults() - before
-                    for offset, fresh in enumerate(fresh_frames):
-                        persist(batch[offset], fresh)
+                        before = _minor_faults()
+                        fresh = next(frames)
+                        minor_faults += _minor_faults() - before
+                        persist(index, fresh)
     finally:
         if attached is not None:
             attached.close()

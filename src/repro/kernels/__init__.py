@@ -4,8 +4,8 @@
 this package, the function it exports and that function's ctypes
 ``argtypes``:
 
-* ``dew`` — ``dew.c``, a line-for-line port of the walk loop in
-  :meth:`repro.core.dew.DewSimulator.run_blocks`, over one record per tree
+* ``dew`` — ``dew.c``, a line-for-line port of the Python walk of
+  :class:`repro.core.dew.DewSimulator`, over one record per tree
   node; a record stamped with an older epoch reads as empty, so emptying a
   tree for reuse takes no pass (see :mod:`repro.core.tree`);
 * ``lru`` — ``lru.c``, a port of the walk in

@@ -38,11 +38,12 @@ There are two walks, with identical results and counters:
   without a working C compiler (or with ``CC=false``) and the oracle the
   kernel is tested against.
 
-Block addresses must lie in ``[0, 2**63 - 1)``; both walks reject any other
-with :class:`~repro.errors.SimulationError`.  Either walk tallies only, per
-level, the hits at each recency position, and in total the tags compared by
-walks that missed; one shared function (:meth:`JanapsatyaSimulator._account`)
-derives the rest once per chunk:
+Block addresses must lie in ``[0, 2**63 - 1)``; the checks of ``Engine.run``
+and ``run_blocks`` (:mod:`repro.engine.base`) reject any other before a walk
+starts.  Either walk tallies only, per level, the hits at each recency
+position, and in total the tags compared by walks that missed; one shared
+function (:meth:`JanapsatyaSimulator._account`) derives the rest once per
+chunk:
 
 * a block found at position ``p`` hits in every associativity above ``p``,
   so each associativity's misses at a level are the walks reaching it less
@@ -61,7 +62,7 @@ the engine takes raw block chunks only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -236,25 +237,16 @@ class JanapsatyaSimulator(Engine):
             raise SimulationError(f"negative address: {address}")
         self.run_blocks([address >> self._offset_bits])
 
-    def run_blocks(
-        self,
-        blocks: Union[Sequence[int], np.ndarray],
-        access_types: Optional[Union[Sequence[int], np.ndarray]] = None,
-    ) -> None:
-        """Simulate a chunk of pre-shifted block addresses (engine pipeline).
-
-        ``access_types`` is ignored: LRU hits and misses do not depend on
-        them.  Raises :class:`~repro.errors.SimulationError`, changing
-        nothing, for a block outside ``[0, 2**63 - 1)``, and once
-        :meth:`release` gave the storage away.
-        """
-        self.run_checked(kernels.block_chunk(blocks))
-
     def run_checked(
         self, blocks: np.ndarray, access_types: Optional[np.ndarray] = None
     ) -> None:
-        """:meth:`run_blocks` over a chunk its caller checked (see
-        :meth:`~repro.engine.base.Engine.run_checked`)."""
+        """Simulate a checked chunk of block addresses (see
+        :meth:`~repro.engine.base.Engine.run_checked`).
+
+        ``access_types`` is ignored: LRU hits and misses do not depend on
+        them.  Raises :class:`~repro.errors.SimulationError`, changing
+        nothing, once :meth:`release` gave the storage away.
+        """
         if self._walk.function is None:
             if blocks.size:
                 self._python_walk(blocks.tolist())
@@ -344,7 +336,6 @@ class JanapsatyaSimulator(Engine):
             np.full(rows, self.counters.requests),
             self._misses.flatten(),
             np.full(rows, self.compulsory_misses),
-            elapsed_seconds=self._elapsed,
             simulator_name="janapsatya-lru",
             trace_name=trace_name,
             counters=self.counters,
@@ -364,7 +355,6 @@ class JanapsatyaSimulator(Engine):
         """Clear all simulation state and counters, emptying the storage in
         place (or taking storage again after :meth:`release`)."""
         self._misses = np.zeros((len(self.set_sizes), len(self.associativities)), dtype=np.int64)
-        self._elapsed = 0.0
         self.compulsory_misses = 0
         self.counters = JanapsatyaCounters()
         self._allocate()

@@ -16,7 +16,7 @@ next memory level" convention:
 
 The DL1 never depends on the mechanism: a probe sees only a miss's outcome
 and changes nothing in the DL1.  So each chunk's DL1 runs in one call
-(:meth:`~repro.cache.simulator.SingleConfigSimulator.run_misses`), and
+(:meth:`~repro.cache.simulator.SingleConfigSimulator.run_checked`), and
 every entry count is probed over that chunk's miss stream: each missed
 block, the block the DL1 evicted for it, its access type and whether it
 was a first touch.  The probes run in ``kernels/mechanisms.c`` (the
@@ -39,9 +39,9 @@ and otherwise in a Python walk with the same tallies:
 Per count ``n``: ``misses`` is the DL1's misses less ``n``'s hits; a
 victim cache's allocations are the DL1's evictions less its swaps, and a
 miss cache's its surviving misses; ``compulsory`` is the DL1's count, the
-distinct-block count ``Engine.run`` or the sweep executor hands over (a
-first touch was never evicted or missed before), less the first touches
-served for stream buffers.  Only the stream buffer's DL1 flags each miss
+distinct-block count ``Engine.run`` hands over (a first touch was never
+evicted or missed before), less the first touches served for stream
+buffers.  Only the stream buffer's DL1 flags each miss
 that is a first touch, since only stream buffers can serve one.  A frame's
 ``walk`` reads ``kernel`` only when both the DL1 and the probes run
 compiled.
@@ -55,7 +55,7 @@ from typing import Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from repro import kernels
-from repro.cache.simulator import BlockChunk, MissStream, SingleConfigSimulator, TypeChunk
+from repro.cache.simulator import MissStream, SingleConfigSimulator
 from repro.cache.stats import CacheStats
 from repro.core.config import CacheConfig
 from repro.core.results import ResultsFrame, mechanism_code, policy_code
@@ -162,18 +162,10 @@ class MechanismEngine(Engine):
         """Accesses simulated since construction or the last :meth:`reset`."""
         return self.dl1.accesses
 
-    def run_blocks(self, blocks: BlockChunk, access_types: TypeChunk = None) -> None:
-        """Simulate a chunk: the DL1 walks it in one call, then every entry
-        count is probed over its misses.
-
-        Raises :class:`~repro.errors.SimulationError`, changing nothing, for
-        a block outside ``[0, 2**63 - 1)`` or an unknown access type.
-        """
-        self._probe(self.dl1.run_misses(blocks, access_types))
-
     def run_checked(self, blocks: np.ndarray, access_types: Optional[np.ndarray] = None) -> None:
-        """:meth:`run_blocks` over a chunk its caller checked (see
-        :meth:`~repro.engine.base.Engine.run_checked`)."""
+        """Simulate a checked chunk (see
+        :meth:`~repro.engine.base.Engine.run_checked`): the DL1 walks it in
+        one call, then every entry count is probed over its misses."""
         self._probe(self.dl1.run_checked(blocks, access_types))
 
     def _probe(self, stream: MissStream) -> None:
@@ -238,7 +230,6 @@ class MechanismEngine(Engine):
     def reset(self) -> None:
         self.dl1.reset()
         self._allocate()
-        self._elapsed = 0.0
 
 
 class VictimCacheEngine(MechanismEngine):

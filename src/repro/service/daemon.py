@@ -14,16 +14,15 @@ replaces the artifact atomically with the same bytes, so the payloads and
 the store stay byte-identical.
 
 **Durability.**  The store is the record of finished cells: a cell's
-artifact is written the moment its execution unit finishes inside
-``run_sweep`` (the fused executor persists per decode-group batch — often a
-single cell, at most the same-block-size cells that share one decode).  The
-job record carries progress for ``queue status`` only.  It is written at the
-claim (with the submitted cell count), once per *fresh* cell after that
-cell's store write, and at the finish; a store hit advances the counts in
-memory only, since it adds nothing the store does not already hold.  A
-daemon killed mid-job therefore loses at most the batch it was computing;
-after a restart, :meth:`JobQueue.recover` re-queues the job (resetting its
-counts) and the re-run pays only for unpersisted cells.
+artifact is written the moment it finishes inside ``run_sweep`` (a pooled
+sweep persists a worker's batch when the batch completes).  The job record
+carries progress for ``queue status`` only.  It is written at the claim
+(with the submitted cell count), once per *fresh* cell after that cell's
+store write, and at the finish; a store hit advances the counts in memory
+only, since it adds nothing the store does not already hold.  A daemon
+killed mid-job therefore loses at most the cell (or, pooled, the batches)
+it was computing; after a restart, :meth:`JobQueue.recover` re-queues the
+job (resetting its counts) and the re-run pays only for unpersisted cells.
 
 **Byte-identity.**  The daemon runs exactly the engine jobs a direct sweep
 would run and stores the merged payload verbatim, so a served result equals
@@ -505,9 +504,10 @@ class ServiceDaemon:
                 if self.on_cell is not None:
                     self.on_cell(record, index, job, cached)
                 # Cancel requests are honored at cell granularity: the cell
-                # just persisted stays in the store, the rest of the sweep
-                # is abandoned, and run_sweep tears down its pool before
-                # the exception reaches the handler below.
+                # just persisted stays in the store and the rest of the
+                # sweep is abandoned: a serial sweep runs no further cell,
+                # and a pooled one tears down its pool before the exception
+                # reaches the handler below.
                 if self.queue.cancel_requested(record.id):
                     raise SweepAborted(
                         f"job {record.id[:12]} cancelled after "

@@ -2,11 +2,10 @@
 
 A trace is stored as parallel numpy arrays (addresses, access types, sizes)
 so that multi-hundred-thousand-entry traces are cheap to hold, slice and
-feed to simulators.  The preferred consumption path is
-:meth:`Trace.iter_block_chunks`, which shifts addresses to block addresses
-with one vectorised numpy operation per chunk instead of one Python ``>>``
-per access; :meth:`Trace.address_list` remains for per-address drivers and
-is memoized so repeated runs stop re-converting the ndarray.
+feed to simulators.  ``Engine.run`` drives a trace through an engine,
+shifting each chunk of addresses to block addresses with one vectorised
+numpy operation; :meth:`Trace.address_list` remains for per-address
+drivers and is memoized so repeated runs stop re-converting the ndarray.
 """
 
 from __future__ import annotations
@@ -46,7 +45,10 @@ class Trace:
         sizes: Optional[Union[Sequence[int], np.ndarray]] = None,
         name: str = "trace",
     ) -> None:
-        addr = np.asarray(addresses, dtype=np.int64)
+        try:
+            addr = np.asarray(addresses, dtype=np.int64)
+        except OverflowError:
+            raise TraceError("trace contains an address outside [0, 2**63)") from None
         if addr.ndim != 1:
             raise TraceError("addresses must be a one-dimensional sequence")
         if addr.size and addr.min() < 0:
@@ -86,6 +88,7 @@ class Trace:
         self._address_list_cache: Optional[List[int]] = None
         self._block_address_cache: Dict[int, np.ndarray] = {}
         self._unique_block_cache: Dict[int, int] = {}
+        self._range_cache: Optional[Tuple[int, int]] = None
         self._fingerprint_cache: Optional[str] = None
 
     # -- construction helpers -------------------------------------------------
@@ -190,33 +193,6 @@ class Trace:
             self._block_address_cache[offset_bits] = cached
         return cached
 
-    def iter_block_chunks(
-        self,
-        offset_bits: int,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        with_types: bool = False,
-    ) -> Iterator[Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]]:
-        """Yield pre-shifted block-address chunks for the engine pipeline.
-
-        Each chunk is an ``int64`` ndarray of ``chunk_size`` block addresses
-        (the final chunk may be shorter), produced with one vectorised shift
-        instead of one Python-level ``>>`` per access.  With ``with_types``
-        the per-access :class:`~repro.types.AccessType` codes ride along as a
-        second array.
-        """
-        if offset_bits < 0:
-            raise TraceError(f"offset_bits must be non-negative, got {offset_bits}")
-        if chunk_size < 1:
-            raise TraceError(f"chunk size must be positive, got {chunk_size}")
-        length = self._addresses.size
-        for start in range(0, length, chunk_size):
-            stop = min(start + chunk_size, length)
-            blocks = self._addresses[start:stop] >> offset_bits
-            if with_types:
-                yield blocks, self._types[start:stop]
-            else:
-                yield blocks
-
     def fingerprint(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> str:
         """Content digest of the trace (addresses, types and sizes).
 
@@ -256,7 +232,7 @@ class Trace:
         """Number of distinct blocks touched at the given block size (memoized).
 
         This is every cache's compulsory misses at that block size, which
-        ``Engine.run`` and the sweep executor hand to the engines.
+        ``Engine.run`` hands to the engine.
         """
         if block_size <= 0 or block_size & (block_size - 1):
             raise TraceError(f"block size must be a power of two, got {block_size}")
@@ -270,6 +246,28 @@ class Trace:
             cached = int(blocks.size and 1 + np.count_nonzero(blocks[1:] != blocks[:-1]))
             self._unique_block_cache[offset_bits] = cached
         return cached
+
+    def checked_range(self) -> Tuple[int, int]:
+        """The lowest and the highest address (``(0, 0)`` when empty), once
+        the whole trace is checked (memoized).
+
+        Raises :class:`~repro.errors.TraceError` for a negative address or
+        an unknown access type code.  The constructor refuses the first but
+        not the second, and a cache-attached plane skips the constructor
+        (:meth:`_install`), so ``Engine.run`` checks every trace here before
+        any walk reads it; each block size's range follows from this one.
+        """
+        if self._range_cache is None:
+            low = high = lowest = highest = 0
+            if self._addresses.size:
+                low, high = int(self._addresses.min()), int(self._addresses.max())
+                lowest, highest = int(self._types.min()), int(self._types.max())
+            if low < 0:
+                raise TraceError(f"trace contains a negative address: {low}")
+            if lowest < 0 or highest > max(AccessType):
+                raise TraceError(f"unknown access type code in {lowest}..{highest}")
+            self._range_cache = (low, high)
+        return self._range_cache
 
     # -- simple transformations ----------------------------------------------
 
@@ -296,6 +294,22 @@ class Trace:
     def with_name(self, name: str) -> "Trace":
         """Return a shallow copy of this trace under a different name."""
         return Trace(self._addresses, self._types, self._sizes, name=name)
+
+
+def as_trace(trace: Union[Trace, Iterable[int]]) -> Trace:
+    """A :class:`Trace` of any address input: a trace as it is, any other
+    iterable of byte addresses read once into an ``int64`` array.
+
+    Raises :class:`~repro.errors.TraceError` for an address outside
+    ``[0, 2**63)``.
+    """
+    if isinstance(trace, Trace):
+        return trace
+    try:
+        addresses = np.fromiter((int(address) for address in trace), dtype=np.int64)
+    except OverflowError:
+        raise TraceError("trace contains an address outside [0, 2**63)") from None
+    return Trace(addresses)
 
 
 class TraceBuilder:

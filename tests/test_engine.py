@@ -1,4 +1,5 @@
-"""Tests for the unified engine layer: registry, engines, chunking, sweeps."""
+"""Tests for the unified engine layer: registry, engines, chunking, input
+checks, sweeps."""
 
 import gzip
 import os
@@ -17,6 +18,7 @@ from repro.core.dew import DewSimulator
 from repro.core.results import _FRAME_COLUMNS, ConfigResult, ResultsFrame
 from repro.engine import (
     Engine,
+    FusedSweepExecutor,
     SweepJob,
     available_engines,
     build_grid_jobs,
@@ -26,6 +28,8 @@ from repro.engine import (
 )
 from repro.errors import EngineError, SimulationError, TraceError, VerificationError
 from repro.lru.janapsatya import JanapsatyaSimulator
+from repro.store import open_store
+from repro.trace.planecache import open_plane_cache
 from repro.trace.trace import Trace
 from repro.types import ReplacementPolicy
 
@@ -80,15 +84,18 @@ class TestRegistry:
         assert isinstance(first, Engine)
         assert first.family == "dew"
 
-    def test_duplicate_registration_rejected(self):
-        from repro.engine.base import register_engine
-
-        with pytest.raises(EngineError, match="already registered"):
-            register_engine("dew")(type(get_engine("dew", block_size=4, associativity=1)))
-
 
 def _fresh_engine(name):
     return get_engine(name, **ENGINE_TEST_OPTIONS[name])
+
+
+def _feed_by_hand(engine, trace, chunk_size=64):
+    """Shift ``trace`` to ``engine``'s blocks and feed it through
+    ``run_blocks`` in chunks, with the access types."""
+    blocks = trace.addresses >> engine.offset_bits
+    for start in range(0, blocks.size, chunk_size):
+        stop = start + chunk_size
+        engine.run_blocks(blocks[start:stop], trace.access_types[start:stop])
 
 
 class TestRegistryDriven:
@@ -124,10 +131,7 @@ class TestRegistryDriven:
         # finalize give the frame Engine.run returns, with the same counters
         # and walk.
         engine = _fresh_engine(name)
-        for blocks, types in loop_trace.iter_block_chunks(
-            engine.offset_bits, 64, with_types=True
-        ):
-            engine.run_blocks(blocks, types if engine.wants_access_types else None)
+        _feed_by_hand(engine, loop_trace)
         engine.set_compulsory(loop_trace.unique_blocks(1 << engine.offset_bits))
         frame = engine.finalize(trace_name=loop_trace.name)
         ran = _fresh_engine(name).run(loop_trace)
@@ -198,8 +202,7 @@ class TestRegistryDriven:
         assert frame.counters is getattr(engine, "counters", None)
         assert frame.walk == engine.walk
         # The frame shares no array the engine still writes.
-        for blocks, types in mixed_trace.iter_block_chunks(engine.offset_bits, 64, with_types=True):
-            engine.run_blocks(blocks, types if engine.wants_access_types else None)
+        _feed_by_hand(engine, mixed_trace)
         assert frame.to_bytes() == rebuilt.to_bytes()
 
 
@@ -264,25 +267,69 @@ class TestLruEngines:
         assert engine.run(mixed_trace, chunk_size=7).as_rows() == direct.as_rows()
 
 
+class TestOneInputRule:
+    """``Engine.run`` and the sweep, which runs every job through it, take
+    the same inputs: a malformed trace is refused with a
+    :class:`~repro.errors.TraceError` before any walk runs, whichever
+    engine runs it."""
+
+    @pytest.mark.parametrize("addresses", [[2**64], [0, 2**63], [8, -(2**63) - 1]])
+    def test_trace_refuses_an_address_past_int64(self, addresses):
+        with pytest.raises(TraceError, match=r"outside \[0, 2\*\*63\)"):
+            Trace(addresses)
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_TEST_OPTIONS))
+    @pytest.mark.parametrize("addresses", [[2**64, 2**64 + 4], [0, 2**63], [16, -1]])
+    def test_run_and_run_sweep_refuse_an_address_outside_the_range(self, name, addresses):
+        engine = _fresh_engine(name)
+        with pytest.raises(TraceError):
+            engine.run(addresses)
+        assert engine.accesses == 0
+        with pytest.raises(TraceError):
+            run_sweep(addresses, [SweepJob.make(name, **ENGINE_TEST_OPTIONS[name])])
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_TEST_OPTIONS))
+    @pytest.mark.parametrize("attached", [False, True], ids=["built", "attached"])
+    @pytest.mark.parametrize("code", [3, -1])
+    def test_an_unknown_access_type_is_refused_before_any_walk(
+        self, name, attached, code, tmp_path
+    ):
+        # A plane attached from the cache skips the constructor, as a
+        # cached artifact is trusted; ``Engine.run``'s trace check still
+        # refuses it before the single walk would tally the code.
+        trace = Trace([0, 64, 128, 64], [0, code, 1, 0], name="bad-type")
+        if attached:
+            trace = open_plane_cache(tmp_path / "tc").ensure(trace)
+        job = SweepJob.make(name, **ENGINE_TEST_OPTIONS[name])
+        engine = _fresh_engine(name)
+        with pytest.raises(TraceError, match="unknown access type"):
+            engine.run(trace)
+        assert engine.accesses == 0
+        with pytest.raises(TraceError, match="unknown access type"):
+            run_sweep(trace, [job])
+        if attached:
+            trace.close()
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_TEST_OPTIONS))
+    @pytest.mark.parametrize("chunk_size", [0, -3])
+    def test_a_chunk_size_below_one_is_refused_everywhere(
+        self, name, chunk_size, loop_trace, tmp_path
+    ):
+        jobs = [SweepJob.make(name, **ENGINE_TEST_OPTIONS[name])]
+        with pytest.raises(TraceError, match="chunk size"):
+            _fresh_engine(name).run(loop_trace, chunk_size=chunk_size)
+        with pytest.raises(TraceError, match="chunk size"):
+            FusedSweepExecutor(loop_trace, jobs, chunk_size=chunk_size)
+        with pytest.raises(TraceError, match="chunk size"):
+            run_sweep(loop_trace, jobs, chunk_size=chunk_size)
+        # Refused even when the store holds every job, so no pass would run.
+        store = open_store(tmp_path / "store")
+        run_sweep(loop_trace, jobs, store=store)
+        with pytest.raises(TraceError, match="chunk size"):
+            run_sweep(loop_trace, jobs, store=store, chunk_size=chunk_size)
+
+
 class TestTraceChunking:
-    def test_iter_block_chunks_values(self):
-        trace = Trace([0, 15, 16, 31, 32, 255], name="t")
-        chunks = list(trace.iter_block_chunks(4, chunk_size=4))
-        assert [chunk.tolist() for chunk in chunks] == [[0, 0, 1, 1], [2, 15]]
-
-    def test_iter_block_chunks_with_types(self, mixed_trace):
-        total = 0
-        for blocks, types in mixed_trace.iter_block_chunks(4, 100, with_types=True):
-            assert blocks.shape == types.shape
-            total += blocks.size
-        assert total == len(mixed_trace)
-
-    def test_iter_block_chunks_validation(self, loop_trace):
-        with pytest.raises(TraceError):
-            list(loop_trace.iter_block_chunks(-1))
-        with pytest.raises(TraceError):
-            list(loop_trace.iter_block_chunks(2, chunk_size=0))
-
     def test_address_list_is_memoized(self, loop_trace):
         assert loop_trace.address_list() is loop_trace.address_list()
 

@@ -23,8 +23,10 @@ from repro.engine import (
     get_engine_class,
     run_sweep,
 )
+from repro.engine import sweep as sweep_module
 from repro.engine.sweep import _partition_fused_batches
 from repro.core.results import ResultsFrame
+from repro.core.tree import STORAGE_POOL
 from repro.errors import EngineError, ReproError
 from repro.store import open_store
 from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace
@@ -202,10 +204,37 @@ class TestPooledSweep:
         with pytest.raises(ReproError):
             run_sweep(sweep_trace, list(grid_jobs) + [bad], workers=2)
 
-    def test_aborting_hook_propagates_serial_and_pooled(self, sweep_trace, grid_jobs):
+    def test_aborting_hook_propagates_serial_and_pooled(
+        self, sweep_trace, grid_jobs, tmp_path, monkeypatch
+    ):
         for workers in (1, 2):
             with pytest.raises(KeyboardInterrupt):
                 run_sweep(sweep_trace, grid_jobs, workers=workers, on_result=_abort)
+        # Serially, with a store, a hook that raises on the first fresh job
+        # ends the pass there: no further engine is built, that job's
+        # artifact alone is stored, and the pass's pool scope has closed, so
+        # the pool dropped what it held before the pass and holds at most
+        # what the pass released.  Holding the exception's traceback keeps
+        # the sweep's frame alive, so the scope must close when the pass
+        # ends, not when the frame is collected.
+        builds = []
+        build = sweep_module._build_recycling
+        monkeypatch.setattr(
+            sweep_module, "_build_recycling", lambda job: builds.append(job) or build(job)
+        )
+        store = open_store(tmp_path / "store")
+        STORAGE_POOL.put(("held before the pass",), object())
+        try:
+            with pytest.raises(KeyboardInterrupt) as aborted:
+                run_sweep(sweep_trace, grid_jobs, store=store, on_result=_abort)
+            assert aborted.traceback
+            assert builds == [grid_jobs[0]]
+            assert len(store) == 1
+            held = [key for key, free in STORAGE_POOL._free.items() for _ in free]
+            assert STORAGE_POOL._before == {}
+            assert ("held before the pass",) not in held and len(held) <= 1
+        finally:
+            STORAGE_POOL.clear()
 
     def test_sequential_stream_pooled_identity(self):
         # A second workload family, cheap but distinct.

@@ -181,10 +181,10 @@ class TestCompulsoryMisses:
             for row in rows:
                 with walk_under_test(walk):
                     single = SingleConfigSimulator(row.config, track_compulsory=True)
-                for blocks, types in trace.iter_block_chunks(
-                    single.offset_bits, 1000, with_types=True
-                ):
-                    single.run_blocks(blocks, types)
+                blocks = trace.addresses >> single.offset_bits
+                for start in range(0, blocks.size, 1000):
+                    stop = start + 1000
+                    single.run_blocks(blocks[start:stop], trace.access_types[start:stop])
                 assert row.misses == single.stats.misses, (walk, row.config)
                 assert row.compulsory_misses == single.stats.compulsory_misses > 0, (
                     walk, row.config
