@@ -332,7 +332,8 @@ def _print_engine_profiles(outcome) -> None:
     for profile in profiles:
         line = (
             f"  {profile.engine:<14} {profile.jobs:3d} job(s) {profile.seconds:9.4f}s  "
-            f"{profile.accesses_per_s:,.0f} accesses/s per job"
+            f"{profile.accesses_per_s:,.0f} accesses/s per job, "
+            f"{profile.first_touches_per_access:.3f} first touches/access"
         )
         if profile.node_evals_per_access is not None:
             line += f", {profile.node_evals_per_access:.2f} node evals/access"

@@ -28,12 +28,22 @@ as the direct-mapped lookup.
 
 There are two walks, with identical results and counters:
 
-* the **kernel walk**, a line-for-line C port of the Python walk
+* the **kernel walk**, a C port of the Python walk
   (``repro/kernels/dew.c``), which :class:`DewSimulator` runs whenever
-  :func:`repro.kernels.load` builds and loads it;
-* the **Python walk** (``DewSimulator._python_walk``), the fallback on a
-  host without a working C compiler (or with ``CC=false``) and the oracle
-  the kernel is tested against.
+  :func:`repro.kernels.load` builds and loads it.  It also takes the
+  first-touch marks ``Engine.run`` hands over
+  (:attr:`~repro.engine.base.Engine.wants_first_touches`).  A first touch
+  is a miss at every level, whose outcome no property decides: a block
+  never seen matches no MRA, wave or MRE tag, in any ablation mode.  So
+  the kernel inserts a marked block at every level's FIFO pointer, with
+  the bookkeeping a miss does and the tallies the Python walk makes for
+  it, and decides nothing.  Its searches stop at a set's valid ways.
+  Chunks fed by hand (:meth:`~repro.engine.base.Engine.run_blocks`,
+  :meth:`DewSimulator.access`) carry no marks and take the full walk;
+* the **Python walk** (``DewSimulator._python_walk``), the paper's
+  algorithm as it stands: the fallback on a host without a working C
+  compiler (or with ``CC=false``) and the oracle the kernel is tested
+  against.  It takes no marks.
 
 The kernel walks the tree's record layout (see :mod:`repro.core.tree`):
 one zero-initialised record per node, in which tags hold ``block + 1`` and
@@ -123,6 +133,7 @@ class DewSimulator(Engine):
 
     family = "dew"
     recycles_storage = True
+    wants_first_touches = True
 
     def __init__(
         self,
@@ -241,7 +252,10 @@ class DewSimulator(Engine):
         self.run_blocks([address >> self._offset_bits])
 
     def run_checked(
-        self, blocks: np.ndarray, access_types: Optional[np.ndarray] = None
+        self,
+        blocks: np.ndarray,
+        access_types: Optional[np.ndarray] = None,
+        first_touches: Optional[np.ndarray] = None,
     ) -> None:
         """Simulate a checked chunk of block addresses against every
         configuration (see :meth:`~repro.engine.base.Engine.run_checked`).
@@ -251,8 +265,11 @@ class DewSimulator(Engine):
         tallies only the counts it cannot derive; the module docstring says
         how every other counter follows from them once per chunk.
         ``access_types`` is ignored: FIFO hits and misses do not depend on
-        them.  Raises :class:`~repro.errors.SimulationError` once
-        :meth:`release` gave the tree's storage away.
+        them.  ``first_touches``, the chunk's first-touch marks from
+        ``Engine.run``, lets the kernel walk skip a first touch's
+        decisions; the Python walk ignores it.  Raises
+        :class:`~repro.errors.SimulationError` once :meth:`release` gave
+        the tree's storage away.
         """
         if self.tree.storage is None:
             raise SimulationError("this simulator's tree storage was released")
@@ -261,17 +278,22 @@ class DewSimulator(Engine):
         self.counters.requests += blocks.size
         self._requests += blocks.size
         if self.tree.flat:
-            self._kernel_walk(blocks)
+            self._kernel_walk(blocks, first_touches)
         else:
             self._python_walk(blocks.tolist())
 
-    def _kernel_walk(self, chunk: np.ndarray) -> None:
-        """One kernel call over a C-contiguous int64 chunk, at the tree's
-        current epoch, then the shared derivation.  ``chunk`` and the tree's
-        arrays stay referenced for the whole call, which releases the
-        interpreter lock; each simulator owns its storage."""
+    def _kernel_walk(self, chunk: np.ndarray, first_touches: Optional[np.ndarray]) -> None:
+        """One kernel call over a C-contiguous int64 chunk and its
+        first-touch marks, if any, at the tree's current epoch, then the
+        shared derivation.  The arrays stay referenced for the whole call,
+        which releases the interpreter lock; each simulator owns its
+        storage."""
         self._walk.function(
-            chunk.ctypes.data, chunk.size, *self._kernel_args, self.tree.storage.epoch
+            chunk.ctypes.data,
+            None if first_touches is None else first_touches.ctypes.data,
+            chunk.size,
+            *self._kernel_args,
+            self.tree.storage.epoch,
         )
         tally = self._tally.tolist()
         levels = 2 * self.tree.num_levels

@@ -8,7 +8,9 @@ registry key and keyword options) or through the class itself, then:
 * :meth:`Engine.run` a whole trace through it: the one whole-trace driver,
   which the sweep executor (:mod:`repro.engine.sweep`) runs every job
   through.  It checks the trace once (memoized on the trace), feeds each
-  chunk of pre-shifted block addresses to :meth:`Engine.run_checked`, hands
+  chunk of pre-shifted block addresses to :meth:`Engine.run_checked` (with
+  the chunk's first-touch marks to an engine that
+  :attr:`~Engine.wants_first_touches`: only ``dew``), hands
   over the trace's distinct-block count (:meth:`Engine.set_compulsory`) and
   returns :meth:`Engine.finalize`'s
   :class:`~repro.core.results.ResultsFrame`;
@@ -56,6 +58,12 @@ class Engine(abc.ABC):
     #: When true, :meth:`run` feeds per-access type codes to
     #: :meth:`run_checked` alongside the block addresses.
     wants_access_types: bool = False
+
+    #: When true, :meth:`run` also feeds :meth:`run_checked` the trace's
+    #: first-touch marks at the engine's block size
+    #: (:meth:`~repro.trace.trace.Trace.first_touches`), as
+    #: ``first_touches``.  Chunks fed by hand carry none.
+    wants_first_touches: bool = False
 
     #: When true, the engine takes a ``recycled`` construction flag: it then
     #: reuses storage a finished engine of its family and shape released
@@ -111,7 +119,11 @@ class Engine(abc.ABC):
         1)``, and ``access_types`` ``None`` (every access a read) or a
         C-contiguous int8 array of as many valid type codes.  :meth:`run`
         checks a whole trace once and feeds every chunk through here, and
-        :meth:`run_blocks` checks each chunk it is handed.
+        :meth:`run_blocks` checks each chunk it is handed.  An engine that
+        sets :attr:`wants_first_touches` also takes a ``first_touches``
+        argument: ``None`` (a chunk fed by hand), or, from :meth:`run`, the
+        chunk's slice of the trace's first-touch marks, a C-contiguous
+        ``bool`` array.
         """
 
     @abc.abstractmethod
@@ -155,8 +167,12 @@ class Engine(abc.ABC):
         distinct-block count and finalize.
 
         The trace is checked once (:meth:`Trace.checked_range`, memoized on
-        the trace), so every chunk goes straight to :meth:`run_checked`, and
-        the frame's ``elapsed_seconds`` is the time spent in those calls.
+        the trace), so every chunk goes straight to :meth:`run_checked`,
+        with its slice of the trace's first-touch marks when the engine
+        :attr:`wants_first_touches` (the DEW kernel then walks a marked
+        access as a miss at every level, with no decision to make; the
+        Python walk, the oracle, ignores them), and the frame's
+        ``elapsed_seconds`` is the time spent in those calls.
         The engine must not have simulated anything yet: its rows'
         compulsory misses are this trace's distinct blocks, which would not
         count what it simulated before.  Raises
@@ -175,16 +191,21 @@ class Engine(abc.ABC):
         shift = self.offset_bits
         kernels.check_block_range(low >> shift, high >> shift)
         addresses = trace.addresses
-        types = None
+        types = firsts = None
         if self.wants_access_types:
             types = np.ascontiguousarray(trace.access_types, dtype=np.int8)
+        if self.wants_first_touches:
+            firsts = trace.first_touches(1 << shift)
         elapsed = 0.0
         for start in range(0, addresses.size, chunk_size):
             stop = start + chunk_size
             blocks = addresses[start:stop] >> shift
             chunk_types = None if types is None else types[start:stop]
             begin = time.perf_counter()
-            self.run_checked(blocks, chunk_types)
+            if firsts is None:
+                self.run_checked(blocks, chunk_types)
+            else:
+                self.run_checked(blocks, chunk_types, firsts[start:stop])
             elapsed += time.perf_counter() - begin
         self.set_compulsory(trace.unique_blocks(1 << shift))
         results = self.finalize(trace_name=trace_name or trace.name)
@@ -230,7 +251,8 @@ def get_engine_class(name: str) -> Type[Engine]:
     """Look up a registered engine class by key without constructing it.
 
     The first lookup of a key in :data:`ENGINES` imports its module.  The
-    class-level capability flag :attr:`Engine.wants_access_types` is
+    class-level capability flags (:attr:`Engine.wants_access_types`,
+    :attr:`Engine.wants_first_touches`) are
     meaningful on the class itself, so callers can interrogate a whole job
     list without instantiating (and paying the state allocation of) any
     engine.

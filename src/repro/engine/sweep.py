@@ -293,7 +293,11 @@ class EngineProfile:
     """Simulate time of one engine's jobs executed in a sweep.
 
     ``accesses_per_s`` and ``ns_per_node_eval`` are medians over the jobs;
-    the per-access work ratios sum the counters of every job first.  The
+    the per-access work ratios sum the counters of every job first.
+    ``first_touches_per_access`` is the jobs' rows' compulsory misses over
+    their accesses: the trace's first touches per access at the jobs' block
+    sizes (a stream buffer's rows count only those it did not serve), the
+    accesses whose DEW walk decides nothing.  The
     work fields are filled for engines whose frames carry counters (``dew``
     and ``janapsatya``), and are ``None`` otherwise; ``mru_stops_per_access``
     only for ``janapsatya``.  ``hits_per_lookup`` is filled for the
@@ -310,6 +314,7 @@ class EngineProfile:
     jobs: int
     seconds: float
     accesses_per_s: float
+    first_touches_per_access: float
     node_evals_per_access: Optional[float] = None
     ns_per_node_eval: Optional[float] = None
     tag_comparisons_per_access: Optional[float] = None
@@ -387,11 +392,14 @@ class SweepOutcome:
                     work["mru_stops_per_access"] = sum(c.mru_stops for c in counters) / requests
             if all(r.mechanism_codes.all() for r in results):
                 work["hits_per_lookup"] = _hits_per_lookup(results)
+            row_accesses = sum(int(r.accesses.sum()) for r in results)
+            first_touches = sum(int(r.compulsory.sum()) for r in results)
             profiles.append(EngineProfile(
                 engine,
                 len(results),
                 sum(r.elapsed_seconds for r in results),
                 statistics.median(rates) if rates else 0.0,
+                first_touches / row_accesses if row_accesses else 0.0,
                 walk=", ".join(sorted({r.walk for r in results if r.walk})) or None,
                 **work,
             ))

@@ -4,10 +4,12 @@
 this package, the function it exports and that function's ctypes
 ``argtypes``:
 
-* ``dew`` — ``dew.c``, a line-for-line port of the Python walk of
+* ``dew`` — ``dew.c``, a port of the Python walk of
   :class:`repro.core.dew.DewSimulator`, over one record per tree
   node; a record stamped with an older epoch reads as empty, so emptying a
-  tree for reuse takes no pass (see :mod:`repro.core.tree`);
+  tree for reuse takes no pass (see :mod:`repro.core.tree`).  It also takes
+  the first-touch marks ``Engine.run`` hands over, and inserts a marked
+  block at every level without a decision; the Python walk takes none;
 * ``lru`` — ``lru.c``, a port of the walk in
   :class:`repro.lru.janapsatya.JanapsatyaSimulator`;
 * ``single`` — ``single.c``, a port of the per-access FIFO, LRU and PLRU
@@ -80,7 +82,8 @@ _HERE = Path(__file__).parent
 #: The kernels, by name.  A library's file name starts with its entry's name.
 KERNELS: Dict[str, Kernel] = {
     "dew": Kernel(_HERE / "dew.c", "dew_walk", (
-        _POINTER, _INTEGER, _INTEGER, _INTEGER,  # blocks, count, levels, associativity
+        _POINTER, _POINTER, _INTEGER,  # blocks, first-touch marks or NULL, count
+        _INTEGER, _INTEGER,  # levels, associativity
         _POINTER, _POINTER, _POINTER, _INTEGER,  # index masks, node offsets, records, record size
         _INTEGER, _INTEGER, _INTEGER,  # enable_mra, enable_wave, enable_mre
         _POINTER, _INTEGER,  # tally, epoch

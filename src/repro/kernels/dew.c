@@ -1,5 +1,5 @@
-/* The DEW walk over node records: a line-for-line port of the walk loop in
- * repro.core.dew.DewSimulator.run_blocks.
+/* The DEW walk over node records: a port of the Python walk of
+ * repro.core.dew.DewSimulator, plus a first-touch path it does not have.
  *
  * Each node is one record of record_size bytes (repro.core.tree's
  * record_dtype): the header below, the A int64 tags, then the A int32 wave
@@ -12,6 +12,13 @@
  * read.  Every other access is to that node or to the wave pointer of its
  * parent's entry, so emptying a tree is a new epoch, not a pass.  Epoch 0
  * marks a record no walk has written, which is still zero.
+ *
+ * first, when not NULL, marks each access that is its block's first touch
+ * (Engine.run passes the trace's marks; chunks fed by hand pass NULL).  A
+ * block never seen matches no MRA, wave or MRE tag, so a marked access is
+ * a miss at every level and its walk decides nothing: it inserts the block
+ * at each level's FIFO pointer, as a miss does, and tallies the miss and
+ * the valid ways a search would have compared.
  *
  * tally receives, per level k, the MRA matches at 2k and the misses at
  * 2k + 1, then the wave decisions, wave hits, MRE decisions and entries
@@ -29,7 +36,20 @@ typedef struct {
     int64_t tags[];   /* A tags, then A int32 wave pointers */
 } node_t;
 
-void dew_walk(const int64_t *blocks, int64_t count, int64_t levels,
+/* The record at index, zeroed and stamped first if its epoch is stale. */
+static inline node_t *node_at(char *records, int64_t record_size, int64_t index,
+                              int64_t epoch)
+{
+    node_t *node = (node_t *)(records + index * record_size);
+    if (node->epoch != epoch) {
+        if (node->epoch)  /* epoch 0: never written, still zero */
+            memset(node, 0, record_size);
+        node->epoch = epoch;
+    }
+    return node;
+}
+
+void dew_walk(const int64_t *blocks, const uint8_t *first, int64_t count, int64_t levels,
               int64_t associativity, const int64_t *masks,
               const int64_t *offsets, char *records, int64_t record_size,
               int64_t enable_mra, int64_t enable_wave, int64_t enable_mre,
@@ -50,14 +70,37 @@ void dew_walk(const int64_t *blocks, int64_t count, int64_t levels,
         int64_t incoming_wave = 0;
         int32_t *parent_wave = &no_parent;
 
-        for (int64_t level = 0; level < levels; level++) {
-            const int64_t index = offsets[level] + (block & masks[level]);
-            node_t *node = (node_t *)(records + index * record_size);
-            if (node->epoch != epoch) {
-                if (node->epoch)  /* epoch 0: never written, still zero */
-                    memset(node, 0, record_size);
-                node->epoch = epoch;
+        if (first && first[i]) {
+            /* A first touch: Handle_miss at every level, no MRE match. */
+            for (int64_t level = 0; level < levels; level++) {
+                node_t *node = node_at(records, record_size,
+                                       offsets[level] + (block & masks[level]), epoch);
+                int64_t *node_tags = node->tags;
+                int32_t *node_waves = (int32_t *)(node->tags + associativity);
+                const int64_t victim = node->fifo_ptr;
+                const int64_t displaced_tag = node_tags[victim];
+                node->mra = tag;
+                tally[2 * level + 1]++;
+                *parent_wave = victim + 1;
+                parent_wave = node_waves + victim;
+                node_tags[victim] = tag;
+                /* The set is full exactly when the victim way is valid. */
+                if (displaced_tag != 0) {
+                    n_examined += associativity;
+                    node->mre_tag = displaced_tag;
+                    node->mre_wave = *parent_wave;
+                } else {
+                    n_examined += victim;
+                }
+                *parent_wave = 0;
+                node->fifo_ptr = victim + 1 == associativity ? 0 : victim + 1;
             }
+            continue;
+        }
+
+        for (int64_t level = 0; level < levels; level++) {
+            node_t *node = node_at(records, record_size,
+                                   offsets[level] + (block & masks[level]), epoch);
 
             /* Property 2 (MRA). */
             if (node->mra == tag) {
@@ -83,17 +126,18 @@ void dew_walk(const int64_t *blocks, int64_t count, int64_t levels,
                 /* Property 4: the most recently evicted tag is absent. */
                 n_mre++;
             } else {
-                /* Tag-list search; valid ways are always a prefix. */
+                /* Tag-list search of the valid ways, always a prefix: all
+                 * A once the set is full, else up to the fill pointer. */
+                const int64_t valid =
+                    node_tags[associativity - 1] ? associativity : node->fifo_ptr;
                 int64_t w = 0;
-                while (w < associativity && node_tags[w] != tag)
+                while (w < valid && node_tags[w] != tag)
                     w++;
-                if (w < associativity) {
+                if (w < valid) {
                     way = w;
                     n_examined += w + 1;
-                } else if (node_tags[associativity - 1] == 0) {
-                    n_examined += node->fifo_ptr;
                 } else {
-                    n_examined += associativity;
+                    n_examined += valid;
                 }
             }
 

@@ -22,6 +22,9 @@ from repro.types import AccessType
 #: Chunk length used by the block pipeline when the caller does not choose one.
 DEFAULT_CHUNK_SIZE = 65_536
 
+#: The highest byte address a trace holds: addresses are ``int64``.
+ADDRESS_MAX = 2**63 - 1
+
 
 class Trace:
     """An immutable sequence of memory accesses.
@@ -46,6 +49,10 @@ class Trace:
         name: str = "trace",
     ) -> None:
         try:
+            if isinstance(addresses, np.ndarray) and addresses.dtype.kind == "u":
+                # Casting an unsigned array wraps 2**63 and above to negative.
+                if addresses.size and int(addresses.max()) > ADDRESS_MAX:
+                    raise OverflowError
             addr = np.asarray(addresses, dtype=np.int64)
         except OverflowError:
             raise TraceError("trace contains an address outside [0, 2**63)") from None
@@ -88,6 +95,7 @@ class Trace:
         self._address_list_cache: Optional[List[int]] = None
         self._block_address_cache: Dict[int, np.ndarray] = {}
         self._unique_block_cache: Dict[int, int] = {}
+        self._first_touch_cache: Dict[int, np.ndarray] = {}
         self._range_cache: Optional[Tuple[int, int]] = None
         self._fingerprint_cache: Optional[str] = None
 
@@ -150,6 +158,7 @@ class Trace:
         state = dict(self.__dict__)
         state["_address_list_cache"] = None
         state["_block_address_cache"] = {}
+        state["_first_touch_cache"] = {}
         return state
 
     # -- array views ----------------------------------------------------------
@@ -183,9 +192,7 @@ class Trace:
 
     def block_addresses(self, block_size: int) -> np.ndarray:
         """Block addresses of every access for the given block size (memoized)."""
-        if block_size <= 0 or block_size & (block_size - 1):
-            raise TraceError(f"block size must be a power of two, got {block_size}")
-        offset_bits = block_size.bit_length() - 1
+        offset_bits = _offset_bits(block_size)
         cached = self._block_address_cache.get(offset_bits)
         if cached is None:
             cached = self._addresses >> offset_bits
@@ -232,11 +239,10 @@ class Trace:
         """Number of distinct blocks touched at the given block size (memoized).
 
         This is every cache's compulsory misses at that block size, which
-        ``Engine.run`` hands to the engine.
+        ``Engine.run`` hands to the engine.  :meth:`first_touches` memoizes
+        it too, from its own sort.
         """
-        if block_size <= 0 or block_size & (block_size - 1):
-            raise TraceError(f"block size must be a power of two, got {block_size}")
-        offset_bits = block_size.bit_length() - 1
+        offset_bits = _offset_bits(block_size)
         cached = self._unique_block_cache.get(offset_bits)
         if cached is None:
             # A sort and a count of the changes: several times faster than
@@ -246,6 +252,46 @@ class Trace:
             cached = int(blocks.size and 1 + np.count_nonzero(blocks[1:] != blocks[:-1]))
             self._unique_block_cache[offset_bits] = cached
         return cached
+
+    def first_touches(self, block_size: int) -> np.ndarray:
+        """A read-only ``bool`` per access, true where the access is its
+        block's first touch at the given block size (memoized).
+
+        Its count is :meth:`unique_blocks`, which this memoizes as well:
+        both come from one sort.  ``Engine.run`` hands the marks to the
+        engines that take them (:attr:`~repro.engine.base.Engine.wants_first_touches`);
+        they hold one byte per access per block size, and pickling drops
+        them.  Raises :class:`~repro.errors.TraceError` as
+        :meth:`checked_range` does.
+        """
+        offset_bits = _offset_bits(block_size)
+        marks = self._first_touch_cache.get(offset_bits)
+        if marks is None:
+            low, high = (address >> offset_bits for address in self.checked_range())
+            blocks = self._addresses >> offset_bits
+            position_bits = max(blocks.size - 1, 0).bit_length()
+            if (high - low).bit_length() + position_bits <= 63:
+                # One sort of int64 keys packing (block - lowest, position),
+                # built in place: a block's first key holds the position of
+                # its first touch.
+                keys = blocks
+                keys -= low
+                keys <<= position_bits
+                keys |= np.arange(keys.size)
+                keys.sort()
+                sorted_blocks = keys >> position_bits
+                new = np.empty(keys.size, dtype=bool)
+                new[:1] = True
+                np.not_equal(sorted_blocks[1:], sorted_blocks[:-1], out=new[1:])
+                first = keys[new] & ((1 << position_bits) - 1)
+            else:
+                first = np.unique(blocks, return_index=True)[1]
+            marks = np.zeros(blocks.size, dtype=bool)
+            marks[first] = True
+            marks.setflags(write=False)
+            self._first_touch_cache[offset_bits] = marks
+            self._unique_block_cache[offset_bits] = int(first.size)
+        return marks
 
     def checked_range(self) -> Tuple[int, int]:
         """The lowest and the highest address (``(0, 0)`` when empty), once
@@ -296,15 +342,26 @@ class Trace:
         return Trace(self._addresses, self._types, self._sizes, name=name)
 
 
+def _offset_bits(block_size: int) -> int:
+    """The block-offset width of ``block_size``; raises
+    :class:`~repro.errors.TraceError` unless it is a power of two."""
+    if block_size <= 0 or block_size & (block_size - 1):
+        raise TraceError(f"block size must be a power of two, got {block_size}")
+    return block_size.bit_length() - 1
+
+
 def as_trace(trace: Union[Trace, Iterable[int]]) -> Trace:
-    """A :class:`Trace` of any address input: a trace as it is, any other
-    iterable of byte addresses read once into an ``int64`` array.
+    """A :class:`Trace` of any address input: a trace as it is, an integer
+    ndarray taken whole, any other iterable of byte addresses read once into
+    an ``int64`` array.
 
     Raises :class:`~repro.errors.TraceError` for an address outside
     ``[0, 2**63)``.
     """
     if isinstance(trace, Trace):
         return trace
+    if isinstance(trace, np.ndarray) and trace.dtype.kind in "iu":
+        return Trace(trace)
     try:
         addresses = np.fromiter((int(address) for address in trace), dtype=np.int64)
     except OverflowError:
@@ -338,6 +395,8 @@ class TraceBuilder:
         """Append one access; flushes the buffer when it reaches the chunk size."""
         if address < 0:
             raise TraceError(f"negative address in trace: {address}")
+        if address > ADDRESS_MAX:
+            raise TraceError(f"trace contains an address outside [0, 2**63): {address}")
         self._addresses.append(int(address))
         self._types.append(int(access_type))
         self._sizes.append(int(size))

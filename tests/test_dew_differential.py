@@ -6,12 +6,14 @@ counters once per chunk (see :mod:`repro.core.dew`).  Every result row, every
 direct-mapped misses and the final tree storage must equal those of
 :class:`dew_reference.ReferenceDewWalk`, which counts each comparison where
 it happens — for every ablation mode, chunking and entry point
-(``run_blocks`` and per-address ``access``), and for each walk in every
-case: the compiled kernel over the tree's node records (wherever a C compiler
-runs) and the Python walk over the list layout.  The rows' compulsory
-misses, which ``Engine.run`` and the sweep executor hand over as
-:meth:`Trace.unique_blocks`, must
-equal the reference's first touches.
+(``run_blocks``, per-address ``access``, and ``Engine.run`` over a
+:class:`Trace`), and for each walk in every case: the compiled kernel over
+the tree's node records (wherever a C compiler runs) and the Python walk over
+the list layout.  Only ``Engine.run`` hands the kernel the trace's
+first-touch marks, so only that entry point takes its first-touch path.  The
+rows' compulsory misses, which ``Engine.run`` and the sweep executor hand
+over as :meth:`Trace.unique_blocks`, must equal the reference's first
+touches.
 """
 
 import dataclasses
@@ -30,7 +32,7 @@ from walks import walk_under_test, walks_here
 
 ASSOCIATIVITIES = (1, 2, 3, 4, 8, 16)
 ABLATION_MODES = list(itertools.product([True, False], repeat=3))
-PATHS = ("run_blocks", "access")
+PATHS = ("run_blocks", "access", "run")
 
 
 def _tree_state(tree):
@@ -38,14 +40,19 @@ def _tree_state(tree):
 
 
 def _simulate(simulator, addresses, chunk_size, path):
-    """Feed ``addresses`` to ``simulator`` through one entry point."""
+    """Feed ``addresses`` to ``simulator`` through one entry point; its frame."""
+    trace = Trace(addresses)
+    if path == "run":
+        return simulator.run(trace, chunk_size=chunk_size)
     if path == "access":
         for address in addresses:
             simulator.access(address)
-        return
-    blocks = np.asarray(addresses, dtype=np.int64) >> simulator.tree.offset_bits
-    for start in range(0, blocks.size, chunk_size):
-        simulator.run_blocks(blocks[start:start + chunk_size])
+    else:
+        blocks = np.asarray(addresses, dtype=np.int64) >> simulator.tree.offset_bits
+        for start in range(0, blocks.size, chunk_size):
+            simulator.run_blocks(blocks[start:start + chunk_size])
+    simulator.set_compulsory(trace.unique_blocks(simulator.block_size))
+    return simulator.finalize()
 
 
 def assert_matches_reference(addresses, block_size, associativity, levels, modes, chunk_size, path):
@@ -72,7 +79,7 @@ def assert_matches_reference(addresses, block_size, associativity, levels, modes
                 enable_mre=enable_mre,
             )
         assert simulator.walk.split()[0] == walk
-        _simulate(simulator, addresses, chunk_size, path)
+        frame = _simulate(simulator, addresses, chunk_size, path)
 
         # Every counter field, the per-level histogram included.
         counters = dataclasses.asdict(simulator.counters)
@@ -84,9 +91,8 @@ def assert_matches_reference(addresses, block_size, associativity, levels, modes
             ), (walk, level)
         assert _tree_state(simulator.tree) == _tree_state(reference.tree), walk
 
-        simulator.set_compulsory(Trace(addresses).unique_blocks(block_size))
         rows = {}
-        for result in simulator.finalize():
+        for result in frame:
             config = result.config
             assert (config.block_size, result.accesses) == (block_size, len(addresses)), walk
             assert result.compulsory_misses == reference.compulsory, walk
@@ -131,9 +137,10 @@ def test_corpus_trace_matches_reference_in_every_mode(modes, path):
 
 
 @pytest.mark.parametrize("associativity", ASSOCIATIVITIES)
-def test_full_depth_corpus_trace_matches_reference(associativity):
+@pytest.mark.parametrize("path", ("run_blocks", "run"))
+def test_full_depth_corpus_trace_matches_reference(associativity, path):
     addresses = mediabench_trace("cjpeg", 6000, seed=1).address_list()
     for block_size in (4, 16, 64):
         assert_matches_reference(
-            addresses, block_size, associativity, 15, (True, True, True), 65_536, "run_blocks"
+            addresses, block_size, associativity, 15, (True, True, True), 65_536, path
         )

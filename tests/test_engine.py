@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from engine_options import ENGINE_TEST_OPTIONS
 
@@ -273,13 +274,19 @@ class TestOneInputRule:
     :class:`~repro.errors.TraceError` before any walk runs, whichever
     engine runs it."""
 
-    @pytest.mark.parametrize("addresses", [[2**64], [0, 2**63], [8, -(2**63) - 1]])
+    @pytest.mark.parametrize(
+        "addresses",
+        [[2**64], [0, 2**63], [8, -(2**63) - 1], np.array([0, 2**63], dtype=np.uint64)],
+    )
     def test_trace_refuses_an_address_past_int64(self, addresses):
         with pytest.raises(TraceError, match=r"outside \[0, 2\*\*63\)"):
             Trace(addresses)
 
     @pytest.mark.parametrize("name", sorted(ENGINE_TEST_OPTIONS))
-    @pytest.mark.parametrize("addresses", [[2**64, 2**64 + 4], [0, 2**63], [16, -1]])
+    @pytest.mark.parametrize(
+        "addresses",
+        [[2**64, 2**64 + 4], [0, 2**63], [16, -1], np.array([0, 2**63], dtype=np.uint64)],
+    )
     def test_run_and_run_sweep_refuse_an_address_outside_the_range(self, name, addresses):
         engine = _fresh_engine(name)
         with pytest.raises(TraceError):
@@ -287,6 +294,15 @@ class TestOneInputRule:
         assert engine.accesses == 0
         with pytest.raises(TraceError):
             run_sweep(addresses, [SweepJob.make(name, **ENGINE_TEST_OPTIONS[name])])
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_TEST_OPTIONS))
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int32])
+    def test_run_and_run_sweep_take_an_integer_array_whole(self, name, dtype, loop_trace):
+        addresses = loop_trace.addresses.astype(dtype)
+        job = SweepJob.make(name, **ENGINE_TEST_OPTIONS[name])
+        expected = _fresh_engine(name).run(loop_trace).as_rows()
+        assert _fresh_engine(name).run(addresses).as_rows() == expected
+        assert run_sweep(addresses, [job]).as_rows() == expected
 
     @pytest.mark.parametrize("name", sorted(ENGINE_TEST_OPTIONS))
     @pytest.mark.parametrize("attached", [False, True], ids=["built", "attached"])

@@ -581,6 +581,12 @@ class TestCliSurfaces:
             sum(r.counters.tag_comparisons for r in results) / requests
         )
         assert profile.accesses_per_s > 0 and profile.ns_per_node_eval > 0
+        # Both DEW jobs (B 8 and B 16) emit as many rows, each carrying the
+        # trace's distinct blocks at its block size.
+        assert sorted(dict(jobs[index].options)["block_size"] for index in dew) == [8, 16]
+        assert profile.first_touches_per_access == pytest.approx(
+            (trace.unique_blocks(8) + trace.unique_blocks(16)) / (2 * len(trace))
+        )
 
         warm = run_sweep(trace, jobs, store=store)
         assert warm.executed == () and warm.engine_profiles() == []
@@ -670,6 +676,9 @@ class TestCliSurfaces:
             assert set(engines) == {"dew", "janapsatya"}
             assert "2 job(s)" in engines["dew"] and "2 job(s)" in engines["janapsatya"]
             assert "accesses/s per job" in engines["janapsatya"]
+            # Every FIFO and LRU row counts the trace's first touches.
+            assert "first touches/access" in engines["dew"]
+            assert "first touches/access" in engines["janapsatya"]
             for ratio in ("node evals/access", "ns/node eval", "tag comparisons/access"):
                 assert ratio in engines["dew"]
                 assert ratio in engines["janapsatya"]

@@ -1,5 +1,7 @@
 """Tests for the Trace container and builder."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.errors import TraceError
 from repro.trace.record import MemoryAccess
 from repro.trace.trace import Trace, TraceBuilder
 from repro.types import AccessType
+from repro.workloads.mediabench import mediabench_trace
 
 
 class TestMemoryAccess:
@@ -108,6 +111,63 @@ class TestTrace:
         assert trace.address_list() == (np.arange(10) * 4).tolist()
 
 
+def _first_touch_loop(addresses, block_size):
+    """Per access, whether its block was not seen before: a set-based loop."""
+    seen = set()
+    marks = []
+    for address in addresses:
+        block = address // block_size
+        marks.append(block not in seen)
+        seen.add(block)
+    return marks
+
+
+class TestFirstTouches:
+    @pytest.mark.parametrize(
+        "addresses",
+        [
+            [],
+            [12],
+            [0, 4, 8, 12, 16, 0, 4, 64, 12],
+            # Blocks spanning 62 bits: packed keys fit with two accesses...
+            [2**62 - 1, 0],
+            # ... but not with three, nor anywhere near 2**63.
+            [2**62 - 1, 0, 2**62 - 1],
+            [2**63 - 1, 0, 2**63 - 8, 5, 2**63 - 1, 2**62],
+            list(range(2**63 - 64, 2**63, 3)) * 2,
+        ],
+        ids=["empty", "one", "small", "wide-packed", "wide", "near-2**63", "top-repeated"],
+    )
+    @pytest.mark.parametrize("block_size", [1, 4, 64])
+    def test_marks_match_a_set_based_loop(self, addresses, block_size):
+        trace = Trace(addresses)
+        marks = trace.first_touches(block_size)
+        assert marks.dtype == bool and not marks.flags.writeable
+        assert marks.tolist() == _first_touch_loop(addresses, block_size)
+        # The count is that block size's distinct blocks, memoized from the
+        # same sort, and equal to the count-only sort's.
+        assert trace.unique_blocks(block_size) == int(marks.sum())
+        assert Trace(addresses).unique_blocks(block_size) == int(marks.sum())
+        assert trace.first_touches(block_size) is marks
+
+    def test_corpus_trace_marks_match_a_set_based_loop(self):
+        trace = mediabench_trace("cjpeg", 6000, seed=1)
+        for block_size in (4, 16, 64):
+            marks = trace.first_touches(block_size)
+            assert marks.tolist() == _first_touch_loop(trace.address_list(), block_size)
+
+    def test_pickling_drops_the_marks(self):
+        trace = Trace([0, 4, 8, 0])
+        trace.first_touches(4)
+        copy = pickle.loads(pickle.dumps(trace))
+        assert copy._first_touch_cache == {}
+        assert copy.first_touches(4).tolist() == [True, True, True, False]
+
+    def test_bad_block_size_rejected(self):
+        with pytest.raises(TraceError):
+            Trace([0]).first_touches(12)
+
+
 class TestTraceBuilder:
     def test_build(self):
         builder = TraceBuilder("built")
@@ -125,6 +185,15 @@ class TestTraceBuilder:
         builder = TraceBuilder()
         with pytest.raises(TraceError):
             builder.add(-1)
+
+    @pytest.mark.parametrize("address", [2**63, 2**64])
+    def test_address_past_int64_rejected_on_add(self, address):
+        builder = TraceBuilder()
+        with pytest.raises(TraceError, match=r"outside \[0, 2\*\*63\)"):
+            builder.add(address)
+        assert len(builder) == 0
+        builder.add(2**63 - 1)
+        assert builder.build().addresses.tolist() == [2**63 - 1]
 
 
 class TestTraceFingerprint:
