@@ -38,12 +38,13 @@ Installed as ``repro-dew``.  Subcommands:
     second ``serve`` is refused while one runs); it serves a Unix-domain
     socket unless ``--no-socket``.
 ``submit`` / ``status`` / ``result`` / ``cancel``
-    Client commands against a service directory.  The transport is the
-    polling files, upgraded automatically to the live daemon's socket
-    (``--transport`` pins either path).  ``submit`` enqueues a sweep grid
-    (idempotent per canonical identity; ``--wait`` blocks to completion),
-    ``result`` prints a completed job's payload — byte-identical to a
-    direct ``sweep --format json`` run.
+    Client commands against a service directory.  ``status`` and
+    ``result`` read the service's files; ``submit``, ``cancel`` and
+    ``queue stats`` go through the live daemon's socket when one answers
+    and act on the files otherwise (``--transport`` pins either path).
+    ``submit`` enqueues a sweep grid (idempotent per canonical identity;
+    ``--wait`` blocks to completion), ``result`` prints a completed job's
+    payload — byte-identical to a direct ``sweep --format json`` run.
 ``queue``
     Inspect and maintain a service: ``queue ls`` (jobs per state),
     ``queue stats`` (counts, dedup ratio, the daemon's heartbeat) and
@@ -574,11 +575,7 @@ def _explore_frame(args: argparse.Namespace) -> ResultsFrame:
             raise ExplorationError(
                 f"{args.json} is not a sweep JSON payload (missing 'configurations')"
             )
-        return ResultsFrame.from_rows(
-            payload["configurations"],
-            simulator_name=str(payload.get("simulator", "sweep")),
-            trace_name=str(payload.get("trace", "trace")),
-        )
+        return ResultsFrame.from_json_payload(payload)
     return load_store_frame(_open_existing_store(args.store), args.trace)
 
 
@@ -688,7 +685,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     daemon = ServiceDaemon(
         args.service_dir,
         store=args.store,
-        workers=args.workers,
         sweep_workers=args.sweep_workers,
         poll_interval=args.poll,
         socket=args.socket,
@@ -697,7 +693,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     print(
         f"serving {args.service_dir} as {daemon.daemon_id} "
-        f"(store: {daemon.store.root}, {daemon.workers} worker(s), "
+        f"(store: {daemon.store.root}, "
         f"socket {'on' if daemon.socket_enabled else 'off'}, "
         f"trace cache "
         f"{daemon.trace_cache.root if daemon.trace_cache is not None else 'off'})",
@@ -760,7 +756,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    with _client(args.service_dir, transport=args.transport) as client:
+    with _client(args.service_dir) as client:
         response = client.status(args.job)
     if args.format == "json":
         print(json.dumps(response, indent=2))
@@ -778,17 +774,20 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_result(args: argparse.Namespace) -> int:
-    with _client(args.service_dir, transport=args.transport) as client:
-        payload = client.result_text(args.job)
-        if args.format == "json":
-            # The stored payload verbatim: byte-identical to what a direct
-            # `sweep --format json` over the same grid prints.
-            print(payload)
-            return 0
-        frame = client.result_frame(args.job)
-        print(f"job {client.queue.find(args.job).id[:12]}: {len(frame)} configurations")
-        _print_result_rows(frame)
+    with _client(args.service_dir) as client:
+        record = client.queue.find(args.job)
+        payload = client.queue.result_text(record)
+    if args.format == "json":
+        # The stored payload verbatim: byte-identical to what a direct
+        # `sweep --format json` over the same grid prints.
+        print(payload)
         return 0
+    from repro.core.results import ResultsFrame
+
+    frame = ResultsFrame.from_json_payload(json.loads(payload))
+    print(f"job {record.id[:12]}: {len(frame)} configurations")
+    _print_result_rows(frame)
+    return 0
 
 
 def _cmd_cancel(args: argparse.Namespace) -> int:
@@ -807,7 +806,7 @@ def _cmd_cancel(args: argparse.Namespace) -> int:
 
 
 def _cmd_queue_ls(args: argparse.Namespace) -> int:
-    with _client(args.service_dir, transport="files") as client:
+    with _client(args.service_dir) as client:
         jobs = client.jobs(state=args.state)
     if args.format == "json":
         print(json.dumps(jobs, indent=2))
@@ -1212,15 +1211,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store", default=None, metavar="DIR",
                        help="result store backing execution "
                             "(default: <service_dir>/store)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="jobs executed concurrently (bounded worker pool)")
     serve.add_argument("--sweep-workers", type=int, default=1,
                        help="process fan-out within each job's sweep")
     serve.add_argument("--poll", type=float, default=0.1, metavar="SECONDS",
                        help="longest idle wait between scheduler ticks "
                             "(positive): it bounds only file-path submits "
-                            "and the idle heartbeat; socket submits, "
-                            "finished jobs and stops wake the daemon at once")
+                            "and the idle heartbeat; socket submits and "
+                            "stops wake the daemon at once")
     serve.add_argument("--drain", action="store_true",
                        help="exit once the queue is empty (batch mode)")
     serve.add_argument("--max-jobs", type=int, default=None, metavar="N",
@@ -1245,17 +1242,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable the trace cache")
     serve.set_defaults(func=_cmd_serve)
 
+    def add_transport_argument(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument("--transport", choices=("auto", "files", "socket"),
+                         default="auto",
+                         help="auto (default) sends submit, cancel, stats and "
+                              "wait to a live daemon's socket and falls back "
+                              "to files; files/socket pin one path for them")
+
     def add_service_client_arguments(sub: argparse.ArgumentParser, with_job: bool) -> None:
         sub.add_argument("service_dir", help="service directory")
         if with_job:
             sub.add_argument("job", help="job id or unique prefix (see 'queue ls')")
         sub.add_argument("--format", choices=("text", "json"), default="text",
                          help="output format")
-        sub.add_argument("--transport", choices=("auto", "files", "socket"),
-                         default="auto",
-                         help="auto (default) uses a live daemon's socket and "
-                              "falls back to polling files; files/socket pin "
-                              "one path")
 
     submit = subparsers.add_parser(
         "submit",
@@ -1287,11 +1286,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="with --wait: give up after this long")
     submit.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format")
-    submit.add_argument("--transport", choices=("auto", "files", "socket"),
-                        default="auto",
-                        help="auto (default) uses a live daemon's socket and "
-                             "falls back to polling files; files/socket pin "
-                             "one path")
+    add_transport_argument(submit)
     submit.add_argument("--trace-cache", dest="trace_cache", default=None,
                         metavar="DIR",
                         help="trace cache for the fingerprint sidecar "
@@ -1319,6 +1314,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cancel",
         help="cancel a service job (running jobs stop between cells)")
     add_service_client_arguments(cancel, with_job=True)
+    add_transport_argument(cancel)
     cancel.set_defaults(func=_cmd_cancel)
 
     metrics = subparsers.add_parser(
@@ -1343,6 +1339,7 @@ def build_parser() -> argparse.ArgumentParser:
     queue_stats = queue_sub.add_parser(
         "stats", help="queue counts, dedup ratio and daemon heartbeat")
     add_service_client_arguments(queue_stats, with_job=False)
+    add_transport_argument(queue_stats)
     queue_stats.add_argument("--prune-events", action="store_true",
                              help="prune submit-event files older than the "
                                   "retain window before reporting (the pruned "
@@ -1359,6 +1356,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="live view: the daemon's jobs/sec, claim latency "
              "p50/p95, cache hit rates and degradation notes")
     add_service_client_arguments(queue_top, with_job=False)
+    add_transport_argument(queue_top)
     queue_top.add_argument("--interval", type=float, default=2.0,
                            metavar="SECONDS",
                            help="seconds between refreshes (with --iterations)")

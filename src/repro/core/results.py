@@ -640,6 +640,17 @@ class ResultsFrame:
         )
 
     @classmethod
+    def from_json_payload(cls, payload: Mapping[str, Any]) -> "ResultsFrame":
+        """The frame of a decoded :meth:`to_json` payload: its rows and its
+        simulator and trace names (a ``sweep --format json`` output or a
+        served job's result)."""
+        return cls.from_rows(
+            payload["configurations"],
+            simulator_name=str(payload.get("simulator", "sweep")),
+            trace_name=str(payload.get("trace", "trace")),
+        )
+
+    @classmethod
     def from_rows(
         cls,
         rows: Iterable[Mapping[str, Any]],

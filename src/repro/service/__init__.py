@@ -12,20 +12,21 @@ the payload of :func:`repro.engine.sweep.run_sweep` executed directly.
     content identity the result store uses.
 ``api``
     The JSON wire schema and :class:`ServiceClient` — submit / status /
-    result / cancel / stats over the polling-file transport, transparently
-    upgraded to the daemon's Unix-domain socket when it is live (clients
-    and the daemon share a service directory either way).
+    result / cancel / stats / wait over the shared service directory.
+    Reads go to its files; submit, cancel, stats and wait go through the
+    daemon's Unix-domain socket when it is live.
 ``daemon``
-    :class:`ServiceDaemon`, the scheduler draining the queue through the
-    fused sweep executor with a bounded worker pool, loading every cell
-    already stored instead of simulating it, and recording per-job
-    timings and per-cell progress durably.  One daemon serves a service
-    directory: it holds an exclusive lock on ``daemon.lock`` while it
-    runs, so a second one is refused, and a restart after a crash
-    re-queues every job the dead daemon left running.
+    :class:`ServiceDaemon`, the scheduler draining the queue one job at a
+    time through the fused sweep executor, loading every cell already
+    stored instead of simulating it, and recording per-job timings and
+    per-cell progress durably.  One daemon serves a service directory: it
+    holds an exclusive lock on ``daemon.lock`` while it runs, so a second
+    one is refused, and a restart after a crash re-queues every job the
+    dead daemon left running.
 ``socketserver``
     The daemon's Unix-domain-socket front end and its client transport:
-    the same JSON envelopes as the polling path, minus the polling floor.
+    what a live daemon adds to the files (a scheduler wake, live counters,
+    a completion notice for ``wait``).
 """
 
 from repro._lazy import lazy_exports
@@ -49,7 +50,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "SweepRequest",
             "error_response",
             "ok_response",
-            "service_stats",
         ),
         ".daemon": ("ServiceDaemon", "default_daemon_id"),
         ".queue": ("SERVICE_SCHEMA_VERSION", "JobQueue", "JobRecord", "open_service"),

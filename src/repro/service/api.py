@@ -1,19 +1,24 @@
-"""JSON wire schema and the :class:`ServiceClient` (files + socket paths).
+"""JSON wire schema and the :class:`ServiceClient`.
 
-The baseline transport is *shared files*: clients and the daemon operate on
-one service directory (the :class:`~repro.service.queue.JobQueue` layout),
-so a submit is an atomic enqueue, status is a record read, and waiting is
-polling — no sockets, no extra dependencies, and every operation works
-whether or not a daemon is currently alive (jobs queue up and are drained
-when one starts).
+Clients and the daemon share one service directory (the
+:class:`~repro.service.queue.JobQueue` layout).  Every client operation
+works whether or not a daemon is alive: jobs queue up and are drained when
+one starts.  Each operation has one implementation:
 
-When the daemon *is* alive, the client transparently upgrades to its
-Unix-domain socket (see :mod:`repro.service.socketserver`): the same
-operations become single round trips carrying the same JSON envelopes, and
-``wait`` is woken by the daemon on completion instead of paying the polling
-interval as a latency floor.  Transport choice is per-client
-(``transport="auto" | "files" | "socket"``); ``auto`` falls back to files
-on any socket failure, so the socket is purely an accelerator.
+* ``status``, ``result_text``, ``result_frame`` and ``jobs`` read the
+  queue's files, with or without a daemon;
+* ``submit``, ``cancel`` and ``stats`` are answered by
+  :func:`queue_response`.  A live daemon runs it behind its Unix-domain
+  socket (see :mod:`repro.service.socketserver`) and adds what only it
+  has: a submit wakes its scheduler at once, its registry counts the
+  request, and ``stats`` carries its live counters.  With no daemon
+  answering, the client runs it itself over the files;
+* ``wait`` blocks on the daemon's completion notice over the socket, and
+  polls the job's record when no daemon is there to send one.
+
+Transport choice is per-client (``transport="auto" | "files" | "socket"``)
+and applies to the operations that use the socket; ``auto`` falls back to
+files on any socket failure, so the socket is purely an accelerator.
 
 Every client operation has a JSON request/response shape so the CLI's
 ``--format json`` output is machine-consumable and stable:
@@ -210,50 +215,64 @@ class SweepRequest:
         return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
-def record_to_wire(record: JobRecord) -> Dict[str, Any]:
-    """A job record as a wire-friendly dictionary."""
-    return record.to_dict()
+def queue_response(queue: JobQueue, request: Dict[str, Any]) -> Dict[str, Any]:
+    """The response to a ``submit``, ``cancel`` or ``stats`` request over ``queue``.
 
-
-def service_stats(queue: JobQueue) -> Dict[str, Any]:
-    """The ``stats`` response for one service directory.
-
-    Shared by the polling client and the socket server so both transports
-    report identical shapes: queue counts, dedup accounting, and under
-    ``daemon`` the daemon's last heartbeat (``None`` before its first).
-    The socket server swaps in the daemon's live counters.
+    The socket server answers these ops with it inside the daemon, and a
+    client with no daemon answering calls it itself, so both report one
+    shape.  ``stats`` carries the daemon's last heartbeat under ``daemon``
+    (``None`` before its first); the socket server swaps in its live
+    counters.  Any other op raises :class:`~repro.errors.ServiceError`.
     """
-    counts = queue.counts()
-    submissions = queue.submissions()
-    distinct = sum(counts.values())
-    return ok_response(
-        "stats",
-        queue=counts,
-        submissions=submissions,
-        distinct_jobs=distinct,
-        coalesced_submissions=max(submissions - distinct, 0),
-        dedup_ratio=(
-            round(max(submissions - distinct, 0) / submissions, 6)
-            if submissions
-            else 0.0
-        ),
-        daemon=queue.heartbeat(),
-    )
+    op = request.get("op")
+    if op == "submit":
+        record, deduped = queue.submit(
+            str(request["job_id"]),
+            dict(request["request"]),
+            priority=int(request.get("priority", 0)),
+        )
+        return ok_response(
+            "submit",
+            job_id=record.id,
+            state=record.state,
+            deduped=deduped,
+            priority=record.priority,
+            trace_id=str(record.request.get("trace_id", "")) or None,
+        )
+    if op == "cancel":
+        record = queue.cancel(str(request["job"]))
+        return ok_response(
+            "cancel", job=record.to_dict(), requested=record.state == STATE_RUNNING
+        )
+    if op == "stats":
+        counts = queue.counts()
+        submissions = queue.submissions()
+        coalesced = max(submissions - sum(counts.values()), 0)
+        return ok_response(
+            "stats",
+            queue=counts,
+            submissions=submissions,
+            distinct_jobs=sum(counts.values()),
+            coalesced_submissions=coalesced,
+            dedup_ratio=round(coalesced / submissions, 6) if submissions else 0.0,
+            daemon=queue.heartbeat(),
+        )
+    raise ServiceError(f"unknown socket operation {op!r}")
 
 
 class ServiceClient:
     """Client surface over one service directory (files and/or socket).
 
-    The file path is always valid: operations are plain reads/writes
-    against the shared :class:`~repro.service.queue.JobQueue`, with or
-    without a live daemon.  With ``transport="auto"`` (the default) the
-    client additionally looks for a live daemon socket on first use and
-    routes operations through it — one round trip instead of several
-    ``stat``/read calls, and :meth:`wait` without a polling floor — falling
-    back to files the moment the socket misbehaves.  ``transport="files"``
-    never touches sockets (the PR 5 behaviour, and what benchmarks use to
-    measure the polling path); ``transport="socket"`` makes socket failures
-    hard errors instead of silent fallbacks.
+    Reads (:meth:`status`, :meth:`result_text`, :meth:`result_frame`,
+    :meth:`jobs`) always go to the shared
+    :class:`~repro.service.queue.JobQueue`'s files.  With
+    ``transport="auto"`` (the default) :meth:`submit`, :meth:`cancel`,
+    :meth:`stats` and :meth:`wait` look for a live daemon socket on first
+    use and go through it, so the daemon wakes at once and :meth:`wait`
+    has no polling floor; without one, or the moment the socket
+    misbehaves, they act on the files.  ``transport="files"`` never
+    touches sockets; ``transport="socket"`` makes socket failures hard
+    errors instead of silent fallbacks.
     """
 
     def __init__(
@@ -354,8 +373,12 @@ class ServiceClient:
                     return None
         return None  # pragma: no cover - loop always returns
 
-    @staticmethod
-    def _checked(response: Dict[str, Any]) -> Dict[str, Any]:
+    def _call(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """A ``submit``, ``cancel`` or ``stats`` through the live daemon, or
+        answered here over the files when no daemon answers."""
+        response = self._socket_request(request)
+        if response is None:
+            return queue_response(self.queue, request)
         if not response.get("ok", False):
             raise ServiceError(str(response.get("error", "service request failed")))
         return response
@@ -406,30 +429,14 @@ class ServiceClient:
         # (including a re-execution after a crash) carries the same id.  A
         # deduped submission keeps the *original* submission's id: the
         # coalesced request observes the first request's trace.
-        trace_id = new_trace_id()
-        wire["trace_id"] = trace_id
-        response = self._socket_request(
+        wire["trace_id"] = new_trace_id()
+        return self._call(
             {"op": "submit", "job_id": job_id, "request": wire, "priority": priority}
-        )
-        if response is not None:
-            return self._checked(response)
-        record, deduped = self.queue.submit(job_id, wire, priority=priority)
-        return ok_response(
-            "submit",
-            job_id=record.id,
-            state=record.state,
-            deduped=deduped,
-            priority=record.priority,
-            trace_id=str(record.request.get("trace_id", trace_id)),
         )
 
     def status(self, job_id: str) -> Dict[str, Any]:
         """The job's current record."""
-        response = self._socket_request({"op": "status", "job": job_id})
-        if response is not None:
-            return self._checked(response)
-        record = self.queue.find(job_id)
-        return ok_response("status", job=record_to_wire(record))
+        return ok_response("status", job=self.queue.find(job_id).to_dict())
 
     def result_text(self, job_id: str) -> str:
         """A completed job's result payload, verbatim.
@@ -437,9 +444,6 @@ class ServiceClient:
         This is byte-identical to what ``repro-dew sweep --format json``
         prints for the same grid over the same trace.
         """
-        response = self._socket_request({"op": "result", "job": job_id})
-        if response is not None:
-            return str(self._checked(response)["payload"])
         return self.queue.result_text(job_id)
 
     def result_frame(self, job_id: str) -> ResultsFrame:
@@ -449,12 +453,7 @@ class ServiceClient:
         ``explore pareto`` / ``explore tune`` exactly like a sweep JSON
         payload or a store directory does.
         """
-        payload = json.loads(self.result_text(job_id))
-        return ResultsFrame.from_rows(
-            payload["configurations"],
-            simulator_name=str(payload.get("simulator", "sweep")),
-            trace_name=str(payload.get("trace", "trace")),
-        )
+        return ResultsFrame.from_json_payload(json.loads(self.result_text(job_id)))
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
         """Cancel a job.
@@ -464,15 +463,7 @@ class ServiceClient:
         daemon stops it between cells — the response carries
         ``requested=True`` and the job's still-running record in that case.
         """
-        response = self._socket_request({"op": "cancel", "job": job_id})
-        if response is not None:
-            return self._checked(response)
-        record = self.queue.cancel(job_id)
-        return ok_response(
-            "cancel",
-            job=record_to_wire(record),
-            requested=record.state == STATE_RUNNING,
-        )
+        return self._call({"op": "cancel", "job": job_id})
 
     def prune_events(self, retain_seconds: float = DEFAULT_EVENT_RETAIN_SECONDS) -> int:
         """Prune stale submit-event files (see :meth:`JobQueue.prune_events`)."""
@@ -480,14 +471,11 @@ class ServiceClient:
 
     def jobs(self, state: Optional[str] = None) -> List[Dict[str, Any]]:
         """All job records (optionally filtered by state) in claim order."""
-        return [record_to_wire(record) for record in self.queue.records(state)]
+        return [record.to_dict() for record in self.queue.records(state)]
 
     def stats(self) -> Dict[str, Any]:
         """Queue counts, dedup accounting and the daemon's heartbeat."""
-        response = self._socket_request({"op": "stats"})
-        if response is not None:
-            return self._checked(response)
-        return service_stats(self.queue)
+        return self._call({"op": "stats"})
 
     def wait(
         self,

@@ -7,11 +7,8 @@ properties:
 
 **Coalescing.**  Duplicate submissions never reach the daemon at all (the
 queue keys jobs by canonical content identity).  A cell shared by
-*different* jobs is simulated once when they run one after another: the
-later job loads it from the store.  With ``workers`` above 1, two jobs that
-run at the same time and share a cell may both simulate it; each store write
-replaces the artifact atomically with the same bytes, so the payloads and
-the store stay byte-identical.
+*different* jobs is simulated once: the daemon runs one job at a time, and
+the later job loads the cell from the store.
 
 **Durability.**  The store is the record of finished cells: a cell's
 artifact is written the moment it finishes inside ``run_sweep`` (a pooled
@@ -28,11 +25,9 @@ job (resetting its counts) and the re-run pays only for unpersisted cells.
 would run and stores the merged payload verbatim, so a served result equals
 ``run_sweep`` executed directly — cold, warm, killed-and-resumed alike.
 
-The bounded worker pool (``workers``) executes that many *jobs*
-concurrently in threads; each job's sweep may additionally fan out over
-``sweep_workers`` processes.  With ``workers=1`` execution is inline in
-the scheduler loop, which is also what makes the kill-mid-job semantics
-deterministic to test.
+Jobs run one at a time, inline in the scheduler loop, which is also what
+makes the kill-mid-job semantics deterministic to test; a job's sweep may
+fan out over ``sweep_workers`` processes.
 
 **One daemon per directory.**  :meth:`ServiceDaemon.run` holds an
 exclusive ``flock`` on ``<root>/daemon.lock`` from before recovery until it
@@ -40,7 +35,8 @@ returns, so a second daemon on the same directory is refused with a
 :class:`~repro.errors.ServiceError`.  The kernel drops the lock when its
 holder dies, so a restart after a crash starts at once, and recovery can
 re-queue every running job it finds.  The daemon serves a Unix-domain
-socket at ``<root>/daemon.sock``, giving clients a polling-free fast path.
+socket at ``<root>/daemon.sock``: a submit over it wakes the scheduler at
+once, and a waiting client is woken when its job ends.
 """
 
 from __future__ import annotations
@@ -52,10 +48,9 @@ import os
 import re
 import socket as _socketmod
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from threading import Event, Lock
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from repro.engine.sweep import SweepJob, run_sweep
 from repro.errors import ReproError, ServiceError, StoreError, SweepAborted
@@ -102,17 +97,13 @@ class ServiceDaemon:
         ``None`` for the default ``<root>/store``.  Sharing this store
         between the daemon and direct ``repro-dew sweep --store`` runs is
         supported (and is what makes them warm each other).
-    workers:
-        Jobs executed concurrently.  ``1`` (the default) runs jobs inline
-        in the scheduler loop; more uses a bounded thread pool.
     sweep_workers:
         Process fan-out *within* each job's sweep (``run_sweep(workers=)``).
     poll_interval:
         Longest idle wait between scheduler ticks, in seconds; must be
         positive.  It bounds only how late a job submitted as a file is
         claimed, and how often an idle daemon renews its heartbeat: a
-        socket submit, a finished job and :meth:`stop` wake the scheduler
-        at once.
+        socket submit and :meth:`stop` wake the scheduler at once.
     on_cell:
         Optional observability hook called as ``on_cell(record, index,
         job, cached)`` after every persisted cell — the test suite uses it
@@ -141,7 +132,6 @@ class ServiceDaemon:
         self,
         root: Union[str, os.PathLike],
         store: Optional[Union[str, os.PathLike, ResultStore]] = None,
-        workers: int = 1,
         sweep_workers: int = 1,
         poll_interval: float = 0.1,
         on_cell: Optional[Callable[[JobRecord, int, SweepJob, bool], None]] = None,
@@ -187,7 +177,6 @@ class ServiceDaemon:
         self.socket_server: Optional[ServiceSocketServer] = None
         self.socket_error: Optional[str] = None
         self.job_retain_seconds = float(job_retain_seconds)
-        self.workers = max(int(workers), 1)
         self.sweep_workers = max(int(sweep_workers), 1)
         self.on_cell = on_cell
         self.event_retain_seconds = float(event_retain_seconds)
@@ -238,13 +227,15 @@ class ServiceDaemon:
             source=self.daemon_id,
         )
         self._stopping = False
-        # Set by a socket submit, a finished pooled job and stop(); the
-        # scheduler waits on it between ticks instead of sleeping.
+        # Set by a socket submit and stop(); the scheduler waits on it
+        # between ticks instead of sleeping.
         self._wake = Event()
         #: Set once the daemon serves: its socket is up (if it could bind)
         #: and its first heartbeat is written.  Cleared when run() returns.
         self.ready = Event()
         self._started_at = time.time()
+        # Socket threads read the counters (heartbeat()) while a job updates
+        # them.
         self._lock = Lock()
         self._lock_fd: Optional[int] = None  # the held daemon.lock, in run()
 
@@ -299,10 +290,7 @@ class ServiceDaemon:
         self.ready.set()
         finished_before = self._finished_total()
         try:
-            if self.workers == 1:
-                self._run_inline(drain, max_jobs, finished_before)
-            else:
-                self._run_pooled(drain, max_jobs, finished_before)
+            self._schedule(drain, max_jobs, finished_before)
         finally:
             self._stop_socket()
             self._write_heartbeat(note="stopped")
@@ -373,7 +361,7 @@ class ServiceDaemon:
             return False
         return self._finished_total() - finished_before >= max_jobs
 
-    def _run_inline(
+    def _schedule(
         self, drain: bool, max_jobs: Optional[int], finished_before: int
     ) -> None:
         while True:
@@ -391,34 +379,6 @@ class ServiceDaemon:
                 continue
             self._execute(record)
             self._write_heartbeat()
-
-    def _run_pooled(
-        self, drain: bool, max_jobs: Optional[int], finished_before: int
-    ) -> None:
-        pending: List[Future] = []
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            while True:
-                self._wake.clear()  # before the checks, as in _run_inline
-                pending = [future for future in pending if not future.done()]
-                if self._stopping or self._finished_enough(finished_before, max_jobs):
-                    break
-                claimed = None
-                if len(pending) < self.workers:
-                    claimed = self.queue.claim(daemon_id=self.daemon_id)
-                if claimed is not None:
-                    future = pool.submit(self._execute, claimed)
-                    # A done callback runs once done() holds, so the woken
-                    # scheduler sees the slot free and claims a job that
-                    # waited for one.
-                    future.add_done_callback(lambda _: self._wake.set())
-                    pending.append(future)
-                    continue
-                self._write_heartbeat()
-                if drain and not pending and not self.queue.records(STATE_QUEUED):
-                    break
-                self._wake.wait(self.poll_interval)
-            for future in pending:
-                future.result()
 
     # -- execution ---------------------------------------------------------------
 
@@ -625,7 +585,6 @@ class ServiceDaemon:
             "pid": os.getpid(),
             "started_at": self._started_at,
             "updated_at": time.time(),
-            "workers": self.workers,
             "sweep_workers": self.sweep_workers,
             "jobs_done": self.jobs_done,
             "jobs_failed": self.jobs_failed,

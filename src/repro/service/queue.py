@@ -738,9 +738,10 @@ class JobQueue:
                     report["bytes"] += result_size
         return report
 
-    def result_text(self, job_id_or_prefix: str) -> str:
-        """The stored result payload of a completed job."""
-        record = self.find(job_id_or_prefix)
+    def result_text(self, job: Union[str, JobRecord]) -> str:
+        """The stored result payload of a completed job (an id, a unique
+        prefix, or a record already read)."""
+        record = job if isinstance(job, JobRecord) else self.find(job)
         if record.state != STATE_DONE:
             raise ServiceError(
                 f"job {record.id[:12]} is {record.state}, not done"

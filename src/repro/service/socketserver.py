@@ -1,26 +1,25 @@
 """Unix-domain-socket front end for the simulation service.
 
-The polling-file transport (see :mod:`repro.service.api`) is durable and
-daemon-optional, but every ``wait`` pays a latency floor of one polling
-interval.  This module adds a *low-latency* path on the same versioned JSON
-envelopes: the service's daemon binds ``<root>/daemon.sock`` and serves
-the client operations over newline-delimited JSON, so ``submit`` /
-``status`` / ``result`` / ``wait`` become one round trip and a waiting
-client is woken the moment the daemon finishes the job instead of on its
-next poll.
+Every client operation works over the service directory's files (see
+:mod:`repro.service.api`).  This module adds only what a live daemon has
+to give: the daemon binds ``<root>/daemon.sock`` and answers ``submit``,
+``cancel`` and ``stats`` itself, so a submit wakes its scheduler at once,
+its registry counts each request and ``stats`` carries its live counters;
+and a waiting client is woken the moment the daemon finishes the job
+instead of on its next poll.  Reads never come here: a client reads job
+records and payloads from the files.
 
 Wire format: one JSON object per line in each direction, over a persistent
-connection.  Requests are ``{"wire": 1, "op": <name>, ...}``; responses are
-exactly the envelopes the polling transport produces (``ok_response`` /
-``error_response``), so a client can take either path and see identical
-payloads.  The socket is an accelerator, never a requirement — clients fall
-back to polling files whenever no live socket is found, and every mutation
-the server performs goes through the same durable :class:`JobQueue`
-primitives the file path uses.
+connection.  Requests are ``{"wire": 1, "op": <name>, ...}`` with ``op``
+one of ``ping``, ``submit``, ``cancel``, ``stats`` and ``wait``; responses
+are the envelopes :func:`~repro.service.api.queue_response` builds for a
+client with no daemon, so a client can take either path and see identical
+payloads.  The socket is an accelerator, never a requirement: clients fall
+back to files whenever no live socket is found.
 
 The server side runs as a daemon thread inside :class:`ServiceDaemon`; a
 daemon that cannot bind its socket (path length limits, exotic platforms)
-logs the fact in its heartbeat and keeps serving the polling transport.
+logs the fact in its heartbeat and keeps serving over files.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ServiceError
-from repro.obs.metrics import get_registry, render_exposition
+from repro.obs.metrics import get_registry
 from repro.service.queue import (
     STATE_FAILED,
     STATE_QUEUED,
@@ -71,16 +70,17 @@ def recv_message(handle) -> Optional[Dict[str, Any]]:
 
 
 class ServiceSocketServer:
-    """The daemon's socket listener, serving client ops over its queue.
+    """The daemon's socket listener: ``submit``, ``cancel``, ``stats``, ``wait``.
 
     Runs the accept loop in a daemon thread plus one thread per connection.
-    All state mutations go through the shared durable :class:`JobQueue`, so
-    a socket-served submit is indistinguishable on disk from a file-path
-    one.  ``stats_source`` (the owning daemon's live counters) is consulted
-    by the ``stats`` op so socket clients see the same heartbeat the file
-    transport reads from disk.  ``on_submit`` is called after every submit
-    that leaves its job queued, which is how the owning daemon's scheduler
-    is woken instead of waiting out its poll.
+    ``submit``, ``cancel`` and ``stats`` are answered by the same
+    :func:`~repro.service.api.queue_response` a client without a daemon
+    runs, so a socket-served submit is indistinguishable on disk from a
+    file one.  ``stats_source`` (the owning daemon) swaps its live counters
+    into the ``stats`` response in place of the heartbeat file.
+    ``on_submit`` is called after every submit that leaves its job queued,
+    which is how the owning daemon's scheduler is woken instead of waiting
+    out its poll.
     """
 
     def __init__(
@@ -198,12 +198,14 @@ class ServiceSocketServer:
                     response = error_response(exc)
                 except Exception as exc:  # noqa: BLE001 - a request must not kill the server
                     response = error_response(f"{type(exc).__name__}: {exc}")
+                # Counted before the answer is sent, so a client that has
+                # its answer also sees it counted.
+                self.requests_served += 1
+                self._metric_requests.inc()
                 try:
                     send_message(handle, response)
                 except OSError:
                     break
-                self.requests_served += 1
-                self._metric_requests.inc()
         finally:
             try:
                 connection.close()
@@ -213,12 +215,7 @@ class ServiceSocketServer:
     # -- dispatch ----------------------------------------------------------------
 
     def _dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.service.api import (
-            SERVICE_WIRE_VERSION,
-            ok_response,
-            record_to_wire,
-            service_stats,
-        )
+        from repro.service.api import SERVICE_WIRE_VERSION, ok_response, queue_response
 
         if request.get("wire") != SERVICE_WIRE_VERSION:
             raise ServiceError(
@@ -228,84 +225,21 @@ class ServiceSocketServer:
         op = request.get("op")
         if op == "ping":
             return ok_response("pong", daemon_id=self.daemon_id)
-        if op == "submit":
-            job_id = str(request["job_id"])
-            record, deduped = self.queue.submit(
-                job_id,
-                dict(request["request"]),
-                priority=int(request.get("priority", 0)),
-            )
-            if record.state == STATE_QUEUED and self.on_submit is not None:
-                self.on_submit()
-            return ok_response(
-                "submit",
-                job_id=record.id,
-                state=record.state,
-                deduped=deduped,
-                priority=record.priority,
-                trace_id=str(record.request.get("trace_id", "")) or None,
-            )
-        if op == "status":
-            record = self.queue.find(str(request["job"]))
-            return ok_response("status", job=record_to_wire(record))
-        if op == "result":
-            payload = self.queue.result_text(str(request["job"]))
-            return ok_response("result", payload=payload)
-        if op == "cancel":
-            record = self.queue.cancel(str(request["job"]))
-            return ok_response(
-                "cancel",
-                job=record_to_wire(record),
-                requested=record.state == "running",
-            )
-        if op == "stats":
-            return self._stats_response(service_stats)
-        if op == "metrics":
-            return self._metrics_response(request, ok_response)
         if op == "wait":
-            return self._handle_wait(request, ok_response, record_to_wire)
-        raise ServiceError(f"unknown socket operation {op!r}")
-
-    def _metrics_response(self, request: Dict[str, Any], ok_response) -> Dict[str, Any]:
-        """This daemon process's live metrics registry.
-
-        ``format: "json"`` (the default) answers with the canonical
-        snapshot; ``format: "text"`` renders the Prometheus-style
-        exposition, so the socket can be scraped with nothing but
-        ``nc -U`` and one JSON line.
-        """
-        fmt = str(request.get("format", "json"))
-        snapshot = get_registry().snapshot()
-        if fmt == "text":
-            return ok_response(
-                "metrics",
-                daemon_id=self.daemon_id,
-                format="text",
-                exposition=render_exposition(snapshot),
-            )
-        if fmt != "json":
-            raise ServiceError(f"unknown metrics format {fmt!r} (json or text)")
-        return ok_response(
-            "metrics", daemon_id=self.daemon_id, format="json", metrics=snapshot
-        )
-
-    def _stats_response(self, service_stats) -> Dict[str, Any]:
-        """Stats with the daemon's entry taken from its live counters.
-
-        The heartbeat file lags by up to a scheduler tick (a whole job, in
-        inline mode); a socket client asking the daemon directly deserves
-        the daemon's current numbers.
-        """
-        response = service_stats(self.queue)
-        source = self.stats_source
-        if source is not None:
+            return self._handle_wait(request, ok_response)
+        response = queue_response(self.queue, request)
+        if op == "submit" and response["state"] == STATE_QUEUED and self.on_submit:
+            self.on_submit()
+        elif op == "stats" and self.stats_source is not None:
+            # The heartbeat file lags by up to a whole job; a client asking
+            # the daemon deserves its current numbers.
             try:
-                response["daemon"] = dict(source.heartbeat())
+                response["daemon"] = dict(self.stats_source.heartbeat())
             except Exception:  # noqa: BLE001 - stats must degrade, not fail
                 pass
         return response
 
-    def _handle_wait(self, request, ok_response, record_to_wire) -> Dict[str, Any]:
+    def _handle_wait(self, request, ok_response) -> Dict[str, Any]:
         """Block until the job is terminal (or failed), then answer.
 
         The fast path is the daemon's ``notify_job_finished`` call; the
@@ -321,7 +255,7 @@ class ServiceSocketServer:
                 seen = self._finished
             record = self.queue.find(job_id)
             if record.state in TERMINAL_STATES or record.state == STATE_FAILED:
-                return ok_response("wait", job=record_to_wire(record))
+                return ok_response("wait", job=record.to_dict())
             if self._stopping:
                 raise ServiceError("daemon is shutting down; retry over polling")
             remaining = deadline - time.monotonic()

@@ -23,9 +23,9 @@ Durability rules:
 
 * **Atomic writes** — artifacts are written to a temporary file in the same
   directory and ``os.replace``-d into place, so a killed sweep never leaves a
-  truncated artifact under its final name.  Two writers of one key (two jobs
-  of a multi-worker daemon that share a cell) each replace it with the same
-  bytes.
+  truncated artifact under its final name.  Two writers of one key (jobs
+  of two daemons that share a store, or a daemon's job and a direct
+  ``sweep --store``, over a shared cell) each replace it with the same bytes.
 * **Corruption is a miss** — an artifact that cannot be parsed, carries an
   unknown schema version, or whose embedded key digest disagrees with its
   address is ignored (and counted in :attr:`ResultStore.corrupt_count`); the

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -32,6 +33,7 @@ from repro.service import (
     open_service,
 )
 from repro.service.queue import (
+    STATE_CANCELLED,
     STATE_DONE,
     STATE_QUEUED,
     STATE_RUNNING,
@@ -280,22 +282,47 @@ class TestSocketTransport:
         finally:
             _stop(daemon, thread)
 
-    def test_socket_and_polling_serve_identical_payloads(
-        self, tmp_path, trace_file
-    ):
+    def test_reads_never_cross_the_socket(self, tmp_path, trace_file):
         root = tmp_path / "svc"
-        ServiceClient(root, create=True)
-        daemon, thread = _serve_in_thread(root, daemon_id="sock2")
+        queue = ServiceClient(root, create=True).queue
+        # A failed job, which the daemon never claims, for the cancel below.
+        queue.submit("f" * 64, {})
+        queue.fail(queue.claim(daemon_id="gone"), "left to cancel")
+        daemon, thread = _serve_in_thread(
+            root, daemon_id="reads", poll_interval=3600.0
+        )
+        server = daemon.socket_server
         try:
-            socket_client = ServiceClient(root, transport="socket")
+            client = ServiceClient(root, transport="socket")
             files_client = ServiceClient(root, transport="files")
             request = _request(trace_file)
-            job_id = socket_client.submit(request)["job_id"]
-            files_client.wait(job_id, timeout=60.0, poll_interval=0.01)
-            assert socket_client.result_text(job_id) == files_client.result_text(
-                job_id
+            job_id = client.submit(request)["job_id"]
+            assert client.wait(job_id, timeout=60.0).state == STATE_DONE
+            served = server.requests_served
+            # Reads go to the files, so they give what a files client reads.
+            direct = _direct(trace_file, request)
+            assert client.result_text(job_id) == files_client.result_text(job_id) == direct
+            assert (
+                client.result_frame(job_id).to_bytes()
+                == files_client.result_frame(job_id).to_bytes()
             )
-            socket_client.close()
+            assert client.status(job_id) == files_client.status(job_id)
+            assert client.jobs() == files_client.jobs()
+            assert server.requests_served == served
+            # Each operation a live daemon adds to is one socket request.
+            assert client.submit(request)["deduped"]
+            assert server.requests_served == served + 1
+            assert client.cancel("f" * 64)["job"]["state"] == STATE_CANCELLED
+            assert server.requests_served == served + 2
+            assert client.stats()["daemon"]["daemon_id"] == "reads"
+            assert server.requests_served == served + 3
+            transport = discover_socket(queue)
+            for op in ("status", "result", "metrics"):
+                response = transport.request({"wire": 1, "op": op, "job": job_id})
+                assert response["ok"] is False
+                assert f"unknown socket operation {op!r}" in response["error"]
+            transport.close()
+            client.close()
         finally:
             _stop(daemon, thread)
 
@@ -349,48 +376,152 @@ class TestSchedulerWake:
         assert not daemon.ready.is_set()
 
     def test_finished_job_wakes_a_queued_one(self, tmp_path, trace_file):
-        # Two held jobs fill both slots, so a third waits queued.  The end
-        # of one held job must wake the pooled scheduler to claim it.
-        held = {}  # job id -> its release, for the first two jobs to persist a cell
-        held_lock = threading.Lock()
-        both_held = threading.Event()
+        # The first job is held at its first cell while a second is queued
+        # through the files, which wakes nobody.  The end of the held job
+        # must send the scheduler straight on to claim the queued one.
+        held = []  # the id of the job held, once one is
+        holding = threading.Event()
+        release = threading.Event()
 
-        def hold_two_jobs(record, index, job, cached):
-            with held_lock:
-                if record.id not in held and len(held) < 2:
-                    held[record.id] = threading.Event()
-                    if len(held) == 2:
-                        both_held.set()
-                release = held.get(record.id)
-            if release is not None:
+        def hold_the_first_job(record, index, job, cached):
+            if not held:
+                held.append(record.id)
+                holding.set()
                 release.wait(30.0)
 
         root = tmp_path / "svc"
         daemon, thread = _serve_in_thread(
-            root, workers=2, poll_interval=3600.0, on_cell=hold_two_jobs
+            root, poll_interval=3600.0, on_cell=hold_the_first_job
         )
         try:
             client = ServiceClient(root, transport="socket")
+            files_client = ServiceClient(root, transport="files")
             requests = [
                 _request(trace_file, block_sizes=(block_size,))
-                for block_size in (8, 16, 32)
+                for block_size in (8, 16)
             ]
-            first, second = (client.submit(r)["job_id"] for r in requests[:2])
-            assert both_held.wait(30.0), "two jobs never ran at once"
-            third = client.submit(requests[2])["job_id"]
-            assert client.queue.find(third).state == STATE_QUEUED
-            held[first].set()
-            assert client.wait(third, timeout=30.0).state == STATE_DONE
-            held[second].set()
-            for job_id, request in zip((first, second, third), requests):
-                assert client.wait(job_id, timeout=30.0).state == STATE_DONE
+            first = client.submit(requests[0])["job_id"]
+            assert holding.wait(30.0), "the first job never ran"
+            assert held == [first]
+            second = files_client.submit(requests[1])["job_id"]
+            assert client.queue.find(second).state == STATE_QUEUED
+            release.set()
+            assert client.wait(second, timeout=30.0).state == STATE_DONE
+            for job_id, request in zip((first, second), requests):
+                assert client.queue.find(job_id).state == STATE_DONE
                 assert client.result_text(job_id) == _direct(trace_file, request)
             client.close()
         finally:
-            with held_lock:
-                releases = list(held.values())
-            for release in releases:
-                release.set()
+            release.set()
+            _stop(daemon, thread)
+
+
+class TestServedPathWrites:
+    """What a served request writes, pinned for every kind of request.
+
+    Each request reports three things.  First, every ``os.replace``
+    destination relative to the service root, with the job id and
+    digest-named files (store objects, planes, fingerprint sidecars)
+    reduced to placeholders.  Second, the files it creates in place: every
+    submit, a coalesced one too, creates one empty, unsynced
+    ``events/<nonce>.submit`` file.  Third, its ``os.fsync`` calls.  The
+    daemon's heartbeat is left out: when it lands relative to a request is
+    a race.
+    """
+
+    #: A job's claim is a rename out of ``queued/`` and then a rewrite.
+    CLAIM = ["jobs/running/<job>.json"] * 2
+    FINISH = ["results/<job>.json", "jobs/done/<job>.json"]
+    FRESH_CELL = ["store/objects/<digest>.frame", "jobs/running/<job>.json"]
+
+    def test_each_request_writes_exactly_these_files(
+        self, tmp_path, trace_file, monkeypatch
+    ):
+        writes, fsyncs = [], []
+        lock = threading.Lock()
+        replace, fsync = os.replace, os.fsync
+
+        def recorded_replace(source, target, *args, **kwargs):
+            with lock:
+                writes.append(str(target))
+            return replace(source, target, *args, **kwargs)
+
+        def counted_fsync(fd):
+            with lock:
+                fsyncs.append(fd)
+            return fsync(fd)
+
+        root = tmp_path / "svc"
+        ServiceClient(root, create=True)
+        monkeypatch.setattr(
+            ServiceDaemon, "_write_heartbeat", lambda self, note=None: None
+        )
+        daemon, thread = _serve_in_thread(root, daemon_id="pin", poll_interval=3600.0)
+        client = ServiceClient(root, transport="socket")
+
+        events = root / "events"
+        created = ["events/<nonce>.submit"]
+
+        def served(request):
+            """One request as a client makes it: submit, wait, read the frame."""
+            writes.clear()
+            fsyncs.clear()
+            before = set(os.listdir(events))
+            job_id = client.submit(request)["job_id"]
+            assert client.wait(job_id, timeout=60.0).state == STATE_DONE
+            client.result_frame(job_id)
+            new_events = [
+                "events/<nonce>.submit" if name.endswith(".submit") else name
+                for name in sorted(set(os.listdir(events)) - before)
+            ]
+            with lock:
+                paths = [
+                    re.sub(
+                        r"([0-9a-f]{2}/)?[0-9a-f]{64}",
+                        "<digest>",
+                        os.path.relpath(path, root).replace(job_id, "<job>"),
+                    )
+                    for path in writes
+                ]
+                return paths, new_events, len(fsyncs)
+
+        monkeypatch.setattr(os, "replace", recorded_replace)
+        monkeypatch.setattr(os, "fsync", counted_fsync)
+        try:
+            # The first request over a new trace: the client records its
+            # fingerprint sidecar, the daemon its plane, and four fresh cells.
+            first = _request(trace_file)
+            assert served(first) == (
+                ["tracecache/fingerprints/<digest>.json", "jobs/queued/<job>.json"]
+                + self.CLAIM
+                + ["tracecache/objects/<digest>.plane"]
+                + self.FRESH_CELL * 4
+                + self.FINISH,
+                created,
+                15,
+            )
+            # A distinct request with one fresh cell over the now-warm trace.
+            fresh = _request(
+                trace_file, block_sizes=(8,), associativities=(1,), policies=("fifo",),
+                max_sets=64,
+            )
+            assert served(fresh) == (
+                ["jobs/queued/<job>.json"] + self.CLAIM + self.FRESH_CELL + self.FINISH,
+                created,
+                7,
+            )
+            # A distinct request whose every cell is stored.
+            warm = _request(trace_file, block_sizes=(16,))
+            assert served(warm) == (
+                ["jobs/queued/<job>.json"] + self.CLAIM + self.FINISH,
+                created,
+                5,
+            )
+            # A repeat coalesces onto the finished job: it replaces no file
+            # and syncs nothing, but its submit event is still created.
+            assert served(first) == ([], created, 0)
+        finally:
+            client.close()
             _stop(daemon, thread)
 
 

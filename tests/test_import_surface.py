@@ -174,10 +174,13 @@ def _help_digest(text: str) -> str:
 
 
 #: Taken at the commit before the CLI imported lazily, with ``COLUMNS=80``.
+#: ``serve`` and the service client commands were re-pinned when ``serve
+#: --workers`` went, ``--transport`` began to name the operations it routes,
+#: and the read-only ``status``, ``result`` and ``queue ls`` lost it.
 HELP_DIGESTS = {
     "": "305e494fc6f18ea45841075293dfd09fcb9c514ff0a0b7aea271fb19b60c0786",
     "baseline": "e54ad5d6d72eeed2c12bf66a8c7735e451bb0591646b1a99b1563a182c187689",
-    "cancel": "363f08b8c33def1ce4120adff7ff0d4de91a97b5a56233f4099673fa8471357b",
+    "cancel": "0297834205e9144c3de395e323b0424fd0061bbe6d65d4308d2505cce345b5ee",
     "dew": "e7465f2b94da0eee3ef71c45bc7a5c9d3c3f96f4ef4a16bee3f66e1c43a68479",
     "explore": "2eedc23a6829583473137f3e11eacddb926f42c98bfc2dc6b141cca451022a08",
     "explore pareto": "e3962cff928a04ce55d475684fecb334c8bfa513d4ab995790eccd2d5ebe7ed7",
@@ -186,20 +189,20 @@ HELP_DIGESTS = {
     "metrics": "755e1630dee5382ce18c4e2bec18d8f13d1564f6e2f927878864c9b5f313a62e",
     "queue": "50da0db256a7fbe6811e6c0e05f05442fba83706f1d1e10d6fbead2f99d5d07f",
     "queue gc": "2fd262038aca968501bde9175d35961b2e6057a34945a6dcbbd13c521595f9f8",
-    "queue ls": "d03f695869df5dfbf19a31a7835ecf8bac11401a9696741ff0bb3d403be474a8",
-    "queue stats": "994246fdb2ded63b36a3648d66280bd8f005067d0c1026bf406cc0cc81f9d940",
-    "queue top": "4254e278912fe9e6ea4bbe48520951fd644baf3314f48737a193caaa40cafb61",
+    "queue ls": "f590aee3b3fcbc424abac43c23747ec52de320df35803b26ef6a31da5aa3c0fd",
+    "queue stats": "37b943d8444f58b5047df662572979a6042150f85c08b369c3de5a0302bcdfe6",
+    "queue top": "71fab1cbafca3d7ac51fe41db4dbf86b90ac67d96974648fe74b8f6ec3fc5893",
     "reproduce": "98ea74a0c5b7d15df42dc31de1de5e4effbd3e9406edc3f86dbd499d39d0ee0b",
-    "result": "7f3fa930d7edfa85cba2f48d12f09b4affc29c4cb740e8c37ae6546bfbf3572a",
-    "serve": "9929721b24514721c2d214fde3fb8c01faea3f350a37c5696a96b0ad5857adba",
-    "status": "80d64ab023ade2a2aa5f788f135e4eee6bcb64030339ba40b98caf2fe87358a4",
+    "result": "0ac610b6edc8eacc7b6da97e3aa2ab3bf300272cf23265e2e8ad937fb4a40ebc",
+    "serve": "0dfe5dc29d7140043e563e97ceab64d6ec52162233c185bb41fa6b5c34ef91e8",
+    "status": "664d3f487b97339d35eec3aba96721e91136f925a317dabb7a5b813c4d2879bd",
     "store": "daa7aced6f2b9d27eec351f00c1c087154500a71b0147a64d83d7fda9673bc0d",
     "store export": "94d2f8c7317677c62ec0937745a6b8af3172d75ea1d5379ab4ce222ab5cffd1b",
     "store gc": "608ed0923a692fffab45c07569412ffe790f849a104ff1e3142a752803b8d205",
     "store import": "3e323cf8e2932f712b58b953e4efd43ec9cfd8d98445be182a933adaed1f8beb",
     "store ls": "9add2c909daacbfa179063e748960789474fe178266f910899e1adf05bbf824f",
     "store verify": "7b8cb427c0251c1a89da3c9c513a882a05bf4dbd8dc218f1536962071cfcd230",
-    "submit": "f1cf3518d14f82894e2dde578349d791b4a382dddc7f8320d5562250fe84977e",
+    "submit": "ec4b8f925fb55221aa967ac284b3cd8914a2463eef8814de7007c9efb68b58e8",
     "sweep": "cb4b35dc0ea3db8b63b4fec5f6dd51fbaed93ce14ae1f77c8df3d9f826cffa67",
     "trace": "292ce927cd8bdd4bc5407739b4f09877bb2431f16da947f1c591cad252c682bc",
     "trace cache": "1505cf4b99751a2c6d287f7a95acbc211121dcba8c65e8c93780e4407d88db36",

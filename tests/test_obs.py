@@ -375,14 +375,16 @@ class TestFleetMetrics:
         try:
             assert daemon.ready.wait(10.0), "daemon never became ready"
             transport = SocketTransport(client.queue.socket_path())
-            response = transport.request({"wire": 1, "op": "metrics"})
-            assert response["ok"] and response["type"] == "metrics"
-            assert response["metrics"]["schema"] == 1
-            assert "queue_claimed_total" in response["metrics"]["counters"]
-            text = transport.request({"wire": 1, "op": "metrics", "format": "text"})
-            assert "# TYPE queue_claimed_total counter" in text["exposition"]
-            error = transport.request({"wire": 1, "op": "metrics", "format": "xml"})
-            assert error["ok"] is False
+            # The live registry rides the stats op; no op of its own serves it.
+            response = transport.request({"wire": 1, "op": "stats"})
+            assert response["ok"] and response["type"] == "stats"
+            snapshot = response["daemon"]["metrics"]
+            assert snapshot["schema"] == 1
+            assert "queue_claimed_total" in snapshot["counters"]
+            assert "# TYPE queue_claimed_total counter" in render_exposition(snapshot)
+            refused = transport.request({"wire": 1, "op": "metrics"})
+            assert refused["ok"] is False
+            assert "unknown socket operation 'metrics'" in refused["error"]
             transport.close()
         finally:
             daemon.stop()

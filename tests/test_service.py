@@ -528,35 +528,60 @@ class TestOverlappingJobs:
     def test_overlapping_jobs_run_at_once_and_stay_byte_identical(
         self, tmp_path, trace_file
     ):
-        # Job B covers every cell of job A and more.  A's first persisted
-        # cell holds A until B has persisted a fresh cell, so both jobs run
-        # at once over shared cells; each may simulate and store them.
+        # Two daemons, each serving its own directory, share one store, so
+        # their jobs run at once.  Job B covers every cell of job A and
+        # more.  A's first persisted cell holds A until B, started only
+        # then, has persisted a fresh cell, so both jobs run at once over
+        # shared cells; each may simulate and store them.
+        a_held = threading.Event()
         b_persisted = threading.Event()
         overlapped = []
         request_a = _request(trace_file)
         request_b = _request(trace_file, block_sizes=(8, 16, 32))
-        client = ServiceClient(tmp_path / "svc", create=True)
-        job_a = client.submit(request_a)["job_id"]
-        job_b = client.submit(request_b)["job_id"]
+        store = tmp_path / "store"
+        client_a = ServiceClient(tmp_path / "svc-a", create=True)
+        client_b = ServiceClient(tmp_path / "svc-b", create=True)
+        job_a = client_a.submit(request_a)["job_id"]
+        job_b = client_b.submit(request_b)["job_id"]
 
         def hold_a_until_b_persists(record, index, job, cached):
-            if record.id == job_b and not cached:
-                b_persisted.set()
-            elif record.id == job_a and not overlapped:
+            if not overlapped:
+                a_held.set()
                 overlapped.append(b_persisted.wait(30.0))
 
-        daemon = ServiceDaemon(
-            tmp_path / "svc", workers=2, on_cell=hold_a_until_b_persists
+        def note_b_persisted(record, index, job, cached):
+            if not cached:
+                b_persisted.set()
+
+        daemon_a = ServiceDaemon(
+            tmp_path / "svc-a", store=store, socket=False,
+            on_cell=hold_a_until_b_persists,
         )
-        daemon.run(drain=True)
+        daemon_b = ServiceDaemon(
+            tmp_path / "svc-b", store=store, socket=False, on_cell=note_b_persisted
+        )
+        thread_a = threading.Thread(
+            target=daemon_a.run, kwargs={"drain": True}, daemon=True
+        )
+        thread_a.start()
+        try:
+            assert a_held.wait(30.0), "job A never persisted a cell"
+            daemon_b.run(drain=True)
+        finally:
+            b_persisted.set()
+            thread_a.join(timeout=60.0)
+        assert not thread_a.is_alive(), "daemon A did not drain"
         assert overlapped == [True], "job B did not run while job A ran"
-        for job_id, request in ((job_a, request_a), (job_b, request_b)):
+        for client, job_id, request in (
+            (client_a, job_a, request_a),
+            (client_b, job_b, request_b),
+        ):
             assert client.queue.find(job_id).state == STATE_DONE
             direct = run_sweep(
                 load_trace_file(trace_file), request.build_jobs()
             ).merged().to_json()
             assert client.result_text(job_id) == direct
-        report = verify_store(daemon.store)
+        report = verify_store(open_store(store))
         assert [record.status for record in report.records] == ["ok"] * len(
             request_b.build_jobs()
         )
@@ -703,9 +728,9 @@ class TestServiceCli:
         assert ran_and_closed(["queue", "ls", service, "--state", "queued", "--format", "json"])
         queued = json.loads(capsys.readouterr().out)[0]["id"]
         for argv in (
-            ["status", service, done, *files],
-            ["result", service, done, *files],
-            ["result", service, done, "--format", "json", *files],
+            ["status", service, done],
+            ["result", service, done],
+            ["result", service, done, "--format", "json"],
             ["queue", "stats", service, *files],
             ["queue", "top", service, "--iterations", "1", *files],
             ["metrics", service],
@@ -714,7 +739,7 @@ class TestServiceCli:
         ):
             assert ran_and_closed(argv), argv
         # A command that fails still closes its client.
-        assert ran_and_closed(["result", service, queued, *files], expected_code=2)
+        assert ran_and_closed(["result", service, queued], expected_code=2)
 
 
 class TestRunningJobCancellation:
